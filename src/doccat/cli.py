@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, dest="test_corpus", help="test corpus")
     p.add_argument("--out-dir", default="benchmark_out",
                    help="directory for models, reports, and comparison.tsv")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                   help="upper bound on concurrent pipelines")
     p.add_argument("--repro", action="store_true",
                    help="zero wall-clock fields in output files so runs with the "
                         "same seed are byte-identical")
@@ -267,6 +264,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     _diag(args, f"loaded {len(corpus)} documents, {len(corpus.labels)} labels")
     _diag(args, f"resolved hyperparameters: {cli_config.hyper}")
     trained = models.train(corpus, args.features, args.model, cli_config.hyper, config)
+    if args.model == "svm":
+        for label, info in trained.model.fit_info.items():
+            _diag(
+                args,
+                f"svm class={label} passes={info['passes']} "
+                f"violation={info['violation']:.3e} converged={info['converged']}",
+            )
     models.save_model(trained, args.out)
     print(
         f"features={len(trained.vocabulary)} train_sec={trained.train_seconds:.4f} "
@@ -352,7 +356,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         out_dir=out_dir,
         keep_going=True,
         repro=args.repro,
-        threads=args.threads,
     )
     print(evaluation.format_report_table(result.reports))
     print(f"out_dir={out_dir}")

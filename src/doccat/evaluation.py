@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -202,7 +201,6 @@ def benchmark(
     out_dir: str | Path | None = None,
     keep_going: bool = False,
     repro: bool = False,
-    threads: int = 1,
 ) -> BenchmarkResult:
     """Train and evaluate all six method combinations with one shared seed.
 
@@ -243,30 +241,13 @@ def benchmark(
         return report
 
     result = BenchmarkResult()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(METHOD_ORDER))) as pool:
-            futures = {name: pool.submit(run_one, name) for name in METHOD_ORDER}
-            outcomes = []
-            for name in METHOD_ORDER:
-                try:
-                    outcomes.append((name, futures[name].result(), None))
-                except Exception as exc:  # noqa: BLE001 - collected per combination
-                    outcomes.append((name, None, exc))
-    else:
-        outcomes = []
-        for name in METHOD_ORDER:
-            try:
-                outcomes.append((name, run_one(name), None))
-            except Exception as exc:  # noqa: BLE001 - collected per combination
-                outcomes.append((name, None, exc))
-
-    for name, report, error in outcomes:
-        if error is None:
-            result.reports.append(report)
-        elif keep_going:
-            result.failures.append((name, error))
-        else:
-            raise error
+    for name in METHOD_ORDER:
+        try:
+            result.reports.append(run_one(name))
+        except Exception as exc:  # noqa: BLE001 - collected per combination
+            if not keep_going:
+                raise
+            result.failures.append((name, exc))
 
     if out_dir is not None:
         write_comparison_tsv(result.reports, Path(out_dir) / "comparison.tsv")

@@ -12,7 +12,8 @@ smallest label.
   step schedule eta_t = 1 / (alpha (t0 + t)), t0 = 1/alpha, decaying across
   all updates. The bias is unregularized.
 * The SVM trainer solves the L1-loss C-SVC dual by coordinate descent with
-  the bias folded in as a constant-1 feature, stopping when the largest
+  the bias folded in as a constant-1 feature, visiting the examples in a
+  seeded random permutation on every pass, and stopping when the largest
   projected-gradient violation falls below its tolerance.
 
 The one-vs-rest subproblems are independent; each binary trainer runs
@@ -345,6 +346,15 @@ def train_sgd(
     )
 
 
+def _projected_gradient(gradient: float, alpha: float, c: float) -> float:
+    """The dual gradient projected onto the box 0 <= alpha <= C."""
+    if alpha <= 0.0:
+        return min(gradient, 0.0)
+    if alpha >= c:
+        return max(gradient, 0.0)
+    return gradient
+
+
 def _svm_binary(
     index_arrays: list[np.ndarray],
     value_arrays: list[np.ndarray],
@@ -353,47 +363,41 @@ def _svm_binary(
     c: float,
     tolerance: float,
     max_passes: int,
+    seed: int,
 ) -> tuple[np.ndarray, dict]:
     """Dual coordinate descent for one L1-loss C-SVC binary problem.
 
-    Examples are visited in fixed cyclic order, so the solver is fully
-    deterministic. The final vector's last coordinate is the bias term
+    Each pass visits the examples in a fresh permutation drawn from a
+    generator seeded with `seed` (Hsieh et al., ICML 2008), so corpora
+    grouped by label converge and training is deterministic given (seed,
+    corpus). The final vector's last coordinate is the bias term
     (constant-1 feature).
     """
     n = len(targets)
     alphas = np.zeros(n)
     w = np.zeros(n_features_augmented)
     q_diag = np.array([float(values @ values) for values in value_arrays])
+    rng = np.random.default_rng(seed)
 
-    def max_violation_at_fixed_w() -> float:
-        worst = 0.0
-        for i in range(n):
-            gradient = targets[i] * float(w[index_arrays[i]] @ value_arrays[i]) - 1.0
-            if alphas[i] <= 0.0:
-                projected = min(gradient, 0.0)
-            elif alphas[i] >= c:
-                projected = max(gradient, 0.0)
-            else:
-                projected = gradient
-            worst = max(worst, abs(projected))
-        return worst
+    def current_margins() -> np.ndarray:
+        return np.array(
+            [
+                targets[i] * float(w[index_arrays[i]] @ value_arrays[i])
+                for i in range(n)
+            ]
+        )
 
     converged = False
     violation = np.inf
     passes = 0
     for passes in range(1, max_passes + 1):
         sweep_violation = 0.0
-        for i in range(n):
+        for i in rng.permutation(n):
             indices = index_arrays[i]
             values = value_arrays[i]
             gradient = targets[i] * float(w[indices] @ values) - 1.0
             a = alphas[i]
-            if a <= 0.0:
-                projected = min(gradient, 0.0)
-            elif a >= c:
-                projected = max(gradient, 0.0)
-            else:
-                projected = gradient
+            projected = _projected_gradient(gradient, a, c)
             sweep_violation = max(sweep_violation, abs(projected))
             if projected != 0.0:
                 updated = min(max(a - gradient / q_diag[i], 0.0), c)
@@ -404,17 +408,15 @@ def _svm_binary(
         # Gradients measured mid-sweep go stale as later updates move w, so
         # confirm convergence against the final iterate before stopping.
         if sweep_violation < tolerance:
-            violation = max_violation_at_fixed_w()
+            violation = max(
+                abs(_projected_gradient(m - 1.0, a, c))
+                for m, a in zip(current_margins(), alphas)
+            )
             if violation < tolerance:
                 converged = True
                 break
 
-    margins = np.array(
-        [
-            targets[i] * float(w[index_arrays[i]] @ value_arrays[i])
-            for i in range(n)
-        ]
-    )
+    margins = current_margins()
     dual_objective = float(alphas.sum() - 0.5 * (w @ w))
     primal_objective = float(0.5 * (w @ w) + c * np.maximum(0.0, 1.0 - margins).sum())
     return w, {
@@ -438,8 +440,11 @@ def train_svm(
 ) -> LinearModel:
     """Train one-vs-rest linear C-SVC classifiers by dual coordinate descent.
 
-    A problem that exhausts `max_passes` before reaching `tolerance` emits a
-    ConvergenceWarning and marks the model, which is still returned.
+    Every binary problem replays the same permutation sequence seeded by
+    `hyper.seed`, as `train_sgd` does, so training is deterministic given
+    (seed, corpus). A problem that exhausts `max_passes` before reaching
+    `tolerance` emits a ConvergenceWarning and marks the model, which is
+    still returned.
     """
     labels = _check_training_data(X, y)
     vocab_size = _infer_feature_count(X, n_features)
@@ -465,6 +470,7 @@ def train_svm(
             hyper.svm_c,
             tolerance,
             max_passes,
+            hyper.seed,
         )
         weights[row] = augmented[:vocab_size]
         biases[row] = augmented[vocab_size]

@@ -58,6 +58,54 @@ def make_synthetic_corpus(
     return LabeledCorpus(documents=tuple(documents))
 
 
+# Consonants outside _POOL_FIRST: shared terms start with one, own-pool terms
+# end with one, so the two kinds never collide. Like the pools above, every
+# term ends in a bare consonant that no shipped suffix rule strips.
+_OVERLAP_CONSONANTS = "তথদধ"
+
+
+def make_overlapping_corpus(
+    docs_per_category: int,
+    seed: int,
+    n_categories: int = 12,
+    own_share: float = 0.3,
+) -> LabeledCorpus:
+    """Label-grouped corpus whose categories share most of their vocabulary.
+
+    Each token comes from the document's own category pool with probability
+    `own_share` and otherwise from one shared pool, unlike the disjoint
+    pools of `make_synthetic_corpus`. Documents are listed category by
+    category, as `load_dir` returns them.
+    """
+    assert n_categories <= len(_POOL_FIRST)
+    rng = np.random.default_rng(seed)
+    shared = [
+        first + second + third
+        for first in _OVERLAP_CONSONANTS
+        for second in _POOL_SECOND
+        for third in _POOL_FIRST[:5]
+    ]
+    documents = []
+    for c in range(n_categories):
+        label = CATEGORY_NAMES[c]
+        own = [
+            _POOL_FIRST[c] + second + third
+            for second in _POOL_SECOND
+            for third in _OVERLAP_CONSONANTS
+        ]
+        for d in range(docs_per_category):
+            sentences = []
+            for _ in range(int(rng.integers(2, 5))):
+                n_tokens = int(rng.integers(4, 9))
+                sentences.append(" ".join(
+                    rng.choice(own) if rng.random() < own_share else rng.choice(shared)
+                    for _ in range(n_tokens)
+                ))
+            text = "। ".join(sentences) + "।"
+            documents.append(LabeledDocument(id=f"{label}-{d}", text=text, label=label))
+    return LabeledCorpus(documents=tuple(documents))
+
+
 def random_tokenized_doc(
     rng: np.random.Generator,
     max_sentences: int = 5,

@@ -10,7 +10,7 @@ from doccat.cli import (
     resolve_cli_config,
     resolve_hyper,
 )
-from doccat.corpus import save_jsonl
+from doccat.corpus import load_jsonl, save_jsonl
 from doccat.models import TrainHyperparams
 
 from helpers import make_synthetic_corpus
@@ -152,6 +152,25 @@ class TestTrain:
         payload = json.loads(model_path.read_text(encoding="utf-8"))
         assert payload["selector"] == "chi2"
         assert payload["feature_mode"] == "counts"
+
+    def test_verbose_svm_prints_solver_diagnostics_per_class(
+        self, tmp_path, corpora, capsys
+    ):
+        train_path, _ = corpora
+        code = main(["train", "-v", "--corpus", str(train_path), "--features", "tfidf",
+                     "--model", "svm", "--out", str(tmp_path / "m.json")])
+        assert code == 0
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("svm class=")
+        ]
+        labels = sorted({doc.label for doc in load_jsonl(train_path)})
+        assert [line.split()[1] for line in lines] == [f"class={label}" for label in labels]
+        for line in lines:
+            fields = dict(item.split("=", 1) for item in line.split()[1:])
+            assert int(fields["passes"]) >= 1
+            assert float(fields["violation"]) < 1e-3
+            assert fields["converged"] == "True"
 
     def test_single_label_corpus_is_data_error(self, tmp_path, capsys):
         single = tmp_path / "single.jsonl"

@@ -197,15 +197,6 @@ class TestBenchmark:
         for report in result.reports:
             assert report.macro_f1 == 1.0
 
-    def test_threaded_run_matches_serial(self, tiny_corpus, default_cfg):
-        serial = benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, repro=True)
-        threaded = benchmark(
-            tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, repro=True, threads=4
-        )
-        assert [report_to_dict(r) for r in serial.reports] == [
-            report_to_dict(r) for r in threaded.reports
-        ]
-
     def test_shared_label_precondition(self, tiny_corpus, default_cfg):
         other = LabeledCorpus((
             LabeledDocument("x", "কনক", "somethingelse"),

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from doccat.errors import ConvergenceWarning, SingleClassError
 from doccat.features import SparseVector
 from doccat.models import (
+    SVM_TOLERANCE,
     TrainHyperparams,
     predict_linear,
     predict_tokenized,
@@ -11,6 +14,9 @@ from doccat.models import (
     train_sgd,
     train_svm,
 )
+from doccat.textprep import preprocess_corpus
+
+from helpers import make_overlapping_corpus
 
 
 def vec(pairs):
@@ -102,6 +108,51 @@ class TestTrainSVM:
         m2 = train_svm(X, y, TrainHyperparams(), n_features=1)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.biases, m2.biases)
+
+
+@pytest.fixture(scope="module")
+def overlapping_tokens(default_cfg):
+    return preprocess_corpus(make_overlapping_corpus(20, seed=7), default_cfg)
+
+
+def train_overlapping(tokens, cfg, selector="tfidf", seed=42):
+    return train_from_tokens(
+        tokens, selector, "svm", TrainHyperparams(seed=seed), cfg.digest()
+    ).model
+
+
+class TestOverlappingCorpus:
+    """Label-grouped 12 x 20 corpus whose classes share most of their terms.
+
+    The size is chosen so that a solver visiting the examples in a fixed
+    cyclic order would stop above tolerance at the 1000-pass cap on TF-IDF.
+    """
+
+    @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
+    def test_converges_at_default_c(self, overlapping_tokens, default_cfg, selector):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            model = train_overlapping(overlapping_tokens, default_cfg, selector)
+        assert model.converged is True
+        for label, info in model.fit_info.items():
+            assert info["converged"] is True, label
+            assert info["violation"] < SVM_TOLERANCE, label
+
+    def test_same_seed_gives_identical_model(self, overlapping_tokens, default_cfg):
+        m1 = train_overlapping(overlapping_tokens, default_cfg, seed=3)
+        m2 = train_overlapping(overlapping_tokens, default_cfg, seed=3)
+        assert np.array_equal(m1.weights, m2.weights)
+        assert np.array_equal(m1.biases, m2.biases)
+
+    def test_different_seeds_reach_the_same_optimum(self, overlapping_tokens, default_cfg):
+        m1 = train_overlapping(overlapping_tokens, default_cfg, seed=1)
+        m2 = train_overlapping(overlapping_tokens, default_cfg, seed=2)
+        assert m1.converged and m2.converged
+        assert not np.array_equal(m1.weights, m2.weights)  # the seed reaches the solver
+        for label in m1.class_labels:
+            assert m2.fit_info[label]["dual_objective"] == pytest.approx(
+                m1.fit_info[label]["dual_objective"], rel=1e-3
+            ), label
 
 
 class TestAgreementWithSGD:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
 from . import evaluation, models
@@ -30,77 +30,49 @@ from .textprep import (
     tokenized_to_json,
 )
 
-HYPER_DEFAULTS = {
-    "nb_alpha": 0.01,
-    "sgd_alpha": 0.0001,
-    "sgd_epochs": 50,
-    "svm_c": 1.0,
-    "chi_top_percent": 30.0,
-    "chi_g_top_k": None,
-    "seed": 42,
+HYPER_DEFAULTS = {field.name: field.default for field in fields(TrainHyperparams)}
+
+_HYPER_HELP = {
+    "nb_alpha": "NB smoothing",
+    "sgd_alpha": "SGD L2 regularization strength",
+    "sgd_epochs": "SGD passes over the data",
+    "svm_c": "SVM soft-margin penalty",
+    "seed": "random seed for all shuffling",
+    "chi_top_percent": "share of each document's chi-ranked terms to keep",
+    "chi_g_top_k": "restrict chi co-occurrence partners to the k most frequent terms "
+                   "per document",
 }
 
+
+def _hyper_parser(name: str, kind: type):
+    """Parse one hyperparameter value and apply TrainHyperparams' check to it."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            TrainHyperparams(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+        return value
+
+    return parse
+
+
+# Flags and config-file values share these parsers; the dataclass field type
+# ("int", "float" or "int | None") names the value type.
 _HYPER_PARSERS = {
-    "nb_alpha": float,
-    "sgd_alpha": float,
-    "sgd_epochs": int,
-    "svm_c": float,
-    "chi_top_percent": float,
-    "chi_g_top_k": int,
-    "seed": int,
+    field.name: _hyper_parser(field.name, int if field.type.startswith("int") else float)
+    for field in fields(TrainHyperparams)
 }
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Fully resolved invocation: what will actually run."""
-
-    subcommand: str
-    hyper: TrainHyperparams
-    selector: str | None = None
-    classifier: str | None = None
-    verbosity: int = 0
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
-
-
-def _percent(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 100.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 100], got {text}")
-    return value
 
 
 def _hyper_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("hyperparameters")
-    group.add_argument("--nb-alpha", type=_positive_float, default=None,
-                       help="NB smoothing (default 0.01)")
-    group.add_argument("--sgd-alpha", type=_positive_float, default=None,
-                       help="SGD L2 regularization strength (default 0.0001)")
-    group.add_argument("--sgd-epochs", type=_positive_int, default=None,
-                       help="SGD passes over the data (default 50)")
-    group.add_argument("--svm-c", type=_positive_float, default=None,
-                       help="SVM soft-margin penalty (default 1.0)")
-    group.add_argument("--chi-top-percent", type=_percent, default=None,
-                       help="share of each document's chi-ranked terms to keep (default 30)")
-    group.add_argument("--chi-g-top-k", type=_positive_int, default=None,
-                       help="restrict chi co-occurrence partners to the k most "
-                            "frequent terms per document (default: all)")
-    group.add_argument("--seed", type=int, default=None,
-                       help="random seed for all shuffling (default 42)")
+    for name, default in HYPER_DEFAULTS.items():
+        shown = "all" if default is None else default
+        group.add_argument(f"--{name.replace('_', '-')}", type=_HYPER_PARSERS[name],
+                           default=None, help=f"{_HYPER_HELP[name]} (default {shown})")
     group.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file supplying hyperparameter defaults")
     return parent
@@ -197,7 +169,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def resolve_hyper(args: argparse.Namespace) -> TrainHyperparams:
-    """Apply the flags > config file > defaults precedence."""
+    """Apply the flags > config file > defaults precedence.
+
+    Config-file values pass the same parsers and checks as the flags.
+    """
     file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
     resolved = {}
     for name, default in HYPER_DEFAULTS.items():
@@ -205,20 +180,13 @@ def resolve_hyper(args: argparse.Namespace) -> TrainHyperparams:
         if flag_value is not None:
             resolved[name] = flag_value
         elif name in file_values:
-            resolved[name] = _HYPER_PARSERS[name](file_values[name])
+            try:
+                resolved[name] = _HYPER_PARSERS[name](file_values[name])
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{args.config}: {name}: {exc}") from None
         else:
             resolved[name] = default
     return TrainHyperparams(**resolved)
-
-
-def resolve_cli_config(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        subcommand=args.subcommand,
-        hyper=resolve_hyper(args),
-        selector=getattr(args, "features", None),
-        classifier=getattr(args, "model", None),
-        verbosity=getattr(args, "verbose", 0),
-    )
 
 
 def build_preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
@@ -258,19 +226,21 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cli_config = resolve_cli_config(args)
+    hyper = resolve_hyper(args)
     config = build_preprocess_config(args)
     corpus = _load_corpus(args.corpus)
     _diag(args, f"loaded {len(corpus)} documents, {len(corpus.labels)} labels")
-    _diag(args, f"resolved hyperparameters: {cli_config.hyper}")
-    trained = models.train(corpus, args.features, args.model, cli_config.hyper, config)
-    if args.model == "svm":
+    _diag(args, f"resolved hyperparameters: {hyper}")
+    trained = models.train(corpus, args.features, args.model, hyper, config)
+    if args.model != "nb":
         for label, info in trained.model.fit_info.items():
-            _diag(
-                args,
-                f"svm class={label} passes={info['passes']} "
-                f"violation={info['violation']:.3e} converged={info['converged']}",
-            )
+            if args.model == "svm":
+                detail = (f"passes={info['passes']} violation={info['violation']:.3e} "
+                          f"converged={info['converged']}")
+            else:
+                detail = (f"objective_epoch1={info['objective_epoch1']:.6e} "
+                          f"objective_final={info['objective_final']:.6e}")
+            _diag(args, f"{args.model} class={label} {detail}")
     models.save_model(trained, args.out)
     print(
         f"features={len(trained.vocabulary)} train_sec={trained.train_seconds:.4f} "
@@ -341,7 +311,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    cli_config = resolve_cli_config(args)
+    hyper = resolve_hyper(args)
     config = build_preprocess_config(args)
     train_corpus = _load_corpus(args.train_corpus)
     test_corpus = _load_corpus(args.test_corpus)
@@ -351,7 +321,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     result = evaluation.benchmark(
         train_corpus,
         test_corpus,
-        cli_config.hyper,
+        hyper,
         config,
         out_dir=out_dir,
         keep_going=True,

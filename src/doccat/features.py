@@ -9,6 +9,10 @@ Two pipelines are provided and used separately downstream:
   terms; the top share of every document's ranking is kept and the union
   forms the vocabulary, vectorized with raw counts.
 
+Every document becomes one SparseVector: numpy arrays of ascending feature
+indices and their non-zero weights, which the trainers and predictors use
+as they are.
+
 The chi-square score for a term w in one document treats each sentence as
 the co-occurrence window:
 
@@ -17,12 +21,15 @@ the co-occurrence window:
 where g ranges over the document's other distinct terms, freq(w, g) is the
 number of sentences containing both w and g, p_g is g's share of the
 document's tokens, and n_w is the total token count of the sentences
-containing w. Note on n_w: a narrower reading of this family of scores
-takes n_w to be w's own frequency within its sentences; this implementation
-deliberately uses the total-token count so that p_g * n_w is the expected
-co-occurrence frequency, which is what the squared deviation is measured
-against. A term that appears in long sentences therefore co-occurs with
-more terms and scores as more important.
+containing w. The sum runs over g in lexicographic order, so scores do not
+depend on the process's string hashing.
+
+Note on n_w: a narrower reading of this family of scores takes n_w to be
+w's own frequency within its sentences; this implementation deliberately
+uses the total-token count so that p_g * n_w is the expected co-occurrence
+frequency, which is what the squared deviation is measured against. A term
+that appears in long sentences therefore co-occurs with more terms and
+scores as more important.
 """
 
 from __future__ import annotations
@@ -30,11 +37,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
+
+import numpy as np
 
 from .errors import EmptyVocabularyError
-from .fileio import atomic_write_text
 from .textprep import TokenizedDocument
 
 ChiScoreTable = dict[str, float]
@@ -70,35 +77,37 @@ class Vocabulary:
         return term in self.terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseVector:
-    """Index/weight pairs in strictly ascending index order, zeros omitted."""
+    """Feature `indices` (intp, strictly ascending, non-negative) and their
+    `values` (float64, finite and non-zero); zeros are omitted."""
 
-    entries: tuple[tuple[int, float], ...]
+    indices: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        previous = -1
-        for index, weight in self.entries:
-            if index <= previous:
-                raise ValueError("sparse vector indices must be strictly ascending")
-            if index < 0:
-                raise ValueError("sparse vector index must be non-negative")
-            if weight == 0.0 or not math.isfinite(weight):
-                raise ValueError("sparse vector weights must be finite and non-zero")
-            previous = index
-
-    def norm(self) -> float:
-        return math.sqrt(sum(weight * weight for _, weight in self.entries))
+        indices = np.asarray(self.indices, dtype=np.intp)
+        values = np.asarray(self.values, dtype=np.float64)
+        if indices.ndim != 1 or indices.shape != values.shape:
+            raise ValueError("sparse vector indices and values must be 1-D and equally long")
+        if indices.size and indices[0] < 0:
+            raise ValueError("sparse vector index must be non-negative")
+        if (indices[1:] <= indices[:-1]).any():
+            raise ValueError("sparse vector indices must be strictly ascending")
+        if not (np.isfinite(values).all() and values.all()):
+            raise ValueError("sparse vector weights must be finite and non-zero")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
 
     def max_index(self) -> int:
         """Largest stored index, or -1 for the empty vector."""
-        return self.entries[-1][0] if self.entries else -1
+        return int(self.indices[-1]) if self.indices.size else -1
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.indices)
 
 
-EMPTY_VECTOR = SparseVector(entries=())
+EMPTY_VECTOR = SparseVector(np.empty(0, dtype=np.intp), np.empty(0))
 
 
 def build_vocabulary(docs: Sequence[TokenizedDocument], min_df: int = 1) -> Vocabulary:
@@ -132,11 +141,18 @@ def idf(n_docs: int, df: int) -> float:
     return math.log((n_docs + 1) / (df + 1)) + 1.0
 
 
+def _ascending(weights: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The index -> weight map as index and weight arrays in index order."""
+    indices = np.fromiter(weights.keys(), dtype=np.intp, count=len(weights))
+    values = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
+    order = np.argsort(indices)
+    return indices[order], values[order]
+
+
 def count_vector(doc: TokenizedDocument, vocab: Vocabulary) -> SparseVector:
     """Raw in-vocabulary term counts; out-of-vocabulary tokens are ignored."""
-    counts = Counter(token for token in doc.tokens() if token in vocab.terms)
-    entries = sorted((vocab.terms[term], float(count)) for term, count in counts.items())
-    return SparseVector(entries=tuple(entries))
+    counts = Counter(vocab.terms[token] for token in doc.tokens() if token in vocab.terms)
+    return SparseVector(*_ascending(counts))
 
 
 def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> SparseVector:
@@ -153,8 +169,8 @@ def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> SparseVector:
         for term, count in counts.items()
     }
     norm = math.sqrt(sum(weight * weight for weight in weighted.values()))
-    entries = sorted((index, weight / norm) for index, weight in weighted.items())
-    return SparseVector(entries=tuple(entries))
+    indices, weights = _ascending(weighted)
+    return SparseVector(indices, weights / norm)
 
 
 def chi_score_document(doc: TokenizedDocument, g_top_k: int | None = None) -> ChiScoreTable:
@@ -179,20 +195,22 @@ def chi_score_document(doc: TokenizedDocument, g_top_k: int | None = None) -> Ch
     sentence_lengths = [len(sentence) for sentence in doc.sentences]
 
     if g_top_k is None:
-        g_candidates = set(token_counts)
+        partners = sorted(token_counts)
     else:
         ranked = sorted(token_counts, key=lambda term: (-token_counts[term], term))
-        g_candidates = set(ranked[: max(g_top_k, 0)])
+        partners = sorted(ranked[: max(g_top_k, 0)])
+    # One fixed partner order keeps each float sum independent of hashing.
+    shares = [(g, token_counts[g] / total_tokens) for g in partners]
 
     scores: ChiScoreTable = {}
     for w in token_counts:
         containing = [i for i, terms in enumerate(sentence_sets) if w in terms]
         n_w = sum(sentence_lengths[i] for i in containing)
         score = 0.0
-        for g in g_candidates:
+        for g, share in shares:
             if g == w:
                 continue
-            expected = (token_counts[g] / total_tokens) * n_w
+            expected = share * n_w
             if expected <= 0.0:
                 continue
             observed = sum(1 for i in containing if g in sentence_sets[i])
@@ -252,38 +270,3 @@ def vectorize_corpus(
         return [count_vector(doc, vocab) for doc in docs]
     raise ValueError(f"unknown feature mode: {mode!r}")
 
-
-def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Write a vocabulary as `#ndocs=<N>` plus `<term>\\t<index>\\t<df>` lines."""
-    lines = [f"#ndocs={vocab.n_docs}"]
-    for term, index in sorted(vocab.terms.items(), key=lambda item: item[1]):
-        lines.append(f"{term}\t{index}\t{vocab.doc_freq[term]}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a vocabulary written by save_vocabulary."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("#ndocs="):
-        raise ValueError(f"{path}: missing #ndocs= header")
-    n_docs = int(lines[0].removeprefix("#ndocs="))
-    terms: dict[str, int] = {}
-    doc_freq: dict[str, int] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        term, index, df = line.split("\t")
-        terms[term] = int(index)
-        doc_freq[term] = int(df)
-    return Vocabulary(terms=terms, doc_freq=doc_freq, n_docs=n_docs)
-
-
-def write_vectors(
-    path: str | Path, doc_ids: Iterable[str], vectors: Iterable[SparseVector]
-) -> None:
-    """Debug export: one `<doc_id>\\t<index>:<weight> ...` line per document."""
-    lines = []
-    for doc_id, vector in zip(doc_ids, vectors):
-        pairs = " ".join(f"{index}:{weight!r}" for index, weight in vector.entries)
-        lines.append(f"{doc_id}\t{pairs}")
-    atomic_write_text(path, "\n".join(lines) + "\n")

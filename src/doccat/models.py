@@ -3,7 +3,8 @@
 All three classifiers reduce multiclass to one-vs-rest: one binary problem
 per class label (labels sorted lexicographically), predicting by argmax of
 the per-class decision scores with ties broken toward the lexicographically
-smallest label.
+smallest label. Each trainer fits every class in one loop over a
+(classes x features) weight matrix.
 
 * Naive Bayes uses Lidstone smoothing and accepts real-valued non-negative
   feature weights, so TF-IDF inputs are as valid as raw counts.
@@ -12,18 +13,20 @@ smallest label.
   step schedule eta_t = 1 / (alpha (t0 + t)), t0 = 1/alpha, decaying across
   all updates. The bias is unregularized.
 * The SVM trainer solves the L1-loss C-SVC dual by coordinate descent with
-  the bias folded in as a constant-1 feature, visiting the examples in a
-  seeded random permutation on every pass, and stopping when the largest
-  projected-gradient violation falls below its tolerance.
+  the bias as a constant-1 feature, visiting the examples in a seeded
+  random permutation on every pass, and stopping each class when its
+  largest projected-gradient violation falls below the tolerance.
 
-The one-vs-rest subproblems are independent; each binary trainer runs
-single-threaded over its examples. Trained models are immutable and safe
-for concurrent prediction.
+The classes share the seeded example order and, for SGD, the step size,
+so every row of a trained model equals the model of its binary problem
+trained alone. Training runs single-threaded. Trained models are immutable
+and safe for concurrent prediction.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -41,6 +44,7 @@ from .errors import (
     SingleClassError,
 )
 from .features import (
+    FeatureMode,
     SparseVector,
     Vocabulary,
     build_vocabulary,
@@ -58,6 +62,8 @@ SVM_TOLERANCE = 1e-3
 SVM_MAX_PASSES = 1000
 
 SELECTORS = ("tfidf", "chi2")
+# The feature mode each selector's pipeline vectorizes with.
+FEATURE_MODES: dict[str, FeatureMode] = {"tfidf": "tfidf", "chi2": "counts"}
 CLASSIFIERS = ("nb", "sgd", "svm")
 
 Selector = Literal["tfidf", "chi2"]
@@ -77,12 +83,15 @@ class TrainHyperparams:
     chi_g_top_k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.nb_alpha <= 0 or self.sgd_alpha <= 0 or self.svm_c <= 0:
-            raise ValueError("nb_alpha, sgd_alpha, and svm_c must be positive")
+        positive = (self.nb_alpha, self.sgd_alpha, self.svm_c)
+        if not all(0.0 < value < math.inf for value in positive):
+            raise ValueError("nb_alpha, sgd_alpha, and svm_c must be positive and finite")
         if self.sgd_epochs < 1:
             raise ValueError("sgd_epochs must be at least 1")
         if not 0.0 < self.chi_top_percent <= 100.0:
             raise ValueError("chi_top_percent must be in (0, 100]")
+        if self.chi_g_top_k is not None and self.chi_g_top_k < 1:
+            raise ValueError("chi_g_top_k must be at least 1")
 
 
 @dataclass
@@ -117,7 +126,7 @@ class TrainedModel:
 
     model: NBModel | LinearModel
     vocabulary: Vocabulary
-    feature_mode: Literal["tfidf", "counts"]
+    feature_mode: FeatureMode
     selector: Selector
     preprocess_config_digest: str
     train_seconds: float
@@ -128,7 +137,9 @@ class TrainedModel:
         return self.model.class_labels
 
 
-def _check_training_data(X: Sequence[SparseVector], y: Sequence[str]) -> list[str]:
+def _check_training_data(
+    X: Sequence[SparseVector], y: Sequence[str], n_features: int
+) -> list[str]:
     if len(X) != len(y):
         raise LengthMismatchError(f"{len(X)} vectors but {len(y)} labels")
     if len(X) < 2:
@@ -136,39 +147,44 @@ def _check_training_data(X: Sequence[SparseVector], y: Sequence[str]) -> list[st
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassError("training corpus has one class")
+    if n_features < 1:
+        raise ValueError("n_features must be positive")
+    widest = max(x.max_index() for x in X)
+    if widest >= n_features:
+        raise IndexError(f"feature index {widest} out of range for {n_features}")
     return labels
 
 
-def _infer_feature_count(X: Sequence[SparseVector], n_features: int | None) -> int:
-    if n_features is not None:
-        if n_features < 1:
-            raise ValueError("n_features must be positive")
-        return n_features
-    widest = max((vec.max_index() for vec in X), default=-1)
-    if widest < 0:
-        raise ValueError("cannot infer the feature count from empty vectors")
-    return widest + 1
+def _targets(y: Sequence[str], labels: list[str]) -> np.ndarray:
+    """(n, C) one-vs-rest targets: +1 where the example has the class, else -1."""
+    return np.where(np.asarray(y)[:, None] == np.asarray(labels)[None, :], 1.0, -1.0)
 
 
-def _vector_arrays(vec: SparseVector) -> tuple[np.ndarray, np.ndarray]:
-    if not vec.entries:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-    indices, values = zip(*vec.entries)
-    return np.asarray(indices, dtype=np.intp), np.asarray(values, dtype=np.float64)
+def _margins(
+    X: Sequence[SparseVector], targets: np.ndarray, weights: np.ndarray, biases: np.ndarray
+) -> np.ndarray:
+    """(n, C) margins target * (w_c . x + b_c) of every example for every class."""
+    scores = np.array([weights.take(x.indices, axis=1) @ x.values for x in X])
+    return targets * (scores + biases)
 
 
-def _check_indices(x: SparseVector, vocab_size: int) -> None:
-    if x.max_index() >= vocab_size:
-        raise IndexError(
-            f"vector index {x.max_index()} out of range for vocabulary of {vocab_size}"
-        )
+def _hinge_objectives(
+    X: Sequence[SparseVector],
+    targets: np.ndarray,
+    weights: np.ndarray,
+    biases: np.ndarray,
+    alpha: float,
+) -> np.ndarray:
+    """Per-class L2-regularized mean hinge loss (alpha/2)||w_c||^2 + mean hinge."""
+    hinge = np.maximum(0.0, 1.0 - _margins(X, targets, weights, biases))
+    return 0.5 * alpha * np.einsum("ij,ij->i", weights, weights) + hinge.mean(axis=0)
 
 
 def train_nb(
     X: Sequence[SparseVector],
     y: Sequence[str],
     alpha: float,
-    n_features: int | None = None,
+    n_features: int,
 ) -> NBModel:
     """Fit multinomial NB with Lidstone smoothing `alpha`.
 
@@ -179,31 +195,40 @@ def train_nb(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    labels = _check_training_data(X, y)
-    vocab_size = _infer_feature_count(X, n_features)
-    label_index = {label: i for i, label in enumerate(labels)}
+    labels = _check_training_data(X, y, n_features)
+    values = np.concatenate([x.values for x in X])
+    if (values < 0).any():
+        raise NegativeFeatureError(f"negative feature weight {values[values < 0][0]}")
 
-    class_counts = np.zeros(len(labels))
-    weight_sums = np.zeros((len(labels), vocab_size))
-    for vec, label in zip(X, y):
-        row = label_index[label]
-        class_counts[row] += 1
-        for index, weight in vec.entries:
-            if weight < 0:
-                raise NegativeFeatureError(f"negative feature weight {weight} at index {index}")
-            if index >= vocab_size:
-                raise IndexError(f"feature index {index} out of range for {vocab_size}")
-            weight_sums[row, index] += weight
-
-    log_prior = np.log(class_counts / len(y))
+    rows = np.searchsorted(labels, y)
+    weight_sums = np.zeros((len(labels), n_features))
+    np.add.at(
+        weight_sums,
+        (np.repeat(rows, [len(x) for x in X]), np.concatenate([x.indices for x in X])),
+        values,
+    )
+    log_prior = np.log(np.bincount(rows, minlength=len(labels)) / len(y))
     totals = weight_sums.sum(axis=1, keepdims=True)
-    log_likelihood = np.log((weight_sums + alpha) / (totals + alpha * vocab_size))
+    log_likelihood = np.log((weight_sums + alpha) / (totals + alpha * n_features))
     return NBModel(
         class_labels=tuple(labels),
         log_prior=log_prior,
         log_likelihood=log_likelihood,
-        vocab_size=vocab_size,
+        vocab_size=n_features,
     )
+
+
+def _predict(
+    labels: tuple[str, ...], offsets: np.ndarray, coefficients: np.ndarray, x: SparseVector
+) -> tuple[str, dict[str, float]]:
+    """Score offsets + coefficients @ x; ties go to the lexicographically
+    smallest label and the empty vector scores the offsets."""
+    if x.max_index() >= coefficients.shape[1]:
+        raise IndexError(
+            f"vector index {x.max_index()} out of range for vocabulary of {coefficients.shape[1]}"
+        )
+    scores = offsets + coefficients[:, x.indices] @ x.values
+    return labels[int(np.argmax(scores))], dict(zip(labels, scores.tolist()))
 
 
 def predict_nb(model: NBModel, x: SparseVector) -> tuple[str, dict[str, float]]:
@@ -212,274 +237,160 @@ def predict_nb(model: NBModel, x: SparseVector) -> tuple[str, dict[str, float]]:
     The empty vector falls back to the prior argmax; exact score ties go to
     the lexicographically smallest label.
     """
-    _check_indices(x, model.vocab_size)
-    scores = model.log_prior.copy()
-    if x.entries:
-        indices, values = _vector_arrays(x)
-        scores = scores + model.log_likelihood[:, indices] @ values
-    best = int(np.argmax(scores))
-    return model.class_labels[best], {
-        label: float(score) for label, score in zip(model.class_labels, scores)
-    }
-
-
-def hinge_objective(
-    X: Sequence[SparseVector],
-    targets: Sequence[float],
-    weights: np.ndarray,
-    bias: float,
-    alpha: float,
-) -> float:
-    """L2-regularized mean hinge loss of one binary problem."""
-    total = 0.0
-    for vec, target in zip(X, targets):
-        score = sum(weights[index] * value for index, value in vec.entries) + bias
-        total += max(0.0, 1.0 - target * score)
-    return 0.5 * alpha * float(weights @ weights) + total / len(X)
-
-
-def _hinge_objective_arrays(
-    index_arrays: list[np.ndarray],
-    value_arrays: list[np.ndarray],
-    targets: np.ndarray,
-    weights: np.ndarray,
-    bias: float,
-    alpha: float,
-) -> float:
-    total = 0.0
-    for indices, values, target in zip(index_arrays, value_arrays, targets):
-        margin = target * (float(weights[indices] @ values) + bias)
-        total += max(0.0, 1.0 - margin)
-    return 0.5 * alpha * float(weights @ weights) + total / len(targets)
-
-
-def _sgd_binary(
-    index_arrays: list[np.ndarray],
-    value_arrays: list[np.ndarray],
-    targets: np.ndarray,
-    n_features: int,
-    alpha: float,
-    epochs: int,
-    seed: int,
-) -> tuple[np.ndarray, float, dict]:
-    """One binary hinge-SGD problem with the 1/(alpha (t0 + t)) schedule.
-
-    The weight vector is kept as scale * v so the per-step L2 decay is a
-    single multiply and only the touched coordinates are updated.
-    """
-    n = len(targets)
-    v = np.zeros(n_features)
-    scale = 1.0
-    bias = 0.0
-    t0 = 1.0 / alpha
-    step = 0
-    rng = np.random.default_rng(seed)
-    objective_epoch1 = 0.0
-
-    for epoch in range(epochs):
-        for i in rng.permutation(n):
-            step += 1
-            eta = 1.0 / (alpha * (t0 + step))
-            indices = index_arrays[i]
-            values = value_arrays[i]
-            margin = targets[i] * (scale * float(v[indices] @ values) + bias)
-            scale *= 1.0 - eta * alpha
-            if scale < 1e-9:
-                v *= scale
-                scale = 1.0
-            if margin < 1.0:
-                v[indices] += (eta * targets[i] / scale) * values
-                bias += eta * targets[i]
-        if epoch == 0:
-            objective_epoch1 = _hinge_objective_arrays(
-                index_arrays, value_arrays, targets, scale * v, bias, alpha
-            )
-
-    weights = scale * v
-    objective_final = _hinge_objective_arrays(
-        index_arrays, value_arrays, targets, weights, bias, alpha
-    )
-    return weights, bias, {
-        "objective_epoch1": objective_epoch1,
-        "objective_final": objective_final,
-    }
+    return _predict(model.class_labels, model.log_prior, model.log_likelihood, x)
 
 
 def train_sgd(
     X: Sequence[SparseVector],
     y: Sequence[str],
     hyper: TrainHyperparams,
-    n_features: int | None = None,
+    n_features: int,
 ) -> LinearModel:
-    """Train one-vs-rest hinge-loss SGD classifiers.
+    """Train one-vs-rest hinge-loss SGD classifiers in one loop over the examples.
 
-    Every binary problem replays the same seeded shuffle sequence, so
-    training is deterministic given (seed, corpus) and symmetric label
+    The step size, the L2 decay and the seeded shuffle are the same for
+    every class, so each step scores all classes at once and updates only
+    the rows whose margin is below 1. The weights are kept as scale * v
+    (Bottou, "Stochastic Gradient Descent Tricks", 2012), so the decay is a
+    single multiply. Each row equals the model trained on its class alone,
+    training is deterministic given (seed, corpus), and symmetric label
     swaps produce exactly mirrored weights.
     """
-    labels = _check_training_data(X, y)
-    vocab_size = _infer_feature_count(X, n_features)
-    pairs = [_vector_arrays(vec) for vec in X]
-    index_arrays = [pair[0] for pair in pairs]
-    value_arrays = [pair[1] for pair in pairs]
-
-    weights = np.zeros((len(labels), vocab_size))
+    labels = _check_training_data(X, y, n_features)
+    targets = _targets(y, labels)
+    alpha = hyper.sgd_alpha
+    v = np.zeros((len(labels), n_features))
     biases = np.zeros(len(labels))
-    fit_info: dict = {}
-    for row, label in enumerate(labels):
-        targets = np.where(np.asarray(y) == label, 1.0, -1.0)
-        weights[row], biases[row], fit_info[label] = _sgd_binary(
-            index_arrays,
-            value_arrays,
-            targets,
-            vocab_size,
-            hyper.sgd_alpha,
-            hyper.sgd_epochs,
-            hyper.seed,
-        )
+    scale = 1.0
+    t0 = 1.0 / alpha
+    step = 0
+    rng = np.random.default_rng(hyper.seed)
+
+    for epoch in range(hyper.sgd_epochs):
+        for i in rng.permutation(len(X)):
+            step += 1
+            eta = 1.0 / (alpha * (t0 + step))
+            x, t = X[i], targets[i]
+            margins = t * (scale * (v.take(x.indices, axis=1) @ x.values) + biases)
+            scale *= 1.0 - eta * alpha
+            if scale < 1e-9:
+                v *= scale
+                scale = 1.0
+            rows = np.flatnonzero(margins < 1.0)
+            if rows.size:
+                v[rows[:, None], x.indices] += (eta * t[rows] / scale)[:, None] * x.values
+                biases[rows] += eta * t[rows]
+        if epoch == 0:
+            objective_epoch1 = _hinge_objectives(X, targets, scale * v, biases, alpha)
+
+    weights = scale * v
+    objective_final = _hinge_objectives(X, targets, weights, biases, alpha)
     return LinearModel(
         class_labels=tuple(labels),
         weights=weights,
         biases=biases,
         trainer_tag="sgd",
-        fit_info=fit_info,
+        fit_info={
+            label: {
+                "objective_epoch1": float(objective_epoch1[row]),
+                "objective_final": float(objective_final[row]),
+            }
+            for row, label in enumerate(labels)
+        },
     )
 
 
-def _projected_gradient(gradient: float, alpha: float, c: float) -> float:
-    """The dual gradient projected onto the box 0 <= alpha <= C."""
-    if alpha <= 0.0:
-        return min(gradient, 0.0)
-    if alpha >= c:
-        return max(gradient, 0.0)
-    return gradient
-
-
-def _svm_binary(
-    index_arrays: list[np.ndarray],
-    value_arrays: list[np.ndarray],
-    targets: np.ndarray,
-    n_features_augmented: int,
-    c: float,
-    tolerance: float,
-    max_passes: int,
-    seed: int,
-) -> tuple[np.ndarray, dict]:
-    """Dual coordinate descent for one L1-loss C-SVC binary problem.
-
-    Each pass visits the examples in a fresh permutation drawn from a
-    generator seeded with `seed` (Hsieh et al., ICML 2008), so corpora
-    grouped by label converge and training is deterministic given (seed,
-    corpus). The final vector's last coordinate is the bias term
-    (constant-1 feature).
-    """
-    n = len(targets)
-    alphas = np.zeros(n)
-    w = np.zeros(n_features_augmented)
-    q_diag = np.array([float(values @ values) for values in value_arrays])
-    rng = np.random.default_rng(seed)
-
-    def current_margins() -> np.ndarray:
-        return np.array(
-            [
-                targets[i] * float(w[index_arrays[i]] @ value_arrays[i])
-                for i in range(n)
-            ]
-        )
-
-    converged = False
-    violation = np.inf
-    passes = 0
-    for passes in range(1, max_passes + 1):
-        sweep_violation = 0.0
-        for i in rng.permutation(n):
-            indices = index_arrays[i]
-            values = value_arrays[i]
-            gradient = targets[i] * float(w[indices] @ values) - 1.0
-            a = alphas[i]
-            projected = _projected_gradient(gradient, a, c)
-            sweep_violation = max(sweep_violation, abs(projected))
-            if projected != 0.0:
-                updated = min(max(a - gradient / q_diag[i], 0.0), c)
-                if updated != a:
-                    alphas[i] = updated
-                    w[indices] += (updated - a) * targets[i] * values
-        violation = sweep_violation
-        # Gradients measured mid-sweep go stale as later updates move w, so
-        # confirm convergence against the final iterate before stopping.
-        if sweep_violation < tolerance:
-            violation = max(
-                abs(_projected_gradient(m - 1.0, a, c))
-                for m, a in zip(current_margins(), alphas)
-            )
-            if violation < tolerance:
-                converged = True
-                break
-
-    margins = current_margins()
-    dual_objective = float(alphas.sum() - 0.5 * (w @ w))
-    primal_objective = float(0.5 * (w @ w) + c * np.maximum(0.0, 1.0 - margins).sum())
-    return w, {
-        "alphas": alphas,
-        "margins": margins,
-        "dual_objective": dual_objective,
-        "primal_objective": primal_objective,
-        "violation": violation,
-        "passes": passes,
-        "converged": converged,
-    }
+def _projected_gradient(gradient: np.ndarray, alpha: np.ndarray, c: float) -> np.ndarray:
+    """The dual gradient projected onto the box 0 <= alpha <= C, elementwise."""
+    return np.where(
+        alpha <= 0.0,
+        np.minimum(gradient, 0.0),
+        np.where(alpha >= c, np.maximum(gradient, 0.0), gradient),
+    )
 
 
 def train_svm(
     X: Sequence[SparseVector],
     y: Sequence[str],
     hyper: TrainHyperparams,
-    n_features: int | None = None,
+    n_features: int,
     tolerance: float = SVM_TOLERANCE,
     max_passes: int = SVM_MAX_PASSES,
 ) -> LinearModel:
     """Train one-vs-rest linear C-SVC classifiers by dual coordinate descent.
 
-    Every binary problem replays the same permutation sequence seeded by
-    `hyper.seed`, as `train_sgd` does, so training is deterministic given
-    (seed, corpus). A problem that exhausts `max_passes` before reaching
-    `tolerance` emits a ConvergenceWarning and marks the model, which is
-    still returned.
+    Each pass visits the examples in a fresh permutation drawn from a
+    generator seeded with `hyper.seed` (Hsieh et al., ICML 2008), so corpora
+    grouped by label converge and training is deterministic given (seed,
+    corpus). All classes share the pass: each step updates every class that
+    is still running, and a class stops once its largest projected-gradient
+    violation, measured again on the final iterate, is below `tolerance`.
+    The bias is a constant-1 feature kept in its own vector. A class that
+    exhausts `max_passes` emits a ConvergenceWarning and marks the model,
+    which is still returned.
     """
-    labels = _check_training_data(X, y)
-    vocab_size = _infer_feature_count(X, n_features)
+    labels = _check_training_data(X, y, n_features)
+    targets = _targets(y, labels)
+    n_classes = len(labels)
+    c = hyper.svm_c
+    alphas = np.zeros((len(X), n_classes))
+    weights = np.zeros((n_classes, n_features))
+    biases = np.zeros(n_classes)
+    q_diag = [float(x.values @ x.values) + 1.0 for x in X]
+    rng = np.random.default_rng(hyper.seed)
 
-    index_arrays = []
-    value_arrays = []
-    for vec in X:
-        indices, values = _vector_arrays(vec)
-        index_arrays.append(np.append(indices, vocab_size))  # constant-1 bias feature
-        value_arrays.append(np.append(values, 1.0))
+    running = np.ones(n_classes, dtype=bool)
+    converged = np.zeros(n_classes, dtype=bool)
+    passes = np.zeros(n_classes, dtype=int)
+    violation = np.full(n_classes, np.inf)
+    for _ in range(max_passes):
+        if not running.any():
+            break
+        passes[running] += 1
+        sweep_violation = np.zeros(n_classes)
+        for i in rng.permutation(len(X)):
+            x, t, a = X[i], targets[i], alphas[i]
+            gradient = t * (weights.take(x.indices, axis=1) @ x.values + biases) - 1.0
+            np.maximum(
+                sweep_violation, np.abs(_projected_gradient(gradient, a, c)), out=sweep_violation
+            )
+            updated = np.minimum(np.maximum(a - gradient / q_diag[i], 0.0), c)
+            # A zero projected gradient leaves `updated` equal to `a`.
+            rows = np.flatnonzero(running & (updated != a))
+            if rows.size:
+                delta = (updated[rows] - a[rows]) * t[rows]
+                a[rows] = updated[rows]
+                weights[rows[:, None], x.indices] += delta[:, None] * x.values
+                biases[rows] += delta
+        violation[running] = sweep_violation[running]
+        # Gradients measured mid-sweep go stale as later updates move w, so
+        # confirm convergence against the final iterate before stopping.
+        check = running & (sweep_violation < tolerance)
+        if check.any():
+            margins = _margins(X, targets, weights, biases)
+            final = np.abs(_projected_gradient(margins - 1.0, alphas, c)).max(axis=0)
+            violation[check] = final[check]
+            converged |= check & (final < tolerance)
+            running &= ~converged
 
-    weights = np.zeros((len(labels), vocab_size))
-    biases = np.zeros(len(labels))
+    margins = _margins(X, targets, weights, biases)
+    squared_norms = np.einsum("ij,ij->i", weights, weights) + biases * biases
+    hinge_sums = np.maximum(0.0, 1.0 - margins).sum(axis=0)
     fit_info: dict = {}
-    all_converged = True
     for row, label in enumerate(labels):
-        targets = np.where(np.asarray(y) == label, 1.0, -1.0)
-        augmented, info = _svm_binary(
-            index_arrays,
-            value_arrays,
-            targets,
-            vocab_size + 1,
-            hyper.svm_c,
-            tolerance,
-            max_passes,
-            hyper.seed,
-        )
-        weights[row] = augmented[:vocab_size]
-        biases[row] = augmented[vocab_size]
-        fit_info[label] = info
-        if not info["converged"]:
-            all_converged = False
+        fit_info[label] = {
+            "alphas": alphas[:, row].copy(),
+            "margins": margins[:, row].copy(),
+            "dual_objective": float(alphas[:, row].sum() - 0.5 * squared_norms[row]),
+            "primal_objective": float(0.5 * squared_norms[row] + c * hinge_sums[row]),
+            "violation": float(violation[row]),
+            "passes": int(passes[row]),
+            "converged": bool(converged[row]),
+        }
+        if not converged[row]:
             warnings.warn(
-                f"SVM problem for class {label!r} stopped after {info['passes']} passes "
-                f"with violation {info['violation']:.3e}",
+                f"SVM problem for class {label!r} stopped after {passes[row]} passes "
+                f"with violation {violation[row]:.3e}",
                 ConvergenceWarning,
                 stacklevel=2,
             )
@@ -488,7 +399,7 @@ def train_svm(
         weights=weights,
         biases=biases,
         trainer_tag="svm",
-        converged=all_converged,
+        converged=bool(converged.all()),
         fit_info=fit_info,
     )
 
@@ -496,15 +407,7 @@ def train_svm(
 def predict_linear(model: LinearModel, x: SparseVector) -> tuple[str, dict[str, float]]:
     """Return (argmax label, per-class decision scores); ties go to the
     lexicographically smallest label. The empty vector scores the biases."""
-    _check_indices(x, model.vocab_size)
-    scores = model.biases.copy()
-    if x.entries:
-        indices, values = _vector_arrays(x)
-        scores = scores + model.weights[:, indices] @ values
-    best = int(np.argmax(scores))
-    return model.class_labels[best], {
-        label: float(score) for label, score in zip(model.class_labels, scores)
-    }
+    return _predict(model.class_labels, model.biases, model.weights, x)
 
 
 def train_from_tokens(
@@ -531,10 +434,9 @@ def train_from_tokens(
     started = time.perf_counter()
     if selector == "tfidf":
         vocabulary = build_vocabulary(docs)
-        feature_mode: Literal["tfidf", "counts"] = "tfidf"
     else:
         vocabulary = select_chi_features(docs, hyper.chi_top_percent, hyper.chi_g_top_k)
-        feature_mode = "counts"
+    feature_mode = FEATURE_MODES[selector]
     X = vectorize_corpus(docs, vocabulary, feature_mode)
 
     if classifier == "nb":
@@ -632,8 +534,31 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
     atomic_write_text(path, json.dumps(model_to_dict(trained), ensure_ascii=False))
 
 
+def _check_loaded(trained: TrainedModel) -> None:
+    """Raise ModelFormatError unless the pipeline pair, labels and parameters agree."""
+    if FEATURE_MODES.get(trained.selector) != trained.feature_mode:
+        raise ModelFormatError(
+            f"unknown pipeline: selector {trained.selector!r} "
+            f"with feature_mode {trained.feature_mode!r}"
+        )
+    labels = trained.class_labels
+    if list(labels) != sorted(set(labels)):
+        raise ModelFormatError(f"class_labels must be unique and sorted, got {list(labels)}")
+    model = trained.model
+    n_classes, n_features = len(labels), len(trained.vocabulary)
+    names = ("log_prior", "log_likelihood") if isinstance(model, NBModel) else ("biases", "weights")
+    for name, shape in zip(names, ((n_classes,), (n_classes, n_features))):
+        values = getattr(model, name)
+        if values.shape != shape:
+            raise ModelFormatError(f"{name} has shape {values.shape}, expected {shape}")
+        if not np.isfinite(values).all():
+            raise ModelFormatError(f"{name} has non-finite values")
+
+
 def load_model(path: str | Path) -> TrainedModel:
-    """Load a model file; raises ModelFormatError on any schema problem."""
+    """Load a model file; raises ModelFormatError on any schema problem, on
+    parameters whose shapes do not match the labels and vocabulary, on a
+    non-finite parameter and on an unknown (selector, feature_mode) pair."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -662,7 +587,7 @@ def load_model(path: str | Path) -> TrainedModel:
             )
         else:
             raise ModelFormatError(f"unknown model type {model_type!r}")
-        return TrainedModel(
+        trained = TrainedModel(
             model=model,
             vocabulary=vocabulary,
             feature_mode=payload["feature_mode"],
@@ -671,5 +596,7 @@ def load_model(path: str | Path) -> TrainedModel:
             train_seconds=0.0,
             created_unix_seconds=int(payload["created_unix_seconds"]),
         )
+        _check_loaded(trained)
+        return trained
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid model file {path}: {exc}") from exc

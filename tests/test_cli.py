@@ -7,7 +7,6 @@ from doccat.cli import (
     build_parser,
     main,
     parse_config_file,
-    resolve_cli_config,
     resolve_hyper,
 )
 from doccat.corpus import load_jsonl, save_jsonl
@@ -83,8 +82,11 @@ class TestResolvedConfig:
         assert hyper.svm_c == 1.0
         assert hyper.chi_top_percent == 30.0
         assert hyper.seed == 42
-        config = resolve_cli_config(args)
-        assert (config.selector, config.classifier) == ("tfidf", "nb")
+        assert hyper.chi_g_top_k is None
+        assert HYPER_DEFAULTS == {
+            "nb_alpha": 0.01, "sgd_alpha": 0.0001, "sgd_epochs": 50, "svm_c": 1.0,
+            "seed": 42, "chi_top_percent": 30.0, "chi_g_top_k": None,
+        }
 
     def test_flag_overrides_config_file_overrides_default(self, tmp_path):
         config_file = tmp_path / "run.cfg"
@@ -109,6 +111,20 @@ class TestResolvedConfig:
         ])
         assert code == 1
         assert "learning-rate" in capsys.readouterr().err.replace("_", "-")
+
+    @pytest.mark.parametrize("line", ["chi_g_top_k=0", "sgd-epochs = 0", "svm_c = nan"])
+    def test_config_value_gets_the_flag_check(self, line, tmp_path, corpora, capsys):
+        train_path, _ = corpora
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(line + "\n", encoding="utf-8")
+        code = main([
+            "train", "--corpus", str(train_path), "--features", "chi2",
+            "--model", "nb", "--out", str(tmp_path / "m.json"), "--config", str(config_file),
+        ])
+        assert code == 1
+        key = line.split("=")[0].strip().replace("-", "_")
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -171,6 +187,22 @@ class TestTrain:
             assert int(fields["passes"]) >= 1
             assert float(fields["violation"]) < 1e-3
             assert fields["converged"] == "True"
+
+    def test_verbose_sgd_prints_objectives_per_class(self, tmp_path, corpora, capsys):
+        train_path, _ = corpora
+        code = main(["train", "-v", "--corpus", str(train_path), "--features", "tfidf",
+                     "--model", "sgd", "--out", str(tmp_path / "m.json")])
+        assert code == 0
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("sgd class=")
+        ]
+        labels = sorted({doc.label for doc in load_jsonl(train_path)})
+        assert [line.split()[1] for line in lines] == [f"class={label}" for label in labels]
+        for line in lines:
+            fields = dict(item.split("=", 1) for item in line.split()[1:])
+            assert set(fields) == {"class", "objective_epoch1", "objective_final"}
+            assert 0.0 <= float(fields["objective_final"]) <= float(fields["objective_epoch1"])
 
     def test_single_label_corpus_is_data_error(self, tmp_path, capsys):
         single = tmp_path / "single.jsonl"

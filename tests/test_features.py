@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +18,9 @@ from doccat.features import (
     chi_score_document,
     count_vector,
     idf,
-    load_vocabulary,
-    save_vocabulary,
     select_chi_features,
     tfidf_vector,
     vectorize_corpus,
-    write_vectors,
 )
 from doccat.textprep import TokenizedDocument
 
@@ -27,6 +29,10 @@ from helpers import chi_oracle, random_tokenized_doc
 
 def tdoc(*sentences, label=None):
     return TokenizedDocument(sentences=tuple(tuple(s) for s in sentences), label=label)
+
+
+def pairs(vector):
+    return list(zip(vector.indices.tolist(), vector.values.tolist()))
 
 
 class TestBuildVocabulary:
@@ -90,34 +96,50 @@ class TestIdf:
 class TestSparseVector:
     def test_ascending_required(self):
         with pytest.raises(ValueError):
-            SparseVector(entries=((2, 1.0), (1, 1.0)))
+            SparseVector([2, 1], [1.0, 1.0])
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            SparseVector(entries=((1, 1.0), (1, 2.0)))
+            SparseVector([1, 1], [1.0, 2.0])
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
-            SparseVector(entries=((0, 0.0),))
+            SparseVector([0], [0.0])
 
-    def test_norm(self):
-        assert SparseVector(entries=((0, 3.0), (4, 4.0))).norm() == 5.0
-        assert SparseVector(entries=()).norm() == 0.0
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            SparseVector([-1, 0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError):
+            SparseVector([0, 1], [1.0, weight])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            SparseVector([0, 1], [1.0])
+
+    def test_stores_intp_indices_and_float64_values(self):
+        vector = SparseVector([0, 4], [3, 4])
+        assert vector.indices.dtype == np.intp
+        assert vector.values.dtype == np.float64
+        assert len(vector) == 2 and vector.max_index() == 4
+        assert len(SparseVector([], [])) == 0 and SparseVector([], []).max_index() == -1
 
 
 class TestCountVector:
     def test_counting(self):
         vocab = build_vocabulary([tdoc(["ক", "ক", "খ"])])
         vec = count_vector(tdoc(["ক", "ক", "খ"]), vocab)
-        assert vec.entries == ((0, 2.0), (1, 1.0))
+        assert pairs(vec) == [(0, 2.0), (1, 1.0)]
 
     def test_oov_ignored(self):
         vocab = build_vocabulary([tdoc(["ক"])])
-        assert count_vector(tdoc(["ঘ", "ঙ"]), vocab).entries == ()
+        assert pairs(count_vector(tdoc(["ঘ", "ঙ"]), vocab)) == []
 
     def test_empty_doc(self):
         vocab = build_vocabulary([tdoc(["ক"])])
-        assert count_vector(tdoc(), vocab).entries == ()
+        assert pairs(count_vector(tdoc(), vocab)) == []
 
 
 class TestTfidfVector:
@@ -125,27 +147,27 @@ class TestTfidfVector:
         # vocab over two docs: DF(ক)=1, DF(খ)=2, N=2
         vocab = build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ"])])
         vec = tfidf_vector(tdoc(["ক", "ক", "খ"]), vocab)
-        weights = dict(vec.entries)
+        weights = dict(pairs(vec))
         assert weights[0] == pytest.approx(0.9421556246632359, abs=1e-12)
         assert weights[1] == pytest.approx(0.33517574332792605, abs=1e-12)
-        assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(vec.values) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_token_normalizes_to_one(self):
         vocab = build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ"])])
         vec = tfidf_vector(tdoc(["ক", "ক", "ক"]), vocab)
-        assert vec.entries == ((0, 1.0),)
+        assert pairs(vec) == [(0, 1.0)]
 
     def test_empty_doc(self):
         vocab = build_vocabulary([tdoc(["ক"])])
-        assert tfidf_vector(tdoc(), vocab).entries == ()
+        assert pairs(tfidf_vector(tdoc(), vocab)) == []
 
     def test_unit_norm_property(self):
         rng = np.random.default_rng(4)
         docs = [random_tokenized_doc(rng) for _ in range(60)]
         vocab = build_vocabulary(docs)
         for vec in vectorize_corpus(docs, vocab, "tfidf"):
-            if vec.entries:
-                assert abs(vec.norm() - 1.0) < 1e-9
+            if len(vec):
+                assert abs(np.linalg.norm(vec.values) - 1.0) < 1e-9
 
 
 class TestChiScore:
@@ -232,6 +254,31 @@ class TestSelectChiFeatures:
         assert vocab.doc_freq["খ"] == 2
         assert vocab.n_docs == 2
 
+    def test_vocabulary_does_not_depend_on_the_hash_seed(self):
+        # Near-tied chi scores rank by their float sums, so those sums must
+        # not follow the iteration order of hashed strings.
+        tests_dir = Path(__file__).resolve().parent
+        script = (
+            "import json\n"
+            "from doccat.features import select_chi_features\n"
+            "from doccat.textprep import default_config, preprocess_corpus\n"
+            "from helpers import make_overlapping_corpus\n"
+            "docs = preprocess_corpus(make_overlapping_corpus(5, 1), default_config())\n"
+            "print(json.dumps(sorted(select_chi_features(docs, 30.0).terms)))\n"
+        )
+        path = os.pathsep.join(
+            [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")]
+        )
+        vocabularies = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout)
+            for hash_seed in ("1", "2")
+        ]
+        assert vocabularies[0] == vocabularies[1]
+
 
 class TestVectorizeCorpus:
     def test_order_preserved(self):
@@ -239,36 +286,18 @@ class TestVectorizeCorpus:
         vocab = build_vocabulary(docs)
         vectors = vectorize_corpus(docs, vocab, "counts")
         assert len(vectors) == 3
-        assert vectors[0].entries == ((0, 1.0),)
-        assert vectors[2].entries == ((0, 1.0), (1, 1.0))
+        assert pairs(vectors[0]) == [(0, 1.0)]
+        assert pairs(vectors[2]) == [(0, 1.0), (1, 1.0)]
 
     def test_counts_are_positive_integers(self):
         rng = np.random.default_rng(11)
         docs = [random_tokenized_doc(rng) for _ in range(20)]
         vocab = build_vocabulary(docs)
         for vec in vectorize_corpus(docs, vocab, "counts"):
-            for _, weight in vec.entries:
-                assert weight > 0 and float(weight).is_integer()
+            for weight in vec.values.tolist():
+                assert weight > 0 and weight.is_integer()
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             vectorize_corpus([tdoc(["ক"])], build_vocabulary([tdoc(["ক"])]), "binary")
 
-
-class TestExports:
-    def test_vocabulary_round_trip(self, tmp_path):
-        vocab = build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ", "গ"])])
-        path = tmp_path / "vocab.tsv"
-        save_vocabulary(vocab, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "#ndocs=2"
-        assert lines[1].split("\t") == ["ক", "0", "1"]
-        assert load_vocabulary(path) == vocab
-
-    def test_vector_debug_export(self, tmp_path):
-        path = tmp_path / "vectors.tsv"
-        vectors = [SparseVector(((0, 1.5), (3, 2.0))), SparseVector(())]
-        write_vectors(path, ["a", "b"], vectors)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "a\t0:1.5 3:2.0"
-        assert lines[1] == "b\t"

@@ -11,7 +11,8 @@ from helpers import nb_oracle, nb_oracle_predict
 
 
 def vec(pairs):
-    return SparseVector(entries=tuple(sorted(pairs.items())))
+    items = sorted(pairs.items())
+    return SparseVector([index for index, _ in items], [weight for _, weight in items])
 
 
 @pytest.fixture()
@@ -47,19 +48,19 @@ class TestTrainNB:
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
-            train_nb([vec({0: 1.0}), vec({0: 2.0})], ["c", "c"], alpha=0.01)
+            train_nb([vec({0: 1.0}), vec({0: 2.0})], ["c", "c"], alpha=0.01, n_features=1)
 
     def test_negative_feature_rejected(self):
         with pytest.raises(NegativeFeatureError):
-            train_nb([vec({0: -1.0}), vec({0: 1.0})], ["a", "b"], alpha=0.01)
+            train_nb([vec({0: -1.0}), vec({0: 1.0})], ["a", "b"], alpha=0.01, n_features=1)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            train_nb([vec({0: 1.0})], ["a", "b"], alpha=0.01)
+            train_nb([vec({0: 1.0})], ["a", "b"], alpha=0.01, n_features=1)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
-            train_nb([vec({0: 1.0}), vec({1: 1.0})], ["a", "b"], alpha=0.0)
+            train_nb([vec({0: 1.0}), vec({1: 1.0})], ["a", "b"], alpha=0.0, n_features=2)
 
     def test_large_alpha_approaches_uniform(self):
         X = [vec({0: 3.0}), vec({1: 1.0})]

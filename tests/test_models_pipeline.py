@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -134,6 +136,53 @@ class TestModelFile:
         )
         payload = model_to_dict(trained)
         payload["model_type"] = "tree"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+
+def _drop_last_column(matrix):
+    return [row[:-1] for row in matrix]
+
+
+# (model type, edit to the saved payload) pairs that must not load.
+INCONSISTENT_FILES = {
+    "truncated_weight_columns": ("sgd", lambda p: p.update(weights=_drop_last_column(p["weights"]))),
+    "missing_weight_row": ("sgd", lambda p: p.update(weights=p["weights"][:-1])),
+    "truncated_likelihood_columns": (
+        "nb", lambda p: p.update(log_likelihood=_drop_last_column(p["log_likelihood"]))
+    ),
+    "short_biases": ("sgd", lambda p: p.update(biases=p["biases"][:-1])),
+    "long_log_prior": ("nb", lambda p: p.update(log_prior=p["log_prior"] + [-1.0])),
+    "nan_bias": ("svm", lambda p: p["biases"].__setitem__(0, math.nan)),
+    "infinite_weight": ("sgd", lambda p: p["weights"][1].__setitem__(0, math.inf)),
+    "nan_likelihood": ("nb", lambda p: p["log_likelihood"][0].__setitem__(0, math.nan)),
+    "duplicate_labels": (
+        "sgd", lambda p: p["class_labels"].__setitem__(1, p["class_labels"][0])
+    ),
+    "unsorted_labels": ("nb", lambda p: p["class_labels"].reverse()),
+    "unknown_feature_mode": ("sgd", lambda p: p.update(feature_mode="binary")),
+    "crossed_pipeline": ("nb", lambda p: p.update(selector="chi2")),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_payloads(small_tokens, default_cfg):
+    return {
+        classifier: model_to_dict(train_from_tokens(
+            small_tokens, "tfidf", classifier, TrainHyperparams(), default_cfg.digest()
+        ))
+        for classifier in ("nb", "sgd", "svm")
+    }
+
+
+class TestModelFileValidation:
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT_FILES))
+    def test_inconsistent_model_file_rejected(self, case, saved_payloads, tmp_path):
+        classifier, corrupt = INCONSISTENT_FILES[case]
+        payload = copy.deepcopy(saved_payloads[classifier])
+        corrupt(payload)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError):

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 
 from doccat.errors import SingleClassError
-from doccat.features import SparseVector
+from doccat.features import SparseVector, build_vocabulary, vectorize_corpus
 from doccat.models import (
     LinearModel,
     TrainHyperparams,
-    hinge_objective,
     model_to_dict,
     predict_linear,
     train_from_tokens,
     train_sgd,
 )
+from doccat.textprep import preprocess_corpus
+
+from helpers import make_overlapping_corpus
 
 
 def vec(pairs):
-    return SparseVector(entries=tuple(sorted(pairs.items())))
+    items = sorted(pairs.items())
+    return SparseVector([index for index, _ in items], [weight for _, weight in items])
 
 
 def separable_two_class(n_per_class=10):
@@ -62,7 +65,7 @@ class TestTrainSGD:
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
-            train_sgd([vec({0: 1.0}), vec({0: 2.0})], ["c", "c"], TrainHyperparams())
+            train_sgd([vec({0: 1.0}), vec({0: 2.0})], ["c", "c"], TrainHyperparams(), n_features=1)
 
     def test_deterministic_given_seed(self, synth_train_tokens, default_cfg):
         runs = [
@@ -128,16 +131,63 @@ class TestPredictLinear:
             predict_linear(model, vec({2: 1.0}))
 
 
+def objective_from_definition(X, y, label, weights, bias, alpha):
+    """(alpha/2) ||w||^2 + (1/n) sum max(0, 1 - t (w.x + b)), written out."""
+    total = 0.0
+    for x, example_label in zip(X, y):
+        target = 1.0 if example_label == label else -1.0
+        score = sum(weights[i] * v for i, v in zip(x.indices, x.values)) + bias
+        total += max(0.0, 1.0 - target * score)
+    return 0.5 * alpha * sum(w * w for w in weights) + total / len(X)
+
+
 class TestHingeObjective:
+    """`fit_info` objectives against the definition of the SGD objective."""
+
     def test_manual_computation(self):
-        X = [vec({0: 1.0}), vec({0: -2.0})]
-        targets = [1.0, -1.0]
-        w = np.array([0.5])
-        # margins: 1*(0.5+0.1)=0.6 -> hinge 0.4; -1*(-1.0+0.1)=0.9 -> hinge 0.1
-        expected = 0.5 * 0.1 * 0.25 + (0.4 + 0.1) / 2
-        assert hinge_objective(X, targets, w, 0.1, 0.1) == pytest.approx(expected, abs=1e-12)
+        X = [vec({0: 1.0}), vec({0: -2.0, 1: 0.5}), vec({1: 1.5}), vec({0: 0.3})]
+        y = ["a", "b", "c", "a"]
+        hyper = TrainHyperparams(sgd_alpha=0.1, sgd_epochs=3)
+        model = train_sgd(X, y, hyper, n_features=2)
+        for row, label in enumerate(model.class_labels):
+            expected = objective_from_definition(
+                X, y, label, model.weights[row], model.biases[row], hyper.sgd_alpha
+            )
+            assert model.fit_info[label]["objective_final"] == pytest.approx(
+                expected, abs=1e-12
+            )
 
     def test_zero_loss_beyond_margin(self):
-        X = [vec({0: 2.0}), vec({0: -2.0})]
-        w = np.array([1.0])
-        assert hinge_objective(X, [1.0, -1.0], w, 0.0, 0.0) == 0.0
+        X, y = separable_two_class()
+        hyper = TrainHyperparams()
+        model = train_sgd(X, y, hyper, n_features=2)
+        for row, label in enumerate(model.class_labels):
+            w, b = model.weights[row], model.biases[row]
+            for x, example_label in zip(X, y):
+                target = 1.0 if example_label == label else -1.0
+                assert target * (float(w[x.indices] @ x.values) + b) >= 1.0
+            regularizer = 0.5 * hyper.sgd_alpha * float(w @ w)
+            assert model.fit_info[label]["objective_final"] == pytest.approx(
+                regularizer, abs=1e-15
+            )
+
+
+@pytest.fixture(scope="module")
+def three_class_tfidf(default_cfg):
+    docs = preprocess_corpus(make_overlapping_corpus(8, seed=11, n_categories=3), default_cfg)
+    vocab = build_vocabulary(docs)
+    return vectorize_corpus(docs, vocab, "tfidf"), [doc.label for doc in docs], len(vocab)
+
+
+class TestOneVsRestRows:
+    def test_each_row_equals_its_class_trained_alone(self, three_class_tfidf):
+        X, y, n_features = three_class_tfidf
+        hyper = TrainHyperparams(seed=5)
+        model = train_sgd(X, y, hyper, n_features)
+        assert len(model.class_labels) == 3
+        for row, label in enumerate(model.class_labels):
+            relabeled = [label if example == label else "~rest" for example in y]
+            alone = train_sgd(X, relabeled, hyper, n_features)
+            alone_row = alone.class_labels.index(label)
+            assert model.weights[row] == pytest.approx(alone.weights[alone_row], abs=0)
+            assert model.biases[row] == pytest.approx(alone.biases[alone_row], abs=0)

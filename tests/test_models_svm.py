@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from doccat.errors import ConvergenceWarning, SingleClassError
-from doccat.features import SparseVector
+from doccat.features import SparseVector, build_vocabulary, vectorize_corpus
 from doccat.models import (
     SVM_TOLERANCE,
     TrainHyperparams,
@@ -20,7 +20,8 @@ from helpers import make_overlapping_corpus
 
 
 def vec(pairs):
-    return SparseVector(entries=tuple(sorted(pairs.items())))
+    items = sorted(pairs.items())
+    return SparseVector([index for index, _ in items], [weight for _, weight in items])
 
 
 def two_point_problem():
@@ -90,7 +91,7 @@ class TestTrainSVM:
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
-            train_svm([vec({0: 1.0}), vec({0: 2.0})], ["c", "c"], TrainHyperparams())
+            train_svm([vec({0: 1.0}), vec({0: 2.0})], ["c", "c"], TrainHyperparams(), n_features=1)
 
     def test_non_convergence_warns_and_flags(self):
         rng = np.random.default_rng(5)
@@ -153,6 +154,23 @@ class TestOverlappingCorpus:
             assert m2.fit_info[label]["dual_objective"] == pytest.approx(
                 m1.fit_info[label]["dual_objective"], rel=1e-3
             ), label
+
+
+class TestOneVsRestRows:
+    def test_each_row_matches_its_class_trained_alone(self, default_cfg):
+        docs = preprocess_corpus(make_overlapping_corpus(8, seed=11, n_categories=3), default_cfg)
+        vocab = build_vocabulary(docs)
+        X, y = vectorize_corpus(docs, vocab, "tfidf"), [doc.label for doc in docs]
+        hyper = TrainHyperparams(seed=5)
+        model = train_svm(X, y, hyper, len(vocab))
+        assert len(model.class_labels) == 3 and model.converged
+        for row, label in enumerate(model.class_labels):
+            relabeled = [label if example == label else "~rest" for example in y]
+            alone = train_svm(X, relabeled, hyper, len(vocab))
+            alone_row = alone.class_labels.index(label)
+            assert model.weights[row] == pytest.approx(alone.weights[alone_row], abs=1e-12)
+            assert model.biases[row] == pytest.approx(alone.biases[alone_row], abs=1e-12)
+            assert model.fit_info[label]["passes"] == alone.fit_info[label]["passes"]
 
 
 class TestAgreementWithSGD:

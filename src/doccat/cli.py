@@ -232,6 +232,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     _diag(args, f"loaded {len(corpus)} documents, {len(corpus.labels)} labels")
     _diag(args, f"resolved hyperparameters: {hyper}")
     trained = models.train(corpus, args.features, args.model, hyper, config)
+    _diag(args, "stage " + " ".join(
+        f"{stage}={seconds:.4f}" for stage, seconds in trained.stage_seconds.items()
+    ))
     if args.model != "nb":
         for label, info in trained.model.fit_info.items():
             if args.model == "svm":

@@ -86,7 +86,10 @@ class ClassMetrics:
 
 @dataclass
 class EvaluationReport:
-    """One benchmark row: per-class and macro P/R/F1, accuracy, wall times."""
+    """One benchmark row: per-class and macro P/R/F1, accuracy, wall times.
+
+    `stage_seconds` splits `train_seconds` into the model's training stages.
+    """
 
     method_name: str
     per_class: dict[str, ClassMetrics]
@@ -97,6 +100,7 @@ class EvaluationReport:
     train_seconds: float = 0.0
     predict_seconds: float = 0.0
     confusion: ConfusionMatrix | None = None
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -165,6 +169,7 @@ def _evaluate_tokenized(
     report = metrics_from_matrix(confusion_matrix(y_true, y_pred, trained.class_labels))
     report.method_name = name
     report.train_seconds = trained.train_seconds
+    report.stage_seconds = dict(trained.stage_seconds)
     report.predict_seconds = predict_seconds
     return report
 
@@ -234,6 +239,7 @@ def benchmark(
         if repro:
             report.train_seconds = 0.0
             report.predict_seconds = 0.0
+            report.stage_seconds = dict.fromkeys(report.stage_seconds, 0.0)
         if out_dir is not None:
             stem = name.replace("+", "_").replace("-", "_")
             save_model(trained, Path(out_dir) / f"model_{stem}.json")
@@ -284,6 +290,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "method": report.method_name,
         "train_seconds": report.train_seconds,
         "predict_seconds": report.predict_seconds,
+        "stage_seconds": report.stage_seconds,
         "accuracy": report.accuracy,
         "macro_precision": report.macro_precision,
         "macro_recall": report.macro_recall,
@@ -324,4 +331,5 @@ def report_from_dict(payload: dict) -> EvaluationReport:
         train_seconds=payload["train_seconds"],
         predict_seconds=payload["predict_seconds"],
         confusion=confusion,
+        stage_seconds=payload["stage_seconds"],
     )

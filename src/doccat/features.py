@@ -16,13 +16,23 @@ as they are.
 The chi-square score for a term w in one document treats each sentence as
 the co-occurrence window:
 
-    score(w) = sum over g of (freq(w, g) - p_g * n_w)^2 / (p_g * n_w)
+    score(w) = sum over g != w of (O[g, w] - E[g, w])^2 / E[g, w]
 
-where g ranges over the document's other distinct terms, freq(w, g) is the
-number of sentences containing both w and g, p_g is g's share of the
-document's tokens, and n_w is the total token count of the sentences
-containing w. The sum runs over g in lexicographic order, so scores do not
-depend on the process's string hashing.
+computed from the document's sentence x term incidence matrix B, with the
+distinct terms in lexicographic order and B[s, t] = 1 when sentence s
+contains term t:
+
+    O = B^T B        O[g, w] counts the sentences containing both g and w
+    n = len . B      n_w, the total token count of the sentences containing
+                     w, where len holds the sentence lengths with repeated
+                     tokens counted
+    E = p (x) n      E[g, w] = p_g * n_w, with p_g g's share of the
+                     document's tokens
+
+g ranges over the document's distinct terms (or its k most frequent ones,
+see chi_score_document), and the partners are added one after another in
+lexicographic order, so scores do not depend on the process's string
+hashing.
 
 Note on n_w: a narrower reading of this family of scores takes n_w to be
 w's own frequency within its sentences; this implementation deliberately
@@ -173,6 +183,11 @@ def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> SparseVector:
     return SparseVector(indices, weights / norm)
 
 
+def _check_g_top_k(g_top_k: int | None) -> None:
+    if g_top_k is not None and g_top_k < 1:
+        raise ValueError(f"g_top_k must be at least 1, got {g_top_k}")
+
+
 def chi_score_document(doc: TokenizedDocument, g_top_k: int | None = None) -> ChiScoreTable:
     """Score every distinct term of one document by sentence co-occurrence.
 
@@ -181,42 +196,43 @@ def chi_score_document(doc: TokenizedDocument, g_top_k: int | None = None) -> Ch
     document's other distinct terms g (see the module docstring for the
     exact quantities). `g_top_k` optionally restricts g to the document's
     k most frequent terms (ties broken lexicographically); the default
-    uses all terms.
+    uses all terms; a k below 1 raises ValueError.
 
     An empty document yields an empty table; a term with no co-occurring
     terms scores 0.
     """
+    _check_g_top_k(g_top_k)
     token_counts = Counter(doc.tokens())
-    total_tokens = sum(token_counts.values())
-    if total_tokens == 0:
+    if not token_counts:
         return {}
+    terms = sorted(token_counts)
+    column = {term: index for index, term in enumerate(terms)}
+    counts = np.array([token_counts[term] for term in terms], dtype=np.float64)
 
-    sentence_sets = [frozenset(sentence) for sentence in doc.sentences]
-    sentence_lengths = [len(sentence) for sentence in doc.sentences]
+    lengths = np.array([len(sentence) for sentence in doc.sentences], dtype=np.intp)
+    incidence = np.zeros((len(lengths), len(terms)))
+    incidence[
+        np.repeat(np.arange(len(lengths)), lengths),
+        [column[token] for sentence in doc.sentences for token in sentence],
+    ] = 1.0
 
-    if g_top_k is None:
-        partners = sorted(token_counts)
-    else:
-        ranked = sorted(token_counts, key=lambda term: (-token_counts[term], term))
-        partners = sorted(ranked[: max(g_top_k, 0)])
-    # One fixed partner order keeps each float sum independent of hashing.
-    shares = [(g, token_counts[g] / total_tokens) for g in partners]
+    # Column order is term order, so a stable sort ranks by (-count, term).
+    partners = np.ones(len(terms), dtype=bool)
+    if g_top_k is not None:
+        partners[np.argsort(-counts, kind="stable")[g_top_k:]] = False
+    rows = np.flatnonzero(partners)
 
-    scores: ChiScoreTable = {}
-    for w in token_counts:
-        containing = [i for i, terms in enumerate(sentence_sets) if w in terms]
-        n_w = sum(sentence_lengths[i] for i in containing)
-        score = 0.0
-        for g, share in shares:
-            if g == w:
-                continue
-            expected = share * n_w
-            if expected <= 0.0:
-                continue
-            observed = sum(1 for i in containing if g in sentence_sets[i])
-            score += (observed - expected) ** 2 / expected
-        scores[w] = score
-    return scores
+    # Rows are partners g, columns are terms w.
+    observed = (incidence.T @ incidence)[partners]
+    expected = np.outer(counts[partners] / counts.sum(), lengths @ incidence)
+    deviation = observed - expected
+    contribution = deviation * deviation / expected
+    contribution[np.arange(rows.size), rows] = 0.0  # g == w
+    # Summing a C-contiguous (partner, term) array over axis 0 adds the
+    # partners one after another in sorted order, so scores do not depend on
+    # the process's string hashing.
+    scores = contribution.sum(axis=0)
+    return dict(zip(terms, scores.tolist()))
 
 
 def select_chi_features(
@@ -230,12 +246,14 @@ def select_chi_features(
     lexicographically) and the first ceil(top_percent/100 * distinct-term
     count) survive. Document frequencies and N in the returned vocabulary
     are computed over the full `docs` list. With top_percent=100 the result
-    is identical to build_vocabulary(docs, min_df=1).
+    is identical to build_vocabulary(docs, min_df=1). A `g_top_k` below 1
+    raises ValueError.
     """
     if not docs:
         raise ValueError("cannot select features from zero documents")
     if not 0.0 < top_percent <= 100.0:
         raise ValueError(f"top_percent must be in (0, 100], got {top_percent}")
+    _check_g_top_k(g_top_k)
 
     kept_terms: set[str] = set()
     for doc in docs:

@@ -65,6 +65,8 @@ SELECTORS = ("tfidf", "chi2")
 # The feature mode each selector's pipeline vectorizes with.
 FEATURE_MODES: dict[str, FeatureMode] = {"tfidf": "tfidf", "chi2": "counts"}
 CLASSIFIERS = ("nb", "sgd", "svm")
+# The timed stages of training, in the order they run.
+TRAIN_STAGES = ("features", "vectorize", "fit")
 
 Selector = Literal["tfidf", "chi2"]
 Classifier = Literal["nb", "sgd", "svm"]
@@ -129,12 +131,17 @@ class TrainedModel:
     feature_mode: FeatureMode
     selector: Selector
     preprocess_config_digest: str
-    train_seconds: float
+    stage_seconds: dict[str, float]
     created_unix_seconds: int
 
     @property
     def class_labels(self) -> tuple[str, ...]:
         return self.model.class_labels
+
+    @property
+    def train_seconds(self) -> float:
+        """Feature building, vectorization and fitting: the sum of `stage_seconds`."""
+        return sum(self.stage_seconds.values())
 
 
 def _check_training_data(
@@ -420,8 +427,9 @@ def train_from_tokens(
 ) -> TrainedModel:
     """Build the feature space and fit one classifier on preprocessed docs.
 
-    `train_seconds` covers feature building plus classifier fitting, which
-    is the method-specific work the benchmark compares.
+    `stage_seconds` times feature building ("features"), vectorization
+    ("vectorize") and classifier fitting ("fit"); their sum,
+    `train_seconds`, is the method-specific work the benchmark compares.
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector: {selector!r} (expected one of {SELECTORS})")
@@ -431,13 +439,15 @@ def train_from_tokens(
     if any(label is None for label in labels):
         raise ValueError("training documents must carry labels")
 
-    started = time.perf_counter()
+    clock = [time.perf_counter()]
     if selector == "tfidf":
         vocabulary = build_vocabulary(docs)
     else:
         vocabulary = select_chi_features(docs, hyper.chi_top_percent, hyper.chi_g_top_k)
+    clock.append(time.perf_counter())
     feature_mode = FEATURE_MODES[selector]
     X = vectorize_corpus(docs, vocabulary, feature_mode)
+    clock.append(time.perf_counter())
 
     if classifier == "nb":
         model: NBModel | LinearModel = train_nb(X, labels, hyper.nb_alpha, len(vocabulary))
@@ -445,7 +455,7 @@ def train_from_tokens(
         model = train_sgd(X, labels, hyper, len(vocabulary))
     else:
         model = train_svm(X, labels, hyper, len(vocabulary))
-    train_seconds = time.perf_counter() - started
+    clock.append(time.perf_counter())
 
     if created_unix_seconds is None:
         created_unix_seconds = int(time.time())
@@ -455,7 +465,9 @@ def train_from_tokens(
         feature_mode=feature_mode,
         selector=selector,
         preprocess_config_digest=preprocess_config_digest,
-        train_seconds=train_seconds,
+        stage_seconds={
+            stage: end - start for stage, start, end in zip(TRAIN_STAGES, clock, clock[1:])
+        },
         created_unix_seconds=created_unix_seconds,
     )
 
@@ -593,7 +605,7 @@ def load_model(path: str | Path) -> TrainedModel:
             feature_mode=payload["feature_mode"],
             selector=payload["selector"],
             preprocess_config_digest=payload["preprocess_config_digest"],
-            train_seconds=0.0,
+            stage_seconds=dict.fromkeys(TRAIN_STAGES, 0.0),
             created_unix_seconds=int(payload["created_unix_seconds"]),
         )
         _check_loaded(trained)

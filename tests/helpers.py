@@ -122,19 +122,26 @@ def random_tokenized_doc(
     return TokenizedDocument(sentences=tuple(sentences), label=label)
 
 
-def chi_oracle(sentences: list[list[str]]) -> dict[str, float]:
-    """Brute-force triple loop over the co-occurrence score definition."""
+def chi_oracle(sentences: list[list[str]], g_top_k: int | None = None) -> dict[str, float]:
+    """Brute-force triple loop over the co-occurrence score definition.
+
+    With `g_top_k`, the partners g are the k most frequent terms, ties
+    going to the lexicographically smaller term.
+    """
     tokens = [token for sentence in sentences for token in sentence]
     total = len(tokens)
     if total == 0:
         return {}
     distinct = sorted(set(tokens))
+    partners = distinct
+    if g_top_k is not None:
+        partners = sorted(distinct, key=lambda term: (-tokens.count(term), term))[:g_top_k]
     scores = {}
     for w in distinct:
         containing = [sentence for sentence in sentences if w in sentence]
         n_w = sum(len(sentence) for sentence in containing)
         score = 0.0
-        for g in distinct:
+        for g in partners:
             if g == w:
                 continue
             observed = sum(1 for sentence in sentences if w in sentence and g in sentence)

@@ -204,6 +204,19 @@ class TestTrain:
             assert set(fields) == {"class", "objective_epoch1", "objective_final"}
             assert 0.0 <= float(fields["objective_final"]) <= float(fields["objective_epoch1"])
 
+    def test_verbose_prints_stage_seconds(self, tmp_path, corpora, capsys):
+        train_path, _ = corpora
+        code = main(["train", "-v", "--corpus", str(train_path), "--features", "chi2",
+                     "--model", "nb", "--out", str(tmp_path / "m.json")])
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if line.startswith("stage ")]
+        assert len(lines) == 1
+        fields = dict(item.split("=", 1) for item in lines[0].split()[1:])
+        assert list(fields) == ["features", "vectorize", "fit"]
+        train_sec = float(captured.out.split("train_sec=")[1].split()[0])
+        assert sum(map(float, fields.values())) == pytest.approx(train_sec, abs=5e-4)
+
     def test_single_label_corpus_is_data_error(self, tmp_path, capsys):
         single = tmp_path / "single.jsonl"
         save_jsonl(make_synthetic_corpus(3, seed=1, n_categories=1, pool_size=3), single)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,19 @@ class TestBenchmark:
         for report in result.reports:
             assert report.macro_f1 == 1.0
 
+    @pytest.mark.parametrize("repro", [False, True])
+    def test_reports_carry_stage_seconds(self, repro, tiny_corpus, default_cfg):
+        result = benchmark(
+            tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, repro=repro
+        )
+        for report in result.reports:
+            assert list(report.stage_seconds) == ["features", "vectorize", "fit"]
+            assert report.train_seconds == sum(report.stage_seconds.values())
+            if repro:
+                assert set(report.stage_seconds.values()) == {0.0}
+            else:
+                assert all(seconds > 0 for seconds in report.stage_seconds.values())
+
     def test_shared_label_precondition(self, tiny_corpus, default_cfg):
         other = LabeledCorpus((
             LabeledDocument("x", "কনক", "somethingelse"),
@@ -235,7 +250,10 @@ class TestReportSerialization:
         report.method_name = "TFIDF+NB"
         report.train_seconds = 1.25
         report.predict_seconds = 0.5
-        restored = report_from_dict(report_to_dict(report))
+        report.stage_seconds = {"features": 0.5, "vectorize": 0.25, "fit": 0.5}
+        payload = json.loads(json.dumps(report_to_dict(report)))
+        assert payload["stage_seconds"] == report.stage_seconds
+        restored = report_from_dict(payload)
         assert restored == report
 
     def test_comparison_tsv_format(self, tmp_path):

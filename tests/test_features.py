@@ -213,6 +213,22 @@ class TestChiScore:
         assert set(limited) == set(full)
         assert limited["ক"] == 0.0  # its only partner would be itself
 
+    def test_g_top_k_matches_brute_force_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            doc = random_tokenized_doc(rng)
+            k = int(rng.integers(1, 5))
+            expected = chi_oracle([list(s) for s in doc.sentences], g_top_k=k)
+            actual = chi_score_document(doc, g_top_k=k)
+            assert set(actual) == set(expected)
+            for term, score in actual.items():
+                assert score == pytest.approx(expected[term], abs=1e-9)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_g_top_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="g_top_k"):
+            chi_score_document(tdoc(["ক", "খ"]), g_top_k=k)
+
 
 class TestSelectChiFeatures:
     def test_full_keep_equals_build_vocabulary(self):
@@ -245,6 +261,12 @@ class TestSelectChiFeatures:
             select_chi_features([tdoc(["ক"])], top_percent=0.0)
         with pytest.raises(ValueError):
             select_chi_features([tdoc(["ক"])], top_percent=100.5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_g_top_k_below_one_rejected(self, k):
+        # even when no document has a term to score
+        with pytest.raises(ValueError, match="g_top_k"):
+            select_chi_features([tdoc()], top_percent=30.0, g_top_k=k)
 
     def test_df_counted_over_all_docs(self):
         # খ survives selection only in doc_a's ranking but DF spans both docs

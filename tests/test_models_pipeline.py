@@ -41,10 +41,15 @@ class TestTrainPipelines:
         assert trained.feature_mode == ("tfidf" if selector == "tfidf" else "counts")
         assert trained.model.vocab_size == len(trained.vocabulary)
         assert trained.train_seconds > 0
+        assert list(trained.stage_seconds) == ["features", "vectorize", "fit"]
+        assert all(seconds > 0 for seconds in trained.stage_seconds.values())
+        assert trained.train_seconds == sum(trained.stage_seconds.values())
 
         path = tmp_path / "model.json"
         save_model(trained, path)
         loaded = load_model(path)
+        assert loaded.stage_seconds == {"features": 0.0, "vectorize": 0.0, "fit": 0.0}
+        assert loaded.train_seconds == 0.0
         assert loaded.class_labels == trained.class_labels
         assert loaded.preprocess_config_digest == default_cfg.digest()
         for doc in small_tokens[:5]:

@@ -88,7 +88,9 @@ class ClassMetrics:
 class EvaluationReport:
     """One benchmark row: per-class and macro P/R/F1, accuracy, wall times.
 
-    `stage_seconds` splits `train_seconds` into the model's training stages.
+    `stage_seconds` splits `train_seconds` into the model's training stages;
+    `preprocess_seconds` is the time spent preprocessing the scored test
+    documents.
     """
 
     method_name: str
@@ -99,6 +101,7 @@ class EvaluationReport:
     accuracy: float
     train_seconds: float = 0.0
     predict_seconds: float = 0.0
+    preprocess_seconds: float = 0.0
     confusion: ConfusionMatrix | None = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
@@ -155,8 +158,19 @@ def metrics_from_matrix(cm: ConfusionMatrix) -> EvaluationReport:
     )
 
 
+def _timed_preprocess(
+    corpus: LabeledCorpus, config: PreprocessConfig
+) -> tuple[list[TokenizedDocument], float]:
+    started = time.perf_counter()
+    docs = preprocess_corpus(corpus, config)
+    return docs, time.perf_counter() - started
+
+
 def _evaluate_tokenized(
-    trained: TrainedModel, docs: Sequence[TokenizedDocument], name: str
+    trained: TrainedModel,
+    docs: Sequence[TokenizedDocument],
+    name: str,
+    preprocess_seconds: float,
 ) -> EvaluationReport:
     for doc in docs:
         if doc.label not in trained.class_labels:
@@ -171,6 +185,7 @@ def _evaluate_tokenized(
     report.train_seconds = trained.train_seconds
     report.stage_seconds = dict(trained.stage_seconds)
     report.predict_seconds = predict_seconds
+    report.preprocess_seconds = preprocess_seconds
     return report
 
 
@@ -185,17 +200,18 @@ def evaluate(
     The preprocessing config must be the one the model was trained with
     (checked by digest). A test label outside the model's label set raises
     UnknownLabelError. `predict_seconds` covers vectorization plus
-    prediction over the full pass.
+    prediction over the full pass, and `preprocess_seconds` the
+    preprocessing before it.
     """
     if config.digest() != trained.preprocess_config_digest:
         raise PreprocessMismatchError(
             "preprocessing config does not match the one this model was trained with"
         )
-    docs = preprocess_corpus(test_corpus, config)
+    docs, preprocess_seconds = _timed_preprocess(test_corpus, config)
     if name is None:
         classifier = "nb" if isinstance(trained.model, NBModel) else trained.model.trainer_tag
         name = method_name(trained.selector, classifier)
-    return _evaluate_tokenized(trained, docs, name)
+    return _evaluate_tokenized(trained, docs, name, preprocess_seconds)
 
 
 def benchmark(
@@ -223,7 +239,7 @@ def benchmark(
 
     digest = config.digest()
     train_docs = preprocess_corpus(train_corpus, config)
-    test_docs = preprocess_corpus(test_corpus, config)
+    test_docs, preprocess_seconds = _timed_preprocess(test_corpus, config)
 
     def run_one(name: str) -> EvaluationReport:
         selector, classifier = _METHOD_COMBOS[name]
@@ -235,10 +251,11 @@ def benchmark(
             digest,
             created_unix_seconds=0 if repro else None,
         )
-        report = _evaluate_tokenized(trained, test_docs, name)
+        report = _evaluate_tokenized(trained, test_docs, name, preprocess_seconds)
         if repro:
             report.train_seconds = 0.0
             report.predict_seconds = 0.0
+            report.preprocess_seconds = 0.0
             report.stage_seconds = dict.fromkeys(report.stage_seconds, 0.0)
         if out_dir is not None:
             stem = name.replace("+", "_").replace("-", "_")
@@ -290,6 +307,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "method": report.method_name,
         "train_seconds": report.train_seconds,
         "predict_seconds": report.predict_seconds,
+        "preprocess_seconds": report.preprocess_seconds,
         "stage_seconds": report.stage_seconds,
         "accuracy": report.accuracy,
         "macro_precision": report.macro_precision,
@@ -330,6 +348,7 @@ def report_from_dict(payload: dict) -> EvaluationReport:
         accuracy=payload["accuracy"],
         train_seconds=payload["train_seconds"],
         predict_seconds=payload["predict_seconds"],
+        preprocess_seconds=payload["preprocess_seconds"],
         confusion=confusion,
         stage_seconds=payload["stage_seconds"],
     )

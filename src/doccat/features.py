@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -85,6 +86,15 @@ class Vocabulary:
 
     def __contains__(self, term: str) -> bool:
         return term in self.terms
+
+    @cached_property
+    def idf_weights(self) -> np.ndarray:
+        """Read-only `idf` of every term, indexed by feature; computed once."""
+        weights = np.empty(len(self.terms))
+        for term, index in self.terms.items():
+            weights[index] = idf(self.n_docs, self.doc_freq[term])
+        weights.flags.writeable = False
+        return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,36 +161,37 @@ def idf(n_docs: int, df: int) -> float:
     return math.log((n_docs + 1) / (df + 1)) + 1.0
 
 
-def _ascending(weights: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """The index -> weight map as index and weight arrays in index order."""
-    indices = np.fromiter(weights.keys(), dtype=np.intp, count=len(weights))
-    values = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
+def _term_counts(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """In-vocabulary feature indices in first-occurrence order, and their counts."""
+    counts = Counter(vocab.terms[token] for token in doc.tokens() if token in vocab.terms)
+    indices = np.fromiter(counts.keys(), dtype=np.intp, count=len(counts))
+    values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    return indices, values
+
+
+def _ascending(indices: np.ndarray, values: np.ndarray) -> SparseVector:
     order = np.argsort(indices)
-    return indices[order], values[order]
+    return SparseVector(indices[order], values[order])
 
 
 def count_vector(doc: TokenizedDocument, vocab: Vocabulary) -> SparseVector:
     """Raw in-vocabulary term counts; out-of-vocabulary tokens are ignored."""
-    counts = Counter(vocab.terms[token] for token in doc.tokens() if token in vocab.terms)
-    return SparseVector(*_ascending(counts))
+    return _ascending(*_term_counts(doc, vocab))
 
 
 def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> SparseVector:
     """TF-IDF weights scaled to unit Euclidean norm.
 
     An input with no in-vocabulary token yields the empty vector and no
-    normalization is attempted.
+    normalization is attempted. The squared weights are summed in
+    first-occurrence order.
     """
-    counts = Counter(token for token in doc.tokens() if token in vocab.terms)
-    if not counts:
+    indices, counts = _term_counts(doc, vocab)
+    if not indices.size:
         return EMPTY_VECTOR
-    weighted = {
-        vocab.terms[term]: count * idf(vocab.n_docs, vocab.doc_freq[term])
-        for term, count in counts.items()
-    }
-    norm = math.sqrt(sum(weight * weight for weight in weighted.values()))
-    indices, weights = _ascending(weighted)
-    return SparseVector(indices, weights / norm)
+    weights = counts * vocab.idf_weights[indices]
+    norm = math.sqrt(sum((weights * weights).tolist()))
+    return _ascending(indices, weights / norm)
 
 
 def _check_g_top_k(g_top_k: int | None) -> None:
@@ -202,10 +213,16 @@ def chi_score_document(doc: TokenizedDocument, g_top_k: int | None = None) -> Ch
     terms scores 0.
     """
     _check_g_top_k(g_top_k)
+    terms, scores = _chi_scores(doc, g_top_k)
+    return dict(zip(terms, scores.tolist()))
+
+
+def _chi_scores(doc: TokenizedDocument, g_top_k: int | None) -> tuple[list[str], np.ndarray]:
+    """The document's distinct terms in sorted order and their chi scores."""
     token_counts = Counter(doc.tokens())
-    if not token_counts:
-        return {}
     terms = sorted(token_counts)
+    if not terms:
+        return terms, np.empty(0)
     column = {term: index for index, term in enumerate(terms)}
     counts = np.array([token_counts[term] for term in terms], dtype=np.float64)
 
@@ -231,8 +248,7 @@ def chi_score_document(doc: TokenizedDocument, g_top_k: int | None = None) -> Ch
     # Summing a C-contiguous (partner, term) array over axis 0 adds the
     # partners one after another in sorted order, so scores do not depend on
     # the process's string hashing.
-    scores = contribution.sum(axis=0)
-    return dict(zip(terms, scores.tolist()))
+    return terms, contribution.sum(axis=0)
 
 
 def select_chi_features(
@@ -256,20 +272,18 @@ def select_chi_features(
     _check_g_top_k(g_top_k)
 
     kept_terms: set[str] = set()
+    doc_freq: Counter[str] = Counter()
     for doc in docs:
-        table = chi_score_document(doc, g_top_k=g_top_k)
-        if not table:
-            continue
-        keep = math.ceil(top_percent * len(table) / 100.0)
-        ranked = sorted(table.items(), key=lambda item: (-item[1], item[0]))
-        kept_terms.update(term for term, _ in ranked[:keep])
+        terms, scores = _chi_scores(doc, g_top_k)
+        doc_freq.update(terms)
+        keep = math.ceil(top_percent * len(terms) / 100.0)
+        # Terms are in sorted order, so a stable sort ranks by (-score, term).
+        ranked = np.argsort(-scores, kind="stable")[:keep]
+        kept_terms.update(terms[index] for index in ranked.tolist())
 
     if not kept_terms:
         raise EmptyVocabularyError("chi-square selection kept no terms (all documents empty)")
 
-    doc_freq: Counter[str] = Counter()
-    for doc in docs:
-        doc_freq.update(set(doc.tokens()) & kept_terms)
     ordered = sorted(kept_terms)
     return Vocabulary(
         terms={term: index for index, term in enumerate(ordered)},

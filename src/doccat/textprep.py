@@ -2,12 +2,13 @@
 
 The pipeline applied per document is
 
-    split_sentences -> tokenize -> strip_symbols -> (lowercase Latin)
-        -> stem -> remove_stopwords
+    split_sentences -> strip symbols -> (lowercase) -> split on whitespace
+        -> stem -> remove stopwords
 
 Sentences are kept as the grouping unit because the chi-square feature
 scorer uses the sentence as its co-occurrence window. Bengali script has
-no case, so only embedded Latin fragments are lowercased.
+no case, so lowercasing only changes embedded Latin (or other cased)
+fragments.
 
 The stemmer is a table-driven longest-suffix stripper: at most one suffix
 is removed per token, and a rule fires only when stripping leaves at least
@@ -19,8 +20,14 @@ suffix after one strip (no finite single-pass table can rule that out),
 which is why the suffix table stays a replaceable data file rather than
 hard-coded rules.
 
-All operations are pure functions of (input, config); documents may be
-preprocessed in parallel with no shared state.
+Each configuration is compiled once: one regular expression that matches
+any of its strip symbols, its suffix rules keyed by suffix length, and a
+bounded memo from a stripped, lowercased raw token to its final token.
+Strip symbols are single non-whitespace characters, so stripping and
+lowercasing a whole sentence before splitting it gives the same tokens as
+doing both per token. Results are pure functions of (input, config); the
+compiled configurations and their token memos are shared, bounded and
+thread-safe, so documents may still be preprocessed in parallel.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from .corpus import LabeledCorpus, LabeledDocument
 
@@ -48,6 +56,11 @@ DEFAULT_STRIP_SYMBOLS: frozenset[str] = frozenset(
     + "“”‘’„‚«»"  # curly quotes, guillemets
     + "–—…"  # dashes, ellipsis
 )
+
+# Distinct raw tokens each compiled configuration remembers; the least
+# recently used one is forgotten first, so a long prediction stream cannot
+# grow memory without limit.
+TOKEN_MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,11 @@ class PreprocessConfig:
 
     def __post_init__(self) -> None:
         validate_suffix_table(self.suffix_table)
+        for symbol in self.strip_symbols:
+            if not isinstance(symbol, str) or len(symbol) != 1 or symbol.isspace():
+                raise ValueError(
+                    f"strip symbol {symbol!r} is not exactly one non-whitespace character"
+                )
 
     def digest(self) -> str:
         """Stable checksum of the full configuration, for model files."""
@@ -181,28 +199,51 @@ def split_sentences(text: str) -> list[str]:
     return [stripped for segment in SENTENCE_SPLIT_RE.split(text) if (stripped := segment.strip())]
 
 
-def tokenize(sentence: str) -> list[str]:
-    """Split a sentence on Unicode whitespace, preserving token order."""
-    return sentence.split()
-
-
-def strip_symbols(token: str, strip_set: frozenset[str]) -> str:
-    """Remove every character in `strip_set`; may return an empty string."""
-    return "".join(ch for ch in token if ch not in strip_set)
+@lru_cache(maxsize=8)
+def _suffixes_by_length(
+    suffix_table: tuple[tuple[str, int], ...],
+) -> tuple[tuple[int, dict[str, int]], ...]:
+    """The rules as (suffix length, {suffix: min stem length}), longest first."""
+    by_length: dict[int, dict[str, int]] = {}
+    for suffix, min_stem in suffix_table:
+        by_length.setdefault(len(suffix), {})[suffix] = min_stem
+    return tuple(sorted(by_length.items(), reverse=True))
 
 
 def stem(token: str, suffix_table: tuple[tuple[str, int], ...]) -> str:
     """Strip at most one suffix: the longest rule whose removal leaves
     at least the rule's minimum stem length. Otherwise return unchanged."""
-    for suffix, min_stem in suffix_table:
-        if len(token) - len(suffix) >= min_stem and token.endswith(suffix):
-            return token[: -len(suffix)]
+    for length, rules in _suffixes_by_length(suffix_table):
+        min_stem = rules.get(token[-length:])
+        if min_stem is not None and len(token) - length >= min_stem:
+            return token[:-length]
     return token
 
 
-def remove_stopwords(tokens: list[str], stopword_list: frozenset[str]) -> list[str]:
-    """Filter exact stopword matches, preserving order."""
-    return [token for token in tokens if token not in stopword_list]
+@dataclass(frozen=True)
+class _CompiledConfig:
+    """A configuration's strip-symbol pattern and its memo from a stripped,
+    lowercased raw token to its final token ("" for a stopword)."""
+
+    strip: re.Pattern[str]
+    final_token: Callable[[str], str]
+
+
+@lru_cache(maxsize=8)
+def _compiled(config: PreprocessConfig) -> _CompiledConfig:
+    @lru_cache(maxsize=TOKEN_MEMO_SIZE)
+    def final_token(token: str) -> str:
+        if config.enable_stemming:
+            token = stem(token, config.suffix_table)
+        if config.enable_stopwords and token in config.stopword_list:
+            return ""
+        return token
+
+    # An alternation of single characters runs as one character class (much
+    # faster than str.translate on non-ASCII text); with no symbols it is the
+    # empty pattern, whose substitution leaves the text unchanged.
+    strip = re.compile("|".join(map(re.escape, sorted(config.strip_symbols))))
+    return _CompiledConfig(strip=strip, final_token=final_token)
 
 
 def preprocess_document(doc: LabeledDocument, config: PreprocessConfig) -> TokenizedDocument:
@@ -211,22 +252,15 @@ def preprocess_document(doc: LabeledDocument, config: PreprocessConfig) -> Token
     Emptied tokens and emptied sentences are dropped; an all-stopword
     document yields a valid TokenizedDocument with zero tokens.
     """
+    compiled = _compiled(config)
     sentences: list[tuple[str, ...]] = []
     for raw_sentence in split_sentences(doc.text):
-        tokens: list[str] = []
-        for raw_token in tokenize(raw_sentence):
-            token = strip_symbols(raw_token, config.strip_symbols)
-            if not token:
-                continue
-            if config.lowercase_latin:
-                token = token.lower()
-            if config.enable_stemming:
-                token = stem(token, config.suffix_table)
-            tokens.append(token)
-        if config.enable_stopwords:
-            tokens = remove_stopwords(tokens, config.stopword_list)
+        text = compiled.strip.sub("", raw_sentence)
+        if config.lowercase_latin:
+            text = text.lower()
+        tokens = tuple(filter(None, map(compiled.final_token, text.split())))
         if tokens:
-            sentences.append(tuple(tokens))
+            sentences.append(tokens)
     return TokenizedDocument(sentences=tuple(sentences), label=doc.label, doc_id=doc.id)
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from doccat.corpus import LabeledCorpus, LabeledDocument
-from doccat.textprep import TokenizedDocument
+from doccat.textprep import PreprocessConfig, TokenizedDocument, split_sentences
 
 CATEGORY_NAMES = (
     "accident", "art", "crime", "economics", "education", "entertainment",
@@ -120,6 +120,32 @@ def random_tokenized_doc(
         n_tokens = int(rng.integers(1, 7))
         sentences.append(tuple(rng.choice(alphabet) for _ in range(n_tokens)))
     return TokenizedDocument(sentences=tuple(sentences), label=label)
+
+
+def preprocess_oracle(doc: LabeledDocument, config: PreprocessConfig) -> TokenizedDocument:
+    """The per-token pipeline, one step at a time: split each sentence on
+    whitespace; per token strip symbols, lowercase and stem by walking the
+    suffix table in order; then filter stopwords."""
+    sentences = []
+    for raw_sentence in split_sentences(doc.text):
+        tokens = []
+        for raw_token in raw_sentence.split():
+            token = "".join(ch for ch in raw_token if ch not in config.strip_symbols)
+            if not token:
+                continue
+            if config.lowercase_latin:
+                token = token.lower()
+            if config.enable_stemming:
+                for suffix, min_stem in config.suffix_table:
+                    if len(token) - len(suffix) >= min_stem and token.endswith(suffix):
+                        token = token[: -len(suffix)]
+                        break
+            tokens.append(token)
+        if config.enable_stopwords:
+            tokens = [token for token in tokens if token not in config.stopword_list]
+        if tokens:
+            sentences.append(tuple(tokens))
+    return TokenizedDocument(sentences=tuple(sentences), label=doc.label, doc_id=doc.id)
 
 
 def chi_oracle(sentences: list[list[str]], g_top_k: int | None = None) -> dict[str, float]:

@@ -149,6 +149,7 @@ class TestEvaluate:
         assert report.macro_f1 == 1.0
         assert report.method_name == "TFIDF+NB"
         assert report.predict_seconds > 0
+        assert report.preprocess_seconds > 0
 
     def test_unseen_label_rejected(self, synth_train, default_cfg):
         trained = train(synth_train, "tfidf", "nb", TrainHyperparams(), default_cfg)
@@ -209,8 +210,12 @@ class TestBenchmark:
             assert report.train_seconds == sum(report.stage_seconds.values())
             if repro:
                 assert set(report.stage_seconds.values()) == {0.0}
+                assert report.preprocess_seconds == 0.0
             else:
                 assert all(seconds > 0 for seconds in report.stage_seconds.values())
+                assert report.preprocess_seconds > 0
+        # one shared test pass is preprocessed for all six methods
+        assert len({report.preprocess_seconds for report in result.reports}) == 1
 
     def test_shared_label_precondition(self, tiny_corpus, default_cfg):
         other = LabeledCorpus((
@@ -250,9 +255,11 @@ class TestReportSerialization:
         report.method_name = "TFIDF+NB"
         report.train_seconds = 1.25
         report.predict_seconds = 0.5
+        report.preprocess_seconds = 0.75
         report.stage_seconds = {"features": 0.5, "vectorize": 0.25, "fit": 0.5}
         payload = json.loads(json.dumps(report_to_dict(report)))
         assert payload["stage_seconds"] == report.stage_seconds
+        assert payload["preprocess_seconds"] == 0.75
         restored = report_from_dict(payload)
         assert restored == report
 

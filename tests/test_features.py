@@ -169,6 +169,25 @@ class TestTfidfVector:
             if len(vec):
                 assert abs(np.linalg.norm(vec.values) - 1.0) < 1e-9
 
+    def test_equals_the_idf_formula_exactly(self):
+        rng = np.random.default_rng(12)
+        docs = [random_tokenized_doc(rng) for _ in range(40)]
+        vocab = build_vocabulary(docs[:30])
+        for term, index in vocab.terms.items():
+            assert vocab.idf_weights[index] == idf(vocab.n_docs, vocab.doc_freq[term])
+        for doc in docs:
+            counts = {}
+            for token in doc.tokens():
+                if token in vocab:
+                    counts[token] = counts.get(token, 0) + 1
+            weighted = {
+                vocab.terms[term]: count * idf(vocab.n_docs, vocab.doc_freq[term])
+                for term, count in counts.items()
+            }
+            norm = math.sqrt(sum(weight * weight for weight in weighted.values()))
+            expected = sorted((index, weight / norm) for index, weight in weighted.items())
+            assert pairs(tfidf_vector(doc, vocab)) == expected
+
 
 class TestChiScore:
     def test_two_sentence_example(self):
@@ -238,6 +257,21 @@ class TestSelectChiFeatures:
             selected = select_chi_features(docs, top_percent=100.0)
             baseline = build_vocabulary(docs)
             assert selected == baseline
+
+    def test_ranks_by_score_then_term(self):
+        # the per-document ranking is sorted((-score, term)) over the dict API
+        rng = np.random.default_rng(8)
+        for top_percent in (10.0, 30.0, 55.0):
+            docs = [random_tokenized_doc(rng) for _ in range(25)]
+            expected: set[str] = set()
+            for doc in docs:
+                table = chi_score_document(doc)
+                ranked = sorted(table, key=lambda term: (-table[term], term))
+                expected.update(ranked[: math.ceil(top_percent * len(table) / 100.0)])
+            vocab = select_chi_features(docs, top_percent)
+            assert set(vocab.terms) == expected
+            for term in expected:
+                assert vocab.doc_freq[term] == sum(term in set(d.tokens()) for d in docs)
 
     def test_keep_count_is_ceil(self):
         # one doc, 10 distinct terms, 30% -> exactly 3 kept

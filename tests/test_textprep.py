@@ -1,26 +1,31 @@
+import dataclasses
+import itertools
+import string
+import sys
+import threading
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doccat.corpus import LabeledDocument
 from doccat.textprep import (
     DEFAULT_STRIP_SYMBOLS,
+    TOKEN_MEMO_SIZE,
     PreprocessConfig,
     TokenizedDocument,
+    _compiled,
     default_config,
     load_stopwords,
     load_suffix_table,
     preprocess_document,
-    remove_stopwords,
     split_sentences,
     stem,
-    strip_symbols,
-    tokenize,
     tokenized_to_json,
     validate_suffix_table,
 )
 
-from helpers import make_synthetic_corpus
+from helpers import make_synthetic_corpus, preprocess_oracle
 
 # Realistic inflected forms for pipeline-level checks.
 LEXICON = [
@@ -45,32 +50,75 @@ class TestSplitSentences:
         assert split_sentences("ক\nখ! গ") == ["ক", "খ", "গ"]
 
 
+def only(
+    strip_symbols=frozenset(), stopword_list=frozenset(), enable_stopwords=False
+) -> PreprocessConfig:
+    """A configuration that runs only the named steps (stemming and lowercasing off)."""
+    return PreprocessConfig(
+        stopword_list=stopword_list,
+        suffix_table=(),
+        strip_symbols=strip_symbols,
+        enable_stemming=False,
+        enable_stopwords=enable_stopwords,
+        lowercase_latin=False,
+    )
+
+
+def tokens_of(text: str, config: PreprocessConfig) -> list[str]:
+    return list(preprocess_document(LabeledDocument(id="d", text=text, label="x"), config).tokens())
+
+
 class TestTokenize:
     def test_plain(self):
-        assert tokenize("আমি ভাত খাই") == ["আমি", "ভাত", "খাই"]
+        assert tokens_of("আমি ভাত খাই", only()) == ["আমি", "ভাত", "খাই"]
 
     def test_whitespace_runs_collapse(self):
-        assert tokenize("  ক   খ ") == ["ক", "খ"]
+        assert tokens_of("  ক \t\u00a0 খ\u2003", only()) == ["ক", "খ"]
 
     def test_empty(self):
-        assert tokenize("") == []
+        doc = LabeledDocument(id="d", text=" \u2003।\t", label="x")
+        assert preprocess_document(doc, only()).sentences == ()
 
 
 class TestStripSymbols:
     def test_trailing_comma(self):
-        assert strip_symbols("ঢাকা,", DEFAULT_STRIP_SYMBOLS) == "ঢাকা"
+        assert tokens_of("ঢাকা,", only(DEFAULT_STRIP_SYMBOLS)) == ["ঢাকা"]
 
     def test_all_digits_vanish(self):
-        assert strip_symbols("১২৩", DEFAULT_STRIP_SYMBOLS) == ""
-        assert strip_symbols("123", DEFAULT_STRIP_SYMBOLS) == ""
+        assert tokens_of("১২৩ 123 ঢাকা", only(DEFAULT_STRIP_SYMBOLS)) == ["ঢাকা"]
+        doc = LabeledDocument(id="d", text="১২৩ 123", label="x")
+        assert preprocess_document(doc, only(DEFAULT_STRIP_SYMBOLS)).sentences == ()
 
     def test_clean_token_unchanged(self):
-        assert strip_symbols("ক", DEFAULT_STRIP_SYMBOLS) == "ক"
+        assert tokens_of("ক", only(DEFAULT_STRIP_SYMBOLS)) == ["ক"]
 
     @given(st.text(max_size=30))
-    def test_no_strip_char_survives(self, token):
-        out = strip_symbols(token, DEFAULT_STRIP_SYMBOLS)
-        assert not set(out) & DEFAULT_STRIP_SYMBOLS
+    def test_no_strip_char_survives(self, text):
+        assume(text.strip())
+        for token in tokens_of(text, only(DEFAULT_STRIP_SYMBOLS)):
+            assert not set(token) & DEFAULT_STRIP_SYMBOLS
+
+
+class TestRemoveStopwords:
+    def test_basic(self):
+        config = only(stopword_list=frozenset({"আমি"}), enable_stopwords=True)
+        assert tokens_of("আমি ভাত", config) == ["ভাত"]
+
+    def test_empty(self):
+        config = only(stopword_list=frozenset({"আমি"}), enable_stopwords=True)
+        doc = LabeledDocument(id="d", text="আমি আমি", label="x")
+        assert preprocess_document(doc, config).sentences == ()
+
+    def test_no_match_identity(self):
+        config = only(stopword_list=frozenset({"আমি"}), enable_stopwords=True)
+        assert tokens_of("ভাত খাই", config) == ["ভাত", "খাই"]
+
+
+class TestStripSymbolValidation:
+    @pytest.mark.parametrize("symbol", ["", "ab", " ", "\t", "\n", "\u00a0", "\u2003", 7])
+    def test_rejects_anything_but_one_non_whitespace_character(self, symbol):
+        with pytest.raises(ValueError, match="strip symbol"):
+            only(frozenset({",", symbol}))
 
 
 class TestStem:
@@ -91,18 +139,6 @@ class TestStem:
     def test_strips_at_most_one_suffix(self):
         table = (("রা", 2),)
         assert stem("ঘরারারা", table) == "ঘরারা"
-
-
-class TestRemoveStopwords:
-    def test_basic(self):
-        assert remove_stopwords(["আমি", "ভাত"], frozenset({"আমি"})) == ["ভাত"]
-
-    def test_empty(self):
-        assert remove_stopwords([], frozenset({"আমি"})) == []
-
-    def test_no_match_identity(self):
-        tokens = ["ভাত", "খাই"]
-        assert remove_stopwords(tokens, frozenset({"আমি"})) == tokens
 
 
 class TestPreprocessDocument:
@@ -141,6 +177,83 @@ class TestPreprocessDocument:
     def test_determinism(self, default_cfg):
         doc = LabeledDocument(id="d", text="ছেলেরা খেলা দেখে। আবার খেলবে!", label="x")
         assert preprocess_document(doc, default_cfg) == preprocess_document(doc, default_cfg)
+
+
+# Raw text pieces whose concatenations exercise every step: stems, shipped
+# suffixes (so stems pick up inflections), stopwords, strip symbols, sentence
+# delimiters, mixed whitespace, and uppercase Latin and Greek. A final sigma
+# lowercases by its context, so sentence-level lower() must match per-token.
+_DEFAULT = default_config()
+PIECES = sorted(
+    set(LEXICON)
+    | {suffix for suffix, _ in _DEFAULT.suffix_table}
+    | set(_DEFAULT.stopword_list)
+    | set(DEFAULT_STRIP_SYMBOLS)
+    | {"।", "?", "!", " ", "\t", "\u00a0", "\u2003", "\n"}
+    | {"Σ", "ΑΣ", "ΟΔΟΣ", "σ", "FIFA", "Dhaka", "İ"}
+)
+FLAGS = list(itertools.product([True, False], repeat=3))
+
+
+class TestMatchesPerTokenOracle:
+    @pytest.mark.parametrize(("stemming", "stopwords", "lowercase"), FLAGS)
+    @given(pieces=st.lists(st.sampled_from(PIECES), min_size=1, max_size=40))
+    @settings(max_examples=60)
+    def test_random_text(self, stemming, stopwords, lowercase, pieces):
+        text = "".join(pieces)
+        assume(text.strip())
+        config = PreprocessConfig(
+            stopword_list=_DEFAULT.stopword_list,
+            suffix_table=_DEFAULT.suffix_table,
+            enable_stemming=stemming,
+            enable_stopwords=stopwords,
+            lowercase_latin=lowercase,
+        )
+        doc = LabeledDocument(id="d", text=text, label="x")
+        assert preprocess_document(doc, config) == preprocess_oracle(doc, config)
+
+
+class TestTokenMemo:
+    def test_memo_stays_bounded(self):
+        config = PreprocessConfig(
+            stopword_list=frozenset(), suffix_table=(), enable_stemming=False
+        )
+        memo = _compiled(config).final_token
+        assert memo.cache_info().maxsize == TOKEN_MEMO_SIZE
+        letters = string.ascii_lowercase
+        distinct = (
+            "".join(letters[(i // 26**k) % 26] for k in range(4))
+            for i in range(2 * TOKEN_MEMO_SIZE)
+        )
+        doc = LabeledDocument(id="d", text=" ".join(distinct), label="x")
+        assert preprocess_document(doc, config).token_count == 2 * TOKEN_MEMO_SIZE
+        info = memo.cache_info()
+        assert info.misses >= 2 * TOKEN_MEMO_SIZE
+        assert info.currsize <= info.maxsize
+
+    def test_threads_share_the_memo(self, default_cfg):
+        # a configuration no other test uses, so the threads start on a cold memo
+        config = dataclasses.replace(default_cfg, strip_symbols=frozenset("।,"))
+        docs = list(make_synthetic_corpus(6, seed=3))
+        expected = [preprocess_oracle(doc, config) for doc in docs]
+        results: list[bool] = []
+
+        def work():
+            for _ in range(5):
+                results.append([preprocess_document(doc, config) for doc in docs] == expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 20
 
 
 def rejoin(doc: TokenizedDocument) -> str:

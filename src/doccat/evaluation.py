@@ -331,6 +331,9 @@ def write_report(report: EvaluationReport, path: str | Path) -> None:
 
 
 def report_from_dict(payload: dict) -> EvaluationReport:
+    """Inverse of `report_to_dict`. Timings added to reports later
+    (`stage_seconds`, `preprocess_seconds`) default to empty and zero, so
+    older report files still load."""
     confusion = None
     if "confusion" in payload:
         confusion = ConfusionMatrix(
@@ -348,7 +351,7 @@ def report_from_dict(payload: dict) -> EvaluationReport:
         accuracy=payload["accuracy"],
         train_seconds=payload["train_seconds"],
         predict_seconds=payload["predict_seconds"],
-        preprocess_seconds=payload["preprocess_seconds"],
+        preprocess_seconds=payload.get("preprocess_seconds", 0.0),
         confusion=confusion,
-        stage_seconds=payload["stage_seconds"],
+        stage_seconds=payload.get("stage_seconds", {}),
     )

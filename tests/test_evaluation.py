@@ -263,6 +263,14 @@ class TestReportSerialization:
         restored = report_from_dict(payload)
         assert restored == report
 
+    def test_reads_reports_without_later_timings(self):
+        report = metrics_from_matrix(ConfusionMatrix(("A", "B"), ((1, 1), (0, 1))))
+        report.method_name = "TFIDF+NB"
+        report.train_seconds = 1.25
+        payload = report_to_dict(report)
+        del payload["preprocess_seconds"], payload["stage_seconds"]
+        assert report_from_dict(payload) == report
+
     def test_comparison_tsv_format(self, tmp_path):
         report = metrics_from_matrix(ConfusionMatrix(("A", "B"), ((2, 0), (0, 2))))
         report.method_name = "TFIDF+SVM"

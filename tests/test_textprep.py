@@ -218,7 +218,7 @@ class TestTokenMemo:
         config = PreprocessConfig(
             stopword_list=frozenset(), suffix_table=(), enable_stemming=False
         )
-        memo = _compiled(config).final_token
+        _, memo = _compiled(config)
         assert memo.cache_info().maxsize == TOKEN_MEMO_SIZE
         letters = string.ascii_lowercase
         distinct = (
@@ -330,6 +330,18 @@ class TestConfigFiles:
         # removal runs after stemming, so each entry's stem must be listed too
         for word in default_cfg.stopword_list:
             assert stem(word, default_cfg.suffix_table) in default_cfg.stopword_list
+
+    def test_plain_iterables_are_stored_hashable(self, default_cfg):
+        config = PreprocessConfig(
+            stopword_list=set(default_cfg.stopword_list),
+            suffix_table=[list(rule) for rule in default_cfg.suffix_table],
+            strip_symbols=list(default_cfg.strip_symbols),
+        )
+        assert config == default_cfg
+        assert hash(config) == hash(default_cfg)
+        assert config.digest() == default_cfg.digest()
+        doc = LabeledDocument(id="d", text="ছেলেরা বাড়িতে, খেলা। Dhaka 2024!", label="x")
+        assert preprocess_document(doc, config) == preprocess_oracle(doc, default_cfg)
 
     def test_digest_changes_with_config(self, default_cfg):
         other = PreprocessConfig(

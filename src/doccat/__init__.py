@@ -2,6 +2,8 @@
 
 Pipeline: corpus loading -> preprocessing -> feature engineering (TF-IDF or
 chi-square selection) -> classifier training (NB, SGD, SVM) -> evaluation.
+Vectorization turns a corpus into one CSR CorpusMatrix (a document is a
+one-row matrix), which the trainers fit and the scoring reads as it is.
 """
 
 from .corpus import (
@@ -24,7 +26,7 @@ from .evaluation import (
     metrics_from_matrix,
 )
 from .features import (
-    SparseVector,
+    CorpusMatrix,
     Vocabulary,
     build_vocabulary,
     chi_score_document,
@@ -40,6 +42,7 @@ from .models import (
     TrainedModel,
     TrainHyperparams,
     load_model,
+    predict,
     predict_linear,
     predict_nb,
     save_model,
@@ -62,6 +65,7 @@ __all__ = [
     "BenchmarkResult",
     "CategoryCounts",
     "ConfusionMatrix",
+    "CorpusMatrix",
     "DoccatError",
     "EvaluationReport",
     "LabeledCorpus",
@@ -69,7 +73,6 @@ __all__ = [
     "LinearModel",
     "NBModel",
     "PreprocessConfig",
-    "SparseVector",
     "TokenizedDocument",
     "TrainHyperparams",
     "TrainedModel",
@@ -86,6 +89,7 @@ __all__ = [
     "load_jsonl",
     "load_model",
     "metrics_from_matrix",
+    "predict",
     "predict_linear",
     "predict_nb",
     "preprocess_corpus",

@@ -10,13 +10,12 @@ built-in defaults. All randomness flows from ``--seed``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from . import evaluation, models
-from .corpus import LabeledCorpus, LabeledDocument, load_dir, load_jsonl
+from .corpus import LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_jsonl_documents
 from .errors import DoccatError, MalformedLineError
 from .fileio import atomic_write_text
 from .models import TrainHyperparams
@@ -253,23 +252,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_predict_documents(path: str) -> list[LabeledDocument]:
-    """Prediction input: unlabeled JSONL ('text' required) or one raw text file."""
+    """Prediction input: JSONL, whose labels are not read, or one raw text file."""
     target = Path(path)
     if target.suffix == ".jsonl":
-        docs = []
-        for line_no, line in enumerate(
-            target.read_text(encoding="utf-8").split("\n"), start=1
-        ):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(str(target), line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
-                raise MalformedLineError(str(target), line_no, "missing string field 'text'")
-            doc_id = obj.get("id") or f"{target.name}:{line_no}"
-            docs.append(LabeledDocument(id=doc_id, text=obj["text"], label=obj.get("label") or "-"))
+        docs = read_jsonl_documents(target, label="-")
         if not docs:
             raise MalformedLineError(str(target), 0, "no documents to predict")
         return docs
@@ -284,10 +270,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
             "preprocessing config does not match the model "
             "(was it trained with different stopwords or suffixes?)"
         )
-    lines = []
-    for doc in _load_predict_documents(args.input):
-        label, score, _ = models.predict_tokenized(trained, preprocess_document(doc, config))
-        lines.append(f"{doc.id}\t{label}\t{score:.6f}")
+    docs = _load_predict_documents(args.input)
+    labels, scores = models.predict(trained, [preprocess_document(doc, config) for doc in docs])
+    lines = [
+        f"{doc.id}\t{label}\t{score:.6f}"
+        for doc, label, score in zip(docs, labels, scores.max(axis=1).tolist())
+    ]
     output = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, output)

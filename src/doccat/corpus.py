@@ -79,16 +79,17 @@ class CategoryCounts:
     total: int
 
 
-def load_jsonl(path: str | Path) -> LabeledCorpus:
-    """Load a corpus from a JSONL file, preserving line order.
+def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[LabeledDocument]:
+    """The documents of a JSONL file in line order; blank lines are skipped.
 
-    A missing ``id`` field is synthesized as ``<filename>:<line-number>``.
+    Each line is a JSON object with a string ``text``, an optional string
+    ``id`` (synthesized as ``<filename>:<line-number>`` when missing) and a
+    string ``label``. A `label` argument is given to every document
+    instead, and the lines' ``label`` fields are not read.
 
     Raises:
-        MalformedLineError: a non-blank line is not a JSON object with string
-            ``text`` and ``label`` fields, or the document is invalid.
-        DuplicateIdError: two lines carry the same id.
-        EmptyCorpusError: the file holds no documents.
+        MalformedLineError: a non-blank line is not such an object, or the
+            document is invalid.
         UnreadableFileError: the file cannot be read or is not valid UTF-8.
     """
     path = Path(path)
@@ -100,6 +101,7 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
         raise UnreadableFileError(str(path), f"invalid UTF-8: {exc}") from exc
 
     documents: list[LabeledDocument] = []
+    required = ("text",) if label is not None else ("text", "label")
     # split on \n only: JSON strings may legally contain other Unicode line
     # boundaries (NEL, U+2028) that splitlines() would treat as line breaks
     for line_no, line in enumerate(raw.split("\n"), start=1):
@@ -111,7 +113,7 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
             raise MalformedLineError(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
         if not isinstance(obj, dict):
             raise MalformedLineError(str(path), line_no, "line is not a JSON object")
-        for key in ("text", "label"):
+        for key in required:
             if key not in obj:
                 raise MalformedLineError(str(path), line_no, f"missing field {key!r}")
             if not isinstance(obj[key], str):
@@ -122,10 +124,24 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
         elif not isinstance(doc_id, str):
             raise MalformedLineError(str(path), line_no, "field 'id' is not a string")
         try:
-            documents.append(LabeledDocument(id=doc_id, text=obj["text"], label=obj["label"]))
+            documents.append(LabeledDocument(
+                id=doc_id, text=obj["text"], label=obj["label"] if label is None else label
+            ))
         except ValueError as exc:
             raise MalformedLineError(str(path), line_no, str(exc)) from exc
+    return documents
 
+
+def load_jsonl(path: str | Path) -> LabeledCorpus:
+    """Load a labeled corpus from a JSONL file (see `read_jsonl_documents`),
+    preserving line order.
+
+    Raises:
+        MalformedLineError, UnreadableFileError: as `read_jsonl_documents`.
+        DuplicateIdError: two lines carry the same id.
+        EmptyCorpusError: the file holds no documents.
+    """
+    documents = read_jsonl_documents(path)
     if not documents:
         raise EmptyCorpusError(f"no documents in {path}")
     return LabeledCorpus(documents=tuple(documents))

@@ -36,7 +36,7 @@ from .models import (
     Selector,
     TrainedModel,
     TrainHyperparams,
-    predict_tokenized,
+    predict,
     save_model,
     train_from_tokens,
 )
@@ -176,7 +176,7 @@ def _evaluate_tokenized(
         if doc.label not in trained.class_labels:
             raise UnknownLabelError(doc.label)
     started = time.perf_counter()
-    y_pred = [predict_tokenized(trained, doc)[0] for doc in docs]
+    y_pred, _ = predict(trained, docs)
     predict_seconds = time.perf_counter() - started
 
     y_true = [doc.label for doc in docs]
@@ -328,30 +328,3 @@ def report_to_dict(report: EvaluationReport) -> dict:
 
 def write_report(report: EvaluationReport, path: str | Path) -> None:
     atomic_write_text(path, json.dumps(report_to_dict(report), ensure_ascii=False, indent=2))
-
-
-def report_from_dict(payload: dict) -> EvaluationReport:
-    """Inverse of `report_to_dict`. Timings added to reports later
-    (`stage_seconds`, `preprocess_seconds`) default to empty and zero, so
-    older report files still load."""
-    confusion = None
-    if "confusion" in payload:
-        confusion = ConfusionMatrix(
-            labels=tuple(payload["confusion"]["labels"]),
-            counts=tuple(tuple(row) for row in payload["confusion"]["counts"]),
-        )
-    return EvaluationReport(
-        method_name=payload["method"],
-        per_class={
-            label: ClassMetrics(**metrics) for label, metrics in payload["per_class"].items()
-        },
-        macro_precision=payload["macro_precision"],
-        macro_recall=payload["macro_recall"],
-        macro_f1=payload["macro_f1"],
-        accuracy=payload["accuracy"],
-        train_seconds=payload["train_seconds"],
-        predict_seconds=payload["predict_seconds"],
-        preprocess_seconds=payload.get("preprocess_seconds", 0.0),
-        confusion=confusion,
-        stage_seconds=payload.get("stage_seconds", {}),
-    )

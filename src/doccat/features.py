@@ -9,9 +9,10 @@ Two pipelines are provided and used separately downstream:
   terms; the top share of every document's ranking is kept and the union
   forms the vocabulary, vectorized with raw counts.
 
-Every document becomes one SparseVector: numpy arrays of ascending feature
-indices and their non-zero weights, which the trainers and predictors use
-as they are.
+A corpus becomes one CorpusMatrix: a CSR matrix with one row per document
+of ascending feature indices and their non-zero weights, checked once when
+it is built and used as it is by the trainers and the scoring. A single
+document is a one-row matrix.
 
 The chi-square score for a term w in one document treats each sentence as
 the co-occurrence window:
@@ -98,36 +99,56 @@ class Vocabulary:
 
 
 @dataclass(frozen=True, eq=False)
-class SparseVector:
-    """Feature `indices` (intp, strictly ascending, non-negative) and their
-    `values` (float64, finite and non-zero); zeros are omitted."""
+class CorpusMatrix:
+    """A corpus as one immutable CSR matrix of shape (documents, n_features).
 
+    Row i holds the feature `indices[indptr[i]:indptr[i + 1]]` (intp,
+    strictly ascending within the row, in [0, n_features)) and their
+    `values` (float64, finite and non-zero); zeros are omitted. A single
+    document is a one-row matrix. The arrays are checked once here and
+    marked read-only, arrays passed in included.
+    """
+
+    indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+    n_features: int
 
     def __post_init__(self) -> None:
+        indptr = np.asarray(self.indptr, dtype=np.intp)
         indices = np.asarray(self.indices, dtype=np.intp)
         values = np.asarray(self.values, dtype=np.float64)
-        if indices.ndim != 1 or indices.shape != values.shape:
-            raise ValueError("sparse vector indices and values must be 1-D and equally long")
-        if indices.size and indices[0] < 0:
-            raise ValueError("sparse vector index must be non-negative")
-        if (indices[1:] <= indices[:-1]).any():
-            raise ValueError("sparse vector indices must be strictly ascending")
-        if not (np.isfinite(values).all() and values.all()):
-            raise ValueError("sparse vector weights must be finite and non-zero")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
+        n_features, nnz = self.n_features, indices.size
+        if n_features < 1:
+            raise ValueError(f"n_features must be positive, got {n_features}")
+        if indptr.ndim != 1 or indices.ndim != 1 or indices.shape != values.shape:
+            raise ValueError("indptr, indices and values must be 1-D, the last two equally long")
+        bounds = indptr.tolist()
+        if not bounds or bounds[0] != 0 or bounds[-1] != nnz:
+            raise ValueError("indptr must run from 0 to the number of stored entries")
+        if any(end < start for start, end in zip(bounds, bounds[1:])):
+            raise ValueError("indptr must not decrease")
+        # np.count_nonzero is the cheapest reduction on the short rows of
+        # single documents.
+        falls = indices[1:] <= indices[:-1]
+        if np.count_nonzero(falls):
+            # An index may fall or repeat only where a new row starts.
+            if not set((np.flatnonzero(falls) + 1).tolist()) <= set(bounds):
+                raise ValueError("feature indices must be strictly ascending within each row")
+            low, high = indices.min(), indices.max()
+        else:  # ascending throughout, so the ends bound every index
+            low, high = (indices[0], indices[-1]) if nnz else (0, 0)
+        if low < 0 or high >= n_features:
+            raise ValueError(f"feature index outside [0, {n_features})")
+        if np.count_nonzero(np.isfinite(values)) < nnz or np.count_nonzero(values) < nnz:
+            raise ValueError("feature weights must be finite and non-zero")
+        for name, array in (("indptr", indptr), ("indices", indices), ("values", values)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    def max_index(self) -> int:
-        """Largest stored index, or -1 for the empty vector."""
-        return int(self.indices[-1]) if self.indices.size else -1
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-EMPTY_VECTOR = SparseVector(np.empty(0, dtype=np.intp), np.empty(0))
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.indptr) - 1, self.n_features
 
 
 def build_vocabulary(docs: Sequence[TokenizedDocument], min_df: int = 1) -> Vocabulary:
@@ -159,39 +180,6 @@ def idf(n_docs: int, df: int) -> float:
     if df < 1 or df > n_docs:
         raise ValueError(f"DF must satisfy 1 <= DF <= N, got DF={df}, N={n_docs}")
     return math.log((n_docs + 1) / (df + 1)) + 1.0
-
-
-def _term_counts(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """In-vocabulary feature indices in first-occurrence order, and their counts."""
-    counts = Counter(vocab.terms[token] for token in doc.tokens() if token in vocab.terms)
-    indices = np.fromiter(counts.keys(), dtype=np.intp, count=len(counts))
-    values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    return indices, values
-
-
-def _ascending(indices: np.ndarray, values: np.ndarray) -> SparseVector:
-    order = np.argsort(indices)
-    return SparseVector(indices[order], values[order])
-
-
-def count_vector(doc: TokenizedDocument, vocab: Vocabulary) -> SparseVector:
-    """Raw in-vocabulary term counts; out-of-vocabulary tokens are ignored."""
-    return _ascending(*_term_counts(doc, vocab))
-
-
-def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> SparseVector:
-    """TF-IDF weights scaled to unit Euclidean norm.
-
-    An input with no in-vocabulary token yields the empty vector and no
-    normalization is attempted. The squared weights are summed in
-    first-occurrence order.
-    """
-    indices, counts = _term_counts(doc, vocab)
-    if not indices.size:
-        return EMPTY_VECTOR
-    weights = counts * vocab.idf_weights[indices]
-    norm = math.sqrt(sum((weights * weights).tolist()))
-    return _ascending(indices, weights / norm)
 
 
 def _check_g_top_k(g_top_k: int | None) -> None:
@@ -292,13 +280,45 @@ def select_chi_features(
     )
 
 
+def count_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """One document's in-vocabulary feature indices in first-occurrence order,
+    and their raw counts; out-of-vocabulary tokens are ignored."""
+    counts = Counter(map(vocab.terms.get, doc.tokens()))
+    counts.pop(None, None)  # the out-of-vocabulary tokens
+    indices = np.fromiter(counts.keys(), dtype=np.intp, count=len(counts))
+    values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    return indices, values
+
+
+def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """`count_vector` with each count weighted by its term's `idf` and the
+    weights scaled to unit Euclidean norm, their squares summed in
+    first-occurrence order. A document with no in-vocabulary token has no
+    entries and is not normalized."""
+    indices, weights = count_vector(doc, vocab)
+    if indices.size:
+        weights *= vocab.idf_weights[indices]
+        weights /= math.sqrt(sum((weights * weights).tolist()))
+    return indices, weights
+
+
 def vectorize_corpus(
     docs: Sequence[TokenizedDocument], vocab: Vocabulary, mode: FeatureMode
-) -> list[SparseVector]:
-    """Map the chosen vectorizer over `docs`, preserving order."""
-    if mode == "tfidf":
-        return [tfidf_vector(doc, vocab) for doc in docs]
-    if mode == "counts":
-        return [count_vector(doc, vocab) for doc in docs]
-    raise ValueError(f"unknown feature mode: {mode!r}")
-
+) -> CorpusMatrix:
+    """One row per document, in order: raw counts for "counts", unit-norm
+    TF-IDF weights for "tfidf"."""
+    vector = {"tfidf": tfidf_vector, "counts": count_vector}.get(mode)
+    if vector is None:
+        raise ValueError(f"unknown feature mode: {mode!r}")
+    indptr, row_indices, row_values = [0], [], []
+    for doc in docs:
+        indices, values = vector(doc, vocab)
+        order = np.argsort(indices)
+        row_indices.append(indices[order])
+        row_values.append(values[order])
+        indptr.append(indptr[-1] + indices.size)
+    if not docs:
+        return CorpusMatrix(indptr, [], [], len(vocab))
+    return CorpusMatrix(
+        indptr, np.concatenate(row_indices), np.concatenate(row_values), len(vocab)
+    )

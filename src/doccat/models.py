@@ -3,8 +3,11 @@
 All three classifiers reduce multiclass to one-vs-rest: one binary problem
 per class label (labels sorted lexicographically), predicting by argmax of
 the per-class decision scores with ties broken toward the lexicographically
-smallest label. Each trainer fits every class in one loop over a
-(classes x features) weight matrix.
+smallest label. Each trainer takes the training corpus as one
+features.CorpusMatrix, reads the feature count from it, and fits every
+class in one loop over a (classes x features) weight matrix. Prediction
+scores the rows of one matrix: `predict` labels a batch of documents and
+`predict_tokenized` is its one-document case.
 
 * Naive Bayes uses Lidstone smoothing and accepts real-valued non-negative
   feature weights, so TF-IDF inputs are as valid as raw counts.
@@ -44,13 +47,11 @@ from .errors import (
     SingleClassError,
 )
 from .features import (
+    CorpusMatrix,
     FeatureMode,
-    SparseVector,
     Vocabulary,
     build_vocabulary,
-    count_vector,
     select_chi_features,
-    tfidf_vector,
     vectorize_corpus,
 )
 from .fileio import atomic_write_text
@@ -144,21 +145,15 @@ class TrainedModel:
         return sum(self.stage_seconds.values())
 
 
-def _check_training_data(
-    X: Sequence[SparseVector], y: Sequence[str], n_features: int
-) -> list[str]:
-    if len(X) != len(y):
-        raise LengthMismatchError(f"{len(X)} vectors but {len(y)} labels")
-    if len(X) < 2:
+def _check_training_data(X: CorpusMatrix, y: Sequence[str]) -> list[str]:
+    n_rows = X.shape[0]
+    if n_rows != len(y):
+        raise LengthMismatchError(f"{n_rows} rows but {len(y)} labels")
+    if n_rows < 2:
         raise ValueError("training needs at least two examples")
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassError("training corpus has one class")
-    if n_features < 1:
-        raise ValueError("n_features must be positive")
-    widest = max(x.max_index() for x in X)
-    if widest >= n_features:
-        raise IndexError(f"feature index {widest} out of range for {n_features}")
     return labels
 
 
@@ -167,16 +162,31 @@ def _targets(y: Sequence[str], labels: list[str]) -> np.ndarray:
     return np.where(np.asarray(y)[:, None] == np.asarray(labels)[None, :], 1.0, -1.0)
 
 
+def _scores(X: CorpusMatrix, coefficients: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(n, C) scores coefficients @ x + offsets of every row x of X.
+
+    Each row is one gather and one matrix-vector product, so temporaries
+    stay O(n C) and a row scores the same alone as within a corpus.
+    """
+    if X.n_features != coefficients.shape[1]:
+        raise ValueError(f"{X.n_features} features against a model of {coefficients.shape[1]}")
+    scores = np.empty((X.shape[0], len(offsets)))
+    bounds, indices, values = X.indptr.tolist(), X.indices, X.values
+    for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        scores[row] = coefficients[:, indices[start:end]] @ values[start:end]
+    scores += offsets
+    return scores
+
+
 def _margins(
-    X: Sequence[SparseVector], targets: np.ndarray, weights: np.ndarray, biases: np.ndarray
+    X: CorpusMatrix, targets: np.ndarray, weights: np.ndarray, biases: np.ndarray
 ) -> np.ndarray:
     """(n, C) margins target * (w_c . x + b_c) of every example for every class."""
-    scores = np.array([weights.take(x.indices, axis=1) @ x.values for x in X])
-    return targets * (scores + biases)
+    return targets * _scores(X, weights, biases)
 
 
 def _hinge_objectives(
-    X: Sequence[SparseVector],
+    X: CorpusMatrix,
     targets: np.ndarray,
     weights: np.ndarray,
     biases: np.ndarray,
@@ -187,72 +197,35 @@ def _hinge_objectives(
     return 0.5 * alpha * np.einsum("ij,ij->i", weights, weights) + hinge.mean(axis=0)
 
 
-def train_nb(
-    X: Sequence[SparseVector],
-    y: Sequence[str],
-    alpha: float,
-    n_features: int,
-) -> NBModel:
+def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> NBModel:
     """Fit multinomial NB with Lidstone smoothing `alpha`.
 
     Per class c and feature t: likelihood(c, t) = (W(c,t) + alpha) /
     (W(c) + alpha * V), where W sums feature weights over the class's
-    vectors. Raises NegativeFeatureError on any negative weight and
+    rows. Raises NegativeFeatureError on any negative weight and
     SingleClassError when fewer than two labels are present.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    labels = _check_training_data(X, y, n_features)
-    values = np.concatenate([x.values for x in X])
-    if (values < 0).any():
-        raise NegativeFeatureError(f"negative feature weight {values[values < 0][0]}")
+    labels = _check_training_data(X, y)
+    if (X.values < 0).any():
+        raise NegativeFeatureError(f"negative feature weight {X.values[X.values < 0][0]}")
 
     rows = np.searchsorted(labels, y)
-    weight_sums = np.zeros((len(labels), n_features))
-    np.add.at(
-        weight_sums,
-        (np.repeat(rows, [len(x) for x in X]), np.concatenate([x.indices for x in X])),
-        values,
-    )
+    weight_sums = np.zeros((len(labels), X.n_features))
+    np.add.at(weight_sums, (np.repeat(rows, np.diff(X.indptr)), X.indices), X.values)
     log_prior = np.log(np.bincount(rows, minlength=len(labels)) / len(y))
     totals = weight_sums.sum(axis=1, keepdims=True)
-    log_likelihood = np.log((weight_sums + alpha) / (totals + alpha * n_features))
+    log_likelihood = np.log((weight_sums + alpha) / (totals + alpha * X.n_features))
     return NBModel(
         class_labels=tuple(labels),
         log_prior=log_prior,
         log_likelihood=log_likelihood,
-        vocab_size=n_features,
+        vocab_size=X.n_features,
     )
 
 
-def _predict(
-    labels: tuple[str, ...], offsets: np.ndarray, coefficients: np.ndarray, x: SparseVector
-) -> tuple[str, dict[str, float]]:
-    """Score offsets + coefficients @ x; ties go to the lexicographically
-    smallest label and the empty vector scores the offsets."""
-    if x.max_index() >= coefficients.shape[1]:
-        raise IndexError(
-            f"vector index {x.max_index()} out of range for vocabulary of {coefficients.shape[1]}"
-        )
-    scores = offsets + coefficients[:, x.indices] @ x.values
-    return labels[int(np.argmax(scores))], dict(zip(labels, scores.tolist()))
-
-
-def predict_nb(model: NBModel, x: SparseVector) -> tuple[str, dict[str, float]]:
-    """Return (argmax label, per-class log-joint scores).
-
-    The empty vector falls back to the prior argmax; exact score ties go to
-    the lexicographically smallest label.
-    """
-    return _predict(model.class_labels, model.log_prior, model.log_likelihood, x)
-
-
-def train_sgd(
-    X: Sequence[SparseVector],
-    y: Sequence[str],
-    hyper: TrainHyperparams,
-    n_features: int,
-) -> LinearModel:
+def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> LinearModel:
     """Train one-vs-rest hinge-loss SGD classifiers in one loop over the examples.
 
     The step size, the L2 decay and the seeded shuffle are the same for
@@ -263,29 +236,31 @@ def train_sgd(
     training is deterministic given (seed, corpus), and symmetric label
     swaps produce exactly mirrored weights.
     """
-    labels = _check_training_data(X, y, n_features)
+    labels = _check_training_data(X, y)
     targets = _targets(y, labels)
     alpha = hyper.sgd_alpha
-    v = np.zeros((len(labels), n_features))
+    v = np.zeros((len(labels), X.n_features))
     biases = np.zeros(len(labels))
     scale = 1.0
     t0 = 1.0 / alpha
     step = 0
     rng = np.random.default_rng(hyper.seed)
+    bounds = X.indptr.tolist()
 
     for epoch in range(hyper.sgd_epochs):
-        for i in rng.permutation(len(X)):
+        for i in rng.permutation(len(y)).tolist():
             step += 1
             eta = 1.0 / (alpha * (t0 + step))
-            x, t = X[i], targets[i]
-            margins = t * (scale * (v.take(x.indices, axis=1) @ x.values) + biases)
+            start, end = bounds[i], bounds[i + 1]
+            cols, x, t = X.indices[start:end], X.values[start:end], targets[i]
+            margins = t * (scale * (v.take(cols, axis=1) @ x) + biases)
             scale *= 1.0 - eta * alpha
             if scale < 1e-9:
                 v *= scale
                 scale = 1.0
             rows = np.flatnonzero(margins < 1.0)
             if rows.size:
-                v[rows[:, None], x.indices] += (eta * t[rows] / scale)[:, None] * x.values
+                v[rows[:, None], cols] += (eta * t[rows] / scale)[:, None] * x
                 biases[rows] += eta * t[rows]
         if epoch == 0:
             objective_epoch1 = _hinge_objectives(X, targets, scale * v, biases, alpha)
@@ -317,10 +292,9 @@ def _projected_gradient(gradient: np.ndarray, alpha: np.ndarray, c: float) -> np
 
 
 def train_svm(
-    X: Sequence[SparseVector],
+    X: CorpusMatrix,
     y: Sequence[str],
     hyper: TrainHyperparams,
-    n_features: int,
     tolerance: float = SVM_TOLERANCE,
     max_passes: int = SVM_MAX_PASSES,
 ) -> LinearModel:
@@ -336,14 +310,18 @@ def train_svm(
     exhausts `max_passes` emits a ConvergenceWarning and marks the model,
     which is still returned.
     """
-    labels = _check_training_data(X, y, n_features)
+    labels = _check_training_data(X, y)
     targets = _targets(y, labels)
     n_classes = len(labels)
     c = hyper.svm_c
-    alphas = np.zeros((len(X), n_classes))
-    weights = np.zeros((n_classes, n_features))
+    alphas = np.zeros((len(y), n_classes))
+    weights = np.zeros((n_classes, X.n_features))
     biases = np.zeros(n_classes)
-    q_diag = [float(x.values @ x.values) + 1.0 for x in X]
+    bounds = X.indptr.tolist()
+    q_diag = [
+        float(X.values[start:end] @ X.values[start:end]) + 1.0
+        for start, end in zip(bounds, bounds[1:])
+    ]
     rng = np.random.default_rng(hyper.seed)
 
     running = np.ones(n_classes, dtype=bool)
@@ -355,9 +333,11 @@ def train_svm(
             break
         passes[running] += 1
         sweep_violation = np.zeros(n_classes)
-        for i in rng.permutation(len(X)):
-            x, t, a = X[i], targets[i], alphas[i]
-            gradient = t * (weights.take(x.indices, axis=1) @ x.values + biases) - 1.0
+        for i in rng.permutation(len(y)).tolist():
+            start, end = bounds[i], bounds[i + 1]
+            cols, x = X.indices[start:end], X.values[start:end]
+            t, a = targets[i], alphas[i]
+            gradient = t * (weights.take(cols, axis=1) @ x + biases) - 1.0
             np.maximum(
                 sweep_violation, np.abs(_projected_gradient(gradient, a, c)), out=sweep_violation
             )
@@ -367,7 +347,7 @@ def train_svm(
             if rows.size:
                 delta = (updated[rows] - a[rows]) * t[rows]
                 a[rows] = updated[rows]
-                weights[rows[:, None], x.indices] += delta[:, None] * x.values
+                weights[rows[:, None], cols] += delta[:, None] * x
                 biases[rows] += delta
         violation[running] = sweep_violation[running]
         # Gradients measured mid-sweep go stale as later updates move w, so
@@ -411,12 +391,6 @@ def train_svm(
     )
 
 
-def predict_linear(model: LinearModel, x: SparseVector) -> tuple[str, dict[str, float]]:
-    """Return (argmax label, per-class decision scores); ties go to the
-    lexicographically smallest label. The empty vector scores the biases."""
-    return _predict(model.class_labels, model.biases, model.weights, x)
-
-
 def train_from_tokens(
     docs: Sequence[TokenizedDocument],
     selector: Selector,
@@ -450,11 +424,11 @@ def train_from_tokens(
     clock.append(time.perf_counter())
 
     if classifier == "nb":
-        model: NBModel | LinearModel = train_nb(X, labels, hyper.nb_alpha, len(vocabulary))
+        model: NBModel | LinearModel = train_nb(X, labels, hyper.nb_alpha)
     elif classifier == "sgd":
-        model = train_sgd(X, labels, hyper, len(vocabulary))
+        model = train_sgd(X, labels, hyper)
     else:
-        model = train_svm(X, labels, hyper, len(vocabulary))
+        model = train_svm(X, labels, hyper)
     clock.append(time.perf_counter())
 
     if created_unix_seconds is None:
@@ -487,23 +461,42 @@ def train(
     )
 
 
-def vectorize_for_model(trained: TrainedModel, doc: TokenizedDocument) -> SparseVector:
-    """Vectorize a preprocessed document in the model's stored feature space."""
-    if trained.feature_mode == "tfidf":
-        return tfidf_vector(doc, trained.vocabulary)
-    return count_vector(doc, trained.vocabulary)
+def _labeled(labels: tuple[str, ...], scores: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The argmax label of every row of `scores`, ties going to the
+    lexicographically smallest label, and the scores."""
+    return [labels[index] for index in scores.argmax(axis=1).tolist()], scores
+
+
+def predict_nb(model: NBModel, X: CorpusMatrix) -> tuple[list[str], np.ndarray]:
+    """Labels and (n, C) log-joint scores of every row of X; an empty row
+    scores the log priors."""
+    return _labeled(model.class_labels, _scores(X, model.log_likelihood, model.log_prior))
+
+
+def predict_linear(model: LinearModel, X: CorpusMatrix) -> tuple[list[str], np.ndarray]:
+    """Labels and (n, C) decision scores w_c . x + b_c of every row of X; an
+    empty row scores the biases."""
+    return _labeled(model.class_labels, _scores(X, model.weights, model.biases))
+
+
+def predict(
+    trained: TrainedModel, docs: Sequence[TokenizedDocument]
+) -> tuple[list[str], np.ndarray]:
+    """Labels and (n, C) per-class scores of preprocessed documents,
+    vectorized in the model's stored feature space."""
+    X = vectorize_corpus(docs, trained.vocabulary, trained.feature_mode)
+    if isinstance(trained.model, NBModel):
+        return predict_nb(trained.model, X)
+    return predict_linear(trained.model, X)
 
 
 def predict_tokenized(
     trained: TrainedModel, doc: TokenizedDocument
 ) -> tuple[str, float, dict[str, float]]:
     """Predict one preprocessed document: (label, winning score, all scores)."""
-    vector = vectorize_for_model(trained, doc)
-    if isinstance(trained.model, NBModel):
-        label, scores = predict_nb(trained.model, vector)
-    else:
-        label, scores = predict_linear(trained.model, vector)
-    return label, scores[label], scores
+    (label,), scores = predict(trained, [doc])
+    row = dict(zip(trained.class_labels, scores[0].tolist()))
+    return label, row[label], row
 
 
 def _vocabulary_to_payload(vocab: Vocabulary) -> dict:

@@ -41,6 +41,7 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from .corpus import LabeledCorpus, LabeledDocument
@@ -126,8 +127,7 @@ class TokenizedDocument:
 
     def tokens(self):
         """Iterate over all tokens in sentence order."""
-        for sentence in self.sentences:
-            yield from sentence
+        return chain.from_iterable(self.sentences)
 
 
 def validate_suffix_table(rules: tuple[tuple[str, int], ...]) -> None:

@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 from doccat.corpus import LabeledCorpus, LabeledDocument
+from doccat.features import CorpusMatrix
+from doccat.models import LinearModel, NBModel, predict_linear, predict_nb
 from doccat.textprep import PreprocessConfig, TokenizedDocument, split_sentences
 
 CATEGORY_NAMES = (
@@ -104,6 +106,32 @@ def make_overlapping_corpus(
             text = "। ".join(sentences) + "।"
             documents.append(LabeledDocument(id=f"{label}-{d}", text=text, label=label))
     return LabeledCorpus(documents=tuple(documents))
+
+
+def matrix(rows: list[dict[int, float]], n_features: int) -> CorpusMatrix:
+    """A CorpusMatrix with one row per {feature index: weight} dict."""
+    ordered = [sorted(row.items()) for row in rows]
+    return CorpusMatrix(
+        indptr=np.cumsum([0] + [len(row) for row in ordered]),
+        indices=[index for row in ordered for index, _ in row],
+        values=[weight for row in ordered for _, weight in row],
+        n_features=n_features,
+    )
+
+
+def row_pairs(X: CorpusMatrix, row: int) -> list[tuple[int, float]]:
+    """Row `row` of X as (feature index, weight) pairs."""
+    start, end = X.indptr[row], X.indptr[row + 1]
+    return list(zip(X.indices[start:end].tolist(), X.values[start:end].tolist()))
+
+
+def predict_row(
+    model: NBModel | LinearModel, row: dict[int, float]
+) -> tuple[str, dict[str, float]]:
+    """(label, per-class scores) of one {feature index: weight} row."""
+    predict = predict_nb if isinstance(model, NBModel) else predict_linear
+    (label,), scores = predict(model, matrix([row], model.vocab_size))
+    return label, dict(zip(model.class_labels, scores[0].tolist()))
 
 
 def random_tokenized_doc(

@@ -18,7 +18,6 @@ from doccat.cli import main
 from doccat.corpus import load_dir, load_jsonl, save_jsonl
 from doccat.evaluation import METHOD_ORDER, ConfusionMatrix, benchmark, metrics_from_matrix
 from doccat.features import (
-    SparseVector,
     build_vocabulary,
     chi_score_document,
     idf,
@@ -27,7 +26,6 @@ from doccat.features import (
 )
 from doccat.models import (
     TrainHyperparams,
-    predict_nb,
     predict_tokenized,
     train_from_tokens,
     train_nb,
@@ -37,10 +35,13 @@ from doccat.textprep import TokenizedDocument, default_config
 from helpers import (
     chi_oracle,
     make_synthetic_corpus,
+    matrix,
     metrics_oracle,
     nb_oracle,
     nb_oracle_predict,
+    predict_row,
     random_tokenized_doc,
+    row_pairs,
 )
 
 getcontext().prec = 50
@@ -78,10 +79,12 @@ def test_tfidf_normalization():
         docs = [random_tokenized_doc(rng) for _ in range(500)]
         vocab = build_vocabulary(docs)
         non_empty = 0
-        for vector in vectorize_corpus(docs, vocab, "tfidf"):
-            if len(vector):
+        X = vectorize_corpus(docs, vocab, "tfidf")
+        for row in range(X.shape[0]):
+            weights = [weight for _, weight in row_pairs(X, row)]
+            if weights:
                 non_empty += 1
-                norm = math.sqrt(sum(weight * weight for weight in vector.values))
+                norm = math.sqrt(sum(weight * weight for weight in weights))
                 assert abs(norm - 1.0) <= 1e-9
         assert non_empty > 0
 
@@ -127,8 +130,7 @@ def test_nb_oracle_equivalence():
             for _ in range(n_docs):
                 row = {j: float(rng.integers(0, 4)) for j in range(n_features)}
                 rows.append({j: v for j, v in row.items() if v > 0})
-            X = [SparseVector(sorted(r), [r[j] for j in sorted(r)]) for r in rows]
-            model = train_nb(X, labels, alpha, n_features)
+            model = train_nb(matrix(rows, n_features), labels, alpha)
             classes, priors, likelihoods = nb_oracle(rows, labels, alpha, n_features)
             assert tuple(classes) == model.class_labels
             for ci, c in enumerate(classes):
@@ -139,8 +141,7 @@ def test_nb_oracle_equivalence():
                     ) <= 1e-9
             query = {j: float(rng.integers(0, 3)) for j in range(n_features)}
             query = {j: v for j, v in query.items() if v > 0}
-            query_vector = SparseVector(sorted(query), [query[j] for j in sorted(query)])
-            predicted, _ = predict_nb(model, query_vector)
+            predicted, _ = predict_row(model, query)
             assert predicted == nb_oracle_predict(classes, priors, likelihoods, query)
 
 

@@ -10,7 +10,8 @@ from doccat.cli import (
     resolve_hyper,
 )
 from doccat.corpus import load_jsonl, save_jsonl
-from doccat.models import TrainHyperparams
+from doccat.models import TrainHyperparams, load_model, predict_tokenized
+from doccat.textprep import default_config, preprocess_document
 
 from helpers import make_synthetic_corpus
 
@@ -257,6 +258,35 @@ class TestPredict:
         rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
         assert [r[0] for r in rows] == ["one", "two", "three"]
         assert [r[1] for r in rows] == ["accident", "art", "crime"]
+
+    def test_jsonl_batch_equals_per_document_predictions(self, tmp_path, corpora, capsys):
+        _, test_path = corpora
+        model_path = train_model(tmp_path, corpora, classifier="sgd")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--input", str(test_path)]) == 0
+        trained, config = load_model(model_path), default_config()
+        expected = []
+        for doc in load_jsonl(test_path):
+            label, score, _ = predict_tokenized(trained, preprocess_document(doc, config))
+            expected.append(f"{doc.id}\t{label}\t{score:.6f}")
+        assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"id": 7, "text": "আমি"}', "field 'id' is not a string"),
+        ('{"id": "blank", "text": "   "}', "text must be a non-empty string"),
+        ('{"id": "", "text": "কনক"}', "document id must be non-empty"),
+    ])
+    def test_invalid_jsonl_document_names_its_line(
+        self, tmp_path, corpora, capsys, line, reason
+    ):
+        model_path = train_model(tmp_path, corpora)
+        capsys.readouterr()
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text('{"id": "ok", "text": "কনক"}\n' + line + "\n", encoding="utf-8")
+        code = main(["predict", "--model", str(model_path), "--input", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "malformed line 2: " in captured.err and reason in captured.err
 
     def test_corrupted_model_is_data_error(self, tmp_path, corpora, capsys):
         broken = tmp_path / "broken.json"

@@ -10,6 +10,7 @@ from doccat.corpus import (
     LabeledDocument,
     load_dir,
     load_jsonl,
+    read_jsonl_documents,
     save_jsonl,
     split_stats,
 )
@@ -101,6 +102,21 @@ class TestLoadJsonl:
     def test_missing_file(self, tmp_path):
         with pytest.raises(UnreadableFileError):
             load_jsonl(tmp_path / "absent.jsonl")
+
+
+class TestReadJsonlDocuments:
+    def test_given_label_replaces_the_label_fields(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"text": "ক"}, {"id": "x", "text": "খ", "label": 5}])
+        documents = read_jsonl_documents(path, label="-")
+        assert [(doc.id, doc.label) for doc in documents] == [("c.jsonl:1", "-"), ("x", "-")]
+
+    def test_non_string_id_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"text": "ক"}, {"id": 7, "text": "খ"}])
+        with pytest.raises(MalformedLineError) as excinfo:
+            read_jsonl_documents(path, label="-")
+        assert excinfo.value.line_no == 2
 
 
 class TestLoadDir:

@@ -17,14 +17,13 @@ from doccat.evaluation import (
     confusion_matrix,
     evaluate,
     metrics_from_matrix,
-    report_from_dict,
     report_to_dict,
     write_comparison_tsv,
 )
-from doccat.models import TrainHyperparams, train
-from doccat.textprep import PreprocessConfig
+from doccat.models import TrainHyperparams, predict, predict_tokenized, train
+from doccat.textprep import PreprocessConfig, preprocess_corpus
 
-from helpers import metrics_oracle
+from helpers import make_overlapping_corpus, metrics_oracle
 
 import doccat.evaluation as evaluation_module
 
@@ -180,6 +179,23 @@ class TestEvaluate:
             evaluate(trained, synth_train, other)
 
 
+    @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
+    @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
+    def test_batch_labels_equal_per_document_predictions(
+        self, selector, classifier, default_cfg
+    ):
+        # Overlapping classes, so the labels carry errors a mix-up would move.
+        train_corpus = make_overlapping_corpus(6, seed=21)
+        test_corpus = make_overlapping_corpus(4, seed=22)
+        trained = train(train_corpus, selector, classifier, TrainHyperparams(), default_cfg)
+        docs = preprocess_corpus(test_corpus, default_cfg)
+        one_by_one = [predict_tokenized(trained, doc)[0] for doc in docs]
+        assert predict(trained, docs)[0] == one_by_one
+        y_true = [doc.label for doc in docs]
+        report = evaluate(trained, test_corpus, default_cfg)
+        assert report.confusion == confusion_matrix(y_true, one_by_one, trained.class_labels)
+
+
 class TestBenchmark:
     def test_six_reports_in_table_order(self, tiny_corpus, default_cfg, tmp_path):
         result = benchmark(
@@ -250,7 +266,7 @@ class TestBenchmark:
 
 
 class TestReportSerialization:
-    def test_round_trip(self):
+    def test_payload_fields(self):
         report = metrics_from_matrix(ConfusionMatrix(("A", "B"), ((1, 1), (0, 1))))
         report.method_name = "TFIDF+NB"
         report.train_seconds = 1.25
@@ -258,18 +274,24 @@ class TestReportSerialization:
         report.preprocess_seconds = 0.75
         report.stage_seconds = {"features": 0.5, "vectorize": 0.25, "fit": 0.5}
         payload = json.loads(json.dumps(report_to_dict(report)))
-        assert payload["stage_seconds"] == report.stage_seconds
-        assert payload["preprocess_seconds"] == 0.75
-        restored = report_from_dict(payload)
-        assert restored == report
-
-    def test_reads_reports_without_later_timings(self):
-        report = metrics_from_matrix(ConfusionMatrix(("A", "B"), ((1, 1), (0, 1))))
-        report.method_name = "TFIDF+NB"
-        report.train_seconds = 1.25
-        payload = report_to_dict(report)
-        del payload["preprocess_seconds"], payload["stage_seconds"]
-        assert report_from_dict(payload) == report
+        assert payload == {
+            "method": "TFIDF+NB",
+            "train_seconds": 1.25,
+            "predict_seconds": 0.5,
+            "preprocess_seconds": 0.75,
+            "stage_seconds": {"features": 0.5, "vectorize": 0.25, "fit": 0.5},
+            "accuracy": report.accuracy,
+            "macro_precision": report.macro_precision,
+            "macro_recall": report.macro_recall,
+            "macro_f1": report.macro_f1,
+            "per_class": {
+                label: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
+                for label, m in report.per_class.items()
+            },
+            "confusion": {"labels": ["A", "B"], "counts": [[1, 1], [0, 1]]},
+        }
+        assert payload["accuracy"] == 2 / 3
+        assert payload["per_class"]["A"] == {"precision": 1.0, "recall": 0.5, "f1": 2 / 3}
 
     def test_comparison_tsv_format(self, tmp_path):
         report = metrics_from_matrix(ConfusionMatrix(("A", "B"), ((2, 0), (0, 2))))

@@ -12,27 +12,26 @@ from hypothesis import strategies as st
 
 from doccat.errors import EmptyVocabularyError
 from doccat.features import (
-    SparseVector,
+    CorpusMatrix,
     Vocabulary,
     build_vocabulary,
     chi_score_document,
-    count_vector,
     idf,
     select_chi_features,
-    tfidf_vector,
     vectorize_corpus,
 )
 from doccat.textprep import TokenizedDocument
 
-from helpers import chi_oracle, random_tokenized_doc
+from helpers import chi_oracle, random_tokenized_doc, row_pairs
 
 
 def tdoc(*sentences, label=None):
     return TokenizedDocument(sentences=tuple(tuple(s) for s in sentences), label=label)
 
 
-def pairs(vector):
-    return list(zip(vector.indices.tolist(), vector.values.tolist()))
+def pairs(doc, vocab, mode):
+    """The one-row matrix of `doc` as (feature index, weight) pairs."""
+    return row_pairs(vectorize_corpus([doc], vocab, mode), 0)
 
 
 class TestBuildVocabulary:
@@ -93,81 +92,108 @@ class TestIdf:
         assert idf(n, n) == 1.0
 
 
-class TestSparseVector:
-    def test_ascending_required(self):
-        with pytest.raises(ValueError):
-            SparseVector([2, 1], [1.0, 1.0])
+class TestCorpusMatrix:
+    @staticmethod
+    def build(indptr, indices, values, n_features=8):
+        return CorpusMatrix(indptr, indices, values, n_features)
+
+    def test_ascending_required_within_a_row(self):
+        with pytest.raises(ValueError, match="ascending"):
+            self.build([0, 2], [2, 1], [1.0, 1.0])
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            SparseVector([1, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="ascending"):
+            self.build([0, 2], [1, 1], [1.0, 2.0])
+
+    def test_rows_restart_their_index_order(self):
+        X = self.build([0, 2, 2, 4], [3, 5, 0, 1], [1.0, 2.0, 3.0, 4.0])
+        assert X.shape == (3, 8)
+        assert row_pairs(X, 1) == [] and row_pairs(X, 2) == [(0, 3.0), (1, 4.0)]
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError):
-            SparseVector([0], [0.0])
+        with pytest.raises(ValueError, match="non-zero"):
+            self.build([0, 1], [0], [0.0])
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            SparseVector([-1, 0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="outside"):
+            self.build([0, 2], [-1, 0], [1.0, 1.0])
+
+    def test_index_beyond_the_feature_count_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            self.build([0, 2], [0, 8], [1.0, 1.0])
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_rejected(self, weight):
-        with pytest.raises(ValueError):
-            SparseVector([0, 1], [1.0, weight])
+        with pytest.raises(ValueError, match="finite"):
+            self.build([0, 2], [0, 1], [1.0, weight])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SparseVector([0, 1], [1.0])
+        with pytest.raises(ValueError, match="equally long"):
+            self.build([0, 2], [0, 1], [1.0])
 
-    def test_stores_intp_indices_and_float64_values(self):
-        vector = SparseVector([0, 4], [3, 4])
-        assert vector.indices.dtype == np.intp
-        assert vector.values.dtype == np.float64
-        assert len(vector) == 2 and vector.max_index() == 4
-        assert len(SparseVector([], [])) == 0 and SparseVector([], []).max_index() == -1
+    @pytest.mark.parametrize("indptr", [[1, 2], [0, 1], [0, 3], []])
+    def test_indptr_must_run_from_zero_to_nnz(self, indptr):
+        with pytest.raises(ValueError, match="indptr"):
+            self.build(indptr, [0, 1], [1.0, 1.0])
+
+    def test_decreasing_indptr_rejected(self):
+        with pytest.raises(ValueError, match="decrease"):
+            self.build([0, 2, 1, 2], [0, 1], [1.0, 1.0])
+
+    def test_feature_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="n_features"):
+            self.build([0], [], [], n_features=0)
+
+    def test_stores_read_only_intp_indices_and_float64_values(self):
+        X = self.build([0, 0, 2], [0, 4], [3, 4])
+        assert X.indptr.dtype == np.intp and X.indices.dtype == np.intp
+        assert X.values.dtype == np.float64
+        assert X.shape == (2, 8)
+        assert not (X.indptr.flags.writeable or X.indices.flags.writeable
+                    or X.values.flags.writeable)
+        assert self.build([0], [], []).shape == (0, 8)
 
 
 class TestCountVector:
     def test_counting(self):
         vocab = build_vocabulary([tdoc(["ক", "ক", "খ"])])
-        vec = count_vector(tdoc(["ক", "ক", "খ"]), vocab)
-        assert pairs(vec) == [(0, 2.0), (1, 1.0)]
+        assert pairs(tdoc(["ক", "ক", "খ"]), vocab, "counts") == [(0, 2.0), (1, 1.0)]
 
     def test_oov_ignored(self):
         vocab = build_vocabulary([tdoc(["ক"])])
-        assert pairs(count_vector(tdoc(["ঘ", "ঙ"]), vocab)) == []
+        assert pairs(tdoc(["ঘ", "ঙ"]), vocab, "counts") == []
 
     def test_empty_doc(self):
         vocab = build_vocabulary([tdoc(["ক"])])
-        assert pairs(count_vector(tdoc(), vocab)) == []
+        assert pairs(tdoc(), vocab, "counts") == []
 
 
 class TestTfidfVector:
     def test_weighting_then_normalization(self):
         # vocab over two docs: DF(ক)=1, DF(খ)=2, N=2
         vocab = build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ"])])
-        vec = tfidf_vector(tdoc(["ক", "ক", "খ"]), vocab)
-        weights = dict(pairs(vec))
+        weights = dict(pairs(tdoc(["ক", "ক", "খ"]), vocab, "tfidf"))
         assert weights[0] == pytest.approx(0.9421556246632359, abs=1e-12)
         assert weights[1] == pytest.approx(0.33517574332792605, abs=1e-12)
-        assert np.linalg.norm(vec.values) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(list(weights.values())) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_token_normalizes_to_one(self):
         vocab = build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ"])])
-        vec = tfidf_vector(tdoc(["ক", "ক", "ক"]), vocab)
-        assert pairs(vec) == [(0, 1.0)]
+        assert pairs(tdoc(["ক", "ক", "ক"]), vocab, "tfidf") == [(0, 1.0)]
 
     def test_empty_doc(self):
         vocab = build_vocabulary([tdoc(["ক"])])
-        assert pairs(tfidf_vector(tdoc(), vocab)) == []
+        assert pairs(tdoc(), vocab, "tfidf") == []
 
     def test_unit_norm_property(self):
         rng = np.random.default_rng(4)
         docs = [random_tokenized_doc(rng) for _ in range(60)]
         vocab = build_vocabulary(docs)
-        for vec in vectorize_corpus(docs, vocab, "tfidf"):
-            if len(vec):
-                assert abs(np.linalg.norm(vec.values) - 1.0) < 1e-9
+        X = vectorize_corpus(docs, vocab, "tfidf")
+        for row in range(X.shape[0]):
+            weights = [weight for _, weight in row_pairs(X, row)]
+            if weights:
+                assert abs(np.linalg.norm(weights) - 1.0) < 1e-9
 
     def test_equals_the_idf_formula_exactly(self):
         rng = np.random.default_rng(12)
@@ -186,7 +212,7 @@ class TestTfidfVector:
             }
             norm = math.sqrt(sum(weight * weight for weight in weighted.values()))
             expected = sorted((index, weight / norm) for index, weight in weighted.items())
-            assert pairs(tfidf_vector(doc, vocab)) == expected
+            assert pairs(doc, vocab, "tfidf") == expected
 
 
 class TestChiScore:
@@ -340,20 +366,38 @@ class TestVectorizeCorpus:
     def test_order_preserved(self):
         docs = [tdoc(["ক"]), tdoc(["খ"]), tdoc(["ক", "খ"])]
         vocab = build_vocabulary(docs)
-        vectors = vectorize_corpus(docs, vocab, "counts")
-        assert len(vectors) == 3
-        assert pairs(vectors[0]) == [(0, 1.0)]
-        assert pairs(vectors[2]) == [(0, 1.0), (1, 1.0)]
+        X = vectorize_corpus(docs, vocab, "counts")
+        assert X.shape == (3, 2)
+        assert row_pairs(X, 0) == [(0, 1.0)]
+        assert row_pairs(X, 2) == [(0, 1.0), (1, 1.0)]
 
     def test_counts_are_positive_integers(self):
         rng = np.random.default_rng(11)
         docs = [random_tokenized_doc(rng) for _ in range(20)]
         vocab = build_vocabulary(docs)
-        for vec in vectorize_corpus(docs, vocab, "counts"):
-            for weight in vec.values.tolist():
-                assert weight > 0 and weight.is_integer()
+        for weight in vectorize_corpus(docs, vocab, "counts").values.tolist():
+            assert weight > 0 and weight.is_integer()
+
+    @pytest.mark.parametrize("mode", ["tfidf", "counts"])
+    def test_each_row_equals_its_document_alone(self, mode):
+        rng = np.random.default_rng(13)
+        docs = [random_tokenized_doc(rng, max_terms=6) for _ in range(40)]
+        vocab = build_vocabulary(docs[:20])  # later documents carry unseen terms
+        docs[5] = docs[17] = tdoc()
+        docs[30] = tdoc(["ঞ", "ঞ"])  # only out-of-vocabulary tokens
+        X = vectorize_corpus(docs, vocab, mode)
+        assert X.shape == (len(docs), len(vocab))
+        for row, doc in enumerate(docs):
+            alone = vectorize_corpus([doc], vocab, mode)
+            start, end = X.indptr[row], X.indptr[row + 1]
+            assert np.array_equal(X.indices[start:end], alone.indices)
+            assert np.array_equal(X.values[start:end], alone.values)
+        assert row_pairs(X, 5) == row_pairs(X, 30) == []
+
+    def test_zero_documents_give_zero_rows(self):
+        vocab = build_vocabulary([tdoc(["ক"])])
+        assert vectorize_corpus([], vocab, "tfidf").shape == (0, 1)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             vectorize_corpus([tdoc(["ক"])], build_vocabulary([tdoc(["ক"])]), "binary")
-

@@ -4,22 +4,16 @@ import numpy as np
 import pytest
 
 from doccat.errors import LengthMismatchError, NegativeFeatureError, SingleClassError
-from doccat.features import SparseVector
 from doccat.models import NBModel, predict_nb, train_nb
 
-from helpers import nb_oracle, nb_oracle_predict
-
-
-def vec(pairs):
-    items = sorted(pairs.items())
-    return SparseVector([index for index, _ in items], [weight for _, weight in items])
+from helpers import matrix, nb_oracle, nb_oracle_predict, predict_row
 
 
 @pytest.fixture()
 def two_class_model():
     # c1 sees {a:2, b:1}; c2 sees {b:2}; V=2, alpha=0.01
-    X = [vec({0: 2.0, 1: 1.0}), vec({1: 2.0})]
-    return train_nb(X, ["c1", "c2"], alpha=0.01, n_features=2)
+    X = matrix([{0: 2.0, 1: 1.0}, {1: 2.0}], 2)
+    return train_nb(X, ["c1", "c2"], alpha=0.01)
 
 
 class TestTrainNB:
@@ -36,55 +30,52 @@ class TestTrainNB:
             n_feat = int(rng.integers(2, 6))
             labels = [f"c{int(rng.integers(0, 3))}" for _ in range(n_docs)]
             labels[0], labels[1] = "c0", "c1"
-            X = []
+            rows = []
             for _ in range(n_docs):
                 row = {j: float(rng.integers(1, 5)) for j in range(n_feat)
                        if rng.integers(0, 2)}
-                X.append(vec(row or {0: 1.0}))
-            model = train_nb(X, labels, alpha=0.5, n_features=n_feat)
+                rows.append(row or {0: 1.0})
+            model = train_nb(matrix(rows, n_feat), labels, alpha=0.5)
             assert float(np.exp(model.log_prior).sum()) == pytest.approx(1.0, abs=1e-9)
             for row in np.exp(model.log_likelihood):
                 assert float(row.sum()) == pytest.approx(1.0, abs=1e-6)
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
-            train_nb([vec({0: 1.0}), vec({0: 2.0})], ["c", "c"], alpha=0.01, n_features=1)
+            train_nb(matrix([{0: 1.0}, {0: 2.0}], 1), ["c", "c"], alpha=0.01)
 
     def test_negative_feature_rejected(self):
         with pytest.raises(NegativeFeatureError):
-            train_nb([vec({0: -1.0}), vec({0: 1.0})], ["a", "b"], alpha=0.01, n_features=1)
+            train_nb(matrix([{0: -1.0}, {0: 1.0}], 1), ["a", "b"], alpha=0.01)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            train_nb([vec({0: 1.0})], ["a", "b"], alpha=0.01, n_features=1)
+            train_nb(matrix([{0: 1.0}], 1), ["a", "b"], alpha=0.01)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
-            train_nb([vec({0: 1.0}), vec({1: 1.0})], ["a", "b"], alpha=0.0, n_features=2)
+            train_nb(matrix([{0: 1.0}, {1: 1.0}], 2), ["a", "b"], alpha=0.0)
 
     def test_large_alpha_approaches_uniform(self):
-        X = [vec({0: 3.0}), vec({1: 1.0})]
-        model = train_nb(X, ["a", "b"], alpha=1e9, n_features=2)
+        model = train_nb(matrix([{0: 3.0}, {1: 1.0}], 2), ["a", "b"], alpha=1e9)
         lik = np.exp(model.log_likelihood)
         assert lik == pytest.approx(np.full((2, 2), 0.5), abs=1e-6)
 
     def test_fractional_weights_accepted(self):
-        X = [vec({0: 0.25, 1: 0.75}), vec({1: 0.1})]
-        model = train_nb(X, ["a", "b"], alpha=0.01, n_features=2)
+        model = train_nb(matrix([{0: 0.25, 1: 0.75}, {1: 0.1}], 2), ["a", "b"], alpha=0.01)
         assert np.isfinite(model.log_likelihood).all()
 
 
 class TestPredictNB:
     def test_hand_computed_scores(self, two_class_model):
-        label, scores = predict_nb(two_class_model, vec({0: 1.0}))
+        label, scores = predict_row(two_class_model, {0: 1.0})
         assert label == "c1"
         assert scores["c1"] == pytest.approx(-1.1002692898757394, abs=1e-12)
         assert scores["c2"] == pytest.approx(-6.0014148779611505, abs=1e-12)
 
     def test_empty_vector_falls_back_to_priors(self):
-        X = [vec({0: 1.0}), vec({0: 1.0}), vec({1: 1.0})]
-        model = train_nb(X, ["a", "a", "b"], alpha=1.0, n_features=2)
-        label, scores = predict_nb(model, vec({}))
+        model = train_nb(matrix([{0: 1.0}, {0: 1.0}, {1: 1.0}], 2), ["a", "a", "b"], alpha=1.0)
+        label, scores = predict_row(model, {})
         assert label == "a"
         assert scores["a"] == pytest.approx(math.log(2 / 3), abs=1e-12)
 
@@ -95,22 +86,22 @@ class TestPredictNB:
             log_likelihood=np.log([[0.5, 0.5], [0.5, 0.5]]),
             vocab_size=2,
         )
-        label, _ = predict_nb(model, vec({0: 1.0, 1: 1.0}))
-        assert label == "a"
+        labels, _ = predict_nb(model, matrix([{0: 1.0, 1: 1.0}, {}], 2))
+        assert labels == ["a", "a"]
 
-    def test_index_out_of_range(self, two_class_model):
-        with pytest.raises(IndexError):
-            predict_nb(two_class_model, vec({5: 1.0}))
+    def test_feature_count_mismatch_rejected(self, two_class_model):
+        with pytest.raises(ValueError, match="features"):
+            predict_nb(two_class_model, matrix([{5: 1.0}], 6))
 
     def test_scaling_preserves_argmax_under_uniform_priors(self):
         rng = np.random.default_rng(21)
-        X = [vec({0: 2.0, 1: 1.0}), vec({1: 3.0}), vec({0: 1.0}), vec({1: 1.0, 2: 2.0})]
-        model = train_nb(X, ["a", "b", "a", "b"], alpha=0.01, n_features=3)
+        X = matrix([{0: 2.0, 1: 1.0}, {1: 3.0}, {0: 1.0}, {1: 1.0, 2: 2.0}], 3)
+        model = train_nb(X, ["a", "b", "a", "b"], alpha=0.01)
         for _ in range(25):
             x = {j: float(rng.integers(1, 4)) for j in range(3) if rng.integers(0, 2)}
             lam = float(rng.uniform(0.1, 10.0))
-            base, _ = predict_nb(model, vec(x))
-            scaled, _ = predict_nb(model, vec({j: lam * v for j, v in x.items()}))
+            base, _ = predict_row(model, x)
+            scaled, _ = predict_row(model, {j: lam * v for j, v in x.items()})
             assert base == scaled
 
 
@@ -127,8 +118,7 @@ class TestNBOracle:
             for _ in range(n_docs):
                 row = {j: float(rng.integers(0, 4)) for j in range(n_feat)}
                 rows.append({j: v for j, v in row.items() if v > 0})
-            X = [vec(r) for r in rows]
-            model = train_nb(X, labels, alpha, n_feat)
+            model = train_nb(matrix(rows, n_feat), labels, alpha)
             classes, priors, likelihoods = nb_oracle(rows, labels, alpha, n_feat)
             assert tuple(classes) == model.class_labels
             for ci, c in enumerate(classes):
@@ -139,5 +129,5 @@ class TestNBOracle:
                     )
             query = {j: float(rng.integers(0, 3)) for j in range(n_feat)}
             query = {j: v for j, v in query.items() if v > 0}
-            predicted, _ = predict_nb(model, vec(query))
+            predicted, _ = predict_row(model, query)
             assert predicted == nb_oracle_predict(classes, priors, likelihoods, query)

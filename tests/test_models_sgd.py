@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from doccat.errors import SingleClassError
-from doccat.features import SparseVector, build_vocabulary, vectorize_corpus
+from doccat.features import build_vocabulary, vectorize_corpus
 from doccat.models import (
     LinearModel,
     TrainHyperparams,
@@ -15,57 +15,45 @@ from doccat.models import (
 )
 from doccat.textprep import preprocess_corpus
 
-from helpers import make_overlapping_corpus
-
-
-def vec(pairs):
-    items = sorted(pairs.items())
-    return SparseVector([index for index, _ in items], [weight for _, weight in items])
+from helpers import make_overlapping_corpus, matrix, predict_row, row_pairs
 
 
 def separable_two_class(n_per_class=10):
     """Two disjoint one-hot features; trivially separable."""
-    X, y = [], []
-    for i in range(n_per_class):
-        X.append(vec({0: 1.0}))
-        y.append("neg")
-        X.append(vec({1: 1.0}))
-        y.append("pos")
-    return X, y
+    return matrix([{0: 1.0}, {1: 1.0}] * n_per_class, 2), ["neg", "pos"] * n_per_class
 
 
 class TestTrainSGD:
     def test_separable_data_reaches_full_accuracy(self):
         X, y = separable_two_class()
-        model = train_sgd(X, y, TrainHyperparams(), n_features=2)
-        correct = sum(predict_linear(model, x)[0] == label for x, label in zip(X, y))
-        assert correct == len(y)
+        model = train_sgd(X, y, TrainHyperparams())
+        assert predict_linear(model, X)[0] == y
 
     def test_objective_descends_after_first_epoch(self):
         X, y = separable_two_class()
-        model = train_sgd(X, y, TrainHyperparams(), n_features=2)
+        model = train_sgd(X, y, TrainHyperparams())
         for label, info in model.fit_info.items():
             assert info["objective_final"] <= info["objective_epoch1"]
 
     def test_huge_regularization_shrinks_weights(self):
         X, y = separable_two_class()
         hyper = TrainHyperparams(sgd_alpha=1e6, sgd_epochs=5)
-        model = train_sgd(X, y, hyper, n_features=2)
+        model = train_sgd(X, y, hyper)
         assert np.linalg.norm(model.weights) < 1e-3
 
     def test_symmetric_problem_mirrors_weights(self):
         # one example per class with identical features: the two one-vs-rest
         # problems are exact mirrors, so weights and biases cancel
-        X = [vec({0: 1.0}), vec({0: 1.0})]
-        model = train_sgd(X, ["a", "b"], TrainHyperparams(sgd_epochs=10), n_features=1)
+        X = matrix([{0: 1.0}, {0: 1.0}], 1)
+        model = train_sgd(X, ["a", "b"], TrainHyperparams(sgd_epochs=10))
         assert model.weights[0] == pytest.approx(-model.weights[1], abs=0.0)
         assert model.biases[0] == pytest.approx(-model.biases[1], abs=0.0)
-        _, scores = predict_linear(model, vec({0: 1.0}))
+        _, scores = predict_row(model, {0: 1.0})
         assert scores["a"] == pytest.approx(-scores["b"], abs=0.0)
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
-            train_sgd([vec({0: 1.0}), vec({0: 2.0})], ["c", "c"], TrainHyperparams(), n_features=1)
+            train_sgd(matrix([{0: 1.0}, {0: 2.0}], 1), ["c", "c"], TrainHyperparams())
 
     def test_deterministic_given_seed(self, synth_train_tokens, default_cfg):
         runs = [
@@ -96,7 +84,7 @@ class TestPredictLinear:
             biases=np.zeros(2),
             trainer_tag="sgd",
         )
-        label, scores = predict_linear(model, vec({0: 1.0}))
+        label, scores = predict_row(model, {0: 1.0})
         assert label == "c1"
         assert scores == {"c1": 1.0, "c2": -1.0}
 
@@ -107,7 +95,7 @@ class TestPredictLinear:
             biases=np.array([-1.0, 2.0]),
             trainer_tag="sgd",
         )
-        label, scores = predict_linear(model, vec({}))
+        label, scores = predict_row(model, {})
         assert label == "b"
         assert scores == {"a": -1.0, "b": 2.0}
 
@@ -118,37 +106,38 @@ class TestPredictLinear:
             biases=np.zeros(3),
             trainer_tag="sgd",
         )
-        assert predict_linear(model, vec({0: 5.0}))[0] == "a"
+        labels, _ = predict_linear(model, matrix([{0: 5.0}, {}], 2))
+        assert labels == ["a", "a"]
 
-    def test_index_out_of_range(self):
+    def test_feature_count_mismatch_rejected(self):
         model = LinearModel(
             class_labels=("a", "b"),
             weights=np.zeros((2, 2)),
             biases=np.zeros(2),
             trainer_tag="sgd",
         )
-        with pytest.raises(IndexError):
-            predict_linear(model, vec({2: 1.0}))
+        with pytest.raises(ValueError, match="features"):
+            predict_linear(model, matrix([{2: 1.0}], 3))
 
 
 def objective_from_definition(X, y, label, weights, bias, alpha):
     """(alpha/2) ||w||^2 + (1/n) sum max(0, 1 - t (w.x + b)), written out."""
     total = 0.0
-    for x, example_label in zip(X, y):
+    for row, example_label in enumerate(y):
         target = 1.0 if example_label == label else -1.0
-        score = sum(weights[i] * v for i, v in zip(x.indices, x.values)) + bias
+        score = sum(weights[i] * v for i, v in row_pairs(X, row)) + bias
         total += max(0.0, 1.0 - target * score)
-    return 0.5 * alpha * sum(w * w for w in weights) + total / len(X)
+    return 0.5 * alpha * sum(w * w for w in weights) + total / len(y)
 
 
 class TestHingeObjective:
     """`fit_info` objectives against the definition of the SGD objective."""
 
     def test_manual_computation(self):
-        X = [vec({0: 1.0}), vec({0: -2.0, 1: 0.5}), vec({1: 1.5}), vec({0: 0.3})]
+        X = matrix([{0: 1.0}, {0: -2.0, 1: 0.5}, {1: 1.5}, {0: 0.3}], 2)
         y = ["a", "b", "c", "a"]
         hyper = TrainHyperparams(sgd_alpha=0.1, sgd_epochs=3)
-        model = train_sgd(X, y, hyper, n_features=2)
+        model = train_sgd(X, y, hyper)
         for row, label in enumerate(model.class_labels):
             expected = objective_from_definition(
                 X, y, label, model.weights[row], model.biases[row], hyper.sgd_alpha
@@ -160,12 +149,13 @@ class TestHingeObjective:
     def test_zero_loss_beyond_margin(self):
         X, y = separable_two_class()
         hyper = TrainHyperparams()
-        model = train_sgd(X, y, hyper, n_features=2)
+        model = train_sgd(X, y, hyper)
         for row, label in enumerate(model.class_labels):
             w, b = model.weights[row], model.biases[row]
-            for x, example_label in zip(X, y):
+            for example, example_label in enumerate(y):
                 target = 1.0 if example_label == label else -1.0
-                assert target * (float(w[x.indices] @ x.values) + b) >= 1.0
+                score = sum(w[i] * v for i, v in row_pairs(X, example)) + b
+                assert target * score >= 1.0
             regularizer = 0.5 * hyper.sgd_alpha * float(w @ w)
             assert model.fit_info[label]["objective_final"] == pytest.approx(
                 regularizer, abs=1e-15
@@ -176,18 +166,18 @@ class TestHingeObjective:
 def three_class_tfidf(default_cfg):
     docs = preprocess_corpus(make_overlapping_corpus(8, seed=11, n_categories=3), default_cfg)
     vocab = build_vocabulary(docs)
-    return vectorize_corpus(docs, vocab, "tfidf"), [doc.label for doc in docs], len(vocab)
+    return vectorize_corpus(docs, vocab, "tfidf"), [doc.label for doc in docs]
 
 
 class TestOneVsRestRows:
     def test_each_row_equals_its_class_trained_alone(self, three_class_tfidf):
-        X, y, n_features = three_class_tfidf
+        X, y = three_class_tfidf
         hyper = TrainHyperparams(seed=5)
-        model = train_sgd(X, y, hyper, n_features)
+        model = train_sgd(X, y, hyper)
         assert len(model.class_labels) == 3
         for row, label in enumerate(model.class_labels):
             relabeled = [label if example == label else "~rest" for example in y]
-            alone = train_sgd(X, relabeled, hyper, n_features)
+            alone = train_sgd(X, relabeled, hyper)
             alone_row = alone.class_labels.index(label)
             assert model.weights[row] == pytest.approx(alone.weights[alone_row], abs=0)
             assert model.biases[row] == pytest.approx(alone.biases[alone_row], abs=0)

@@ -4,28 +4,21 @@ import numpy as np
 import pytest
 
 from doccat.errors import ConvergenceWarning, SingleClassError
-from doccat.features import SparseVector, build_vocabulary, vectorize_corpus
+from doccat.features import build_vocabulary, vectorize_corpus
 from doccat.models import (
     SVM_TOLERANCE,
     TrainHyperparams,
-    predict_linear,
     predict_tokenized,
     train_from_tokens,
-    train_sgd,
     train_svm,
 )
 from doccat.textprep import preprocess_corpus
 
-from helpers import make_overlapping_corpus
-
-
-def vec(pairs):
-    items = sorted(pairs.items())
-    return SparseVector([index for index, _ in items], [weight for _, weight in items])
+from helpers import make_overlapping_corpus, matrix, predict_row
 
 
 def two_point_problem():
-    return [vec({0: 1.0}), vec({0: -1.0})], ["pos", "neg"]
+    return matrix([{0: 1.0}, {0: -1.0}], 1), ["pos", "neg"]
 
 
 class TestTwoPointProblem:
@@ -39,7 +32,7 @@ class TestTwoPointProblem:
 
     def test_matches_grid_verified_optimum(self):
         X, y = two_point_problem()
-        model = train_svm(X, y, TrainHyperparams(svm_c=1.0), n_features=1)
+        model = train_svm(X, y, TrainHyperparams(svm_c=1.0))
         pos_row = model.class_labels.index("pos")
         assert model.weights[pos_row, 0] == pytest.approx(1.0, abs=1e-3)
         assert model.biases[pos_row] == pytest.approx(0.0, abs=1e-3)
@@ -49,19 +42,19 @@ class TestTwoPointProblem:
 
     def test_classifies_both_points(self):
         X, y = two_point_problem()
-        model = train_svm(X, y, TrainHyperparams(), n_features=1)
-        assert predict_linear(model, X[0])[0] == "pos"
-        assert predict_linear(model, X[1])[0] == "neg"
+        model = train_svm(X, y, TrainHyperparams())
+        assert predict_row(model, {0: 1.0})[0] == "pos"
+        assert predict_row(model, {0: -1.0})[0] == "neg"
 
     def test_kkt_margins(self):
         X, y = two_point_problem()
-        model = train_svm(X, y, TrainHyperparams(), n_features=1)
+        model = train_svm(X, y, TrainHyperparams())
         for info in model.fit_info.values():
             assert info["margins"].min() >= 1.0 - 1e-3
 
     def test_zero_duality_gap(self):
         X, y = two_point_problem()
-        model = train_svm(X, y, TrainHyperparams(), n_features=1)
+        model = train_svm(X, y, TrainHyperparams())
         info = model.fit_info["pos"]
         assert info["primal_objective"] - info["dual_objective"] == pytest.approx(0.0, abs=1e-3)
 
@@ -69,7 +62,7 @@ class TestTwoPointProblem:
 class TestTrainSVM:
     def test_vanishing_c_shrinks_weights(self):
         X, y = two_point_problem()
-        model = train_svm(X, y, TrainHyperparams(svm_c=1e-8), n_features=1)
+        model = train_svm(X, y, TrainHyperparams(svm_c=1e-8))
         assert np.abs(model.weights).max() <= 2e-8
 
     def test_alphas_stay_in_box(self, synth_train_tokens, default_cfg):
@@ -91,22 +84,22 @@ class TestTrainSVM:
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
-            train_svm([vec({0: 1.0}), vec({0: 2.0})], ["c", "c"], TrainHyperparams(), n_features=1)
+            train_svm(matrix([{0: 1.0}, {0: 2.0}], 1), ["c", "c"], TrainHyperparams())
 
     def test_non_convergence_warns_and_flags(self):
         rng = np.random.default_rng(5)
-        X = [vec({j: float(rng.normal()) for j in range(4)}) for _ in range(30)]
+        X = matrix([{j: float(rng.normal()) for j in range(4)} for _ in range(30)], 4)
         y = [("a", "b")[int(rng.integers(0, 2))] for _ in range(30)]
         y[0], y[1] = "a", "b"
         with pytest.warns(ConvergenceWarning):
-            model = train_svm(X, y, TrainHyperparams(), n_features=4, max_passes=1)
+            model = train_svm(X, y, TrainHyperparams(), max_passes=1)
         assert model.converged is False
         assert model.weights.shape == (2, 4)  # model still returned
 
     def test_deterministic(self):
         X, y = two_point_problem()
-        m1 = train_svm(X, y, TrainHyperparams(), n_features=1)
-        m2 = train_svm(X, y, TrainHyperparams(), n_features=1)
+        m1 = train_svm(X, y, TrainHyperparams())
+        m2 = train_svm(X, y, TrainHyperparams())
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.biases, m2.biases)
 
@@ -162,11 +155,11 @@ class TestOneVsRestRows:
         vocab = build_vocabulary(docs)
         X, y = vectorize_corpus(docs, vocab, "tfidf"), [doc.label for doc in docs]
         hyper = TrainHyperparams(seed=5)
-        model = train_svm(X, y, hyper, len(vocab))
+        model = train_svm(X, y, hyper)
         assert len(model.class_labels) == 3 and model.converged
         for row, label in enumerate(model.class_labels):
             relabeled = [label if example == label else "~rest" for example in y]
-            alone = train_svm(X, relabeled, hyper, len(vocab))
+            alone = train_svm(X, relabeled, hyper)
             alone_row = alone.class_labels.index(label)
             assert model.weights[row] == pytest.approx(alone.weights[alone_row], abs=1e-12)
             assert model.biases[row] == pytest.approx(alone.biases[alone_row], abs=1e-12)

@@ -38,13 +38,11 @@ from .features import (
 )
 from .models import (
     LinearModel,
-    NBModel,
     TrainedModel,
     TrainHyperparams,
     load_model,
     predict,
     predict_linear,
-    predict_nb,
     save_model,
     train,
     train_nb,
@@ -71,7 +69,6 @@ __all__ = [
     "LabeledCorpus",
     "LabeledDocument",
     "LinearModel",
-    "NBModel",
     "PreprocessConfig",
     "TokenizedDocument",
     "TrainHyperparams",
@@ -91,7 +88,6 @@ __all__ = [
     "metrics_from_matrix",
     "predict",
     "predict_linear",
-    "predict_nb",
     "preprocess_corpus",
     "preprocess_document",
     "save_jsonl",

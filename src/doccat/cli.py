@@ -115,9 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common, hyper, prep],
                        help="train one (features, classifier) pipeline")
     p.add_argument("--corpus", required=True, help="labeled training corpus")
-    p.add_argument("--features", required=True, choices=("tfidf", "chi2"),
+    p.add_argument("--features", required=True, choices=models.SELECTORS,
                    help="feature engineering pipeline")
-    p.add_argument("--model", required=True, choices=("nb", "sgd", "svm"),
+    p.add_argument("--model", required=True, choices=models.CLASSIFIERS,
                    help="classifier to train")
     p.add_argument("--out", required=True, help="output model JSON path")
     p.set_defaults(func=cmd_train)

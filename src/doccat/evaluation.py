@@ -31,8 +31,9 @@ from .errors import (
 )
 from .fileio import atomic_write_text
 from .models import (
+    CLASSIFIERS,
+    SELECTORS,
     Classifier,
-    NBModel,
     Selector,
     TrainedModel,
     TrainHyperparams,
@@ -56,8 +57,8 @@ _CLASSIFIER_NAMES = {"nb": "NB", "sgd": "SGD", "svm": "SVM"}
 
 _METHOD_COMBOS: dict[str, tuple[Selector, Classifier]] = {
     f"{_SELECTOR_NAMES[sel]}+{_CLASSIFIER_NAMES[clf]}": (sel, clf)
-    for sel in ("tfidf", "chi2")
-    for clf in ("nb", "sgd", "svm")
+    for sel in SELECTORS
+    for clf in CLASSIFIERS
 }
 
 
@@ -209,8 +210,7 @@ def evaluate(
         )
     docs, preprocess_seconds = _timed_preprocess(test_corpus, config)
     if name is None:
-        classifier = "nb" if isinstance(trained.model, NBModel) else trained.model.trainer_tag
-        name = method_name(trained.selector, classifier)
+        name = method_name(trained.selector, trained.model.trainer_tag)
     return _evaluate_tokenized(trained, docs, name, preprocess_seconds)
 
 

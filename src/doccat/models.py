@@ -5,12 +5,14 @@ per class label (labels sorted lexicographically), predicting by argmax of
 the per-class decision scores with ties broken toward the lexicographically
 smallest label. Each trainer takes the training corpus as one
 features.CorpusMatrix, reads the feature count from it, and fits every
-class in one loop over a (classes x features) weight matrix. Prediction
-scores the rows of one matrix: `predict` labels a batch of documents and
-`predict_tokenized` is its one-document case.
+class in one loop over a (classes x features) weight matrix. Every trainer
+returns a LinearModel, scored as w_c . x + b_c: `predict` labels a batch of
+documents and `predict_tokenized` is its one-document case.
 
 * Naive Bayes uses Lidstone smoothing and accepts real-valued non-negative
-  feature weights, so TF-IDF inputs are as valid as raw counts.
+  feature weights, so TF-IDF inputs are as valid as raw counts. Its log
+  joint log P(c) + sum_t x_t log P(t|c) is linear in x: the weights are the
+  log likelihoods and the biases the log priors.
 * The SGD trainer minimizes the L2-regularized mean hinge loss
   J(w, b) = (alpha/2) ||w||^2 + (1/n) sum max(0, 1 - y (w.x + b)) with the
   step schedule eta_t = 1 / (alpha (t0 + t)), t0 = 1/alpha, decaying across
@@ -98,23 +100,13 @@ class TrainHyperparams:
 
 
 @dataclass
-class NBModel:
-    """Multinomial Naive Bayes parameters in log space."""
-
-    class_labels: tuple[str, ...]
-    log_prior: np.ndarray
-    log_likelihood: np.ndarray  # shape (n_classes, vocab_size)
-    vocab_size: int
-
-
-@dataclass
 class LinearModel:
     """One-vs-rest linear decision functions: score_c(x) = w_c . x + b_c."""
 
     class_labels: tuple[str, ...]
     weights: np.ndarray  # shape (n_classes, vocab_size)
     biases: np.ndarray  # shape (n_classes,)
-    trainer_tag: Literal["sgd", "svm"]
+    trainer_tag: Classifier
     converged: bool = True
     fit_info: dict | None = field(default=None, compare=False)
 
@@ -127,9 +119,8 @@ class LinearModel:
 class TrainedModel:
     """A fitted classifier bundled with its feature space and pipeline identity."""
 
-    model: NBModel | LinearModel
+    model: LinearModel
     vocabulary: Vocabulary
-    feature_mode: FeatureMode
     selector: Selector
     preprocess_config_digest: str
     stage_seconds: dict[str, float]
@@ -138,6 +129,10 @@ class TrainedModel:
     @property
     def class_labels(self) -> tuple[str, ...]:
         return self.model.class_labels
+
+    @property
+    def feature_mode(self) -> FeatureMode:
+        return FEATURE_MODES[self.selector]
 
     @property
     def train_seconds(self) -> float:
@@ -178,13 +173,6 @@ def _scores(X: CorpusMatrix, coefficients: np.ndarray, offsets: np.ndarray) -> n
     return scores
 
 
-def _margins(
-    X: CorpusMatrix, targets: np.ndarray, weights: np.ndarray, biases: np.ndarray
-) -> np.ndarray:
-    """(n, C) margins target * (w_c . x + b_c) of every example for every class."""
-    return targets * _scores(X, weights, biases)
-
-
 def _hinge_objectives(
     X: CorpusMatrix,
     targets: np.ndarray,
@@ -193,16 +181,17 @@ def _hinge_objectives(
     alpha: float,
 ) -> np.ndarray:
     """Per-class L2-regularized mean hinge loss (alpha/2)||w_c||^2 + mean hinge."""
-    hinge = np.maximum(0.0, 1.0 - _margins(X, targets, weights, biases))
+    hinge = np.maximum(0.0, 1.0 - targets * _scores(X, weights, biases))
     return 0.5 * alpha * np.einsum("ij,ij->i", weights, weights) + hinge.mean(axis=0)
 
 
-def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> NBModel:
+def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> LinearModel:
     """Fit multinomial NB with Lidstone smoothing `alpha`.
 
     Per class c and feature t: likelihood(c, t) = (W(c,t) + alpha) /
     (W(c) + alpha * V), where W sums feature weights over the class's
-    rows. Raises NegativeFeatureError on any negative weight and
+    rows. The model's weights are the log likelihoods and its biases the
+    log priors. Raises NegativeFeatureError on any negative weight and
     SingleClassError when fewer than two labels are present.
     """
     if alpha <= 0:
@@ -217,11 +206,8 @@ def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> NBModel:
     log_prior = np.log(np.bincount(rows, minlength=len(labels)) / len(y))
     totals = weight_sums.sum(axis=1, keepdims=True)
     log_likelihood = np.log((weight_sums + alpha) / (totals + alpha * X.n_features))
-    return NBModel(
-        class_labels=tuple(labels),
-        log_prior=log_prior,
-        log_likelihood=log_likelihood,
-        vocab_size=X.n_features,
+    return LinearModel(
+        class_labels=tuple(labels), weights=log_likelihood, biases=log_prior, trainer_tag="nb"
     )
 
 
@@ -354,13 +340,13 @@ def train_svm(
         # confirm convergence against the final iterate before stopping.
         check = running & (sweep_violation < tolerance)
         if check.any():
-            margins = _margins(X, targets, weights, biases)
+            margins = targets * _scores(X, weights, biases)
             final = np.abs(_projected_gradient(margins - 1.0, alphas, c)).max(axis=0)
             violation[check] = final[check]
             converged |= check & (final < tolerance)
             running &= ~converged
 
-    margins = _margins(X, targets, weights, biases)
+    margins = targets * _scores(X, weights, biases)
     squared_norms = np.einsum("ij,ij->i", weights, weights) + biases * biases
     hinge_sums = np.maximum(0.0, 1.0 - margins).sum(axis=0)
     fit_info: dict = {}
@@ -419,12 +405,11 @@ def train_from_tokens(
     else:
         vocabulary = select_chi_features(docs, hyper.chi_top_percent, hyper.chi_g_top_k)
     clock.append(time.perf_counter())
-    feature_mode = FEATURE_MODES[selector]
-    X = vectorize_corpus(docs, vocabulary, feature_mode)
+    X = vectorize_corpus(docs, vocabulary, FEATURE_MODES[selector])
     clock.append(time.perf_counter())
 
     if classifier == "nb":
-        model: NBModel | LinearModel = train_nb(X, labels, hyper.nb_alpha)
+        model = train_nb(X, labels, hyper.nb_alpha)
     elif classifier == "sgd":
         model = train_sgd(X, labels, hyper)
     else:
@@ -436,7 +421,6 @@ def train_from_tokens(
     return TrainedModel(
         model=model,
         vocabulary=vocabulary,
-        feature_mode=feature_mode,
         selector=selector,
         preprocess_config_digest=preprocess_config_digest,
         stage_seconds={
@@ -461,22 +445,17 @@ def train(
     )
 
 
-def _labeled(labels: tuple[str, ...], scores: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The argmax label of every row of `scores`, ties going to the
-    lexicographically smallest label, and the scores."""
-    return [labels[index] for index in scores.argmax(axis=1).tolist()], scores
-
-
-def predict_nb(model: NBModel, X: CorpusMatrix) -> tuple[list[str], np.ndarray]:
-    """Labels and (n, C) log-joint scores of every row of X; an empty row
-    scores the log priors."""
-    return _labeled(model.class_labels, _scores(X, model.log_likelihood, model.log_prior))
-
-
 def predict_linear(model: LinearModel, X: CorpusMatrix) -> tuple[list[str], np.ndarray]:
-    """Labels and (n, C) decision scores w_c . x + b_c of every row of X; an
-    empty row scores the biases."""
-    return _labeled(model.class_labels, _scores(X, model.weights, model.biases))
+    """Labels and (n, C) decision scores w_c . x + b_c of every row of X: the
+    argmax label, ties going to the lexicographically smallest label. An
+    empty row scores the biases; for NB the scores are the log joints."""
+    scores = _scores(X, model.weights, model.biases)
+    return [model.class_labels[index] for index in scores.argmax(axis=1).tolist()], scores
+
+
+# NB needs no scorer of its own. The name stays only because the benchmark's
+# tracer (perfbench/tracing.py) still looks it up; it goes when that list does.
+predict_nb = predict_linear
 
 
 def predict(
@@ -485,8 +464,6 @@ def predict(
     """Labels and (n, C) per-class scores of preprocessed documents,
     vectorized in the model's stored feature space."""
     X = vectorize_corpus(docs, trained.vocabulary, trained.feature_mode)
-    if isinstance(trained.model, NBModel):
-        return predict_nb(trained.model, X)
     return predict_linear(trained.model, X)
 
 
@@ -499,6 +476,14 @@ def predict_tokenized(
     return label, row[label], row
 
 
+# The model-file key of each LinearModel parameter, per trainer, in file order.
+_PARAMETER_KEYS: dict[str, dict[str, str]] = {
+    "nb": {"biases": "log_prior", "weights": "log_likelihood"},
+    "sgd": {"weights": "weights", "biases": "biases"},
+    "svm": {"weights": "weights", "biases": "biases"},
+}
+
+
 def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
     ordered = sorted(vocab.terms.items(), key=lambda item: item[1])
     return {
@@ -508,13 +493,17 @@ def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
 
 
 def _vocabulary_from_payload(payload: dict) -> Vocabulary:
-    terms = {term: int(index) for term, index, _ in payload["terms"]}
-    doc_freq = {term: int(df) for term, _, df in payload["terms"]}
+    entries = payload["terms"]
+    terms = {term: int(index) for term, index, _ in entries}
+    if len(terms) != len(entries) or not all(isinstance(term, str) for term in terms):
+        raise ModelFormatError("vocabulary terms must be distinct strings")
+    doc_freq = {term: int(df) for term, _, df in entries}
     return Vocabulary(terms=terms, doc_freq=doc_freq, n_docs=int(payload["n_docs"]))
 
 
 def model_to_dict(trained: TrainedModel) -> dict:
     """The model-file payload; floats round-trip exactly through JSON."""
+    model = trained.model
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "created_unix_seconds": trained.created_unix_seconds,
@@ -522,15 +511,11 @@ def model_to_dict(trained: TrainedModel) -> dict:
         "selector": trained.selector,
         "preprocess_config_digest": trained.preprocess_config_digest,
         "vocabulary": _vocabulary_to_payload(trained.vocabulary),
-        "model_type": "nb" if isinstance(trained.model, NBModel) else trained.model.trainer_tag,
-        "class_labels": list(trained.model.class_labels),
+        "model_type": model.trainer_tag,
+        "class_labels": list(model.class_labels),
     }
-    if isinstance(trained.model, NBModel):
-        payload["log_prior"] = trained.model.log_prior.tolist()
-        payload["log_likelihood"] = trained.model.log_likelihood.tolist()
-    else:
-        payload["weights"] = trained.model.weights.tolist()
-        payload["biases"] = trained.model.biases.tolist()
+    for name, key in _PARAMETER_KEYS[model.trainer_tag].items():
+        payload[key] = getattr(model, name).tolist()
     return payload
 
 
@@ -540,63 +525,55 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
 
 
 def _check_loaded(trained: TrainedModel) -> None:
-    """Raise ModelFormatError unless the pipeline pair, labels and parameters agree."""
-    if FEATURE_MODES.get(trained.selector) != trained.feature_mode:
-        raise ModelFormatError(
-            f"unknown pipeline: selector {trained.selector!r} "
-            f"with feature_mode {trained.feature_mode!r}"
-        )
-    labels = trained.class_labels
-    if list(labels) != sorted(set(labels)):
-        raise ModelFormatError(f"class_labels must be unique and sorted, got {list(labels)}")
+    """Raise ModelFormatError, naming the file key, unless every parameter
+    is finite and its shape matches the labels and vocabulary."""
     model = trained.model
-    n_classes, n_features = len(labels), len(trained.vocabulary)
-    names = ("log_prior", "log_likelihood") if isinstance(model, NBModel) else ("biases", "weights")
-    for name, shape in zip(names, ((n_classes,), (n_classes, n_features))):
+    n_classes, n_features = len(model.class_labels), len(trained.vocabulary)
+    shapes = {"biases": (n_classes,), "weights": (n_classes, n_features)}
+    for name, key in _PARAMETER_KEYS[model.trainer_tag].items():
         values = getattr(model, name)
-        if values.shape != shape:
-            raise ModelFormatError(f"{name} has shape {values.shape}, expected {shape}")
+        if values.shape != shapes[name]:
+            raise ModelFormatError(f"{key} has shape {values.shape}, expected {shapes[name]}")
         if not np.isfinite(values).all():
-            raise ModelFormatError(f"{name} has non-finite values")
+            raise ModelFormatError(f"{key} has non-finite values")
 
 
 def load_model(path: str | Path) -> TrainedModel:
     """Load a model file; raises ModelFormatError on any schema problem, on
-    parameters whose shapes do not match the labels and vocabulary, on a
-    non-finite parameter and on an unknown (selector, feature_mode) pair."""
+    an unknown (selector, feature_mode) pair, on class labels that are not
+    unique sorted strings, on vocabulary terms that are not distinct
+    strings, on parameters whose shapes do not match the labels and
+    vocabulary and on a non-finite parameter."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"invalid model file {path}: {exc}") from exc
     try:
-        if payload["format_version"] != MODEL_FORMAT_VERSION:
+        version = payload["format_version"]
+        # `type`, not isinstance: JSON `true` loads as a bool, which isinstance counts as an int.
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported model format version {version!r}")
+        selector, feature_mode = payload["selector"], payload["feature_mode"]
+        if FEATURE_MODES.get(selector) != feature_mode:
             raise ModelFormatError(
-                f"unsupported model format version {payload['format_version']!r}"
+                f"unknown pipeline: selector {selector!r} with feature_mode {feature_mode!r}"
             )
-        vocabulary = _vocabulary_from_payload(payload["vocabulary"])
-        class_labels = tuple(payload["class_labels"])
         model_type = payload["model_type"]
-        if model_type == "nb":
-            model: NBModel | LinearModel = NBModel(
-                class_labels=class_labels,
-                log_prior=np.asarray(payload["log_prior"], dtype=np.float64),
-                log_likelihood=np.asarray(payload["log_likelihood"], dtype=np.float64),
-                vocab_size=len(vocabulary),
-            )
-        elif model_type in ("sgd", "svm"):
-            model = LinearModel(
-                class_labels=class_labels,
-                weights=np.asarray(payload["weights"], dtype=np.float64),
-                biases=np.asarray(payload["biases"], dtype=np.float64),
-                trainer_tag=model_type,
-            )
-        else:
+        if model_type not in _PARAMETER_KEYS:
             raise ModelFormatError(f"unknown model type {model_type!r}")
+        labels = payload["class_labels"]
+        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+            raise ModelFormatError(f"class_labels must be a list of strings, got {labels!r}")
+        if labels != sorted(set(labels)):
+            raise ModelFormatError(f"class_labels must be unique and sorted, got {labels}")
+        parameters = {
+            name: np.asarray(payload[key], dtype=np.float64)
+            for name, key in _PARAMETER_KEYS[model_type].items()
+        }
         trained = TrainedModel(
-            model=model,
-            vocabulary=vocabulary,
-            feature_mode=payload["feature_mode"],
-            selector=payload["selector"],
+            model=LinearModel(class_labels=tuple(labels), trainer_tag=model_type, **parameters),
+            vocabulary=_vocabulary_from_payload(payload["vocabulary"]),
+            selector=selector,
             preprocess_config_digest=payload["preprocess_config_digest"],
             stage_seconds=dict.fromkeys(TRAIN_STAGES, 0.0),
             created_unix_seconds=int(payload["created_unix_seconds"]),

@@ -12,7 +12,7 @@ import numpy as np
 
 from doccat.corpus import LabeledCorpus, LabeledDocument
 from doccat.features import CorpusMatrix
-from doccat.models import LinearModel, NBModel, predict_linear, predict_nb
+from doccat.models import LinearModel, predict_linear
 from doccat.textprep import PreprocessConfig, TokenizedDocument, split_sentences
 
 CATEGORY_NAMES = (
@@ -126,11 +126,10 @@ def row_pairs(X: CorpusMatrix, row: int) -> list[tuple[int, float]]:
 
 
 def predict_row(
-    model: NBModel | LinearModel, row: dict[int, float]
+    model: LinearModel, row: dict[int, float]
 ) -> tuple[str, dict[str, float]]:
     """(label, per-class scores) of one {feature index: weight} row."""
-    predict = predict_nb if isinstance(model, NBModel) else predict_linear
-    (label,), scores = predict(model, matrix([row], model.vocab_size))
+    (label,), scores = predict_linear(model, matrix([row], model.vocab_size))
     return label, dict(zip(model.class_labels, scores[0].tolist()))
 
 

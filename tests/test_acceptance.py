@@ -134,10 +134,10 @@ def test_nb_oracle_equivalence():
             classes, priors, likelihoods = nb_oracle(rows, labels, alpha, n_features)
             assert tuple(classes) == model.class_labels
             for ci, c in enumerate(classes):
-                assert abs(model.log_prior[ci] - math.log(priors[c])) <= 1e-9
+                assert abs(model.biases[ci] - math.log(priors[c])) <= 1e-9
                 for j in range(n_features):
                     assert abs(
-                        model.log_likelihood[ci][j] - math.log(likelihoods[c][j])
+                        model.weights[ci][j] - math.log(likelihoods[c][j])
                     ) <= 1e-9
             query = {j: float(rng.integers(0, 3)) for j in range(n_features)}
             query = {j: v for j, v in query.items() if v > 0}

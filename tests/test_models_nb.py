@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from doccat.errors import LengthMismatchError, NegativeFeatureError, SingleClassError
-from doccat.models import NBModel, predict_nb, train_nb
+from doccat.models import LinearModel, predict_linear, train_nb
 
 from helpers import matrix, nb_oracle, nb_oracle_predict, predict_row
 
@@ -18,10 +18,10 @@ def two_class_model():
 
 class TestTrainNB:
     def test_smoothed_likelihoods(self, two_class_model):
-        lik = np.exp(two_class_model.log_likelihood)
+        lik = np.exp(two_class_model.weights)
         assert lik[0] == pytest.approx([2.01 / 3.02, 1.01 / 3.02], abs=1e-12)
         assert lik[1] == pytest.approx([0.01 / 2.02, 2.01 / 2.02], abs=1e-12)
-        assert np.exp(two_class_model.log_prior) == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert np.exp(two_class_model.biases) == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_prior_and_likelihood_normalization(self):
         rng = np.random.default_rng(3)
@@ -36,8 +36,8 @@ class TestTrainNB:
                        if rng.integers(0, 2)}
                 rows.append(row or {0: 1.0})
             model = train_nb(matrix(rows, n_feat), labels, alpha=0.5)
-            assert float(np.exp(model.log_prior).sum()) == pytest.approx(1.0, abs=1e-9)
-            for row in np.exp(model.log_likelihood):
+            assert float(np.exp(model.biases).sum()) == pytest.approx(1.0, abs=1e-9)
+            for row in np.exp(model.weights):
                 assert float(row.sum()) == pytest.approx(1.0, abs=1e-6)
 
     def test_single_class_rejected(self):
@@ -58,12 +58,12 @@ class TestTrainNB:
 
     def test_large_alpha_approaches_uniform(self):
         model = train_nb(matrix([{0: 3.0}, {1: 1.0}], 2), ["a", "b"], alpha=1e9)
-        lik = np.exp(model.log_likelihood)
+        lik = np.exp(model.weights)
         assert lik == pytest.approx(np.full((2, 2), 0.5), abs=1e-6)
 
     def test_fractional_weights_accepted(self):
         model = train_nb(matrix([{0: 0.25, 1: 0.75}, {1: 0.1}], 2), ["a", "b"], alpha=0.01)
-        assert np.isfinite(model.log_likelihood).all()
+        assert np.isfinite(model.weights).all()
 
 
 class TestPredictNB:
@@ -80,18 +80,18 @@ class TestPredictNB:
         assert scores["a"] == pytest.approx(math.log(2 / 3), abs=1e-12)
 
     def test_exact_tie_goes_to_lexicographically_first(self):
-        model = NBModel(
+        model = LinearModel(
             class_labels=("a", "b"),
-            log_prior=np.log([0.5, 0.5]),
-            log_likelihood=np.log([[0.5, 0.5], [0.5, 0.5]]),
-            vocab_size=2,
+            weights=np.log([[0.5, 0.5], [0.5, 0.5]]),
+            biases=np.log([0.5, 0.5]),
+            trainer_tag="nb",
         )
-        labels, _ = predict_nb(model, matrix([{0: 1.0, 1: 1.0}, {}], 2))
+        labels, _ = predict_linear(model, matrix([{0: 1.0, 1: 1.0}, {}], 2))
         assert labels == ["a", "a"]
 
     def test_feature_count_mismatch_rejected(self, two_class_model):
         with pytest.raises(ValueError, match="features"):
-            predict_nb(two_class_model, matrix([{5: 1.0}], 6))
+            predict_linear(two_class_model, matrix([{5: 1.0}], 6))
 
     def test_scaling_preserves_argmax_under_uniform_priors(self):
         rng = np.random.default_rng(21)
@@ -122,9 +122,9 @@ class TestNBOracle:
             classes, priors, likelihoods = nb_oracle(rows, labels, alpha, n_feat)
             assert tuple(classes) == model.class_labels
             for ci, c in enumerate(classes):
-                assert model.log_prior[ci] == pytest.approx(math.log(priors[c]), abs=1e-9)
+                assert model.biases[ci] == pytest.approx(math.log(priors[c]), abs=1e-9)
                 for j in range(n_feat):
-                    assert model.log_likelihood[ci][j] == pytest.approx(
+                    assert model.weights[ci][j] == pytest.approx(
                         math.log(likelihoods[c][j]), abs=1e-9
                     )
             query = {j: float(rng.integers(0, 3)) for j in range(n_feat)}

@@ -7,7 +7,6 @@ import pytest
 
 from doccat.errors import ModelFormatError, SingleClassError
 from doccat.models import (
-    NBModel,
     TrainHyperparams,
     load_model,
     model_to_dict,
@@ -52,6 +51,8 @@ class TestTrainPipelines:
         assert loaded.train_seconds == 0.0
         assert loaded.class_labels == trained.class_labels
         assert loaded.preprocess_config_digest == default_cfg.digest()
+        save_model(loaded, tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
         for doc in small_tokens[:5]:
             assert predict_tokenized(loaded, doc)[0] == predict_tokenized(trained, doc)[0]
 
@@ -59,7 +60,8 @@ class TestTrainPipelines:
         trained = train_from_tokens(
             small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg.digest()
         )
-        assert isinstance(trained.model, NBModel)
+        assert trained.model.trainer_tag == "nb"
+        assert np.isfinite(trained.model.weights).all()
 
     def test_unknown_classifier_fails_before_any_work(self, small_tokens, default_cfg):
         with pytest.raises(ValueError, match="classifier"):
@@ -80,18 +82,26 @@ class TestTrainPipelines:
 
 
 class TestModelFile:
-    def test_schema_fields(self, small_tokens, default_cfg):
+    @pytest.mark.parametrize(
+        "classifier,parameter_keys",
+        [("nb", ["log_prior", "log_likelihood"]), ("svm", ["weights", "biases"])],
+        ids=["nb", "svm"],
+    )
+    def test_schema_fields(self, classifier, parameter_keys, small_tokens, default_cfg):
         trained = train_from_tokens(
-            small_tokens, "chi2", "svm", TrainHyperparams(), default_cfg.digest()
+            small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg.digest()
         )
         payload = model_to_dict(trained)
+        assert list(payload) == [
+            "format_version", "created_unix_seconds", "feature_mode", "selector",
+            "preprocess_config_digest", "vocabulary", "model_type", "class_labels",
+            *parameter_keys,
+        ]
         assert payload["format_version"] == 1
         assert payload["selector"] == "chi2"
         assert payload["feature_mode"] == "counts"
-        assert payload["model_type"] == "svm"
+        assert payload["model_type"] == classifier
         assert set(payload["vocabulary"]) == {"n_docs", "terms"}
-        assert {"weights", "biases", "class_labels", "created_unix_seconds",
-                "preprocess_config_digest"} <= set(payload)
 
     def test_float_parameters_round_trip_exactly(self, small_tokens, default_cfg, tmp_path):
         trained = train_from_tokens(
@@ -111,8 +121,8 @@ class TestModelFile:
         path = tmp_path / "model.json"
         save_model(trained, path)
         loaded = load_model(path)
-        assert np.array_equal(loaded.model.log_prior, trained.model.log_prior)
-        assert np.array_equal(loaded.model.log_likelihood, trained.model.log_likelihood)
+        assert np.array_equal(loaded.model.biases, trained.model.biases)
+        assert np.array_equal(loaded.model.weights, trained.model.weights)
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -169,6 +179,17 @@ INCONSISTENT_FILES = {
     "unsorted_labels": ("nb", lambda p: p["class_labels"].reverse()),
     "unknown_feature_mode": ("sgd", lambda p: p.update(feature_mode="binary")),
     "crossed_pipeline": ("nb", lambda p: p.update(selector="chi2")),
+    "string_class_labels": (
+        "sgd", lambda p: p.update(class_labels="abcdefghijkl"[: len(p["class_labels"])])
+    ),
+    "integer_class_labels": (
+        "sgd", lambda p: p.update(class_labels=list(range(len(p["class_labels"]))))
+    ),
+    "integer_vocabulary_term": ("sgd", lambda p: p["vocabulary"]["terms"][0].__setitem__(0, 7)),
+    "repeated_vocabulary_entry": (
+        "sgd", lambda p: p["vocabulary"]["terms"].append(list(p["vocabulary"]["terms"][-1]))
+    ),
+    "boolean_format_version": ("sgd", lambda p: p.update(format_version=True)),
 }
 
 

@@ -241,7 +241,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                           f"converged={info['converged']}")
             else:
                 detail = (f"objective_epoch1={info['objective_epoch1']:.6e} "
-                          f"objective_final={info['objective_final']:.6e}")
+                          f"objective_final={info['objective_final']:.6e} "
+                          f"updates={info['updates']}")
             _diag(args, f"{args.model} class={label} {detail}")
     models.save_model(trained, args.out)
     print(

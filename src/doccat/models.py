@@ -5,9 +5,10 @@ per class label (labels sorted lexicographically), predicting by argmax of
 the per-class decision scores with ties broken toward the lexicographically
 smallest label. Each trainer takes the training corpus as one
 features.CorpusMatrix, reads the feature count from it, and fits every
-class in one loop over a (classes x features) weight matrix. Every trainer
-returns a LinearModel, scored as w_c . x + b_c: `predict` labels a batch of
-documents and `predict_tokenized` is its one-document case.
+class in one loop over one weight matrix. Every trainer returns a
+LinearModel, scored as w_c . x + b_c with (classes x features) weights:
+`predict` labels a batch of documents and `predict_tokenized` is its
+one-document case.
 
 * Naive Bayes uses Lidstone smoothing and accepts real-valued non-negative
   feature weights, so TF-IDF inputs are as valid as raw counts. Its log
@@ -16,7 +17,11 @@ documents and `predict_tokenized` is its one-document case.
 * The SGD trainer minimizes the L2-regularized mean hinge loss
   J(w, b) = (alpha/2) ||w||^2 + (1/n) sum max(0, 1 - y (w.x + b)) with the
   step schedule eta_t = 1 / (alpha (t0 + t)), t0 = 1/alpha, decaying across
-  all updates. The bias is unregularized.
+  all updates. The bias is unregularized. Once the model fits, most steps
+  leave every margin at 1 or above and update nothing, so the trainer
+  scores consecutive steps in blocks and applies only the steps that
+  update a class. The model equals that of a step-by-step loop unless a
+  margin lies within rounding of exactly 1.
 * The SVM trainer solves the L1-loss C-SVC dual by coordinate descent with
   the bias as a constant-1 feature, visiting the examples in a seeded
   random permutation on every pass, and stopping each class when its
@@ -63,6 +68,13 @@ MODEL_FORMAT_VERSION = 1
 
 SVM_TOLERANCE = 1e-3
 SVM_MAX_PASSES = 1000
+
+# The most SGD steps scored in one batch, the most whose rows are scored
+# one by one, and the scale below which the SGD decay is folded into the
+# weights.
+_SGD_BLOCK_ROWS = 32
+_SGD_ROWWISE_ROWS = 4
+_SGD_SCALE_FLOOR = 1e-9
 
 SELECTORS = ("tfidf", "chi2")
 # The feature mode each selector's pipeline vectorizes with.
@@ -211,57 +223,164 @@ def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> LinearModel:
     )
 
 
+def _block_dots(
+    X: CorpusMatrix, v: np.ndarray, shifts: np.ndarray, lengths: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """(b, C) products x . v[:, c] of b rows of X, gathered straight from the
+    CSR arrays with one gather and one np.add.reduceat. With the rows laid
+    end to end, row k's `lengths[k]` entries sit at offsets[k] (offsets[0]
+    need not be 0), and at offsets[k] + shifts[k] of X. An empty row gives 0."""
+    first, stop = int(offsets[0]), int(offsets[-1] + lengths[-1])
+    if first == stop:
+        return np.zeros((len(lengths), v.shape[1]))
+    positions = shifts.repeat(lengths)
+    positions += np.arange(first, stop)
+    products = v.take(X.indices.take(positions), axis=0)
+    products *= X.values.take(positions)[:, None]
+    offsets = offsets - first
+    if np.count_nonzero(lengths) == len(lengths):
+        return np.add.reduceat(products, offsets, axis=0)
+    # reduceat sums from one offset to the next, so it must not see empty rows.
+    dots = np.zeros((len(lengths), v.shape[1]))
+    nonempty = lengths > 0
+    dots[nonempty] = np.add.reduceat(products, offsets[nonempty], axis=0)
+    return dots
+
+
+def _rowwise_dots(
+    X: CorpusMatrix, v: np.ndarray, bounds: list[int], rows: list[int]
+) -> np.ndarray:
+    """(b, C) products x . v[:, c] of the given rows of X, one matrix-vector
+    product each; for a few rows this costs less than `_block_dots`."""
+    return np.array([
+        X.values[bounds[row] : bounds[row + 1]]
+        @ v.take(X.indices[bounds[row] : bounds[row + 1]], axis=0)
+        for row in rows
+    ])
+
+
+def _first_rescale(scales: np.ndarray, start: int) -> int:
+    """The first step at or after `start` whose decay takes the scale below
+    _SGD_SCALE_FLOOR (scales[j + 1] is the scale after step j); the step
+    count if there is none."""
+    below = np.flatnonzero(scales[start + 1 :] < _SGD_SCALE_FLOOR)
+    return start + int(below[0]) if below.size else len(scales) - 1
+
+
 def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> LinearModel:
     """Train one-vs-rest hinge-loss SGD classifiers in one loop over the examples.
 
     The step size, the L2 decay and the seeded shuffle are the same for
     every class, so each step scores all classes at once and updates only
-    the rows whose margin is below 1. The weights are kept as scale * v
+    the classes whose margin is below 1. The weights are kept as scale * v
     (Bottou, "Stochastic Gradient Descent Tricks", 2012), so the decay is a
-    single multiply. Each row equals the model trained on its class alone,
-    training is deterministic given (seed, corpus), and symmetric label
-    swaps produce exactly mirrored weights.
+    single multiply; `scale` is rescaled into v when it falls below
+    _SGD_SCALE_FLOOR.
+
+    Most steps update no class, so the steps are scored in blocks rather
+    than one at a time. Each epoch's step sizes and the scale before and
+    after every step come from one vectorized schedule. A block of up to
+    _SGD_BLOCK_ROWS consecutive steps is scored in one batch, each row with
+    its own pre-decay scale and the current biases; the steps before the
+    block's first margin below 1 change nothing, that step's update is
+    applied as a single step would apply it, and the next block starts
+    right after it. A block also ends at a rescale. The block size doubles
+    after a block without an update and shrinks to the distance of the last
+    update otherwise. Blocks of up to _SGD_ROWWISE_ROWS rows, common where
+    many steps update, are scored one matrix-vector product per row; larger
+    ones with one gather and np.add.reduceat. Either way the sums may run
+    in a different order from a per-step dot product, which can matter only
+    for a margin within rounding of exactly 1.
+
+    Each row equals the model trained on its class alone, training is
+    deterministic given (seed, corpus), and symmetric label swaps produce
+    exactly mirrored weights. `fit_info` holds per class the objective
+    after the first and the last epoch and `updates`, the number of steps
+    whose margin for that class was below 1.
     """
     labels = _check_training_data(X, y)
     targets = _targets(y, labels)
     alpha = hyper.sgd_alpha
-    v = np.zeros((len(labels), X.n_features))
+    n_rows = X.shape[0]
+    # v[:, c] is class c's weight vector divided by `scale`; rows gather per feature.
+    v = np.zeros((X.n_features, len(labels)))
     biases = np.zeros(len(labels))
+    updates = np.zeros(len(labels), dtype=int)
     scale = 1.0
     t0 = 1.0 / alpha
-    step = 0
     rng = np.random.default_rng(hyper.seed)
-    bounds = X.indptr.tolist()
+    bounds, lengths = X.indptr.tolist(), np.diff(X.indptr)
+    block = _SGD_BLOCK_ROWS
+
+    def weights() -> np.ndarray:
+        # C-contiguous, so the objectives and predictions see the layout
+        # (and hence the dot-product rounding) of a (C, V) trainer.
+        return np.multiply(v.T, scale, order="C")
 
     for epoch in range(hyper.sgd_epochs):
-        for i in rng.permutation(len(y)).tolist():
-            step += 1
-            eta = 1.0 / (alpha * (t0 + step))
-            start, end = bounds[i], bounds[i + 1]
-            cols, x, t = X.indices[start:end], X.values[start:end], targets[i]
-            margins = t * (scale * (v.take(cols, axis=1) @ x) + biases)
-            scale *= 1.0 - eta * alpha
-            if scale < 1e-9:
-                v *= scale
-                scale = 1.0
-            rows = np.flatnonzero(margins < 1.0)
-            if rows.size:
-                v[rows[:, None], cols] += (eta * t[rows] / scale)[:, None] * x
-                biases[rows] += eta * t[rows]
+        order = rng.permutation(n_rows)
+        order_list, row_lengths = order.tolist(), lengths[order]
+        # Step k's row order[k] is entries offsets[k]:offsets[k + 1] of the
+        # epoch's rows laid end to end, and starts at offsets[k] + shifts[k] in X.
+        offsets = np.concatenate(([0], np.cumsum(row_lengths)))
+        shifts = X.indptr[order] - offsets[:-1]
+        etas = 1.0 / (alpha * (t0 + np.arange(epoch * n_rows + 1, (epoch + 1) * n_rows + 1)))
+        decays = 1.0 - etas * alpha
+        # scales[k] is the scale before step k of the epoch and scales[k + 1]
+        # the scale after it; accumulate multiplies in step order.
+        scales = np.multiply.accumulate(np.concatenate(([scale], decays)))
+        rescale = _first_rescale(scales, 0)
+        begin = 0
+        while begin < n_rows:
+            end = min(begin + block, rescale + 1, n_rows)
+            if end - begin <= _SGD_ROWWISE_ROWS:
+                dots = _rowwise_dots(X, v, bounds, order_list[begin:end])
+            else:
+                dots = _block_dots(
+                    X, v, shifts[begin:end], row_lengths[begin:end], offsets[begin:end]
+                )
+            scores = scales[begin:end, None] * dots + biases
+            below = targets.take(order[begin:end], axis=0) * scores < 1.0
+            first = int(below.argmax())  # the first margin below 1 in step order, if any
+            hit = below.item(first)
+            if hit:
+                end = begin + first // len(labels) + 1
+                block = end - begin
+            else:
+                block = min(2 * block, _SGD_BLOCK_ROWS)
+            step = end - 1
+            if step == rescale:
+                v *= scales[end]
+                scales[end:] = np.multiply.accumulate(np.concatenate(([1.0], decays[end:])))
+                rescale = _first_rescale(scales, end)
+            if hit:
+                updated = below[step - begin]
+                classes = updated.nonzero()[0]
+                row = order_list[step]
+                change = etas[step] * targets[row][classes]
+                entries = slice(bounds[row], bounds[row + 1])
+                v[X.indices[entries, None], classes] += np.multiply.outer(
+                    X.values[entries], change / scales[end]
+                )
+                biases[classes] += change
+                updates += updated
+            begin = end
+        scale = scales[-1]
         if epoch == 0:
-            objective_epoch1 = _hinge_objectives(X, targets, scale * v, biases, alpha)
+            objective_epoch1 = _hinge_objectives(X, targets, weights(), biases, alpha)
 
-    weights = scale * v
-    objective_final = _hinge_objectives(X, targets, weights, biases, alpha)
+    final_weights = weights()
+    objective_final = _hinge_objectives(X, targets, final_weights, biases, alpha)
     return LinearModel(
         class_labels=tuple(labels),
-        weights=weights,
+        weights=final_weights,
         biases=biases,
         trainer_tag="sgd",
         fit_info={
             label: {
                 "objective_epoch1": float(objective_epoch1[row]),
                 "objective_final": float(objective_final[row]),
+                "updates": int(updates[row]),
             }
             for row, label in enumerate(labels)
         },
@@ -492,13 +611,22 @@ def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
     }
 
 
+def _strict_int(value: object, key: str) -> int:
+    # `type`, not isinstance: JSON `true` loads as a bool, which isinstance counts as an int.
+    if type(value) is not int:
+        raise ModelFormatError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _vocabulary_from_payload(payload: dict) -> Vocabulary:
     entries = payload["terms"]
-    terms = {term: int(index) for term, index, _ in entries}
+    terms = {term: _strict_int(index, "vocabulary index") for term, index, _ in entries}
     if len(terms) != len(entries) or not all(isinstance(term, str) for term in terms):
         raise ModelFormatError("vocabulary terms must be distinct strings")
-    doc_freq = {term: int(df) for term, _, df in entries}
-    return Vocabulary(terms=terms, doc_freq=doc_freq, n_docs=int(payload["n_docs"]))
+    doc_freq = {term: _strict_int(df, "document frequency") for term, _, df in entries}
+    return Vocabulary(
+        terms=terms, doc_freq=doc_freq, n_docs=_strict_int(payload["n_docs"], "n_docs")
+    )
 
 
 def model_to_dict(trained: TrainedModel) -> dict:
@@ -542,16 +670,16 @@ def load_model(path: str | Path) -> TrainedModel:
     """Load a model file; raises ModelFormatError on any schema problem, on
     an unknown (selector, feature_mode) pair, on class labels that are not
     unique sorted strings, on vocabulary terms that are not distinct
-    strings, on parameters whose shapes do not match the labels and
-    vocabulary and on a non-finite parameter."""
+    strings, on a count, index or timestamp that is not a JSON integer, on
+    a digest that is not a string, on parameters whose shapes do not match
+    the labels and vocabulary and on a non-finite parameter."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"invalid model file {path}: {exc}") from exc
     try:
-        version = payload["format_version"]
-        # `type`, not isinstance: JSON `true` loads as a bool, which isinstance counts as an int.
-        if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        version = _strict_int(payload["format_version"], "format_version")
+        if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model format version {version!r}")
         selector, feature_mode = payload["selector"], payload["feature_mode"]
         if FEATURE_MODES.get(selector) != feature_mode:
@@ -570,13 +698,18 @@ def load_model(path: str | Path) -> TrainedModel:
             name: np.asarray(payload[key], dtype=np.float64)
             for name, key in _PARAMETER_KEYS[model_type].items()
         }
+        digest = payload["preprocess_config_digest"]
+        if not isinstance(digest, str):
+            raise ModelFormatError(f"preprocess_config_digest must be a string, got {digest!r}")
         trained = TrainedModel(
             model=LinearModel(class_labels=tuple(labels), trainer_tag=model_type, **parameters),
             vocabulary=_vocabulary_from_payload(payload["vocabulary"]),
             selector=selector,
-            preprocess_config_digest=payload["preprocess_config_digest"],
+            preprocess_config_digest=digest,
             stage_seconds=dict.fromkeys(TRAIN_STAGES, 0.0),
-            created_unix_seconds=int(payload["created_unix_seconds"]),
+            created_unix_seconds=_strict_int(
+                payload["created_unix_seconds"], "created_unix_seconds"
+            ),
         )
         _check_loaded(trained)
         return trained

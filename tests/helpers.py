@@ -7,12 +7,14 @@ share no code with the package so that agreement is meaningful.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from doccat.corpus import LabeledCorpus, LabeledDocument
 from doccat.features import CorpusMatrix
-from doccat.models import LinearModel, predict_linear
+from doccat.errors import SingleClassError
+from doccat.models import LinearModel, TrainHyperparams, predict_linear
 from doccat.textprep import PreprocessConfig, TokenizedDocument, split_sentences
 
 CATEGORY_NAMES = (
@@ -131,6 +133,79 @@ def predict_row(
     """(label, per-class scores) of one {feature index: weight} row."""
     (label,), scores = predict_linear(model, matrix([row], model.vocab_size))
     return label, dict(zip(model.class_labels, scores[0].tolist()))
+
+
+def reference_train_sgd(
+    X: CorpusMatrix, y: list[str], hyper: TrainHyperparams
+) -> tuple[LinearModel, Counter]:
+    """The per-step form of `models.train_sgd`, and the number of steps
+    that updated each number of classes.
+
+    Every step scores one example against all classes with a matrix-vector
+    product, decays `scale` and updates the classes whose margin is below 1;
+    nothing is batched. The objectives repeat `models._hinge_objectives`
+    operation for operation, so that `fit_info` can be compared bit for bit.
+    """
+    labels = sorted(set(y))
+    if len(labels) < 2:
+        raise SingleClassError("training corpus has one class")
+    targets = np.where(np.asarray(y)[:, None] == np.asarray(labels)[None, :], 1.0, -1.0)
+    alpha = hyper.sgd_alpha
+    v = np.zeros((len(labels), X.n_features))
+    biases = np.zeros(len(labels))
+    updates = np.zeros(len(labels), dtype=int)
+    classes_per_step: Counter = Counter()
+    scale = 1.0
+    t0 = 1.0 / alpha
+    step = 0
+    rng = np.random.default_rng(hyper.seed)
+    bounds = X.indptr.tolist()
+
+    def objectives(weights):
+        scores = np.empty((len(y), len(labels)))
+        for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            scores[row] = weights[:, X.indices[start:end]] @ X.values[start:end]
+        scores += biases
+        hinge = np.maximum(0.0, 1.0 - targets * scores)
+        return 0.5 * alpha * np.einsum("ij,ij->i", weights, weights) + hinge.mean(axis=0)
+
+    for epoch in range(hyper.sgd_epochs):
+        for i in rng.permutation(len(y)).tolist():
+            step += 1
+            eta = 1.0 / (alpha * (t0 + step))
+            start, end = bounds[i], bounds[i + 1]
+            cols, x, t = X.indices[start:end], X.values[start:end], targets[i]
+            margins = t * (scale * (v.take(cols, axis=1) @ x) + biases)
+            scale *= 1.0 - eta * alpha
+            if scale < 1e-9:
+                v *= scale
+                scale = 1.0
+            rows = np.flatnonzero(margins < 1.0)
+            classes_per_step[rows.size] += 1
+            if rows.size:
+                v[rows[:, None], cols] += (eta * t[rows] / scale)[:, None] * x
+                biases[rows] += eta * t[rows]
+                updates[rows] += 1
+        if epoch == 0:
+            objective_epoch1 = objectives(scale * v)
+
+    weights = scale * v
+    objective_final = objectives(weights)
+    model = LinearModel(
+        class_labels=tuple(labels),
+        weights=weights,
+        biases=biases,
+        trainer_tag="sgd",
+        fit_info={
+            label: {
+                "objective_epoch1": float(objective_epoch1[row]),
+                "objective_final": float(objective_final[row]),
+                "updates": int(updates[row]),
+            }
+            for row, label in enumerate(labels)
+        },
+    )
+    return model, classes_per_step
 
 
 def random_tokenized_doc(

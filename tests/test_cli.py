@@ -198,12 +198,16 @@ class TestTrain:
             line for line in capsys.readouterr().err.splitlines()
             if line.startswith("sgd class=")
         ]
-        labels = sorted({doc.label for doc in load_jsonl(train_path)})
+        docs = load_jsonl(train_path)
+        labels = sorted({doc.label for doc in docs})
         assert [line.split()[1] for line in lines] == [f"class={label}" for label in labels]
         for line in lines:
             fields = dict(item.split("=", 1) for item in line.split()[1:])
-            assert set(fields) == {"class", "objective_epoch1", "objective_final"}
+            assert set(fields) == {"class", "objective_epoch1", "objective_final", "updates"}
             assert 0.0 <= float(fields["objective_final"]) <= float(fields["objective_epoch1"])
+            # Every class is updated at the first step (all margins are 0),
+            # and no class more often than there are steps.
+            assert 1 <= int(fields["updates"]) <= TrainHyperparams().sgd_epochs * len(docs)
 
     def test_verbose_prints_stage_seconds(self, tmp_path, corpora, capsys):
         train_path, _ = corpora

@@ -190,6 +190,21 @@ INCONSISTENT_FILES = {
         "sgd", lambda p: p["vocabulary"]["terms"].append(list(p["vocabulary"]["terms"][-1]))
     ),
     "boolean_format_version": ("sgd", lambda p: p.update(format_version=True)),
+    # Numbers that int() would coerce into a loadable model.
+    "string_vocabulary_index": ("sgd", lambda p: p["vocabulary"]["terms"][0].__setitem__(1, "0")),
+    "boolean_vocabulary_index": (
+        "sgd", lambda p: p["vocabulary"]["terms"][1].__setitem__(1, True)
+    ),
+    "fractional_document_frequency": (
+        "sgd", lambda p: p["vocabulary"]["terms"][0].__setitem__(
+            2, p["vocabulary"]["terms"][0][2] + 0.7
+        )
+    ),
+    "string_n_docs": (
+        "nb", lambda p: p["vocabulary"].update(n_docs=str(p["vocabulary"]["n_docs"]))
+    ),
+    "fractional_created_unix_seconds": ("svm", lambda p: p.update(created_unix_seconds=1.9)),
+    "integer_config_digest": ("sgd", lambda p: p.update(preprocess_config_digest=5)),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from doccat.errors import SingleClassError
-from doccat.features import build_vocabulary, vectorize_corpus
+from doccat.features import CorpusMatrix, build_vocabulary, select_chi_features, vectorize_corpus
 from doccat.models import (
     LinearModel,
     TrainHyperparams,
@@ -15,7 +15,13 @@ from doccat.models import (
 )
 from doccat.textprep import preprocess_corpus
 
-from helpers import make_overlapping_corpus, matrix, predict_row, row_pairs
+from helpers import (
+    make_overlapping_corpus,
+    matrix,
+    predict_row,
+    reference_train_sgd,
+    row_pairs,
+)
 
 
 def separable_two_class(n_per_class=10):
@@ -162,11 +168,15 @@ class TestHingeObjective:
             )
 
 
-@pytest.fixture(scope="module")
-def three_class_tfidf(default_cfg):
-    docs = preprocess_corpus(make_overlapping_corpus(8, seed=11, n_categories=3), default_cfg)
+def overlapping_tfidf(cfg, n_categories):
+    docs = preprocess_corpus(make_overlapping_corpus(8, seed=11, n_categories=n_categories), cfg)
     vocab = build_vocabulary(docs)
     return vectorize_corpus(docs, vocab, "tfidf"), [doc.label for doc in docs]
+
+
+@pytest.fixture(scope="module")
+def three_class_tfidf(default_cfg):
+    return overlapping_tfidf(default_cfg, 3)
 
 
 class TestOneVsRestRows:
@@ -181,3 +191,91 @@ class TestOneVsRestRows:
             alone_row = alone.class_labels.index(label)
             assert model.weights[row] == pytest.approx(alone.weights[alone_row], abs=0)
             assert model.biases[row] == pytest.approx(alone.biases[alone_row], abs=0)
+
+
+def with_empty_rows(X, y, before, labels):
+    """X and y with an empty row, labeled from `labels` in turn, inserted
+    before each row index in `before` (X.shape[0] appends one)."""
+    lengths = np.insert(np.diff(X.indptr), before, 0)
+    y = list(y)
+    for count, index in enumerate(sorted(before, reverse=True)):
+        y.insert(index, labels[count % len(labels)])
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    return CorpusMatrix(indptr, X.indices, X.values, X.n_features), y
+
+
+def assert_matches_reference(X, y, hyper):
+    """train_sgd against the per-step reference, bit for bit; returns the
+    reference's count of steps per number of classes updated."""
+    model = train_sgd(X, y, hyper)
+    reference, classes_per_step = reference_train_sgd(X, y, hyper)
+    assert model.class_labels == reference.class_labels
+    assert model.weights.tobytes() == reference.weights.tobytes()
+    assert model.biases.tobytes() == reference.biases.tobytes()
+    assert model.fit_info == reference.fit_info
+    return classes_per_step
+
+
+class TestBlockScoringMatchesPerStepReference:
+    """Block scoring skips steps whose margins are all at least 1; the
+    weights, biases and fit_info must equal those of scoring every step."""
+
+    # Two one-vs-rest problems mirror each other, so a step updates both
+    # classes or neither; with three, a step updates any number of them.
+    @pytest.mark.parametrize("n_categories,classes_updated", [(2, {0, 2}), (3, {0, 1, 2, 3})])
+    def test_overlapping_tfidf(self, default_cfg, n_categories, classes_updated):
+        X, y = overlapping_tfidf(default_cfg, n_categories)
+        classes_per_step = assert_matches_reference(X, y, TrainHyperparams(seed=5))
+        assert set(classes_per_step) == classes_updated
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    def test_strong_decay(self, three_class_tfidf, alpha):
+        # Each step decays the scale by 1 / (t0 + t) of itself, so margins
+        # scored with the scale after the step instead of before would differ.
+        X, y = three_class_tfidf
+        assert_matches_reference(X, y, TrainHyperparams(sgd_alpha=alpha, sgd_epochs=10))
+
+    def test_chi2_counts_with_empty_rows_at_start_middle_and_end(self, default_cfg):
+        docs = preprocess_corpus(make_overlapping_corpus(20, seed=12, n_categories=3), default_cfg)
+        X = vectorize_corpus(docs, select_chi_features(docs, 30.0), "counts")
+        y = [doc.label for doc in docs]
+        X, y = with_empty_rows(X, y, [0, X.shape[0] // 2, X.shape[0]], sorted(set(y)))
+        lengths = np.diff(X.indptr)
+        assert lengths[0] == lengths[X.shape[0] // 2] == lengths[-1] == 0
+        assert X.shape[0] > 32  # longer than one block
+        assert_matches_reference(X, y, TrainHyperparams(seed=3))
+
+    def test_blocks_of_empty_rows(self):
+        # 40 of 44 rows are empty, so some blocks of several rows gather no entries.
+        rows = [{}] * 40 + [{0: 1.0}, {1: 2.0}, {0: 1.0, 2: 0.5}, {2: 3.0}]
+        y = ["a", "b"] * 20 + ["a", "b", "a", "b"]
+        assert_matches_reference(matrix(rows, 3), y, TrainHyperparams(sgd_epochs=20))
+
+    def test_all_rows_empty(self):
+        X, y = matrix([{}] * 10, 2), ["a", "b", "c", "a", "a", "b", "c", "a", "b", "a"]
+        assert_matches_reference(X, y, TrainHyperparams(sgd_epochs=5))
+        assert not train_sgd(X, y, TrainHyperparams(sgd_epochs=5)).weights.any()
+
+    @pytest.mark.parametrize("alpha", [1e8, 1e12])
+    def test_rescale_branch(self, alpha):
+        X, y = separable_two_class()
+        hyper = TrainHyperparams(sgd_alpha=alpha, sgd_epochs=5)
+        # Without a rescale, the scale after t steps telescopes to
+        # prod_s (t0 + s - 1) / (t0 + s) = t0 / (t0 + t): it falls below the
+        # 1e-9 floor within the run (at step 1 for alpha 1e12, step 11 for 1e8).
+        t0 = 1.0 / alpha
+        steps = np.arange(1, hyper.sgd_epochs * len(y) + 1)
+        floor_steps = np.flatnonzero(t0 / (t0 + steps) < 1e-9)
+        assert floor_steps.size and floor_steps[0] < len(y)
+        assert_matches_reference(X, y, hyper)
+
+    def test_rescale_inside_a_block_without_updates(self):
+        # Features of 1e9 push every margin far above 1 once each class has
+        # been updated, so the steps around the rescale (step 11) update
+        # nothing and share a block that has to end at the rescale.
+        X = matrix([{0: 1e9}, {1: 1e9}] * 20, 2)
+        y = ["neg", "pos"] * 20
+        classes_per_step = assert_matches_reference(
+            X, y, TrainHyperparams(sgd_alpha=1e8, sgd_epochs=3)
+        )
+        assert classes_per_step[0] > 100

@@ -5,10 +5,9 @@ per class label (labels sorted lexicographically), predicting by argmax of
 the per-class decision scores with ties broken toward the lexicographically
 smallest label. Each trainer takes the training corpus as one
 features.CorpusMatrix, reads the feature count from it, and fits every
-class in one loop over one weight matrix. Every trainer returns a
-LinearModel, scored as w_c . x + b_c with (classes x features) weights:
-`predict` labels a batch of documents and `predict_tokenized` is its
-one-document case.
+class in one loop over a (classes x features) weight matrix. Every trainer
+returns a LinearModel, scored as w_c . x + b_c: `predict` labels a batch of
+documents and `predict_tokenized` is its one-document case.
 
 * Naive Bayes uses Lidstone smoothing and accepts real-valued non-negative
   feature weights, so TF-IDF inputs are as valid as raw counts. Its log
@@ -69,11 +68,9 @@ MODEL_FORMAT_VERSION = 1
 SVM_TOLERANCE = 1e-3
 SVM_MAX_PASSES = 1000
 
-# The most SGD steps scored in one batch, the most whose rows are scored
-# one by one, and the scale below which the SGD decay is folded into the
-# weights.
+# The most SGD steps scored in one batch, and the scale below which the SGD
+# decay is folded into the weights.
 _SGD_BLOCK_ROWS = 32
-_SGD_ROWWISE_ROWS = 4
 _SGD_SCALE_FLOOR = 1e-9
 
 SELECTORS = ("tfidf", "chi2")
@@ -223,42 +220,6 @@ def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> LinearModel:
     )
 
 
-def _block_dots(
-    X: CorpusMatrix, v: np.ndarray, shifts: np.ndarray, lengths: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """(b, C) products x . v[:, c] of b rows of X, gathered straight from the
-    CSR arrays with one gather and one np.add.reduceat. With the rows laid
-    end to end, row k's `lengths[k]` entries sit at offsets[k] (offsets[0]
-    need not be 0), and at offsets[k] + shifts[k] of X. An empty row gives 0."""
-    first, stop = int(offsets[0]), int(offsets[-1] + lengths[-1])
-    if first == stop:
-        return np.zeros((len(lengths), v.shape[1]))
-    positions = shifts.repeat(lengths)
-    positions += np.arange(first, stop)
-    products = v.take(X.indices.take(positions), axis=0)
-    products *= X.values.take(positions)[:, None]
-    offsets = offsets - first
-    if np.count_nonzero(lengths) == len(lengths):
-        return np.add.reduceat(products, offsets, axis=0)
-    # reduceat sums from one offset to the next, so it must not see empty rows.
-    dots = np.zeros((len(lengths), v.shape[1]))
-    nonempty = lengths > 0
-    dots[nonempty] = np.add.reduceat(products, offsets[nonempty], axis=0)
-    return dots
-
-
-def _rowwise_dots(
-    X: CorpusMatrix, v: np.ndarray, bounds: list[int], rows: list[int]
-) -> np.ndarray:
-    """(b, C) products x . v[:, c] of the given rows of X, one matrix-vector
-    product each; for a few rows this costs less than `_block_dots`."""
-    return np.array([
-        X.values[bounds[row] : bounds[row + 1]]
-        @ v.take(X.indices[bounds[row] : bounds[row + 1]], axis=0)
-        for row in rows
-    ])
-
-
 def _first_rescale(scales: np.ndarray, start: int) -> int:
     """The first step at or after `start` whose decay takes the scale below
     _SGD_SCALE_FLOOR (scales[j + 1] is the scale after step j); the step
@@ -280,17 +241,15 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     Most steps update no class, so the steps are scored in blocks rather
     than one at a time. Each epoch's step sizes and the scale before and
     after every step come from one vectorized schedule. A block of up to
-    _SGD_BLOCK_ROWS consecutive steps is scored in one batch, each row with
-    its own pre-decay scale and the current biases; the steps before the
-    block's first margin below 1 change nothing, that step's update is
-    applied as a single step would apply it, and the next block starts
-    right after it. A block also ends at a rescale. The block size doubles
-    after a block without an update and shrinks to the distance of the last
-    update otherwise. Blocks of up to _SGD_ROWWISE_ROWS rows, common where
-    many steps update, are scored one matrix-vector product per row; larger
-    ones with one gather and np.add.reduceat. Either way the sums may run
-    in a different order from a per-step dot product, which can matter only
-    for a margin within rounding of exactly 1.
+    _SGD_BLOCK_ROWS consecutive steps is gathered from the CSR arrays once
+    and scored in one batch, each row with its own pre-decay scale and the
+    current biases. The steps before the first margin below 1 change
+    nothing; that step's update is applied as a single step would apply it,
+    the later rows' products with the updated classes are summed again
+    from the block's gathered entries, and the scan goes on after it. A
+    block also ends at a rescale. The block sums may run in a different
+    order from a per-step dot product, which can matter only for a margin
+    within rounding of exactly 1.
 
     Each row equals the model trained on its class alone, training is
     deterministic given (seed, corpus), and symmetric label swaps produce
@@ -301,29 +260,23 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     labels = _check_training_data(X, y)
     targets = _targets(y, labels)
     alpha = hyper.sgd_alpha
-    n_rows = X.shape[0]
-    # v[:, c] is class c's weight vector divided by `scale`; rows gather per feature.
-    v = np.zeros((X.n_features, len(labels)))
-    biases = np.zeros(len(labels))
-    updates = np.zeros(len(labels), dtype=int)
+    n_rows, n_classes = X.shape[0], len(labels)
+    v = np.zeros((n_classes, X.n_features))
+    biases = np.zeros(n_classes)
+    updates = np.zeros(n_classes, dtype=int)
     scale = 1.0
     t0 = 1.0 / alpha
     rng = np.random.default_rng(hyper.seed)
-    bounds, lengths = X.indptr.tolist(), np.diff(X.indptr)
-    block = _SGD_BLOCK_ROWS
-
-    def weights() -> np.ndarray:
-        # C-contiguous, so the objectives and predictions see the layout
-        # (and hence the dot-product rounding) of a (C, V) trainer.
-        return np.multiply(v.T, scale, order="C")
+    lengths = np.diff(X.indptr)
 
     for epoch in range(hyper.sgd_epochs):
         order = rng.permutation(n_rows)
-        order_list, row_lengths = order.tolist(), lengths[order]
+        row_lengths = lengths[order]
         # Step k's row order[k] is entries offsets[k]:offsets[k + 1] of the
         # epoch's rows laid end to end, and starts at offsets[k] + shifts[k] in X.
         offsets = np.concatenate(([0], np.cumsum(row_lengths)))
         shifts = X.indptr[order] - offsets[:-1]
+        offsets_list = offsets.tolist()
         etas = 1.0 / (alpha * (t0 + np.arange(epoch * n_rows + 1, (epoch + 1) * n_rows + 1)))
         decays = 1.0 - etas * alpha
         # scales[k] is the scale before step k of the epoch and scales[k + 1]
@@ -332,48 +285,66 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
         rescale = _first_rescale(scales, 0)
         begin = 0
         while begin < n_rows:
-            end = min(begin + block, rescale + 1, n_rows)
-            if end - begin <= _SGD_ROWWISE_ROWS:
-                dots = _rowwise_dots(X, v, bounds, order_list[begin:end])
-            else:
-                dots = _block_dots(
-                    X, v, shifts[begin:end], row_lengths[begin:end], offsets[begin:end]
+            end = min(begin + _SGD_BLOCK_ROWS, rescale + 1, n_rows)
+            lo = offsets_list[begin]
+            block_lengths = row_lengths[begin:end]
+            positions = shifts[begin:end].repeat(block_lengths)
+            positions += np.arange(lo, offsets_list[end])
+            cols, vals = X.indices.take(positions), X.values.take(positions)
+            # reduceat sums from one start to the next, so it must not see empty rows.
+            filled = block_lengths.nonzero()[0]
+            starts = offsets[begin:end][filled] - lo
+            products = v.take(cols, axis=1)
+            products *= vals
+            dots = np.zeros((end - begin, n_classes))
+            dots[filled] = np.add.reduceat(products, starts, axis=1).T
+            block_targets = targets.take(order[begin:end], axis=0)
+            first = 0  # the block's first row not yet scanned
+            while True:
+                below = (
+                    block_targets[first:]
+                    * (scales[begin + first : end, None] * dots[first:] + biases)
+                    < 1.0
                 )
-            scores = scales[begin:end, None] * dots + biases
-            below = targets.take(order[begin:end], axis=0) * scores < 1.0
-            first = int(below.argmax())  # the first margin below 1 in step order, if any
-            hit = below.item(first)
-            if hit:
-                end = begin + first // len(labels) + 1
-                block = end - begin
-            else:
-                block = min(2 * block, _SGD_BLOCK_ROWS)
-            step = end - 1
-            if step == rescale:
-                v *= scales[end]
-                scales[end:] = np.multiply.accumulate(np.concatenate(([1.0], decays[end:])))
-                rescale = _first_rescale(scales, end)
-            if hit:
-                updated = below[step - begin]
-                classes = updated.nonzero()[0]
-                row = order_list[step]
-                change = etas[step] * targets[row][classes]
-                entries = slice(bounds[row], bounds[row + 1])
-                v[X.indices[entries, None], classes] += np.multiply.outer(
-                    X.values[entries], change / scales[end]
-                )
-                biases[classes] += change
+                first_below = int(below.argmax())  # in step order
+                hit = below.item(first_below)
+                step = begin + first + first_below // n_classes if hit else end - 1
+                if step == rescale:  # after the step's scores, before its update
+                    v *= scales[step + 1]
+                    scales[step + 1 :] = np.multiply.accumulate(
+                        np.concatenate(([1.0], decays[step + 1 :]))
+                    )
+                    rescale = _first_rescale(scales, step + 1)
+                if not hit:
+                    break
+                updated = below[first_below // n_classes]
                 updates += updated
+                row = slice(offsets_list[step] - lo, offsets_list[step + 1] - lo)
+                first = step - begin + 1
+                # The filled rows after the step, and where their entries start.
+                rest = int(filled.searchsorted(first))
+                rest_start = offsets_list[begin + first] - lo
+                for c in updated.nonzero()[0].tolist():
+                    change = etas[step] * block_targets[step - begin, c]
+                    v[c, cols[row]] += vals[row] * (change / scales[step + 1])
+                    biases[c] += change
+                    rest_products = v[c].take(cols[rest_start:])
+                    rest_products *= vals[rest_start:]
+                    dots[filled[rest:], c] = np.add.reduceat(
+                        rest_products, starts[rest:] - rest_start
+                    )
+                if first == end - begin:
+                    break
             begin = end
         scale = scales[-1]
         if epoch == 0:
-            objective_epoch1 = _hinge_objectives(X, targets, weights(), biases, alpha)
+            objective_epoch1 = _hinge_objectives(X, targets, scale * v, biases, alpha)
 
-    final_weights = weights()
-    objective_final = _hinge_objectives(X, targets, final_weights, biases, alpha)
+    weights = scale * v
+    objective_final = _hinge_objectives(X, targets, weights, biases, alpha)
     return LinearModel(
         class_labels=tuple(labels),
-        weights=final_weights,
+        weights=weights,
         biases=biases,
         trainer_tag="sgd",
         fit_info={

@@ -29,6 +29,16 @@ def separable_two_class(n_per_class=10):
     return matrix([{0: 1.0}, {1: 1.0}] * n_per_class, 2), ["neg", "pos"] * n_per_class
 
 
+def real_valued_three_class(n_rows=40, n_features=6, seed=0):
+    """Rows of three random features in [0.1, 2), three classes in turn."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        dict(zip(rng.choice(n_features, 3, replace=False).tolist(), rng.uniform(0.1, 2.0, 3)))
+        for _ in range(n_rows)
+    ]
+    return matrix(rows, n_features), [("a", "b", "c")[row % 3] for row in range(n_rows)]
+
+
 class TestTrainSGD:
     def test_separable_data_reaches_full_accuracy(self):
         X, y = separable_two_class()
@@ -256,9 +266,10 @@ class TestBlockScoringMatchesPerStepReference:
         assert_matches_reference(X, y, TrainHyperparams(sgd_epochs=5))
         assert not train_sgd(X, y, TrainHyperparams(sgd_epochs=5)).weights.any()
 
+    @pytest.mark.parametrize("make_data", [separable_two_class, real_valued_three_class])
     @pytest.mark.parametrize("alpha", [1e8, 1e12])
-    def test_rescale_branch(self, alpha):
-        X, y = separable_two_class()
+    def test_rescale_branch(self, make_data, alpha):
+        X, y = make_data()
         hyper = TrainHyperparams(sgd_alpha=alpha, sgd_epochs=5)
         # Without a rescale, the scale after t steps telescopes to
         # prod_s (t0 + s - 1) / (t0 + s) = t0 / (t0 + t): it falls below the
@@ -267,7 +278,9 @@ class TestBlockScoringMatchesPerStepReference:
         steps = np.arange(1, hyper.sgd_epochs * len(y) + 1)
         floor_steps = np.flatnonzero(t0 / (t0 + steps) < 1e-9)
         assert floor_steps.size and floor_steps[0] < len(y)
-        assert_matches_reference(X, y, hyper)
+        # Such a decay keeps every margin below 1, so the rescale step also
+        # updates: v is rescaled after the step's scores and before its update.
+        assert assert_matches_reference(X, y, hyper)[0] == 0
 
     def test_rescale_inside_a_block_without_updates(self):
         # Features of 1e9 push every margin far above 1 once each class has

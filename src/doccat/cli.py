@@ -237,8 +237,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.model != "nb":
         for label, info in trained.model.fit_info.items():
             if args.model == "svm":
-                detail = (f"passes={info['passes']} violation={info['violation']:.3e} "
-                          f"converged={info['converged']}")
+                detail = (f"passes={info['passes']} updates={info['updates']} "
+                          f"violation={info['violation']:.3e} converged={info['converged']}")
             else:
                 detail = (f"objective_epoch1={info['objective_epoch1']:.6e} "
                           f"objective_final={info['objective_final']:.6e} "

@@ -28,8 +28,12 @@ documents and `predict_tokenized` is its one-document case.
 
 The classes share the seeded example order and, for SGD, the step size,
 so every row of a trained model equals the model of its binary problem
-trained alone. Training runs single-threaded. Trained models are immutable
-and safe for concurrent prediction.
+trained alone: bit for bit for NB and SGD, within rounding for the SVM.
+The SVM scores all classes of a step with one matrix-vector product, whose
+rounding depends on the number of classes; on a 12-class corpus its rows
+differed from the rows trained alone by up to 1.6e-15. Training runs
+single-threaded. Trained models are immutable and safe for concurrent
+prediction.
 """
 
 from __future__ import annotations
@@ -379,52 +383,65 @@ def train_svm(
     Each pass visits the examples in a fresh permutation drawn from a
     generator seeded with `hyper.seed` (Hsieh et al., ICML 2008), so corpora
     grouped by label converge and training is deterministic given (seed,
-    corpus). All classes share the pass: each step updates every class that
-    is still running, and a class stops once its largest projected-gradient
-    violation, measured again on the final iterate, is below `tolerance`.
-    The bias is a constant-1 feature kept in its own vector. A class that
-    exhausts `max_passes` emits a ConvergenceWarning and marks the model,
-    which is still returned.
+    corpus). All classes share the pass, and a class stops once its largest
+    projected-gradient violation, measured again on the final iterate, is
+    below `tolerance`. The bias is a constant-1 feature kept in its own
+    vector. A class that exhausts `max_passes` emits a ConvergenceWarning
+    and marks the model, which is still returned.
+
+    A step gathers the example's columns of the weight matrix once, scores
+    every class with them and writes them back updated. A stopped class's
+    curvature is infinite for the pass, so its step is exactly zero and
+    leaves its alpha and weights unchanged. Each step records its gradients
+    and the alphas it started from; the pass's violation is taken from
+    those records once, after the pass. `fit_info` holds per class
+    `updates`, the number of steps that changed the class's alpha.
     """
     labels = _check_training_data(X, y)
     targets = _targets(y, labels)
-    n_classes = len(labels)
+    n_rows, n_classes = len(y), len(labels)
     c = hyper.svm_c
-    alphas = np.zeros((len(y), n_classes))
+    alphas = np.zeros((n_rows, n_classes))
     weights = np.zeros((n_classes, X.n_features))
     biases = np.zeros(n_classes)
     bounds = X.indptr.tolist()
-    q_diag = [
+    q_diag = np.array([
         float(X.values[start:end] @ X.values[start:end]) + 1.0
         for start, end in zip(bounds, bounds[1:])
-    ]
+    ])
     rng = np.random.default_rng(hyper.seed)
+    # Each pass's gradient and starting alphas of every step, by example.
+    gradients = np.empty((n_rows, n_classes))
+    visited = np.empty((n_rows, n_classes))
 
     running = np.ones(n_classes, dtype=bool)
     converged = np.zeros(n_classes, dtype=bool)
     passes = np.zeros(n_classes, dtype=int)
+    updates = np.zeros(n_classes, dtype=int)
     violation = np.full(n_classes, np.inf)
     for _ in range(max_passes):
         if not running.any():
             break
         passes[running] += 1
-        sweep_violation = np.zeros(n_classes)
-        for i in rng.permutation(len(y)).tolist():
+        curvature = q_diag[:, None] * np.where(running, 1.0, np.inf)
+        for i in rng.permutation(n_rows).tolist():
             start, end = bounds[i], bounds[i + 1]
             cols, x = X.indices[start:end], X.values[start:end]
             t, a = targets[i], alphas[i]
-            gradient = t * (weights.take(cols, axis=1) @ x + biases) - 1.0
-            np.maximum(
-                sweep_violation, np.abs(_projected_gradient(gradient, a, c)), out=sweep_violation
-            )
-            updated = np.minimum(np.maximum(a - gradient / q_diag[i], 0.0), c)
-            # A zero projected gradient leaves `updated` equal to `a`.
-            rows = np.flatnonzero(running & (updated != a))
-            if rows.size:
-                delta = (updated[rows] - a[rows]) * t[rows]
-                a[rows] = updated[rows]
-                weights[rows[:, None], cols] += delta[:, None] * x
-                biases[rows] += delta
+            local = weights.take(cols, axis=1)
+            gradient = t * (local @ x + biases) - 1.0
+            gradients[i] = gradient
+            visited[i] = a
+            updated = np.minimum(np.maximum(a - gradient / curvature[i], 0.0), c)
+            # A zero projected gradient leaves `updated` equal to `a`, and
+            # then the zero delta leaves the weights and the bias as they are.
+            delta = (updated - a) * t
+            a[:] = updated
+            local += delta[:, None] * x
+            weights[:, cols] = local
+            biases += delta
+        updates += (alphas != visited).sum(axis=0)
+        sweep_violation = np.abs(_projected_gradient(gradients, visited, c)).max(axis=0)
         violation[running] = sweep_violation[running]
         # Gradients measured mid-sweep go stale as later updates move w, so
         # confirm convergence against the final iterate before stopping.
@@ -448,6 +465,7 @@ def train_svm(
             "primal_objective": float(0.5 * squared_norms[row] + c * hinge_sums[row]),
             "violation": float(violation[row]),
             "passes": int(passes[row]),
+            "updates": int(updates[row]),
             "converged": bool(converged[row]),
         }
         if not converged[row]:

@@ -208,6 +208,109 @@ def reference_train_sgd(
     return model, classes_per_step
 
 
+def reference_train_svm(
+    X: CorpusMatrix, y: list[str], hyper: TrainHyperparams, tolerance: float, max_passes: int
+) -> LinearModel:
+    """The per-step form of `models.train_svm`.
+
+    Every step scores one example against all classes, accumulates the
+    violation, and updates only the running classes whose alpha changes,
+    through a 2-D fancy-index scatter; stopped classes are masked out. The
+    pass-end check and `fit_info` repeat `models.train_svm` operation for
+    operation, so the result can be compared bit for bit. No warning is
+    emitted.
+    """
+    labels = sorted(set(y))
+    if len(labels) < 2:
+        raise SingleClassError("training corpus has one class")
+    targets = np.where(np.asarray(y)[:, None] == np.asarray(labels)[None, :], 1.0, -1.0)
+    n_classes = len(labels)
+    c = hyper.svm_c
+    alphas = np.zeros((len(y), n_classes))
+    weights = np.zeros((n_classes, X.n_features))
+    biases = np.zeros(n_classes)
+    bounds = X.indptr.tolist()
+    q_diag = [
+        float(X.values[start:end] @ X.values[start:end]) + 1.0
+        for start, end in zip(bounds, bounds[1:])
+    ]
+    rng = np.random.default_rng(hyper.seed)
+
+    def projected_gradient(gradient, alpha):
+        return np.where(
+            alpha <= 0.0,
+            np.minimum(gradient, 0.0),
+            np.where(alpha >= c, np.maximum(gradient, 0.0), gradient),
+        )
+
+    def margins_of(weights, biases):
+        scores = np.empty((len(y), n_classes))
+        for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            scores[row] = weights[:, X.indices[start:end]] @ X.values[start:end]
+        scores += biases
+        return targets * scores
+
+    running = np.ones(n_classes, dtype=bool)
+    converged = np.zeros(n_classes, dtype=bool)
+    passes = np.zeros(n_classes, dtype=int)
+    updates = np.zeros(n_classes, dtype=int)
+    violation = np.full(n_classes, np.inf)
+    for _ in range(max_passes):
+        if not running.any():
+            break
+        passes[running] += 1
+        sweep_violation = np.zeros(n_classes)
+        for i in rng.permutation(len(y)).tolist():
+            start, end = bounds[i], bounds[i + 1]
+            cols, x = X.indices[start:end], X.values[start:end]
+            t, a = targets[i], alphas[i]
+            gradient = t * (weights.take(cols, axis=1) @ x + biases) - 1.0
+            np.maximum(
+                sweep_violation, np.abs(projected_gradient(gradient, a)), out=sweep_violation
+            )
+            updated = np.minimum(np.maximum(a - gradient / q_diag[i], 0.0), c)
+            rows = np.flatnonzero(running & (updated != a))
+            if rows.size:
+                delta = (updated[rows] - a[rows]) * t[rows]
+                a[rows] = updated[rows]
+                weights[rows[:, None], cols] += delta[:, None] * x
+                biases[rows] += delta
+                updates[rows] += 1
+        violation[running] = sweep_violation[running]
+        check = running & (sweep_violation < tolerance)
+        if check.any():
+            margins = margins_of(weights, biases)
+            final = np.abs(projected_gradient(margins - 1.0, alphas)).max(axis=0)
+            violation[check] = final[check]
+            converged |= check & (final < tolerance)
+            running &= ~converged
+
+    margins = margins_of(weights, biases)
+    squared_norms = np.einsum("ij,ij->i", weights, weights) + biases * biases
+    hinge_sums = np.maximum(0.0, 1.0 - margins).sum(axis=0)
+    fit_info = {
+        label: {
+            "alphas": alphas[:, row].copy(),
+            "margins": margins[:, row].copy(),
+            "dual_objective": float(alphas[:, row].sum() - 0.5 * squared_norms[row]),
+            "primal_objective": float(0.5 * squared_norms[row] + c * hinge_sums[row]),
+            "violation": float(violation[row]),
+            "passes": int(passes[row]),
+            "updates": int(updates[row]),
+            "converged": bool(converged[row]),
+        }
+        for row, label in enumerate(labels)
+    }
+    return LinearModel(
+        class_labels=tuple(labels),
+        weights=weights,
+        biases=biases,
+        trainer_tag="svm",
+        converged=bool(converged.all()),
+        fit_info=fit_info,
+    )
+
+
 def random_tokenized_doc(
     rng: np.random.Generator,
     max_sentences: int = 5,

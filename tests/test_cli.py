@@ -181,11 +181,16 @@ class TestTrain:
             line for line in capsys.readouterr().err.splitlines()
             if line.startswith("svm class=")
         ]
-        labels = sorted({doc.label for doc in load_jsonl(train_path)})
+        docs = load_jsonl(train_path)
+        labels = sorted({doc.label for doc in docs})
         assert [line.split()[1] for line in lines] == [f"class={label}" for label in labels]
         for line in lines:
             fields = dict(item.split("=", 1) for item in line.split()[1:])
+            assert set(fields) == {"class", "passes", "updates", "violation", "converged"}
             assert int(fields["passes"]) >= 1
+            # The first step meets every gradient at -1 and so changes every
+            # class's alpha; a pass has one step per document.
+            assert 1 <= int(fields["updates"]) <= int(fields["passes"]) * len(docs)
             assert float(fields["violation"]) < 1e-3
             assert fields["converged"] == "True"
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from doccat.errors import ConvergenceWarning, SingleClassError
-from doccat.features import build_vocabulary, vectorize_corpus
+from doccat.features import build_vocabulary, select_chi_features, vectorize_corpus
 from doccat.models import (
+    SVM_MAX_PASSES,
     SVM_TOLERANCE,
     TrainHyperparams,
     predict_tokenized,
@@ -14,7 +15,7 @@ from doccat.models import (
 )
 from doccat.textprep import preprocess_corpus
 
-from helpers import make_overlapping_corpus, matrix, predict_row
+from helpers import make_overlapping_corpus, matrix, predict_row, reference_train_svm
 
 
 def two_point_problem():
@@ -147,6 +148,58 @@ class TestOverlappingCorpus:
             assert m2.fit_info[label]["dual_objective"] == pytest.approx(
                 m1.fit_info[label]["dual_objective"], rel=1e-3
             ), label
+
+
+def overlapping_matrix(tokens, selector):
+    if selector == "tfidf":
+        X = vectorize_corpus(tokens, build_vocabulary(tokens), "tfidf")
+    else:
+        X = vectorize_corpus(tokens, select_chi_features(tokens, 30.0), "counts")
+    return X, [doc.label for doc in tokens]
+
+
+def assert_matches_reference(X, y, max_passes):
+    hyper = TrainHyperparams()
+    model = train_svm(X, y, hyper, max_passes=max_passes)
+    reference = reference_train_svm(X, y, hyper, SVM_TOLERANCE, max_passes)
+    assert model.class_labels == reference.class_labels
+    assert np.array_equal(model.weights, reference.weights)
+    assert np.array_equal(model.biases, reference.biases)
+    assert model.converged == reference.converged
+    for label, expected in reference.fit_info.items():
+        info = model.fit_info[label]
+        assert info.keys() == expected.keys(), label
+        for key, value in expected.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(info[key], value), (label, key)
+            else:
+                assert info[key] == value, (label, key)
+    return model
+
+
+class TestMatchesPerStepReference:
+    """The step shares one gather between gradient and update, steps the
+    stopped classes by zero and takes the violation once per pass; the
+    result must equal that of the per-step loop with masked classes."""
+
+    @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
+    def test_overlapping_corpus(self, overlapping_tokens, selector):
+        model = assert_matches_reference(
+            *overlapping_matrix(overlapping_tokens, selector), SVM_MAX_PASSES
+        )
+        assert model.converged
+        passes = [info["passes"] for info in model.fit_info.values()]
+        # Classes that stop early are carried through later passes.
+        assert min(passes) < max(passes)
+        for info in model.fit_info.values():
+            assert 0 < info["updates"] <= info["passes"] * len(info["alphas"])
+
+    def test_capped_run(self, overlapping_tokens):
+        X, y = overlapping_matrix(overlapping_tokens, "tfidf")
+        with pytest.warns(ConvergenceWarning):
+            model = assert_matches_reference(X, y, max_passes=3)
+        assert not model.converged
+        assert all(info["passes"] == 3 for info in model.fit_info.values())
 
 
 class TestOneVsRestRows:

@@ -214,6 +214,23 @@ def _diag(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _diag_seconds(args: argparse.Namespace, name: str, seconds: dict[str, float]) -> None:
+    _diag(args, f"{name} " + " ".join(f"{stage}={value:.4f}" for stage, value in seconds.items()))
+
+
+def _diag_fit(args: argparse.Namespace, model: models.LinearModel) -> None:
+    """One stderr line of solver diagnostics per class, for SGD and SVM models."""
+    for label, info in (model.fit_info or {}).items():
+        if model.trainer_tag == "svm":
+            detail = (f"passes={info['passes']} updates={info['updates']} "
+                      f"violation={info['violation']:.3e} converged={info['converged']}")
+        else:
+            detail = (f"objective_epoch1={info['objective_epoch1']:.6e} "
+                      f"objective_final={info['objective_final']:.6e} "
+                      f"updates={info['updates']}")
+        _diag(args, f"{model.trainer_tag} class={label} {detail}")
+
+
 def cmd_preprocess(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.corpus)
     _diag(args, f"loaded {len(corpus)} documents, {len(corpus.labels)} labels")
@@ -231,19 +248,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     _diag(args, f"loaded {len(corpus)} documents, {len(corpus.labels)} labels")
     _diag(args, f"resolved hyperparameters: {hyper}")
     trained = models.train(corpus, args.features, args.model, hyper, config)
-    _diag(args, "stage " + " ".join(
-        f"{stage}={seconds:.4f}" for stage, seconds in trained.stage_seconds.items()
-    ))
-    if args.model != "nb":
-        for label, info in trained.model.fit_info.items():
-            if args.model == "svm":
-                detail = (f"passes={info['passes']} updates={info['updates']} "
-                          f"violation={info['violation']:.3e} converged={info['converged']}")
-            else:
-                detail = (f"objective_epoch1={info['objective_epoch1']:.6e} "
-                          f"objective_final={info['objective_final']:.6e} "
-                          f"updates={info['updates']}")
-            _diag(args, f"{args.model} class={label} {detail}")
+    _diag_seconds(args, "stage", trained.stage_seconds)
+    _diag_fit(args, trained.model)
     models.save_model(trained, args.out)
     print(
         f"features={len(trained.vocabulary)} train_sec={trained.train_seconds:.4f} "
@@ -291,6 +297,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = build_preprocess_config(args)
     corpus = _load_corpus(args.corpus)
     report = evaluation.evaluate(trained, corpus, config)
+    _diag_fit(args, trained.model)
+    _diag_seconds(args, "predict", report.predict_stage_seconds)
     if args.report:
         evaluation.write_report(report, args.report)
     print(

@@ -29,6 +29,7 @@ from .errors import (
     SingleClassError,
     UnknownLabelError,
 )
+from .features import vectorize_corpus
 from .fileio import atomic_write_text
 from .models import (
     CLASSIFIERS,
@@ -37,7 +38,7 @@ from .models import (
     Selector,
     TrainedModel,
     TrainHyperparams,
-    predict,
+    predict_linear,
     save_model,
     train_from_tokens,
 )
@@ -51,6 +52,9 @@ METHOD_ORDER: tuple[str, ...] = (
     "CHI-SQUARE+SVM",
     "TFIDF+SVM",
 )
+
+# The timed stages of prediction, in the order they run.
+PREDICT_STAGES = ("vectorize", "score")
 
 _SELECTOR_NAMES = {"tfidf": "TFIDF", "chi2": "CHI-SQUARE"}
 _CLASSIFIER_NAMES = {"nb": "NB", "sgd": "SGD", "svm": "SVM"}
@@ -89,7 +93,8 @@ class ClassMetrics:
 class EvaluationReport:
     """One benchmark row: per-class and macro P/R/F1, accuracy, wall times.
 
-    `stage_seconds` splits `train_seconds` into the model's training stages;
+    `stage_seconds` splits `train_seconds` into the model's training stages
+    and `predict_stage_seconds` splits `predict_seconds` into PREDICT_STAGES;
     `preprocess_seconds` is the time spent preprocessing the scored test
     documents.
     """
@@ -105,6 +110,7 @@ class EvaluationReport:
     preprocess_seconds: float = 0.0
     confusion: ConfusionMatrix | None = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    predict_stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -176,16 +182,21 @@ def _evaluate_tokenized(
     for doc in docs:
         if doc.label not in trained.class_labels:
             raise UnknownLabelError(doc.label)
-    started = time.perf_counter()
-    y_pred, _ = predict(trained, docs)
-    predict_seconds = time.perf_counter() - started
+    clock = [time.perf_counter()]
+    X = vectorize_corpus(docs, trained.vocabulary, trained.feature_mode)
+    clock.append(time.perf_counter())
+    y_pred, _ = predict_linear(trained.model, X)
+    clock.append(time.perf_counter())
 
     y_true = [doc.label for doc in docs]
     report = metrics_from_matrix(confusion_matrix(y_true, y_pred, trained.class_labels))
     report.method_name = name
     report.train_seconds = trained.train_seconds
     report.stage_seconds = dict(trained.stage_seconds)
-    report.predict_seconds = predict_seconds
+    report.predict_stage_seconds = {
+        stage: end - start for stage, start, end in zip(PREDICT_STAGES, clock, clock[1:])
+    }
+    report.predict_seconds = sum(report.predict_stage_seconds.values())
     report.preprocess_seconds = preprocess_seconds
     return report
 
@@ -201,8 +212,8 @@ def evaluate(
     The preprocessing config must be the one the model was trained with
     (checked by digest). A test label outside the model's label set raises
     UnknownLabelError. `predict_seconds` covers vectorization plus
-    prediction over the full pass, and `preprocess_seconds` the
-    preprocessing before it.
+    prediction over the full pass, `predict_stage_seconds` splits it into
+    the two, and `preprocess_seconds` is the preprocessing before it.
     """
     if config.digest() != trained.preprocess_config_digest:
         raise PreprocessMismatchError(
@@ -257,6 +268,7 @@ def benchmark(
             report.predict_seconds = 0.0
             report.preprocess_seconds = 0.0
             report.stage_seconds = dict.fromkeys(report.stage_seconds, 0.0)
+            report.predict_stage_seconds = dict.fromkeys(report.predict_stage_seconds, 0.0)
         if out_dir is not None:
             stem = name.replace("+", "_").replace("-", "_")
             save_model(trained, Path(out_dir) / f"model_{stem}.json")
@@ -307,6 +319,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "method": report.method_name,
         "train_seconds": report.train_seconds,
         "predict_seconds": report.predict_seconds,
+        "predict_stage_seconds": report.predict_stage_seconds,
         "preprocess_seconds": report.preprocess_seconds,
         "stage_seconds": report.stage_seconds,
         "accuracy": report.accuracy,

@@ -66,7 +66,9 @@ class Vocabulary:
     """Term to feature-index map with document frequencies.
 
     Indices are dense 0-based and assigned in lexicographic term order, so
-    the same documents always produce the same feature space.
+    the same documents always produce the same feature space. `terms` holds
+    the terms in that order, so its keys are the feature space as the model
+    file stores it.
     """
 
     terms: dict[str, int]
@@ -74,8 +76,9 @@ class Vocabulary:
     n_docs: int
 
     def __post_init__(self) -> None:
-        if set(self.terms.values()) != set(range(len(self.terms))):
-            raise ValueError("vocabulary indices must be dense 0..V-1")
+        terms = list(self.terms)
+        if list(self.terms.values()) != list(range(len(terms))) or terms != sorted(terms):
+            raise ValueError("vocabulary terms must map in ascending order to indices 0..V-1")
         if set(self.doc_freq) != set(self.terms):
             raise ValueError("doc_freq keys must match terms")
         for term, df in self.doc_freq.items():

@@ -34,12 +34,25 @@ rounding depends on the number of classes; on a 12-class corpus its rows
 differed from the rows trained alone by up to 1.6e-15. Training runs
 single-threaded. Trained models are immutable and safe for concurrent
 prediction.
+
+`save_model` writes a trained model as one JSON document (format version
+2): the pipeline identity, the vocabulary as its terms in ascending order
+(a term's position is its feature index) with their document frequencies,
+whether training converged, a per-class `fit` block of solver diagnostics
+(SGD and SVM only) and each parameter as the base64 of its little-endian
+float64 bytes with its shape. Parameters round-trip bit for bit, and
+saving a loaded model writes the same bytes. `load_model` checks the file
+before use and rejects other format versions: a version 1 file needs
+retraining.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -67,7 +80,7 @@ from .features import (
 from .fileio import atomic_write_text
 from .textprep import PreprocessConfig, TokenizedDocument, preprocess_corpus
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 SVM_TOLERANCE = 1e-3
 SVM_MAX_PASSES = 1000
@@ -591,13 +604,12 @@ _PARAMETER_KEYS: dict[str, dict[str, str]] = {
     "svm": {"weights": "weights", "biases": "biases"},
 }
 
-
-def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
-    ordered = sorted(vocab.terms.items(), key=lambda item: item[1])
-    return {
-        "n_docs": vocab.n_docs,
-        "terms": [[term, index, vocab.doc_freq[term]] for term, index in ordered],
-    }
+# The per-class fit diagnostics a model file keeps, with their JSON types,
+# for the trainers that have any. Alphas, margins and timings stay out.
+_FIT_FIELDS: dict[str, dict[str, type]] = {
+    "sgd": {"objective_epoch1": float, "objective_final": float, "updates": int},
+    "svm": {"passes": int, "updates": int, "violation": float, "converged": bool},
+}
 
 
 def _strict_int(value: object, key: str) -> int:
@@ -607,19 +619,99 @@ def _strict_int(value: object, key: str) -> int:
     return value
 
 
+def _all_of_type(values: list, kind: type) -> bool:
+    # `type`, not isinstance, for the reason given in _strict_int.
+    return set(map(type, values)) <= {kind}
+
+
+def _ascending_strings(values: object, key: str) -> list[str]:
+    """`values` if it is a list of strings in strictly ascending order."""
+    if not isinstance(values, list) or not _all_of_type(values, str):
+        raise ModelFormatError(f"{key} must be a list of strings")
+    if not all(map(operator.lt, values, values[1:])):
+        raise ModelFormatError(f"{key} must be unique and in ascending order")
+    return values
+
+
+def _array_to_payload(values: np.ndarray) -> dict:
+    """The shape and the base64 of the little-endian float64 bytes, in C order."""
+    raw = values.astype("<f8", copy=False).tobytes()
+    return {"shape": list(values.shape), "base64": base64.b64encode(raw).decode("ascii")}
+
+
+def _array_from_payload(payload: dict, key: str) -> np.ndarray:
+    shape = payload["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ModelFormatError(f"{key} shape must be a list of non-negative integers")
+    try:
+        raw = base64.b64decode(payload["base64"], validate=True)
+    except binascii.Error as exc:
+        raise ModelFormatError(f"{key} is not valid base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ModelFormatError(f"{key} holds {len(raw)} bytes, not 8 per value of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(shape)
+
+
+def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
+    terms = list(vocab.terms)
+    return {
+        "n_docs": vocab.n_docs,
+        "terms": terms,
+        "doc_freq": [vocab.doc_freq[term] for term in terms],
+    }
+
+
 def _vocabulary_from_payload(payload: dict) -> Vocabulary:
-    entries = payload["terms"]
-    terms = {term: _strict_int(index, "vocabulary index") for term, index, _ in entries}
-    if len(terms) != len(entries) or not all(isinstance(term, str) for term in terms):
-        raise ModelFormatError("vocabulary terms must be distinct strings")
-    doc_freq = {term: _strict_int(df, "document frequency") for term, _, df in entries}
+    """The vocabulary whose feature indices are the positions of its terms;
+    Vocabulary checks that every document frequency is in [1, n_docs]."""
+    terms = _ascending_strings(payload["terms"], "vocabulary terms")
+    doc_freq = payload["doc_freq"]
+    if (
+        not isinstance(doc_freq, list)
+        or len(doc_freq) != len(terms)
+        or not _all_of_type(doc_freq, int)
+    ):
+        raise ModelFormatError(f"vocabulary doc_freq must be a list of {len(terms)} integers")
     return Vocabulary(
-        terms=terms, doc_freq=doc_freq, n_docs=_strict_int(payload["n_docs"], "n_docs")
+        terms=dict(zip(terms, range(len(terms)))),
+        doc_freq=dict(zip(terms, doc_freq)),
+        n_docs=_strict_int(payload["n_docs"], "n_docs"),
     )
 
 
+def _fit_to_payload(model: LinearModel) -> dict | None:
+    fields = _FIT_FIELDS.get(model.trainer_tag)
+    if fields is None:
+        return None
+    return {
+        label: {key: model.fit_info[label][key] for key in fields}
+        for label in model.class_labels
+    }
+
+
+def _fit_from_payload(fit: object, model_type: str, labels: list[str]) -> dict | None:
+    fields = _FIT_FIELDS.get(model_type)
+    if fields is None:
+        if fit is not None:
+            raise ModelFormatError(f"a {model_type} model file has no fit block")
+        return None
+    if not isinstance(fit, dict) or list(fit) != labels:
+        raise ModelFormatError("the fit block's classes differ from class_labels")
+    for label, info in fit.items():
+        if not isinstance(info, dict) or set(info) != set(fields):
+            raise ModelFormatError(f"fit block of class {label!r} must hold {', '.join(fields)}")
+        for key, kind in fields.items():
+            if type(info[key]) is not kind:
+                raise ModelFormatError(
+                    f"fit {key} of class {label!r} must be of type {kind.__name__}, "
+                    f"got {info[key]!r}"
+                )
+    return fit
+
+
 def model_to_dict(trained: TrainedModel) -> dict:
-    """The model-file payload; floats round-trip exactly through JSON."""
+    """The model-file payload. Each parameter is stored as the base64 of its
+    float64 bytes with its shape, so it round-trips exactly."""
     model = trained.model
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -630,9 +722,11 @@ def model_to_dict(trained: TrainedModel) -> dict:
         "vocabulary": _vocabulary_to_payload(trained.vocabulary),
         "model_type": model.trainer_tag,
         "class_labels": list(model.class_labels),
+        "converged": model.converged,
+        "fit": _fit_to_payload(model),
     }
     for name, key in _PARAMETER_KEYS[model.trainer_tag].items():
-        payload[key] = getattr(model, name).tolist()
+        payload[key] = _array_to_payload(getattr(model, name))
     return payload
 
 
@@ -657,11 +751,15 @@ def _check_loaded(trained: TrainedModel) -> None:
 
 def load_model(path: str | Path) -> TrainedModel:
     """Load a model file; raises ModelFormatError on any schema problem, on
-    an unknown (selector, feature_mode) pair, on class labels that are not
-    unique sorted strings, on vocabulary terms that are not distinct
-    strings, on a count, index or timestamp that is not a JSON integer, on
-    a digest that is not a string, on parameters whose shapes do not match
-    the labels and vocabulary and on a non-finite parameter."""
+    a format version other than MODEL_FORMAT_VERSION (an older file needs
+    retraining), on an unknown (selector, feature_mode) pair, on class
+    labels or vocabulary terms that are not strings in strictly ascending
+    order, on a count, document frequency or timestamp that is not a JSON
+    integer, on a document frequency outside [1, n_docs], on a digest that
+    is not a string, on a fit block whose classes or fields do not match,
+    on parameter bytes that are not base64 of 8 bytes per value of their
+    shape, on shapes that do not match the labels and vocabulary and on a
+    non-finite parameter."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -669,7 +767,10 @@ def load_model(path: str | Path) -> TrainedModel:
     try:
         version = _strict_int(payload["format_version"], "format_version")
         if version != MODEL_FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported model format version {version!r}")
+            raise ModelFormatError(
+                f"model format version {version} is not readable: this doccat reads "
+                f"version {MODEL_FORMAT_VERSION} only, so retrain the model"
+            )
         selector, feature_mode = payload["selector"], payload["feature_mode"]
         if FEATURE_MODES.get(selector) != feature_mode:
             raise ModelFormatError(
@@ -678,20 +779,29 @@ def load_model(path: str | Path) -> TrainedModel:
         model_type = payload["model_type"]
         if model_type not in _PARAMETER_KEYS:
             raise ModelFormatError(f"unknown model type {model_type!r}")
-        labels = payload["class_labels"]
-        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-            raise ModelFormatError(f"class_labels must be a list of strings, got {labels!r}")
-        if labels != sorted(set(labels)):
-            raise ModelFormatError(f"class_labels must be unique and sorted, got {labels}")
+        labels = _ascending_strings(payload["class_labels"], "class_labels")
+        converged = payload["converged"]
+        if type(converged) is not bool:
+            raise ModelFormatError(f"converged must be a boolean, got {converged!r}")
+        fit_info = _fit_from_payload(payload["fit"], model_type, labels)
+        # A class whose fit block has no `converged` counts as converged.
+        if converged != all(info.get("converged", True) for info in (fit_info or {}).values()):
+            raise ModelFormatError("converged disagrees with the fit block's classes")
         parameters = {
-            name: np.asarray(payload[key], dtype=np.float64)
+            name: _array_from_payload(payload[key], key)
             for name, key in _PARAMETER_KEYS[model_type].items()
         }
         digest = payload["preprocess_config_digest"]
         if not isinstance(digest, str):
             raise ModelFormatError(f"preprocess_config_digest must be a string, got {digest!r}")
         trained = TrainedModel(
-            model=LinearModel(class_labels=tuple(labels), trainer_tag=model_type, **parameters),
+            model=LinearModel(
+                class_labels=tuple(labels),
+                trainer_tag=model_type,
+                converged=converged,
+                fit_info=fit_info,
+                **parameters,
+            ),
             vocabulary=_vocabulary_from_payload(payload["vocabulary"]),
             selector=selector,
             preprocess_config_digest=digest,

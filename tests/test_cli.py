@@ -333,6 +333,30 @@ class TestEvaluate:
         assert payload["macro_f1"] == 1.0
         assert payload["method"] == "TFIDF+NB"
 
+    @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
+    def test_verbose_prints_fit_block_and_predict_stages(
+        self, classifier, tmp_path, corpora, capsys
+    ):
+        train_path, test_path = corpora
+        main(["train", "-v", "--corpus", str(train_path), "--features", "tfidf",
+              "--model", classifier, "--out", str(tmp_path / "m.json")])
+        trained_fit = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith(f"{classifier} class=")
+        ]
+        code = main(["evaluate", "-v", "--model", str(tmp_path / "m.json"),
+                     "--corpus", str(test_path)])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        # The reloaded model prints the lines training printed.
+        assert [line for line in err if line.startswith(f"{classifier} class=")] == trained_fit
+        assert len(trained_fit) == (0 if classifier == "nb" else 3)
+        stages = [line for line in err if line.startswith("predict ")]
+        assert len(stages) == 1
+        fields = dict(item.split("=", 1) for item in stages[0].split()[1:])
+        assert list(fields) == ["vectorize", "score"]
+        assert all(float(value) >= 0 for value in fields.values())
+
     def test_unseen_label_names_the_label(self, tmp_path, corpora, capsys):
         model_path = train_model(tmp_path, corpora)
         capsys.readouterr()

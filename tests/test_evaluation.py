@@ -148,6 +148,8 @@ class TestEvaluate:
         assert report.macro_f1 == 1.0
         assert report.method_name == "TFIDF+NB"
         assert report.predict_seconds > 0
+        assert list(report.predict_stage_seconds) == ["vectorize", "score"]
+        assert report.predict_seconds == sum(report.predict_stage_seconds.values())
         assert report.preprocess_seconds > 0
 
     def test_unseen_label_rejected(self, synth_train, default_cfg):
@@ -224,11 +226,14 @@ class TestBenchmark:
         for report in result.reports:
             assert list(report.stage_seconds) == ["features", "vectorize", "fit"]
             assert report.train_seconds == sum(report.stage_seconds.values())
+            assert list(report.predict_stage_seconds) == ["vectorize", "score"]
+            assert report.predict_seconds == sum(report.predict_stage_seconds.values())
+            timings = [*report.stage_seconds.values(), *report.predict_stage_seconds.values()]
             if repro:
-                assert set(report.stage_seconds.values()) == {0.0}
+                assert set(timings) == {0.0}
                 assert report.preprocess_seconds == 0.0
             else:
-                assert all(seconds > 0 for seconds in report.stage_seconds.values())
+                assert all(seconds > 0 for seconds in timings)
                 assert report.preprocess_seconds > 0
         # one shared test pass is preprocessed for all six methods
         assert len({report.preprocess_seconds for report in result.reports}) == 1
@@ -273,11 +278,13 @@ class TestReportSerialization:
         report.predict_seconds = 0.5
         report.preprocess_seconds = 0.75
         report.stage_seconds = {"features": 0.5, "vectorize": 0.25, "fit": 0.5}
+        report.predict_stage_seconds = {"vectorize": 0.375, "score": 0.125}
         payload = json.loads(json.dumps(report_to_dict(report)))
         assert payload == {
             "method": "TFIDF+NB",
             "train_seconds": 1.25,
             "predict_seconds": 0.5,
+            "predict_stage_seconds": {"vectorize": 0.375, "score": 0.125},
             "preprocess_seconds": 0.75,
             "stage_seconds": {"features": 0.5, "vectorize": 0.25, "fit": 0.5},
             "accuracy": report.accuracy,

@@ -62,6 +62,11 @@ class TestBuildVocabulary:
             Vocabulary(terms={"ক": 0, "খ": 2}, doc_freq={"ক": 1, "খ": 1}, n_docs=1)
         with pytest.raises(ValueError):
             Vocabulary(terms={"ক": 0}, doc_freq={"ক": 5}, n_docs=2)
+        # Indices in other than lexicographic term order, in either order of keys.
+        with pytest.raises(ValueError, match="ascending order"):
+            Vocabulary(terms={"খ": 0, "ক": 1}, doc_freq={"ক": 1, "খ": 1}, n_docs=1)
+        with pytest.raises(ValueError, match="ascending order"):
+            Vocabulary(terms={"ক": 1, "খ": 0}, doc_freq={"ক": 1, "খ": 1}, n_docs=1)
 
 
 class TestIdf:

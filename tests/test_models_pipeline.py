@@ -1,11 +1,14 @@
+import base64
 import copy
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from doccat.errors import ModelFormatError, SingleClassError
+from doccat.errors import ConvergenceWarning, ModelFormatError, SingleClassError
+from doccat.features import vectorize_corpus
 from doccat.models import (
     TrainHyperparams,
     load_model,
@@ -14,6 +17,7 @@ from doccat.models import (
     save_model,
     train,
     train_from_tokens,
+    train_svm,
 )
 from doccat.textprep import preprocess_corpus
 
@@ -51,6 +55,12 @@ class TestTrainPipelines:
         assert loaded.train_seconds == 0.0
         assert loaded.class_labels == trained.class_labels
         assert loaded.preprocess_config_digest == default_cfg.digest()
+        assert loaded.model.converged is trained.model.converged
+        if classifier == "nb":
+            assert loaded.model.fit_info is None
+        else:
+            for label, info in loaded.model.fit_info.items():
+                assert info == {key: trained.model.fit_info[label][key] for key in info}
         save_model(loaded, tmp_path / "resaved.json")
         assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
         for doc in small_tokens[:5]:
@@ -81,6 +91,25 @@ class TestTrainPipelines:
             train(corpus, "tfidf", "nb", TrainHyperparams(), default_cfg)
 
 
+def _decode(block):
+    """A model-file parameter block as the float64 array it encodes."""
+    raw = base64.b64decode(block["base64"], validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(block["shape"])
+
+
+def _encode(values):
+    values = np.asarray(values, dtype=np.float64)
+    return {
+        "shape": list(values.shape),
+        "base64": base64.b64encode(values.astype("<f8").tobytes()).decode("ascii"),
+    }
+
+
+def _write(payload, path):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
 class TestModelFile:
     @pytest.mark.parametrize(
         "classifier,parameter_keys",
@@ -95,34 +124,105 @@ class TestModelFile:
         assert list(payload) == [
             "format_version", "created_unix_seconds", "feature_mode", "selector",
             "preprocess_config_digest", "vocabulary", "model_type", "class_labels",
-            *parameter_keys,
+            "converged", "fit", *parameter_keys,
         ]
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
         assert payload["selector"] == "chi2"
         assert payload["feature_mode"] == "counts"
         assert payload["model_type"] == classifier
-        assert set(payload["vocabulary"]) == {"n_docs", "terms"}
+        assert payload["converged"] is True
+        vocabulary = payload["vocabulary"]
+        assert list(vocabulary) == ["n_docs", "terms", "doc_freq"]
+        assert vocabulary["terms"] == sorted(trained.vocabulary.terms)
+        assert vocabulary["doc_freq"] == [
+            trained.vocabulary.doc_freq[term] for term in vocabulary["terms"]
+        ]
+        for name, key in zip(("biases", "weights") if classifier == "nb"
+                             else ("weights", "biases"), parameter_keys):
+            assert list(payload[key]) == ["shape", "base64"]
+            assert np.array_equal(_decode(payload[key]), getattr(trained.model, name))
+        if classifier == "nb":
+            assert payload["fit"] is None
+        else:
+            assert list(payload["fit"]) == list(trained.class_labels)
+            for info in payload["fit"].values():
+                assert list(info) == ["passes", "updates", "violation", "converged"]
 
-    def test_float_parameters_round_trip_exactly(self, small_tokens, default_cfg, tmp_path):
+    @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
+    def test_parameters_round_trip_exactly(
+        self, classifier, small_tokens, default_cfg, tmp_path
+    ):
+        trained = train_from_tokens(
+            small_tokens, "tfidf", classifier, TrainHyperparams(), default_cfg.digest()
+        )
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        loaded = load_model(path)
+        for name in ("weights", "biases"):
+            original, reloaded = getattr(trained.model, name), getattr(loaded.model, name)
+            assert reloaded.dtype == np.float64 and reloaded.shape == original.shape
+            assert reloaded.tobytes() == original.tobytes()
+        assert loaded.vocabulary == trained.vocabulary
+
+    def test_extreme_values_round_trip_bit_exactly(self, small_tokens, default_cfg, tmp_path):
         trained = train_from_tokens(
             small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg.digest()
         )
-        path = tmp_path / "model.json"
-        save_model(trained, path)
-        loaded = load_model(path)
-        assert np.array_equal(loaded.model.weights, trained.model.weights)
-        assert np.array_equal(loaded.model.biases, trained.model.biases)
-        assert loaded.vocabulary == trained.vocabulary
-
-    def test_nb_parameters_round_trip_exactly(self, small_tokens, default_cfg, tmp_path):
-        trained = train_from_tokens(
-            small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg.digest()
+        extremes = [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                    np.finfo(np.float64).max, 1 / 3]
+        weights = np.zeros_like(trained.model.weights)
+        weights.flat[: len(extremes)] = extremes
+        biases = np.array([-0.0, 5e-324, -1e308])[: len(trained.class_labels)]
+        extreme = dataclasses.replace(
+            trained, model=dataclasses.replace(trained.model, weights=weights, biases=biases)
         )
         path = tmp_path / "model.json"
-        save_model(trained, path)
+        save_model(extreme, path)
         loaded = load_model(path)
-        assert np.array_equal(loaded.model.biases, trained.model.biases)
-        assert np.array_equal(loaded.model.weights, trained.model.weights)
+        assert loaded.model.weights.tobytes() == weights.tobytes()
+        assert loaded.model.biases.tobytes() == biases.tobytes()
+        assert np.signbit(loaded.model.weights.flat[0])
+
+    def test_capped_svm_reloads_unconverged_with_its_fit_block(
+        self, small_tokens, default_cfg, tmp_path
+    ):
+        trained = train_from_tokens(
+            small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg.digest()
+        )
+        X = vectorize_corpus(small_tokens, trained.vocabulary, "tfidf")
+        with pytest.warns(ConvergenceWarning):
+            capped = train_svm(X, [doc.label for doc in small_tokens], TrainHyperparams(),
+                               max_passes=1)
+        assert capped.converged is False
+        path = tmp_path / "model.json"
+        save_model(dataclasses.replace(trained, model=capped), path)
+        loaded = load_model(path)
+        assert loaded.model.converged is False
+        assert loaded.model.fit_info == {
+            label: {key: info[key] for key in ("passes", "updates", "violation", "converged")}
+            for label, info in capped.fit_info.items()
+        }
+        assert all(info["passes"] == 1 for info in loaded.model.fit_info.values())
+
+    def test_version_1_file_asks_for_retraining(self, small_tokens, default_cfg, tmp_path):
+        trained = train_from_tokens(
+            small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg.digest()
+        )
+        vocab = trained.vocabulary
+        payload = model_to_dict(trained)
+        del payload["converged"], payload["fit"]
+        # The version 1 layout: [term, index, df] triples and float lists.
+        payload.update(
+            format_version=1,
+            vocabulary={
+                "n_docs": vocab.n_docs,
+                "terms": [[term, index, vocab.doc_freq[term]] for term, index in vocab.terms.items()],
+            },
+            weights=trained.model.weights.tolist(),
+            biases=trained.model.biases.tolist(),
+        )
+        with pytest.raises(ModelFormatError, match="retrain"):
+            load_model(_write(payload, tmp_path / "model.json"))
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -140,10 +240,8 @@ class TestModelFile:
         )
         payload = model_to_dict(trained)
         payload["format_version"] = 99
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ModelFormatError):
-            load_model(path)
+        with pytest.raises(ModelFormatError, match="version 99"):
+            load_model(_write(payload, tmp_path / "model.json"))
 
     def test_unknown_model_type_rejected(self, small_tokens, default_cfg, tmp_path):
         trained = train_from_tokens(
@@ -151,60 +249,155 @@ class TestModelFile:
         )
         payload = model_to_dict(trained)
         payload["model_type"] = "tree"
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ModelFormatError):
-            load_model(path)
+        with pytest.raises(ModelFormatError, match="unknown model type"):
+            load_model(_write(payload, tmp_path / "model.json"))
 
 
-def _drop_last_column(matrix):
-    return [row[:-1] for row in matrix]
+def _edit_parameter(key, edit):
+    """A payload edit that decodes parameter `key`, applies `edit` to the
+    array and stores the result, shape and bytes consistent."""
+    return lambda p: p.update({key: _encode(edit(np.array(_decode(p[key]))))})
 
 
-# (model type, edit to the saved payload) pairs that must not load.
+def _set_item(index, value):
+    def edit(values):
+        values[index] = value
+        return values
+    return edit
+
+
+def _edit_vocabulary(key, edit):
+    return lambda p: p["vocabulary"].update({key: edit(p["vocabulary"][key])})
+
+
+def _replace_first(value):
+    return lambda values: [value(values[0])] + values[1:]
+
+
+# Each case: (model type, edit to the saved payload, pattern its error must match).
 INCONSISTENT_FILES = {
-    "truncated_weight_columns": ("sgd", lambda p: p.update(weights=_drop_last_column(p["weights"]))),
-    "missing_weight_row": ("sgd", lambda p: p.update(weights=p["weights"][:-1])),
+    "truncated_weight_columns": (
+        "sgd", _edit_parameter("weights", lambda w: w[:, :-1]), "weights has shape"
+    ),
+    "missing_weight_row": ("sgd", _edit_parameter("weights", lambda w: w[:-1]), "weights has shape"),
     "truncated_likelihood_columns": (
-        "nb", lambda p: p.update(log_likelihood=_drop_last_column(p["log_likelihood"]))
+        "nb", _edit_parameter("log_likelihood", lambda w: w[:, :-1]), "log_likelihood has shape"
     ),
-    "short_biases": ("sgd", lambda p: p.update(biases=p["biases"][:-1])),
-    "long_log_prior": ("nb", lambda p: p.update(log_prior=p["log_prior"] + [-1.0])),
-    "nan_bias": ("svm", lambda p: p["biases"].__setitem__(0, math.nan)),
-    "infinite_weight": ("sgd", lambda p: p["weights"][1].__setitem__(0, math.inf)),
-    "nan_likelihood": ("nb", lambda p: p["log_likelihood"][0].__setitem__(0, math.nan)),
+    "short_biases": ("sgd", _edit_parameter("biases", lambda b: b[:-1]), "biases has shape"),
+    "long_log_prior": (
+        "nb", _edit_parameter("log_prior", lambda b: np.append(b, -1.0)), "log_prior has shape"
+    ),
+    "nan_bias": ("svm", _edit_parameter("biases", _set_item(0, math.nan)), "non-finite"),
+    "infinite_weight": ("sgd", _edit_parameter("weights", _set_item((1, 0), math.inf)), "non-finite"),
+    "nan_likelihood": (
+        "nb", _edit_parameter("log_likelihood", _set_item((0, 0), math.nan)), "non-finite"
+    ),
     "duplicate_labels": (
-        "sgd", lambda p: p["class_labels"].__setitem__(1, p["class_labels"][0])
+        "sgd", lambda p: p["class_labels"].__setitem__(1, p["class_labels"][0]), "class_labels"
     ),
-    "unsorted_labels": ("nb", lambda p: p["class_labels"].reverse()),
-    "unknown_feature_mode": ("sgd", lambda p: p.update(feature_mode="binary")),
-    "crossed_pipeline": ("nb", lambda p: p.update(selector="chi2")),
+    "unsorted_labels": ("nb", lambda p: p["class_labels"].reverse(), "class_labels"),
+    "unknown_feature_mode": ("sgd", lambda p: p.update(feature_mode="binary"), "unknown pipeline"),
+    "crossed_pipeline": ("nb", lambda p: p.update(selector="chi2"), "unknown pipeline"),
     "string_class_labels": (
-        "sgd", lambda p: p.update(class_labels="abcdefghijkl"[: len(p["class_labels"])])
+        "sgd", lambda p: p.update(class_labels="abcdefghijkl"[: len(p["class_labels"])]),
+        "class_labels must be a list",
     ),
     "integer_class_labels": (
-        "sgd", lambda p: p.update(class_labels=list(range(len(p["class_labels"]))))
+        "sgd", lambda p: p.update(class_labels=list(range(len(p["class_labels"])))),
+        "class_labels must be a list",
     ),
-    "integer_vocabulary_term": ("sgd", lambda p: p["vocabulary"]["terms"][0].__setitem__(0, 7)),
+    "integer_vocabulary_term": (
+        "sgd", _edit_vocabulary("terms", _replace_first(lambda term: 7)), "vocabulary terms"
+    ),
     "repeated_vocabulary_entry": (
-        "sgd", lambda p: p["vocabulary"]["terms"].append(list(p["vocabulary"]["terms"][-1]))
+        "sgd",
+        lambda p: [p["vocabulary"][key].append(p["vocabulary"][key][-1])
+                   for key in ("terms", "doc_freq")],
+        "vocabulary terms",
     ),
-    "boolean_format_version": ("sgd", lambda p: p.update(format_version=True)),
+    "unsorted_vocabulary_terms": (
+        "sgd", _edit_vocabulary("terms", lambda terms: terms[::-1]), "vocabulary terms"
+    ),
+    "boolean_format_version": ("sgd", lambda p: p.update(format_version=True), "format_version"),
     # Numbers that int() would coerce into a loadable model.
-    "string_vocabulary_index": ("sgd", lambda p: p["vocabulary"]["terms"][0].__setitem__(1, "0")),
-    "boolean_vocabulary_index": (
-        "sgd", lambda p: p["vocabulary"]["terms"][1].__setitem__(1, True)
-    ),
     "fractional_document_frequency": (
-        "sgd", lambda p: p["vocabulary"]["terms"][0].__setitem__(
-            2, p["vocabulary"]["terms"][0][2] + 0.7
-        )
+        "sgd", _edit_vocabulary("doc_freq", _replace_first(lambda df: df + 0.7)), "doc_freq"
     ),
-    "string_n_docs": (
-        "nb", lambda p: p["vocabulary"].update(n_docs=str(p["vocabulary"]["n_docs"]))
+    "float_document_frequency": (
+        "sgd", _edit_vocabulary("doc_freq", _replace_first(float)), "doc_freq"
     ),
-    "fractional_created_unix_seconds": ("svm", lambda p: p.update(created_unix_seconds=1.9)),
-    "integer_config_digest": ("sgd", lambda p: p.update(preprocess_config_digest=5)),
+    "boolean_document_frequency": (
+        "nb", _edit_vocabulary("doc_freq", _replace_first(lambda df: True)), "doc_freq"
+    ),
+    "zero_document_frequency": (
+        "sgd", _edit_vocabulary("doc_freq", _replace_first(lambda df: 0)), r"outside \[1, "
+    ),
+    "document_frequency_above_n_docs": (
+        "svm", lambda p: p["vocabulary"]["doc_freq"].__setitem__(-1, p["vocabulary"]["n_docs"] + 1),
+        r"outside \[1, ",
+    ),
+    "short_doc_freq": ("sgd", _edit_vocabulary("doc_freq", lambda dfs: dfs[:-1]), "doc_freq"),
+    "long_doc_freq": ("nb", _edit_vocabulary("doc_freq", lambda dfs: dfs + [1]), "doc_freq"),
+    "string_n_docs": ("nb", _edit_vocabulary("n_docs", str), "n_docs must be an integer"),
+    "fractional_created_unix_seconds": (
+        "svm", lambda p: p.update(created_unix_seconds=1.9), "created_unix_seconds"
+    ),
+    "integer_config_digest": (
+        "sgd", lambda p: p.update(preprocess_config_digest=5), "preprocess_config_digest"
+    ),
+    # A decoder that skips characters outside the alphabet would load this.
+    "invalid_base64": (
+        "sgd", lambda p: p["weights"].update(base64="*" + p["weights"]["base64"]),
+        "weights is not valid base64",
+    ),
+    "unpadded_base64": (
+        "svm", lambda p: p["biases"].update(base64=p["biases"]["base64"][:-1]),
+        "biases is not valid base64",
+    ),
+    "decoded_length_short_of_shape": (
+        "sgd", lambda p: p["biases"].update(base64=_encode(_decode(p["biases"])[:-1])["base64"]),
+        "biases holds",
+    ),
+    "decoded_length_beyond_shape": (
+        "nb", lambda p: p["log_prior"].update(shape=[len(_decode(p["log_prior"])) - 1]),
+        "log_prior holds",
+    ),
+    "string_shape": ("sgd", lambda p: p["weights"].update(shape="3x10"), "weights shape"),
+    "fractional_shape": (
+        "sgd", lambda p: p["biases"].update(shape=[float(p["biases"]["shape"][0])]), "biases shape"
+    ),
+    "boolean_shape": (
+        "svm", lambda p: p["weights"].update(shape=p["weights"]["shape"] + [True]), "weights shape"
+    ),
+    "negative_shape": (
+        "svm", lambda p: p["biases"].update(shape=[-p["biases"]["shape"][0]]), "biases shape"
+    ),
+    "missing_base64": ("nb", lambda p: p["log_prior"].pop("base64"), "base64"),
+    "list_parameter": ("sgd", lambda p: p.update(biases=_decode(p["biases"]).tolist()), "invalid"),
+    "string_converged": ("sgd", lambda p: p.update(converged="true"), "converged must be"),
+    "converged_against_fit_block": (
+        "svm", lambda p: p.update(converged=False), "converged disagrees"
+    ),
+    "fit_block_missing_a_class": (
+        "svm", lambda p: p["fit"].pop(p["class_labels"][-1]), "fit block's classes"
+    ),
+    "fit_block_extra_class": (
+        "sgd", lambda p: p["fit"].update(zzz=p["fit"][p["class_labels"][0]]), "fit block's classes"
+    ),
+    "fit_block_missing_field": (
+        "svm", lambda p: p["fit"][p["class_labels"][0]].pop("violation"), "fit block of class"
+    ),
+    "fit_block_float_count": (
+        "sgd", lambda p: p["fit"][p["class_labels"][1]].update(updates=3.0), "fit updates"
+    ),
+    "fit_block_integer_objective": (
+        "sgd", lambda p: p["fit"][p["class_labels"][0]].update(objective_final=1), "fit objective"
+    ),
+    "fit_block_boolean_passes": (
+        "svm", lambda p: p["fit"][p["class_labels"][0]].update(passes=True), "fit passes"
+    ),
+    "nb_fit_block": ("nb", lambda p: p.update(fit={}), "no fit block"),
+    "missing_fit_block": ("svm", lambda p: p.pop("fit"), "fit"),
 }
 
 
@@ -219,12 +412,15 @@ def saved_payloads(small_tokens, default_cfg):
 
 
 class TestModelFileValidation:
+    @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
+    def test_unedited_payload_loads(self, classifier, saved_payloads, tmp_path):
+        payload = copy.deepcopy(saved_payloads[classifier])
+        assert load_model(_write(payload, tmp_path / "model.json")).model.trainer_tag == classifier
+
     @pytest.mark.parametrize("case", sorted(INCONSISTENT_FILES))
     def test_inconsistent_model_file_rejected(self, case, saved_payloads, tmp_path):
-        classifier, corrupt = INCONSISTENT_FILES[case]
+        classifier, corrupt, message = INCONSISTENT_FILES[case]
         payload = copy.deepcopy(saved_payloads[classifier])
         corrupt(payload)
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ModelFormatError):
-            load_model(path)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(_write(payload, tmp_path / "model.json"))

@@ -35,6 +35,20 @@ see chi_score_document), and the partners are added one after another in
 lexicographic order, so scores do not depend on the process's string
 hashing.
 
+The scores of a corpus are computed in batches rather than one document at
+a time. Every term gets one id in ascending term order, and the documents,
+sorted by token count, are cut into chunks. A chunk is a padded stack of
+incidence matrices, (documents, sentences, T) with T the widest document;
+O and E for all of its documents come from one batched product and one
+broadcast, with the same elementwise expressions as for a single document.
+After the deviation is taken, the pairs that must not count (padding, the
+terms outside g_top_k, g == w) get an infinite E, so each adds an exact
++0.0 to a non-negative sum, which then equals the one-document result bit
+for bit. The documents x T x T arrays of a chunk hold at most
+_CHI_CHUNK_CELLS cells (512 KB per float64 array), because a document has no
+more distinct terms than tokens; only a document that alone exceeds that
+makes a larger chunk, of itself.
+
 Note on n_w: a narrower reading of this family of scores takes n_w to be
 w's own frequency within its sentences; this implementation deliberately
 uses the total-token count so that p_g * n_w is the expected co-occurrence
@@ -49,7 +63,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence
+from itertools import chain
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -57,6 +72,10 @@ from .errors import EmptyVocabularyError
 from .textprep import TokenizedDocument
 
 ChiScoreTable = dict[str, float]
+
+# Cells (documents x T x T) of one chunk's padded chi-square arrays: 512 KB
+# per float64 array. Larger chunks were no faster on 3000 documents.
+_CHI_CHUNK_CELLS = 1 << 16
 
 FeatureMode = Literal["tfidf", "counts"]
 
@@ -81,9 +100,13 @@ class Vocabulary:
             raise ValueError("vocabulary terms must map in ascending order to indices 0..V-1")
         if set(self.doc_freq) != set(self.terms):
             raise ValueError("doc_freq keys must match terms")
-        for term, df in self.doc_freq.items():
-            if not 1 <= df <= self.n_docs:
-                raise ValueError(f"term {term!r}: DF {df} outside [1, {self.n_docs}]")
+        if self.doc_freq and not (
+            1 <= min(self.doc_freq.values()) and max(self.doc_freq.values()) <= self.n_docs
+        ):
+            term, df = next(
+                (term, df) for term, df in self.doc_freq.items() if not 1 <= df <= self.n_docs
+            )
+            raise ValueError(f"term {term!r}: DF {df} outside [1, {self.n_docs}]")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -204,42 +227,105 @@ def chi_score_document(doc: TokenizedDocument, g_top_k: int | None = None) -> Ch
     terms scores 0.
     """
     _check_g_top_k(g_top_k)
-    terms, scores = _chi_scores(doc, g_top_k)
-    return dict(zip(terms, scores.tolist()))
-
-
-def _chi_scores(doc: TokenizedDocument, g_top_k: int | None) -> tuple[list[str], np.ndarray]:
-    """The document's distinct terms in sorted order and their chi scores."""
-    token_counts = Counter(doc.tokens())
-    terms = sorted(token_counts)
+    terms = _sorted_terms([doc])
     if not terms:
-        return terms, np.empty(0)
-    column = {term: index for index, term in enumerate(terms)}
-    counts = np.array([token_counts[term] for term in terms], dtype=np.float64)
+        return {}
+    (_, _, scores), = _chi_chunks([doc], terms, g_top_k)
+    return dict(zip(terms, scores[0].tolist()))
 
-    lengths = np.array([len(sentence) for sentence in doc.sentences], dtype=np.intp)
-    incidence = np.zeros((len(lengths), len(terms)))
-    incidence[
-        np.repeat(np.arange(len(lengths)), lengths),
-        [column[token] for sentence in doc.sentences for token in sentence],
-    ] = 1.0
 
-    # Column order is term order, so a stable sort ranks by (-count, term).
-    partners = np.ones(len(terms), dtype=bool)
+def _sorted_terms(docs: Sequence[TokenizedDocument]) -> list[str]:
+    """The distinct terms of `docs` in ascending order."""
+    return sorted(set(chain.from_iterable(chain.from_iterable(doc.sentences for doc in docs))))
+
+
+def _chi_chunks(
+    docs: Sequence[TokenizedDocument], terms: list[str], g_top_k: int | None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Chi-score the non-empty documents in chunks of similar size.
+
+    `terms` are the distinct terms of `docs` in ascending order, and a term's
+    id is its position there. Yields (ids, n_terms, scores) per chunk, one
+    row per document: the document's term ids ascending in
+    ids[r, :n_terms[r]] and their scores at the same positions. The rest of
+    a row is padding: id 0 and score 0.
+    """
+    term_ids = dict(zip(terms, range(len(terms))))
+    # A document has at most as many distinct terms as tokens, so the token
+    # count bounds the chunk's padded width.
+    sizes = [sum(map(len, doc.sentences)) for doc in docs]
+    order = sorted(filter(sizes.__getitem__, range(len(docs))), key=sizes.__getitem__)
+    start = 0
+    while start < len(order):
+        # Sizes ascend, so the chunk's last document is its widest.
+        stop = start + 1
+        while (
+            stop < len(order)
+            and (stop - start + 1) * sizes[order[stop]] ** 2 <= _CHI_CHUNK_CELLS
+        ):
+            stop += 1
+        yield _chi_chunk([docs[index] for index in order[start:stop]], term_ids, g_top_k)
+        start = stop
+
+
+def _chi_chunk(
+    docs: list[TokenizedDocument], term_ids: dict[str, int], g_top_k: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_chi_chunks` for one chunk of non-empty documents."""
+    n_docs, n_ids = len(docs), len(term_ids)
+    sentences = [sentence for doc in docs for sentence in doc.sentences]
+    per_doc = np.fromiter(map(len, (doc.sentences for doc in docs)), np.intp, n_docs)
+    lengths = np.fromiter(map(len, sentences), np.intp, len(sentences))
+    tokens = np.fromiter(
+        map(term_ids.__getitem__, chain.from_iterable(sentences)), np.intp, int(lengths.sum())
+    )
+    sentence_doc = np.repeat(np.arange(n_docs), per_doc)
+    sentence_row = np.arange(len(sentences)) - np.repeat(np.cumsum(per_doc) - per_doc, per_doc)
+    token_sentence = np.repeat(np.arange(len(sentences)), lengths)
+    token_doc = sentence_doc[token_sentence]
+
+    # One key per (document, term), ascending by document and then term, so
+    # a document's columns are its terms in ascending order.
+    keys, token_key = np.unique(token_doc * n_ids + tokens, return_inverse=True)
+    key_doc = keys // n_ids
+    n_terms = np.bincount(key_doc, minlength=n_docs)
+    key_column = np.arange(keys.size) - np.repeat(np.cumsum(n_terms) - n_terms, n_terms)
+    width = int(n_terms.max())
+    ids = np.zeros((n_docs, width), dtype=np.intp)
+    ids[key_doc, key_column] = keys - key_doc * n_ids
+    counts = np.zeros((n_docs, width))
+    counts[key_doc, key_column] = np.bincount(token_key, minlength=keys.size)
+    incidence = np.zeros((n_docs, int(per_doc.max()), width))
+    incidence[token_doc, sentence_row[token_sentence], key_column[token_key]] = 1.0
+    padded_lengths = np.zeros((n_docs, 1, incidence.shape[1]))
+    padded_lengths[sentence_doc, 0, sentence_row] = lengths
+
+    real = np.arange(width) < n_terms[:, None]
+    partners = real
     if g_top_k is not None:
-        partners[np.argsort(-counts, kind="stable")[g_top_k:]] = False
-    rows = np.flatnonzero(partners)
+        # Columns are in term order and padding counts 0, so a stable sort
+        # ranks each document's real terms by (-count, term) ahead of padding.
+        partners = np.zeros_like(real)
+        ranked = np.argsort(-counts, axis=1, kind="stable")[:, :g_top_k]
+        np.put_along_axis(partners, ranked, True, axis=1)
+        partners &= real
 
-    # Rows are partners g, columns are terms w.
-    observed = (incidence.T @ incidence)[partners]
-    expected = np.outer(counts[partners] / counts.sum(), lengths @ incidence)
-    deviation = observed - expected
-    contribution = deviation * deviation / expected
-    contribution[np.arange(rows.size), rows] = 0.0  # g == w
-    # Summing a C-contiguous (partner, term) array over axis 0 adds the
-    # partners one after another in sorted order, so scores do not depend on
-    # the process's string hashing.
-    return terms, contribution.sum(axis=0)
+    # Axis 1 holds the partners g, axis 2 the terms w. A contiguous B^T lets
+    # the batched product run as BLAS calls; the strided view took twice as
+    # long. The counts are small integers, exact in any summation order.
+    observed = np.ascontiguousarray(incidence.transpose(0, 2, 1)) @ incidence
+    expected = (counts / counts.sum(axis=1, keepdims=True))[:, :, None] * (
+        padded_lengths @ incidence
+    )
+    deviation = np.subtract(observed, expected, out=observed)
+    deviation *= deviation
+    # Once the deviation is taken, an excluded pair gets an infinite
+    # expectation, so its finite squared deviation adds an exact +0.0.
+    expected[~partners] = np.inf  # padding and, with g_top_k, the other terms
+    expected.transpose(0, 2, 1)[~real] = np.inf  # padding
+    expected.reshape(n_docs, -1)[:, :: width + 1] = np.inf  # g == w
+    # The sum over axis 1 adds the partners one after another in term order.
+    return ids, n_terms, np.divide(deviation, expected, out=deviation).sum(axis=1)
 
 
 def select_chi_features(
@@ -262,23 +348,26 @@ def select_chi_features(
         raise ValueError(f"top_percent must be in (0, 100], got {top_percent}")
     _check_g_top_k(g_top_k)
 
-    kept_terms: set[str] = set()
-    doc_freq: Counter[str] = Counter()
-    for doc in docs:
-        terms, scores = _chi_scores(doc, g_top_k)
-        doc_freq.update(terms)
-        keep = math.ceil(top_percent * len(terms) / 100.0)
-        # Terms are in sorted order, so a stable sort ranks by (-score, term).
-        ranked = np.argsort(-scores, kind="stable")[:keep]
-        kept_terms.update(terms[index] for index in ranked.tolist())
-
-    if not kept_terms:
+    terms = _sorted_terms(docs)
+    if not terms:
         raise EmptyVocabularyError("chi-square selection kept no terms (all documents empty)")
+    kept = np.zeros(len(terms), dtype=bool)
+    doc_freq = np.zeros(len(terms), dtype=np.intp)
+    for ids, n_terms, scores in _chi_chunks(docs, terms, g_top_k):
+        columns = np.arange(ids.shape[1])
+        doc_freq += np.bincount(ids[columns < n_terms[:, None]], minlength=len(terms))
+        keep = np.ceil(top_percent * n_terms / 100.0)
+        # Columns are in term order and padding follows them, scoring 0 where
+        # terms score >= 0, so a stable sort ranks each document's terms by
+        # (-score, term) ahead of padding.
+        ranked = np.take_along_axis(ids, np.argsort(-scores, axis=1, kind="stable"), axis=1)
+        kept[ranked[columns < keep[:, None]]] = True
 
-    ordered = sorted(kept_terms)
+    index = np.flatnonzero(kept)
+    ordered = [terms[i] for i in index.tolist()]
     return Vocabulary(
-        terms={term: index for index, term in enumerate(ordered)},
-        doc_freq={term: doc_freq[term] for term in ordered},
+        terms={term: i for i, term in enumerate(ordered)},
+        doc_freq=dict(zip(ordered, doc_freq[index].tolist())),
         n_docs=len(docs),
     )
 

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 
 from doccat.corpus import LabeledCorpus, LabeledDocument
-from doccat.features import CorpusMatrix
+from doccat.features import CorpusMatrix, Vocabulary
 from doccat.errors import SingleClassError
 from doccat.models import LinearModel, TrainHyperparams, predict_linear
 from doccat.textprep import PreprocessConfig, TokenizedDocument, split_sentences
@@ -351,6 +351,68 @@ def preprocess_oracle(doc: LabeledDocument, config: PreprocessConfig) -> Tokeniz
         if tokens:
             sentences.append(tuple(tokens))
     return TokenizedDocument(sentences=tuple(sentences), label=doc.label, doc_id=doc.id)
+
+
+def reference_chi_scores(
+    doc: TokenizedDocument, g_top_k: int | None = None
+) -> tuple[list[str], np.ndarray]:
+    """The per-document form of the chi-square scorer in `doccat.features`:
+    the document's distinct terms in sorted order and their scores.
+
+    One document at a time, with its own (sentence, term) incidence matrix
+    and no padding; the elementwise expressions and the partner order are
+    those of the batched scorer, so the scores can be compared bit for bit.
+    """
+    token_counts = Counter(doc.tokens())
+    terms = sorted(token_counts)
+    if not terms:
+        return terms, np.empty(0)
+    column = {term: index for index, term in enumerate(terms)}
+    counts = np.array([token_counts[term] for term in terms], dtype=np.float64)
+
+    lengths = np.array([len(sentence) for sentence in doc.sentences], dtype=np.intp)
+    incidence = np.zeros((len(lengths), len(terms)))
+    incidence[
+        np.repeat(np.arange(len(lengths)), lengths),
+        [column[token] for sentence in doc.sentences for token in sentence],
+    ] = 1.0
+
+    # Column order is term order, so a stable sort ranks by (-count, term).
+    partners = np.ones(len(terms), dtype=bool)
+    if g_top_k is not None:
+        partners[np.argsort(-counts, kind="stable")[g_top_k:]] = False
+    rows = np.flatnonzero(partners)
+
+    # Rows are partners g, columns are terms w.
+    observed = (incidence.T @ incidence)[partners]
+    expected = np.outer(counts[partners] / counts.sum(), lengths @ incidence)
+    deviation = observed - expected
+    contribution = deviation * deviation / expected
+    contribution[np.arange(rows.size), rows] = 0.0  # g == w
+    # Summing a C-contiguous (partner, term) array over axis 0 adds the
+    # partners one after another in sorted order.
+    return terms, contribution.sum(axis=0)
+
+
+def reference_select_chi_features(
+    docs: list[TokenizedDocument], top_percent: float, g_top_k: int | None = None
+) -> Vocabulary:
+    """The per-document form of `doccat.features.select_chi_features`: score
+    each document with `reference_chi_scores`, keep its top share ranked by
+    (-score, term), and count document frequencies with a Counter."""
+    kept: set[str] = set()
+    doc_freq: Counter = Counter()
+    for doc in docs:
+        terms, scores = reference_chi_scores(doc, g_top_k)
+        doc_freq.update(terms)
+        keep = math.ceil(top_percent * len(terms) / 100.0)
+        kept.update(terms[index] for index in np.argsort(-scores, kind="stable")[:keep].tolist())
+    ordered = sorted(kept)
+    return Vocabulary(
+        terms={term: index for index, term in enumerate(ordered)},
+        doc_freq={term: doc_freq[term] for term in ordered},
+        n_docs=len(docs),
+    )
 
 
 def chi_oracle(sentences: list[list[str]], g_top_k: int | None = None) -> dict[str, float]:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -212,6 +214,23 @@ class TestBenchmark:
             stem = name.replace("+", "_").replace("-", "_")
             assert (tmp_path / f"model_{stem}.json").exists()
             assert (tmp_path / f"report_{stem}.json").exists()
+
+    @pytest.mark.parametrize(
+        "umask,mode",
+        [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+        ids=["umask-022", "umask-077", "umask-002"],
+    )
+    def test_outputs_get_the_umask_mode(self, umask, mode, tiny_corpus, default_cfg, tmp_path):
+        previous = os.umask(umask)
+        try:
+            benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, out_dir=tmp_path)
+        finally:
+            os.umask(previous)
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert len(written) == 13  # six models, six reports and the table, no temp files
+        assert "model_CHI_SQUARE_SVM.json" in written and "report_TFIDF_NB.json" in written
+        for name in written:
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
     def test_train_equals_test_is_perfect_for_all_six(self, tiny_corpus, default_cfg):
         result = benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg)

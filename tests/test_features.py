@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+import doccat.features as features_module
 
 from doccat.errors import EmptyVocabularyError
 from doccat.features import (
@@ -20,9 +23,16 @@ from doccat.features import (
     select_chi_features,
     vectorize_corpus,
 )
-from doccat.textprep import TokenizedDocument
+from doccat.textprep import TokenizedDocument, preprocess_corpus
 
-from helpers import chi_oracle, random_tokenized_doc, row_pairs
+from helpers import (
+    chi_oracle,
+    make_overlapping_corpus,
+    random_tokenized_doc,
+    reference_chi_scores,
+    reference_select_chi_features,
+    row_pairs,
+)
 
 
 def tdoc(*sentences, label=None):
@@ -278,6 +288,126 @@ class TestChiScore:
     def test_g_top_k_below_one_rejected(self, k):
         with pytest.raises(ValueError, match="g_top_k"):
             chi_score_document(tdoc(["ক", "খ"]), g_top_k=k)
+
+
+def batched_chi_rows(docs, g_top_k=None):
+    """The batched scores of `docs` as a Counter of (terms, score bytes), one
+    entry per non-empty document, and each chunk's document widths."""
+    terms = features_module._sorted_terms(docs)
+    rows, chunk_widths = Counter(), []
+    for ids, n_terms, scores in features_module._chi_chunks(docs, terms, g_top_k):
+        chunk_widths.append(n_terms.tolist())
+        for row, n in enumerate(n_terms.tolist()):
+            row_terms = tuple(terms[index] for index in ids[row, :n].tolist())
+            rows[row_terms, scores[row, :n].tobytes()] += 1
+    return rows, chunk_widths
+
+
+def reference_chi_rows(docs, g_top_k=None):
+    """`batched_chi_rows` from `reference_chi_scores`, one document at a time."""
+    rows = Counter()
+    for doc in docs:
+        terms, scores = reference_chi_scores(doc, g_top_k)
+        if terms:
+            rows[tuple(terms), scores.tobytes()] += 1
+    return rows
+
+
+EDGE_DOCS = [
+    tdoc(),  # no sentences
+    tdoc([], []),  # empty sentences only
+    tdoc(["ক"]),  # one term
+    tdoc(["ক", "ক"], ["ক"]),  # one term, repeated
+    tdoc(["ক", "খ", "ক", "ক"], ["খ", "গ"]),  # a token repeated within a sentence
+    tdoc(["গ", "খ"], [], ["ক", "খ", "খ"]),  # an empty sentence between others
+    tdoc(["ঘ", "ঙ", "চ", "ছ", "জ", "ঝ", "ঞ", "ট"], ["ঘ"]),
+]
+
+documents_strategy = st.lists(
+    st.lists(
+        st.lists(st.sampled_from(["ক", "খ", "গ", "ঘ", "ঙ", "চ", "ছ", "জ", "ঝ"]), max_size=8),
+        max_size=5,
+    ).map(lambda sentences: TokenizedDocument(sentences=tuple(map(tuple, sentences)))),
+    min_size=1,
+    max_size=12,
+)
+
+
+@pytest.mark.filterwarnings("error")  # padding must not divide 0 by 0
+class TestBatchedChiScores:
+    """The chunked scorer against the per-document `reference_chi_scores`,
+    compared bit for bit (`tobytes()`)."""
+
+    @pytest.mark.parametrize("g_top_k", [None, 1, 5, 1000])
+    @pytest.mark.parametrize("cells", [None, 1, 2000])
+    def test_synthetic_corpora_match_the_reference(
+        self, g_top_k, cells, synth_train_tokens, default_cfg, monkeypatch
+    ):
+        overlapping = preprocess_corpus(make_overlapping_corpus(5, seed=1), default_cfg)
+        if cells is not None:  # 1: one document per chunk; 2000: mixed widths
+            monkeypatch.setattr(features_module, "_CHI_CHUNK_CELLS", cells)
+        for docs in (synth_train_tokens, overlapping, EDGE_DOCS):
+            rows, chunk_widths = batched_chi_rows(docs, g_top_k)
+            assert rows == reference_chi_rows(docs, g_top_k)
+            assert sum(map(len, chunk_widths)) == sum(1 for doc in docs if doc.token_count)
+            if cells == 1:
+                assert all(len(widths) == 1 for widths in chunk_widths)
+            if cells == 2000 and docs is overlapping:
+                assert len(chunk_widths) > 1
+                assert any(min(widths) < max(widths) for widths in chunk_widths)
+
+    @given(
+        docs=documents_strategy,
+        g_top_k=st.sampled_from([None, 1, 2, 3, 20]),
+        cells=st.integers(1, 3000),
+    )
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_documents_match_the_reference(self, docs, g_top_k, cells, monkeypatch):
+        monkeypatch.setattr(features_module, "_CHI_CHUNK_CELLS", cells)
+        assert batched_chi_rows(docs, g_top_k)[0] == reference_chi_rows(docs, g_top_k)
+        if any(doc.token_count for doc in docs):
+            for top_percent in (30.0, 100.0):
+                assert select_chi_features(docs, top_percent, g_top_k) == (
+                    reference_select_chi_features(docs, top_percent, g_top_k)
+                )
+        else:
+            with pytest.raises(EmptyVocabularyError):
+                select_chi_features(docs, 30.0, g_top_k)
+
+    @pytest.mark.parametrize("g_top_k", [None, 1, 1000])
+    def test_one_document_matches_the_reference(self, g_top_k):
+        for doc in EDGE_DOCS:
+            terms, scores = reference_chi_scores(doc, g_top_k)
+            table = chi_score_document(doc, g_top_k)
+            assert list(table) == terms
+            assert np.array(list(table.values())).tobytes() == scores.tobytes()
+
+    @pytest.mark.parametrize("g_top_k", [None, 1, 5])
+    def test_selection_matches_the_reference(
+        self, g_top_k, synth_train_tokens, default_cfg, monkeypatch
+    ):
+        overlapping = preprocess_corpus(make_overlapping_corpus(5, seed=1), default_cfg)
+        monkeypatch.setattr(features_module, "_CHI_CHUNK_CELLS", 2000)
+        for docs in (synth_train_tokens, overlapping, EDGE_DOCS):
+            assert select_chi_features(docs, 30.0, g_top_k) == (
+                reference_select_chi_features(docs, 30.0, g_top_k)
+            )
+
+    def test_all_empty_corpus_rejected_with_a_tiny_budget(self, monkeypatch):
+        monkeypatch.setattr(features_module, "_CHI_CHUNK_CELLS", 1)
+        with pytest.raises(EmptyVocabularyError):
+            select_chi_features([tdoc(), tdoc([], [])], top_percent=30.0)
+
+    def test_document_order_does_not_matter(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        docs = [random_tokenized_doc(rng, max_terms=6) for _ in range(60)] + EDGE_DOCS
+        monkeypatch.setattr(features_module, "_CHI_CHUNK_CELLS", 500)
+        expected = select_chi_features(docs, 30.0)
+        for _ in range(5):
+            permuted = [docs[index] for index in rng.permutation(len(docs)).tolist()]
+            vocab = select_chi_features(permuted, 30.0)
+            assert vocab == expected
+            assert list(vocab.terms) == list(expected.terms)
 
 
 class TestSelectChiFeatures:

@@ -59,15 +59,14 @@ PREDICT_STAGES = ("vectorize", "score")
 _SELECTOR_NAMES = {"tfidf": "TFIDF", "chi2": "CHI-SQUARE"}
 _CLASSIFIER_NAMES = {"nb": "NB", "sgd": "SGD", "svm": "SVM"}
 
-_METHOD_COMBOS: dict[str, tuple[Selector, Classifier]] = {
-    f"{_SELECTOR_NAMES[sel]}+{_CLASSIFIER_NAMES[clf]}": (sel, clf)
-    for sel in SELECTORS
-    for clf in CLASSIFIERS
-}
-
 
 def method_name(selector: Selector, classifier: Classifier) -> str:
     return f"{_SELECTOR_NAMES[selector]}+{_CLASSIFIER_NAMES[classifier]}"
+
+
+_METHOD_COMBOS: dict[str, tuple[Selector, Classifier]] = {
+    method_name(sel, clf): (sel, clf) for sel in SELECTORS for clf in CLASSIFIERS
+}
 
 
 @dataclass(frozen=True)

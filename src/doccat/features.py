@@ -60,10 +60,11 @@ scores as more important.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -82,44 +83,48 @@ FeatureMode = Literal["tfidf", "counts"]
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Term to feature-index map with document frequencies.
+    """A feature space as the model file stores it.
 
-    Indices are dense 0-based and assigned in lexicographic term order, so
-    the same documents always produce the same feature space. `terms` holds
-    the terms in that order, so its keys are the feature space as the model
-    file stores it.
+    `terms` is strictly ascending and a term's position is its feature
+    index, so the same documents always give the same feature space.
+    `doc_freq` holds each term's document frequency in the same order, as
+    Python ints in [1, n_docs]. `index`, the term-to-feature-index map, is
+    built on first use.
     """
 
-    terms: dict[str, int]
-    doc_freq: dict[str, int]
+    terms: tuple[str, ...]
+    doc_freq: tuple[int, ...]
     n_docs: int
 
     def __post_init__(self) -> None:
-        terms = list(self.terms)
-        if list(self.terms.values()) != list(range(len(terms))) or terms != sorted(terms):
-            raise ValueError("vocabulary terms must map in ascending order to indices 0..V-1")
-        if set(self.doc_freq) != set(self.terms):
-            raise ValueError("doc_freq keys must match terms")
-        if self.doc_freq and not (
-            1 <= min(self.doc_freq.values()) and max(self.doc_freq.values()) <= self.n_docs
-        ):
-            term, df = next(
-                (term, df) for term, df in self.doc_freq.items() if not 1 <= df <= self.n_docs
+        terms, doc_freq, n_docs = self.terms, self.doc_freq, self.n_docs
+        if not all(map(operator.lt, terms, terms[1:])):
+            raise ValueError("vocabulary terms must be unique and in ascending order")
+        if len(doc_freq) != len(terms):
+            raise ValueError(
+                f"vocabulary doc_freq holds {len(doc_freq)} values for {len(terms)} terms"
             )
-            raise ValueError(f"term {term!r}: DF {df} outside [1, {self.n_docs}]")
+        if doc_freq and not (1 <= min(doc_freq) and max(doc_freq) <= n_docs):
+            term, df = next(
+                (term, df) for term, df in zip(terms, doc_freq) if not 1 <= df <= n_docs
+            )
+            raise ValueError(f"term {term!r}: DF {df} outside [1, {n_docs}]")
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def __contains__(self, term: str) -> bool:
-        return term in self.terms
+        return term in self.index
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each term's feature index, its position in `terms`."""
+        return dict(zip(self.terms, range(len(self.terms))))
 
     @cached_property
     def idf_weights(self) -> np.ndarray:
         """Read-only `idf` of every term, indexed by feature; computed once."""
-        weights = np.empty(len(self.terms))
-        for term, index in self.terms.items():
-            weights[index] = idf(self.n_docs, self.doc_freq[term])
+        weights = np.array([idf(self.n_docs, df) for df in self.doc_freq], dtype=np.float64)
         weights.flags.writeable = False
         return weights
 
@@ -187,13 +192,11 @@ def build_vocabulary(docs: Sequence[TokenizedDocument], min_df: int = 1) -> Voca
     doc_freq: Counter[str] = Counter()
     for doc in docs:
         doc_freq.update(set(doc.tokens()))
-    kept = sorted(term for term, df in doc_freq.items() if df >= min_df)
+    kept = tuple(sorted(term for term, df in doc_freq.items() if df >= min_df))
     if not kept:
         raise EmptyVocabularyError(f"no term reaches document frequency {min_df}")
     return Vocabulary(
-        terms={term: index for index, term in enumerate(kept)},
-        doc_freq={term: doc_freq[term] for term in kept},
-        n_docs=len(docs),
+        terms=kept, doc_freq=tuple(map(doc_freq.__getitem__, kept)), n_docs=len(docs)
     )
 
 
@@ -363,11 +366,9 @@ def select_chi_features(
         ranked = np.take_along_axis(ids, np.argsort(-scores, axis=1, kind="stable"), axis=1)
         kept[ranked[columns < keep[:, None]]] = True
 
-    index = np.flatnonzero(kept)
-    ordered = [terms[i] for i in index.tolist()]
     return Vocabulary(
-        terms={term: i for i, term in enumerate(ordered)},
-        doc_freq=dict(zip(ordered, doc_freq[index].tolist())),
+        terms=tuple(compress(terms, kept.tolist())),
+        doc_freq=tuple(doc_freq[kept].tolist()),
         n_docs=len(docs),
     )
 
@@ -375,7 +376,7 @@ def select_chi_features(
 def count_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """One document's in-vocabulary feature indices in first-occurrence order,
     and their raw counts; out-of-vocabulary tokens are ignored."""
-    counts = Counter(map(vocab.terms.get, doc.tokens()))
+    counts = Counter(map(vocab.index.get, doc.tokens()))
     counts.pop(None, None)  # the out-of-vocabulary tokens
     indices = np.fromiter(counts.keys(), dtype=np.intp, count=len(counts))
     values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))

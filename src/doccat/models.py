@@ -130,15 +130,11 @@ class LinearModel:
     """One-vs-rest linear decision functions: score_c(x) = w_c . x + b_c."""
 
     class_labels: tuple[str, ...]
-    weights: np.ndarray  # shape (n_classes, vocab_size)
+    weights: np.ndarray  # shape (n_classes, vocabulary size)
     biases: np.ndarray  # shape (n_classes,)
     trainer_tag: Classifier
     converged: bool = True
     fit_info: dict | None = field(default=None, compare=False)
-
-    @property
-    def vocab_size(self) -> int:
-        return self.weights.shape[1]
 
 
 @dataclass
@@ -653,28 +649,20 @@ def _array_from_payload(payload: dict, key: str) -> np.ndarray:
 
 
 def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
-    terms = list(vocab.terms)
-    return {
-        "n_docs": vocab.n_docs,
-        "terms": terms,
-        "doc_freq": [vocab.doc_freq[term] for term in terms],
-    }
+    return {"n_docs": vocab.n_docs, "terms": list(vocab.terms), "doc_freq": list(vocab.doc_freq)}
 
 
 def _vocabulary_from_payload(payload: dict) -> Vocabulary:
-    """The vocabulary whose feature indices are the positions of its terms;
-    Vocabulary checks that every document frequency is in [1, n_docs]."""
-    terms = _ascending_strings(payload["terms"], "vocabulary terms")
-    doc_freq = payload["doc_freq"]
-    if (
-        not isinstance(doc_freq, list)
-        or len(doc_freq) != len(terms)
-        or not _all_of_type(doc_freq, int)
-    ):
-        raise ModelFormatError(f"vocabulary doc_freq must be a list of {len(terms)} integers")
+    """The vocabulary of the payload's JSON lists; Vocabulary checks their
+    order, their lengths and that every document frequency is in [1, n_docs]."""
+    terms, doc_freq = payload["terms"], payload["doc_freq"]
+    if not isinstance(terms, list) or not _all_of_type(terms, str):
+        raise ModelFormatError("vocabulary terms must be a list of strings")
+    if not isinstance(doc_freq, list) or not _all_of_type(doc_freq, int):
+        raise ModelFormatError("vocabulary doc_freq must be a list of integers")
     return Vocabulary(
-        terms=dict(zip(terms, range(len(terms)))),
-        doc_freq=dict(zip(terms, doc_freq)),
+        terms=tuple(terms),
+        doc_freq=tuple(doc_freq),
         n_docs=_strict_int(payload["n_docs"], "n_docs"),
     )
 

@@ -131,7 +131,7 @@ def predict_row(
     model: LinearModel, row: dict[int, float]
 ) -> tuple[str, dict[str, float]]:
     """(label, per-class scores) of one {feature index: weight} row."""
-    (label,), scores = predict_linear(model, matrix([row], model.vocab_size))
+    (label,), scores = predict_linear(model, matrix([row], model.weights.shape[1]))
     return label, dict(zip(model.class_labels, scores[0].tolist()))
 
 
@@ -407,11 +407,9 @@ def reference_select_chi_features(
         doc_freq.update(terms)
         keep = math.ceil(top_percent * len(terms) / 100.0)
         kept.update(terms[index] for index in np.argsort(-scores, kind="stable")[:keep].tolist())
-    ordered = sorted(kept)
+    ordered = tuple(sorted(kept))
     return Vocabulary(
-        terms={term: index for index, term in enumerate(ordered)},
-        doc_freq={term: doc_freq[term] for term in ordered},
-        n_docs=len(docs),
+        terms=ordered, doc_freq=tuple(doc_freq[term] for term in ordered), n_docs=len(docs)
     )
 
 

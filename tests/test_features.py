@@ -47,13 +47,14 @@ def pairs(doc, vocab, mode):
 class TestBuildVocabulary:
     def test_direct_count(self):
         vocab = build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ"])])
-        assert vocab.terms == {"ক": 0, "খ": 1}
-        assert vocab.doc_freq == {"ক": 1, "খ": 2}
+        assert vocab.terms == ("ক", "খ")
+        assert vocab.doc_freq == (1, 2)
         assert vocab.n_docs == 2
 
     def test_min_df_filter(self):
         vocab = build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ"])], min_df=2)
-        assert vocab.terms == {"খ": 0}
+        assert vocab.terms == ("খ",)
+        assert vocab.doc_freq == (2,)
 
     def test_min_df_too_high(self):
         with pytest.raises(EmptyVocabularyError):
@@ -68,15 +69,26 @@ class TestBuildVocabulary:
         assert build_vocabulary(docs).terms == build_vocabulary(list(docs)).terms
 
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Vocabulary(terms={"ক": 0, "খ": 2}, doc_freq={"ক": 1, "খ": 1}, n_docs=1)
-        with pytest.raises(ValueError):
-            Vocabulary(terms={"ক": 0}, doc_freq={"ক": 5}, n_docs=2)
-        # Indices in other than lexicographic term order, in either order of keys.
-        with pytest.raises(ValueError, match="ascending order"):
-            Vocabulary(terms={"খ": 0, "ক": 1}, doc_freq={"ক": 1, "খ": 1}, n_docs=1)
-        with pytest.raises(ValueError, match="ascending order"):
-            Vocabulary(terms={"ক": 1, "খ": 0}, doc_freq={"ক": 1, "খ": 1}, n_docs=1)
+        cases = [
+            ((("ক", "ক"), (1, 1), 1), "ascending order"),  # a repeated term
+            ((("খ", "ক"), (1, 1), 1), "ascending order"),  # unsorted terms
+            ((("ক", "খ"), (1,), 1), "doc_freq holds 1 values for 2 terms"),
+            ((("ক", "খ"), (1, 1, 1), 1), "doc_freq holds 3 values for 2 terms"),
+            ((("ক", "খ"), (1, 5), 2), r"'খ': DF 5 outside \[1, 2\]"),
+            ((("ক", "খ"), (0, 1), 2), r"'ক': DF 0 outside \[1, 2\]"),
+        ]
+        for (terms, doc_freq, n_docs), message in cases:
+            with pytest.raises(ValueError, match=message):
+                Vocabulary(terms=terms, doc_freq=doc_freq, n_docs=n_docs)
+
+    def test_index_is_the_position_of_each_term(self):
+        rng = np.random.default_rng(3)
+        vocab = build_vocabulary([random_tokenized_doc(rng) for _ in range(20)])
+        assert len(vocab.index) == len(vocab) > 1
+        for position, term in enumerate(vocab.terms):
+            assert vocab.index[term] == position
+            assert term in vocab
+        assert "" not in vocab and "টার্ম-নয়" not in vocab
 
 
 class TestIdf:
@@ -214,15 +226,16 @@ class TestTfidfVector:
         rng = np.random.default_rng(12)
         docs = [random_tokenized_doc(rng) for _ in range(40)]
         vocab = build_vocabulary(docs[:30])
-        for term, index in vocab.terms.items():
-            assert vocab.idf_weights[index] == idf(vocab.n_docs, vocab.doc_freq[term])
+        for index, df in enumerate(vocab.doc_freq):
+            assert vocab.idf_weights[index] == idf(vocab.n_docs, df)
+        position = {term: index for index, term in enumerate(vocab.terms)}
         for doc in docs:
             counts = {}
             for token in doc.tokens():
-                if token in vocab:
+                if token in position:
                     counts[token] = counts.get(token, 0) + 1
             weighted = {
-                vocab.terms[term]: count * idf(vocab.n_docs, vocab.doc_freq[term])
+                position[term]: count * idf(vocab.n_docs, vocab.doc_freq[position[term]])
                 for term, count in counts.items()
             }
             norm = math.sqrt(sum(weight * weight for weight in weighted.values()))
@@ -333,7 +346,7 @@ documents_strategy = st.lists(
 )
 
 
-@pytest.mark.filterwarnings("error")  # padding must not divide 0 by 0
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # padding must not divide 0 by 0
 class TestBatchedChiScores:
     """The chunked scorer against the per-document `reference_chi_scores`,
     compared bit for bit (`tobytes()`)."""
@@ -430,9 +443,9 @@ class TestSelectChiFeatures:
                 ranked = sorted(table, key=lambda term: (-table[term], term))
                 expected.update(ranked[: math.ceil(top_percent * len(table) / 100.0)])
             vocab = select_chi_features(docs, top_percent)
-            assert set(vocab.terms) == expected
-            for term in expected:
-                assert vocab.doc_freq[term] == sum(term in set(d.tokens()) for d in docs)
+            assert vocab.terms == tuple(sorted(expected))
+            for term, df in zip(vocab.terms, vocab.doc_freq):
+                assert df == sum(term in set(d.tokens()) for d in docs)
 
     def test_keep_count_is_ceil(self):
         # one doc, 10 distinct terms, 30% -> exactly 3 kept
@@ -468,7 +481,7 @@ class TestSelectChiFeatures:
         doc_a = tdoc(["ক", "খ"])
         doc_b = tdoc(["খ"])
         vocab = select_chi_features([doc_a, doc_b], top_percent=100.0)
-        assert vocab.doc_freq["খ"] == 2
+        assert dict(zip(vocab.terms, vocab.doc_freq))["খ"] == 2
         assert vocab.n_docs == 2
 
     def test_vocabulary_does_not_depend_on_the_hash_seed(self):

@@ -42,7 +42,7 @@ class TestTrainPipelines:
         )
         assert trained.selector == selector
         assert trained.feature_mode == ("tfidf" if selector == "tfidf" else "counts")
-        assert trained.model.vocab_size == len(trained.vocabulary)
+        assert trained.model.weights.shape[1] == len(trained.vocabulary)
         assert trained.train_seconds > 0
         assert list(trained.stage_seconds) == ["features", "vectorize", "fit"]
         assert all(seconds > 0 for seconds in trained.stage_seconds.values())
@@ -134,9 +134,8 @@ class TestModelFile:
         vocabulary = payload["vocabulary"]
         assert list(vocabulary) == ["n_docs", "terms", "doc_freq"]
         assert vocabulary["terms"] == sorted(trained.vocabulary.terms)
-        assert vocabulary["doc_freq"] == [
-            trained.vocabulary.doc_freq[term] for term in vocabulary["terms"]
-        ]
+        assert vocabulary["terms"] == list(trained.vocabulary.terms)
+        assert vocabulary["doc_freq"] == list(trained.vocabulary.doc_freq)
         for name, key in zip(("biases", "weights") if classifier == "nb"
                              else ("weights", "biases"), parameter_keys):
             assert list(payload[key]) == ["shape", "base64"]
@@ -216,7 +215,10 @@ class TestModelFile:
             format_version=1,
             vocabulary={
                 "n_docs": vocab.n_docs,
-                "terms": [[term, index, vocab.doc_freq[term]] for term, index in vocab.terms.items()],
+                "terms": [
+                    [term, index, df]
+                    for index, (term, df) in enumerate(zip(vocab.terms, vocab.doc_freq))
+                ],
             },
             weights=trained.model.weights.tolist(),
             biases=trained.model.biases.tolist(),

@@ -219,15 +219,13 @@ def _diag_seconds(args: argparse.Namespace, name: str, seconds: dict[str, float]
 
 
 def _diag_fit(args: argparse.Namespace, model: models.LinearModel) -> None:
-    """One stderr line of solver diagnostics per class, for SGD and SVM models."""
+    """One stderr line per class of the solver diagnostics a model file keeps
+    (models.FIT_FIELDS), for the trainers that have any."""
     for label, info in (model.fit_info or {}).items():
-        if model.trainer_tag == "svm":
-            detail = (f"passes={info['passes']} updates={info['updates']} "
-                      f"violation={info['violation']:.3e} converged={info['converged']}")
-        else:
-            detail = (f"objective_epoch1={info['objective_epoch1']:.6e} "
-                      f"objective_final={info['objective_final']:.6e} "
-                      f"updates={info['updates']}")
+        detail = " ".join(
+            f"{key}={info[key]:.6e}" if kind is float else f"{key}={info[key]}"
+            for key, kind in models.FIT_FIELDS[model.trainer_tag].items()
+        )
         _diag(args, f"{model.trainer_tag} class={label} {detail}")
 
 
@@ -272,11 +270,7 @@ def _load_predict_documents(path: str) -> list[LabeledDocument]:
 def cmd_predict(args: argparse.Namespace) -> int:
     trained = models.load_model(args.model)
     config = build_preprocess_config(args)
-    if config.digest() != trained.preprocess_config_digest:
-        raise DoccatError(
-            "preprocessing config does not match the model "
-            "(was it trained with different stopwords or suffixes?)"
-        )
+    trained.check_preprocess_config(config)
     docs = _load_predict_documents(args.input)
     labels, scores = models.predict(trained, [preprocess_document(doc, config) for doc in docs])
     lines = [

@@ -23,12 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import LabeledCorpus
-from .errors import (
-    LengthMismatchError,
-    PreprocessMismatchError,
-    SingleClassError,
-    UnknownLabelError,
-)
+from .errors import LengthMismatchError, SingleClassError, UnknownLabelError
 from .features import vectorize_corpus
 from .fileio import atomic_write_text
 from .models import (
@@ -92,10 +87,10 @@ class ClassMetrics:
 class EvaluationReport:
     """One benchmark row: per-class and macro P/R/F1, accuracy, wall times.
 
-    `stage_seconds` splits `train_seconds` into the model's training stages
-    and `predict_stage_seconds` splits `predict_seconds` into PREDICT_STAGES;
-    `preprocess_seconds` is the time spent preprocessing the scored test
-    documents.
+    `stage_seconds` times the model's training stages and
+    `predict_stage_seconds` the PREDICT_STAGES; `train_seconds` and
+    `predict_seconds` are their sums. `preprocess_seconds` is the time spent
+    preprocessing the scored test documents.
     """
 
     method_name: str
@@ -104,12 +99,18 @@ class EvaluationReport:
     macro_recall: float
     macro_f1: float
     accuracy: float
-    train_seconds: float = 0.0
-    predict_seconds: float = 0.0
+    confusion: ConfusionMatrix
     preprocess_seconds: float = 0.0
-    confusion: ConfusionMatrix | None = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
     predict_stage_seconds: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def train_seconds(self) -> float:
+        return sum(self.stage_seconds.values())
+
+    @property
+    def predict_seconds(self) -> float:
+        return sum(self.predict_stage_seconds.values())
 
 
 @dataclass
@@ -173,14 +174,8 @@ def _timed_preprocess(
 
 
 def _evaluate_tokenized(
-    trained: TrainedModel,
-    docs: Sequence[TokenizedDocument],
-    name: str,
-    preprocess_seconds: float,
+    trained: TrainedModel, docs: Sequence[TokenizedDocument], preprocess_seconds: float
 ) -> EvaluationReport:
-    for doc in docs:
-        if doc.label not in trained.class_labels:
-            raise UnknownLabelError(doc.label)
     clock = [time.perf_counter()]
     X = vectorize_corpus(docs, trained.vocabulary, trained.feature_mode)
     clock.append(time.perf_counter())
@@ -189,39 +184,30 @@ def _evaluate_tokenized(
 
     y_true = [doc.label for doc in docs]
     report = metrics_from_matrix(confusion_matrix(y_true, y_pred, trained.class_labels))
-    report.method_name = name
-    report.train_seconds = trained.train_seconds
+    report.method_name = method_name(trained.selector, trained.model.trainer_tag)
     report.stage_seconds = dict(trained.stage_seconds)
     report.predict_stage_seconds = {
         stage: end - start for stage, start, end in zip(PREDICT_STAGES, clock, clock[1:])
     }
-    report.predict_seconds = sum(report.predict_stage_seconds.values())
     report.preprocess_seconds = preprocess_seconds
     return report
 
 
 def evaluate(
-    trained: TrainedModel,
-    test_corpus: LabeledCorpus,
-    config: PreprocessConfig,
-    name: str | None = None,
+    trained: TrainedModel, test_corpus: LabeledCorpus, config: PreprocessConfig
 ) -> EvaluationReport:
     """Preprocess, vectorize, and score a labeled test corpus.
 
     The preprocessing config must be the one the model was trained with
-    (checked by digest). A test label outside the model's label set raises
-    UnknownLabelError. `predict_seconds` covers vectorization plus
-    prediction over the full pass, `predict_stage_seconds` splits it into
-    the two, and `preprocess_seconds` is the preprocessing before it.
+    (TrainedModel.check_preprocess_config). A test label outside the
+    model's label set raises UnknownLabelError. The report is named by
+    `method_name` of the model's pipeline. `predict_stage_seconds` times
+    vectorization and scoring over the full pass, and `preprocess_seconds`
+    is the preprocessing before it.
     """
-    if config.digest() != trained.preprocess_config_digest:
-        raise PreprocessMismatchError(
-            "preprocessing config does not match the one this model was trained with"
-        )
+    trained.check_preprocess_config(config)
     docs, preprocess_seconds = _timed_preprocess(test_corpus, config)
-    if name is None:
-        name = method_name(trained.selector, trained.model.trainer_tag)
-    return _evaluate_tokenized(trained, docs, name, preprocess_seconds)
+    return _evaluate_tokenized(trained, docs, preprocess_seconds)
 
 
 def benchmark(
@@ -261,10 +247,8 @@ def benchmark(
             digest,
             created_unix_seconds=0 if repro else None,
         )
-        report = _evaluate_tokenized(trained, test_docs, name, preprocess_seconds)
+        report = _evaluate_tokenized(trained, test_docs, preprocess_seconds)
         if repro:
-            report.train_seconds = 0.0
-            report.predict_seconds = 0.0
             report.preprocess_seconds = 0.0
             report.stage_seconds = dict.fromkeys(report.stage_seconds, 0.0)
             report.predict_stage_seconds = dict.fromkeys(report.predict_stage_seconds, 0.0)
@@ -314,7 +298,7 @@ def format_report_table(reports: Sequence[EvaluationReport]) -> str:
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    payload = {
+    return {
         "method": report.method_name,
         "train_seconds": report.train_seconds,
         "predict_seconds": report.predict_seconds,
@@ -329,13 +313,11 @@ def report_to_dict(report: EvaluationReport) -> dict:
             label: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
             for label, m in report.per_class.items()
         },
-    }
-    if report.confusion is not None:
-        payload["confusion"] = {
+        "confusion": {
             "labels": list(report.confusion.labels),
             "counts": [list(row) for row in report.confusion.counts],
-        }
-    return payload
+        },
+    }
 
 
 def write_report(report: EvaluationReport, path: str | Path) -> None:

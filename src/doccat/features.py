@@ -113,9 +113,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
     @cached_property
     def index(self) -> dict[str, int]:
         """Each term's feature index, its position in `terms`."""

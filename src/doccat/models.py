@@ -67,6 +67,7 @@ from .errors import (
     LengthMismatchError,
     ModelFormatError,
     NegativeFeatureError,
+    PreprocessMismatchError,
     SingleClassError,
 )
 from .features import (
@@ -123,18 +124,29 @@ class TrainHyperparams:
             raise ValueError("chi_top_percent must be in (0, 100]")
         if self.chi_g_top_k is not None and self.chi_g_top_k < 1:
             raise ValueError("chi_g_top_k must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
 class LinearModel:
-    """One-vs-rest linear decision functions: score_c(x) = w_c . x + b_c."""
+    """One-vs-rest linear decision functions: score_c(x) = w_c . x + b_c.
+
+    `fit_info` maps each class label to its trainer's diagnostics (None
+    for NB), and `converged` is derived from it.
+    """
 
     class_labels: tuple[str, ...]
     weights: np.ndarray  # shape (n_classes, vocabulary size)
     biases: np.ndarray  # shape (n_classes,)
     trainer_tag: Classifier
-    converged: bool = True
     fit_info: dict | None = field(default=None, compare=False)
+
+    @property
+    def converged(self) -> bool:
+        """True when every class converged; a class whose `fit_info` has no
+        `converged` entry counts as converged."""
+        return all(info.get("converged", True) for info in (self.fit_info or {}).values())
 
 
 @dataclass
@@ -160,6 +172,15 @@ class TrainedModel:
     def train_seconds(self) -> float:
         """Feature building, vectorization and fitting: the sum of `stage_seconds`."""
         return sum(self.stage_seconds.values())
+
+    def check_preprocess_config(self, config: PreprocessConfig) -> None:
+        """Raise PreprocessMismatchError unless `config` is the preprocessing
+        config this model was trained with, compared by digest."""
+        if config.digest() != self.preprocess_config_digest:
+            raise PreprocessMismatchError(
+                "preprocessing config does not match the one this model was trained with "
+                "(was it trained with different stopwords or suffixes?)"
+            )
 
 
 def _check_training_data(X: CorpusMatrix, y: Sequence[str]) -> list[str]:
@@ -216,8 +237,8 @@ def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> LinearModel:
     log priors. Raises NegativeFeatureError on any negative weight and
     SingleClassError when fewer than two labels are present.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     labels = _check_training_data(X, y)
     if (X.values < 0).any():
         raise NegativeFeatureError(f"negative feature weight {X.values[X.values < 0][0]}")
@@ -380,13 +401,7 @@ def _projected_gradient(gradient: np.ndarray, alpha: np.ndarray, c: float) -> np
     )
 
 
-def train_svm(
-    X: CorpusMatrix,
-    y: Sequence[str],
-    hyper: TrainHyperparams,
-    tolerance: float = SVM_TOLERANCE,
-    max_passes: int = SVM_MAX_PASSES,
-) -> LinearModel:
+def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> LinearModel:
     """Train one-vs-rest linear C-SVC classifiers by dual coordinate descent.
 
     Each pass visits the examples in a fresh permutation drawn from a
@@ -394,9 +409,10 @@ def train_svm(
     grouped by label converge and training is deterministic given (seed,
     corpus). All classes share the pass, and a class stops once its largest
     projected-gradient violation, measured again on the final iterate, is
-    below `tolerance`. The bias is a constant-1 feature kept in its own
-    vector. A class that exhausts `max_passes` emits a ConvergenceWarning
-    and marks the model, which is still returned.
+    below SVM_TOLERANCE. The bias is a constant-1 feature kept in its own
+    vector. A class still running after SVM_MAX_PASSES passes emits a
+    ConvergenceWarning and is recorded as not converged in `fit_info`; the
+    model is still returned.
 
     A step gathers the example's columns of the weight matrix once, scores
     every class with them and writes them back updated. A stopped class's
@@ -428,7 +444,7 @@ def train_svm(
     passes = np.zeros(n_classes, dtype=int)
     updates = np.zeros(n_classes, dtype=int)
     violation = np.full(n_classes, np.inf)
-    for _ in range(max_passes):
+    for _ in range(SVM_MAX_PASSES):
         if not running.any():
             break
         passes[running] += 1
@@ -454,12 +470,12 @@ def train_svm(
         violation[running] = sweep_violation[running]
         # Gradients measured mid-sweep go stale as later updates move w, so
         # confirm convergence against the final iterate before stopping.
-        check = running & (sweep_violation < tolerance)
+        check = running & (sweep_violation < SVM_TOLERANCE)
         if check.any():
             margins = targets * _scores(X, weights, biases)
             final = np.abs(_projected_gradient(margins - 1.0, alphas, c)).max(axis=0)
             violation[check] = final[check]
-            converged |= check & (final < tolerance)
+            converged |= check & (final < SVM_TOLERANCE)
             running &= ~converged
 
     margins = targets * _scores(X, weights, biases)
@@ -489,7 +505,6 @@ def train_svm(
         weights=weights,
         biases=biases,
         trainer_tag="svm",
-        converged=bool(converged.all()),
         fit_info=fit_info,
     )
 
@@ -553,12 +568,10 @@ def train(
     classifier: Classifier,
     hyper: TrainHyperparams,
     config: PreprocessConfig,
-    created_unix_seconds: int | None = None,
 ) -> TrainedModel:
     """Preprocess a labeled corpus and train one (selector, classifier) pipeline."""
-    docs = preprocess_corpus(corpus, config)
     return train_from_tokens(
-        docs, selector, classifier, hyper, config.digest(), created_unix_seconds
+        preprocess_corpus(corpus, config), selector, classifier, hyper, config.digest()
     )
 
 
@@ -600,9 +613,10 @@ _PARAMETER_KEYS: dict[str, dict[str, str]] = {
     "svm": {"weights": "weights", "biases": "biases"},
 }
 
-# The per-class fit diagnostics a model file keeps, with their JSON types,
-# for the trainers that have any. Alphas, margins and timings stay out.
-_FIT_FIELDS: dict[str, dict[str, type]] = {
+# The per-class fit diagnostics a model file keeps and `-v` prints, with
+# their JSON types, for the trainers that have any. Alphas, margins and
+# timings stay out.
+FIT_FIELDS: dict[str, dict[str, type]] = {
     "sgd": {"objective_epoch1": float, "objective_final": float, "updates": int},
     "svm": {"passes": int, "updates": int, "violation": float, "converged": bool},
 }
@@ -668,7 +682,7 @@ def _vocabulary_from_payload(payload: dict) -> Vocabulary:
 
 
 def _fit_to_payload(model: LinearModel) -> dict | None:
-    fields = _FIT_FIELDS.get(model.trainer_tag)
+    fields = FIT_FIELDS.get(model.trainer_tag)
     if fields is None:
         return None
     return {
@@ -678,7 +692,7 @@ def _fit_to_payload(model: LinearModel) -> dict | None:
 
 
 def _fit_from_payload(fit: object, model_type: str, labels: list[str]) -> dict | None:
-    fields = _FIT_FIELDS.get(model_type)
+    fields = FIT_FIELDS.get(model_type)
     if fields is None:
         if fit is not None:
             raise ModelFormatError(f"a {model_type} model file has no fit block")
@@ -771,25 +785,22 @@ def load_model(path: str | Path) -> TrainedModel:
         converged = payload["converged"]
         if type(converged) is not bool:
             raise ModelFormatError(f"converged must be a boolean, got {converged!r}")
-        fit_info = _fit_from_payload(payload["fit"], model_type, labels)
-        # A class whose fit block has no `converged` counts as converged.
-        if converged != all(info.get("converged", True) for info in (fit_info or {}).values()):
+        model = LinearModel(
+            class_labels=tuple(labels),
+            trainer_tag=model_type,
+            fit_info=_fit_from_payload(payload["fit"], model_type, labels),
+            **{
+                name: _array_from_payload(payload[key], key)
+                for name, key in _PARAMETER_KEYS[model_type].items()
+            },
+        )
+        if converged != model.converged:
             raise ModelFormatError("converged disagrees with the fit block's classes")
-        parameters = {
-            name: _array_from_payload(payload[key], key)
-            for name, key in _PARAMETER_KEYS[model_type].items()
-        }
         digest = payload["preprocess_config_digest"]
         if not isinstance(digest, str):
             raise ModelFormatError(f"preprocess_config_digest must be a string, got {digest!r}")
         trained = TrainedModel(
-            model=LinearModel(
-                class_labels=tuple(labels),
-                trainer_tag=model_type,
-                converged=converged,
-                fit_info=fit_info,
-                **parameters,
-            ),
+            model=model,
             vocabulary=_vocabulary_from_payload(payload["vocabulary"]),
             selector=selector,
             preprocess_config_digest=digest,

@@ -306,7 +306,6 @@ def reference_train_svm(
         weights=weights,
         biases=biases,
         trainer_tag="svm",
-        converged=bool(converged.all()),
         fit_info=fit_info,
     )
 

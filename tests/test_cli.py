@@ -61,11 +61,14 @@ class TestUsageContract:
                   "--model", "nb", "--out", "m.json"])
         assert exc.value.code == 2
 
-    def test_out_of_range_percent_is_usage_error(self, corpora):
+    @pytest.mark.parametrize(
+        "flag", [["--chi-top-percent", "150"], ["--seed", "-1"]], ids=["percent", "seed"]
+    )
+    def test_out_of_range_percent_is_usage_error(self, flag, corpora):
         train_path, _ = corpora
         with pytest.raises(SystemExit) as exc:
             main(["train", "--corpus", str(train_path), "--features", "chi2",
-                  "--model", "nb", "--out", "m.json", "--chi-top-percent", "150"])
+                  "--model", "nb", "--out", "m.json", *flag])
         assert exc.value.code == 2
 
 
@@ -113,7 +116,9 @@ class TestResolvedConfig:
         assert code == 1
         assert "learning-rate" in capsys.readouterr().err.replace("_", "-")
 
-    @pytest.mark.parametrize("line", ["chi_g_top_k=0", "sgd-epochs = 0", "svm_c = nan"])
+    @pytest.mark.parametrize(
+        "line", ["chi_g_top_k=0", "sgd-epochs = 0", "svm_c = nan", "seed = -1"]
+    )
     def test_config_value_gets_the_flag_check(self, line, tmp_path, corpora, capsys):
         train_path, _ = corpora
         config_file = tmp_path / "run.cfg"
@@ -306,15 +311,22 @@ class TestPredict:
         assert code == 1
         assert "invalid model file" in capsys.readouterr().err
 
-    def test_preprocess_mismatch_is_data_error(self, tmp_path, corpora, capsys):
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_preprocess_mismatch_is_data_error(self, command, tmp_path, corpora, capsys):
         model_path = train_model(tmp_path, corpora)
         capsys.readouterr()
-        sample = tmp_path / "sample.txt"
-        sample.write_text("কনক", encoding="utf-8")
-        code = main(["predict", "--model", str(model_path), "--input", str(sample),
-                     "--no-stemming"])
+        if command == "predict":
+            sample = tmp_path / "sample.txt"
+            sample.write_text("কনক", encoding="utf-8")
+            data = ["--input", str(sample)]
+        else:
+            data = ["--corpus", str(corpora[1])]
+        code = main([command, "--model", str(model_path), *data, "--no-stemming"])
         assert code == 1
-        assert "does not match" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: preprocessing config does not match the one this model was trained "
+            "with (was it trained with different stopwords or suffixes?)\n"
+        )
 
 
 class TestEvaluate:

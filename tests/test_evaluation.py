@@ -238,9 +238,10 @@ class TestBenchmark:
             assert report.macro_f1 == 1.0
 
     @pytest.mark.parametrize("repro", [False, True])
-    def test_reports_carry_stage_seconds(self, repro, tiny_corpus, default_cfg):
+    def test_reports_carry_stage_seconds(self, repro, tiny_corpus, default_cfg, tmp_path):
         result = benchmark(
-            tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, repro=repro
+            tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, out_dir=tmp_path,
+            repro=repro,
         )
         for report in result.reports:
             assert list(report.stage_seconds) == ["features", "vectorize", "fit"]
@@ -256,6 +257,15 @@ class TestBenchmark:
                 assert report.preprocess_seconds > 0
         # one shared test pass is preprocessed for all six methods
         assert len({report.preprocess_seconds for report in result.reports}) == 1
+        model_files = sorted(tmp_path.glob("model_*.json"))
+        assert len(model_files) == 6
+        for path in model_files:
+            created = json.loads(path.read_text(encoding="utf-8"))["created_unix_seconds"]
+            assert (created == 0) if repro else (created > 0), path.name
+        for path in tmp_path.glob("report_*.json"):
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            assert payload["train_seconds"] == sum(payload["stage_seconds"].values())
+            assert payload["predict_seconds"] == sum(payload["predict_stage_seconds"].values())
 
     def test_shared_label_precondition(self, tiny_corpus, default_cfg):
         other = LabeledCorpus((
@@ -293,8 +303,6 @@ class TestReportSerialization:
     def test_payload_fields(self):
         report = metrics_from_matrix(ConfusionMatrix(("A", "B"), ((1, 1), (0, 1))))
         report.method_name = "TFIDF+NB"
-        report.train_seconds = 1.25
-        report.predict_seconds = 0.5
         report.preprocess_seconds = 0.75
         report.stage_seconds = {"features": 0.5, "vectorize": 0.25, "fit": 0.5}
         report.predict_stage_seconds = {"vectorize": 0.375, "score": 0.125}
@@ -322,7 +330,7 @@ class TestReportSerialization:
     def test_comparison_tsv_format(self, tmp_path):
         report = metrics_from_matrix(ConfusionMatrix(("A", "B"), ((2, 0), (0, 2))))
         report.method_name = "TFIDF+SVM"
-        report.train_seconds = 0.086
+        report.stage_seconds = {"features": 0.036, "vectorize": 0.0, "fit": 0.05}
         path = tmp_path / "comparison.tsv"
         write_comparison_tsv([report], path)
         lines = path.read_text(encoding="utf-8").splitlines()

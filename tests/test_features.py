@@ -87,8 +87,8 @@ class TestBuildVocabulary:
         assert len(vocab.index) == len(vocab) > 1
         for position, term in enumerate(vocab.terms):
             assert vocab.index[term] == position
-            assert term in vocab
-        assert "" not in vocab and "টার্ম-নয়" not in vocab
+            assert term in vocab.index
+        assert "" not in vocab.index and "টার্ম-নয়" not in vocab.index
 
 
 class TestIdf:

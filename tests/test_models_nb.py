@@ -52,9 +52,10 @@ class TestTrainNB:
         with pytest.raises(LengthMismatchError):
             train_nb(matrix([{0: 1.0}], 1), ["a", "b"], alpha=0.01)
 
-    def test_bad_alpha(self):
-        with pytest.raises(ValueError):
-            train_nb(matrix([{0: 1.0}, {1: 1.0}], 2), ["a", "b"], alpha=0.0)
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            train_nb(matrix([{0: 1.0}, {1: 1.0}], 2), ["a", "b"], alpha=alpha)
 
     def test_large_alpha_approaches_uniform(self):
         model = train_nb(matrix([{0: 3.0}, {1: 1.0}], 2), ["a", "b"], alpha=1e9)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from doccat import models
 from doccat.errors import ConvergenceWarning, ModelFormatError, SingleClassError
 from doccat.features import vectorize_corpus
 from doccat.models import (
@@ -183,15 +184,15 @@ class TestModelFile:
         assert np.signbit(loaded.model.weights.flat[0])
 
     def test_capped_svm_reloads_unconverged_with_its_fit_block(
-        self, small_tokens, default_cfg, tmp_path
+        self, small_tokens, default_cfg, tmp_path, monkeypatch
     ):
         trained = train_from_tokens(
             small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg.digest()
         )
         X = vectorize_corpus(small_tokens, trained.vocabulary, "tfidf")
+        monkeypatch.setattr(models, "SVM_MAX_PASSES", 1)
         with pytest.warns(ConvergenceWarning):
-            capped = train_svm(X, [doc.label for doc in small_tokens], TrainHyperparams(),
-                               max_passes=1)
+            capped = train_svm(X, [doc.label for doc in small_tokens], TrainHyperparams())
         assert capped.converged is False
         path = tmp_path / "model.json"
         save_model(dataclasses.replace(trained, model=capped), path)

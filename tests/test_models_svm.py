@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from doccat import models
 from doccat.errors import ConvergenceWarning, SingleClassError
 from doccat.features import build_vocabulary, select_chi_features, vectorize_corpus
 from doccat.models import (
-    SVM_MAX_PASSES,
     SVM_TOLERANCE,
     TrainHyperparams,
     predict_tokenized,
@@ -87,13 +87,14 @@ class TestTrainSVM:
         with pytest.raises(SingleClassError):
             train_svm(matrix([{0: 1.0}, {0: 2.0}], 1), ["c", "c"], TrainHyperparams())
 
-    def test_non_convergence_warns_and_flags(self):
+    def test_non_convergence_warns_and_flags(self, monkeypatch):
+        monkeypatch.setattr(models, "SVM_MAX_PASSES", 1)
         rng = np.random.default_rng(5)
         X = matrix([{j: float(rng.normal()) for j in range(4)} for _ in range(30)], 4)
         y = [("a", "b")[int(rng.integers(0, 2))] for _ in range(30)]
         y[0], y[1] = "a", "b"
         with pytest.warns(ConvergenceWarning):
-            model = train_svm(X, y, TrainHyperparams(), max_passes=1)
+            model = train_svm(X, y, TrainHyperparams())
         assert model.converged is False
         assert model.weights.shape == (2, 4)  # model still returned
 
@@ -158,10 +159,10 @@ def overlapping_matrix(tokens, selector):
     return X, [doc.label for doc in tokens]
 
 
-def assert_matches_reference(X, y, max_passes):
+def assert_matches_reference(X, y):
     hyper = TrainHyperparams()
-    model = train_svm(X, y, hyper, max_passes=max_passes)
-    reference = reference_train_svm(X, y, hyper, SVM_TOLERANCE, max_passes)
+    model = train_svm(X, y, hyper)
+    reference = reference_train_svm(X, y, hyper, SVM_TOLERANCE, models.SVM_MAX_PASSES)
     assert model.class_labels == reference.class_labels
     assert np.array_equal(model.weights, reference.weights)
     assert np.array_equal(model.biases, reference.biases)
@@ -184,9 +185,7 @@ class TestMatchesPerStepReference:
 
     @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
     def test_overlapping_corpus(self, overlapping_tokens, selector):
-        model = assert_matches_reference(
-            *overlapping_matrix(overlapping_tokens, selector), SVM_MAX_PASSES
-        )
+        model = assert_matches_reference(*overlapping_matrix(overlapping_tokens, selector))
         assert model.converged
         passes = [info["passes"] for info in model.fit_info.values()]
         # Classes that stop early are carried through later passes.
@@ -194,10 +193,11 @@ class TestMatchesPerStepReference:
         for info in model.fit_info.values():
             assert 0 < info["updates"] <= info["passes"] * len(info["alphas"])
 
-    def test_capped_run(self, overlapping_tokens):
+    def test_capped_run(self, overlapping_tokens, monkeypatch):
+        monkeypatch.setattr(models, "SVM_MAX_PASSES", 3)
         X, y = overlapping_matrix(overlapping_tokens, "tfidf")
         with pytest.warns(ConvergenceWarning):
-            model = assert_matches_reference(X, y, max_passes=3)
+            model = assert_matches_reference(X, y)
         assert not model.converged
         assert all(info["passes"] == 3 for info in model.fit_info.values())
 

@@ -2,8 +2,9 @@
 
 Pipeline: corpus loading -> preprocessing -> feature engineering (TF-IDF or
 chi-square selection) -> classifier training (NB, SGD, SVM) -> evaluation.
-Vectorization turns a corpus into one CSR CorpusMatrix (a document is a
-one-row matrix), which the trainers fit and the scoring reads as it is.
+Vectorization turns a corpus into one CSR CorpusMatrix, which the trainers
+fit and the scoring reads as it is; a single document is scored from its
+feature row directly.
 """
 
 from .corpus import (

@@ -11,8 +11,10 @@ Two pipelines are provided and used separately downstream:
 
 A corpus becomes one CorpusMatrix: a CSR matrix with one row per document
 of ascending feature indices and their non-zero weights, checked once when
-it is built and used as it is by the trainers and the scoring. A single
-document is a one-row matrix.
+it is built and used as it is by the trainers and the scoring. Every row
+comes from one helper, `_row`; prediction calls it for a single document
+too and scores that row as it is, so one document is never built into a
+one-row matrix.
 
 The chi-square score for a term w in one document treats each sentence as
 the co-occurrence window:
@@ -132,9 +134,8 @@ class CorpusMatrix:
 
     Row i holds the feature `indices[indptr[i]:indptr[i + 1]]` (intp,
     strictly ascending within the row, in [0, n_features)) and their
-    `values` (float64, finite and non-zero); zeros are omitted. A single
-    document is a one-row matrix. The arrays are checked once here and
-    marked read-only, arrays passed in included.
+    `values` (float64, finite and non-zero); zeros are omitted. The arrays
+    are checked once here and marked read-only, arrays passed in included.
     """
 
     indptr: np.ndarray
@@ -156,8 +157,7 @@ class CorpusMatrix:
             raise ValueError("indptr must run from 0 to the number of stored entries")
         if any(end < start for start, end in zip(bounds, bounds[1:])):
             raise ValueError("indptr must not decrease")
-        # np.count_nonzero is the cheapest reduction on the short rows of
-        # single documents.
+        # np.count_nonzero is the cheapest reduction on short arrays.
         falls = indices[1:] <= indices[:-1]
         if np.count_nonzero(falls):
             # An index may fall or repeat only where a new row starts.
@@ -392,23 +392,29 @@ def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray,
     return indices, weights
 
 
+def _row(
+    doc: TokenizedDocument, vocab: Vocabulary, mode: FeatureMode
+) -> tuple[np.ndarray, np.ndarray]:
+    """One document's row: its feature indices in ascending order and their
+    weights, unit-norm TF-IDF for "tfidf" and raw counts otherwise."""
+    # The vectors are looked up by name on every call, so a wrapper bound in
+    # their place (a tracer, say) sees each row.
+    vector = tfidf_vector if mode == "tfidf" else count_vector
+    indices, values = vector(doc, vocab)
+    order = indices.argsort()
+    return indices[order], values[order]
+
+
 def vectorize_corpus(
     docs: Sequence[TokenizedDocument], vocab: Vocabulary, mode: FeatureMode
 ) -> CorpusMatrix:
     """One row per document, in order: raw counts for "counts", unit-norm
     TF-IDF weights for "tfidf"."""
-    vector = {"tfidf": tfidf_vector, "counts": count_vector}.get(mode)
-    if vector is None:
+    if mode not in ("tfidf", "counts"):
         raise ValueError(f"unknown feature mode: {mode!r}")
-    indptr, row_indices, row_values = [0], [], []
-    for doc in docs:
-        indices, values = vector(doc, vocab)
-        order = np.argsort(indices)
-        row_indices.append(indices[order])
-        row_values.append(values[order])
-        indptr.append(indptr[-1] + indices.size)
-    if not docs:
-        return CorpusMatrix(indptr, [], [], len(vocab))
-    return CorpusMatrix(
-        indptr, np.concatenate(row_indices), np.concatenate(row_values), len(vocab)
-    )
+    rows = [_row(doc, vocab, mode) for doc in docs]
+    if not rows:
+        return CorpusMatrix([0], [], [], len(vocab))
+    indptr = np.cumsum([0, *(indices.size for indices, _ in rows)])
+    indices, values = zip(*rows)
+    return CorpusMatrix(indptr, np.concatenate(indices), np.concatenate(values), len(vocab))

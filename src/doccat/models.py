@@ -7,7 +7,10 @@ smallest label. Each trainer takes the training corpus as one
 features.CorpusMatrix, reads the feature count from it, and fits every
 class in one loop over a (classes x features) weight matrix. Every trainer
 returns a LinearModel, scored as w_c . x + b_c: `predict` labels a batch of
-documents and `predict_tokenized` is its one-document case.
+documents, and `predict_tokenized` labels one document from its row
+(features._row) without building a one-row matrix. Both score a row with
+the same gather and matrix-vector product, `_row_scores`, so a document
+scores the same alone as inside a corpus.
 
 * Naive Bayes uses Lidstone smoothing and accepts real-valued non-negative
   feature weights, so TF-IDF inputs are as valid as raw counts. Its log
@@ -55,7 +58,7 @@ import math
 import operator
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -74,6 +77,7 @@ from .features import (
     CorpusMatrix,
     FeatureMode,
     Vocabulary,
+    _row,
     build_vocabulary,
     select_chi_features,
     vectorize_corpus,
@@ -128,19 +132,21 @@ class TrainHyperparams:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearModel:
     """One-vs-rest linear decision functions: score_c(x) = w_c . x + b_c.
 
     `fit_info` maps each class label to its trainer's diagnostics (None
-    for NB), and `converged` is derived from it.
+    for NB), and `converged` is derived from it. Models compare by
+    identity: a field-wise `==` would compare arrays, which has no single
+    truth value.
     """
 
     class_labels: tuple[str, ...]
     weights: np.ndarray  # shape (n_classes, vocabulary size)
     biases: np.ndarray  # shape (n_classes,)
     trainer_tag: Classifier
-    fit_info: dict | None = field(default=None, compare=False)
+    fit_info: dict | None = None
 
     @property
     def converged(self) -> bool:
@@ -149,9 +155,10 @@ class LinearModel:
         return all(info.get("converged", True) for info in (self.fit_info or {}).values())
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainedModel:
-    """A fitted classifier bundled with its feature space and pipeline identity."""
+    """A fitted classifier bundled with its feature space and pipeline
+    identity; compared by identity, as its LinearModel is."""
 
     model: LinearModel
     vocabulary: Vocabulary
@@ -200,18 +207,26 @@ def _targets(y: Sequence[str], labels: list[str]) -> np.ndarray:
     return np.where(np.asarray(y)[:, None] == np.asarray(labels)[None, :], 1.0, -1.0)
 
 
-def _scores(X: CorpusMatrix, coefficients: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """(n, C) scores coefficients @ x + offsets of every row x of X.
+def _row_scores(coefficients: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """(C,) scores coefficients @ x of one sparse row x, given as its feature
+    indices `cols` and their values `vals`: one gather and one
+    matrix-vector product."""
+    return coefficients[:, cols] @ vals
 
-    Each row is one gather and one matrix-vector product, so temporaries
-    stay O(n C) and a row scores the same alone as within a corpus.
-    """
-    if X.n_features != coefficients.shape[1]:
-        raise ValueError(f"{X.n_features} features against a model of {coefficients.shape[1]}")
+
+def _check_width(n_features: int, coefficients: np.ndarray) -> None:
+    if n_features != coefficients.shape[1]:
+        raise ValueError(f"{n_features} features against a model of {coefficients.shape[1]}")
+
+
+def _scores(X: CorpusMatrix, coefficients: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(n, C) scores coefficients @ x + offsets of every row x of X, one
+    `_row_scores` per row, so temporaries stay O(n C)."""
+    _check_width(X.n_features, coefficients)
     scores = np.empty((X.shape[0], len(offsets)))
     bounds, indices, values = X.indptr.tolist(), X.indices, X.values
     for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
-        scores[row] = coefficients[:, indices[start:end]] @ values[start:end]
+        scores[row] = _row_scores(coefficients, indices[start:end], values[start:end])
     scores += offsets
     return scores
 
@@ -600,9 +615,17 @@ def predict(
 def predict_tokenized(
     trained: TrainedModel, doc: TokenizedDocument
 ) -> tuple[str, float, dict[str, float]]:
-    """Predict one preprocessed document: (label, winning score, all scores)."""
-    (label,), scores = predict(trained, [doc])
-    row = dict(zip(trained.class_labels, scores[0].tolist()))
+    """Predict one preprocessed document: (label, winning score, all scores).
+
+    The document's row is scored as it is, with the same arithmetic as its
+    row of `predict`, so the label and scores are the same bit for bit.
+    """
+    model = trained.model
+    _check_width(len(trained.vocabulary), model.weights)
+    scores = _row_scores(model.weights, *_row(doc, trained.vocabulary, trained.feature_mode))
+    scores += model.biases
+    label = model.class_labels[int(scores.argmax())]
+    row = dict(zip(model.class_labels, scores.tolist()))
     return label, row[label], row
 
 

@@ -185,16 +185,31 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
     @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
-    def test_batch_labels_equal_per_document_predictions(
+    def test_batch_predictions_equal_per_document_predictions(
         self, selector, classifier, default_cfg
     ):
         # Overlapping classes, so the labels carry errors a mix-up would move.
         train_corpus = make_overlapping_corpus(6, seed=21)
-        test_corpus = make_overlapping_corpus(4, seed=22)
+        overlapping = make_overlapping_corpus(4, seed=22)
+        label = overlapping.labels[0]
+        test_corpus = LabeledCorpus(tuple(overlapping) + (
+            LabeledDocument("emptied", "১২৩। ৪৫৬! ,;", label),
+            LabeledDocument("out-of-vocabulary", "Zqxv wqyz। ΑΣ?Σ", label),
+        ))
         trained = train(train_corpus, selector, classifier, TrainHyperparams(), default_cfg)
         docs = preprocess_corpus(test_corpus, default_cfg)
-        one_by_one = [predict_tokenized(trained, doc)[0] for doc in docs]
-        assert predict(trained, docs)[0] == one_by_one
+        emptied, unknown = docs[-2:]
+        assert emptied.token_count == 0
+        assert unknown.token_count and not set(unknown.tokens()) & set(trained.vocabulary.terms)
+        batch_labels, batch_scores = predict(trained, docs)
+        one_by_one = []
+        for doc, batch_label, batch_row in zip(docs, batch_labels, batch_scores):
+            label, score, row = predict_tokenized(trained, doc)
+            assert label == batch_label
+            assert list(row) == list(trained.class_labels)
+            assert np.array(list(row.values())).tobytes() == batch_row.tobytes()
+            assert score == row[label]
+            one_by_one.append(label)
         y_true = [doc.label for doc in docs]
         report = evaluate(trained, test_corpus, default_cfg)
         assert report.confusion == confusion_matrix(y_true, one_by_one, trained.class_labels)

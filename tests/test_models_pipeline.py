@@ -74,6 +74,18 @@ class TestTrainPipelines:
         assert trained.model.trainer_tag == "nb"
         assert np.isfinite(trained.model.weights).all()
 
+    def test_equal_models_compare_by_identity(self, small_tokens, default_cfg, tmp_path):
+        trained = train_from_tokens(
+            small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg.digest()
+        )
+        save_model(trained, tmp_path / "model.json")
+        first, second = (load_model(tmp_path / "model.json") for _ in range(2))
+        assert np.array_equal(first.model.weights, second.model.weights)
+        # Equal fields, distinct objects: False, not an ambiguous-truth ValueError.
+        assert (first == second) is False
+        assert (first.model == second.model) is False
+        assert first == first and first.model == first.model
+
     def test_unknown_classifier_fails_before_any_work(self, small_tokens, default_cfg):
         with pytest.raises(ValueError, match="classifier"):
             train_from_tokens(

@@ -5,12 +5,13 @@ import sys
 import threading
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from doccat.corpus import LabeledDocument
 from doccat.textprep import (
     DEFAULT_STRIP_SYMBOLS,
+    SENTENCE_DELIMITERS,
     TOKEN_MEMO_SIZE,
     PreprocessConfig,
     TokenizedDocument,
@@ -193,18 +194,31 @@ PIECES = sorted(
     | {"Σ", "ΑΣ", "ΟΔΟΣ", "σ", "FIFA", "Dhaka", "İ"}
 )
 FLAGS = list(itertools.product([True, False], repeat=3))
+# The document is stripped before it is split into sentences, so a strip
+# symbol that is also a sentence delimiter must still end its sentence.
+DELIMITERS = frozenset(SENTENCE_DELIMITERS) - frozenset(string.whitespace)
+STRIP_SETS = {
+    "default": DEFAULT_STRIP_SYMBOLS,
+    "default-minus-delimiters": DEFAULT_STRIP_SYMBOLS - DELIMITERS,
+    "delimiters-only": DELIMITERS,
+    "empty": frozenset(),
+}
 
 
 class TestMatchesPerTokenOracle:
+    @pytest.mark.parametrize("strip_set", sorted(STRIP_SETS))
     @pytest.mark.parametrize(("stemming", "stopwords", "lowercase"), FLAGS)
     @given(pieces=st.lists(st.sampled_from(PIECES), min_size=1, max_size=40))
+    # Final sigmas on both sides of every delimiter and of a strip symbol.
+    @example(pieces=["ΑΣ", "?", "Σ", "।", "ΟΔΟΣ", "!", "ΣΑ", "\n", "Α", ",", "Σ"])
     @settings(max_examples=60)
-    def test_random_text(self, stemming, stopwords, lowercase, pieces):
+    def test_random_text(self, stemming, stopwords, lowercase, strip_set, pieces):
         text = "".join(pieces)
         assume(text.strip())
         config = PreprocessConfig(
             stopword_list=_DEFAULT.stopword_list,
             suffix_table=_DEFAULT.suffix_table,
+            strip_symbols=STRIP_SETS[strip_set],
             enable_stemming=stemming,
             enable_stopwords=stopwords,
             lowercase_latin=lowercase,

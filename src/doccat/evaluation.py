@@ -17,6 +17,7 @@ method plus a plottable `comparison.tsv`.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -141,7 +142,9 @@ def confusion_matrix(
 
 
 def metrics_from_matrix(cm: ConfusionMatrix) -> EvaluationReport:
-    """Compute per-class and macro metrics from a confusion matrix."""
+    """Compute per-class and macro metrics from a confusion matrix. The
+    macro averages sum the per-class values with math.fsum, correctly
+    rounded, so they do not depend on the Python version."""
     per_class: dict[str, ClassMetrics] = {}
     for i, label in enumerate(cm.labels):
         tp = cm.counts[i][i]
@@ -157,9 +160,9 @@ def metrics_from_matrix(cm: ConfusionMatrix) -> EvaluationReport:
     return EvaluationReport(
         method_name="",
         per_class=per_class,
-        macro_precision=sum(m.precision for m in per_class.values()) / k,
-        macro_recall=sum(m.recall for m in per_class.values()) / k,
-        macro_f1=sum(m.f1 for m in per_class.values()) / k,
+        macro_precision=math.fsum(m.precision for m in per_class.values()) / k,
+        macro_recall=math.fsum(m.recall for m in per_class.values()) / k,
+        macro_f1=math.fsum(m.f1 for m in per_class.values()) / k,
         accuracy=trace / cm.total,
         confusion=cm,
     )

@@ -4,17 +4,23 @@ Two pipelines are provided and used separately downstream:
 
 * TF-IDF: raw term counts weighted by the smoothed inverse document
   frequency ``ln((N + 1) / (DF + 1)) + 1`` and scaled to unit Euclidean
-  norm (length normalization).
+  norm (length normalization). The squares are summed with math.fsum,
+  which rounds correctly, so a norm depends neither on the order of the
+  terms nor on the Python version.
 * Chi-square: a per-document co-occurrence score ranks each document's
   terms; the top share of every document's ranking is kept and the union
   forms the vocabulary, vectorized with raw counts.
 
 A corpus becomes one CorpusMatrix: a CSR matrix with one row per document
 of ascending feature indices and their non-zero weights, checked once when
-it is built and used as it is by the trainers and the scoring. Every row
-comes from one helper, `_row`; prediction calls it for a single document
-too and scores that row as it is, so one document is never built into a
-one-row matrix.
+it is built and used as it is by the trainers and the scoring.
+`vectorize_corpus` builds it in chunks of whole documents of at most
+_VECTORIZE_CHUNK_TOKENS tokens: per chunk, one pass maps the tokens to
+feature ids, one `np.unique` counts the (document, feature) keys, and for
+TF-IDF each row takes one correctly rounded norm. One document's row comes
+from `_row`, which prediction calls and scores as it is, so one document is
+never built into a one-row matrix; a corpus row equals `_row` of its
+document bit for bit.
 
 The chi-square score for a term w in one document treats each sentence as
 the co-occurrence window:
@@ -66,7 +72,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -79,6 +85,11 @@ ChiScoreTable = dict[str, float]
 # Cells (documents x T x T) of one chunk's padded chi-square arrays: 512 KB
 # per float64 array. Larger chunks were no faster on 3000 documents.
 _CHI_CHUNK_CELLS = 1 << 16
+
+# Tokens of one vectorize_corpus chunk, whose temporaries take about 1 MB.
+# Vectorizing 3000 documents (1.7 MB of CSR arrays) in one chunk peaked at
+# 10 MB of allocations, against 4 MB in chunks of this size.
+_VECTORIZE_CHUNK_TOKENS = 1 << 14
 
 FeatureMode = Literal["tfidf", "counts"]
 
@@ -380,15 +391,21 @@ def count_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray,
     return indices, values
 
 
+def _norm(squares: list[float]) -> float:
+    """The Euclidean norm whose squared entries are `squares`. math.fsum
+    rounds their sum correctly, so the norm depends neither on the order of
+    the entries nor on the Python version (builtin sum changed in 3.12)."""
+    return math.sqrt(math.fsum(squares))
+
+
 def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """`count_vector` with each count weighted by its term's `idf` and the
-    weights scaled to unit Euclidean norm, their squares summed in
-    first-occurrence order. A document with no in-vocabulary token has no
-    entries and is not normalized."""
+    weights scaled to unit Euclidean norm (`_norm`). A document with no
+    in-vocabulary token has no entries and is not normalized."""
     indices, weights = count_vector(doc, vocab)
     if indices.size:
         weights *= vocab.idf_weights[indices]
-        weights /= math.sqrt(sum((weights * weights).tolist()))
+        weights /= _norm((weights * weights).tolist())
     return indices, weights
 
 
@@ -409,12 +426,60 @@ def vectorize_corpus(
     docs: Sequence[TokenizedDocument], vocab: Vocabulary, mode: FeatureMode
 ) -> CorpusMatrix:
     """One row per document, in order: raw counts for "counts", unit-norm
-    TF-IDF weights for "tfidf"."""
+    TF-IDF weights for "tfidf".
+
+    The documents are vectorized in chunks of at most _VECTORIZE_CHUNK_TOKENS
+    tokens (a longer document is a chunk of its own) and the chunks' arrays
+    are joined once. Every row equals `_row` of its document bit for bit."""
     if mode not in ("tfidf", "counts"):
         raise ValueError(f"unknown feature mode: {mode!r}")
-    rows = [_row(doc, vocab, mode) for doc in docs]
-    if not rows:
+    sizes = [sum(map(len, doc.sentences)) for doc in docs]
+    pieces = []  # (row lengths, indices, values) per chunk
+    start = 0
+    while start < len(docs):
+        stop, tokens = start + 1, sizes[start]
+        while stop < len(docs) and tokens + sizes[stop] <= _VECTORIZE_CHUNK_TOKENS:
+            tokens += sizes[stop]
+            stop += 1
+        pieces.append(_vectorize_chunk(docs[start:stop], sizes[start:stop], vocab, mode))
+        start = stop
+    if not pieces:
         return CorpusMatrix([0], [], [], len(vocab))
-    indptr = np.cumsum([0, *(indices.size for indices, _ in rows)])
-    indices, values = zip(*rows)
-    return CorpusMatrix(indptr, np.concatenate(indices), np.concatenate(values), len(vocab))
+    row_lengths, indices, values = map(np.concatenate, zip(*pieces))
+    indptr = np.concatenate(([0], np.cumsum(row_lengths)))
+    return CorpusMatrix(indptr, indices, values, len(vocab))
+
+
+def _vectorize_chunk(
+    docs: Sequence[TokenizedDocument],
+    sizes: list[int],
+    vocab: Vocabulary,
+    mode: FeatureMode,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`vectorize_corpus` for one chunk of documents with `sizes` tokens each:
+    its row lengths, feature indices and weights."""
+    n_features = len(vocab)
+    ids = np.fromiter(
+        map(vocab.index.get, chain.from_iterable(doc.tokens() for doc in docs), repeat(-1)),
+        np.intp,
+        sum(sizes),
+    )
+    keys = np.repeat(np.arange(len(docs)) * n_features, sizes)
+    keys += ids
+    # One key per (document, feature) in ascending order, so each row's
+    # indices ascend; out-of-vocabulary tokens (id -1) are dropped first.
+    keys, counts = np.unique(keys[ids >= 0], return_counts=True)
+    rows = keys // n_features
+    indices = keys - rows * n_features
+    values = counts.astype(np.float64)
+    row_lengths = np.bincount(rows, minlength=len(docs))
+    if mode == "tfidf" and keys.size:
+        # The same elementwise operations as tfidf_vector, and the same
+        # correctly rounded norm, so every row equals `_row` bit for bit.
+        values *= vocab.idf_weights[indices]
+        squares = (values * values).tolist()
+        filled = row_lengths[row_lengths > 0]
+        bounds = np.concatenate(([0], np.cumsum(filled))).tolist()
+        norms = [_norm(squares[begin:end]) for begin, end in zip(bounds, bounds[1:])]
+        values /= np.repeat(norms, filled)
+    return row_lengths, indices, values

@@ -21,9 +21,10 @@ scores the same alone as inside a corpus.
   step schedule eta_t = 1 / (alpha (t0 + t)), t0 = 1/alpha, decaying across
   all updates. The bias is unregularized. Once the model fits, most steps
   leave every margin at 1 or above and update nothing, so the trainer
-  scores consecutive steps in blocks and applies only the steps that
-  update a class. The model equals that of a step-by-step loop unless a
-  margin lies within rounding of exactly 1.
+  gathers each epoch's entries in step order once, scores consecutive
+  steps in blocks of them and applies only the steps that update a class.
+  The model equals that of a step-by-step loop unless a margin lies within
+  rounding of exactly 1.
 * The SVM trainer solves the L1-loss C-SVC dual by coordinate descent with
   the bias as a constant-1 feature, visiting the examples in a seeded
   random permutation on every pass, and stopping each class when its
@@ -231,6 +232,26 @@ def _scores(X: CorpusMatrix, coefficients: np.ndarray, offsets: np.ndarray) -> n
     return scores
 
 
+def _block_dots(
+    coefficients: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    filled: np.ndarray,
+    starts: np.ndarray,
+    n_rows: int,
+) -> np.ndarray:
+    """(n_rows, C) products coefficients @ x of a block of rows x laid end to
+    end in `cols` and `vals`: one gather, one multiply and one reduceat.
+    Row filled[k] starts at starts[k]; the other rows are empty and score 0.
+    (reduceat sums from one start to the next, so it must not see an empty
+    row.)"""
+    products = coefficients.take(cols, axis=1)
+    products *= vals
+    dots = np.zeros((n_rows, len(coefficients)))
+    dots[filled] = np.add.reduceat(products, starts, axis=1).T
+    return dots
+
+
 def _hinge_objectives(
     X: CorpusMatrix,
     targets: np.ndarray,
@@ -238,8 +259,27 @@ def _hinge_objectives(
     biases: np.ndarray,
     alpha: float,
 ) -> np.ndarray:
-    """Per-class L2-regularized mean hinge loss (alpha/2)||w_c||^2 + mean hinge."""
-    hinge = np.maximum(0.0, 1.0 - targets * _scores(X, weights, biases))
+    """Per-class L2-regularized mean hinge loss (alpha/2)||w_c||^2 + mean hinge.
+
+    The rows are scored by `_block_dots`, _SGD_BLOCK_ROWS at a time, so the
+    gathered products stay small."""
+    n_rows = X.shape[0]
+    scores = np.empty((n_rows, len(biases)))
+    bounds, lengths = X.indptr.tolist(), np.diff(X.indptr)
+    for begin in range(0, n_rows, _SGD_BLOCK_ROWS):
+        end = min(begin + _SGD_BLOCK_ROWS, n_rows)
+        lo, hi = bounds[begin], bounds[end]
+        filled = lengths[begin:end].nonzero()[0]
+        scores[begin:end] = _block_dots(
+            weights,
+            X.indices[lo:hi],
+            X.values[lo:hi],
+            filled,
+            X.indptr[begin:end][filled] - lo,
+            end - begin,
+        )
+    scores += biases
+    hinge = np.maximum(0.0, 1.0 - targets * scores)
     return 0.5 * alpha * np.einsum("ij,ij->i", weights, weights) + hinge.mean(axis=0)
 
 
@@ -289,10 +329,11 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
 
     Most steps update no class, so the steps are scored in blocks rather
     than one at a time. Each epoch's step sizes and the scale before and
-    after every step come from one vectorized schedule. A block of up to
-    _SGD_BLOCK_ROWS consecutive steps is gathered from the CSR arrays once
-    and scored in one batch, each row with its own pre-decay scale and the
-    current biases. The steps before the first margin below 1 change
+    after every step come from one vectorized schedule, and each epoch
+    gathers its rows' entries and targets in step order once. A block of up
+    to _SGD_BLOCK_ROWS consecutive steps is a slice of those arrays, scored
+    in one batch, each row with its own pre-decay scale and the current
+    biases. The steps before the first margin below 1 change
     nothing; that step's update is applied as a single step would apply it,
     the later rows' products with the updated classes are summed again
     from the block's gathered entries, and the scan goes on after it. A
@@ -303,8 +344,9 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     Each row equals the model trained on its class alone, training is
     deterministic given (seed, corpus), and symmetric label swaps produce
     exactly mirrored weights. `fit_info` holds per class the objective
-    after the first and the last epoch and `updates`, the number of steps
-    whose margin for that class was below 1.
+    after the first and the last epoch (`_hinge_objectives`, which scores
+    the corpus in blocks of _SGD_BLOCK_ROWS rows the same way) and
+    `updates`, the number of steps whose margin for that class was below 1.
     """
     labels = _check_training_data(X, y)
     targets = _targets(y, labels)
@@ -317,14 +359,26 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     t0 = 1.0 / alpha
     rng = np.random.default_rng(hyper.seed)
     lengths = np.diff(X.indptr)
+    # Each epoch's entries and targets in step order, gathered into the same
+    # buffers every epoch.
+    epoch_cols, epoch_vals = np.empty_like(X.indices), np.empty_like(X.values)
+    epoch_targets = np.empty_like(targets)
 
     for epoch in range(hyper.sgd_epochs):
         order = rng.permutation(n_rows)
         row_lengths = lengths[order]
         # Step k's row order[k] is entries offsets[k]:offsets[k + 1] of the
-        # epoch's rows laid end to end, and starts at offsets[k] + shifts[k] in X.
+        # epoch's rows laid end to end, gathered from X once; a block is a
+        # slice of them.
         offsets = np.concatenate(([0], np.cumsum(row_lengths)))
-        shifts = X.indptr[order] - offsets[:-1]
+        positions = (X.indptr[order] - offsets[:-1]).repeat(row_lengths)
+        positions += np.arange(offsets[-1])
+        # The positions are in range by construction; the default mode="raise"
+        # would copy through a temporary buffer, twice as slow.
+        X.indices.take(positions, out=epoch_cols, mode="clip")
+        X.values.take(positions, out=epoch_vals, mode="clip")
+        del positions  # before the next epoch allocates its own
+        targets.take(order, axis=0, out=epoch_targets, mode="clip")
         offsets_list = offsets.tolist()
         etas = 1.0 / (alpha * (t0 + np.arange(epoch * n_rows + 1, (epoch + 1) * n_rows + 1)))
         decays = 1.0 - etas * alpha
@@ -335,19 +389,12 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
         begin = 0
         while begin < n_rows:
             end = min(begin + _SGD_BLOCK_ROWS, rescale + 1, n_rows)
-            lo = offsets_list[begin]
-            block_lengths = row_lengths[begin:end]
-            positions = shifts[begin:end].repeat(block_lengths)
-            positions += np.arange(lo, offsets_list[end])
-            cols, vals = X.indices.take(positions), X.values.take(positions)
-            # reduceat sums from one start to the next, so it must not see empty rows.
-            filled = block_lengths.nonzero()[0]
+            lo, hi = offsets_list[begin], offsets_list[end]
+            cols, vals = epoch_cols[lo:hi], epoch_vals[lo:hi]
+            filled = row_lengths[begin:end].nonzero()[0]
             starts = offsets[begin:end][filled] - lo
-            products = v.take(cols, axis=1)
-            products *= vals
-            dots = np.zeros((end - begin, n_classes))
-            dots[filled] = np.add.reduceat(products, starts, axis=1).T
-            block_targets = targets.take(order[begin:end], axis=0)
+            dots = _block_dots(v, cols, vals, filled, starts, end - begin)
+            block_targets = epoch_targets[begin:end]
             first = 0  # the block's first row not yet scanned
             while True:
                 below = (
@@ -432,10 +479,11 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     A step gathers the example's columns of the weight matrix once, scores
     every class with them and writes them back updated. A stopped class's
     curvature is infinite for the pass, so its step is exactly zero and
-    leaves its alpha and weights unchanged. Each step records its gradients
-    and the alphas it started from; the pass's violation is taken from
-    those records once, after the pass. `fit_info` holds per class
-    `updates`, the number of steps that changed the class's alpha.
+    leaves its alpha and weights unchanged. Each step records its gradients,
+    and each pass copies the alphas it starts from (every example is visited
+    once per pass); the pass's violation is taken from those records once,
+    after the pass. `fit_info` holds per class `updates`, the number of
+    steps that changed the class's alpha.
     """
     labels = _check_training_data(X, y)
     targets = _targets(y, labels)
@@ -464,6 +512,7 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
             break
         passes[running] += 1
         curvature = q_diag[:, None] * np.where(running, 1.0, np.inf)
+        np.copyto(visited, alphas)
         for i in rng.permutation(n_rows).tolist():
             start, end = bounds[i], bounds[i + 1]
             cols, x = X.indices[start:end], X.values[start:end]
@@ -471,7 +520,6 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
             local = weights.take(cols, axis=1)
             gradient = t * (local @ x + biases) - 1.0
             gradients[i] = gradient
-            visited[i] = a
             updated = np.minimum(np.maximum(a - gradient / curvature[i], 0.0), c)
             # A zero projected gradient leaves `updated` equal to `a`, and
             # then the zero delta leaves the weights and the bias as they are.

@@ -143,8 +143,9 @@ def reference_train_sgd(
 
     Every step scores one example against all classes with a matrix-vector
     product, decays `scale` and updates the classes whose margin is below 1;
-    nothing is batched. The objectives repeat `models._hinge_objectives`
-    operation for operation, so that `fit_info` can be compared bit for bit.
+    nothing is batched. The objectives repeat the arithmetic of
+    `models._hinge_objectives` operation for operation, so that `fit_info`
+    can be compared bit for bit.
     """
     labels = sorted(set(y))
     if len(labels) < 2:
@@ -162,9 +163,18 @@ def reference_train_sgd(
     bounds = X.indptr.tolist()
 
     def objectives(weights):
+        # Blocks of 32 rows: gather the block's columns, multiply by the
+        # values and sum each non-empty row's products with one reduceat.
         scores = np.empty((len(y), len(labels)))
-        for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
-            scores[row] = weights[:, X.indices[start:end]] @ X.values[start:end]
+        for begin in range(0, len(y), 32):
+            end = min(begin + 32, len(y))
+            lo = bounds[begin]
+            products = weights[:, X.indices[lo : bounds[end]]] * X.values[lo : bounds[end]]
+            rows = [row for row in range(begin, end) if bounds[row + 1] > bounds[row]]
+            scores[begin:end] = 0.0
+            if rows:
+                starts = [bounds[row] - lo for row in rows]
+                scores[rows] = np.add.reduceat(products, starts, axis=1).T
         scores += biases
         hinge = np.maximum(0.0, 1.0 - targets * scores)
         return 0.5 * alpha * np.einsum("ij,ij->i", weights, weights) + hinge.mean(axis=0)

@@ -222,6 +222,24 @@ class TestTfidfVector:
             if weights:
                 assert abs(np.linalg.norm(weights) - 1.0) < 1e-9
 
+    def test_token_order_does_not_change_the_row(self):
+        rng = np.random.default_rng(21)
+        docs = [random_tokenized_doc(rng, max_sentences=8) for _ in range(30)]
+        vocab = build_vocabulary(docs)
+        for doc in docs:
+            tokens = list(doc.tokens())
+            rng.shuffle(tokens)
+            shuffled = tdoc(tokens)
+            # The norm is summed correctly rounded, so in any order.
+            assert (
+                vectorize_corpus([shuffled], vocab, "tfidf").values.tobytes()
+                == vectorize_corpus([doc], vocab, "tfidf").values.tobytes()
+            )
+            assert (
+                features_module._row(shuffled, vocab, "tfidf")[1].tobytes()
+                == features_module._row(doc, vocab, "tfidf")[1].tobytes()
+            )
+
     def test_equals_the_idf_formula_exactly(self):
         rng = np.random.default_rng(12)
         docs = [random_tokenized_doc(rng) for _ in range(40)]
@@ -238,7 +256,7 @@ class TestTfidfVector:
                 position[term]: count * idf(vocab.n_docs, vocab.doc_freq[position[term]])
                 for term, count in counts.items()
             }
-            norm = math.sqrt(sum(weight * weight for weight in weighted.values()))
+            norm = math.sqrt(math.fsum(weight * weight for weight in weighted.values()))
             expected = sorted((index, weight / norm) for index, weight in weighted.items())
             assert pairs(doc, vocab, "tfidf") == expected
 
@@ -527,19 +545,25 @@ class TestVectorizeCorpus:
             assert weight > 0 and weight.is_integer()
 
     @pytest.mark.parametrize("mode", ["tfidf", "counts"])
-    def test_each_row_equals_its_document_alone(self, mode):
+    def test_each_row_equals_its_document_alone(self, mode, monkeypatch):
+        cap = 12
+        monkeypatch.setattr(features_module, "_VECTORIZE_CHUNK_TOKENS", cap)
         rng = np.random.default_rng(13)
         docs = [random_tokenized_doc(rng, max_terms=6) for _ in range(40)]
         vocab = build_vocabulary(docs[:20])  # later documents carry unseen terms
         docs[5] = docs[17] = tdoc()
         docs[30] = tdoc(["ঞ", "ঞ"])  # only out-of-vocabulary tokens
+        sizes = [doc.token_count for doc in docs]
+        assert max(sizes) > cap  # a chunk of its own
+        assert sum(sizes) > 3 * cap  # several chunks
+        assert any(a + b <= cap for a, b in zip(sizes, sizes[1:]))  # a chunk of two
         X = vectorize_corpus(docs, vocab, mode)
         assert X.shape == (len(docs), len(vocab))
         for row, doc in enumerate(docs):
-            alone = vectorize_corpus([doc], vocab, mode)
+            indices, values = features_module._row(doc, vocab, mode)
             start, end = X.indptr[row], X.indptr[row + 1]
-            assert np.array_equal(X.indices[start:end], alone.indices)
-            assert np.array_equal(X.values[start:end], alone.values)
+            assert X.indices[start:end].tobytes() == indices.tobytes()
+            assert X.values[start:end].tobytes() == values.tobytes()
         assert row_pairs(X, 5) == row_pairs(X, 30) == []
 
     def test_zero_documents_give_zero_rows(self):

@@ -8,9 +8,10 @@ features.CorpusMatrix, reads the feature count from it, and fits every
 class in one loop over a (classes x features) weight matrix. Every trainer
 returns a LinearModel, scored as w_c . x + b_c: `predict` labels a batch of
 documents, and `predict_tokenized` labels one document from its row
-(features._row) without building a one-row matrix. Both score a row with
-the same gather and matrix-vector product, `_row_scores`, so a document
-scores the same alone as inside a corpus.
+(features._row) without building a one-row matrix. Every w . x of whole
+rows but the SVM's per-step gradient is summed by `_block_dots`, which
+sums each row on its own, so a document scores the same bits alone as
+inside a corpus.
 
 * Naive Bayes uses Lidstone smoothing and accepts real-valued non-negative
   feature weights, so TF-IDF inputs are as valid as raw counts. Its log
@@ -91,10 +92,14 @@ MODEL_FORMAT_VERSION = 2
 SVM_TOLERANCE = 1e-3
 SVM_MAX_PASSES = 1000
 
-# The most SGD steps scored in one batch, and the scale below which the SGD
-# decay is folded into the weights.
-_SGD_BLOCK_ROWS = 32
+# The most rows (or SGD steps) scored in one block, the scale below which
+# the SGD decay is folded into the weights, and the most SGD gather positions
+# offset by one arange (128 KB).
+_BLOCK_ROWS = 32
 _SGD_SCALE_FLOOR = 1e-9
+_SGD_POSITION_CHUNK = 16_384
+# The row starts of a one-row block, indexed by whether the row has entries.
+_ONE_ROW_STARTS = (np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp))
 
 SELECTORS = ("tfidf", "chi2")
 # The feature mode each selector's pipeline vectorizes with.
@@ -208,28 +213,9 @@ def _targets(y: Sequence[str], labels: list[str]) -> np.ndarray:
     return np.where(np.asarray(y)[:, None] == np.asarray(labels)[None, :], 1.0, -1.0)
 
 
-def _row_scores(coefficients: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """(C,) scores coefficients @ x of one sparse row x, given as its feature
-    indices `cols` and their values `vals`: one gather and one
-    matrix-vector product."""
-    return coefficients[:, cols] @ vals
-
-
 def _check_width(n_features: int, coefficients: np.ndarray) -> None:
     if n_features != coefficients.shape[1]:
         raise ValueError(f"{n_features} features against a model of {coefficients.shape[1]}")
-
-
-def _scores(X: CorpusMatrix, coefficients: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """(n, C) scores coefficients @ x + offsets of every row x of X, one
-    `_row_scores` per row, so temporaries stay O(n C)."""
-    _check_width(X.n_features, coefficients)
-    scores = np.empty((X.shape[0], len(offsets)))
-    bounds, indices, values = X.indptr.tolist(), X.indices, X.values
-    for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
-        scores[row] = _row_scores(coefficients, indices[start:end], values[start:end])
-    scores += offsets
-    return scores
 
 
 def _block_dots(
@@ -241,15 +227,40 @@ def _block_dots(
     n_rows: int,
 ) -> np.ndarray:
     """(n_rows, C) products coefficients @ x of a block of rows x laid end to
-    end in `cols` and `vals`: one gather, one multiply and one reduceat.
-    Row filled[k] starts at starts[k]; the other rows are empty and score 0.
-    (reduceat sums from one start to the next, so it must not see an empty
-    row.)"""
-    products = coefficients.take(cols, axis=1)
+    end in `cols` and `vals`, or (n_rows,) for one (V,) coefficient row: one
+    gather, one multiply and one reduceat. Row filled[k] starts at
+    starts[k]; the other rows are empty and score 0.
+    reduceat sums each row's products on their own, so a row scores the
+    same bits alone as inside any block. (It sums from one start to the
+    next, so it must not see an empty row.)"""
+    products = coefficients.take(cols, axis=-1)
     products *= vals
-    dots = np.zeros((n_rows, len(coefficients)))
-    dots[filled] = np.add.reduceat(products, starts, axis=1).T
+    dots = np.zeros((n_rows, *coefficients.shape[:-1]))
+    if len(starts) == n_rows:  # no empty row: reduceat writes every row in place
+        np.add.reduceat(products, starts, axis=-1, out=dots.T)
+    else:
+        dots[filled] = np.add.reduceat(products, starts, axis=-1).T
     return dots
+
+
+def _scores(X: CorpusMatrix, coefficients: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(n, C) scores coefficients @ x + offsets of every row x of X, summed by
+    `_block_dots` _BLOCK_ROWS rows at a time, so the gathered products stay
+    small."""
+    _check_width(X.n_features, coefficients)
+    n_rows = X.shape[0]
+    scores = np.empty((n_rows, len(offsets)))
+    bounds, lengths = X.indptr.tolist(), np.diff(X.indptr)
+    for begin in range(0, n_rows, _BLOCK_ROWS):
+        end = min(begin + _BLOCK_ROWS, n_rows)
+        lo, hi = bounds[begin], bounds[end]
+        filled = lengths[begin:end].nonzero()[0]
+        starts = X.indptr[begin:end][filled] - lo
+        scores[begin:end] = _block_dots(
+            coefficients, X.indices[lo:hi], X.values[lo:hi], filled, starts, end - begin
+        )
+    scores += offsets
+    return scores
 
 
 def _hinge_objectives(
@@ -259,27 +270,8 @@ def _hinge_objectives(
     biases: np.ndarray,
     alpha: float,
 ) -> np.ndarray:
-    """Per-class L2-regularized mean hinge loss (alpha/2)||w_c||^2 + mean hinge.
-
-    The rows are scored by `_block_dots`, _SGD_BLOCK_ROWS at a time, so the
-    gathered products stay small."""
-    n_rows = X.shape[0]
-    scores = np.empty((n_rows, len(biases)))
-    bounds, lengths = X.indptr.tolist(), np.diff(X.indptr)
-    for begin in range(0, n_rows, _SGD_BLOCK_ROWS):
-        end = min(begin + _SGD_BLOCK_ROWS, n_rows)
-        lo, hi = bounds[begin], bounds[end]
-        filled = lengths[begin:end].nonzero()[0]
-        scores[begin:end] = _block_dots(
-            weights,
-            X.indices[lo:hi],
-            X.values[lo:hi],
-            filled,
-            X.indptr[begin:end][filled] - lo,
-            end - begin,
-        )
-    scores += biases
-    hinge = np.maximum(0.0, 1.0 - targets * scores)
+    """Per-class L2-regularized mean hinge loss (alpha/2)||w_c||^2 + mean hinge."""
+    hinge = np.maximum(0.0, 1.0 - targets * _scores(X, weights, biases))
     return 0.5 * alpha * np.einsum("ij,ij->i", weights, weights) + hinge.mean(axis=0)
 
 
@@ -331,22 +323,22 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     than one at a time. Each epoch's step sizes and the scale before and
     after every step come from one vectorized schedule, and each epoch
     gathers its rows' entries and targets in step order once. A block of up
-    to _SGD_BLOCK_ROWS consecutive steps is a slice of those arrays, scored
-    in one batch, each row with its own pre-decay scale and the current
-    biases. The steps before the first margin below 1 change
+    to _BLOCK_ROWS consecutive steps is a slice of those arrays, scored
+    by one `_block_dots`, each row with its own pre-decay scale and the
+    current biases. The steps before the first margin below 1 change
     nothing; that step's update is applied as a single step would apply it,
-    the later rows' products with the updated classes are summed again
-    from the block's gathered entries, and the scan goes on after it. A
-    block also ends at a rescale. The block sums may run in a different
-    order from a per-step dot product, which can matter only for a margin
-    within rounding of exactly 1.
+    the later rows' products with each updated class are summed again by
+    `_block_dots` from the block's gathered entries, and the scan goes on
+    after it. A block also ends at a rescale. The block sums may run in a
+    different order from a per-step dot product, which can matter only for
+    a margin within rounding of exactly 1.
 
     Each row equals the model trained on its class alone, training is
     deterministic given (seed, corpus), and symmetric label swaps produce
     exactly mirrored weights. `fit_info` holds per class the objective
     after the first and the last epoch (`_hinge_objectives`, which scores
-    the corpus in blocks of _SGD_BLOCK_ROWS rows the same way) and
-    `updates`, the number of steps whose margin for that class was below 1.
+    the corpus with `_scores`) and `updates`, the number of steps whose
+    margin for that class was below 1.
     """
     labels = _check_training_data(X, y)
     targets = _targets(y, labels)
@@ -369,15 +361,19 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
         row_lengths = lengths[order]
         # Step k's row order[k] is entries offsets[k]:offsets[k + 1] of the
         # epoch's rows laid end to end, gathered from X once; a block is a
-        # slice of them.
+        # slice of them. Entry j of the epoch, in step k's row, is entry
+        # X.indptr[order[k]] - offsets[k] + j of X; the j are added a chunk at
+        # a time, so no epoch-long arange is allocated beside the positions.
         offsets = np.concatenate(([0], np.cumsum(row_lengths)))
         positions = (X.indptr[order] - offsets[:-1]).repeat(row_lengths)
-        positions += np.arange(offsets[-1])
+        for lo in range(0, offsets[-1], _SGD_POSITION_CHUNK):
+            hi = min(lo + _SGD_POSITION_CHUNK, offsets[-1])
+            positions[lo:hi] += np.arange(lo, hi)
         # The positions are in range by construction; the default mode="raise"
         # would copy through a temporary buffer, twice as slow.
         X.indices.take(positions, out=epoch_cols, mode="clip")
         X.values.take(positions, out=epoch_vals, mode="clip")
-        del positions  # before the next epoch allocates its own
+        del positions  # before the objective or the next epoch's positions
         targets.take(order, axis=0, out=epoch_targets, mode="clip")
         offsets_list = offsets.tolist()
         etas = 1.0 / (alpha * (t0 + np.arange(epoch * n_rows + 1, (epoch + 1) * n_rows + 1)))
@@ -388,7 +384,7 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
         rescale = _first_rescale(scales, 0)
         begin = 0
         while begin < n_rows:
-            end = min(begin + _SGD_BLOCK_ROWS, rescale + 1, n_rows)
+            end = min(begin + _BLOCK_ROWS, rescale + 1, n_rows)
             lo, hi = offsets_list[begin], offsets_list[end]
             cols, vals = epoch_cols[lo:hi], epoch_vals[lo:hi]
             filled = row_lengths[begin:end].nonzero()[0]
@@ -417,17 +413,18 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
                 updates += updated
                 row = slice(offsets_list[step] - lo, offsets_list[step + 1] - lo)
                 first = step - begin + 1
-                # The filled rows after the step, and where their entries start.
+                # The filled rows after the step, counted from the next row,
+                # and where their entries start.
                 rest = int(filled.searchsorted(first))
                 rest_start = offsets_list[begin + first] - lo
+                rest_filled, rest_starts = filled[rest:] - first, starts[rest:] - rest_start
                 for c in updated.nonzero()[0].tolist():
                     change = etas[step] * block_targets[step - begin, c]
                     v[c, cols[row]] += vals[row] * (change / scales[step + 1])
                     biases[c] += change
-                    rest_products = v[c].take(cols[rest_start:])
-                    rest_products *= vals[rest_start:]
-                    dots[filled[rest:], c] = np.add.reduceat(
-                        rest_products, starts[rest:] - rest_start
+                    dots[first:, c] = _block_dots(
+                        v[c], cols[rest_start:], vals[rest_start:], rest_filled,
+                        rest_starts, end - begin - first,
                     )
                 if first == end - begin:
                     break
@@ -670,7 +667,9 @@ def predict_tokenized(
     """
     model = trained.model
     _check_width(len(trained.vocabulary), model.weights)
-    scores = _row_scores(model.weights, *_row(doc, trained.vocabulary, trained.feature_mode))
+    cols, vals = _row(doc, trained.vocabulary, trained.feature_mode)
+    starts = _ONE_ROW_STARTS[cols.size > 0]
+    scores = _block_dots(model.weights, cols, vals, starts, starts, 1)[0]
     scores += model.biases
     label = model.class_labels[int(scores.argmax())]
     row = dict(zip(model.class_labels, scores.tolist()))

@@ -135,6 +135,20 @@ def predict_row(
     return label, dict(zip(model.class_labels, scores[0].tolist()))
 
 
+def reference_scores(
+    X: CorpusMatrix, coefficients: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """(n, C) scores coefficients @ x + offsets of every row x of X: one
+    np.add.reduceat over the whole corpus, as the package sums its blocks of
+    rows (reduceat sums each row on its own). An empty row scores 0.
+    """
+    filled = np.flatnonzero(np.diff(X.indptr))
+    products = coefficients[:, X.indices] * X.values
+    scores = np.zeros((X.shape[0], len(offsets)))
+    scores[filled] = np.add.reduceat(products, X.indptr[filled], axis=1).T
+    return scores + offsets
+
+
 def reference_train_sgd(
     X: CorpusMatrix, y: list[str], hyper: TrainHyperparams
 ) -> tuple[LinearModel, Counter]:
@@ -143,9 +157,9 @@ def reference_train_sgd(
 
     Every step scores one example against all classes with a matrix-vector
     product, decays `scale` and updates the classes whose margin is below 1;
-    nothing is batched. The objectives repeat the arithmetic of
-    `models._hinge_objectives` operation for operation, so that `fit_info`
-    can be compared bit for bit.
+    nothing is batched. The objectives score the corpus with
+    `reference_scores` and repeat the arithmetic of `models._hinge_objectives`
+    operation for operation, so that `fit_info` can be compared bit for bit.
     """
     labels = sorted(set(y))
     if len(labels) < 2:
@@ -163,20 +177,7 @@ def reference_train_sgd(
     bounds = X.indptr.tolist()
 
     def objectives(weights):
-        # Blocks of 32 rows: gather the block's columns, multiply by the
-        # values and sum each non-empty row's products with one reduceat.
-        scores = np.empty((len(y), len(labels)))
-        for begin in range(0, len(y), 32):
-            end = min(begin + 32, len(y))
-            lo = bounds[begin]
-            products = weights[:, X.indices[lo : bounds[end]]] * X.values[lo : bounds[end]]
-            rows = [row for row in range(begin, end) if bounds[row + 1] > bounds[row]]
-            scores[begin:end] = 0.0
-            if rows:
-                starts = [bounds[row] - lo for row in rows]
-                scores[rows] = np.add.reduceat(products, starts, axis=1).T
-        scores += biases
-        hinge = np.maximum(0.0, 1.0 - targets * scores)
+        hinge = np.maximum(0.0, 1.0 - targets * reference_scores(X, weights, biases))
         return 0.5 * alpha * np.einsum("ij,ij->i", weights, weights) + hinge.mean(axis=0)
 
     for epoch in range(hyper.sgd_epochs):
@@ -226,9 +227,9 @@ def reference_train_svm(
     Every step scores one example against all classes, accumulates the
     violation, and updates only the running classes whose alpha changes,
     through a 2-D fancy-index scatter; stopped classes are masked out. The
-    pass-end check and `fit_info` repeat `models.train_svm` operation for
-    operation, so the result can be compared bit for bit. No warning is
-    emitted.
+    pass-end check and `fit_info` score the corpus with `reference_scores`
+    and repeat `models.train_svm` operation for operation, so the result can
+    be compared bit for bit. No warning is emitted.
     """
     labels = sorted(set(y))
     if len(labels) < 2:
@@ -252,13 +253,6 @@ def reference_train_svm(
             np.minimum(gradient, 0.0),
             np.where(alpha >= c, np.maximum(gradient, 0.0), gradient),
         )
-
-    def margins_of(weights, biases):
-        scores = np.empty((len(y), n_classes))
-        for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
-            scores[row] = weights[:, X.indices[start:end]] @ X.values[start:end]
-        scores += biases
-        return targets * scores
 
     running = np.ones(n_classes, dtype=bool)
     converged = np.zeros(n_classes, dtype=bool)
@@ -289,13 +283,13 @@ def reference_train_svm(
         violation[running] = sweep_violation[running]
         check = running & (sweep_violation < tolerance)
         if check.any():
-            margins = margins_of(weights, biases)
+            margins = targets * reference_scores(X, weights, biases)
             final = np.abs(projected_gradient(margins - 1.0, alphas)).max(axis=0)
             violation[check] = final[check]
             converged |= check & (final < tolerance)
             running &= ~converged
 
-    margins = margins_of(weights, biases)
+    margins = targets * reference_scores(X, weights, biases)
     squared_norms = np.einsum("ij,ij->i", weights, weights) + biases * biases
     hinge_sums = np.maximum(0.0, 1.0 - margins).sum(axis=0)
     fit_info = {

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from doccat import models
 from doccat.errors import ConvergenceWarning, ModelFormatError, SingleClassError
@@ -22,7 +24,7 @@ from doccat.models import (
 )
 from doccat.textprep import preprocess_corpus
 
-from helpers import make_synthetic_corpus
+from helpers import make_synthetic_corpus, matrix, reference_scores
 
 ALL_COMBOS = [(sel, clf) for sel in ("tfidf", "chi2") for clf in ("nb", "sgd", "svm")]
 
@@ -439,3 +441,68 @@ class TestModelFileValidation:
         corrupt(payload)
         with pytest.raises(ModelFormatError, match=message):
             load_model(_write(payload, tmp_path / "model.json"))
+
+
+def _blocked_case(n_rows, kinds, n_features, n_classes, seed):
+    """A random CSR matrix with coefficients and offsets. kinds[b] fills
+    block b of models._BLOCK_ROWS rows: "empty" rows only, "filled" rows
+    only, or "mixed", rows of any length after an empty first row."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for row in range(n_rows):
+        kind = kinds[row // models._BLOCK_ROWS]
+        if kind == "empty" or (kind == "mixed" and row % models._BLOCK_ROWS == 0):
+            size = 0
+        else:
+            size = int(rng.integers(1 if kind == "filled" else 0, n_features + 1))
+        rows.append({
+            int(index): float(rng.uniform(0.1, 3.0) * rng.choice((-1, 1)))
+            for index in rng.choice(n_features, size, replace=False)
+        })
+    return (
+        matrix(rows, n_features),
+        rng.standard_normal((n_classes, n_features)),
+        rng.standard_normal(n_classes),
+    )
+
+
+@st.composite
+def blocked_cases(draw):
+    """`_blocked_case` with a row count next to a multiple of the block size."""
+    n_rows = max(0, draw(st.integers(0, 3)) * models._BLOCK_ROWS + draw(st.integers(-1, 1)))
+    n_blocks = n_rows // models._BLOCK_ROWS + 1
+    kinds = draw(st.lists(
+        st.sampled_from(("empty", "filled", "mixed")), min_size=n_blocks, max_size=n_blocks
+    ))
+    return _blocked_case(
+        n_rows, kinds, draw(st.integers(1, 10)), draw(st.integers(1, 4)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestBlockedScorer:
+    # A filled block takes `_block_dots`' path without empty rows, and the
+    # mixed and empty ones the zero-filled path; so do filled and empty rows
+    # scored alone, against all classes and against one coefficient row.
+    @settings(max_examples=60, deadline=None)
+    @example(_blocked_case(2 * models._BLOCK_ROWS + 1, ("filled", "mixed", "empty"), 6, 3, 0))
+    @given(blocked_cases())
+    def test_every_row_scores_as_it_does_alone(self, case):
+        X, coefficients, offsets = case
+        scores = models._scores(X, coefficients, offsets)
+        assert scores.shape == (X.shape[0], len(offsets))
+        assert scores.tobytes() == reference_scores(X, coefficients, offsets).tobytes()
+        bounds = X.indptr.tolist()
+        for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            starts = np.zeros(min(end - start, 1), dtype=np.intp)
+            alone = models._block_dots(
+                coefficients, X.indices[start:end], X.values[start:end], starts, starts, 1
+            )
+            assert alone.shape == (1, len(offsets))
+            assert scores[row].tobytes() == (alone[0] + offsets).tobytes()
+            one_class = models._block_dots(
+                coefficients[-1], X.indices[start:end], X.values[start:end], starts, starts, 1
+            )
+            assert one_class.tobytes() == alone[:, -1].tobytes()
+            if start == end:
+                assert scores[row].tobytes() == offsets.tobytes()

@@ -8,13 +8,11 @@ feature row directly.
 """
 
 from .corpus import (
-    CategoryCounts,
     LabeledCorpus,
     LabeledDocument,
     load_dir,
     load_jsonl,
     save_jsonl,
-    split_stats,
 )
 from .errors import DoccatError
 from .evaluation import (
@@ -62,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkResult",
-    "CategoryCounts",
     "ConfusionMatrix",
     "CorpusMatrix",
     "DoccatError",
@@ -94,7 +91,6 @@ __all__ = [
     "save_jsonl",
     "save_model",
     "select_chi_features",
-    "split_stats",
     "tfidf_vector",
     "train",
     "train_nb",

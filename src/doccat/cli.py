@@ -195,10 +195,8 @@ def build_preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
     return PreprocessConfig(
         stopword_list=stopwords,
         suffix_table=suffixes,
-        strip_symbols=base.strip_symbols,
         enable_stemming=not args.no_stemming,
         enable_stopwords=not args.no_stopwords,
-        lowercase_latin=base.lowercase_latin,
     )
 
 

@@ -1,4 +1,4 @@
-"""Labeled document corpora: loading, validation, and split statistics.
+"""Labeled document corpora: loading and validation.
 
 Two on-disk formats are supported:
 
@@ -69,14 +69,6 @@ class LabeledCorpus:
 
     def __iter__(self):
         return iter(self.documents)
-
-
-@dataclass(frozen=True)
-class CategoryCounts:
-    """Per-category document counts, mirroring a train/test split table."""
-
-    per_label: dict[str, int]
-    total: int
 
 
 def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[LabeledDocument]:
@@ -192,11 +184,3 @@ def load_dir(path: str | Path) -> LabeledCorpus:
     if not documents:
         raise EmptyCorpusError(f"no documents under {root}")
     return LabeledCorpus(documents=tuple(documents))
-
-
-def split_stats(corpus: LabeledCorpus) -> CategoryCounts:
-    """Count documents once per label; totals match the corpus length."""
-    per_label: dict[str, int] = {}
-    for doc in corpus:
-        per_label[doc.label] = per_label.get(doc.label, 0) + 1
-    return CategoryCounts(per_label=per_label, total=len(corpus))

@@ -98,8 +98,8 @@ FeatureMode = Literal["tfidf", "counts"]
 class Vocabulary:
     """A feature space as the model file stores it.
 
-    `terms` is strictly ascending and a term's position is its feature
-    index, so the same documents always give the same feature space.
+    `terms` is not empty, strictly ascending and a term's position is its
+    feature index, so the same documents always give the same feature space.
     `doc_freq` holds each term's document frequency in the same order, as
     Python ints in [1, n_docs]. `index`, the term-to-feature-index map, is
     built on first use.
@@ -111,13 +111,15 @@ class Vocabulary:
 
     def __post_init__(self) -> None:
         terms, doc_freq, n_docs = self.terms, self.doc_freq, self.n_docs
+        if not terms:
+            raise ValueError("a vocabulary needs at least one term")
         if not all(map(operator.lt, terms, terms[1:])):
             raise ValueError("vocabulary terms must be unique and in ascending order")
         if len(doc_freq) != len(terms):
             raise ValueError(
                 f"vocabulary doc_freq holds {len(doc_freq)} values for {len(terms)} terms"
             )
-        if doc_freq and not (1 <= min(doc_freq) and max(doc_freq) <= n_docs):
+        if not (1 <= min(doc_freq) and max(doc_freq) <= n_docs):
             term, df = next(
                 (term, df) for term, df in zip(terms, doc_freq) if not 1 <= df <= n_docs
             )
@@ -190,21 +192,21 @@ class CorpusMatrix:
         return len(self.indptr) - 1, self.n_features
 
 
-def build_vocabulary(docs: Sequence[TokenizedDocument], min_df: int = 1) -> Vocabulary:
-    """Collect all distinct tokens with document frequency >= min_df.
+def build_vocabulary(docs: Sequence[TokenizedDocument]) -> Vocabulary:
+    """Collect every distinct token with its document frequency.
 
-    Raises EmptyVocabularyError if nothing survives the threshold.
+    Raises EmptyVocabularyError if every document is empty.
     """
     if not docs:
         raise ValueError("cannot build a vocabulary from zero documents")
     doc_freq: Counter[str] = Counter()
     for doc in docs:
         doc_freq.update(set(doc.tokens()))
-    kept = tuple(sorted(term for term, df in doc_freq.items() if df >= min_df))
-    if not kept:
-        raise EmptyVocabularyError(f"no term reaches document frequency {min_df}")
+    if not doc_freq:
+        raise EmptyVocabularyError("no terms to build a vocabulary from (all documents empty)")
+    terms = tuple(sorted(doc_freq))
     return Vocabulary(
-        terms=kept, doc_freq=tuple(map(doc_freq.__getitem__, kept)), n_docs=len(docs)
+        terms=terms, doc_freq=tuple(map(doc_freq.__getitem__, terms)), n_docs=len(docs)
     )
 
 
@@ -350,7 +352,7 @@ def select_chi_features(
     lexicographically) and the first ceil(top_percent/100 * distinct-term
     count) survive. Document frequencies and N in the returned vocabulary
     are computed over the full `docs` list. With top_percent=100 the result
-    is identical to build_vocabulary(docs, min_df=1). A `g_top_k` below 1
+    is identical to build_vocabulary(docs). A `g_top_k` below 1
     raises ValueError.
     """
     if not docs:

@@ -826,10 +826,11 @@ def load_model(path: str | Path) -> TrainedModel:
     a format version other than MODEL_FORMAT_VERSION (an older file needs
     retraining), on an unknown (selector, feature_mode) pair, on class
     labels or vocabulary terms that are not strings in strictly ascending
-    order, on a count, document frequency or timestamp that is not a JSON
-    integer, on a document frequency outside [1, n_docs], on a digest that
-    is not a string, on a fit block whose classes or fields do not match,
-    on parameter bytes that are not base64 of 8 bytes per value of their
+    order, on fewer than two class labels or no vocabulary term, on a
+    count, document frequency or timestamp that is not a JSON integer, on a
+    document frequency outside [1, n_docs], on a digest that is not a
+    string, on a fit block whose classes or fields do not match, on
+    parameter bytes that are not base64 of 8 bytes per value of their
     shape, on shapes that do not match the labels and vocabulary and on a
     non-finite parameter."""
     try:
@@ -852,6 +853,10 @@ def load_model(path: str | Path) -> TrainedModel:
         if model_type not in _PARAMETER_KEYS:
             raise ModelFormatError(f"unknown model type {model_type!r}")
         labels = _ascending_strings(payload["class_labels"], "class_labels")
+        if len(labels) < 2:
+            raise ModelFormatError(
+                f"class_labels holds {len(labels)} classes; a trained model has at least two"
+            )
         converged = payload["converged"]
         if type(converged) is not bool:
             raise ModelFormatError(f"converged must be a boolean, got {converged!r}")

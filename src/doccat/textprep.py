@@ -2,13 +2,15 @@
 
 The pipeline applied per document is
 
-    strip symbols -> (lowercase) -> split_sentences -> split on whitespace
+    strip symbols -> lowercase -> split_sentences -> split on whitespace
         -> stem -> remove stopwords
 
-Sentences are kept as the grouping unit because the chi-square feature
-scorer uses the sentence as its co-occurrence window. Bengali script has
-no case, so lowercasing only changes embedded Latin (or other cased)
-fragments.
+Stripping STRIP_SYMBOLS and lowercasing are fixed steps; a configuration
+chooses the stopwords, the suffix table and whether stemming and stopword
+removal run. Sentences are kept as the grouping unit because the
+chi-square feature scorer uses the sentence as its co-occurrence window.
+Bengali script has no case, so lowercasing only changes embedded Latin (or
+other cased) fragments.
 
 The stemmer is a table-driven longest-suffix stripper: at most one suffix
 is removed per token, and a rule fires only when stripping leaves at least
@@ -20,17 +22,18 @@ suffix after one strip (no finite single-pass table can rule that out),
 which is why the suffix table stays a replaceable data file rather than
 hard-coded rules.
 
-Each configuration is compiled once: one regular expression that matches
-any of its strip symbols except the sentence delimiters, and a bounded memo
-from a stripped, lowercased raw token to its final token. The whole
-document is stripped and lowercased once, then split into sentences and
-tokens, which gives the same tokens as stripping and lowercasing each token
-of each sentence. This is exact because strip symbols are single
-non-whitespace characters, the delimiters stay out of the strip pattern (a
-delimiter still ends its sentence, and splitting removes it anyway), and
-lowercasing can create neither a delimiter nor whitespace. A delimiter is
-neither cased nor case-ignorable, so it bounds a final sigma's context just
-as the end of a sentence does. The memo pays off because
+The strip pattern, one regular expression that matches any strip symbol
+except the sentence delimiters, is compiled once per process; each
+configuration gets a bounded memo, built once, from a stripped, lowercased
+raw token to its final token. The whole document is stripped and
+lowercased once, then split into sentences and tokens, which gives the
+same tokens as stripping and lowercasing each token of each sentence. This
+is exact because strip symbols are single non-whitespace characters, the
+delimiters stay out of the strip pattern (a delimiter still ends its
+sentence, and splitting removes it anyway), and lowercasing can create
+neither a delimiter nor whitespace. A delimiter is neither cased nor
+case-ignorable, so it bounds a final sigma's context just as the end of a
+sentence does. The memo pays off because
 tokens repeat: on a cold memo, 78-89% of the token occurrences in the
 benchmark corpora are hits; text whose tokens never repeat runs slower with
 it than without. Results are pure functions of (input, config); the
@@ -53,17 +56,22 @@ from pathlib import Path
 from .corpus import LabeledCorpus, LabeledDocument
 
 SENTENCE_DELIMITERS = "।?!\n"
-SENTENCE_SPLIT_RE = re.compile(f"[{re.escape(SENTENCE_DELIMITERS)}]")
-
 BENGALI_DIGITS = "০১২৩৪৫৬৭৮৯"
 
-DEFAULT_STRIP_SYMBOLS: frozenset[str] = frozenset(
+STRIP_SYMBOLS: frozenset[str] = frozenset(
     string.punctuation
     + string.digits
     + BENGALI_DIGITS
     + "।॥"
     + "“”‘’„‚«»"  # curly quotes, guillemets
     + "–—…"  # dashes, ellipsis
+)
+
+SENTENCE_SPLIT_RE = re.compile(f"[{re.escape(SENTENCE_DELIMITERS)}]")
+# An alternation of single characters runs as one character class (much
+# faster than str.translate on non-ASCII text).
+STRIP_RE = re.compile(
+    "|".join(map(re.escape, sorted(STRIP_SYMBOLS.difference(SENTENCE_DELIMITERS))))
 )
 
 # Distinct raw tokens each compiled configuration remembers; the least
@@ -74,34 +82,27 @@ TOKEN_MEMO_SIZE = 1 << 16
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Immutable preprocessing configuration.
+    """Immutable preprocessing configuration: the stopwords, the suffix
+    table and whether stemming and stopword removal run.
 
     `suffix_table` is an ordered list of (suffix, min_stem_length) rules,
     sorted by descending suffix length so longest-match-first is well
     defined. `stopword_list` should contain the stemmed forms of inflected
     stopwords as well, since stopword removal runs after stemming. Any
-    iterables are accepted and stored as a frozenset of stopwords, a tuple
-    of (suffix, min_stem_length) pairs and a frozenset of strip symbols, so
-    a configuration is always hashable.
+    iterables are accepted and stored as a frozenset of stopwords and a
+    tuple of (suffix, min_stem_length) pairs, so a configuration is always
+    hashable.
     """
 
     stopword_list: frozenset[str]
     suffix_table: tuple[tuple[str, int], ...]
-    strip_symbols: frozenset[str] = DEFAULT_STRIP_SYMBOLS
     enable_stemming: bool = True
     enable_stopwords: bool = True
-    lowercase_latin: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stopword_list", frozenset(self.stopword_list))
         object.__setattr__(self, "suffix_table", tuple(map(tuple, self.suffix_table)))
-        object.__setattr__(self, "strip_symbols", frozenset(self.strip_symbols))
         validate_suffix_table(self.suffix_table)
-        for symbol in self.strip_symbols:
-            if not isinstance(symbol, str) or len(symbol) != 1 or symbol.isspace():
-                raise ValueError(
-                    f"strip symbol {symbol!r} is not exactly one non-whitespace character"
-                )
 
     def digest(self) -> str:
         """Stable checksum of the full configuration, for model files."""
@@ -109,10 +110,13 @@ class PreprocessConfig:
             {
                 "stopword_list": sorted(self.stopword_list),
                 "suffix_table": [list(rule) for rule in self.suffix_table],
-                "strip_symbols": sorted(self.strip_symbols),
+                # The fixed steps keep their keys: model files store this
+                # digest, and a changed digest would reject every existing
+                # model with a misleading mismatch message.
+                "strip_symbols": sorted(STRIP_SYMBOLS),
                 "enable_stemming": self.enable_stemming,
                 "enable_stopwords": self.enable_stopwords,
-                "lowercase_latin": self.lowercase_latin,
+                "lowercase_latin": True,
             },
             ensure_ascii=False,
             sort_keys=True,
@@ -224,9 +228,8 @@ def stem(token: str, suffix_table: tuple[tuple[str, int], ...]) -> str:
 
 @lru_cache(maxsize=8)
 def _compiled(config: PreprocessConfig):
-    """The configuration's strip-symbol substitution, sentence delimiters
-    excepted, and its memo from a stripped, lowercased raw token to its
-    final token ("" for a stopword)."""
+    """The configuration's memo from a stripped, lowercased raw token to
+    its final token ("" for a stopword)."""
 
     @lru_cache(maxsize=TOKEN_MEMO_SIZE)
     def final_token(token: str) -> str:
@@ -236,12 +239,7 @@ def _compiled(config: PreprocessConfig):
             return ""
         return token
 
-    # An alternation of single characters runs as one character class (much
-    # faster than str.translate on non-ASCII text); with no symbols it is the
-    # empty pattern, whose substitution leaves the text unchanged.
-    symbols = config.strip_symbols.difference(SENTENCE_DELIMITERS)
-    strip = re.compile("|".join(map(re.escape, sorted(symbols))))
-    return strip.sub, final_token
+    return final_token
 
 
 def preprocess_document(doc: LabeledDocument, config: PreprocessConfig) -> TokenizedDocument:
@@ -250,10 +248,8 @@ def preprocess_document(doc: LabeledDocument, config: PreprocessConfig) -> Token
     Emptied tokens and emptied sentences are dropped; an all-stopword
     document yields a valid TokenizedDocument with zero tokens.
     """
-    strip, final_token = _compiled(config)
-    text = strip("", doc.text)
-    if config.lowercase_latin:
-        text = text.lower()
+    final_token = _compiled(config)
+    text = STRIP_RE.sub("", doc.text).lower()
     sentences = [
         tokens
         for segment in split_sentences(text)

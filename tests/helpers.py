@@ -15,7 +15,7 @@ from doccat.corpus import LabeledCorpus, LabeledDocument
 from doccat.features import CorpusMatrix, Vocabulary
 from doccat.errors import SingleClassError
 from doccat.models import LinearModel, TrainHyperparams, predict_linear
-from doccat.textprep import PreprocessConfig, TokenizedDocument, split_sentences
+from doccat.textprep import STRIP_SYMBOLS, PreprocessConfig, TokenizedDocument, split_sentences
 
 CATEGORY_NAMES = (
     "accident", "art", "crime", "economics", "education", "entertainment",
@@ -338,11 +338,9 @@ def preprocess_oracle(doc: LabeledDocument, config: PreprocessConfig) -> Tokeniz
     for raw_sentence in split_sentences(doc.text):
         tokens = []
         for raw_token in raw_sentence.split():
-            token = "".join(ch for ch in raw_token if ch not in config.strip_symbols)
+            token = "".join(ch for ch in raw_token if ch not in STRIP_SYMBOLS).lower()
             if not token:
                 continue
-            if config.lowercase_latin:
-                token = token.lower()
             if config.enable_stemming:
                 for suffix, min_stem in config.suffix_table:
                     if len(token) - len(suffix) >= min_stem and token.endswith(suffix):

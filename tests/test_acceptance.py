@@ -111,7 +111,7 @@ def test_chi_selection_identity():
         for _ in range(50):
             docs = [random_tokenized_doc(rng) for _ in range(int(rng.integers(1, 9)))]
             selected = select_chi_features(docs, top_percent=100.0)
-            baseline = build_vocabulary(docs, min_df=1)
+            baseline = build_vocabulary(docs)
             assert selected.terms == baseline.terms
             assert selected.doc_freq == baseline.doc_freq
             assert selected.n_docs == baseline.n_docs

@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doccat.corpus import (
-    CategoryCounts,
     LabeledCorpus,
     LabeledDocument,
     load_dir,
     load_jsonl,
     read_jsonl_documents,
     save_jsonl,
-    split_stats,
 )
 from doccat.errors import (
     DuplicateIdError,
@@ -163,22 +161,6 @@ class TestLoadDir:
             load_dir(tmp_path)
 
 
-class TestSplitStats:
-    def test_single_document(self):
-        corpus = LabeledCorpus((LabeledDocument("1", "ক", "Sports"),))
-        assert split_stats(corpus) == CategoryCounts(per_label={"Sports": 1}, total=1)
-
-    def test_two_labels(self):
-        corpus = LabeledCorpus((
-            LabeledDocument("1", "ক", "A"),
-            LabeledDocument("2", "খ", "A"),
-            LabeledDocument("3", "গ", "B"),
-        ))
-        stats = split_stats(corpus)
-        assert stats.per_label == {"A": 2, "B": 1}
-        assert stats.total == 3 == sum(stats.per_label.values())
-
-
 label_strategy = st.text(
     alphabet=st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
     min_size=1,
@@ -208,10 +190,3 @@ def test_jsonl_round_trip(corpus, tmp_path_factory):
     save_jsonl(corpus, path)
     assert load_jsonl(path) == corpus
 
-
-@given(corpus=corpus_strategy)
-def test_split_stats_totals(corpus):
-    stats = split_stats(corpus)
-    assert stats.total == len(corpus)
-    assert sum(stats.per_label.values()) == stats.total
-    assert set(stats.per_label) == set(corpus.labels)

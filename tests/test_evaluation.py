@@ -176,7 +176,6 @@ class TestEvaluate:
         other = PreprocessConfig(
             stopword_list=default_cfg.stopword_list,
             suffix_table=default_cfg.suffix_table,
-            strip_symbols=default_cfg.strip_symbols,
             enable_stemming=False,
         )
         with pytest.raises(PreprocessMismatchError):

@@ -51,14 +51,9 @@ class TestBuildVocabulary:
         assert vocab.doc_freq == (1, 2)
         assert vocab.n_docs == 2
 
-    def test_min_df_filter(self):
-        vocab = build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ"])], min_df=2)
-        assert vocab.terms == ("খ",)
-        assert vocab.doc_freq == (2,)
-
-    def test_min_df_too_high(self):
-        with pytest.raises(EmptyVocabularyError):
-            build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ"])], min_df=3)
+    def test_all_empty_docs(self):
+        with pytest.raises(EmptyVocabularyError, match="all documents empty"):
+            build_vocabulary([tdoc(), tdoc([], [])])
 
     def test_no_docs(self):
         with pytest.raises(ValueError):
@@ -76,6 +71,7 @@ class TestBuildVocabulary:
             ((("ক", "খ"), (1, 1, 1), 1), "doc_freq holds 3 values for 2 terms"),
             ((("ক", "খ"), (1, 5), 2), r"'খ': DF 5 outside \[1, 2\]"),
             ((("ক", "খ"), (0, 1), 2), r"'ক': DF 0 outside \[1, 2\]"),
+            (((), (), -5), "at least one term"),
         ]
         for (terms, doc_freq, n_docs), message in cases:
             with pytest.raises(ValueError, match=message):

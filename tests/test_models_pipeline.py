@@ -313,6 +313,34 @@ INCONSISTENT_FILES = {
         "sgd", lambda p: p["class_labels"].__setitem__(1, p["class_labels"][0]), "class_labels"
     ),
     "unsorted_labels": ("nb", lambda p: p["class_labels"].reverse(), "class_labels"),
+    # Training never writes these; they failed later with numpy errors.
+    "no_class_labels": (
+        "sgd",
+        lambda p: p.update(
+            class_labels=[],
+            fit={},
+            biases=_encode(np.zeros(0)),
+            weights=_encode(np.zeros((0, len(p["vocabulary"]["terms"])))),
+        ),
+        "class_labels holds 0 classes",
+    ),
+    "one_class_label": (
+        "nb",
+        lambda p: p.update(
+            class_labels=p["class_labels"][:1],
+            log_prior=_encode(_decode(p["log_prior"])[:1]),
+            log_likelihood=_encode(_decode(p["log_likelihood"])[:1]),
+        ),
+        "class_labels holds 1 classes",
+    ),
+    "empty_vocabulary": (
+        "sgd",
+        lambda p: p.update(
+            vocabulary={"terms": [], "doc_freq": [], "n_docs": -5},
+            weights=_encode(np.zeros((len(p["class_labels"]), 0))),
+        ),
+        "at least one term",
+    ),
     "unknown_feature_mode": ("sgd", lambda p: p.update(feature_mode="binary"), "unknown pipeline"),
     "crossed_pipeline": ("nb", lambda p: p.update(selector="chi2"), "unknown pipeline"),
     "string_class_labels": (

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from doccat.corpus import LabeledDocument
 from doccat.textprep import (
-    DEFAULT_STRIP_SYMBOLS,
     SENTENCE_DELIMITERS,
+    STRIP_SYMBOLS,
     TOKEN_MEMO_SIZE,
     PreprocessConfig,
     TokenizedDocument,
@@ -51,17 +51,14 @@ class TestSplitSentences:
         assert split_sentences("ক\nখ! গ") == ["ক", "খ", "গ"]
 
 
-def only(
-    strip_symbols=frozenset(), stopword_list=frozenset(), enable_stopwords=False
-) -> PreprocessConfig:
-    """A configuration that runs only the named steps (stemming and lowercasing off)."""
+def only(stopword_list=frozenset(), enable_stopwords=False) -> PreprocessConfig:
+    """A configuration with stemming off: it strips, lowercases and splits,
+    and removes stopwords if asked to."""
     return PreprocessConfig(
         stopword_list=stopword_list,
         suffix_table=(),
-        strip_symbols=strip_symbols,
         enable_stemming=False,
         enable_stopwords=enable_stopwords,
-        lowercase_latin=False,
     )
 
 
@@ -83,21 +80,32 @@ class TestTokenize:
 
 class TestStripSymbols:
     def test_trailing_comma(self):
-        assert tokens_of("ঢাকা,", only(DEFAULT_STRIP_SYMBOLS)) == ["ঢাকা"]
+        assert tokens_of("ঢাকা,", only()) == ["ঢাকা"]
 
     def test_all_digits_vanish(self):
-        assert tokens_of("১২৩ 123 ঢাকা", only(DEFAULT_STRIP_SYMBOLS)) == ["ঢাকা"]
+        assert tokens_of("১২৩ 123 ঢাকা", only()) == ["ঢাকা"]
         doc = LabeledDocument(id="d", text="১২৩ 123", label="x")
-        assert preprocess_document(doc, only(DEFAULT_STRIP_SYMBOLS)).sentences == ()
+        assert preprocess_document(doc, only()).sentences == ()
 
     def test_clean_token_unchanged(self):
-        assert tokens_of("ক", only(DEFAULT_STRIP_SYMBOLS)) == ["ক"]
+        assert tokens_of("ক", only()) == ["ক"]
 
     @given(st.text(max_size=30))
     def test_no_strip_char_survives(self, text):
         assume(text.strip())
-        for token in tokens_of(text, only(DEFAULT_STRIP_SYMBOLS)):
-            assert not set(token) & DEFAULT_STRIP_SYMBOLS
+        for token in tokens_of(text, only()):
+            assert not set(token) & STRIP_SYMBOLS
+
+    # Stripping the whole document at once equals stripping each token only
+    # for single non-whitespace characters, and the delimiters among them
+    # must still end their sentences.
+    @pytest.mark.parametrize("symbol", sorted(STRIP_SYMBOLS))
+    def test_each_symbol_is_removed_inside_a_token(self, symbol):
+        assert len(symbol) == 1 and not symbol.isspace()
+        doc = LabeledDocument(id="d", text=f"ক{symbol}খ গ", label="x")
+        expected = (("ক",), ("খ", "গ")) if symbol in SENTENCE_DELIMITERS else (("কখ", "গ"),)
+        assert preprocess_document(doc, only()).sentences == expected
+        assert preprocess_oracle(doc, only()).sentences == expected
 
 
 class TestRemoveStopwords:
@@ -113,13 +121,6 @@ class TestRemoveStopwords:
     def test_no_match_identity(self):
         config = only(stopword_list=frozenset({"আমি"}), enable_stopwords=True)
         assert tokens_of("ভাত খাই", config) == ["ভাত", "খাই"]
-
-
-class TestStripSymbolValidation:
-    @pytest.mark.parametrize("symbol", ["", "ab", " ", "\t", "\n", "\u00a0", "\u2003", 7])
-    def test_rejects_anything_but_one_non_whitespace_character(self, symbol):
-        with pytest.raises(ValueError, match="strip symbol"):
-            only(frozenset({",", symbol}))
 
 
 class TestStem:
@@ -157,18 +158,11 @@ class TestPreprocessDocument:
         assert out.token_count == 0
         assert out.sentences == ()
 
-    def test_all_flags_off_is_raw_tokenization(self):
-        config = PreprocessConfig(
-            stopword_list=frozenset(),
-            suffix_table=(),
-            strip_symbols=frozenset(),
-            enable_stemming=False,
-            enable_stopwords=False,
-            lowercase_latin=False,
-        )
-        doc = LabeledDocument(id="d", text="আমি ভাত Khai ১২৩", label="x")
+    def test_flags_off_only_strips_and_lowercases(self, default_cfg):
+        config = dataclasses.replace(default_cfg, enable_stemming=False, enable_stopwords=False)
+        doc = LabeledDocument(id="d", text="আমি ছেলেরা, Khai ১২৩", label="x")
         out = preprocess_document(doc, config)
-        assert list(out.tokens()) == doc.text.split()
+        assert list(out.tokens()) == ["আমি", "ছেলেরা", "khai"]
 
     def test_latin_fragments_lowercased(self, default_cfg):
         doc = LabeledDocument(id="d", text="ঢাকা Dhaka FIFA", label="x")
@@ -189,39 +183,30 @@ PIECES = sorted(
     set(LEXICON)
     | {suffix for suffix, _ in _DEFAULT.suffix_table}
     | set(_DEFAULT.stopword_list)
-    | set(DEFAULT_STRIP_SYMBOLS)
+    | set(STRIP_SYMBOLS)
     | {"।", "?", "!", " ", "\t", "\u00a0", "\u2003", "\n"}
     | {"Σ", "ΑΣ", "ΟΔΟΣ", "σ", "FIFA", "Dhaka", "İ"}
 )
-FLAGS = list(itertools.product([True, False], repeat=3))
-# The document is stripped before it is split into sentences, so a strip
-# symbol that is also a sentence delimiter must still end its sentence.
-DELIMITERS = frozenset(SENTENCE_DELIMITERS) - frozenset(string.whitespace)
-STRIP_SETS = {
-    "default": DEFAULT_STRIP_SYMBOLS,
-    "default-minus-delimiters": DEFAULT_STRIP_SYMBOLS - DELIMITERS,
-    "delimiters-only": DELIMITERS,
-    "empty": frozenset(),
-}
+# The document is stripped before it is split into sentences, so the strip
+# symbols that are also sentence delimiters (।, ? and !) must still end
+# their sentences.
+FLAGS = list(itertools.product([True, False], repeat=2))
 
 
 class TestMatchesPerTokenOracle:
-    @pytest.mark.parametrize("strip_set", sorted(STRIP_SETS))
-    @pytest.mark.parametrize(("stemming", "stopwords", "lowercase"), FLAGS)
+    @pytest.mark.parametrize(("stemming", "stopwords"), FLAGS)
     @given(pieces=st.lists(st.sampled_from(PIECES), min_size=1, max_size=40))
     # Final sigmas on both sides of every delimiter and of a strip symbol.
     @example(pieces=["ΑΣ", "?", "Σ", "।", "ΟΔΟΣ", "!", "ΣΑ", "\n", "Α", ",", "Σ"])
     @settings(max_examples=60)
-    def test_random_text(self, stemming, stopwords, lowercase, strip_set, pieces):
+    def test_random_text(self, stemming, stopwords, pieces):
         text = "".join(pieces)
         assume(text.strip())
         config = PreprocessConfig(
             stopword_list=_DEFAULT.stopword_list,
             suffix_table=_DEFAULT.suffix_table,
-            strip_symbols=STRIP_SETS[strip_set],
             enable_stemming=stemming,
             enable_stopwords=stopwords,
-            lowercase_latin=lowercase,
         )
         doc = LabeledDocument(id="d", text=text, label="x")
         assert preprocess_document(doc, config) == preprocess_oracle(doc, config)
@@ -232,7 +217,7 @@ class TestTokenMemo:
         config = PreprocessConfig(
             stopword_list=frozenset(), suffix_table=(), enable_stemming=False
         )
-        _, memo = _compiled(config)
+        memo = _compiled(config)
         assert memo.cache_info().maxsize == TOKEN_MEMO_SIZE
         letters = string.ascii_lowercase
         distinct = (
@@ -247,7 +232,9 @@ class TestTokenMemo:
 
     def test_threads_share_the_memo(self, default_cfg):
         # a configuration no other test uses, so the threads start on a cold memo
-        config = dataclasses.replace(default_cfg, strip_symbols=frozenset("।,"))
+        config = dataclasses.replace(
+            default_cfg, stopword_list=default_cfg.stopword_list | {"threads-share-the-memo"}
+        )
         docs = list(make_synthetic_corpus(6, seed=3))
         expected = [preprocess_oracle(doc, config) for doc in docs]
         results: list[bool] = []
@@ -306,7 +293,7 @@ def test_pipeline_output_has_no_strip_chars(text):
     out = preprocess_document(doc, config)
     for token in out.tokens():
         assert token
-        assert not set(token) & config.strip_symbols
+        assert not set(token) & STRIP_SYMBOLS
         assert not any(ch.isspace() for ch in token)
 
 
@@ -349,7 +336,6 @@ class TestConfigFiles:
         config = PreprocessConfig(
             stopword_list=set(default_cfg.stopword_list),
             suffix_table=[list(rule) for rule in default_cfg.suffix_table],
-            strip_symbols=list(default_cfg.strip_symbols),
         )
         assert config == default_cfg
         assert hash(config) == hash(default_cfg)
@@ -361,11 +347,17 @@ class TestConfigFiles:
         other = PreprocessConfig(
             stopword_list=default_cfg.stopword_list,
             suffix_table=default_cfg.suffix_table,
-            strip_symbols=default_cfg.strip_symbols,
             enable_stemming=False,
         )
         assert default_cfg.digest() != other.digest()
         assert default_cfg.digest() == default_config().digest()
+        # Model files store these digests; a changed one rejects every stored model.
+        assert default_cfg.digest() == (
+            "18df3ede197951632825587ae4b54951f315aaa8acc0a7028a785b336fb22611"
+        )
+        assert other.digest() == (
+            "53f444b5222c8a8eb048dbf5da9f6bad3d9da44640de4777275c6792eb73bbb6"
+        )
 
 
 def test_tokenized_to_json_shape(default_cfg):

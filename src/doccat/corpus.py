@@ -12,7 +12,8 @@ Corpora are immutable after construction and safe to share across threads.
 Document order is load order for JSONL and ``(label, filename)``
 lexicographic for directories, so downstream training is deterministic.
 Invalid UTF-8 is a load error, never silently replaced: corrupted Bengali
-text must fail loudly.
+text must fail loudly. So is an id or label that is empty or holds a tab,
+CR or LF (`check_field`).
 """
 
 from __future__ import annotations
@@ -30,21 +31,34 @@ from .errors import (
 from .fileio import atomic_write_text
 
 
+def check_field(value: object, name: str) -> None:
+    """Raise ValueError unless `value` is a non-empty string without a tab,
+    CR or LF. Ids and labels are fields of tab-separated output lines
+    (`predict`), so they must not break one."""
+    if (
+        not isinstance(value, str)
+        or not value
+        or "\t" in value
+        or "\r" in value
+        or "\n" in value
+    ):
+        raise ValueError(f"{name} must be non-empty without tabs or line breaks, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LabeledDocument:
-    """One raw document with its category label."""
+    """One raw document with its category label; the id and the label pass
+    `check_field`."""
 
     id: str
     text: str
     label: str
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("document id must be non-empty")
+        check_field(self.id, "document id")
         if not isinstance(self.text, str) or not self.text.strip():
             raise ValueError(f"document {self.id!r}: text must be a non-empty string")
-        if not isinstance(self.label, str) or not self.label or "\n" in self.label:
-            raise ValueError(f"document {self.id!r}: label must be non-empty without newlines")
+        check_field(self.label, f"document {self.id!r}: label")
 
 
 @dataclass(frozen=True)

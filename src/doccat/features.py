@@ -18,9 +18,9 @@ it is built and used as it is by the trainers and the scoring.
 _VECTORIZE_CHUNK_TOKENS tokens: per chunk, one pass maps the tokens to
 feature ids, one `np.unique` counts the (document, feature) keys, and for
 TF-IDF each row takes one correctly rounded norm. One document's row comes
-from `_row`, which prediction calls and scores as it is, so one document is
-never built into a one-row matrix; a corpus row equals `_row` of its
-document bit for bit.
+from `count_vector` or `tfidf_vector`, ascending like a matrix row, which
+prediction scores as it is, so one document is never built into a one-row
+matrix; a corpus row equals its document's vector bit for bit.
 
 The chi-square score for a term w in one document treats each sentence as
 the co-occurrence window:
@@ -266,7 +266,7 @@ def _chi_chunks(
     term_ids = dict(zip(terms, range(len(terms))))
     # A document has at most as many distinct terms as tokens, so the token
     # count bounds the chunk's padded width.
-    sizes = [sum(map(len, doc.sentences)) for doc in docs]
+    sizes = [doc.token_count for doc in docs]
     order = sorted(filter(sizes.__getitem__, range(len(docs))), key=sizes.__getitem__)
     start = 0
     while start < len(order):
@@ -384,13 +384,14 @@ def select_chi_features(
 
 
 def count_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """One document's in-vocabulary feature indices in first-occurrence order,
-    and their raw counts; out-of-vocabulary tokens are ignored."""
+    """One document's row of raw counts: its in-vocabulary feature indices in
+    ascending order and their counts; out-of-vocabulary tokens are ignored."""
     counts = Counter(map(vocab.index.get, doc.tokens()))
     counts.pop(None, None)  # the out-of-vocabulary tokens
     indices = np.fromiter(counts.keys(), dtype=np.intp, count=len(counts))
     values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    return indices, values
+    order = indices.argsort()
+    return indices[order], values[order]
 
 
 def _norm(squares: list[float]) -> float:
@@ -401,27 +402,15 @@ def _norm(squares: list[float]) -> float:
 
 
 def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """`count_vector` with each count weighted by its term's `idf` and the
-    weights scaled to unit Euclidean norm (`_norm`). A document with no
-    in-vocabulary token has no entries and is not normalized."""
+    """`count_vector`'s row, indices still ascending, with each count weighted
+    by its term's `idf` and the weights scaled to unit Euclidean norm
+    (`_norm`). A document with no in-vocabulary token has no entries and is
+    not normalized."""
     indices, weights = count_vector(doc, vocab)
     if indices.size:
         weights *= vocab.idf_weights[indices]
         weights /= _norm((weights * weights).tolist())
     return indices, weights
-
-
-def _row(
-    doc: TokenizedDocument, vocab: Vocabulary, mode: FeatureMode
-) -> tuple[np.ndarray, np.ndarray]:
-    """One document's row: its feature indices in ascending order and their
-    weights, unit-norm TF-IDF for "tfidf" and raw counts otherwise."""
-    # The vectors are looked up by name on every call, so a wrapper bound in
-    # their place (a tracer, say) sees each row.
-    vector = tfidf_vector if mode == "tfidf" else count_vector
-    indices, values = vector(doc, vocab)
-    order = indices.argsort()
-    return indices[order], values[order]
 
 
 def vectorize_corpus(
@@ -432,10 +421,11 @@ def vectorize_corpus(
 
     The documents are vectorized in chunks of at most _VECTORIZE_CHUNK_TOKENS
     tokens (a longer document is a chunk of its own) and the chunks' arrays
-    are joined once. Every row equals `_row` of its document bit for bit."""
+    are joined once. Every row equals `count_vector` ("counts") or
+    `tfidf_vector` ("tfidf") of its document bit for bit."""
     if mode not in ("tfidf", "counts"):
         raise ValueError(f"unknown feature mode: {mode!r}")
-    sizes = [sum(map(len, doc.sentences)) for doc in docs]
+    sizes = [doc.token_count for doc in docs]
     pieces = []  # (row lengths, indices, values) per chunk
     start = 0
     while start < len(docs):
@@ -477,7 +467,7 @@ def _vectorize_chunk(
     row_lengths = np.bincount(rows, minlength=len(docs))
     if mode == "tfidf" and keys.size:
         # The same elementwise operations as tfidf_vector, and the same
-        # correctly rounded norm, so every row equals `_row` bit for bit.
+        # correctly rounded norm, so every row equals `tfidf_vector` bit for bit.
         values *= vocab.idf_weights[indices]
         squares = (values * values).tolist()
         filled = row_lengths[row_lengths > 0]

@@ -7,11 +7,11 @@ smallest label. Each trainer takes the training corpus as one
 features.CorpusMatrix, reads the feature count from it, and fits every
 class in one loop over a (classes x features) weight matrix. Every trainer
 returns a LinearModel, scored as w_c . x + b_c: `predict` labels a batch of
-documents, and `predict_tokenized` labels one document from its row
-(features._row) without building a one-row matrix. Every w . x of whole
-rows but the SVM's per-step gradient is summed by `_block_dots`, which
-sums each row on its own, so a document scores the same bits alone as
-inside a corpus.
+documents, and `predict_tokenized` labels one document from the row that
+features.tfidf_vector or features.count_vector returns, without building a
+one-row matrix. Every w . x of whole rows but the SVM's per-step gradient
+is summed by `_block_dots`, which sums each row on its own, so a document
+scores the same bits alone as inside a corpus.
 
 * Naive Bayes uses Lidstone smoothing and accepts real-valued non-negative
   feature weights, so TF-IDF inputs are as valid as raw counts. Its log
@@ -66,7 +66,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .corpus import LabeledCorpus
+from .corpus import LabeledCorpus, check_field
 from .errors import (
     ConvergenceWarning,
     LengthMismatchError,
@@ -79,9 +79,10 @@ from .features import (
     CorpusMatrix,
     FeatureMode,
     Vocabulary,
-    _row,
     build_vocabulary,
+    count_vector,
     select_chi_features,
+    tfidf_vector,
     vectorize_corpus,
 )
 from .fileio import atomic_write_text
@@ -667,7 +668,10 @@ def predict_tokenized(
     """
     model = trained.model
     _check_width(len(trained.vocabulary), model.weights)
-    cols, vals = _row(doc, trained.vocabulary, trained.feature_mode)
+    # Both builders are looked up by name on every call, so a wrapper bound
+    # in their place (a tracer, say) sees each row.
+    vector = tfidf_vector if trained.feature_mode == "tfidf" else count_vector
+    cols, vals = vector(doc, trained.vocabulary)
     starts = _ONE_ROW_STARTS[cols.size > 0]
     scores = _block_dots(model.weights, cols, vals, starts, starts, 1)[0]
     scores += model.biases
@@ -826,13 +830,13 @@ def load_model(path: str | Path) -> TrainedModel:
     a format version other than MODEL_FORMAT_VERSION (an older file needs
     retraining), on an unknown (selector, feature_mode) pair, on class
     labels or vocabulary terms that are not strings in strictly ascending
-    order, on fewer than two class labels or no vocabulary term, on a
-    count, document frequency or timestamp that is not a JSON integer, on a
-    document frequency outside [1, n_docs], on a digest that is not a
-    string, on a fit block whose classes or fields do not match, on
-    parameter bytes that are not base64 of 8 bytes per value of their
-    shape, on shapes that do not match the labels and vocabulary and on a
-    non-finite parameter."""
+    order, on a class label that fails `corpus.check_field`, on fewer than
+    two class labels or no vocabulary term, on a count, document frequency
+    or timestamp that is not a JSON integer, on a document frequency
+    outside [1, n_docs], on a digest that is not a string, on a fit block
+    whose classes or fields do not match, on parameter bytes that are not
+    base64 of 8 bytes per value of their shape, on shapes that do not match
+    the labels and vocabulary and on a non-finite parameter."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -853,6 +857,8 @@ def load_model(path: str | Path) -> TrainedModel:
         if model_type not in _PARAMETER_KEYS:
             raise ModelFormatError(f"unknown model type {model_type!r}")
         labels = _ascending_strings(payload["class_labels"], "class_labels")
+        for label in labels:
+            check_field(label, "class label")
         if len(labels) < 2:
             raise ModelFormatError(
                 f"class_labels holds {len(labels)} classes; a trained model has at least two"

@@ -134,7 +134,7 @@ class TokenizedDocument:
 
     @property
     def token_count(self) -> int:
-        return sum(len(sentence) for sentence in self.sentences)
+        return sum(map(len, self.sentences))
 
     def tokens(self):
         """Iterate over all tokens in sentence order."""

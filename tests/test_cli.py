@@ -302,6 +302,26 @@ class TestPredict:
         assert code == 1 and captured.out == ""
         assert "malformed line 2: " in captured.err and reason in captured.err
 
+    @pytest.mark.parametrize("source", ["jsonl", "raw"])
+    def test_tab_or_line_break_in_an_id_writes_no_tsv(self, tmp_path, corpora, capsys, source):
+        model_path = train_model(tmp_path, corpora)
+        capsys.readouterr()
+        if source == "jsonl":
+            batch = tmp_path / "batch.jsonl"
+            rows = [{"id": "a\nb", "text": "কনক"}, {"id": "c\td", "text": "কনক"}]
+            batch.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        else:  # a raw file's id is its name
+            batch = tmp_path / "a\tb.txt"
+            batch.write_text("কনক", encoding="utf-8")
+        out = tmp_path / "labels.tsv"
+        code = main(["predict", "--model", str(model_path), "--input", str(batch),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert "without tabs or line breaks" in captured.err
+        if source == "jsonl":
+            assert "malformed line 1: " in captured.err
+
     def test_corrupted_model_is_data_error(self, tmp_path, corpora, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text("{oops", encoding="utf-8")

@@ -84,6 +84,18 @@ class TestLoadJsonl:
         with pytest.raises(MalformedLineError):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("id", "a\tb"), ("label", "x\ty"), ("id", "a\nb"), ("label", "x\ry"),
+    ])
+    def test_tab_or_line_break_in_id_or_label_names_its_line(self, tmp_path, field, bad):
+        # An id or label is a field of the tab-separated `predict` output.
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": "a", "text": "ক", "label": "x"},
+                           {"id": "b", "text": "খ", "label": "x", field: bad}])
+        with pytest.raises(MalformedLineError, match="without tabs or line breaks") as exc:
+            load_jsonl(path)
+        assert exc.value.line_no == 2
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"id": "d", "text": "a", "label": "x"},
@@ -160,9 +172,17 @@ class TestLoadDir:
         with pytest.raises(EmptyCorpusError):
             load_dir(tmp_path)
 
+    @pytest.mark.parametrize("category, name", [("Spo\trts", "a.txt"), ("Sports", "a\tb.txt")])
+    def test_tab_in_label_or_file_name_names_the_file(self, tmp_path, category, name):
+        (tmp_path / category).mkdir()
+        (tmp_path / category / name).write_text("খেলা", encoding="utf-8")
+        with pytest.raises(UnreadableFileError, match="without tabs") as exc:
+            load_dir(tmp_path)
+        assert exc.value.path == str(tmp_path / category / name)
+
 
 label_strategy = st.text(
-    alphabet=st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+    alphabet=st.characters(blacklist_characters="\t\r\n", blacklist_categories=("Cs",)),
     min_size=1,
     max_size=8,
 ).filter(lambda s: s)

@@ -19,8 +19,10 @@ from doccat.features import (
     Vocabulary,
     build_vocabulary,
     chi_score_document,
+    count_vector,
     idf,
     select_chi_features,
+    tfidf_vector,
     vectorize_corpus,
 )
 from doccat.textprep import TokenizedDocument, preprocess_corpus
@@ -232,8 +234,8 @@ class TestTfidfVector:
                 == vectorize_corpus([doc], vocab, "tfidf").values.tobytes()
             )
             assert (
-                features_module._row(shuffled, vocab, "tfidf")[1].tobytes()
-                == features_module._row(doc, vocab, "tfidf")[1].tobytes()
+                tfidf_vector(shuffled, vocab)[1].tobytes()
+                == tfidf_vector(doc, vocab)[1].tobytes()
             )
 
     def test_equals_the_idf_formula_exactly(self):
@@ -555,12 +557,29 @@ class TestVectorizeCorpus:
         assert any(a + b <= cap for a, b in zip(sizes, sizes[1:]))  # a chunk of two
         X = vectorize_corpus(docs, vocab, mode)
         assert X.shape == (len(docs), len(vocab))
+        vector = tfidf_vector if mode == "tfidf" else count_vector
         for row, doc in enumerate(docs):
-            indices, values = features_module._row(doc, vocab, mode)
+            indices, values = vector(doc, vocab)
             start, end = X.indptr[row], X.indptr[row + 1]
             assert X.indices[start:end].tobytes() == indices.tobytes()
             assert X.values[start:end].tobytes() == values.tobytes()
         assert row_pairs(X, 5) == row_pairs(X, 30) == []
+
+    @pytest.mark.parametrize("vector", [count_vector, tfidf_vector])
+    def test_each_vector_is_a_row_in_ascending_feature_order(self, vector):
+        rng = np.random.default_rng(17)
+        docs = [random_tokenized_doc(rng) for _ in range(30)]
+        vocab = build_vocabulary(docs[:15])
+        # First occurrence out of feature order, nothing, only out-of-vocabulary.
+        docs += [tdoc(list(reversed(vocab.terms))), tdoc(), tdoc(["ঞ", "ঞ"])]
+        for doc in docs:
+            indices, values = vector(doc, vocab)
+            assert indices.dtype == np.intp and values.dtype == np.float64
+            assert indices.shape == values.shape
+            assert np.all(indices[1:] > indices[:-1])
+            CorpusMatrix([0, indices.size], indices, values, len(vocab))  # a valid row
+        assert vector(docs[-3], vocab)[0].tolist() == list(range(len(vocab)))
+        assert vector(docs[-2], vocab)[0].size == vector(docs[-1], vocab)[0].size == 0
 
     def test_zero_documents_give_zero_rows(self):
         vocab = build_vocabulary([tdoc(["ক"])])

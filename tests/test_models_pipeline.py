@@ -313,6 +313,12 @@ INCONSISTENT_FILES = {
         "sgd", lambda p: p["class_labels"].__setitem__(1, p["class_labels"][0]), "class_labels"
     ),
     "unsorted_labels": ("nb", lambda p: p["class_labels"].reverse(), "class_labels"),
+    # A tab would split the label's column of a `predict` TSV; appended to
+    # the last label, it keeps the labels in order (NB has no fit block).
+    "tab_in_label": (
+        "nb", lambda p: p["class_labels"].__setitem__(-1, p["class_labels"][-1] + "\t"),
+        "class label must be non-empty without tabs",
+    ),
     # Training never writes these; they failed later with numpy errors.
     "no_class_labels": (
         "sgd",

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import evaluation, models
 from .corpus import LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_jsonl_documents
 from .errors import DoccatError, MalformedLineError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .models import TrainHyperparams
 from .textprep import (
     PreprocessConfig,
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a key=value hyperparameter file ('#' comments allowed)."""
     values: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         entry = line.split("#", 1)[0].strip()
         if not entry:
             continue
@@ -262,7 +262,7 @@ def _load_predict_documents(path: str) -> list[LabeledDocument]:
         if not docs:
             raise MalformedLineError(str(target), 0, "no documents to predict")
         return docs
-    return [LabeledDocument(id=target.name, text=target.read_text(encoding="utf-8"), label="-")]
+    return [LabeledDocument(id=target.name, text=read_text(target), label="-")]
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -331,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DoccatError, OSError, UnicodeDecodeError, ValueError) as exc:
+    except (DoccatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ from .errors import (
     MalformedLineError,
     UnreadableFileError,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 
 
 def check_field(value: object, name: str) -> None:
@@ -99,12 +99,7 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
         UnreadableFileError: the file cannot be read or is not valid UTF-8.
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UnreadableFileError(str(path), str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise UnreadableFileError(str(path), f"invalid UTF-8: {exc}") from exc
+    raw = read_text(path)
 
     documents: list[LabeledDocument] = []
     required = ("text",) if label is not None else ("text", "label")
@@ -182,12 +177,7 @@ def load_dir(path: str | Path) -> LabeledCorpus:
     for category_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         label = category_dir.name
         for txt in sorted(category_dir.glob("*.txt")):
-            try:
-                text = txt.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise UnreadableFileError(str(txt), str(exc)) from exc
-            except UnicodeDecodeError as exc:
-                raise UnreadableFileError(str(txt), f"invalid UTF-8: {exc}") from exc
+            text = read_text(txt)
             try:
                 documents.append(
                     LabeledDocument(id=f"{label}/{txt.name}", text=text, label=label)

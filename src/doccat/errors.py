@@ -30,7 +30,8 @@ class DuplicateIdError(DoccatError):
 
 
 class UnreadableFileError(DoccatError):
-    """A corpus file could not be read or decoded as UTF-8."""
+    """An input file could not be read or decoded as UTF-8, or a corpus file
+    held no valid document."""
 
     def __init__(self, path: str, reason: str) -> None:
         self.path = str(path)

@@ -1,13 +1,31 @@
-"""Atomic file writing helpers.
+"""File reading and atomic file writing helpers.
 
-Output files are written to a temporary sibling and renamed into place so a
-crash mid-write never leaves a torn model or report file.
+Input files are read as UTF-8 text, and a file that cannot be read or
+decoded fails with its path. Output files are written to a temporary
+sibling and renamed into place so a crash mid-write never leaves a torn
+model or report file.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from .errors import UnreadableFileError
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at `path`.
+
+    Raises:
+        UnreadableFileError: the file cannot be read or is not valid UTF-8.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UnreadableFileError(str(path), str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableFileError(str(path), f"invalid UTF-8: {exc}") from exc
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -328,11 +328,11 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     by one `_block_dots`, each row with its own pre-decay scale and the
     current biases. The steps before the first margin below 1 change
     nothing; that step's update is applied as a single step would apply it,
-    the later rows' products with each updated class are summed again by
-    `_block_dots` from the block's gathered entries, and the scan goes on
-    after it. A block also ends at a rescale. The block sums may run in a
-    different order from a per-step dot product, which can matter only for
-    a margin within rounding of exactly 1.
+    the whole block's rows are summed again by `_block_dots` for each
+    updated class, and the scan goes on after the step, reading only the
+    rows after it. A block also ends at a rescale. The block sums may run in
+    a different order from a per-step dot product, which can matter only
+    for a margin within rounding of exactly 1.
 
     Each row equals the model trained on its class alone, training is
     deterministic given (seed, corpus), and symmetric label swaps produce
@@ -393,7 +393,7 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
             dots = _block_dots(v, cols, vals, filled, starts, end - begin)
             block_targets = epoch_targets[begin:end]
             first = 0  # the block's first row not yet scanned
-            while True:
+            while first < end - begin:
                 below = (
                     block_targets[first:]
                     * (scales[begin + first : end, None] * dots[first:] + biases)
@@ -414,21 +414,11 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
                 updates += updated
                 row = slice(offsets_list[step] - lo, offsets_list[step + 1] - lo)
                 first = step - begin + 1
-                # The filled rows after the step, counted from the next row,
-                # and where their entries start.
-                rest = int(filled.searchsorted(first))
-                rest_start = offsets_list[begin + first] - lo
-                rest_filled, rest_starts = filled[rest:] - first, starts[rest:] - rest_start
                 for c in updated.nonzero()[0].tolist():
                     change = etas[step] * block_targets[step - begin, c]
                     v[c, cols[row]] += vals[row] * (change / scales[step + 1])
                     biases[c] += change
-                    dots[first:, c] = _block_dots(
-                        v[c], cols[rest_start:], vals[rest_start:], rest_filled,
-                        rest_starts, end - begin - first,
-                    )
-                if first == end - begin:
-                    break
+                    dots[:, c] = _block_dots(v[c], cols, vals, filled, starts, end - begin)
             begin = end
         scale = scales[-1]
         if epoch == 0:

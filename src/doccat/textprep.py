@@ -54,6 +54,7 @@ from itertools import chain
 from pathlib import Path
 
 from .corpus import LabeledCorpus, LabeledDocument
+from .fileio import read_text
 
 SENTENCE_DELIMITERS = "।?!\n"
 BENGALI_DIGITS = "০১২৩৪৫৬৭৮৯"
@@ -165,7 +166,7 @@ def validate_suffix_table(rules: tuple[tuple[str, int], ...]) -> None:
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a stopword file: one token per line, '#' comments allowed."""
     words: set[str] = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         entry = line.split("#", 1)[0].strip()
         if entry:
             words.add(entry)
@@ -179,7 +180,7 @@ def load_suffix_table(path: str | Path) -> tuple[tuple[str, int], ...]:
     lexicographically) and validated.
     """
     rules: list[tuple[str, int]] = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         entry = line.split("#", 1)[0].rstrip()
         if not entry.strip():
             continue

@@ -71,6 +71,23 @@ class TestUsageContract:
                   "--model", "nb", "--out", "m.json", *flag])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--input", "--stopwords", "--suffixes", "--config"])
+    def test_input_file_that_is_not_utf8_is_named(self, flag, tmp_path, corpora, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        if flag == "--input":  # a raw prediction input
+            argv = ["predict", "--model", str(train_model(tmp_path, corpora)),
+                    "--input", str(bad), "--out", str(out)]
+        else:
+            argv = ["train", "--corpus", str(corpora[0]), "--features", "tfidf",
+                    "--model", "nb", "--out", str(out), flag, str(bad)]
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: unreadable file {bad}: invalid UTF-8: ")
+
 
 class TestResolvedConfig:
     def test_defaults_match_reference_configuration(self):

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from doccat import models
 from doccat.errors import SingleClassError
 from doccat.features import CorpusMatrix, build_vocabulary, select_chi_features, vectorize_corpus
 from doccat.models import (
@@ -226,6 +229,41 @@ def assert_matches_reference(X, y, hyper):
     return classes_per_step
 
 
+def _sgd_block_case(n_rows, n_features, n_classes, seed):
+    """A random CSR matrix of rows with 0 to n_features entries in [0.1, 3),
+    and labels from n_classes classes with at least two of them used."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        {
+            int(index): float(rng.uniform(0.1, 3.0))
+            for index in rng.choice(n_features, rng.integers(0, n_features + 1), replace=False)
+        }
+        for _ in range(n_rows)
+    ]
+    classes = "abcd"[:n_classes]
+    y = ["a", "b"] + [classes[k] for k in rng.integers(0, n_classes, n_rows - 2)]
+    return matrix(rows, n_features), [y[k] for k in rng.permutation(n_rows)]
+
+
+@st.composite
+def sgd_block_cases(draw):
+    """`_sgd_block_case` over 1 to 3 blocks, the last holding 1, 2,
+    models._BLOCK_ROWS - 1 or models._BLOCK_ROWS rows (at least 2 in all),
+    and hyperparameters for it."""
+    size = models._BLOCK_ROWS
+    last = draw(st.sampled_from((1, 2, size - 1, size)))
+    n_rows = max(2, draw(st.integers(0, 2)) * size + last)
+    X, y = _sgd_block_case(
+        n_rows, draw(st.integers(1, 8)), draw(st.integers(2, 4)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+    hyper = TrainHyperparams(
+        sgd_alpha=draw(st.floats(1e-3, 1.0)), sgd_epochs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return X, y, hyper
+
+
 class TestBlockScoringMatchesPerStepReference:
     """Block scoring skips steps whose margins are all at least 1; the
     weights, biases and fit_info must equal those of scoring every step."""
@@ -292,3 +330,12 @@ class TestBlockScoringMatchesPerStepReference:
             X, y, TrainHyperparams(sgd_alpha=1e8, sgd_epochs=3)
         )
         assert classes_per_step[0] > 100
+
+    # The labels are random, so most steps update some class: a block holds
+    # several updates, and its last row often updates too.
+    @settings(max_examples=60, deadline=None)
+    @example((*_sgd_block_case(2 * models._BLOCK_ROWS + 1, 5, 3, 0),
+              TrainHyperparams(sgd_alpha=0.1, sgd_epochs=2)))
+    @given(sgd_block_cases())
+    def test_random_block_layouts(self, case):
+        assert_matches_reference(*case)

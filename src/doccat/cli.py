@@ -17,7 +17,7 @@ from pathlib import Path
 from . import evaluation, models
 from .corpus import LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_jsonl_documents
 from .errors import DoccatError, MalformedLineError
-from .fileio import atomic_write_text, read_text
+from .fileio import atomic_write_text, read_entries, read_text
 from .models import TrainHyperparams
 from .textprep import (
     PreprocessConfig,
@@ -150,42 +150,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a key=value hyperparameter file ('#' comments allowed)."""
-    values: dict[str, str] = {}
-    for line_no, line in enumerate(read_text(path).splitlines(), 1):
-        entry = line.split("#", 1)[0].strip()
-        if not entry:
-            continue
-        if "=" not in entry:
-            raise ValueError(f"{path}:{line_no}: expected key=value")
-        key, value = entry.split("=", 1)
+def parse_config_file(path: str | Path) -> dict[str, int | float]:
+    """Read a `key = value` hyperparameter file ('#' comments allowed; a key
+    is a flag name with or without its dashes). Each value is parsed and
+    checked by its flag's parser on its own line, also when a flag overrides
+    it; a bad line raises MalformedLineError."""
+    values: dict[str, int | float] = {}
+    for line_no, entry in read_entries(path):
+        key, equals, value = entry.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in HYPER_DEFAULTS:
-            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = value.strip()
+        if not equals:
+            raise MalformedLineError(str(path), line_no, "expected key=value")
+        if key not in _HYPER_PARSERS:
+            raise MalformedLineError(str(path), line_no, f"unknown key {key!r}")
+        try:
+            values[key] = _HYPER_PARSERS[key](value.strip())
+        except argparse.ArgumentTypeError as exc:
+            raise MalformedLineError(str(path), line_no, f"{key}: {exc}") from None
     return values
 
 
 def resolve_hyper(args: argparse.Namespace) -> TrainHyperparams:
-    """Apply the flags > config file > defaults precedence.
-
-    Config-file values pass the same parsers and checks as the flags.
-    """
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    for name, default in HYPER_DEFAULTS.items():
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            resolved[name] = flag_value
-        elif name in file_values:
-            try:
-                resolved[name] = _HYPER_PARSERS[name](file_values[name])
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"{args.config}: {name}: {exc}") from None
-        else:
-            resolved[name] = default
-    return TrainHyperparams(**resolved)
+    """The flags given, laid over the `--config` file's values; TrainHyperparams
+    supplies the defaults."""
+    values = parse_config_file(args.config) if args.config else {}
+    values.update(
+        (name, getattr(args, name)) for name in HYPER_DEFAULTS if getattr(args, name) is not None
+    )
+    return TrainHyperparams(**values)
 
 
 def build_preprocess_config(args: argparse.Namespace) -> PreprocessConfig:

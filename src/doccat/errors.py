@@ -8,7 +8,9 @@ class DoccatError(Exception):
 
 
 class MalformedLineError(DoccatError):
-    """A JSONL line could not be parsed into a valid labeled document."""
+    """A line of an input file could not be parsed: a JSONL line into a
+    labeled document, or a suffix-table or config line into its rule or
+    value."""
 
     def __init__(self, path: str, line_no: int, reason: str) -> None:
         self.path = str(path)

@@ -147,8 +147,9 @@ class CorpusMatrix:
 
     Row i holds the feature `indices[indptr[i]:indptr[i + 1]]` (intp,
     strictly ascending within the row, in [0, n_features)) and their
-    `values` (float64, finite and non-zero); zeros are omitted. The arrays
-    are checked once here and marked read-only, arrays passed in included.
+    `values` (float64, finite and non-zero); zeros are omitted. `indptr` and
+    `indices` must hold integers unless empty. The arrays are checked once
+    here and marked read-only, arrays passed in included.
     """
 
     indptr: np.ndarray
@@ -157,8 +158,10 @@ class CorpusMatrix:
     n_features: int
 
     def __post_init__(self) -> None:
-        indptr = np.asarray(self.indptr, dtype=np.intp)
-        indices = np.asarray(self.indices, dtype=np.intp)
+        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        if any(array.size and array.dtype.kind not in "iu" for array in (indptr, indices)):
+            raise ValueError("indptr and indices must hold integers")
+        indptr, indices = indptr.astype(np.intp, copy=False), indices.astype(np.intp, copy=False)
         values = np.asarray(self.values, dtype=np.float64)
         n_features, nnz = self.n_features, indices.size
         if n_features < 1:

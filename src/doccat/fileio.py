@@ -1,9 +1,9 @@
 """File reading and atomic file writing helpers.
 
 Input files are read as UTF-8 text, and a file that cannot be read or
-decoded fails with its path. Output files are written to a temporary
-sibling and renamed into place so a crash mid-write never leaves a torn
-model or report file.
+decoded fails with its path; in a line-oriented one, `#` starts a comment.
+Output files are written to a temporary sibling and renamed into place so
+a crash mid-write never leaves a torn model or report file.
 """
 
 from __future__ import annotations
@@ -26,6 +26,13 @@ def read_text(path: str | Path) -> str:
         raise UnreadableFileError(str(path), str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise UnreadableFileError(str(path), f"invalid UTF-8: {exc}") from exc
+
+
+def read_entries(path: str | Path) -> list[tuple[int, str]]:
+    """The (line number, entry) pairs of a line-oriented file: each line up
+    to its `#` comment, stripped; empty entries are dropped."""
+    lines = enumerate(read_text(path).splitlines(), 1)
+    return [(n, entry) for n, line in lines if (entry := line.split("#", 1)[0].strip())]
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

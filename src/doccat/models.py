@@ -46,9 +46,9 @@ prediction.
 whether training converged, a per-class `fit` block of solver diagnostics
 (SGD and SVM only) and each parameter as the base64 of its little-endian
 float64 bytes with its shape. Parameters round-trip bit for bit, and
-saving a loaded model writes the same bytes. `load_model` checks the file
-before use and rejects other format versions: a version 1 file needs
-retraining.
+saving a loaded model writes the same bytes. `load_model` checks each
+value as it decodes it, rejects other format versions (a version 1 file
+needs retraining) and names the file in every rejection.
 """
 
 from __future__ import annotations
@@ -282,8 +282,9 @@ def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> LinearModel:
     Per class c and feature t: likelihood(c, t) = (W(c,t) + alpha) /
     (W(c) + alpha * V), where W sums feature weights over the class's
     rows. The model's weights are the log likelihoods and its biases the
-    log priors. Raises NegativeFeatureError on any negative weight and
-    SingleClassError when fewer than two labels are present.
+    log priors. Raises NegativeFeatureError on any negative weight,
+    SingleClassError when fewer than two labels are present and ValueError
+    when `alpha` is too large or too small for a finite log likelihood.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
@@ -296,7 +297,11 @@ def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> LinearModel:
     np.add.at(weight_sums, (np.repeat(rows, np.diff(X.indptr)), X.indices), X.values)
     log_prior = np.log(np.bincount(rows, minlength=len(labels)) / len(y))
     totals = weight_sums.sum(axis=1, keepdims=True)
-    log_likelihood = np.log((weight_sums + alpha) / (totals + alpha * X.n_features))
+    with np.errstate(all="ignore"):  # an extreme alpha over- or underflows the ratio
+        log_likelihood = np.log((weight_sums + alpha) / (totals + alpha * X.n_features))
+    if not np.isfinite(log_likelihood).all():
+        raise ValueError(f"nb_alpha {alpha!r} over {X.n_features} features "
+                         "gives a non-finite log likelihood")
     return LinearModel(
         class_labels=tuple(labels), weights=log_likelihood, biases=log_prior, trainer_tag="nb"
     )
@@ -713,7 +718,9 @@ def _array_to_payload(values: np.ndarray) -> dict:
     return {"shape": list(values.shape), "base64": base64.b64encode(raw).decode("ascii")}
 
 
-def _array_from_payload(payload: dict, key: str) -> np.ndarray:
+def _array_from_payload(payload: dict, key: str, expected: tuple[int, ...]) -> np.ndarray:
+    """The parameter stored under `key`, if its bytes fill its declared shape,
+    that shape is `expected` and every value is finite."""
     shape = payload["shape"]
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise ModelFormatError(f"{key} shape must be a list of non-negative integers")
@@ -723,7 +730,12 @@ def _array_from_payload(payload: dict, key: str) -> np.ndarray:
         raise ModelFormatError(f"{key} is not valid base64: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
         raise ModelFormatError(f"{key} holds {len(raw)} bytes, not 8 per value of shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(shape)
+    if tuple(shape) != expected:
+        raise ModelFormatError(f"{key} has shape {tuple(shape)}, expected {expected}")
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(shape)
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"{key} has non-finite values")
+    return values
 
 
 def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
@@ -801,37 +813,22 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
     atomic_write_text(path, json.dumps(model_to_dict(trained), ensure_ascii=False))
 
 
-def _check_loaded(trained: TrainedModel) -> None:
-    """Raise ModelFormatError, naming the file key, unless every parameter
-    is finite and its shape matches the labels and vocabulary."""
-    model = trained.model
-    n_classes, n_features = len(model.class_labels), len(trained.vocabulary)
-    shapes = {"biases": (n_classes,), "weights": (n_classes, n_features)}
-    for name, key in _PARAMETER_KEYS[model.trainer_tag].items():
-        values = getattr(model, name)
-        if values.shape != shapes[name]:
-            raise ModelFormatError(f"{key} has shape {values.shape}, expected {shapes[name]}")
-        if not np.isfinite(values).all():
-            raise ModelFormatError(f"{key} has non-finite values")
-
-
 def load_model(path: str | Path) -> TrainedModel:
-    """Load a model file; raises ModelFormatError on any schema problem, on
-    a format version other than MODEL_FORMAT_VERSION (an older file needs
-    retraining), on an unknown (selector, feature_mode) pair, on class
-    labels or vocabulary terms that are not strings in strictly ascending
-    order, on a class label that fails `corpus.check_field`, on fewer than
-    two class labels or no vocabulary term, on a count, document frequency
-    or timestamp that is not a JSON integer, on a document frequency
-    outside [1, n_docs], on a digest that is not a string, on a fit block
-    whose classes or fields do not match, on parameter bytes that are not
-    base64 of 8 bytes per value of their shape, on shapes that do not match
-    the labels and vocabulary and on a non-finite parameter."""
+    """Load a model file, checking each value as it is decoded. Every
+    rejection is a ModelFormatError reading `invalid model file <path>:
+    <reason>`: a file that cannot be read or parsed, a missing key, a format
+    version other than MODEL_FORMAT_VERSION (an older file needs
+    retraining), an unknown pipeline or model type, class labels or
+    vocabulary terms that are not strings in strictly ascending order, a
+    class label that fails `corpus.check_field`, fewer than two class labels
+    or no vocabulary term, a count, document frequency or timestamp that is
+    not a JSON integer, a document frequency outside [1, n_docs], a digest
+    that is not a string, a fit block whose classes or fields do not match,
+    parameter bytes that are not base64 of 8 bytes per value of their shape,
+    a shape that does not match the labels and vocabulary, or a non-finite
+    parameter."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"invalid model file {path}: {exc}") from exc
-    try:
         version = _strict_int(payload["format_version"], "format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(
@@ -856,12 +853,14 @@ def load_model(path: str | Path) -> TrainedModel:
         converged = payload["converged"]
         if type(converged) is not bool:
             raise ModelFormatError(f"converged must be a boolean, got {converged!r}")
+        vocabulary = _vocabulary_from_payload(payload["vocabulary"])
+        shapes = {"biases": (len(labels),), "weights": (len(labels), len(vocabulary))}
         model = LinearModel(
             class_labels=tuple(labels),
             trainer_tag=model_type,
             fit_info=_fit_from_payload(payload["fit"], model_type, labels),
             **{
-                name: _array_from_payload(payload[key], key)
+                name: _array_from_payload(payload[key], key, shapes[name])
                 for name, key in _PARAMETER_KEYS[model_type].items()
             },
         )
@@ -870,9 +869,9 @@ def load_model(path: str | Path) -> TrainedModel:
         digest = payload["preprocess_config_digest"]
         if not isinstance(digest, str):
             raise ModelFormatError(f"preprocess_config_digest must be a string, got {digest!r}")
-        trained = TrainedModel(
+        return TrainedModel(
             model=model,
-            vocabulary=_vocabulary_from_payload(payload["vocabulary"]),
+            vocabulary=vocabulary,
             selector=selector,
             preprocess_config_digest=digest,
             stage_seconds=dict.fromkeys(TRAIN_STAGES, 0.0),
@@ -880,7 +879,6 @@ def load_model(path: str | Path) -> TrainedModel:
                 payload["created_unix_seconds"], "created_unix_seconds"
             ),
         )
-        _check_loaded(trained)
-        return trained
-    except (KeyError, TypeError, ValueError) as exc:
+    # json.loads raises RecursionError on arrays or objects nested too deep.
+    except (OSError, RecursionError, KeyError, TypeError, ValueError, ModelFormatError) as exc:
         raise ModelFormatError(f"invalid model file {path}: {exc}") from exc

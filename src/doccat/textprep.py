@@ -54,7 +54,8 @@ from itertools import chain
 from pathlib import Path
 
 from .corpus import LabeledCorpus, LabeledDocument
-from .fileio import read_text
+from .errors import MalformedLineError
+from .fileio import read_entries
 
 SENTENCE_DELIMITERS = "।?!\n"
 BENGALI_DIGITS = "০১২৩৪৫৬৭৮৯"
@@ -165,37 +166,28 @@ def validate_suffix_table(rules: tuple[tuple[str, int], ...]) -> None:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a stopword file: one token per line, '#' comments allowed."""
-    words: set[str] = set()
-    for line in read_text(path).splitlines():
-        entry = line.split("#", 1)[0].strip()
-        if entry:
-            words.add(entry)
-    return frozenset(words)
+    return frozenset(entry for _, entry in read_entries(path))
 
 
 def load_suffix_table(path: str | Path) -> tuple[tuple[str, int], ...]:
-    """Load suffix rules from a `<suffix>\\t<min_stem_length>` file.
-
-    Rules are normalized to descending suffix length (ties broken
-    lexicographically) and validated.
-    """
-    rules: list[tuple[str, int]] = []
-    for line_no, line in enumerate(read_text(path).splitlines(), 1):
-        entry = line.split("#", 1)[0].rstrip()
-        if not entry.strip():
-            continue
+    """Load suffix rules from a `<suffix>\\t<min_stem_length>` file ('#'
+    comments allowed), sorted by descending suffix length, ties
+    lexicographically. A line that does not parse, fails
+    `validate_suffix_table` or repeats a suffix raises MalformedLineError."""
+    rules: dict[str, int] = {}
+    for line_no, entry in read_entries(path):
         parts = entry.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{line_no}: expected <suffix>\\t<min_stem_length>")
-        suffix, raw_min = parts[0].strip(), parts[1].strip()
         try:
-            min_stem = int(raw_min)
+            if len(parts) != 2:
+                raise ValueError("expected <suffix>\\t<min_stem_length>")
+            suffix = parts[0].strip()
+            if suffix in rules:
+                raise ValueError(f"duplicate suffix {suffix!r}")
+            rules[suffix] = int(parts[1])
+            validate_suffix_table(((suffix, rules[suffix]),))
         except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: min stem length is not an integer") from exc
-        rules.append((suffix, min_stem))
-    normalized = tuple(sorted(rules, key=lambda rule: (-len(rule[0]), rule[0])))
-    validate_suffix_table(normalized)
-    return normalized
+            raise MalformedLineError(str(path), line_no, str(exc)) from None
+    return tuple(sorted(rules.items(), key=lambda rule: (-len(rule[0]), rule[0])))
 
 
 @lru_cache(maxsize=1)

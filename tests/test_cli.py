@@ -149,10 +149,27 @@ class TestResolvedConfig:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_bad_config_value_names_its_line_under_an_overriding_flag(
+        self, tmp_path, corpora, capsys
+    ):
+        train_path, _ = corpora
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("seed = 9\nsvm_c = nan\n", encoding="utf-8")
+        code = main([
+            "train", "--corpus", str(train_path), "--features", "tfidf", "--model", "svm",
+            "--out", str(tmp_path / "m.json"), "--config", str(config_file), "--svm-c", "2",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {config_file}: malformed line 2: svm_c: 'nan': "
+        )
+        assert not (tmp_path / "m.json").exists()
+
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("svm_c=2.0\nchi-top-percent = 45\n", encoding="utf-8")
-        assert parse_config_file(path) == {"svm_c": "2.0", "chi_top_percent": "45"}
+        path.write_text("# svm_c = nan\nsvm_c=2.0\n\nchi-top-percent = 45  # wider\n",
+                        encoding="utf-8")
+        assert parse_config_file(path) == {"svm_c": 2.0, "chi_top_percent": 45.0}
 
 
 class TestPreprocess:
@@ -248,6 +265,30 @@ class TestTrain:
         assert list(fields) == ["features", "vectorize", "fit"]
         train_sec = float(captured.out.split("train_sec=")[1].split()[0])
         assert sum(map(float, fields.values())) == pytest.approx(train_sec, abs=5e-4)
+
+    @pytest.mark.parametrize("alpha", ["1e308", "5e-324"])
+    def test_nb_alpha_without_finite_likelihoods_writes_no_model(
+        self, alpha, tmp_path, corpora, capsys
+    ):
+        out = tmp_path / "m.json"
+        code = main(["train", "--corpus", str(corpora[0]), "--features", "tfidf",
+                     "--model", "nb", "--out", str(out), "--nb-alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 1 and "nb_alpha" in captured.err and not out.exists()
+
+    @pytest.mark.parametrize(
+        "table", ["রা\t2\nগুলো\t2\nরা\t3\n", "রা\t0\n", "\t2\n"],
+        ids=["duplicate", "zero_min", "empty_suffix"],
+    )
+    def test_bad_suffix_table_names_the_file(self, table, tmp_path, corpora, capsys):
+        suffixes = tmp_path / "suf.tsv"
+        suffixes.write_text(table, encoding="utf-8")
+        out = tmp_path / "m.json"
+        code = main(["train", "--corpus", str(corpora[0]), "--features", "tfidf",
+                     "--model", "nb", "--out", str(out), "--suffixes", str(suffixes)])
+        captured = capsys.readouterr()
+        assert code == 1 and not out.exists()
+        assert captured.err.startswith(f"error: {suffixes}: malformed line ")
 
     def test_single_label_corpus_is_data_error(self, tmp_path, capsys):
         single = tmp_path / "single.jsonl"

@@ -161,6 +161,20 @@ class TestCorpusMatrix:
         with pytest.raises(ValueError, match="indptr"):
             self.build(indptr, [0, 1], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([0, 1], [2.9]),
+            ([0.0, 1.5], [0]),
+            ([0, 1], np.array([True])),
+            (np.array([False, True]), [0]),
+        ],
+        ids=["float_indices", "float_indptr", "bool_indices", "bool_indptr"],
+    )
+    def test_non_integer_positions_rejected(self, indptr, indices):
+        with pytest.raises(ValueError, match="must hold integers"):
+            self.build(indptr, indices, [1.0])
+
     def test_decreasing_indptr_rejected(self):
         with pytest.raises(ValueError, match="decrease"):
             self.build([0, 2, 1, 2], [0, 1], [1.0, 1.0])

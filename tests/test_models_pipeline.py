@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,16 @@ def _write(payload, path):
     return path
 
 
+def _assert_rejected(path, pattern):
+    """load_model(path) fails with a ModelFormatError that names the file and
+    whose reason matches `pattern`."""
+    with pytest.raises(ModelFormatError) as caught:
+        load_model(path)
+    prefix = f"invalid model file {path}: "
+    assert str(caught.value).startswith(prefix)
+    assert re.search(pattern, str(caught.value)[len(prefix):])
+
+
 class TestModelFile:
     @pytest.mark.parametrize(
         "classifier,parameter_keys",
@@ -238,36 +249,20 @@ class TestModelFile:
             weights=trained.model.weights.tolist(),
             biases=trained.model.biases.tolist(),
         )
-        with pytest.raises(ModelFormatError, match="retrain"):
-            load_model(_write(payload, tmp_path / "model.json"))
+        _assert_rejected(_write(payload, tmp_path / "model.json"), "retrain")
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ModelFormatError):
-            load_model(path)
+        _assert_rejected(path, "Expecting property name")
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ModelFormatError):
-            load_model(tmp_path / "absent.json")
+        _assert_rejected(tmp_path / "absent.json", "No such file")
 
-    def test_wrong_version_rejected(self, small_tokens, default_cfg, tmp_path):
-        trained = train_from_tokens(
-            small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg.digest()
-        )
-        payload = model_to_dict(trained)
-        payload["format_version"] = 99
-        with pytest.raises(ModelFormatError, match="version 99"):
-            load_model(_write(payload, tmp_path / "model.json"))
-
-    def test_unknown_model_type_rejected(self, small_tokens, default_cfg, tmp_path):
-        trained = train_from_tokens(
-            small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg.digest()
-        )
-        payload = model_to_dict(trained)
-        payload["model_type"] = "tree"
-        with pytest.raises(ModelFormatError, match="unknown model type"):
-            load_model(_write(payload, tmp_path / "model.json"))
+    def test_json_nested_too_deep_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        _assert_rejected(path, "recursion")
 
 
 def _edit_parameter(key, edit):
@@ -370,6 +365,8 @@ INCONSISTENT_FILES = {
         "sgd", _edit_vocabulary("terms", lambda terms: terms[::-1]), "vocabulary terms"
     ),
     "boolean_format_version": ("sgd", lambda p: p.update(format_version=True), "format_version"),
+    "format_version_99": ("nb", lambda p: p.update(format_version=99), "version 99"),
+    "unknown_model_type": ("nb", lambda p: p.update(model_type="tree"), "unknown model type"),
     # Numbers that int() would coerce into a loadable model.
     "fractional_document_frequency": (
         "sgd", _edit_vocabulary("doc_freq", _replace_first(lambda df: df + 0.7)), "doc_freq"
@@ -424,7 +421,9 @@ INCONSISTENT_FILES = {
         "svm", lambda p: p["biases"].update(shape=[-p["biases"]["shape"][0]]), "biases shape"
     ),
     "missing_base64": ("nb", lambda p: p["log_prior"].pop("base64"), "base64"),
-    "list_parameter": ("sgd", lambda p: p.update(biases=_decode(p["biases"]).tolist()), "invalid"),
+    "list_parameter": (
+        "sgd", lambda p: p.update(biases=_decode(p["biases"]).tolist()), "list indices"
+    ),
     "string_converged": ("sgd", lambda p: p.update(converged="true"), "converged must be"),
     "converged_against_fit_block": (
         "svm", lambda p: p.update(converged=False), "converged disagrees"
@@ -473,8 +472,7 @@ class TestModelFileValidation:
         classifier, corrupt, message = INCONSISTENT_FILES[case]
         payload = copy.deepcopy(saved_payloads[classifier])
         corrupt(payload)
-        with pytest.raises(ModelFormatError, match=message):
-            load_model(_write(payload, tmp_path / "model.json"))
+        _assert_rejected(_write(payload, tmp_path / "model.json"), message)
 
 
 def _blocked_case(n_rows, kinds, n_features, n_classes, seed):

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from doccat.corpus import LabeledDocument
+from doccat.errors import MalformedLineError
 from doccat.textprep import (
     SENTENCE_DELIMITERS,
     STRIP_SYMBOLS,
@@ -305,14 +306,16 @@ class TestConfigFiles:
 
     def test_suffix_table_normalized_and_sorted(self, tmp_path):
         path = tmp_path / "suf.tsv"
-        path.write_text("রা\t2\nগুলো\t2\nটা\t3\n", encoding="utf-8")
+        path.write_text(
+            "# suffix\tmin\nরা\t2\n\nগুলো\t2  # plural\nটা\t3\n", encoding="utf-8"
+        )
         table = load_suffix_table(path)
         assert table == (("গুলো", 2), ("টা", 3), ("রা", 2))
 
     def test_suffix_table_bad_min(self, tmp_path):
         path = tmp_path / "suf.tsv"
         path.write_text("রা\tx\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedLineError):
             load_suffix_table(path)
 
     def test_validate_rejects_unsorted(self):

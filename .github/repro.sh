@@ -4,9 +4,11 @@
 # Runs `DOCCAT benchmark --repro --seed 7` on CORPUS/train.jsonl and
 # CORPUS/test.jsonl into OUT, with any extra benchmark options, then labels
 # the test split with three of the models it wrote (one per classifier) into
-# OUT-predict/<model>.tsv. Fails unless each prediction TSV has one line per
-# test document, each of exactly three tab-separated fields (id, label,
-# score). The caller compares the outputs of two runs with `diff -r`.
+# OUT-predict/<model>.tsv and writes its preprocessed tokens to
+# OUT-predict/test.tokens.jsonl. Fails unless each prediction TSV has one
+# line per test document, each of exactly three tab-separated fields (id,
+# label, score), and the tokens file has one line per test document. The
+# caller compares the outputs of two runs with `diff -r`.
 set -euo pipefail
 
 doccat=$1
@@ -29,3 +31,9 @@ for model in TFIDF_SGD CHI_SQUARE_NB CHI_SQUARE_SVM; do
     exit 1
   fi
 done
+tokens="$out-predict/test.tokens.jsonl"
+"$doccat" preprocess --corpus "$corpus/test.jsonl" --out "$tokens"
+if [ "$(wc -l < "$tokens")" -ne "$(grep -c . "$corpus/test.jsonl")" ]; then
+  echo "$tokens: not one line per test document" >&2
+  exit 1
+fi

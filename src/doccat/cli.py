@@ -154,8 +154,10 @@ def parse_config_file(path: str | Path) -> dict[str, int | float]:
     """Read a `key = value` hyperparameter file ('#' comments allowed; a key
     is a flag name with or without its dashes). Each value is parsed and
     checked by its flag's parser on its own line, also when a flag overrides
-    it; a bad line raises MalformedLineError."""
+    it; a bad line, or a key given twice in any spelling, raises
+    MalformedLineError."""
     values: dict[str, int | float] = {}
+    first_lines: dict[str, int] = {}
     for line_no, entry in read_entries(path):
         key, equals, value = entry.partition("=")
         key = key.strip().replace("-", "_")
@@ -163,6 +165,11 @@ def parse_config_file(path: str | Path) -> dict[str, int | float]:
             raise MalformedLineError(str(path), line_no, "expected key=value")
         if key not in _HYPER_PARSERS:
             raise MalformedLineError(str(path), line_no, f"unknown key {key!r}")
+        if key in first_lines:
+            raise MalformedLineError(
+                str(path), line_no, f"key {key!r} repeats line {first_lines[key]}"
+            )
+        first_lines[key] = line_no
         try:
             values[key] = _HYPER_PARSERS[key](value.strip())
         except argparse.ArgumentTypeError as exc:

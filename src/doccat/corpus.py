@@ -112,6 +112,8 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedLineError(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise MalformedLineError(str(path), line_no, "invalid JSON: nested too deep") from None
         if not isinstance(obj, dict):
             raise MalformedLineError(str(path), line_no, "line is not a JSON object")
         for key in required:

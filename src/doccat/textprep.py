@@ -2,8 +2,8 @@
 
 The pipeline applied per document is
 
-    strip symbols -> lowercase -> split_sentences -> split on whitespace
-        -> stem -> remove stopwords
+    strip symbols -> split into sentences -> split on whitespace
+        -> per token: lowercase -> stem -> remove stopwords
 
 Stripping STRIP_SYMBOLS and lowercasing are fixed steps; a configuration
 chooses the stopwords, the suffix table and whether stemming and stopword
@@ -23,20 +23,21 @@ which is why the suffix table stays a replaceable data file rather than
 hard-coded rules.
 
 The strip pattern, one regular expression that matches any strip symbol
-except the sentence delimiters, is compiled once per process; each
-configuration gets a bounded memo, built once, from a stripped, lowercased
-raw token to its final token. The whole document is stripped and
-lowercased once, then split into sentences and tokens, which gives the
-same tokens as stripping and lowercasing each token of each sentence. This
-is exact because strip symbols are single non-whitespace characters, the
-delimiters stay out of the strip pattern (a delimiter still ends its
-sentence, and splitting removes it anyway), and lowercasing can create
-neither a delimiter nor whitespace. A delimiter is neither cased nor
-case-ignorable, so it bounds a final sigma's context just as the end of a
-sentence does. The memo pays off because
+except the sentence delimiters, is compiled once per process. The whole
+document is stripped once, then split into sentences and tokens, which
+gives the same tokens as stripping each token of each sentence: strip
+symbols are single non-whitespace characters, and the delimiters stay out
+of the strip pattern (a delimiter still ends its sentence, and splitting
+removes it anyway). Each distinct stripped token is then lowercased,
+stemmed and stopword-filtered once, in a plain dict memo per configuration
+that empties itself when it holds TOKEN_MEMO_SIZE (65,536) tokens; it is
+not LRU. Lowercasing token by token gives what lowercasing the whole
+document would: lowercasing creates no whitespace or delimiter, and
+neither is cased nor case-ignorable, so the context that makes a Greek
+sigma final never crosses a token's edge. The memo pays off because
 tokens repeat: on a cold memo, 78-89% of the token occurrences in the
-benchmark corpora are hits; text whose tokens never repeat runs slower with
-it than without. Results are pure functions of (input, config); the
+benchmark corpora are hits; text whose tokens never repeat runs about 1.5
+times slower with it than without (README gives the figures). Results are pure functions of (input, config); the
 compiled configurations and their token memos are shared, bounded and
 thread-safe, so documents may still be preprocessed in parallel.
 """
@@ -76,9 +77,10 @@ STRIP_RE = re.compile(
     "|".join(map(re.escape, sorted(STRIP_SYMBOLS.difference(SENTENCE_DELIMITERS))))
 )
 
-# Distinct raw tokens each compiled configuration remembers; the least
-# recently used one is forgotten first, so a long prediction stream cannot
-# grow memory without limit.
+# Distinct raw tokens each compiled configuration remembers; the memo
+# empties itself when it is full, so a long prediction stream cannot grow
+# memory without limit. Threads that miss at the same moment may each add
+# one token past the bound before the next miss empties it.
 TOKEN_MEMO_SIZE = 1 << 16
 
 
@@ -201,15 +203,6 @@ def default_config() -> PreprocessConfig:
     return PreprocessConfig(stopword_list=stopwords, suffix_table=suffixes)
 
 
-def split_sentences(text: str) -> list[str]:
-    """Split on the Bengali danda, '?', '!', and newlines.
-
-    Delimiters are removed, segments are trimmed, and empty segments are
-    dropped.
-    """
-    return [stripped for segment in SENTENCE_SPLIT_RE.split(text) if (stripped := segment.strip())]
-
-
 def stem(token: str, suffix_table: tuple[tuple[str, int], ...]) -> str:
     """Strip at most one suffix: the longest rule whose removal leaves
     at least the rule's minimum stem length. Otherwise return unchanged."""
@@ -219,20 +212,32 @@ def stem(token: str, suffix_table: tuple[tuple[str, int], ...]) -> str:
     return token
 
 
-@lru_cache(maxsize=8)
-def _compiled(config: PreprocessConfig):
-    """The configuration's memo from a stripped, lowercased raw token to
-    its final token ("" for a stopword)."""
+class _TokenMemo(dict):
+    """A configuration's memo from a stripped raw token to its final token
+    ("" for a stopword). A miss lowercases, stems and filters the token,
+    first emptying the memo if it holds TOKEN_MEMO_SIZE tokens."""
 
-    @lru_cache(maxsize=TOKEN_MEMO_SIZE)
-    def final_token(token: str) -> str:
+    def __init__(self, config: PreprocessConfig) -> None:
+        super().__init__()
+        self.config = config
+
+    def __missing__(self, raw: str) -> str:
+        config = self.config
+        token = raw.lower()
         if config.enable_stemming:
             token = stem(token, config.suffix_table)
         if config.enable_stopwords and token in config.stopword_list:
-            return ""
+            token = ""
+        if len(self) >= TOKEN_MEMO_SIZE:
+            self.clear()
+        self[raw] = token
         return token
 
-    return final_token
+
+@lru_cache(maxsize=8)
+def _compiled(config: PreprocessConfig):
+    """The lookup of the configuration's token memo, built once."""
+    return _TokenMemo(config).__getitem__
 
 
 def preprocess_document(doc: LabeledDocument, config: PreprocessConfig) -> TokenizedDocument:
@@ -242,10 +247,9 @@ def preprocess_document(doc: LabeledDocument, config: PreprocessConfig) -> Token
     document yields a valid TokenizedDocument with zero tokens.
     """
     final_token = _compiled(config)
-    text = STRIP_RE.sub("", doc.text).lower()
     sentences = [
         tokens
-        for segment in split_sentences(text)
+        for segment in SENTENCE_SPLIT_RE.split(STRIP_RE.sub("", doc.text))
         if (tokens := tuple(filter(None, map(final_token, segment.split()))))
     ]
     return TokenizedDocument(sentences=tuple(sentences), label=doc.label, doc_id=doc.id)

@@ -7,6 +7,7 @@ share no code with the package so that agreement is meaningful.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,12 @@ from doccat.corpus import LabeledCorpus, LabeledDocument
 from doccat.features import CorpusMatrix, Vocabulary
 from doccat.errors import SingleClassError
 from doccat.models import LinearModel, TrainHyperparams, predict_linear
-from doccat.textprep import STRIP_SYMBOLS, PreprocessConfig, TokenizedDocument, split_sentences
+from doccat.textprep import (
+    SENTENCE_DELIMITERS,
+    STRIP_SYMBOLS,
+    PreprocessConfig,
+    TokenizedDocument,
+)
 
 CATEGORY_NAMES = (
     "accident", "art", "crime", "economics", "education", "entertainment",
@@ -331,11 +337,15 @@ def random_tokenized_doc(
 
 
 def preprocess_oracle(doc: LabeledDocument, config: PreprocessConfig) -> TokenizedDocument:
-    """The per-token pipeline, one step at a time: split each sentence on
-    whitespace; per token strip symbols, lowercase and stem by walking the
-    suffix table in order; then filter stopwords."""
+    """The per-token pipeline, one step at a time: split the text on the
+    sentence delimiters, trim each sentence and drop the empty ones; split
+    each sentence on whitespace; per token strip symbols, lowercase and stem
+    by walking the suffix table in order; then filter stopwords."""
     sentences = []
-    for raw_sentence in split_sentences(doc.text):
+    for raw_sentence in re.split(f"[{re.escape(SENTENCE_DELIMITERS)}]", doc.text):
+        raw_sentence = raw_sentence.strip()
+        if not raw_sentence:
+            continue
         tokens = []
         for raw_token in raw_sentence.split():
             token = "".join(ch for ch in raw_token if ch not in STRIP_SYMBOLS).lower()

@@ -10,6 +10,7 @@ from doccat.cli import (
     resolve_hyper,
 )
 from doccat.corpus import load_jsonl, save_jsonl
+from doccat.errors import MalformedLineError
 from doccat.models import TrainHyperparams, load_model, predict_tokenized
 from doccat.textprep import default_config, preprocess_document
 
@@ -165,6 +166,20 @@ class TestResolvedConfig:
         )
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("first, repeat", [
+        ("seed = 1", "seed = 2"),
+        ("sgd-alpha = 0.001", "sgd_alpha = 0.01"),
+        ("sgd_alpha = 0.001", "sgd-alpha = 0.001"),
+    ])
+    def test_repeated_config_key_names_its_line(self, first, repeat, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{first}\n# comment\n{repeat}\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError) as exc:
+            parse_config_file(path)
+        assert exc.value.line_no == 3
+        key = first.split("=")[0].strip().replace("-", "_")
+        assert exc.value.reason == f"key {key!r} repeats line 1"
+
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# svm_c = nan\nsvm_c=2.0\n\nchi-top-percent = 45  # wider\n",
@@ -189,6 +204,16 @@ class TestPreprocess:
         code = main(["preprocess", "--corpus", str(bad), "--out", str(tmp_path / "o.jsonl")])
         assert code == 1
         assert "7" in capsys.readouterr().err
+
+    def test_line_nested_too_deep_names_its_line(self, tmp_path, capsys):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text('{"text": "ক", "label": "x"}\n{"text": ' + "[" * 100_000 + "\n",
+                        encoding="utf-8")
+        code = main(["preprocess", "--corpus", str(deep), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {deep}: malformed line 2: invalid JSON: nested too deep\n"
+        )
 
     def test_missing_corpus_file(self, tmp_path, capsys):
         code = main(["preprocess", "--corpus", str(tmp_path / "nope.jsonl"),

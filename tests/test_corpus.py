@@ -78,6 +78,13 @@ class TestLoadJsonl:
             load_jsonl(path)
         assert exc.value.line_no == 7
 
+    def test_line_nested_too_deep_is_malformed(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"text": ' + "[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError, match="invalid JSON: nested too deep") as exc:
+            load_jsonl(path)
+        assert exc.value.line_no == 1
+
     def test_whitespace_only_text_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"text": "   ", "label": "x"}])

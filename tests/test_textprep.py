@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from doccat import textprep
 from doccat.corpus import LabeledDocument
 from doccat.errors import MalformedLineError
 from doccat.textprep import (
     SENTENCE_DELIMITERS,
+    STRIP_RE,
     STRIP_SYMBOLS,
     TOKEN_MEMO_SIZE,
     PreprocessConfig,
@@ -21,13 +23,12 @@ from doccat.textprep import (
     load_stopwords,
     load_suffix_table,
     preprocess_document,
-    split_sentences,
     stem,
     tokenized_to_json,
     validate_suffix_table,
 )
 
-from helpers import make_synthetic_corpus, preprocess_oracle
+from helpers import make_overlapping_corpus, make_synthetic_corpus, preprocess_oracle
 
 # Realistic inflected forms for pipeline-level checks.
 LEXICON = [
@@ -36,20 +37,6 @@ LEXICON = [
     "বিজ্ঞান", "সংবাদ", "আদালত", "পুলিশ", "হাসপাতাল", "বাজার", "সরকার",
     "নির্বাচন", "আন্দোলন", "পরিবেশ", "নদী",
 ]
-
-
-class TestSplitSentences:
-    def test_danda_and_question(self):
-        assert split_sentences("ক খ। গ ঘ?") == ["ক খ", "গ ঘ"]
-
-    def test_no_delimiter_is_one_sentence(self):
-        assert split_sentences("ক খ গ") == ["ক খ গ"]
-
-    def test_only_delimiters(self):
-        assert split_sentences("।।") == []
-
-    def test_newline_and_bang(self):
-        assert split_sentences("ক\nখ! গ") == ["ক", "খ", "গ"]
 
 
 def only(stopword_list=frozenset(), enable_stopwords=False) -> PreprocessConfig:
@@ -65,6 +52,24 @@ def only(stopword_list=frozenset(), enable_stopwords=False) -> PreprocessConfig:
 
 def tokens_of(text: str, config: PreprocessConfig) -> list[str]:
     return list(preprocess_document(LabeledDocument(id="d", text=text, label="x"), config).tokens())
+
+
+def sentences_of(text: str) -> tuple[tuple[str, ...], ...]:
+    return preprocess_document(LabeledDocument(id="d", text=text, label="x"), only()).sentences
+
+
+class TestSplitSentences:
+    def test_danda_and_question(self):
+        assert sentences_of("ক খ। গ ঘ?") == (("ক", "খ"), ("গ", "ঘ"))
+
+    def test_no_delimiter_is_one_sentence(self):
+        assert sentences_of("ক খ গ") == (("ক", "খ", "গ"),)
+
+    def test_only_delimiters(self):
+        assert sentences_of("।।") == ()
+
+    def test_newline_and_bang(self):
+        assert sentences_of("ক\nখ! গ") == (("ক",), ("খ",), ("গ",))
 
 
 class TestTokenize:
@@ -177,15 +182,17 @@ class TestPreprocessDocument:
 
 # Raw text pieces whose concatenations exercise every step: stems, shipped
 # suffixes (so stems pick up inflections), stopwords, strip symbols, sentence
-# delimiters, mixed whitespace, and uppercase Latin and Greek. A final sigma
-# lowercases by its context, so sentence-level lower() must match per-token.
+# delimiters, mixed whitespace (segments are split on whitespace without
+# being trimmed first, so whitespace-only segments must come out empty), and
+# uppercase Latin and Greek. A final sigma lowercases by its context, so
+# per-token lower() must match lowering the whole document.
 _DEFAULT = default_config()
 PIECES = sorted(
     set(LEXICON)
     | {suffix for suffix, _ in _DEFAULT.suffix_table}
     | set(_DEFAULT.stopword_list)
     | set(STRIP_SYMBOLS)
-    | {"।", "?", "!", " ", "\t", "\u00a0", "\u2003", "\n"}
+    | {"।", "?", "!", " ", "\t", "\u00a0", "\u2003", "\n", "\r", "\x85", "\u2028", "\x1c"}
     | {"Σ", "ΑΣ", "ΟΔΟΣ", "σ", "FIFA", "Dhaka", "İ"}
 )
 # The document is stripped before it is split into sentences, so the strip
@@ -211,6 +218,12 @@ class TestMatchesPerTokenOracle:
         )
         doc = LabeledDocument(id="d", text=text, label="x")
         assert preprocess_document(doc, config) == preprocess_oracle(doc, config)
+        # The memo lowercases token by token; lowering the whole stripped
+        # document first must change no token.
+        lowered = STRIP_RE.sub("", text).lower()
+        if lowered.strip():
+            lowered_doc = dataclasses.replace(doc, text=lowered)
+            assert preprocess_document(lowered_doc, config) == preprocess_document(doc, config)
 
 
 class TestTokenMemo:
@@ -218,18 +231,33 @@ class TestTokenMemo:
         config = PreprocessConfig(
             stopword_list=frozenset(), suffix_table=(), enable_stemming=False
         )
-        memo = _compiled(config)
-        assert memo.cache_info().maxsize == TOKEN_MEMO_SIZE
+        memo = _compiled(config).__self__
         letters = string.ascii_lowercase
-        distinct = (
+        distinct = [
             "".join(letters[(i // 26**k) % 26] for k in range(4))
             for i in range(2 * TOKEN_MEMO_SIZE)
+        ]
+        chunk = TOKEN_MEMO_SIZE // 16
+        for start in range(0, len(distinct), chunk):
+            text = " ".join(distinct[start : start + chunk])
+            doc = LabeledDocument(id="d", text=text, label="x")
+            assert preprocess_document(doc, config).token_count == chunk
+            assert 0 < len(memo) <= TOKEN_MEMO_SIZE
+
+    def test_memo_that_empties_inside_documents(self, default_cfg, monkeypatch):
+        monkeypatch.setattr(textprep, "TOKEN_MEMO_SIZE", 5)
+        # a configuration no other test uses, so the memo starts empty
+        config = dataclasses.replace(
+            default_cfg, stopword_list=default_cfg.stopword_list | {"memo-empties-inside"}
         )
-        doc = LabeledDocument(id="d", text=" ".join(distinct), label="x")
-        assert preprocess_document(doc, config).token_count == 2 * TOKEN_MEMO_SIZE
-        info = memo.cache_info()
-        assert info.misses >= 2 * TOKEN_MEMO_SIZE
-        assert info.currsize <= info.maxsize
+        memo = _compiled(config).__self__
+        docs = list(make_synthetic_corpus(4, seed=5)) + list(make_overlapping_corpus(2, seed=5))
+        expected = [preprocess_oracle(doc, config) for doc in docs]
+        # documents with more distinct tokens than the memo holds
+        assert any(len(set(doc.tokens())) > 5 for doc in expected)
+        for doc, want in zip(docs, expected):
+            assert preprocess_document(doc, config) == want
+            assert len(memo) <= 5
 
     def test_threads_share_the_memo(self, default_cfg):
         # a configuration no other test uses, so the threads start on a cold memo

@@ -168,6 +168,15 @@ def metrics_from_matrix(cm: ConfusionMatrix) -> EvaluationReport:
     )
 
 
+def _check_labels(corpus: LabeledCorpus, known: Sequence[str]) -> None:
+    """Raise UnknownLabelError for the first label of `corpus`, in sorted
+    order, that is not in `known`."""
+    known = set(known)
+    for label in corpus.labels:
+        if label not in known:
+            raise UnknownLabelError(label)
+
+
 def _timed_preprocess(
     corpus: LabeledCorpus, config: PreprocessConfig
 ) -> tuple[list[TokenizedDocument], float]:
@@ -203,12 +212,13 @@ def evaluate(
 
     The preprocessing config must be the one the model was trained with
     (TrainedModel.check_preprocess_config). A test label outside the
-    model's label set raises UnknownLabelError. The report is named by
-    `method_name` of the model's pipeline. `predict_stage_seconds` times
-    vectorization and scoring over the full pass, and `preprocess_seconds`
-    is the preprocessing before it.
+    model's label set raises UnknownLabelError before any preprocessing.
+    The report is named by `method_name` of the model's pipeline.
+    `predict_stage_seconds` times vectorization and scoring over the full
+    pass, and `preprocess_seconds` is the preprocessing before it.
     """
     trained.check_preprocess_config(config)
+    _check_labels(test_corpus, trained.class_labels)
     docs, preprocess_seconds = _timed_preprocess(test_corpus, config)
     return _evaluate_tokenized(trained, docs, preprocess_seconds)
 
@@ -229,12 +239,16 @@ def benchmark(
     combination is recorded and the others still run; otherwise the first
     failure propagates. `repro` zeroes wall-clock fields in all output files
     so two runs with the same seed are byte-identical.
+
+    Before any preprocessing, a training corpus with fewer than two labels
+    raises SingleClassError, and a test label that no training document
+    has raises UnknownLabelError.
     """
-    shared = set(train_corpus.labels) & set(test_corpus.labels)
-    if len(shared) < 2:
+    if len(train_corpus.labels) < 2:
         raise SingleClassError(
-            f"benchmark needs two labels shared between train and test, got {sorted(shared)}"
+            f"benchmark needs two training labels, got {list(train_corpus.labels)}"
         )
+    _check_labels(test_corpus, train_corpus.labels)
 
     digest = config.digest()
     train_docs = preprocess_corpus(train_corpus, config)

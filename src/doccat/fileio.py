@@ -50,6 +50,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
             break
         except FileExistsError:
             continue
+        except OSError as exc:
+            # Name the path asked for, not the random temp file.
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

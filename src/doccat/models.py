@@ -691,24 +691,28 @@ FIT_FIELDS: dict[str, dict[str, type]] = {
 }
 
 
-def _strict_int(value: object, key: str) -> int:
-    # `type`, not isinstance: JSON `true` loads as a bool, which isinstance counts as an int.
-    if type(value) is not int:
-        raise ModelFormatError(f"{key} must be an integer, got {value!r}")
+# The JSON name of each type a model file holds: of one value and of a list of them.
+_JSON_NAMES: dict[type, tuple[str, str]] = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    bool: ("a boolean", "booleans"),
+    str: ("a string", "strings"),
+    dict: ("an object", "objects"),
+}
+
+
+def _typed(value: object, kind: type, key: str):
+    """`value` if its type is exactly `kind`. `type`, not isinstance: JSON
+    `true` loads as a bool, which isinstance counts as an int."""
+    if type(value) is not kind:
+        raise ModelFormatError(f"{key} must be {_JSON_NAMES[kind][0]}, got {value!r}")
     return value
 
 
-def _all_of_type(values: list, kind: type) -> bool:
-    # `type`, not isinstance, for the reason given in _strict_int.
-    return set(map(type, values)) <= {kind}
-
-
-def _ascending_strings(values: object, key: str) -> list[str]:
-    """`values` if it is a list of strings in strictly ascending order."""
-    if not isinstance(values, list) or not _all_of_type(values, str):
-        raise ModelFormatError(f"{key} must be a list of strings")
-    if not all(map(operator.lt, values, values[1:])):
-        raise ModelFormatError(f"{key} must be unique and in ascending order")
+def _typed_list(values: object, kind: type, key: str) -> list:
+    """`values` if it is a list whose items' types are exactly `kind`."""
+    if type(values) is not list or not set(map(type, values)) <= {kind}:
+        raise ModelFormatError(f"{key} must be a list of {_JSON_NAMES[kind][1]}")
     return values
 
 
@@ -721,9 +725,9 @@ def _array_to_payload(values: np.ndarray) -> dict:
 def _array_from_payload(payload: dict, key: str, expected: tuple[int, ...]) -> np.ndarray:
     """The parameter stored under `key`, if its bytes fill its declared shape,
     that shape is `expected` and every value is finite."""
-    shape = payload["shape"]
-    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-        raise ModelFormatError(f"{key} shape must be a list of non-negative integers")
+    shape = _typed_list(payload["shape"], int, f"{key} shape")
+    if min(shape, default=0) < 0:
+        raise ModelFormatError(f"{key} shape must not be negative, got {shape}")
     try:
         raw = base64.b64decode(payload["base64"], validate=True)
     except binascii.Error as exc:
@@ -745,15 +749,10 @@ def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
 def _vocabulary_from_payload(payload: dict) -> Vocabulary:
     """The vocabulary of the payload's JSON lists; Vocabulary checks their
     order, their lengths and that every document frequency is in [1, n_docs]."""
-    terms, doc_freq = payload["terms"], payload["doc_freq"]
-    if not isinstance(terms, list) or not _all_of_type(terms, str):
-        raise ModelFormatError("vocabulary terms must be a list of strings")
-    if not isinstance(doc_freq, list) or not _all_of_type(doc_freq, int):
-        raise ModelFormatError("vocabulary doc_freq must be a list of integers")
     return Vocabulary(
-        terms=tuple(terms),
-        doc_freq=tuple(doc_freq),
-        n_docs=_strict_int(payload["n_docs"], "n_docs"),
+        terms=tuple(_typed_list(payload["terms"], str, "vocabulary terms")),
+        doc_freq=tuple(_typed_list(payload["doc_freq"], int, "vocabulary doc_freq")),
+        n_docs=_typed(payload["n_docs"], int, "n_docs"),
     )
 
 
@@ -773,17 +772,13 @@ def _fit_from_payload(fit: object, model_type: str, labels: list[str]) -> dict |
         if fit is not None:
             raise ModelFormatError(f"a {model_type} model file has no fit block")
         return None
-    if not isinstance(fit, dict) or list(fit) != labels:
+    if list(_typed(fit, dict, "fit")) != labels:
         raise ModelFormatError("the fit block's classes differ from class_labels")
     for label, info in fit.items():
-        if not isinstance(info, dict) or set(info) != set(fields):
+        if set(_typed(info, dict, f"fit block of class {label!r}")) != set(fields):
             raise ModelFormatError(f"fit block of class {label!r} must hold {', '.join(fields)}")
         for key, kind in fields.items():
-            if type(info[key]) is not kind:
-                raise ModelFormatError(
-                    f"fit {key} of class {label!r} must be of type {kind.__name__}, "
-                    f"got {info[key]!r}"
-                )
+            _typed(info[key], kind, f"fit {key} of class {label!r}")
     return fit
 
 
@@ -816,20 +811,22 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TrainedModel:
     """Load a model file, checking each value as it is decoded. Every
     rejection is a ModelFormatError reading `invalid model file <path>:
-    <reason>`: a file that cannot be read or parsed, a missing key, a format
-    version other than MODEL_FORMAT_VERSION (an older file needs
-    retraining), an unknown pipeline or model type, class labels or
-    vocabulary terms that are not strings in strictly ascending order, a
-    class label that fails `corpus.check_field`, fewer than two class labels
-    or no vocabulary term, a count, document frequency or timestamp that is
-    not a JSON integer, a document frequency outside [1, n_docs], a digest
-    that is not a string, a fit block whose classes or fields do not match,
-    parameter bytes that are not base64 of 8 bytes per value of their shape,
-    a shape that does not match the labels and vocabulary, or a non-finite
-    parameter."""
+    <reason>`. A value of the wrong JSON type reads `<key> must be an
+    integer|a number|a boolean|a string|an object, got <value>`, or `<key>
+    must be a list of integers|strings`; types are exact, so `true` is not an
+    integer and `1` is not a number. The other reasons are a file that
+    cannot be read or parsed, a missing key, a format version other than
+    MODEL_FORMAT_VERSION (an older file needs retraining), an unknown
+    pipeline or model type, class labels or vocabulary terms not in strictly
+    ascending order, a class label that fails `corpus.check_field`, fewer
+    than two class labels or no vocabulary term, a document frequency
+    outside [1, n_docs], a fit block whose classes or fields do not match, a
+    negative shape, parameter bytes that are not base64 of 8 bytes per value
+    of their shape, a shape that does not match the labels and vocabulary,
+    or a non-finite parameter."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        version = _strict_int(payload["format_version"], "format_version")
+        version = _typed(payload["format_version"], int, "format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(
                 f"model format version {version} is not readable: this doccat reads "
@@ -843,16 +840,16 @@ def load_model(path: str | Path) -> TrainedModel:
         model_type = payload["model_type"]
         if model_type not in _PARAMETER_KEYS:
             raise ModelFormatError(f"unknown model type {model_type!r}")
-        labels = _ascending_strings(payload["class_labels"], "class_labels")
+        labels = _typed_list(payload["class_labels"], str, "class_labels")
+        if not all(map(operator.lt, labels, labels[1:])):
+            raise ModelFormatError("class_labels must be unique and in ascending order")
         for label in labels:
             check_field(label, "class label")
         if len(labels) < 2:
             raise ModelFormatError(
                 f"class_labels holds {len(labels)} classes; a trained model has at least two"
             )
-        converged = payload["converged"]
-        if type(converged) is not bool:
-            raise ModelFormatError(f"converged must be a boolean, got {converged!r}")
+        converged = _typed(payload["converged"], bool, "converged")
         vocabulary = _vocabulary_from_payload(payload["vocabulary"])
         shapes = {"biases": (len(labels),), "weights": (len(labels), len(vocabulary))}
         model = LinearModel(
@@ -866,17 +863,16 @@ def load_model(path: str | Path) -> TrainedModel:
         )
         if converged != model.converged:
             raise ModelFormatError("converged disagrees with the fit block's classes")
-        digest = payload["preprocess_config_digest"]
-        if not isinstance(digest, str):
-            raise ModelFormatError(f"preprocess_config_digest must be a string, got {digest!r}")
         return TrainedModel(
             model=model,
             vocabulary=vocabulary,
             selector=selector,
-            preprocess_config_digest=digest,
+            preprocess_config_digest=_typed(
+                payload["preprocess_config_digest"], str, "preprocess_config_digest"
+            ),
             stage_seconds=dict.fromkeys(TRAIN_STAGES, 0.0),
-            created_unix_seconds=_strict_int(
-                payload["created_unix_seconds"], "created_unix_seconds"
+            created_unix_seconds=_typed(
+                payload["created_unix_seconds"], int, "created_unix_seconds"
             ),
         )
     # json.loads raises RecursionError on arrays or objects nested too deep.

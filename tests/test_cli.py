@@ -187,6 +187,18 @@ class TestResolvedConfig:
         assert parse_config_file(path) == {"svm_c": 2.0, "chi_top_percent": 45.0}
 
 
+def _assert_missing_directory_named(tmp_path, capsys, argv):
+    """Run `argv` with `--out` in a directory that does not exist: it exits
+    1, names the requested path (not a temp file) and creates nothing."""
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "nodir" / "out.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] ") and err.endswith(f": {str(out)!r}\n")
+    assert ".tmp" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestPreprocess:
     def test_writes_tokenized_jsonl(self, tmp_path, corpora, capsys):
         train_path, _ = corpora
@@ -219,6 +231,11 @@ class TestPreprocess:
         code = main(["preprocess", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o.jsonl")])
         assert code == 1
+
+    def test_out_in_missing_directory_names_the_path(self, tmp_path, corpora, capsys):
+        _assert_missing_directory_named(
+            tmp_path, capsys, ["preprocess", "--corpus", str(corpora[0])]
+        )
 
 
 class TestTrain:
@@ -314,6 +331,11 @@ class TestTrain:
         captured = capsys.readouterr()
         assert code == 1 and not out.exists()
         assert captured.err.startswith(f"error: {suffixes}: malformed line ")
+
+    def test_out_in_missing_directory_names_the_path(self, tmp_path, corpora, capsys):
+        _assert_missing_directory_named(tmp_path, capsys, [
+            "train", "--corpus", str(corpora[0]), "--features", "tfidf", "--model", "nb",
+        ])
 
     def test_single_label_corpus_is_data_error(self, tmp_path, capsys):
         single = tmp_path / "single.jsonl"
@@ -508,6 +530,16 @@ class TestBenchmark:
                 p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
             })
         assert outputs[0] == outputs[1]
+
+    def test_unseen_test_label_is_one_error(self, tmp_path, corpora, capsys):
+        train_path, test_path = corpora
+        with test_path.open("a", encoding="utf-8") as handle:
+            handle.write('{"text": "কনক", "label": "brand-new"}\n')
+        code = main(["benchmark", "--train", str(train_path), "--test", str(test_path),
+                     "--out-dir", str(tmp_path / "bench")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown label: 'brand-new'\n"
+        assert not any((tmp_path / "bench").iterdir())
 
     def test_partial_failure_reports_rest_and_exits_one(
         self, tmp_path, corpora, capsys, monkeypatch

@@ -162,6 +162,21 @@ class TestEvaluate:
         with pytest.raises(UnknownLabelError):
             evaluate(trained, stranger, default_cfg)
 
+    def test_unseen_label_rejected_before_preprocessing(
+        self, synth_train, default_cfg, monkeypatch
+    ):
+        trained = train(synth_train, "tfidf", "nb", TrainHyperparams(), default_cfg)
+
+        def never(*args, **kwargs):
+            raise AssertionError("preprocessed a corpus with an unseen label")
+
+        monkeypatch.setattr(evaluation_module, "preprocess_corpus", never)
+        stranger = LabeledCorpus(
+            tuple(synth_train) + (LabeledDocument("s", "কনক খনখ", "thirteenth"),)
+        )
+        with pytest.raises(UnknownLabelError, match="'thirteenth'"):
+            evaluate(trained, stranger, default_cfg)
+
     def test_empty_token_document_still_counted(self, synth_train, default_cfg):
         trained = train(synth_train, "tfidf", "nb", TrainHyperparams(), default_cfg)
         label = synth_train.labels[0]
@@ -286,8 +301,44 @@ class TestBenchmark:
             LabeledDocument("x", "কনক", "somethingelse"),
             LabeledDocument("y", "খনখ", "another"),
         ))
-        with pytest.raises(SingleClassError):
+        with pytest.raises(UnknownLabelError, match="'another'"):
             benchmark(tiny_corpus, other, TrainHyperparams(), default_cfg)
+
+    def test_unseen_test_label_fails_before_training(
+        self, tiny_corpus, default_cfg, tmp_path, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("trained despite an unseen test label")
+
+        monkeypatch.setattr(evaluation_module, "train_from_tokens", never)
+        monkeypatch.setattr(evaluation_module, "preprocess_corpus", never)
+        test_corpus = LabeledCorpus(
+            tuple(tiny_corpus) + (LabeledDocument("new", "কনক", "brand-new"),)
+        )
+        out_dir = tmp_path / "bench"
+        with pytest.raises(UnknownLabelError, match="'brand-new'"):
+            benchmark(tiny_corpus, test_corpus, TrainHyperparams(), default_cfg, out_dir=out_dir)
+        assert not out_dir.exists()
+
+    def test_one_training_label_rejected_once(self, tiny_corpus, default_cfg, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("preprocessed a one-label training corpus")
+
+        monkeypatch.setattr(evaluation_module, "preprocess_corpus", never)
+        label = tiny_corpus.labels[0]
+        single = LabeledCorpus(tuple(doc for doc in tiny_corpus if doc.label == label))
+        with pytest.raises(SingleClassError, match="two training labels"):
+            benchmark(single, single, TrainHyperparams(), default_cfg, keep_going=True)
+
+    def test_one_label_test_corpus_gives_six_reports(self, tiny_corpus, default_cfg):
+        label = tiny_corpus.labels[0]
+        single = LabeledCorpus(tuple(doc for doc in tiny_corpus if doc.label == label))
+        result = benchmark(tiny_corpus, single, TrainHyperparams(), default_cfg)
+        assert [r.method_name for r in result.reports] == list(METHOD_ORDER)
+        assert not result.failures
+        for report in result.reports:
+            assert report.confusion.labels == tiny_corpus.labels
+            assert report.confusion.total == len(single)
 
     def test_partial_failure_keeps_going(self, tiny_corpus, default_cfg, monkeypatch):
         real = evaluation_module.train_from_tokens

@@ -448,6 +448,39 @@ INCONSISTENT_FILES = {
     ),
     "nb_fit_block": ("nb", lambda p: p.update(fit={}), "no fit block"),
     "missing_fit_block": ("svm", lambda p: p.pop("fit"), "fit"),
+    # Values of the wrong JSON type, one for each key the type rule checks.
+    "integer_converged": ("svm", lambda p: p.update(converged=1), "^converged must be a boolean"),
+    "boolean_created_unix_seconds": (
+        "nb", lambda p: p.update(created_unix_seconds=True),
+        "^created_unix_seconds must be an integer",
+    ),
+    "string_format_version": (
+        "sgd", lambda p: p.update(format_version="2"), "^format_version must be an integer"
+    ),
+    "boolean_n_docs": (
+        "nb", _edit_vocabulary("n_docs", lambda n: True), "^n_docs must be an integer"
+    ),
+    "string_vocabulary_terms": (
+        "sgd", _edit_vocabulary("terms", "".join),
+        "^vocabulary terms must be a list of strings",
+    ),
+    "number_doc_freq": (
+        "nb", _edit_vocabulary("doc_freq", sum), "^vocabulary doc_freq must be a list of integers"
+    ),
+    "sgd_fit_block_as_list": (
+        "sgd", lambda p: p.update(fit=list(p["fit"].values())), "^fit must be an object"
+    ),
+    "svm_fit_block_as_list": (
+        "svm", lambda p: p.update(fit=list(p["fit"].values())), "^fit must be an object"
+    ),
+    "class_fit_entry_as_list": (
+        "svm", lambda p: p["fit"].update({p["class_labels"][0]: [1, 2]}),
+        "^fit block of class '[^']+' must be an object",
+    ),
+    "null_shape": (
+        "sgd", lambda p: p["weights"].update(shape=None),
+        "^weights shape must be a list of integers",
+    ),
 }
 
 

@@ -10,6 +10,8 @@ built-in defaults. All randomness flows from ``--seed``.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -239,6 +241,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     hyper = resolve_hyper(args)
     config = build_preprocess_config(args)
+    if not Path(args.out).parent.is_dir():  # fail as save_model would, before training
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     corpus = _load_corpus(args.corpus)
     _diag(args, f"loaded {len(corpus)} documents, {len(corpus.labels)} labels")
     _diag(args, f"resolved hyperparameters: {hyper}")
@@ -307,19 +311,17 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     train_corpus = _load_corpus(args.train_corpus)
     test_corpus = _load_corpus(args.test_corpus)
     _diag(args, f"train: {len(train_corpus)} documents, test: {len(test_corpus)} documents")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = evaluation.benchmark(
         train_corpus,
         test_corpus,
         hyper,
         config,
-        out_dir=out_dir,
+        out_dir=args.out_dir,
         keep_going=True,
         repro=args.repro,
     )
     print(evaluation.format_report_table(result.reports))
-    print(f"out_dir={out_dir}")
+    print(f"out_dir={Path(args.out_dir)}")
     for name, error in result.failures:
         print(f"error: {name} failed: {error}", file=sys.stderr)
     return 1 if result.failures else 0

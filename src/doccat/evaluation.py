@@ -240,15 +240,17 @@ def benchmark(
     failure propagates. `repro` zeroes wall-clock fields in all output files
     so two runs with the same seed are byte-identical.
 
-    Before any preprocessing, a training corpus with fewer than two labels
-    raises SingleClassError, and a test label that no training document
-    has raises UnknownLabelError.
+    Before it creates `out_dir` or preprocesses anything, a training corpus
+    with fewer than two labels raises SingleClassError, and a test label
+    that no training document has raises UnknownLabelError.
     """
     if len(train_corpus.labels) < 2:
         raise SingleClassError(
             f"benchmark needs two training labels, got {list(train_corpus.labels)}"
         )
     _check_labels(test_corpus, train_corpus.labels)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     digest = config.digest()
     train_docs = preprocess_corpus(train_corpus, config)

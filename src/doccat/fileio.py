@@ -40,7 +40,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
     The file gets the mode a plain open() would give it, 0o666 less the
     umask: the temp file is created with that mode, and the kernel applies
-    the umask (tempfile.mkstemp would create it 0o600).
+    the umask (tempfile.mkstemp would create it 0o600). A failed create or
+    rename raises an OSError naming `path`, not the temp file.
     """
     target = Path(path)
     while True:
@@ -51,12 +52,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except FileExistsError:
             continue
         except OSError as exc:
-            # Name the path asked for, not the random temp file.
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(tmp_name, target)
+        try:
+            os.replace(tmp_name, target)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         try:
             os.unlink(tmp_name)

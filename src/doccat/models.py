@@ -20,12 +20,12 @@ scores the same bits alone as inside a corpus.
 * The SGD trainer minimizes the L2-regularized mean hinge loss
   J(w, b) = (alpha/2) ||w||^2 + (1/n) sum max(0, 1 - y (w.x + b)) with the
   step schedule eta_t = 1 / (alpha (t0 + t)), t0 = 1/alpha, decaying across
-  all updates. The bias is unregularized. Once the model fits, most steps
-  leave every margin at 1 or above and update nothing, so the trainer
-  gathers each epoch's entries in step order once, scores consecutive
-  steps in blocks of them and applies only the steps that update a class.
-  The model equals that of a step-by-step loop unless a margin lies within
-  rounding of exactly 1.
+  all updates, so the weight scale after t steps is t0 / (t0 + t). The bias
+  is unregularized. Once the model fits, most steps leave every margin at 1
+  or above and update nothing, so the trainer gathers each epoch's entries
+  in step order once, scores consecutive steps in blocks of them and
+  applies only the steps that update a class. The model equals that of a
+  step-by-step loop unless a margin lies within rounding of exactly 1.
 * The SVM trainer solves the L1-loss C-SVC dual by coordinate descent with
   the bias as a constant-1 feature, visiting the examples in a seeded
   random permutation on every pass, and stopping each class when its
@@ -92,12 +92,12 @@ MODEL_FORMAT_VERSION = 2
 
 SVM_TOLERANCE = 1e-3
 SVM_MAX_PASSES = 1000
+# The largest SGD alpha; from about 1e16 the first decay rounds to 0.
+SGD_ALPHA_MAX = 1e12
 
-# The most rows (or SGD steps) scored in one block, the scale below which
-# the SGD decay is folded into the weights, and the most SGD gather positions
-# offset by one arange (128 KB).
+# The most rows (or SGD steps) scored in one block, and the most SGD gather
+# positions offset by one arange (128 KB).
 _BLOCK_ROWS = 32
-_SGD_SCALE_FLOOR = 1e-9
 _SGD_POSITION_CHUNK = 16_384
 # The row starts of a one-row block, indexed by whether the row has entries.
 _ONE_ROW_STARTS = (np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp))
@@ -129,6 +129,9 @@ class TrainHyperparams:
         positive = (self.nb_alpha, self.sgd_alpha, self.svm_c)
         if not all(0.0 < value < math.inf for value in positive):
             raise ValueError("nb_alpha, sgd_alpha, and svm_c must be positive and finite")
+        if not (self.sgd_alpha <= SGD_ALPHA_MAX and math.isfinite(1.0 / self.sgd_alpha)):
+            raise ValueError(f"sgd_alpha must be at most {SGD_ALPHA_MAX:g} and have a finite "
+                             f"reciprocal, got {self.sgd_alpha!r}")
         if self.sgd_epochs < 1:
             raise ValueError("sgd_epochs must be at least 1")
         if not 0.0 < self.chi_top_percent <= 100.0:
@@ -307,14 +310,6 @@ def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> LinearModel:
     )
 
 
-def _first_rescale(scales: np.ndarray, start: int) -> int:
-    """The first step at or after `start` whose decay takes the scale below
-    _SGD_SCALE_FLOOR (scales[j + 1] is the scale after step j); the step
-    count if there is none."""
-    below = np.flatnonzero(scales[start + 1 :] < _SGD_SCALE_FLOOR)
-    return start + int(below[0]) if below.size else len(scales) - 1
-
-
 def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> LinearModel:
     """Train one-vs-rest hinge-loss SGD classifiers in one loop over the examples.
 
@@ -322,8 +317,10 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     every class, so each step scores all classes at once and updates only
     the classes whose margin is below 1. The weights are kept as scale * v
     (Bottou, "Stochastic Gradient Descent Tricks", 2012), so the decay is a
-    single multiply; `scale` is rescaled into v when it falls below
-    _SGD_SCALE_FLOOR.
+    single multiply. The decays telescope to a scale of t0 / (t0 + t) after
+    t steps, and step t adds x y eta_t / scale = x y to v, so v stays
+    bounded and is never rescaled. TrainHyperparams rejects an alpha above
+    SGD_ALPHA_MAX, whose first decay could round to 0.
 
     Most steps update no class, so the steps are scored in blocks rather
     than one at a time. Each epoch's step sizes and the scale before and
@@ -335,9 +332,9 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     nothing; that step's update is applied as a single step would apply it,
     the whole block's rows are summed again by `_block_dots` for each
     updated class, and the scan goes on after the step, reading only the
-    rows after it. A block also ends at a rescale. The block sums may run in
-    a different order from a per-step dot product, which can matter only
-    for a margin within rounding of exactly 1.
+    rows after it. The block sums may run in a different order from a
+    per-step dot product, which can matter only for a margin within
+    rounding of exactly 1.
 
     Each row equals the model trained on its class alone, training is
     deterministic given (seed, corpus), and symmetric label swaps produce
@@ -383,14 +380,12 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
         targets.take(order, axis=0, out=epoch_targets, mode="clip")
         offsets_list = offsets.tolist()
         etas = 1.0 / (alpha * (t0 + np.arange(epoch * n_rows + 1, (epoch + 1) * n_rows + 1)))
-        decays = 1.0 - etas * alpha
         # scales[k] is the scale before step k of the epoch and scales[k + 1]
         # the scale after it; accumulate multiplies in step order.
-        scales = np.multiply.accumulate(np.concatenate(([scale], decays)))
-        rescale = _first_rescale(scales, 0)
+        scales = np.multiply.accumulate(np.concatenate(([scale], 1.0 - etas * alpha)))
         begin = 0
         while begin < n_rows:
-            end = min(begin + _BLOCK_ROWS, rescale + 1, n_rows)
+            end = min(begin + _BLOCK_ROWS, n_rows)
             lo, hi = offsets_list[begin], offsets_list[end]
             cols, vals = epoch_cols[lo:hi], epoch_vals[lo:hi]
             filled = row_lengths[begin:end].nonzero()[0]
@@ -405,16 +400,9 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
                     < 1.0
                 )
                 first_below = int(below.argmax())  # in step order
-                hit = below.item(first_below)
-                step = begin + first + first_below // n_classes if hit else end - 1
-                if step == rescale:  # after the step's scores, before its update
-                    v *= scales[step + 1]
-                    scales[step + 1 :] = np.multiply.accumulate(
-                        np.concatenate(([1.0], decays[step + 1 :]))
-                    )
-                    rescale = _first_rescale(scales, step + 1)
-                if not hit:
+                if not below.item(first_below):
                     break
+                step = begin + first + first_below // n_classes
                 updated = below[first_below // n_classes]
                 updates += updated
                 row = slice(offsets_list[step] - lo, offsets_list[step + 1] - lo)
@@ -825,7 +813,8 @@ def load_model(path: str | Path) -> TrainedModel:
     of their shape, a shape that does not match the labels and vocabulary,
     or a non-finite parameter."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        payload = _typed(json.loads(text), dict, "top-level value")
         version = _typed(payload["format_version"], int, "format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(

@@ -194,9 +194,6 @@ def reference_train_sgd(
             cols, x, t = X.indices[start:end], X.values[start:end], targets[i]
             margins = t * (scale * (v.take(cols, axis=1) @ x) + biases)
             scale *= 1.0 - eta * alpha
-            if scale < 1e-9:
-                v *= scale
-                scale = 1.0
             rows = np.flatnonzero(margins < 1.0)
             classes_per_step[rows.size] += 1
             if rows.size:

@@ -1,5 +1,8 @@
 import json
+import re
+import warnings
 
+import numpy as np
 import pytest
 
 from doccat.cli import (
@@ -180,6 +183,40 @@ class TestResolvedConfig:
         key = first.split("=")[0].strip().replace("-", "_")
         assert exc.value.reason == f"key {key!r} repeats line 1"
 
+    # Above the largest accepted alpha (1e12), or with an infinite reciprocal.
+    @pytest.mark.parametrize("text", ["1e13", "1e306", "5e-324"])
+    def test_sgd_alpha_bound_at_every_level(self, text, tmp_path, corpora, capsys):
+        reason = "sgd_alpha must be at most 1e+12 and have a finite reciprocal"
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}, got "):
+            TrainHyperparams(sgd_alpha=float(text))
+        out = tmp_path / "m.json"
+        argv = ["train", "--corpus", str(corpora[0]), "--features", "tfidf",
+                "--model", "sgd", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--sgd-alpha", text])
+        assert exc.value.code == 2
+        assert f"error: argument --sgd-alpha: {text!r}: {reason}" in capsys.readouterr().err
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(f"seed = 3\nsgd_alpha = {text}\n", encoding="utf-8")
+        assert main([*argv, "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {config_file}: malformed line 2: sgd_alpha: {text!r}: {reason}"
+        )
+        assert not out.exists()
+
+    def test_largest_sgd_alpha_trains_without_warnings(self, tmp_path, corpora, capsys):
+        out = tmp_path / "m.json"
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("sgd_alpha = 1e12\n", encoding="utf-8")
+        for source in (["--sgd-alpha", "1e12"], ["--config", str(config_file)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["train", "--corpus", str(corpora[0]), "--features", "tfidf",
+                             "--model", "sgd", "--out", str(out), *source])
+            assert code == 0 and capsys.readouterr().err == ""
+            weights = load_model(out).model.weights
+            assert weights.any() and np.isfinite(weights).all()
+
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# svm_c = nan\nsvm_c=2.0\n\nchi-top-percent = 45  # wider\n",
@@ -236,6 +273,14 @@ class TestPreprocess:
         _assert_missing_directory_named(
             tmp_path, capsys, ["preprocess", "--corpus", str(corpora[0])]
         )
+
+    def test_out_that_is_a_directory_names_the_path(self, tmp_path, corpora, capsys):
+        # The rename into place fails; the error names --out, not the temp file.
+        out = tmp_path / "adir"
+        out.mkdir()
+        assert main(["preprocess", "--corpus", str(corpora[0]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert list(out.iterdir()) == [] and sorted(tmp_path.iterdir()) == sorted([*corpora, out])
 
 
 class TestTrain:
@@ -336,6 +381,16 @@ class TestTrain:
         _assert_missing_directory_named(tmp_path, capsys, [
             "train", "--corpus", str(corpora[0]), "--features", "tfidf", "--model", "nb",
         ])
+
+    def test_missing_out_directory_fails_before_loading(self, tmp_path, corpora, capsys):
+        out = tmp_path / "nodir" / "m.json"
+        code = main(["train", "-v", "--corpus", str(corpora[0]), "--features", "chi2",
+                     "--model", "svm", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+        assert sorted(tmp_path.iterdir()) == sorted(corpora)
 
     def test_single_label_corpus_is_data_error(self, tmp_path, capsys):
         single = tmp_path / "single.jsonl"
@@ -539,7 +594,7 @@ class TestBenchmark:
                      "--out-dir", str(tmp_path / "bench")])
         assert code == 1
         assert capsys.readouterr().err == "error: unknown label: 'brand-new'\n"
-        assert not any((tmp_path / "bench").iterdir())
+        assert not (tmp_path / "bench").exists()
 
     def test_partial_failure_reports_rest_and_exits_one(
         self, tmp_path, corpora, capsys, monkeypatch

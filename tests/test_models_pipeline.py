@@ -286,8 +286,10 @@ def _replace_first(value):
     return lambda values: [value(values[0])] + values[1:]
 
 
-# Each case: (model type, edit to the saved payload, pattern its error must match).
+# Each case: (model type, edit to the saved payload or a JSON value written
+# instead of it, pattern its error must match).
 INCONSISTENT_FILES = {
+    "list_at_top_level": ("sgd", [1, 2], "^top-level value must be an object, got \\[1, 2\\]$"),
     "truncated_weight_columns": (
         "sgd", _edit_parameter("weights", lambda w: w[:, :-1]), "weights has shape"
     ),
@@ -504,7 +506,10 @@ class TestModelFileValidation:
     def test_inconsistent_model_file_rejected(self, case, saved_payloads, tmp_path):
         classifier, corrupt, message = INCONSISTENT_FILES[case]
         payload = copy.deepcopy(saved_payloads[classifier])
-        corrupt(payload)
+        if callable(corrupt):
+            corrupt(payload)
+        else:
+            payload = corrupt
         _assert_rejected(_write(payload, tmp_path / "model.json"), message)
 
 

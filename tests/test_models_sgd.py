@@ -304,32 +304,38 @@ class TestBlockScoringMatchesPerStepReference:
         assert_matches_reference(X, y, TrainHyperparams(sgd_epochs=5))
         assert not train_sgd(X, y, TrainHyperparams(sgd_epochs=5)).weights.any()
 
-    @pytest.mark.parametrize("make_data", [separable_two_class, real_valued_three_class])
-    @pytest.mark.parametrize("alpha", [1e8, 1e12])
-    def test_rescale_branch(self, make_data, alpha):
+    @pytest.mark.parametrize(
+        "make_data", [separable_two_class, real_valued_three_class],
+        ids=["two_class", "three_class"],
+    )
+    @pytest.mark.parametrize("alpha", [1e8, 1e12], ids=["1e8", "1e12"])
+    def test_no_rescale(self, make_data, alpha):
         X, y = make_data()
         hyper = TrainHyperparams(sgd_alpha=alpha, sgd_epochs=5)
-        # Without a rescale, the scale after t steps telescopes to
-        # prod_s (t0 + s - 1) / (t0 + s) = t0 / (t0 + t): it falls below the
-        # 1e-9 floor within the run (at step 1 for alpha 1e12, step 11 for 1e8).
+        # The scale after t steps telescopes to
+        # prod_s (t0 + s - 1) / (t0 + s) = t0 / (t0 + t): it ends at most
+        # 1e-10 (alpha 1e8) or 1e-14 (alpha 1e12), far below a rescale floor
+        # of 1e-9 (Bottou 2012), and still needs no rescale.
         t0 = 1.0 / alpha
-        steps = np.arange(1, hyper.sgd_epochs * len(y) + 1)
-        floor_steps = np.flatnonzero(t0 / (t0 + steps) < 1e-9)
-        assert floor_steps.size and floor_steps[0] < len(y)
-        # Such a decay keeps every margin below 1, so the rescale step also
-        # updates: v is rescaled after the step's scores and before its update.
+        assert t0 / (t0 + hyper.sgd_epochs * len(y)) <= 1e-10
+        # Such a decay keeps every margin below 1, so every step divides its
+        # update by that small scale, and v stays bounded without a rescale.
         assert assert_matches_reference(X, y, hyper)[0] == 0
+        assert np.isfinite(train_sgd(X, y, hyper).weights).all()
 
-    def test_rescale_inside_a_block_without_updates(self):
+    @pytest.mark.parametrize("alpha", [1e8, 1e12], ids=["1e8", "1e12"])
+    def test_no_rescale_in_idle_block(self, alpha):
         # Features of 1e9 push every margin far above 1 once each class has
-        # been updated, so the steps around the rescale (step 11) update
-        # nothing and share a block that has to end at the rescale.
+        # been updated, so most blocks update nothing while the scale falls
+        # below 1e-10 (alpha 1e8) or 1e-14 (alpha 1e12) without a rescale.
         X = matrix([{0: 1e9}, {1: 1e9}] * 20, 2)
         y = ["neg", "pos"] * 20
-        classes_per_step = assert_matches_reference(
-            X, y, TrainHyperparams(sgd_alpha=1e8, sgd_epochs=3)
-        )
+        hyper = TrainHyperparams(sgd_alpha=alpha, sgd_epochs=3)
+        t0 = 1.0 / alpha
+        assert t0 / (t0 + hyper.sgd_epochs * len(y)) < 1e-10
+        classes_per_step = assert_matches_reference(X, y, hyper)
         assert classes_per_step[0] > 100
+        assert np.isfinite(train_sgd(X, y, hyper).weights).all()
 
     # The labels are random, so most steps update some class: a block holds
     # several updates, and its last row often updates too.

@@ -5,7 +5,13 @@ per class label (labels sorted lexicographically), predicting by argmax of
 the per-class decision scores with ties broken toward the lexicographically
 smallest label. Each trainer takes the training corpus as one
 features.CorpusMatrix, reads the feature count from it, and fits every
-class in one loop over a (classes x features) weight matrix. Every trainer
+class in one loop over a (classes x features) weight matrix. The trainers
+share one frame. `_classes` applies the label rule once: one label per
+row, every label passing `corpus.check_field` (non-empty, no tab, CR or
+LF), at least two distinct labels. It returns the sorted labels and maps
+each row to its class index by exact string lookup, so labels that differ
+only by a trailing NUL are two classes. `_linear_model` builds every
+trainer's LinearModel and per-class `fit_info`. Every trainer
 returns a LinearModel, scored as w_c . x + b_c: `predict` labels a batch of
 documents, and `predict_tokenized` labels one document from the row that
 features.tfidf_vector or features.count_vector returns, without building a
@@ -46,9 +52,11 @@ prediction.
 whether training converged, a per-class `fit` block of solver diagnostics
 (SGD and SVM only) and each parameter as the base64 of its little-endian
 float64 bytes with its shape. Parameters round-trip bit for bit, and
-saving a loaded model writes the same bytes. `load_model` checks each
-value as it decodes it, rejects other format versions (a version 1 file
-needs retraining) and names the file in every rejection.
+saving a loaded model writes the same bytes. Model files are strict JSON
+both ways: `save_model` writes no NaN or infinity, and `load_model`
+rejects them and any key repeated within one object. `load_model` checks
+each value as it decodes it, rejects other format versions (a version 1
+file needs retraining) and names the file in every rejection.
 """
 
 from __future__ import annotations
@@ -200,21 +208,35 @@ class TrainedModel:
             )
 
 
-def _check_training_data(X: CorpusMatrix, y: Sequence[str]) -> list[str]:
-    n_rows = X.shape[0]
-    if n_rows != len(y):
-        raise LengthMismatchError(f"{n_rows} rows but {len(y)} labels")
-    if n_rows < 2:
-        raise ValueError("training needs at least two examples")
-    labels = sorted(set(y))
+def _classes(X: CorpusMatrix, y: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct labels, each passing `corpus.check_field`, and each
+    row's class index: its label's position among them, by exact lookup."""
+    if X.shape[0] != len(y):
+        raise LengthMismatchError(f"{X.shape[0]} rows but {len(y)} labels")
+    distinct = dict.fromkeys(y)  # in first-seen order, so the first bad label fails
+    for label in distinct:
+        check_field(label, "class label")
+    labels = sorted(distinct)
     if len(labels) < 2:
         raise SingleClassError("training corpus has one class")
-    return labels
+    index = {label: c for c, label in enumerate(labels)}
+    return labels, np.fromiter(map(index.__getitem__, y), np.intp, len(y))
 
 
-def _targets(y: Sequence[str], labels: list[str]) -> np.ndarray:
+def _targets(classes: np.ndarray, n_classes: int) -> np.ndarray:
     """(n, C) one-vs-rest targets: +1 where the example has the class, else -1."""
-    return np.where(np.asarray(y)[:, None] == np.asarray(labels)[None, :], 1.0, -1.0)
+    return np.where(classes[:, None] == np.arange(n_classes), 1.0, -1.0)
+
+
+def _linear_model(tag: Classifier, labels: list[str], weights: np.ndarray, biases: np.ndarray,
+                  **fit_columns: np.ndarray) -> LinearModel:
+    """The LinearModel whose row c is class labels[c]; `fit_info` maps each label
+    to entry c of every fit column (1-D: a Python scalar, 2-D: an array row),
+    or is None without columns (NB)."""
+    rows = zip(*(column.tolist() if column.ndim == 1 else column
+                 for column in fit_columns.values()))
+    fit_info = {label: dict(zip(fit_columns, row)) for label, row in zip(labels, rows)}
+    return LinearModel(tuple(labels), weights, biases, tag, fit_info or None)
 
 
 def _check_width(n_features: int, coefficients: np.ndarray) -> None:
@@ -291,23 +313,20 @@ def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> LinearModel:
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    labels = _check_training_data(X, y)
+    labels, classes = _classes(X, y)
     if (X.values < 0).any():
         raise NegativeFeatureError(f"negative feature weight {X.values[X.values < 0][0]}")
 
-    rows = np.searchsorted(labels, y)
     weight_sums = np.zeros((len(labels), X.n_features))
-    np.add.at(weight_sums, (np.repeat(rows, np.diff(X.indptr)), X.indices), X.values)
-    log_prior = np.log(np.bincount(rows, minlength=len(labels)) / len(y))
+    np.add.at(weight_sums, (np.repeat(classes, np.diff(X.indptr)), X.indices), X.values)
+    log_prior = np.log(np.bincount(classes, minlength=len(labels)) / len(y))
     totals = weight_sums.sum(axis=1, keepdims=True)
     with np.errstate(all="ignore"):  # an extreme alpha over- or underflows the ratio
         log_likelihood = np.log((weight_sums + alpha) / (totals + alpha * X.n_features))
     if not np.isfinite(log_likelihood).all():
         raise ValueError(f"nb_alpha {alpha!r} over {X.n_features} features "
                          "gives a non-finite log likelihood")
-    return LinearModel(
-        class_labels=tuple(labels), weights=log_likelihood, biases=log_prior, trainer_tag="nb"
-    )
+    return _linear_model("nb", labels, log_likelihood, log_prior)
 
 
 def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> LinearModel:
@@ -343,8 +362,8 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     the corpus with `_scores`) and `updates`, the number of steps whose
     margin for that class was below 1.
     """
-    labels = _check_training_data(X, y)
-    targets = _targets(y, labels)
+    labels, classes = _classes(X, y)
+    targets = _targets(classes, len(labels))
     alpha = hyper.sgd_alpha
     n_rows, n_classes = X.shape[0], len(labels)
     v = np.zeros((n_classes, X.n_features))
@@ -418,20 +437,11 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
             objective_epoch1 = _hinge_objectives(X, targets, scale * v, biases, alpha)
 
     weights = scale * v
-    objective_final = _hinge_objectives(X, targets, weights, biases, alpha)
-    return LinearModel(
-        class_labels=tuple(labels),
-        weights=weights,
-        biases=biases,
-        trainer_tag="sgd",
-        fit_info={
-            label: {
-                "objective_epoch1": float(objective_epoch1[row]),
-                "objective_final": float(objective_final[row]),
-                "updates": int(updates[row]),
-            }
-            for row, label in enumerate(labels)
-        },
+    return _linear_model(
+        "sgd", labels, weights, biases,
+        objective_epoch1=objective_epoch1,
+        objective_final=_hinge_objectives(X, targets, weights, biases, alpha),
+        updates=updates,
     )
 
 
@@ -466,9 +476,9 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     after the pass. `fit_info` holds per class `updates`, the number of
     steps that changed the class's alpha.
     """
-    labels = _check_training_data(X, y)
-    targets = _targets(y, labels)
+    labels, classes = _classes(X, y)
     n_rows, n_classes = len(y), len(labels)
+    targets = _targets(classes, n_classes)
     c = hyper.svm_c
     alphas = np.zeros((n_rows, n_classes))
     weights = np.zeros((n_classes, X.n_features))
@@ -522,34 +532,27 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
             converged |= check & (final < SVM_TOLERANCE)
             running &= ~converged
 
+    for row in (~converged).nonzero()[0].tolist():
+        warnings.warn(
+            f"SVM problem for class {labels[row]!r} stopped after {passes[row]} passes "
+            f"with violation {violation[row]:.3e}",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
     margins = targets * _scores(X, weights, biases)
     squared_norms = np.einsum("ij,ij->i", weights, weights) + biases * biases
     hinge_sums = np.maximum(0.0, 1.0 - margins).sum(axis=0)
-    fit_info: dict = {}
-    for row, label in enumerate(labels):
-        fit_info[label] = {
-            "alphas": alphas[:, row].copy(),
-            "margins": margins[:, row].copy(),
-            "dual_objective": float(alphas[:, row].sum() - 0.5 * squared_norms[row]),
-            "primal_objective": float(0.5 * squared_norms[row] + c * hinge_sums[row]),
-            "violation": float(violation[row]),
-            "passes": int(passes[row]),
-            "updates": int(updates[row]),
-            "converged": bool(converged[row]),
-        }
-        if not converged[row]:
-            warnings.warn(
-                f"SVM problem for class {label!r} stopped after {passes[row]} passes "
-                f"with violation {violation[row]:.3e}",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-    return LinearModel(
-        class_labels=tuple(labels),
-        weights=weights,
-        biases=biases,
-        trainer_tag="svm",
-        fit_info=fit_info,
+    by_class = alphas.T.copy()  # row c is class c's alphas
+    return _linear_model(
+        "svm", labels, weights, biases,
+        alphas=by_class,
+        margins=margins.T.copy(),
+        dual_objective=by_class.sum(axis=1) - 0.5 * squared_norms,
+        primal_objective=0.5 * squared_norms + c * hinge_sums,
+        violation=violation,
+        passes=passes,
+        updates=updates,
+        converged=converged,
     )
 
 
@@ -689,11 +692,21 @@ _JSON_NAMES: dict[type, tuple[str, str]] = {
 }
 
 
+# The most characters of a rejected value that a rejection quotes.
+_QUOTED_CHARS = 80
+
+
+def _quoted(value: object) -> str:
+    """repr(value), cut to its first _QUOTED_CHARS characters and "..."."""
+    text = repr(value)
+    return text if len(text) <= _QUOTED_CHARS else text[:_QUOTED_CHARS] + "..."
+
+
 def _typed(value: object, kind: type, key: str):
     """`value` if its type is exactly `kind`. `type`, not isinstance: JSON
     `true` loads as a bool, which isinstance counts as an int."""
     if type(value) is not kind:
-        raise ModelFormatError(f"{key} must be {_JSON_NAMES[kind][0]}, got {value!r}")
+        raise ModelFormatError(f"{key} must be {_JSON_NAMES[kind][0]}, got {_quoted(value)}")
     return value
 
 
@@ -710,14 +723,15 @@ def _array_to_payload(values: np.ndarray) -> dict:
     return {"shape": list(values.shape), "base64": base64.b64encode(raw).decode("ascii")}
 
 
-def _array_from_payload(payload: dict, key: str, expected: tuple[int, ...]) -> np.ndarray:
+def _array_from_payload(payload: object, key: str, expected: tuple[int, ...]) -> np.ndarray:
     """The parameter stored under `key`, if its bytes fill its declared shape,
     that shape is `expected` and every value is finite."""
+    payload = _typed(payload, dict, key)
     shape = _typed_list(payload["shape"], int, f"{key} shape")
     if min(shape, default=0) < 0:
-        raise ModelFormatError(f"{key} shape must not be negative, got {shape}")
+        raise ModelFormatError(f"{key} shape must not be negative, got {_quoted(shape)}")
     try:
-        raw = base64.b64decode(payload["base64"], validate=True)
+        raw = base64.b64decode(_typed(payload["base64"], str, f"{key} base64"), validate=True)
     except binascii.Error as exc:
         raise ModelFormatError(f"{key} is not valid base64: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
@@ -734,9 +748,10 @@ def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
     return {"n_docs": vocab.n_docs, "terms": list(vocab.terms), "doc_freq": list(vocab.doc_freq)}
 
 
-def _vocabulary_from_payload(payload: dict) -> Vocabulary:
+def _vocabulary_from_payload(payload: object) -> Vocabulary:
     """The vocabulary of the payload's JSON lists; Vocabulary checks their
     order, their lengths and that every document frequency is in [1, n_docs]."""
+    payload = _typed(payload, dict, "vocabulary")
     return Vocabulary(
         terms=tuple(_typed_list(payload["terms"], str, "vocabulary terms")),
         doc_freq=tuple(_typed_list(payload["doc_freq"], int, "vocabulary doc_freq")),
@@ -792,18 +807,39 @@ def model_to_dict(trained: TrainedModel) -> dict:
 
 
 def save_model(trained: TrainedModel, path: str | Path) -> None:
-    """Write the model as one UTF-8 JSON document (atomic replace)."""
-    atomic_write_text(path, json.dumps(model_to_dict(trained), ensure_ascii=False))
+    """Write the model as one strict UTF-8 JSON document (atomic replace); a
+    non-finite fit value raises ValueError and writes nothing."""
+    atomic_write_text(
+        path, json.dumps(model_to_dict(trained), ensure_ascii=False, allow_nan=False)
+    )
+
+
+def _reject_constant(name: str) -> None:
+    """json's parse_constant: NaN, Infinity and -Infinity are not JSON."""
+    raise ModelFormatError(f"{name} is not a JSON value")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json's object_pairs_hook: the object, unless a key repeats in it."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ModelFormatError(f"key {_quoted(key)} repeats within one object")
+        obj[key] = value
+    return obj
 
 
 def load_model(path: str | Path) -> TrainedModel:
     """Load a model file, checking each value as it is decoded. Every
     rejection is a ModelFormatError reading `invalid model file <path>:
     <reason>`. A value of the wrong JSON type reads `<key> must be an
-    integer|a number|a boolean|a string|an object, got <value>`, or `<key>
-    must be a list of integers|strings`; types are exact, so `true` is not an
-    integer and `1` is not a number. The other reasons are a file that
-    cannot be read or parsed, a missing key, a format version other than
+    integer|a number|a boolean|a string|an object, got <value>` (at most
+    _QUOTED_CHARS characters of it, then "..."), or `<key> must be a list of
+    integers|strings`; types are exact, so `true` is not an integer and `1`
+    is not a number. A missing key reads `missing key '<key>'`, a NaN or
+    infinity `<constant> is not a JSON value` and a key repeated within one
+    object `key '<key>' repeats within one object`. The other reasons are a
+    file that cannot be read or parsed, a format version other than
     MODEL_FORMAT_VERSION (an older file needs retraining), an unknown
     pipeline or model type, class labels or vocabulary terms not in strictly
     ascending order, a class label that fails `corpus.check_field`, fewer
@@ -814,21 +850,24 @@ def load_model(path: str | Path) -> TrainedModel:
     or a non-finite parameter."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-        payload = _typed(json.loads(text), dict, "top-level value")
+        parsed = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+        payload = _typed(parsed, dict, "top-level value")
         version = _typed(payload["format_version"], int, "format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(
                 f"model format version {version} is not readable: this doccat reads "
                 f"version {MODEL_FORMAT_VERSION} only, so retrain the model"
             )
-        selector, feature_mode = payload["selector"], payload["feature_mode"]
+        selector = _typed(payload["selector"], str, "selector")
+        feature_mode = _typed(payload["feature_mode"], str, "feature_mode")
         if FEATURE_MODES.get(selector) != feature_mode:
             raise ModelFormatError(
-                f"unknown pipeline: selector {selector!r} with feature_mode {feature_mode!r}"
+                f"unknown pipeline: selector {_quoted(selector)} with feature_mode "
+                f"{_quoted(feature_mode)}"
             )
-        model_type = payload["model_type"]
+        model_type = _typed(payload["model_type"], str, "model_type")
         if model_type not in _PARAMETER_KEYS:
-            raise ModelFormatError(f"unknown model type {model_type!r}")
+            raise ModelFormatError(f"unknown model type {_quoted(model_type)}")
         labels = _typed_list(payload["class_labels"], str, "class_labels")
         if not all(map(operator.lt, labels, labels[1:])):
             raise ModelFormatError("class_labels must be unique and in ascending order")
@@ -864,6 +903,8 @@ def load_model(path: str | Path) -> TrainedModel:
                 payload["created_unix_seconds"], int, "created_unix_seconds"
             ),
         )
+    except KeyError as exc:
+        raise ModelFormatError(f"invalid model file {path}: missing key {exc}") from exc
     # json.loads raises RecursionError on arrays or objects nested too deep.
-    except (OSError, RecursionError, KeyError, TypeError, ValueError, ModelFormatError) as exc:
+    except (OSError, RecursionError, TypeError, ValueError, ModelFormatError) as exc:
         raise ModelFormatError(f"invalid model file {path}: {exc}") from exc

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,46 @@ class TestTrainPipelines:
         corpus = make_synthetic_corpus(4, seed=3, n_categories=1, pool_size=3)
         with pytest.raises(SingleClassError):
             train(corpus, "tfidf", "nb", TrainHyperparams(), default_cfg)
+
+
+class TestOneVsRestFrame:
+    @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
+    def test_labels_differing_by_a_trailing_nul_are_two_classes(
+        self, classifier, small_tokens, default_cfg, tmp_path
+    ):
+        # A numpy string array drops a trailing NUL, which once merged these
+        # two labels: SGD fitted two equal rows and NB a zero prior.
+        renamed = {"accident": "sport", "art": "sport\0"}
+        docs = [dataclasses.replace(doc, label=renamed.get(doc.label, doc.label))
+                for doc in small_tokens]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trained = train_from_tokens(
+                docs, "tfidf", classifier, TrainHyperparams(), default_cfg.digest()
+            )
+        model = trained.model
+        assert model.class_labels == ("crime", "sport", "sport\0")
+        assert np.isfinite(model.weights).all() and np.isfinite(model.biases).all()
+        assert not np.array_equal(model.weights[1], model.weights[2])
+        if classifier == "nb":
+            count = sum(doc.label == "sport\0" for doc in docs)
+            assert model.biases[2] == math.log(count / len(docs))
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        loaded = load_model(path)
+        assert loaded.class_labels == model.class_labels
+        assert loaded.model.weights.tobytes() == model.weights.tobytes()
+        assert loaded.model.biases.tobytes() == model.biases.tobytes()
+
+    @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
+    def test_label_with_a_tab_fails_in_training(self, classifier):
+        trainer = {
+            "nb": lambda X, y: models.train_nb(X, y, 0.01),
+            "sgd": lambda X, y: models.train_sgd(X, y, TrainHyperparams()),
+            "svm": lambda X, y: models.train_svm(X, y, TrainHyperparams()),
+        }[classifier]
+        with pytest.raises(ValueError, match=r"^class label must be non-empty without tabs"):
+            trainer(matrix([{0: 1.0}, {0: 2.0}, {0: 3.0}], 1), ["a", "b\tc", "a"])
 
 
 def _decode(block):
@@ -264,6 +305,31 @@ class TestModelFile:
         path.write_text("[" * 100_000, encoding="utf-8")
         _assert_rejected(path, "recursion")
 
+    @pytest.mark.parametrize("key,opening", [
+        ("format_version", '{"format_version": '), ("n_docs", '"vocabulary": {"n_docs": ')
+    ])
+    def test_repeated_key_rejected(self, key, opening, small_tokens, default_cfg, tmp_path):
+        # The key's first value goes ahead of the saved one. Without the
+        # check the last value won: a version 3 ahead of a 2 loaded as 2.
+        trained = train_from_tokens(
+            small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg.digest()
+        )
+        text = json.dumps(model_to_dict(trained))
+        assert text.count(opening) == 1
+        path = tmp_path / "model.json"
+        path.write_text(text.replace(opening, f'{opening}3, "{key}": '), encoding="utf-8")
+        _assert_rejected(path, f"^key '{key}' repeats within one object$")
+
+    def test_non_finite_fit_value_is_not_saved(self, small_tokens, default_cfg, tmp_path):
+        trained = train_from_tokens(
+            small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg.digest()
+        )
+        trained.model.fit_info[trained.class_labels[0]]["violation"] = math.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(trained, path)
+        assert not path.exists()
+
 
 def _edit_parameter(key, edit):
     """A payload edit that decodes parameter `key`, applies `edit` to the
@@ -422,9 +488,13 @@ INCONSISTENT_FILES = {
     "negative_shape": (
         "svm", lambda p: p["biases"].update(shape=[-p["biases"]["shape"][0]]), "biases shape"
     ),
-    "missing_base64": ("nb", lambda p: p["log_prior"].pop("base64"), "base64"),
+    "missing_base64": ("nb", lambda p: p["log_prior"].pop("base64"), "^missing key 'base64'$"),
     "list_parameter": (
-        "sgd", lambda p: p.update(biases=_decode(p["biases"]).tolist()), "list indices"
+        "sgd", lambda p: p.update(biases=_decode(p["biases"]).tolist()),
+        "^biases must be an object, got \\[",
+    ),
+    "integer_base64": (
+        "svm", lambda p: p["weights"].update(base64=7), "^weights base64 must be a string, got 7$"
     ),
     "string_converged": ("sgd", lambda p: p.update(converged="true"), "converged must be"),
     "converged_against_fit_block": (
@@ -449,7 +519,7 @@ INCONSISTENT_FILES = {
         "svm", lambda p: p["fit"][p["class_labels"][0]].update(passes=True), "fit passes"
     ),
     "nb_fit_block": ("nb", lambda p: p.update(fit={}), "no fit block"),
-    "missing_fit_block": ("svm", lambda p: p.pop("fit"), "fit"),
+    "missing_fit_block": ("svm", lambda p: p.pop("fit"), "^missing key 'fit'$"),
     # Values of the wrong JSON type, one for each key the type rule checks.
     "integer_converged": ("svm", lambda p: p.update(converged=1), "^converged must be a boolean"),
     "boolean_created_unix_seconds": (
@@ -482,6 +552,39 @@ INCONSISTENT_FILES = {
     "null_shape": (
         "sgd", lambda p: p["weights"].update(shape=None),
         "^weights shape must be a list of integers",
+    ),
+    "vocabulary_as_list": (
+        "sgd", lambda p: p.update(vocabulary=[]), "^vocabulary must be an object, got \\[\\]$"
+    ),
+    "list_selector": (
+        "nb", lambda p: p.update(selector=[p["selector"]]),
+        "^selector must be a string, got \\['tfidf'\\]$",
+    ),
+    "list_feature_mode": (
+        "sgd", lambda p: p.update(feature_mode=[p["feature_mode"]]),
+        "^feature_mode must be a string, got ",
+    ),
+    "integer_model_type": (
+        "svm", lambda p: p.update(model_type=3), "^model_type must be a string, got 3$"
+    ),
+    # A long value is quoted as a short prefix; its whole repr is 688,890
+    # characters.
+    "long_list_at_top_level": (
+        "sgd", list(range(100_000)),
+        r"^top-level value must be an object, got \[0, 1, 2, .{,80}\.\.\.$",
+    ),
+    # NaN, Infinity and -Infinity are not JSON, though json.dumps writes them.
+    "nan_fit_violation": (
+        "svm", lambda p: p["fit"][p["class_labels"][0]].update(violation=math.nan),
+        "^NaN is not a JSON value$",
+    ),
+    "infinite_fit_objective": (
+        "sgd", lambda p: p["fit"][p["class_labels"][0]].update(objective_final=math.inf),
+        "^Infinity is not a JSON value$",
+    ),
+    "negative_infinite_fit_objective": (
+        "sgd", lambda p: p["fit"][p["class_labels"][1]].update(objective_epoch1=-math.inf),
+        "^-Infinity is not a JSON value$",
     ),
 }
 

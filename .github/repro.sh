@@ -8,7 +8,13 @@
 # OUT-predict/test.tokens.jsonl. Fails unless each prediction TSV has one
 # line per test document, each of exactly three tab-separated fields (id,
 # label, score), and the tokens file has one line per test document. The
-# caller compares the outputs of two runs with `diff -r`.
+# caller compares OUT and OUT-predict of two runs with `diff -r`.
+#
+# Then `DOCCAT train --seed 7` with the same options trains CHI-SQUARE+NB
+# into OUT-train/, which is not compared (the model file holds its creation
+# time), and labels the test split with it; the run fails unless that TSV
+# equals the benchmark model's OUT-predict/CHI_SQUARE_NB.tsv byte for byte,
+# so `train` and `benchmark` build the same model.
 set -euo pipefail
 
 doccat=$1
@@ -37,3 +43,9 @@ if [ "$(wc -l < "$tokens")" -ne "$(grep -c . "$corpus/test.jsonl")" ]; then
   echo "$tokens: not one line per test document" >&2
   exit 1
 fi
+mkdir -p "$out-train"
+"$doccat" train --seed 7 "$@" --features chi2 --model nb \
+  --corpus "$corpus/train.jsonl" --out "$out-train/model_CHI_SQUARE_NB.json"
+"$doccat" predict --model "$out-train/model_CHI_SQUARE_NB.json" \
+  --input "$corpus/test.jsonl" --out "$out-train/CHI_SQUARE_NB.tsv"
+cmp "$out-train/CHI_SQUARE_NB.tsv" "$out-predict/CHI_SQUARE_NB.tsv"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import evaluation, models
 from .corpus import LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_jsonl_documents
-from .errors import DoccatError, MalformedLineError
+from .errors import DoccatError, MalformedLineError, quoted
 from .fileio import atomic_write_text, read_entries, read_text
 from .models import TrainHyperparams
 from .textprep import (
@@ -51,9 +51,14 @@ def _hyper_parser(name: str, kind: type):
     def parse(text: str):
         try:
             value = kind(text)
+        except ValueError:  # float()'s message would quote all of `text`
+            raise argparse.ArgumentTypeError(
+                f"{quoted(text)}: not {'an integer' if kind is int else 'a number'}"
+            ) from None
+        try:
             TrainHyperparams(**{name: value})
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+            raise argparse.ArgumentTypeError(f"{quoted(text)}: {exc}") from None
         return value
 
     return parse
@@ -166,10 +171,10 @@ def parse_config_file(path: str | Path) -> dict[str, int | float]:
         if not equals:
             raise MalformedLineError(str(path), line_no, "expected key=value")
         if key not in _HYPER_PARSERS:
-            raise MalformedLineError(str(path), line_no, f"unknown key {key!r}")
+            raise MalformedLineError(str(path), line_no, f"unknown key {quoted(key)}")
         if key in first_lines:
             raise MalformedLineError(
-                str(path), line_no, f"key {key!r} repeats line {first_lines[key]}"
+                str(path), line_no, f"key {quoted(key)} repeats line {first_lines[key]}"
             )
         first_lines[key] = line_no
         try:
@@ -228,7 +233,17 @@ def _diag_fit(args: argparse.Namespace, model: models.LinearModel) -> None:
         _diag(args, f"{model.trainer_tag} class={label} {detail}")
 
 
+def _check_out_path(path: str | None) -> None:
+    """Fail as writing `path` would when its directory does not exist
+    (`[Errno 2] No such file or directory: '<path>'`). preprocess, train,
+    predict and evaluate call it for their output file before they read
+    anything; None is no file."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_preprocess(args: argparse.Namespace) -> int:
+    _check_out_path(args.out)
     corpus = _load_corpus(args.corpus)
     _diag(args, f"loaded {len(corpus)} documents, {len(corpus.labels)} labels")
     config = build_preprocess_config(args)
@@ -239,10 +254,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_out_path(args.out)
     hyper = resolve_hyper(args)
     config = build_preprocess_config(args)
-    if not Path(args.out).parent.is_dir():  # fail as save_model would, before training
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     corpus = _load_corpus(args.corpus)
     _diag(args, f"loaded {len(corpus)} documents, {len(corpus.labels)} labels")
     _diag(args, f"resolved hyperparameters: {hyper}")
@@ -269,6 +283,7 @@ def _load_predict_documents(path: str) -> list[LabeledDocument]:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _check_out_path(args.out)
     trained = models.load_model(args.model)
     config = build_preprocess_config(args)
     trained.check_preprocess_config(config)
@@ -288,6 +303,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_out_path(args.report)
     trained = models.load_model(args.model)
     config = build_preprocess_config(args)
     corpus = _load_corpus(args.corpus)

@@ -27,6 +27,7 @@ from .errors import (
     EmptyCorpusError,
     MalformedLineError,
     UnreadableFileError,
+    quoted,
 )
 from .fileio import atomic_write_text, read_text
 
@@ -34,7 +35,8 @@ from .fileio import atomic_write_text, read_text
 def check_field(value: object, name: str) -> None:
     """Raise ValueError unless `value` is a non-empty string without a tab,
     CR or LF. Ids and labels are fields of tab-separated output lines
-    (`predict`), so they must not break one."""
+    (`predict`), so they must not break one. The message quotes `value` by
+    `errors.quoted`."""
     if (
         not isinstance(value, str)
         or not value
@@ -42,7 +44,9 @@ def check_field(value: object, name: str) -> None:
         or "\r" in value
         or "\n" in value
     ):
-        raise ValueError(f"{name} must be non-empty without tabs or line breaks, got {value!r}")
+        raise ValueError(
+            f"{name} must be non-empty without tabs or line breaks, got {quoted(value)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,8 @@ class LabeledDocument:
     def __post_init__(self) -> None:
         check_field(self.id, "document id")
         if not isinstance(self.text, str) or not self.text.strip():
-            raise ValueError(f"document {self.id!r}: text must be a non-empty string")
-        check_field(self.label, f"document {self.id!r}: label")
+            raise ValueError(f"document {quoted(self.id)}: text must be a non-empty string")
+        check_field(self.label, f"document {quoted(self.id)}: label")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,17 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one rule for quoting a
+rejected value in their messages (`quoted`)."""
 
 from __future__ import annotations
+
+# The most characters of a rejected value that a message quotes.
+QUOTED_CHARS = 80
+
+
+def quoted(value: object) -> str:
+    """repr(value), cut to its first QUOTED_CHARS characters and "...", so a
+    long value read from a file cannot make a message as long as itself."""
+    text = repr(value)
+    return text if len(text) <= QUOTED_CHARS else text[:QUOTED_CHARS] + "..."
 
 
 class DoccatError(Exception):
@@ -28,7 +39,7 @@ class DuplicateIdError(DoccatError):
 
     def __init__(self, doc_id: str) -> None:
         self.doc_id = doc_id
-        super().__init__(f"duplicate document id: {doc_id!r}")
+        super().__init__(f"duplicate document id: {quoted(doc_id)}")
 
 
 class UnreadableFileError(DoccatError):
@@ -62,7 +73,7 @@ class UnknownLabelError(DoccatError):
 
     def __init__(self, label: str) -> None:
         self.label = label
-        super().__init__(f"unknown label: {label!r}")
+        super().__init__(f"unknown label: {quoted(label)}")
 
 
 class ModelFormatError(DoccatError):

@@ -41,7 +41,8 @@ contains term t:
 g ranges over the document's distinct terms (or its k most frequent ones,
 see chi_score_document), and the partners are added one after another in
 lexicographic order, so scores do not depend on the process's string
-hashing.
+hashing. `check_chi_settings` is the one range check of the settings
+`top_percent` and `g_top_k`, for every caller.
 
 The scores of a corpus are computed in batches rather than one document at
 a time. Every term gets one id in ascending term order, and the documents,
@@ -77,7 +78,7 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .errors import EmptyVocabularyError
+from .errors import EmptyVocabularyError, quoted
 from .textprep import TokenizedDocument
 
 ChiScoreTable = dict[str, float]
@@ -123,7 +124,7 @@ class Vocabulary:
             term, df = next(
                 (term, df) for term, df in zip(terms, doc_freq) if not 1 <= df <= n_docs
             )
-            raise ValueError(f"term {term!r}: DF {df} outside [1, {n_docs}]")
+            raise ValueError(f"term {quoted(term)}: DF {df} outside [1, {n_docs}]")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -224,9 +225,12 @@ def idf(n_docs: int, df: int) -> float:
     return math.log((n_docs + 1) / (df + 1)) + 1.0
 
 
-def _check_g_top_k(g_top_k: int | None) -> None:
+def check_chi_settings(top_percent: float = 100.0, g_top_k: int | None = None) -> None:
+    """Raise ValueError unless 0 < top_percent <= 100 and g_top_k is None or at least 1."""
+    if not 0.0 < top_percent <= 100.0:
+        raise ValueError(f"chi_top_percent must be in (0, 100], got {top_percent!r}")
     if g_top_k is not None and g_top_k < 1:
-        raise ValueError(f"g_top_k must be at least 1, got {g_top_k}")
+        raise ValueError(f"chi_g_top_k must be at least 1, got {g_top_k!r}")
 
 
 def chi_score_document(doc: TokenizedDocument, g_top_k: int | None = None) -> ChiScoreTable:
@@ -237,12 +241,12 @@ def chi_score_document(doc: TokenizedDocument, g_top_k: int | None = None) -> Ch
     document's other distinct terms g (see the module docstring for the
     exact quantities). `g_top_k` optionally restricts g to the document's
     k most frequent terms (ties broken lexicographically); the default
-    uses all terms; a k below 1 raises ValueError.
+    uses all terms; `check_chi_settings` rejects a k below 1.
 
     An empty document yields an empty table; a term with no co-occurring
     terms scores 0.
     """
-    _check_g_top_k(g_top_k)
+    check_chi_settings(g_top_k=g_top_k)
     terms = _sorted_terms([doc])
     if not terms:
         return {}
@@ -355,14 +359,11 @@ def select_chi_features(
     lexicographically) and the first ceil(top_percent/100 * distinct-term
     count) survive. Document frequencies and N in the returned vocabulary
     are computed over the full `docs` list. With top_percent=100 the result
-    is identical to build_vocabulary(docs). A `g_top_k` below 1
-    raises ValueError.
+    is identical to build_vocabulary(docs).
     """
     if not docs:
         raise ValueError("cannot select features from zero documents")
-    if not 0.0 < top_percent <= 100.0:
-        raise ValueError(f"top_percent must be in (0, 100], got {top_percent}")
-    _check_g_top_k(g_top_k)
+    check_chi_settings(top_percent, g_top_k)
 
     terms = _sorted_terms(docs)
     if not terms:

@@ -3,12 +3,14 @@
 All three classifiers reduce multiclass to one-vs-rest: one binary problem
 per class label (labels sorted lexicographically), predicting by argmax of
 the per-class decision scores with ties broken toward the lexicographically
-smallest label. Each trainer takes the training corpus as one
-features.CorpusMatrix, reads the feature count from it, and fits every
-class in one loop over a (classes x features) weight matrix. The trainers
-share one frame. `_classes` applies the label rule once: one label per
-row, every label passing `corpus.check_field` (non-empty, no tab, CR or
-LF), at least two distinct labels. It returns the sorted labels and maps
+smallest label. Each trainer takes (X, y, hyper): the training corpus as
+one features.CorpusMatrix, its labels and one TrainHyperparams, which
+checks every setting when it is built, so no trainer checks one again. It
+reads the feature count from X and fits every class in one loop over a
+(classes x features) weight matrix. The trainers share one frame.
+`_classes` applies the label rule once: one label per row, every label
+passing `corpus.check_field` (non-empty, no tab, CR or LF), at least two
+distinct labels. It returns the sorted labels and maps
 each row to its class index by exact string lookup, so labels that differ
 only by a trailing NUL are two classes. `_linear_model` builds every
 trainer's LinearModel and per-class `fit_info`. Every trainer
@@ -82,12 +84,14 @@ from .errors import (
     NegativeFeatureError,
     PreprocessMismatchError,
     SingleClassError,
+    quoted,
 )
 from .features import (
     CorpusMatrix,
     FeatureMode,
     Vocabulary,
     build_vocabulary,
+    check_chi_settings,
     count_vector,
     select_chi_features,
     tfidf_vector,
@@ -123,7 +127,14 @@ Classifier = Literal["nb", "sgd", "svm"]
 
 @dataclass(frozen=True)
 class TrainHyperparams:
-    """Training knobs; the defaults are the reference configuration."""
+    """Training knobs; the defaults are the reference configuration.
+
+    Every field is checked here, when one is built, and the trainers trust
+    it. `sgd_epochs`, `seed` and a set `chi_g_top_k` must be exact ints, the
+    other four ints or floats but not bools; `features.check_chi_settings`
+    checks the two chi-square ranges. Each rejection is a ValueError naming
+    the field.
+    """
 
     nb_alpha: float = 0.01
     sgd_alpha: float = 0.0001
@@ -134,20 +145,24 @@ class TrainHyperparams:
     chi_g_top_k: int | None = None
 
     def __post_init__(self) -> None:
-        positive = (self.nb_alpha, self.sgd_alpha, self.svm_c)
-        if not all(0.0 < value < math.inf for value in positive):
-            raise ValueError("nb_alpha, sgd_alpha, and svm_c must be positive and finite")
+        for name in ("nb_alpha", "sgd_alpha", "svm_c", "chi_top_percent"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {quoted(value)}")
+            if name != "chi_top_percent" and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("sgd_epochs", "seed", "chi_g_top_k"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "chi_g_top_k" and value is None):
+                raise ValueError(f"{name} must be an integer, got {quoted(value)}")
         if not (self.sgd_alpha <= SGD_ALPHA_MAX and math.isfinite(1.0 / self.sgd_alpha)):
             raise ValueError(f"sgd_alpha must be at most {SGD_ALPHA_MAX:g} and have a finite "
                              f"reciprocal, got {self.sgd_alpha!r}")
         if self.sgd_epochs < 1:
-            raise ValueError("sgd_epochs must be at least 1")
-        if not 0.0 < self.chi_top_percent <= 100.0:
-            raise ValueError("chi_top_percent must be in (0, 100]")
-        if self.chi_g_top_k is not None and self.chi_g_top_k < 1:
-            raise ValueError("chi_g_top_k must be at least 1")
+            raise ValueError(f"sgd_epochs must be at least 1, got {self.sgd_epochs}")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_chi_settings(self.chi_top_percent, self.chi_g_top_k)
 
 
 @dataclass(eq=False)
@@ -301,18 +316,17 @@ def _hinge_objectives(
     return 0.5 * alpha * np.einsum("ij,ij->i", weights, weights) + hinge.mean(axis=0)
 
 
-def train_nb(X: CorpusMatrix, y: Sequence[str], alpha: float) -> LinearModel:
-    """Fit multinomial NB with Lidstone smoothing `alpha`.
+def train_nb(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> LinearModel:
+    """Fit multinomial NB with Lidstone smoothing alpha = `hyper.nb_alpha`.
 
     Per class c and feature t: likelihood(c, t) = (W(c,t) + alpha) /
     (W(c) + alpha * V), where W sums feature weights over the class's
     rows. The model's weights are the log likelihoods and its biases the
     log priors. Raises NegativeFeatureError on any negative weight,
     SingleClassError when fewer than two labels are present and ValueError
-    when `alpha` is too large or too small for a finite log likelihood.
+    when `hyper.nb_alpha` is too large or too small for a finite log likelihood.
     """
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+    alpha = hyper.nb_alpha
     labels, classes = _classes(X, y)
     if (X.values < 0).any():
         raise NegativeFeatureError(f"negative feature weight {X.values[X.values < 0][0]}")
@@ -587,12 +601,10 @@ def train_from_tokens(
     X = vectorize_corpus(docs, vocabulary, FEATURE_MODES[selector])
     clock.append(time.perf_counter())
 
-    if classifier == "nb":
-        model = train_nb(X, labels, hyper.nb_alpha)
-    elif classifier == "sgd":
-        model = train_sgd(X, labels, hyper)
-    else:
-        model = train_svm(X, labels, hyper)
+    # Built per call from the module's names, so a wrapper bound in a
+    # trainer's place (a tracer, say) sees the call.
+    trainer = {"nb": train_nb, "sgd": train_sgd, "svm": train_svm}[classifier]
+    model = trainer(X, labels, hyper)
     clock.append(time.perf_counter())
 
     if created_unix_seconds is None:
@@ -692,21 +704,11 @@ _JSON_NAMES: dict[type, tuple[str, str]] = {
 }
 
 
-# The most characters of a rejected value that a rejection quotes.
-_QUOTED_CHARS = 80
-
-
-def _quoted(value: object) -> str:
-    """repr(value), cut to its first _QUOTED_CHARS characters and "..."."""
-    text = repr(value)
-    return text if len(text) <= _QUOTED_CHARS else text[:_QUOTED_CHARS] + "..."
-
-
 def _typed(value: object, kind: type, key: str):
     """`value` if its type is exactly `kind`. `type`, not isinstance: JSON
     `true` loads as a bool, which isinstance counts as an int."""
     if type(value) is not kind:
-        raise ModelFormatError(f"{key} must be {_JSON_NAMES[kind][0]}, got {_quoted(value)}")
+        raise ModelFormatError(f"{key} must be {_JSON_NAMES[kind][0]}, got {quoted(value)}")
     return value
 
 
@@ -729,7 +731,7 @@ def _array_from_payload(payload: object, key: str, expected: tuple[int, ...]) ->
     payload = _typed(payload, dict, key)
     shape = _typed_list(payload["shape"], int, f"{key} shape")
     if min(shape, default=0) < 0:
-        raise ModelFormatError(f"{key} shape must not be negative, got {_quoted(shape)}")
+        raise ModelFormatError(f"{key} shape must not be negative, got {quoted(shape)}")
     try:
         raw = base64.b64decode(_typed(payload["base64"], str, f"{key} base64"), validate=True)
     except binascii.Error as exc:
@@ -778,10 +780,12 @@ def _fit_from_payload(fit: object, model_type: str, labels: list[str]) -> dict |
     if list(_typed(fit, dict, "fit")) != labels:
         raise ModelFormatError("the fit block's classes differ from class_labels")
     for label, info in fit.items():
-        if set(_typed(info, dict, f"fit block of class {label!r}")) != set(fields):
-            raise ModelFormatError(f"fit block of class {label!r} must hold {', '.join(fields)}")
+        if set(_typed(info, dict, f"fit block of class {quoted(label)}")) != set(fields):
+            raise ModelFormatError(
+                f"fit block of class {quoted(label)} must hold {', '.join(fields)}"
+            )
         for key, kind in fields.items():
-            _typed(info[key], kind, f"fit {key} of class {label!r}")
+            _typed(info[key], kind, f"fit {key} of class {quoted(label)}")
     return fit
 
 
@@ -824,7 +828,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj: dict = {}
     for key, value in pairs:
         if key in obj:
-            raise ModelFormatError(f"key {_quoted(key)} repeats within one object")
+            raise ModelFormatError(f"key {quoted(key)} repeats within one object")
         obj[key] = value
     return obj
 
@@ -833,13 +837,13 @@ def load_model(path: str | Path) -> TrainedModel:
     """Load a model file, checking each value as it is decoded. Every
     rejection is a ModelFormatError reading `invalid model file <path>:
     <reason>`. A value of the wrong JSON type reads `<key> must be an
-    integer|a number|a boolean|a string|an object, got <value>` (at most
-    _QUOTED_CHARS characters of it, then "..."), or `<key> must be a list of
-    integers|strings`; types are exact, so `true` is not an integer and `1`
-    is not a number. A missing key reads `missing key '<key>'`, a NaN or
-    infinity `<constant> is not a JSON value` and a key repeated within one
-    object `key '<key>' repeats within one object`. The other reasons are a
-    file that cannot be read or parsed, a format version other than
+    integer|a number|a boolean|a string|an object, got <value>` (cut by
+    `errors.quoted`), or `<key> must be a list of integers|strings`; types
+    are exact, so `true` is not an integer and `1` is not a number. A
+    missing key reads `missing key '<key>'`, a NaN or infinity `<constant>
+    is not a JSON value` and a key repeated within one object `key '<key>'
+    repeats within one object`. The other reasons are a file that cannot be
+    read or parsed, a format version other than
     MODEL_FORMAT_VERSION (an older file needs retraining), an unknown
     pipeline or model type, class labels or vocabulary terms not in strictly
     ascending order, a class label that fails `corpus.check_field`, fewer
@@ -862,12 +866,12 @@ def load_model(path: str | Path) -> TrainedModel:
         feature_mode = _typed(payload["feature_mode"], str, "feature_mode")
         if FEATURE_MODES.get(selector) != feature_mode:
             raise ModelFormatError(
-                f"unknown pipeline: selector {_quoted(selector)} with feature_mode "
-                f"{_quoted(feature_mode)}"
+                f"unknown pipeline: selector {quoted(selector)} with feature_mode "
+                f"{quoted(feature_mode)}"
             )
         model_type = _typed(payload["model_type"], str, "model_type")
         if model_type not in _PARAMETER_KEYS:
-            raise ModelFormatError(f"unknown model type {_quoted(model_type)}")
+            raise ModelFormatError(f"unknown model type {quoted(model_type)}")
         labels = _typed_list(payload["class_labels"], str, "class_labels")
         if not all(map(operator.lt, labels, labels[1:])):
             raise ModelFormatError("class_labels must be unique and in ascending order")

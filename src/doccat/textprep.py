@@ -55,7 +55,7 @@ from itertools import chain
 from pathlib import Path
 
 from .corpus import LabeledCorpus, LabeledDocument
-from .errors import MalformedLineError
+from .errors import MalformedLineError, quoted
 from .fileio import read_entries
 
 SENTENCE_DELIMITERS = "।?!\n"
@@ -157,9 +157,9 @@ def validate_suffix_table(rules: tuple[tuple[str, int], ...]) -> None:
         if not suffix:
             raise ValueError("suffix table: empty suffix")
         if min_stem < 1:
-            raise ValueError(f"suffix table: rule {suffix!r} has min stem length < 1")
+            raise ValueError(f"suffix table: rule {quoted(suffix)} has min stem length < 1")
         if suffix in seen:
-            raise ValueError(f"suffix table: duplicate suffix {suffix!r}")
+            raise ValueError(f"suffix table: duplicate suffix {quoted(suffix)}")
         seen.add(suffix)
         if previous_len is not None and len(suffix) > previous_len:
             raise ValueError("suffix table: rules not sorted by descending suffix length")
@@ -184,7 +184,7 @@ def load_suffix_table(path: str | Path) -> tuple[tuple[str, int], ...]:
                 raise ValueError("expected <suffix>\\t<min_stem_length>")
             suffix = parts[0].strip()
             if suffix in rules:
-                raise ValueError(f"duplicate suffix {suffix!r}")
+                raise ValueError(f"duplicate suffix {quoted(suffix)}")
             rules[suffix] = int(parts[1])
             validate_suffix_table(((suffix, rules[suffix]),))
         except ValueError as exc:

@@ -130,7 +130,7 @@ def test_nb_oracle_equivalence():
             for _ in range(n_docs):
                 row = {j: float(rng.integers(0, 4)) for j in range(n_features)}
                 rows.append({j: v for j, v in row.items() if v > 0})
-            model = train_nb(matrix(rows, n_features), labels, alpha)
+            model = train_nb(matrix(rows, n_features), labels, TrainHyperparams(nb_alpha=alpha))
             classes, priors, likelihoods = nb_oracle(rows, labels, alpha, n_features)
             assert tuple(classes) == model.class_labels
             for ci, c in enumerate(classes):

@@ -217,6 +217,14 @@ class TestResolvedConfig:
             weights = load_model(out).model.weights
             assert weights.any() and np.isfinite(weights).all()
 
+    @pytest.mark.parametrize("key, kind", [("seed", "an integer"), ("sgd_alpha", "a number")])
+    def test_long_config_value_is_cut_in_the_message(self, key, kind, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {'x' * 100_000}\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError) as exc:
+            parse_config_file(path)
+        assert exc.value.reason == f"{key}: '{'x' * 79}...: not {kind}"
+
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# svm_c = nan\nsvm_c=2.0\n\nchi-top-percent = 45  # wider\n",
@@ -224,15 +232,16 @@ class TestResolvedConfig:
         assert parse_config_file(path) == {"svm_c": 2.0, "chi_top_percent": 45.0}
 
 
-def _assert_missing_directory_named(tmp_path, capsys, argv):
-    """Run `argv` with `--out` in a directory that does not exist: it exits
-    1, names the requested path (not a temp file) and creates nothing."""
+def _assert_missing_directory_named(tmp_path, capsys, argv, flag="--out"):
+    """Run `argv` verbosely with `flag` naming a file in a directory that does
+    not exist: it exits 1 before reading anything, so stderr holds only the
+    error naming the requested path (not a temp file), and creates nothing."""
     before = sorted(tmp_path.rglob("*"))
     out = tmp_path / "nodir" / "out.json"
-    assert main(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: [Errno 2] ") and err.endswith(f": {str(out)!r}\n")
-    assert ".tmp" not in err
+    assert main([*argv, "-v", flag, str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    )
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -402,6 +411,14 @@ class TestTrain:
 
 
 class TestPredict:
+    def test_out_in_missing_directory_fails_before_reading_the_model(
+        self, tmp_path, corpora, capsys
+    ):
+        # The model file does not exist either: the output path is checked first.
+        _assert_missing_directory_named(tmp_path, capsys, [
+            "predict", "--model", str(tmp_path / "absent.json"), "--input", str(corpora[1]),
+        ])
+
     def test_single_text_file(self, tmp_path, corpora, capsys):
         model_path = train_model(tmp_path, corpora)
         capsys.readouterr()
@@ -510,6 +527,15 @@ class TestPredict:
 
 
 class TestEvaluate:
+    def test_report_in_missing_directory_fails_before_evaluating(
+        self, tmp_path, corpora, capsys
+    ):
+        model_path = train_model(tmp_path, corpora)
+        capsys.readouterr()
+        _assert_missing_directory_named(tmp_path, capsys, [
+            "evaluate", "--model", str(model_path), "--corpus", str(corpora[1]),
+        ], flag="--report")
+
     def test_perfect_toy_report(self, tmp_path, corpora, capsys):
         train_path, _ = corpora
         model_path = train_model(tmp_path, corpora)

@@ -110,6 +110,24 @@ class TestLoadJsonl:
         with pytest.raises(DuplicateIdError):
             load_jsonl(path)
 
+    def test_long_id_with_a_tab_is_cut_in_the_message(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_jsonl(tmp_path / "c.jsonl",
+                    [{"id": "d" * 100_000 + "\t", "text": "a", "label": "x"}])
+        with pytest.raises(MalformedLineError) as caught:
+            load_jsonl("c.jsonl")
+        assert str(caught.value).endswith("d" * 20 + "...") and len(str(caught.value)) < 300
+
+    def test_long_repeated_id_is_cut_in_the_message(self, tmp_path):
+        long_id = "d" * 100_000
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": long_id, "text": "a", "label": "x"},
+                           {"id": long_id, "text": "b", "label": "y"}])
+        with pytest.raises(DuplicateIdError) as caught:
+            load_jsonl(path)
+        assert caught.value.doc_id == long_id
+        assert str(caught.value).endswith("d" * 20 + "...") and len(str(caught.value)) < 300
+
     def test_invalid_utf8_fails_loudly(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_bytes(b'{"text": "\xff\xfe", "label": "x"}\n')

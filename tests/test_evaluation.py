@@ -320,6 +320,16 @@ class TestBenchmark:
             benchmark(tiny_corpus, test_corpus, TrainHyperparams(), default_cfg, out_dir=out_dir)
         assert not out_dir.exists()
 
+    def test_long_unseen_test_label_is_cut_in_the_message(self, tiny_corpus, default_cfg):
+        label = "z" * 100_000
+        test_corpus = LabeledCorpus(
+            tuple(tiny_corpus) + (LabeledDocument("new", "কনক", label),)
+        )
+        with pytest.raises(UnknownLabelError) as caught:
+            benchmark(tiny_corpus, test_corpus, TrainHyperparams(), default_cfg)
+        assert caught.value.label == label
+        assert str(caught.value).endswith("z" * 20 + "...") and len(str(caught.value)) < 300
+
     def test_one_training_label_rejected_once(self, tiny_corpus, default_cfg, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("preprocessed a one-label training corpus")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from doccat.errors import LengthMismatchError, NegativeFeatureError, SingleClassError
-from doccat.models import LinearModel, predict_linear, train_nb
+from doccat.models import LinearModel, TrainHyperparams, predict_linear, train_nb
 
 from helpers import matrix, nb_oracle, nb_oracle_predict, predict_row
 
@@ -13,7 +13,7 @@ from helpers import matrix, nb_oracle, nb_oracle_predict, predict_row
 def two_class_model():
     # c1 sees {a:2, b:1}; c2 sees {b:2}; V=2, alpha=0.01
     X = matrix([{0: 2.0, 1: 1.0}, {1: 2.0}], 2)
-    return train_nb(X, ["c1", "c2"], alpha=0.01)
+    return train_nb(X, ["c1", "c2"], TrainHyperparams(nb_alpha=0.01))
 
 
 class TestTrainNB:
@@ -35,35 +35,39 @@ class TestTrainNB:
                 row = {j: float(rng.integers(1, 5)) for j in range(n_feat)
                        if rng.integers(0, 2)}
                 rows.append(row or {0: 1.0})
-            model = train_nb(matrix(rows, n_feat), labels, alpha=0.5)
+            model = train_nb(matrix(rows, n_feat), labels, TrainHyperparams(nb_alpha=0.5))
             assert float(np.exp(model.biases).sum()) == pytest.approx(1.0, abs=1e-9)
             for row in np.exp(model.weights):
                 assert float(row.sum()) == pytest.approx(1.0, abs=1e-6)
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
-            train_nb(matrix([{0: 1.0}, {0: 2.0}], 1), ["c", "c"], alpha=0.01)
+            train_nb(matrix([{0: 1.0}, {0: 2.0}], 1), ["c", "c"], TrainHyperparams(nb_alpha=0.01))
 
     def test_negative_feature_rejected(self):
         with pytest.raises(NegativeFeatureError):
-            train_nb(matrix([{0: -1.0}, {0: 1.0}], 1), ["a", "b"], alpha=0.01)
+            train_nb(matrix([{0: -1.0}, {0: 1.0}], 1), ["a", "b"], TrainHyperparams(nb_alpha=0.01))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            train_nb(matrix([{0: 1.0}], 1), ["a", "b"], alpha=0.01)
+            train_nb(matrix([{0: 1.0}], 1), ["a", "b"], TrainHyperparams(nb_alpha=0.01))
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_alpha(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            train_nb(matrix([{0: 1.0}, {1: 1.0}], 2), ["a", "b"], alpha=alpha)
+        with pytest.raises(ValueError, match="^nb_alpha must be positive and finite"):
+            TrainHyperparams(nb_alpha=alpha)
 
     def test_large_alpha_approaches_uniform(self):
-        model = train_nb(matrix([{0: 3.0}, {1: 1.0}], 2), ["a", "b"], alpha=1e9)
+        model = train_nb(
+            matrix([{0: 3.0}, {1: 1.0}], 2), ["a", "b"], TrainHyperparams(nb_alpha=1e9)
+        )
         lik = np.exp(model.weights)
         assert lik == pytest.approx(np.full((2, 2), 0.5), abs=1e-6)
 
     def test_fractional_weights_accepted(self):
-        model = train_nb(matrix([{0: 0.25, 1: 0.75}, {1: 0.1}], 2), ["a", "b"], alpha=0.01)
+        model = train_nb(
+            matrix([{0: 0.25, 1: 0.75}, {1: 0.1}], 2), ["a", "b"], TrainHyperparams(nb_alpha=0.01)
+        )
         assert np.isfinite(model.weights).all()
 
 
@@ -75,7 +79,9 @@ class TestPredictNB:
         assert scores["c2"] == pytest.approx(-6.0014148779611505, abs=1e-12)
 
     def test_empty_vector_falls_back_to_priors(self):
-        model = train_nb(matrix([{0: 1.0}, {0: 1.0}, {1: 1.0}], 2), ["a", "a", "b"], alpha=1.0)
+        model = train_nb(
+            matrix([{0: 1.0}, {0: 1.0}, {1: 1.0}], 2), ["a", "a", "b"], TrainHyperparams(nb_alpha=1.0)
+        )
         label, scores = predict_row(model, {})
         assert label == "a"
         assert scores["a"] == pytest.approx(math.log(2 / 3), abs=1e-12)
@@ -97,7 +103,7 @@ class TestPredictNB:
     def test_scaling_preserves_argmax_under_uniform_priors(self):
         rng = np.random.default_rng(21)
         X = matrix([{0: 2.0, 1: 1.0}, {1: 3.0}, {0: 1.0}, {1: 1.0, 2: 2.0}], 3)
-        model = train_nb(X, ["a", "b", "a", "b"], alpha=0.01)
+        model = train_nb(X, ["a", "b", "a", "b"], TrainHyperparams(nb_alpha=0.01))
         for _ in range(25):
             x = {j: float(rng.integers(1, 4)) for j in range(3) if rng.integers(0, 2)}
             lam = float(rng.uniform(0.1, 10.0))
@@ -119,7 +125,7 @@ class TestNBOracle:
             for _ in range(n_docs):
                 row = {j: float(rng.integers(0, 4)) for j in range(n_feat)}
                 rows.append({j: v for j, v in row.items() if v > 0})
-            model = train_nb(matrix(rows, n_feat), labels, alpha)
+            model = train_nb(matrix(rows, n_feat), labels, TrainHyperparams(nb_alpha=alpha))
             classes, priors, likelihoods = nb_oracle(rows, labels, alpha, n_feat)
             assert tuple(classes) == model.class_labels
             for ci, c in enumerate(classes):

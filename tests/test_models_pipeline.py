@@ -108,6 +108,38 @@ class TestTrainPipelines:
             train(corpus, "tfidf", "nb", TrainHyperparams(), default_cfg)
 
 
+class TestHyperparams:
+    # A float where an exact int belongs, a bool or a non-number where a number does.
+    @pytest.mark.parametrize("field, value", [
+        ("nb_alpha", True), ("sgd_alpha", "0.0001"), ("sgd_epochs", 2.5), ("svm_c", None),
+        ("seed", 1.5), ("chi_top_percent", True), ("chi_g_top_k", 2.5),
+    ])
+    def test_wrong_type_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an? (integer|number), got "):
+            TrainHyperparams(**{field: value})
+
+    def test_ints_and_numpy_floats_are_numbers(self):
+        hyper = TrainHyperparams(nb_alpha=1, svm_c=np.float64(2.0), chi_top_percent=50)
+        assert (hyper.nb_alpha, hyper.svm_c, hyper.chi_top_percent) == (1, 2.0, 50)
+
+    @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
+    def test_train_from_tokens_calls_the_trainer_bound_in_the_module(
+        self, classifier, small_tokens, default_cfg, monkeypatch
+    ):
+        # A tracer rebinds the trainers' module names, so a table of trainers
+        # built at import would hide the call from it.
+        calls = []
+        for name in ("train_nb", "train_sgd", "train_svm"):
+            def counting(*args, _name=name, _trainer=getattr(models, name)):
+                calls.append(_name)
+                return _trainer(*args)
+            monkeypatch.setattr(models, name, counting)
+        train_from_tokens(
+            small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg.digest()
+        )
+        assert calls == [f"train_{classifier}"]
+
+
 class TestOneVsRestFrame:
     @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
     def test_labels_differing_by_a_trailing_nul_are_two_classes(
@@ -140,7 +172,7 @@ class TestOneVsRestFrame:
     @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
     def test_label_with_a_tab_fails_in_training(self, classifier):
         trainer = {
-            "nb": lambda X, y: models.train_nb(X, y, 0.01),
+            "nb": lambda X, y: models.train_nb(X, y, TrainHyperparams()),
             "sgd": lambda X, y: models.train_sgd(X, y, TrainHyperparams()),
             "svm": lambda X, y: models.train_svm(X, y, TrainHyperparams()),
         }[classifier]
@@ -614,6 +646,18 @@ class TestModelFileValidation:
         else:
             payload = corrupt
         _assert_rejected(_write(payload, tmp_path / "model.json"), message)
+
+    def test_long_rejected_label_is_cut_in_the_message(
+        self, saved_payloads, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        payload = copy.deepcopy(saved_payloads["nb"])
+        payload["class_labels"][-1] = "x" * 100_000 + "\t"  # still the last in order
+        with pytest.raises(ModelFormatError) as caught:
+            load_model(_write(payload, tmp_path / "m.json").name)
+        message = str(caught.value)
+        assert message.startswith("invalid model file m.json: class label must be non-empty")
+        assert message.endswith("x" * 20 + "...") and len(message) < 300
 
 
 def _blocked_case(n_rows, kinds, n_features, n_classes, seed):

@@ -7,13 +7,7 @@ fit and the scoring reads as it is; a single document is scored from its
 feature row directly.
 """
 
-from .corpus import (
-    LabeledCorpus,
-    LabeledDocument,
-    load_dir,
-    load_jsonl,
-    save_jsonl,
-)
+from .corpus import LabeledCorpus, LabeledDocument, load_dir, load_jsonl
 from .errors import DoccatError
 from .evaluation import (
     BenchmarkResult,
@@ -88,7 +82,6 @@ __all__ = [
     "predict_linear",
     "preprocess_corpus",
     "preprocess_document",
-    "save_jsonl",
     "save_model",
     "select_chi_features",
     "tfidf_vector",

@@ -17,9 +17,11 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import evaluation, models
-from .corpus import LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_jsonl_documents
+from .corpus import (
+    LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_document, read_jsonl_documents,
+)
 from .errors import DoccatError, MalformedLineError, quoted
-from .fileio import atomic_write_text, read_entries, read_text
+from .fileio import atomic_write_text, read_entries
 from .models import TrainHyperparams
 from .textprep import (
     PreprocessConfig,
@@ -242,6 +244,18 @@ def _check_out_path(path: str | None) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail as creating the directory `path` with its parents would when
+    `path` is a file (`[Errno 17] File exists`) or lies under one (`[Errno
+    20] Not a directory`). benchmark calls it before it reads anything, and
+    creates the directory later."""
+    target = Path(path)
+    existing = next(p for p in (target, *target.parents) if p.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == target else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), path)
+
+
 def cmd_preprocess(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
     corpus = _load_corpus(args.corpus)
@@ -275,11 +289,8 @@ def _load_predict_documents(path: str) -> list[LabeledDocument]:
     """Prediction input: JSONL, whose labels are not read, or one raw text file."""
     target = Path(path)
     if target.suffix == ".jsonl":
-        docs = read_jsonl_documents(target, label="-")
-        if not docs:
-            raise MalformedLineError(str(target), 0, "no documents to predict")
-        return docs
-    return [LabeledDocument(id=target.name, text=read_text(target), label="-")]
+        return read_jsonl_documents(target, label="-")
+    return [read_document(target, target.name, "-")]
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -322,6 +333,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out_dir)
     hyper = resolve_hyper(args)
     config = build_preprocess_config(args)
     train_corpus = _load_corpus(args.train_corpus)

@@ -12,8 +12,8 @@ Corpora are immutable after construction and safe to share across threads.
 Document order is load order for JSONL and ``(label, filename)``
 lexicographic for directories, so downstream training is deterministic.
 Invalid UTF-8 is a load error, never silently replaced: corrupted Bengali
-text must fail loudly. So is an id or label that is empty or holds a tab,
-CR or LF (`check_field`).
+text must fail loudly (`fileio.read_text`). `LabeledDocument` checks each
+document, and the readers name the line or file of one that fails.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     UnreadableFileError,
     quoted,
 )
-from .fileio import atomic_write_text, read_text
+from .fileio import read_text
 
 
 def check_field(value: object, name: str) -> None:
@@ -51,8 +51,8 @@ def check_field(value: object, name: str) -> None:
 
 @dataclass(frozen=True)
 class LabeledDocument:
-    """One raw document with its category label; the id and the label pass
-    `check_field`."""
+    """One raw document with its category label: non-blank string text, and
+    an id and a label that pass `check_field`; else ValueError."""
 
     id: str
     text: str
@@ -92,15 +92,16 @@ class LabeledCorpus:
 def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[LabeledDocument]:
     """The documents of a JSONL file in line order; blank lines are skipped.
 
-    Each line is a JSON object with a string ``text``, an optional string
-    ``id`` (synthesized as ``<filename>:<line-number>`` when missing) and a
-    string ``label``. A `label` argument is given to every document
-    instead, and the lines' ``label`` fields are not read.
+    Each line is a JSON object with a ``text``, an optional ``id``
+    (synthesized as ``<filename>:<line-number>`` when missing) and a
+    ``label``, which `LabeledDocument` checks. A `label` argument is given
+    to every document instead, and the lines' ``label`` fields are not read.
 
     Raises:
         MalformedLineError: a non-blank line is not such an object, or the
             document is invalid.
         UnreadableFileError: the file cannot be read or is not valid UTF-8.
+        EmptyCorpusError: the file holds no documents.
     """
     path = Path(path)
     raw = read_text(path)
@@ -123,19 +124,16 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
         for key in required:
             if key not in obj:
                 raise MalformedLineError(str(path), line_no, f"missing field {key!r}")
-            if not isinstance(obj[key], str):
-                raise MalformedLineError(str(path), line_no, f"field {key!r} is not a string")
         doc_id = obj.get("id")
-        if doc_id is None:
-            doc_id = f"{path.name}:{line_no}"
-        elif not isinstance(doc_id, str):
-            raise MalformedLineError(str(path), line_no, "field 'id' is not a string")
         try:
             documents.append(LabeledDocument(
-                id=doc_id, text=obj["text"], label=obj["label"] if label is None else label
+                id=f"{path.name}:{line_no}" if doc_id is None else doc_id,
+                text=obj["text"], label=obj["label"] if label is None else label,
             ))
         except ValueError as exc:
             raise MalformedLineError(str(path), line_no, str(exc)) from exc
+    if not documents:
+        raise EmptyCorpusError(f"no documents in {path}")
     return documents
 
 
@@ -144,23 +142,20 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
     preserving line order.
 
     Raises:
-        MalformedLineError, UnreadableFileError: as `read_jsonl_documents`.
+        MalformedLineError, UnreadableFileError, EmptyCorpusError: as
+            `read_jsonl_documents`.
         DuplicateIdError: two lines carry the same id.
-        EmptyCorpusError: the file holds no documents.
     """
-    documents = read_jsonl_documents(path)
-    if not documents:
-        raise EmptyCorpusError(f"no documents in {path}")
-    return LabeledCorpus(documents=tuple(documents))
+    return LabeledCorpus(documents=tuple(read_jsonl_documents(path)))
 
 
-def save_jsonl(corpus: LabeledCorpus, path: str | Path) -> None:
-    """Write a corpus as JSONL; re-loading yields an identical corpus."""
-    lines = [
-        json.dumps({"id": doc.id, "text": doc.text, "label": doc.label}, ensure_ascii=False)
-        for doc in corpus
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def read_document(path: Path, doc_id: str, label: str) -> LabeledDocument:
+    """The document in the text file at `path`. UnreadableFileError names
+    the path when `read_text` fails or `LabeledDocument` rejects the document."""
+    try:
+        return LabeledDocument(id=doc_id, text=read_text(path), label=label)
+    except ValueError as exc:
+        raise UnreadableFileError(str(path), str(exc)) from exc
 
 
 def load_dir(path: str | Path) -> LabeledCorpus:
@@ -179,18 +174,11 @@ def load_dir(path: str | Path) -> LabeledCorpus:
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
 
-    documents: list[LabeledDocument] = []
-    for category_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        label = category_dir.name
-        for txt in sorted(category_dir.glob("*.txt")):
-            text = read_text(txt)
-            try:
-                documents.append(
-                    LabeledDocument(id=f"{label}/{txt.name}", text=text, label=label)
-                )
-            except ValueError as exc:
-                raise UnreadableFileError(str(txt), str(exc)) from exc
-
+    documents = [
+        read_document(txt, f"{category_dir.name}/{txt.name}", category_dir.name)
+        for category_dir in sorted(p for p in root.iterdir() if p.is_dir())
+        for txt in sorted(category_dir.glob("*.txt"))
+    ]
     if not documents:
         raise EmptyCorpusError(f"no documents under {root}")
     return LabeledCorpus(documents=tuple(documents))

@@ -43,8 +43,8 @@ class DuplicateIdError(DoccatError):
 
 
 class UnreadableFileError(DoccatError):
-    """An input file could not be read or decoded as UTF-8, or a corpus file
-    held no valid document."""
+    """An input file could not be read or decoded as UTF-8, or a document
+    file (`corpus.read_document`) held no valid document."""
 
     def __init__(self, path: str, reason: str) -> None:
         self.path = str(path)

@@ -1,7 +1,8 @@
 """File reading and atomic file writing helpers.
 
-Input files are read as UTF-8 text, and a file that cannot be read or
-decoded fails with its path; in a line-oriented one, `#` starts a comment.
+Input files (model files aside) are read as UTF-8 text less a leading
+byte-order mark, and one that cannot be read or decoded fails with its
+path; in a line-oriented one, `#` starts a comment.
 Output files are written to a temporary sibling and renamed into place so
 a crash mid-write never leaves a torn model or report file.
 """
@@ -15,13 +16,14 @@ from .errors import UnreadableFileError
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of the file at `path`.
+    """The UTF-8 text of the file at `path`, less a leading byte-order mark
+    (RFC 8259 8.1), dropped after decoding so error offsets are file offsets.
 
     Raises:
         UnreadableFileError: the file cannot be read or is not valid UTF-8.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise UnreadableFileError(str(path), str(exc)) from exc
     except UnicodeDecodeError as exc:

@@ -6,9 +6,11 @@ share no code with the package so that agreement is meaningful.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -114,6 +116,15 @@ def make_overlapping_corpus(
             text = "। ".join(sentences) + "।"
             documents.append(LabeledDocument(id=f"{label}-{d}", text=text, label=label))
     return LabeledCorpus(documents=tuple(documents))
+
+
+def save_jsonl(corpus: LabeledCorpus, path: str | Path) -> None:
+    """Write a corpus as JSONL; re-loading yields an identical corpus."""
+    lines = [
+        json.dumps({"id": doc.id, "text": doc.text, "label": doc.label}, ensure_ascii=False)
+        for doc in corpus
+    ]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def matrix(rows: list[dict[int, float]], n_features: int) -> CorpusMatrix:

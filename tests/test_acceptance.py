@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from doccat.cli import main
-from doccat.corpus import load_dir, load_jsonl, save_jsonl
+from doccat.corpus import load_dir, load_jsonl
 from doccat.evaluation import METHOD_ORDER, ConfusionMatrix, benchmark, metrics_from_matrix
 from doccat.features import (
     build_vocabulary,
@@ -42,6 +42,7 @@ from helpers import (
     predict_row,
     random_tokenized_doc,
     row_pairs,
+    save_jsonl,
 )
 
 getcontext().prec = 50

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 import warnings
 
@@ -12,12 +14,12 @@ from doccat.cli import (
     parse_config_file,
     resolve_hyper,
 )
-from doccat.corpus import load_jsonl, save_jsonl
+from doccat.corpus import load_jsonl
 from doccat.errors import MalformedLineError
 from doccat.models import TrainHyperparams, load_model, predict_tokenized
 from doccat.textprep import default_config, preprocess_document
 
-from helpers import make_synthetic_corpus
+from helpers import make_synthetic_corpus, save_jsonl
 
 SUBCOMMANDS = ("preprocess", "train", "predict", "evaluate", "benchmark")
 
@@ -224,6 +226,11 @@ class TestResolvedConfig:
         with pytest.raises(MalformedLineError) as exc:
             parse_config_file(path)
         assert exc.value.reason == f"{key}: '{'x' * 79}...: not {kind}"
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("sgd_alpha = 0.001\nseed = 3\n", encoding="utf-8-sig")
+        assert parse_config_file(path) == {"sgd_alpha": 0.001, "seed": 3}
 
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -462,8 +469,44 @@ class TestPredict:
             expected.append(f"{doc.id}\t{label}\t{score:.6f}")
         assert capsys.readouterr().out.splitlines() == expected
 
+    def test_byte_order_mark_in_a_batch_is_dropped(self, tmp_path, corpora, capsys):
+        _, test_path = corpora
+        model_path = train_model(tmp_path, corpora)
+        marked = tmp_path / "marked.jsonl"
+        marked.write_text(test_path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        capsys.readouterr()
+        outputs = []
+        for batch in (test_path, marked):
+            assert main(["predict", "--model", str(model_path), "--input", str(batch)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+
+    def test_batch_of_blank_lines_is_an_empty_corpus(self, tmp_path, corpora, capsys):
+        model_path = train_model(tmp_path, corpora)
+        capsys.readouterr()
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text("\n  \n\n", encoding="utf-8")
+        code = main(["predict", "--model", str(model_path), "--input", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: no documents in {batch}\n"
+
+    def test_blank_raw_file_names_its_path(self, tmp_path, corpora, capsys):
+        model_path = train_model(tmp_path, corpora)
+        capsys.readouterr()
+        sample = tmp_path / "blank.txt"
+        sample.write_text(" \n\t\n", encoding="utf-8")
+        code = main(["predict", "--model", str(model_path), "--input", str(sample)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: unreadable file {sample}: document 'blank.txt': "
+            "text must be a non-empty string\n"
+        )
+
     @pytest.mark.parametrize("line, reason", [
-        ('{"id": 7, "text": "আমি"}', "field 'id' is not a string"),
+        ('{"id": 7, "text": "আমি"}', "document id must be non-empty without tabs or line "
+                                     "breaks, got 7"),
         ('{"id": "blank", "text": "   "}', "text must be a non-empty string"),
         ('{"id": "", "text": "কনক"}', "document id must be non-empty"),
     ])
@@ -611,6 +654,23 @@ class TestBenchmark:
                 p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
             })
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("out_dir, code", [
+        ("afile", errno.EEXIST), ("afile/sub", errno.ENOTDIR),
+    ])
+    def test_out_dir_at_or_under_a_file_fails_before_loading(
+        self, tmp_path, corpora, capsys, out_dir, code
+    ):
+        train_path, test_path = corpora
+        (tmp_path / "afile").write_text("x", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        target = tmp_path / out_dir
+        assert main(["benchmark", "-v", "--train", str(train_path), "--test", str(test_path),
+                     "--out-dir", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {code}] {os.strerror(code)}: {str(target)!r}\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_unseen_test_label_is_one_error(self, tmp_path, corpora, capsys):
         train_path, test_path = corpora

@@ -1,3 +1,4 @@
+import codecs
 import json
 
 import pytest
@@ -10,7 +11,6 @@ from doccat.corpus import (
     load_dir,
     load_jsonl,
     read_jsonl_documents,
-    save_jsonl,
 )
 from doccat.errors import (
     DuplicateIdError,
@@ -18,6 +18,9 @@ from doccat.errors import (
     MalformedLineError,
     UnreadableFileError,
 )
+from doccat.textprep import preprocess_corpus
+
+from helpers import save_jsonl
 
 
 def write_jsonl(path, rows):
@@ -138,6 +141,20 @@ class TestLoadJsonl:
         with pytest.raises(UnreadableFileError):
             load_jsonl(tmp_path / "absent.jsonl")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        write_jsonl(plain, [{"id": "a", "text": "খেলা", "label": "x"},
+                            {"id": "b", "text": "চুরি", "label": "y"}])
+        marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert load_jsonl(marked) == load_jsonl(plain)
+
+    def test_invalid_utf8_after_a_byte_order_mark_gives_its_file_offset(self, tmp_path):
+        # 3 mark bytes and 10 bytes of `{"text": "` precede the bad byte.
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(codecs.BOM_UTF8 + b'{"text": "\xff", "label": "x"}\n')
+        with pytest.raises(UnreadableFileError, match=r"invalid UTF-8: .* in position 13:"):
+            load_jsonl(path)
+
 
 class TestReadJsonlDocuments:
     def test_given_label_replaces_the_label_fields(self, tmp_path):
@@ -191,6 +208,14 @@ class TestLoadDir:
         (tmp_path / "Sports" / "empty.txt").write_text("  \n", encoding="utf-8")
         with pytest.raises(UnreadableFileError):
             load_dir(tmp_path)
+
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path, default_cfg):
+        for root, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            (tmp_path / root / "Sports").mkdir(parents=True)
+            (tmp_path / root / "Sports" / "a.txt").write_text("খেলা হয়েছে", encoding=encoding)
+        plain, marked = load_dir(tmp_path / "plain"), load_dir(tmp_path / "marked")
+        assert marked == plain
+        assert preprocess_corpus(marked, default_cfg) == preprocess_corpus(plain, default_cfg)
 
     def test_empty_tree(self, tmp_path):
         (tmp_path / "Sports").mkdir()

@@ -340,6 +340,17 @@ class TestConfigFiles:
         table = load_suffix_table(path)
         assert table == (("গুলো", 2), ("টা", 3), ("রা", 2))
 
+    def test_byte_order_mark_is_not_part_of_the_first_stopword(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("আমি\nতুমি\n", encoding="utf-8-sig")
+        config = only(stopword_list=load_stopwords(path), enable_stopwords=True)
+        assert tokens_of("আমি ভাত খাই", config) == ["ভাত", "খাই"]
+
+    def test_byte_order_mark_is_not_part_of_the_first_suffix(self, tmp_path):
+        path = tmp_path / "suf.tsv"
+        path.write_text("রা\t2\n", encoding="utf-8-sig")
+        assert stem("ছেলেরা", load_suffix_table(path)) == "ছেলে"
+
     def test_suffix_table_bad_min(self, tmp_path):
         path = tmp_path / "suf.tsv"
         path.write_text("রা\tx\n", encoding="utf-8")

@@ -16,12 +16,13 @@
 # equals the benchmark model's OUT-predict/CHI_SQUARE_NB.tsv byte for byte,
 # so `train` and `benchmark` build the same model.
 #
-# Last, it writes a copy of the test split that starts with a UTF-8
-# byte-order mark into OUT-train/, preprocesses it and labels it with the
-# TFIDF+SGD model; the run fails unless the tokens and the TSV equal
-# OUT-predict/test.tokens.jsonl and OUT-predict/TFIDF_SGD.tsv byte for byte,
-# so a leading byte-order mark changes no output. (The corpus gives every
-# document an explicit id, so the copy's file name appears in no output.)
+# Last, it writes two copies of the test split into OUT-train/, one that
+# starts with a UTF-8 byte-order mark and one with CRLF line ends,
+# preprocesses each and labels each with the TFIDF+SGD model; the run fails
+# unless the tokens and the TSV equal OUT-predict/test.tokens.jsonl and
+# OUT-predict/TFIDF_SGD.tsv byte for byte, so neither a leading byte-order
+# mark nor CRLF line ends change any output. (The corpus gives every
+# document an explicit id, so a copy's file name appears in no output.)
 set -euo pipefail
 
 doccat=$1
@@ -56,10 +57,13 @@ mkdir -p "$out-train"
 "$doccat" predict --model "$out-train/model_CHI_SQUARE_NB.json" \
   --input "$corpus/test.jsonl" --out "$out-train/CHI_SQUARE_NB.tsv"
 cmp "$out-train/CHI_SQUARE_NB.tsv" "$out-predict/CHI_SQUARE_NB.tsv"
-marked="$out-train/test.bom.jsonl"
-{ printf '\357\273\277'; cat "$corpus/test.jsonl"; } > "$marked"
-"$doccat" preprocess --corpus "$marked" --out "$out-train/test.bom.tokens.jsonl"
-cmp "$out-train/test.bom.tokens.jsonl" "$tokens"
-"$doccat" predict --model "$out/model_TFIDF_SGD.json" --input "$marked" \
-  --out "$out-train/TFIDF_SGD.bom.tsv"
-cmp "$out-train/TFIDF_SGD.bom.tsv" "$out-predict/TFIDF_SGD.tsv"
+{ printf '\357\273\277'; cat "$corpus/test.jsonl"; } > "$out-train/test.bom.jsonl"
+awk '{ printf "%s\r\n", $0 }' "$corpus/test.jsonl" > "$out-train/test.crlf.jsonl"
+for copy in bom crlf; do
+  "$doccat" preprocess --corpus "$out-train/test.$copy.jsonl" \
+    --out "$out-train/test.$copy.tokens.jsonl"
+  cmp "$out-train/test.$copy.tokens.jsonl" "$tokens"
+  "$doccat" predict --model "$out/model_TFIDF_SGD.json" --input "$out-train/test.$copy.jsonl" \
+    --out "$out-train/TFIDF_SGD.$copy.tsv"
+  cmp "$out-train/TFIDF_SGD.$copy.tsv" "$out-predict/TFIDF_SGD.tsv"
+done

@@ -2,9 +2,9 @@
 
 Two on-disk formats are supported:
 
-* JSONL (the canonical interchange format): one JSON object per line with
-  required string fields ``text`` and ``label`` and an optional ``id``.
-  Blank lines are ignored.
+* JSONL (the canonical interchange format): one JSON object per line
+  (`fileio.read_lines`) with required string fields ``text`` and ``label``
+  and an optional ``id``. Blank lines are ignored.
 * Directory-per-category: ``<root>/<label>/<file>.txt`` where each ``.txt``
   file is one UTF-8 document.
 
@@ -12,8 +12,9 @@ Corpora are immutable after construction and safe to share across threads.
 Document order is load order for JSONL and ``(label, filename)``
 lexicographic for directories, so downstream training is deterministic.
 Invalid UTF-8 is a load error, never silently replaced: corrupted Bengali
-text must fail loudly (`fileio.read_text`). `LabeledDocument` checks each
-document, and the readers name the line or file of one that fails.
+text must fail loudly (`fileio.read_lines`, `fileio.read_text`).
+`LabeledDocument` checks each document, and the readers name the line or
+file of one that fails.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     UnreadableFileError,
     quoted,
 )
-from .fileio import read_text
+from .fileio import read_lines, read_text
 
 
 def check_field(value: object, name: str) -> None:
@@ -60,9 +61,12 @@ class LabeledDocument:
 
     def __post_init__(self) -> None:
         check_field(self.id, "document id")
-        if not isinstance(self.text, str) or not self.text.strip():
+        if not isinstance(self.text, str) or not self.text or self.text.isspace():
             raise ValueError(f"document {quoted(self.id)}: text must be a non-empty string")
-        check_field(self.label, f"document {quoted(self.id)}: label")
+        try:
+            check_field(self.label, "label")
+        except ValueError as exc:
+            raise ValueError(f"document {quoted(self.id)}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -92,10 +96,12 @@ class LabeledCorpus:
 def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[LabeledDocument]:
     """The documents of a JSONL file in line order; blank lines are skipped.
 
-    Each line is a JSON object with a ``text``, an optional ``id``
-    (synthesized as ``<filename>:<line-number>`` when missing) and a
-    ``label``, which `LabeledDocument` checks. A `label` argument is given
-    to every document instead, and the lines' ``label`` fields are not read.
+    Each line (`fileio.read_lines`, so other line boundaries, which JSON
+    strings may hold, stay in their line) is a JSON object with a
+    ``text``, an optional ``id`` (synthesized as
+    ``<filename>:<line-number>`` when missing) and a ``label``, which
+    `LabeledDocument` checks. A `label` argument is given to every
+    document instead, and the lines' ``label`` fields are not read.
 
     Raises:
         MalformedLineError: a non-blank line is not such an object, or the
@@ -104,14 +110,10 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
         EmptyCorpusError: the file holds no documents.
     """
     path = Path(path)
-    raw = read_text(path)
-
     documents: list[LabeledDocument] = []
     required = ("text",) if label is not None else ("text", "label")
-    # split on \n only: JSON strings may legally contain other Unicode line
-    # boundaries (NEL, U+2028) that splitlines() would treat as line breaks
-    for line_no, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
+    for line_no, line in read_lines(path):
+        if not line or line.isspace():
             continue
         try:
             obj = json.loads(line)
@@ -144,9 +146,14 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
     Raises:
         MalformedLineError, UnreadableFileError, EmptyCorpusError: as
             `read_jsonl_documents`.
-        DuplicateIdError: two lines carry the same id.
+        DuplicateIdError: two lines carry the same id; the message starts
+            with `<path>: `.
     """
-    return LabeledCorpus(documents=tuple(read_jsonl_documents(path)))
+    documents = tuple(read_jsonl_documents(path))
+    try:
+        return LabeledCorpus(documents=documents)
+    except DuplicateIdError as exc:
+        raise DuplicateIdError(exc.doc_id, str(path)) from None
 
 
 def read_document(path: Path, doc_id: str, label: str) -> LabeledDocument:

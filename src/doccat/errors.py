@@ -21,7 +21,8 @@ class DoccatError(Exception):
 class MalformedLineError(DoccatError):
     """A line of an input file could not be parsed: a JSONL line into a
     labeled document, or a suffix-table or config line into its rule or
-    value."""
+    value; or a line of a stopword, suffix or config file holds a line
+    boundary other than "\\n" (`fileio.read_entries`)."""
 
     def __init__(self, path: str, line_no: int, reason: str) -> None:
         self.path = str(path)
@@ -35,11 +36,14 @@ class EmptyCorpusError(DoccatError):
 
 
 class DuplicateIdError(DoccatError):
-    """Two documents in one corpus share an id."""
+    """Two documents in one corpus share an id; a `path` given names the
+    corpus file, as MalformedLineError does."""
 
-    def __init__(self, doc_id: str) -> None:
+    def __init__(self, doc_id: str, path: str | None = None) -> None:
         self.doc_id = doc_id
-        super().__init__(f"duplicate document id: {quoted(doc_id)}")
+        self.path = path
+        message = f"duplicate document id: {quoted(doc_id)}"
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class UnreadableFileError(DoccatError):

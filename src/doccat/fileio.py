@@ -2,7 +2,10 @@
 
 Input files (model files aside) are read as UTF-8 text less a leading
 byte-order mark, and one that cannot be read or decoded fails with its
-path; in a line-oriented one, `#` starts a comment.
+path. `read_lines` is the one line rule of a line-oriented input file
+(JSONL, stopword, suffix and config files): a line ends at `\\n` only, less
+one trailing `\\r`. In an entry file (`read_entries`), `#` starts a
+comment, and a line may hold no other line boundary.
 Output files are written to a temporary sibling and renamed into place so
 a crash mid-write never leaves a torn model or report file.
 """
@@ -10,31 +13,68 @@ a crash mid-write never leaves a torn model or report file.
 from __future__ import annotations
 
 import os
+import re
+from collections.abc import Iterator
 from pathlib import Path
 
-from .errors import UnreadableFileError
+from .errors import MalformedLineError, UnreadableFileError, quoted
+
+# The characters other than "\n" at which str.splitlines ends a line. An
+# entry file's line may hold none of them, so that no reader could split
+# the file into other lines than `read_lines` does.
+OTHER_LINE_BOUNDARY_RE = re.compile("[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-def read_text(path: str | Path) -> str:
+def _decode(path: str | Path, newline: str | None) -> str:
     """The UTF-8 text of the file at `path`, less a leading byte-order mark
     (RFC 8259 8.1), dropped after decoding so error offsets are file offsets.
+    `newline` is open()'s: None reads "\\r\\n" and "\\r" as "\\n", "" keeps them.
 
     Raises:
         UnreadableFileError: the file cannot be read or is not valid UTF-8.
     """
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise UnreadableFileError(str(path), str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise UnreadableFileError(str(path), f"invalid UTF-8: {exc}") from exc
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the document file at `path` (`_decode`), with "\\r\\n" and
+    "\\r" read as "\\n"."""
+    return _decode(path, None)
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The (line number, line) pairs of the line-oriented file at `path`
+    (`_decode`), numbered from 1, to be iterated once. Lines end at "\\n"
+    only, and one "\\r" that ends a line is dropped, so a CRLF file reads as
+    its LF copy; any other character, line boundaries included, stays in its
+    line. A file that ends in "\\n" ends in one empty line."""
+    lines = _decode(path, "").split("\n")
+    return enumerate((line.removesuffix("\r") for line in lines), 1)
+
+
 def read_entries(path: str | Path) -> list[tuple[int, str]]:
-    """The (line number, entry) pairs of a line-oriented file: each line up
-    to its `#` comment, stripped; empty entries are dropped."""
-    lines = enumerate(read_text(path).splitlines(), 1)
-    return [(n, entry) for n, line in lines if (entry := line.split("#", 1)[0].strip())]
+    """The (line number, entry) pairs of a line-oriented file (`read_lines`):
+    each line up to its `#` comment, stripped; empty entries are dropped.
+
+    Raises:
+        MalformedLineError: a line holds a line boundary other than "\\n"
+            (OTHER_LINE_BOUNDARY_RE), such as U+2028 or a bare "\\r".
+        UnreadableFileError: as `read_lines`.
+    """
+    entries = []
+    for line_no, line in read_lines(path):
+        if found := OTHER_LINE_BOUNDARY_RE.search(line):
+            reason = f"holds the line boundary {quoted(found[0])}; lines end at \\n only"
+            raise MalformedLineError(str(path), line_no, reason)
+        if entry := line.split("#", 1)[0].strip():
+            entries.append((line_no, entry))
+    return entries
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

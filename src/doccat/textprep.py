@@ -70,7 +70,6 @@ STRIP_SYMBOLS: frozenset[str] = frozenset(
     + "–—…"  # dashes, ellipsis
 )
 
-SENTENCE_SPLIT_RE = re.compile(f"[{re.escape(SENTENCE_DELIMITERS)}]")
 # An alternation of single characters runs as one character class (much
 # faster than str.translate on non-ASCII text).
 STRIP_RE = re.compile(
@@ -247,9 +246,11 @@ def preprocess_document(doc: LabeledDocument, config: PreprocessConfig) -> Token
     document yields a valid TokenizedDocument with zero tokens.
     """
     final_token = _compiled(config)
+    # Every one of SENTENCE_DELIMITERS becomes "\n", the one split point.
+    text = STRIP_RE.sub("", doc.text).replace("।", "\n").replace("?", "\n").replace("!", "\n")
     sentences = [
         tokens
-        for segment in SENTENCE_SPLIT_RE.split(STRIP_RE.sub("", doc.text))
+        for segment in text.split("\n")
         if (tokens := tuple(filter(None, map(final_token, segment.split()))))
     ]
     return TokenizedDocument(sentences=tuple(sentences), label=doc.label, doc_id=doc.id)

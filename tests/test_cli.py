@@ -232,6 +232,23 @@ class TestResolvedConfig:
         path.write_text("sgd_alpha = 0.001\nseed = 3\n", encoding="utf-8-sig")
         assert parse_config_file(path) == {"sgd_alpha": 0.001, "seed": 3}
 
+    def test_line_boundary_inside_a_config_line_is_malformed(self, tmp_path):
+        # str.splitlines would read two settings from this one line.
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\u2028svm-c = 2\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError) as exc:
+            parse_config_file(path)
+        assert str(exc.value) == (
+            f"{path}: malformed line 1: holds the line boundary '\\u2028'; lines end at \\n only"
+        )
+
+    def test_crlf_config_file_reads_as_its_lf_copy(self, tmp_path):
+        text = "# run\nsvm_c=2.0\n\nseed = 3  # x\n"
+        lf, crlf = tmp_path / "lf.cfg", tmp_path / "crlf.cfg"
+        lf.write_bytes(text.encode("utf-8"))
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        assert parse_config_file(crlf) == parse_config_file(lf) == {"svm_c": 2.0, "seed": 3}
+
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# svm_c = nan\nsvm_c=2.0\n\nchi-top-percent = 45  # wider\n",
@@ -680,6 +697,17 @@ class TestBenchmark:
                      "--out-dir", str(tmp_path / "bench")])
         assert code == 1
         assert capsys.readouterr().err == "error: unknown label: 'brand-new'\n"
+        assert not (tmp_path / "bench").exists()
+
+    def test_repeated_id_names_its_corpus_file(self, tmp_path, corpora, capsys):
+        train_path, _ = corpora
+        test_path = tmp_path / "t.jsonl"
+        test_path.write_text('{"id": "a", "text": "কনক", "label": "accident"}\n' * 2,
+                             encoding="utf-8")
+        code = main(["benchmark", "--train", str(train_path), "--test", str(test_path),
+                     "--out-dir", str(tmp_path / "bench")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {test_path}: duplicate document id: 'a'\n"
         assert not (tmp_path / "bench").exists()
 
     def test_partial_failure_reports_rest_and_exits_one(

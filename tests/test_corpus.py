@@ -131,6 +131,35 @@ class TestLoadJsonl:
         assert caught.value.doc_id == long_id
         assert str(caught.value).endswith("d" * 20 + "...") and len(str(caught.value)) < 300
 
+    def test_repeated_id_names_its_file(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": "d", "text": "a", "label": "x"},
+                           {"id": "d", "text": "b", "label": "y"}])
+        with pytest.raises(DuplicateIdError) as caught:
+            load_jsonl(path)
+        assert (caught.value.doc_id, caught.value.path) == ("d", str(path))
+        assert str(caught.value) == f"{path}: duplicate document id: 'd'"
+
+    def test_crlf_file_loads_as_its_lf_copy(self, tmp_path):
+        # Same file name, so the synthesized ids match too.
+        (tmp_path / "lf").mkdir()
+        (tmp_path / "crlf").mkdir()
+        lf, crlf = tmp_path / "lf" / "c.jsonl", tmp_path / "crlf" / "c.jsonl"
+        write_jsonl(lf, [{"id": "a", "text": "খেলা", "label": "x"},
+                         {"text": "চুরি", "label": "y"}])
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_jsonl(crlf) == load_jsonl(lf)
+
+    @pytest.mark.parametrize("boundary", ["\u2028", "\u2029", "\x85"])
+    def test_raw_line_boundary_in_a_text_stays_in_its_document(self, tmp_path, boundary):
+        # JSON strings may hold these line boundaries unescaped (unlike the
+        # control characters "\r" and "\f").
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"text": f"খেলা{boundary}চুরি", "label": "x"}])
+        assert boundary in path.read_text(encoding="utf-8")
+        corpus = load_jsonl(path)
+        assert [doc.text for doc in corpus] == [f"খেলা{boundary}চুরি"]
+
     def test_invalid_utf8_fails_loudly(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_bytes(b'{"text": "\xff\xfe", "label": "x"}\n')

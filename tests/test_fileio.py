@@ -1,0 +1,69 @@
+import codecs
+
+import pytest
+
+from doccat.errors import MalformedLineError, UnreadableFileError
+from doccat.fileio import read_entries, read_lines
+
+# Every character other than "\n" at which str.splitlines ends a line.
+OTHER_BOUNDARIES = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_other_boundaries_are_those_of_splitlines():
+    ends = {c for c in map(chr, range(0x110000)) if len(f"x{c}y".splitlines()) == 2}
+    assert ends == {"\n", *OTHER_BOUNDARIES}
+
+
+class TestReadLines:
+    def test_lines_end_at_newline_only(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("a\u2028b\n\nc\x85d\fe\rf\n".encode("utf-8"))
+        assert list(read_lines(path)) == [
+            (1, "a\u2028b"), (2, ""), (3, "c\x85d\fe\rf"), (4, ""),
+        ]
+
+    def test_one_carriage_return_before_a_newline_is_dropped(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\r\nb\r\r\nc\r")
+        assert list(read_lines(path)) == [(1, "a"), (2, "b\r"), (3, "c")]
+
+    def test_crlf_file_reads_as_its_lf_copy(self, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes("খেলা\n\nচুরি # x\n".encode("utf-8"))
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert list(read_lines(crlf)) == list(read_lines(lf))
+
+    def test_byte_order_mark_is_dropped_from_the_first_line_only(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(codecs.BOM_UTF8 + "a\n\ufeffb".encode("utf-8"))
+        assert list(read_lines(path)) == [(1, "a"), (2, "\ufeffb")]
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\n\xff\n")
+        with pytest.raises(UnreadableFileError, match="invalid UTF-8: .* in position 2:") as exc:
+            read_lines(path)
+        assert exc.value.path == str(path)
+
+
+class TestReadEntries:
+    @pytest.mark.parametrize("boundary", OTHER_BOUNDARIES)
+    def test_other_line_boundary_names_its_line(self, tmp_path, boundary):
+        path = tmp_path / "f.txt"
+        path.write_text(f"a\nb{boundary}c\nd\n", encoding="utf-8", newline="")
+        with pytest.raises(MalformedLineError) as exc:
+            read_entries(path)
+        assert exc.value.line_no == 2
+        assert exc.value.reason == f"holds the line boundary {boundary!r}; lines end at \\n only"
+
+    def test_line_boundary_in_a_comment_is_malformed_too(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("a  # note\u2028b\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError) as exc:
+            read_entries(path)
+        assert exc.value.line_no == 1
+
+    def test_entries_keep_their_line_numbers(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"# head\r\n a \r\n\r\nb # tail\r\n")
+        assert read_entries(path) == [(2, "a"), (4, "b")]

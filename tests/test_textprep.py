@@ -351,6 +351,31 @@ class TestConfigFiles:
         path.write_text("রা\t2\n", encoding="utf-8-sig")
         assert stem("ছেলেরা", load_suffix_table(path)) == "ছেলে"
 
+    def test_crlf_files_load_as_their_lf_copies(self, tmp_path):
+        files = {"stop.txt": "# head\nআমি\nতুমি  # x\n", "suf.tsv": "রা\t2\n\nগুলো\t2  # x\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode("utf-8"))
+            (tmp_path / f"crlf-{name}").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        assert load_stopwords(tmp_path / "crlf-stop.txt") == load_stopwords(tmp_path / "stop.txt")
+        assert load_suffix_table(tmp_path / "crlf-suf.tsv") == load_suffix_table(tmp_path / "suf.tsv")
+
+    def test_form_feed_between_two_stopwords_is_malformed(self, tmp_path):
+        # str.splitlines would read the two words as two stopwords.
+        path = tmp_path / "stop.txt"
+        path.write_text("আমি\fতুমি\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError) as exc:
+            load_stopwords(path)
+        assert exc.value.line_no == 1
+        assert exc.value.reason == "holds the line boundary '\\x0c'; lines end at \\n only"
+
+    def test_suffix_table_with_bare_carriage_returns_is_malformed(self, tmp_path):
+        path = tmp_path / "suf.tsv"
+        path.write_bytes("রা\t2\rগুলো\t2\r".encode("utf-8"))
+        with pytest.raises(MalformedLineError) as exc:
+            load_suffix_table(path)
+        assert exc.value.line_no == 1
+        assert exc.value.reason == "holds the line boundary '\\r'; lines end at \\n only"
+
     def test_suffix_table_bad_min(self, tmp_path):
         path = tmp_path / "suf.tsv"
         path.write_text("রা\tx\n", encoding="utf-8")

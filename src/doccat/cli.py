@@ -236,12 +236,17 @@ def _diag_fit(args: argparse.Namespace, model: models.LinearModel) -> None:
 
 
 def _check_out_path(path: str | None) -> None:
-    """Fail as writing `path` would when its directory does not exist
-    (`[Errno 2] No such file or directory: '<path>'`). preprocess, train,
-    predict and evaluate call it for their output file before they read
-    anything; None is no file."""
-    if path is not None and not Path(path).parent.is_dir():
+    """Fail as open(path, "w") would when `path` is empty or its directory
+    does not exist (`[Errno 2] No such file or directory: '<path>'`), or
+    when it is a directory (`[Errno 21] Is a directory: '<path>'`).
+    preprocess, train, predict and evaluate call it for their output file
+    before they read anything; None is no file."""
+    if path is None:
+        return
+    if not path or not Path(path).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if Path(path).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _check_out_dir(path: str) -> None:

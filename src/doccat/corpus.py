@@ -6,7 +6,7 @@ Two on-disk formats are supported:
   (`fileio.read_lines`) with required string fields ``text`` and ``label``
   and an optional ``id``. Blank lines are ignored.
 * Directory-per-category: ``<root>/<label>/<file>.txt`` where each ``.txt``
-  file is one UTF-8 document.
+  file is one document, decoded by `fileio.read_text` as a JSONL file is.
 
 Corpora are immutable after construction and safe to share across threads.
 Document order is load order for JSONL and ``(label, filename)``
@@ -30,7 +30,7 @@ from .errors import (
     UnreadableFileError,
     quoted,
 )
-from .fileio import read_lines, read_text
+from .fileio import STRICT_JSON, read_lines, read_text
 
 
 def check_field(value: object, name: str) -> None:
@@ -97,9 +97,9 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
     """The documents of a JSONL file in line order; blank lines are skipped.
 
     Each line (`fileio.read_lines`, so other line boundaries, which JSON
-    strings may hold, stay in their line) is a JSON object with a
-    ``text``, an optional ``id`` (synthesized as
-    ``<filename>:<line-number>`` when missing) and a ``label``, which
+    strings may hold, stay in their line) is a strict JSON object
+    (`fileio.STRICT_JSON`) with a ``text``, an optional ``id`` (synthesized
+    as ``<filename>:<line-number>`` when missing) and a ``label``, which
     `LabeledDocument` checks. A `label` argument is given to every
     document instead, and the lines' ``label`` fields are not read.
 
@@ -116,9 +116,10 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
         if not line or line.isspace():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLineError(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
+            obj = STRICT_JSON.decode(line)
+        except ValueError as exc:
+            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise MalformedLineError(str(path), line_no, f"invalid JSON: {reason}") from exc
         except RecursionError:
             raise MalformedLineError(str(path), line_no, "invalid JSON: nested too deep") from None
         if not isinstance(obj, dict):
@@ -157,8 +158,8 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
 
 
 def read_document(path: Path, doc_id: str, label: str) -> LabeledDocument:
-    """The document in the text file at `path`. UnreadableFileError names
-    the path when `read_text` fails or `LabeledDocument` rejects the document."""
+    """The document whose text is all of the file at `path` (`read_text`).
+    UnreadableFileError names the path when it or `LabeledDocument` fails."""
     try:
         return LabeledDocument(id=doc_id, text=read_text(path), label=label)
     except ValueError as exc:

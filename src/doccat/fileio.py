@@ -1,19 +1,23 @@
 """File reading and atomic file writing helpers.
 
-Input files (model files aside) are read as UTF-8 text less a leading
-byte-order mark, and one that cannot be read or decoded fails with its
-path. `read_lines` is the one line rule of a line-oriented input file
-(JSONL, stopword, suffix and config files): a line ends at `\\n` only, less
-one trailing `\\r`. In an entry file (`read_entries`), `#` starts a
-comment, and a line may hold no other line boundary.
+`read_text` is the one decoder of input files, model files included:
+strict UTF-8 less a leading byte-order mark, no line end translated; a
+file that cannot be read or decoded fails with its path. `read_lines` is
+the one line rule (JSONL, stopword, suffix and config files): a line ends
+at `\\n` only, less one trailing `\\r`; in an entry file (`read_entries`),
+`#` starts a comment and a line may hold no other line boundary.
+`STRICT_JSON` is the one JSON rule of JSONL lines and model files (RFC
+8259): its decode() raises ValueError on NaN, infinities and repeated keys.
 Output files are written to a temporary sibling and renamed into place so
 a crash mid-write never leaves a torn model or report file.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
+from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -25,16 +29,33 @@ from .errors import MalformedLineError, UnreadableFileError, quoted
 OTHER_LINE_BOUNDARY_RE = re.compile("[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-def _decode(path: str | Path, newline: str | None) -> str:
-    """The UTF-8 text of the file at `path`, less a leading byte-order mark
-    (RFC 8259 8.1), dropped after decoding so error offsets are file offsets.
-    `newline` is open()'s: None reads "\\r\\n" and "\\r" as "\\n", "" keeps them.
+def _reject_constant(name: str) -> None:
+    """json's parse_constant: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json's object_pairs_hook: the object, unless a key repeats in it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ValueError(f"key {quoted(repeated)} repeats within one object")
+    return obj
+
+
+STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+
+
+def read_text(path: str | Path) -> str:
+    """The text of the input file at `path`: strict UTF-8, less one leading
+    byte-order mark (RFC 8259 8.1), dropped after decoding so error offsets
+    are file offsets. No line end is translated: "\\r\\n" and "\\r" stay.
 
     Raises:
         UnreadableFileError: the file cannot be read or is not valid UTF-8.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as handle:
+        with open(path, encoding="utf-8", newline="") as handle:
             return handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise UnreadableFileError(str(path), str(exc)) from exc
@@ -42,20 +63,13 @@ def _decode(path: str | Path, newline: str | None) -> str:
         raise UnreadableFileError(str(path), f"invalid UTF-8: {exc}") from exc
 
 
-def read_text(path: str | Path) -> str:
-    """The text of the document file at `path` (`_decode`), with "\\r\\n" and
-    "\\r" read as "\\n"."""
-    return _decode(path, None)
-
-
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The (line number, line) pairs of the line-oriented file at `path`
-    (`_decode`), numbered from 1, to be iterated once. Lines end at "\\n"
+    (`read_text`), numbered from 1, to be iterated once. Lines end at "\\n"
     only, and one "\\r" that ends a line is dropped, so a CRLF file reads as
     its LF copy; any other character, line boundaries included, stays in its
     line. A file that ends in "\\n" ends in one empty line."""
-    lines = _decode(path, "").split("\n")
-    return enumerate((line.removesuffix("\r") for line in lines), 1)
+    return enumerate((line.removesuffix("\r") for line in read_text(path).split("\n")), 1)
 
 
 def read_entries(path: str | Path) -> list[tuple[int, str]]:

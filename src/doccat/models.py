@@ -55,8 +55,8 @@ whether training converged, a per-class `fit` block of solver diagnostics
 (SGD and SVM only) and each parameter as the base64 of its little-endian
 float64 bytes with its shape. Parameters round-trip bit for bit, and
 saving a loaded model writes the same bytes. Model files are strict JSON
-both ways: `save_model` writes no NaN or infinity, and `load_model`
-rejects them and any key repeated within one object. `load_model` checks
+both ways: `save_model` writes no NaN or infinity, and `load_model` reads
+them as any input file (`fileio.read_text`, `fileio.STRICT_JSON`), checks
 each value as it decodes it, rejects other format versions (a version 1
 file needs retraining) and names the file in every rejection.
 """
@@ -84,6 +84,7 @@ from .errors import (
     NegativeFeatureError,
     PreprocessMismatchError,
     SingleClassError,
+    UnreadableFileError,
     quoted,
 )
 from .features import (
@@ -97,7 +98,7 @@ from .features import (
     tfidf_vector,
     vectorize_corpus,
 )
-from .fileio import atomic_write_text
+from .fileio import STRICT_JSON, atomic_write_text, read_text
 from .textprep import PreprocessConfig, TokenizedDocument, preprocess_corpus
 
 MODEL_FORMAT_VERSION = 2
@@ -818,21 +819,6 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
     )
 
 
-def _reject_constant(name: str) -> None:
-    """json's parse_constant: NaN, Infinity and -Infinity are not JSON."""
-    raise ModelFormatError(f"{name} is not a JSON value")
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """json's object_pairs_hook: the object, unless a key repeats in it."""
-    obj: dict = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ModelFormatError(f"key {quoted(key)} repeats within one object")
-        obj[key] = value
-    return obj
-
-
 def load_model(path: str | Path) -> TrainedModel:
     """Load a model file, checking each value as it is decoded. Every
     rejection is a ModelFormatError reading `invalid model file <path>:
@@ -840,11 +826,10 @@ def load_model(path: str | Path) -> TrainedModel:
     integer|a number|a boolean|a string|an object, got <value>` (cut by
     `errors.quoted`), or `<key> must be a list of integers|strings`; types
     are exact, so `true` is not an integer and `1` is not a number. A
-    missing key reads `missing key '<key>'`, a NaN or infinity `<constant>
-    is not a JSON value` and a key repeated within one object `key '<key>'
-    repeats within one object`. The other reasons are a file that cannot be
-    read or parsed, a format version other than
-    MODEL_FORMAT_VERSION (an older file needs retraining), an unknown
+    missing key reads `missing key '<key>'`. The other reasons are a file
+    that cannot be read (`fileio.read_text`) or parsed (`fileio.STRICT_JSON`,
+    which rejects NaN, infinities and repeated keys), a format version other
+    than MODEL_FORMAT_VERSION (an older file needs retraining), an unknown
     pipeline or model type, class labels or vocabulary terms not in strictly
     ascending order, a class label that fails `corpus.check_field`, fewer
     than two class labels or no vocabulary term, a document frequency
@@ -853,9 +838,7 @@ def load_model(path: str | Path) -> TrainedModel:
     of their shape, a shape that does not match the labels and vocabulary,
     or a non-finite parameter."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        parsed = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
-        payload = _typed(parsed, dict, "top-level value")
+        payload = _typed(STRICT_JSON.decode(read_text(path)), dict, "top-level value")
         version = _typed(payload["format_version"], int, "format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(
@@ -909,6 +892,8 @@ def load_model(path: str | Path) -> TrainedModel:
         )
     except KeyError as exc:
         raise ModelFormatError(f"invalid model file {path}: missing key {exc}") from exc
-    # json.loads raises RecursionError on arrays or objects nested too deep.
-    except (OSError, RecursionError, TypeError, ValueError, ModelFormatError) as exc:
+    except UnreadableFileError as exc:
+        raise ModelFormatError(f"invalid model file {path}: {exc.reason}") from exc
+    # The decoder raises RecursionError on arrays or objects nested too deep.
+    except (RecursionError, TypeError, ValueError, ModelFormatError) as exc:
         raise ModelFormatError(f"invalid model file {path}: {exc}") from exc

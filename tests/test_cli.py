@@ -269,6 +269,38 @@ def _assert_missing_directory_named(tmp_path, capsys, argv, flag="--out"):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+class TestOutputPath:
+    # Every input named here is absent, so reading anything first would fail
+    # with another error.
+    COMMANDS = {
+        "preprocess": (["preprocess", "--corpus", "absent.jsonl"], "--out"),
+        "train": (["train", "--corpus", "absent.jsonl", "--features", "chi2",
+                   "--model", "svm"], "--out"),
+        "predict": (["predict", "--model", "absent.json", "--input", "absent.txt"], "--out"),
+        "evaluate": (["evaluate", "--model", "absent.json", "--corpus", "absent.jsonl"],
+                     "--report"),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_existing_directory_fails_before_reading(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        argv, flag = self.COMMANDS[command]
+        assert main([*argv, "-v", flag, "adir"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'adir'\n"
+        assert list(tmp_path.rglob("*")) == [tmp_path / "adir"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_path_fails_before_reading(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        argv, flag = self.COMMANDS[command]
+        assert main([*argv, "-v", flag, ""]) == 1
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestPreprocess:
     def test_writes_tokenized_jsonl(self, tmp_path, corpora, capsys):
         train_path, _ = corpora
@@ -454,6 +486,30 @@ class TestPredict:
         doc_id, label, score = lines[0].split("\t")
         assert doc_id == "sample.txt"
         assert label == "accident"
+
+    @pytest.mark.parametrize(
+        "text", ["কনক খনখ\rগনগ কপক", "কনক খনখ\r\nগনগ কপক\r\n", "কনক খনখ\u2028গনগ কপক"],
+        ids=["bare_cr", "crlf", "u2028"],
+    )
+    def test_document_file_reads_as_its_jsonl_text(self, tmp_path, corpora, capsys, text):
+        # The same text as a raw predict input, as a directory corpus file
+        # and as a JSONL `text` gives the same labels and the same sentences.
+        model_path = train_model(tmp_path, corpora, features="chi2")
+        raw = tmp_path / "tree" / "accident" / "x.txt"
+        raw.parent.mkdir(parents=True)
+        raw.write_bytes(text.encode("utf-8"))
+        batch = tmp_path / "x.jsonl"
+        batch.write_text(json.dumps({"id": "x.txt", "text": text, "label": "accident"}) + "\n",
+                         encoding="utf-8")
+        outputs = {}
+        for name, document, corpus in (("raw", raw, tmp_path / "tree"), ("jsonl", batch, batch)):
+            assert main(["predict", "--model", str(model_path), "--input", str(document),
+                         "--out", str(tmp_path / f"{name}.tsv")]) == 0
+            tokens_path = tmp_path / f"{name}.tokens.jsonl"
+            assert main(["preprocess", "--corpus", str(corpus), "--out", str(tokens_path)]) == 0
+            (row,) = map(json.loads, tokens_path.read_text(encoding="utf-8").splitlines())
+            outputs[name] = ((tmp_path / f"{name}.tsv").read_bytes(), row["sentences"])
+        assert outputs["raw"] == outputs["jsonl"]
 
     def test_jsonl_order_preserved(self, tmp_path, corpora, capsys):
         model_path = train_model(tmp_path, corpora)

@@ -1,5 +1,6 @@
 import codecs
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,32 @@ class TestLoadJsonl:
         corpus = load_jsonl(path)
         assert [doc.text for doc in corpus] == [f"খেলা{boundary}চুরি"]
 
+    @pytest.mark.parametrize("line, reason", [
+        ('{"text": "ক", "label": "x", "label": "y"}', "key 'label' repeats within one object"),
+        ('{"text": "ক", "label": "x", "score": NaN}', "NaN is not a JSON value"),
+        ('{"text": "ক", "label": "x", "meta": {"w": [-Infinity]}}',
+         "-Infinity is not a JSON value"),
+    ], ids=["repeated_label", "nan_in_an_ignored_field", "nested_negative_infinity"])
+    def test_json_outside_the_strict_rule_is_malformed(self, tmp_path, line, reason):
+        path = tmp_path / "c.jsonl"
+        path.write_text(f'{{"text": "খ", "label": "x"}}\n{line}\n', encoding="utf-8")
+        with pytest.raises(MalformedLineError) as exc:
+            load_jsonl(path)
+        assert str(exc.value) == f"{path}: malformed line 2: invalid JSON: {reason}"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_integer_over_the_digit_limit_names_its_line(self, tmp_path):
+        # int() raises a plain ValueError here, not a json.JSONDecodeError.
+        path = tmp_path / "c.jsonl"
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        path.write_text(f'{{"text": "ক", "label": "x", "n": {digits}}}\n', encoding="utf-8")
+        with pytest.raises(MalformedLineError) as exc:
+            load_jsonl(path)
+        assert exc.value.line_no == 1
+        assert exc.value.reason.startswith("invalid JSON: Exceeds the limit")
+
     def test_invalid_utf8_fails_loudly(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_bytes(b'{"text": "\xff\xfe", "label": "x"}\n')
@@ -245,6 +272,20 @@ class TestLoadDir:
         plain, marked = load_dir(tmp_path / "plain"), load_dir(tmp_path / "marked")
         assert marked == plain
         assert preprocess_corpus(marked, default_cfg) == preprocess_corpus(plain, default_cfg)
+
+    @pytest.mark.parametrize(
+        "text", ["কনক খনখ\rগনগ ঘনঘ", "কনক খনখ\r\nগনগ ঘনঘ\r\n", "কনক খনখ\u2028গনগ ঘনঘ"],
+        ids=["bare_cr", "crlf", "u2028"],
+    )
+    def test_document_file_reads_as_its_jsonl_text(self, tmp_path, default_cfg, text):
+        (tmp_path / "tree" / "Sports").mkdir(parents=True)
+        (tmp_path / "tree" / "Sports" / "a.txt").write_bytes(text.encode("utf-8"))
+        write_jsonl(tmp_path / "c.jsonl", [{"id": "Sports/a.txt", "text": text, "label": "Sports"}])
+        from_dir, from_jsonl = load_dir(tmp_path / "tree"), load_jsonl(tmp_path / "c.jsonl")
+        assert from_dir == from_jsonl
+        tokens = preprocess_corpus(from_dir, default_cfg)
+        assert tokens == preprocess_corpus(from_jsonl, default_cfg)
+        assert tokens[0].token_count == 4
 
     def test_empty_tree(self, tmp_path):
         (tmp_path / "Sports").mkdir()

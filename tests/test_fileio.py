@@ -1,9 +1,10 @@
 import codecs
+import re
 
 import pytest
 
 from doccat.errors import MalformedLineError, UnreadableFileError
-from doccat.fileio import read_entries, read_lines
+from doccat.fileio import STRICT_JSON, read_entries, read_lines, read_text
 
 # Every character other than "\n" at which str.splitlines ends a line.
 OTHER_BOUNDARIES = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -12,6 +13,39 @@ OTHER_BOUNDARIES = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", 
 def test_other_boundaries_are_those_of_splitlines():
     ends = {c for c in map(chr, range(0x110000)) if len(f"x{c}y".splitlines()) == 2}
     assert ends == {"\n", *OTHER_BOUNDARIES}
+
+
+class TestReadText:
+    def test_line_ends_are_kept(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\rb\r\nc\n\r")
+        assert read_text(path) == "a\rb\r\nc\n\r"
+
+    def test_only_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(codecs.BOM_UTF8 * 2 + "a\ufeffb\n\ufeff".encode("utf-8"))
+        assert read_text(path) == "\ufeffa\ufeffb\n\ufeff"
+
+
+class TestStrictJson:
+    def test_json_values_decode(self):
+        assert STRICT_JSON.decode('{"a": [1, 2.5, {"b": null}], "c": "NaN"}') == {
+            "a": [1, 2.5, {"b": None}], "c": "NaN",
+        }
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_are_rejected(self, constant):
+        with pytest.raises(ValueError, match=f"^{re.escape(constant)} is not a JSON value$"):
+            STRICT_JSON.decode(f'{{"a": [1, {constant}]}}')
+
+    def test_key_repeated_in_a_nested_object_is_rejected(self):
+        with pytest.raises(ValueError, match="^key 'b' repeats within one object$"):
+            STRICT_JSON.decode('{"a": {"b": 1, "c": 2, "b": 1}, "b": 3}')
+
+    def test_same_key_in_two_objects_is_not_repeated(self):
+        assert STRICT_JSON.decode('{"a": {"a": 1}, "b": [{"a": 2}, {"a": 3}]}') == {
+            "a": {"a": 1}, "b": [{"a": 2}, {"a": 3}],
+        }
 
 
 class TestReadLines:

@@ -1,4 +1,5 @@
 import base64
+import codecs
 import copy
 import dataclasses
 import json
@@ -18,6 +19,7 @@ from doccat.models import (
     TrainHyperparams,
     load_model,
     model_to_dict,
+    predict,
     predict_tokenized,
     save_model,
     train,
@@ -361,6 +363,31 @@ class TestModelFile:
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_model(trained, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
+    def test_byte_order_mark_is_dropped(self, classifier, small_tokens, default_cfg, tmp_path):
+        trained = train_from_tokens(
+            small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg.digest()
+        )
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        save_model(trained, plain)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        loaded = load_model(marked)
+        assert model_to_dict(loaded) == model_to_dict(load_model(plain))
+        labels, scores = predict(loaded, small_tokens)
+        expected_labels, expected_scores = predict(trained, small_tokens)
+        assert labels == expected_labels
+        assert scores.tobytes() == expected_scores.tobytes()
+
+    def test_invalid_utf8_names_the_file_once(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"format_version": 2, "selector": "\xff"}')
+        with pytest.raises(ModelFormatError) as caught:
+            load_model(path)
+        message = str(caught.value)
+        assert message.startswith(f"invalid model file {path}: invalid UTF-8: ")
+        assert "in position 35" in message
+        assert message.count(str(path)) == 1
 
 
 def _edit_parameter(key, edit):

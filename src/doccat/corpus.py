@@ -30,20 +30,19 @@ from .errors import (
     UnreadableFileError,
     quoted,
 )
-from .fileio import STRICT_JSON, read_lines, read_text
+from .fileio import LINE_BOUNDARY_RE, STRICT_JSON, read_lines, read_text
 
 
 def check_field(value: object, name: str) -> None:
-    """Raise ValueError unless `value` is a non-empty string without a tab,
-    CR or LF. Ids and labels are fields of tab-separated output lines
-    (`predict`), so they must not break one. The message quotes `value` by
-    `errors.quoted`."""
+    """Raise ValueError unless `value` is a non-empty string without a tab
+    or a line boundary (`fileio.LINE_BOUNDARY_RE`). Ids and labels are
+    fields of tab-separated output lines (`predict`), so they must not break
+    one. The message quotes `value` by `errors.quoted`."""
     if (
         not isinstance(value, str)
         or not value
         or "\t" in value
-        or "\r" in value
-        or "\n" in value
+        or LINE_BOUNDARY_RE.search(value)
     ):
         raise ValueError(
             f"{name} must be non-empty without tabs or line breaks, got {quoted(value)}"

@@ -9,9 +9,9 @@ Metric conventions:
   mean of per-class F1, not the harmonic mean of macro-P and macro-R.
 * accuracy = trace / total.
 
-The benchmark trains and evaluates all six (feature, classifier)
-combinations on a shared preprocessing pass and emits one report per
-method plus a plottable `comparison.tsv`.
+The benchmark trains and evaluates the paper's six pipelines, the rows of
+PIPELINES, on a shared preprocessing pass, and writes one model and one
+report per pipeline plus a plottable `comparison.tsv`.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .errors import LengthMismatchError, SingleClassError, UnknownLabelError
 from .features import vectorize_corpus
 from .fileio import atomic_write_text
 from .models import (
-    CLASSIFIERS,
-    SELECTORS,
     Classifier,
     Selector,
     TrainedModel,
@@ -40,29 +38,21 @@ from .models import (
 )
 from .textprep import PreprocessConfig, TokenizedDocument, preprocess_corpus
 
-METHOD_ORDER: tuple[str, ...] = (
-    "CHI-SQUARE+SGD",
-    "TFIDF+SGD",
-    "CHI-SQUARE+NB",
-    "TFIDF+NB",
-    "CHI-SQUARE+SVM",
-    "TFIDF+SVM",
-)
+# The paper's results table: each method's name and its (selector,
+# classifier) pipeline, in the table's row order.
+PIPELINES: dict[str, tuple[Selector, Classifier]] = {
+    "CHI-SQUARE+SGD": ("chi2", "sgd"),
+    "TFIDF+SGD": ("tfidf", "sgd"),
+    "CHI-SQUARE+NB": ("chi2", "nb"),
+    "TFIDF+NB": ("tfidf", "nb"),
+    "CHI-SQUARE+SVM": ("chi2", "svm"),
+    "TFIDF+SVM": ("tfidf", "svm"),
+}
+METHOD_ORDER: tuple[str, ...] = tuple(PIPELINES)
+_METHOD_NAMES = {pipeline: name for name, pipeline in PIPELINES.items()}
 
 # The timed stages of prediction, in the order they run.
 PREDICT_STAGES = ("vectorize", "score")
-
-_SELECTOR_NAMES = {"tfidf": "TFIDF", "chi2": "CHI-SQUARE"}
-_CLASSIFIER_NAMES = {"nb": "NB", "sgd": "SGD", "svm": "SVM"}
-
-
-def method_name(selector: Selector, classifier: Classifier) -> str:
-    return f"{_SELECTOR_NAMES[selector]}+{_CLASSIFIER_NAMES[classifier]}"
-
-
-_METHOD_COMBOS: dict[str, tuple[Selector, Classifier]] = {
-    method_name(sel, clf): (sel, clf) for sel in SELECTORS for clf in CLASSIFIERS
-}
 
 
 @dataclass(frozen=True)
@@ -196,7 +186,7 @@ def _evaluate_tokenized(
 
     y_true = [doc.label for doc in docs]
     report = metrics_from_matrix(confusion_matrix(y_true, y_pred, trained.class_labels))
-    report.method_name = method_name(trained.selector, trained.model.trainer_tag)
+    report.method_name = _METHOD_NAMES[trained.selector, trained.model.trainer_tag]
     report.stage_seconds = dict(trained.stage_seconds)
     report.predict_stage_seconds = {
         stage: end - start for stage, start, end in zip(PREDICT_STAGES, clock, clock[1:])
@@ -213,7 +203,7 @@ def evaluate(
     The preprocessing config must be the one the model was trained with
     (TrainedModel.check_preprocess_config). A test label outside the
     model's label set raises UnknownLabelError before any preprocessing.
-    The report is named by `method_name` of the model's pipeline.
+    The report is named by the model's pipeline, as in PIPELINES.
     `predict_stage_seconds` times vectorization and scoring over the full
     pass, and `preprocess_seconds` is the preprocessing before it.
     """
@@ -228,17 +218,19 @@ def benchmark(
     test_corpus: LabeledCorpus,
     hyper: TrainHyperparams,
     config: PreprocessConfig,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
     keep_going: bool = False,
     repro: bool = False,
 ) -> BenchmarkResult:
-    """Train and evaluate all six method combinations with one shared seed.
+    """Train and evaluate every pipeline of PIPELINES with one shared seed.
 
-    With `out_dir` set, each combination's model and report JSON are written
-    there along with `comparison.tsv`. With `keep_going`, a failing
-    combination is recorded and the others still run; otherwise the first
-    failure propagates. `repro` zeroes wall-clock fields in all output files
-    so two runs with the same seed are byte-identical.
+    Each pipeline's model and report are written to `out_dir` as
+    `model_<stem>.json` and `report_<stem>.json`, the stem being its name
+    with "+" and "-" made "_", and the reports that succeed to
+    `comparison.tsv` in table order. With `keep_going`, a failing pipeline
+    is recorded and the others still run; otherwise the first failure
+    propagates. `repro` zeroes wall-clock fields in all output files so two
+    runs with the same seed are byte-identical.
 
     Before it creates `out_dir` or preprocesses anything, a training corpus
     with fewer than two labels raises SingleClassError, and a test label
@@ -249,45 +241,38 @@ def benchmark(
             f"benchmark needs two training labels, got {list(train_corpus.labels)}"
         )
     _check_labels(test_corpus, train_corpus.labels)
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     digest = config.digest()
     train_docs = preprocess_corpus(train_corpus, config)
     test_docs, preprocess_seconds = _timed_preprocess(test_corpus, config)
-
-    def run_one(name: str) -> EvaluationReport:
-        selector, classifier = _METHOD_COMBOS[name]
-        trained = train_from_tokens(
-            train_docs,
-            selector,
-            classifier,
-            hyper,
-            digest,
-            created_unix_seconds=0 if repro else None,
-        )
-        report = _evaluate_tokenized(trained, test_docs, preprocess_seconds)
-        if repro:
-            report.preprocess_seconds = 0.0
-            report.stage_seconds = dict.fromkeys(report.stage_seconds, 0.0)
-            report.predict_stage_seconds = dict.fromkeys(report.predict_stage_seconds, 0.0)
-        if out_dir is not None:
-            stem = name.replace("+", "_").replace("-", "_")
-            save_model(trained, Path(out_dir) / f"model_{stem}.json")
-            write_report(report, Path(out_dir) / f"report_{stem}.json")
-        return report
+    if repro:
+        preprocess_seconds = 0.0
 
     result = BenchmarkResult()
-    for name in METHOD_ORDER:
+    for name, (selector, classifier) in PIPELINES.items():
+        stem = name.replace("+", "_").replace("-", "_")
         try:
-            result.reports.append(run_one(name))
-        except Exception as exc:  # noqa: BLE001 - collected per combination
+            trained = train_from_tokens(
+                train_docs, selector, classifier, hyper, digest,
+                created_unix_seconds=0 if repro else None,
+            )
+            report = _evaluate_tokenized(trained, test_docs, preprocess_seconds)
+            if repro:
+                report.stage_seconds = dict.fromkeys(report.stage_seconds, 0.0)
+                report.predict_stage_seconds = dict.fromkeys(report.predict_stage_seconds, 0.0)
+            save_model(trained, out_dir / f"model_{stem}.json")
+            write_report(report, out_dir / f"report_{stem}.json")
+            del trained  # not held while the next pipeline trains
+        except Exception as exc:  # noqa: BLE001 - collected per pipeline
             if not keep_going:
                 raise
             result.failures.append((name, exc))
+        else:
+            result.reports.append(report)
 
-    if out_dir is not None:
-        write_comparison_tsv(result.reports, Path(out_dir) / "comparison.tsv")
+    write_comparison_tsv(result.reports, out_dir / "comparison.tsv")
     return result
 
 

@@ -356,8 +356,9 @@ def select_chi_features(
     """Keep each document's top share of chi-scored terms; union the keeps.
 
     Per document, terms are ranked by score descending (ties broken
-    lexicographically) and the first ceil(top_percent/100 * distinct-term
-    count) survive. Document frequencies and N in the returned vocabulary
+    lexicographically) and the first ceil(top_percent * distinct-term count
+    / 100) survive, computed in that order: at 30% a 10-term document keeps
+    3 (0.3 * 10 would round up to 4). Document frequencies and N in the returned vocabulary
     are computed over the full `docs` list. With top_percent=100 the result
     is identical to build_vocabulary(docs).
     """

@@ -23,10 +23,11 @@ from pathlib import Path
 
 from .errors import MalformedLineError, UnreadableFileError, quoted
 
-# The characters other than "\n" at which str.splitlines ends a line. An
-# entry file's line may hold none of them, so that no reader could split
-# the file into other lines than `read_lines` does.
-OTHER_LINE_BOUNDARY_RE = re.compile("[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# The characters at which str.splitlines ends a line. An entry file's line
+# may hold none of them, so that no reader could split the file into other
+# lines than `read_lines` does, and neither may an id or a label
+# (`corpus.check_field`), so that no output line holds two.
+LINE_BOUNDARY_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _reject_constant(name: str) -> None:
@@ -77,13 +78,13 @@ def read_entries(path: str | Path) -> list[tuple[int, str]]:
     each line up to its `#` comment, stripped; empty entries are dropped.
 
     Raises:
-        MalformedLineError: a line holds a line boundary other than "\\n"
-            (OTHER_LINE_BOUNDARY_RE), such as U+2028 or a bare "\\r".
+        MalformedLineError: a line holds a line boundary
+            (LINE_BOUNDARY_RE), such as U+2028 or a bare "\\r".
         UnreadableFileError: as `read_lines`.
     """
     entries = []
     for line_no, line in read_lines(path):
-        if found := OTHER_LINE_BOUNDARY_RE.search(line):
+        if found := LINE_BOUNDARY_RE.search(line):
             reason = f"holds the line boundary {quoted(found[0])}; lines end at \\n only"
             raise MalformedLineError(str(path), line_no, reason)
         if entry := line.split("#", 1)[0].strip():

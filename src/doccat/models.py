@@ -9,8 +9,8 @@ checks every setting when it is built, so no trainer checks one again. It
 reads the feature count from X and fits every class in one loop over a
 (classes x features) weight matrix. The trainers share one frame.
 `_classes` applies the label rule once: one label per row, every label
-passing `corpus.check_field` (non-empty, no tab, CR or LF), at least two
-distinct labels. It returns the sorted labels and maps
+passing `corpus.check_field` (non-empty, no tab or line boundary), at
+least two distinct labels. It returns the sorted labels and maps
 each row to its class index by exact string lookup, so labels that differ
 only by a trailing NUL are two classes. `_linear_model` builds every
 trainer's LinearModel and per-class `fit_info`. Every trainer

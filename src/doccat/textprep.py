@@ -29,16 +29,17 @@ gives the same tokens as stripping each token of each sentence: strip
 symbols are single non-whitespace characters, and the delimiters stay out
 of the strip pattern (a delimiter still ends its sentence, and splitting
 removes it anyway). Each distinct stripped token is then lowercased,
-stemmed and stopword-filtered once, in a plain dict memo per configuration
-that empties itself when it holds TOKEN_MEMO_SIZE (65,536) tokens; it is
-not LRU. Lowercasing token by token gives what lowercasing the whole
-document would: lowercasing creates no whitespace or delimiter, and
-neither is cased nor case-ignorable, so the context that makes a Greek
-sigma final never crosses a token's edge. The memo pays off because
+stemmed and stopword-filtered once, in a plain dict memo that each
+configuration builds when it is made and that empties itself when it
+holds TOKEN_MEMO_SIZE (65,536) tokens; it is not LRU. Lowercasing token
+by token gives what lowercasing the whole document would: lowercasing
+creates no whitespace or delimiter, and neither is cased nor
+case-ignorable, so the context that makes a Greek sigma final never
+crosses a token's edge. The memo pays off because
 tokens repeat: on a cold memo, 78-89% of the token occurrences in the
 benchmark corpora are hits; text whose tokens never repeat runs about 1.5
-times slower with it than without (README gives the figures). Results are pure functions of (input, config); the
-compiled configurations and their token memos are shared, bounded and
+times slower with it than without (README gives the figures). Results are
+pure functions of (input, config); a configuration's memo is bounded and
 thread-safe, so documents may still be preprocessed in parallel.
 """
 
@@ -76,7 +77,7 @@ STRIP_RE = re.compile(
     "|".join(map(re.escape, sorted(STRIP_SYMBOLS.difference(SENTENCE_DELIMITERS))))
 )
 
-# Distinct raw tokens each compiled configuration remembers; the memo
+# Distinct raw tokens each configuration's memo remembers; the memo
 # empties itself when it is full, so a long prediction stream cannot grow
 # memory without limit. Threads that miss at the same moment may each add
 # one token past the bound before the next miss empties it.
@@ -94,7 +95,8 @@ class PreprocessConfig:
     stopwords as well, since stopword removal runs after stemming. Any
     iterables are accepted and stored as a frozenset of stopwords and a
     tuple of (suffix, min_stem_length) pairs, so a configuration is always
-    hashable.
+    hashable. Each configuration builds its own token memo, which is no
+    field: it takes no part in equality, hashing or repr.
     """
 
     stopword_list: frozenset[str]
@@ -106,6 +108,7 @@ class PreprocessConfig:
         object.__setattr__(self, "stopword_list", frozenset(self.stopword_list))
         object.__setattr__(self, "suffix_table", tuple(map(tuple, self.suffix_table)))
         validate_suffix_table(self.suffix_table)
+        object.__setattr__(self, "_token_memo", _TokenMemo(self))
 
     def digest(self) -> str:
         """Stable checksum of the full configuration, for model files."""
@@ -214,29 +217,22 @@ def stem(token: str, suffix_table: tuple[tuple[str, int], ...]) -> str:
 class _TokenMemo(dict):
     """A configuration's memo from a stripped raw token to its final token
     ("" for a stopword). A miss lowercases, stems and filters the token,
-    first emptying the memo if it holds TOKEN_MEMO_SIZE tokens."""
+    first emptying the memo if it holds TOKEN_MEMO_SIZE tokens. It holds
+    the suffix rules and stopwords that apply, not the configuration."""
 
     def __init__(self, config: PreprocessConfig) -> None:
         super().__init__()
-        self.config = config
+        self.suffix_table = config.suffix_table if config.enable_stemming else ()
+        self.stopwords = config.stopword_list if config.enable_stopwords else frozenset()
 
     def __missing__(self, raw: str) -> str:
-        config = self.config
-        token = raw.lower()
-        if config.enable_stemming:
-            token = stem(token, config.suffix_table)
-        if config.enable_stopwords and token in config.stopword_list:
+        token = stem(raw.lower(), self.suffix_table)
+        if token in self.stopwords:
             token = ""
         if len(self) >= TOKEN_MEMO_SIZE:
             self.clear()
         self[raw] = token
         return token
-
-
-@lru_cache(maxsize=8)
-def _compiled(config: PreprocessConfig):
-    """The lookup of the configuration's token memo, built once."""
-    return _TokenMemo(config).__getitem__
 
 
 def preprocess_document(doc: LabeledDocument, config: PreprocessConfig) -> TokenizedDocument:
@@ -245,7 +241,7 @@ def preprocess_document(doc: LabeledDocument, config: PreprocessConfig) -> Token
     Emptied tokens and emptied sentences are dropped; an all-stopword
     document yields a valid TokenizedDocument with zero tokens.
     """
-    final_token = _compiled(config)
+    final_token = config._token_memo.__getitem__
     # Every one of SENTENCE_DELIMITERS becomes "\n", the one split point.
     text = STRIP_RE.sub("", doc.text).replace("।", "\n").replace("?", "\n").replace("!", "\n")
     sentences = [

@@ -249,7 +249,7 @@ def test_benchmark_determinism(synth_train, synth_test, tmp_path):
     reason="conditional criterion: needs a real ~29k/~3k 12-category Bengali corpus "
     "(set DOCCAT_REAL_TRAIN and DOCCAT_REAL_TEST)",
 )
-def test_conditional_real_corpus_targets():
+def test_conditional_real_corpus_targets(tmp_path):
     """On a comparable real corpus, TF-IDF must beat chi-square for every
     classifier and TFIDF+SVM macro-F1 must land within 5 points of 92.57%."""
 
@@ -260,7 +260,7 @@ def test_conditional_real_corpus_targets():
         train_corpus = load(os.environ["DOCCAT_REAL_TRAIN"])
         test_corpus = load(os.environ["DOCCAT_REAL_TEST"])
         result = benchmark(
-            train_corpus, test_corpus, TrainHyperparams(), default_config()
+            train_corpus, test_corpus, TrainHyperparams(), default_config(), tmp_path
         )
         by_name = {r.method_name: r for r in result.reports}
         for classifier in ("NB", "SGD", "SVM"):

@@ -107,6 +107,15 @@ class TestLoadJsonl:
             load_jsonl(path)
         assert exc.value.line_no == 2
 
+    def test_other_line_boundary_in_id_names_its_line(self, tmp_path):
+        # U+2028 stays inside its JSONL line, but str.splitlines would end a
+        # `predict` output line at it.
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": "a\u2028b", "text": "ক", "label": "x"}])
+        with pytest.raises(MalformedLineError, match="malformed line 1: .*without tabs") as exc:
+            load_jsonl(path)
+        assert exc.value.line_no == 1
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"id": "d", "text": "a", "label": "x"},
@@ -300,9 +309,20 @@ class TestLoadDir:
             load_dir(tmp_path)
         assert exc.value.path == str(tmp_path / category / name)
 
+    def test_line_boundary_in_file_name_names_the_file(self, tmp_path):
+        # NEL (U+0085) would end the id's `predict` output line for str.splitlines.
+        (tmp_path / "Sports").mkdir()
+        (tmp_path / "Sports" / "a\x85b.txt").write_text("খেলা", encoding="utf-8")
+        with pytest.raises(UnreadableFileError, match="without tabs or line breaks") as exc:
+            load_dir(tmp_path)
+        assert exc.value.path == str(tmp_path / "Sports" / "a\x85b.txt")
+
 
 label_strategy = st.text(
-    alphabet=st.characters(blacklist_characters="\t\r\n", blacklist_categories=("Cs",)),
+    alphabet=st.characters(
+        blacklist_characters="\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029",
+        blacklist_categories=("Cs",),
+    ),
     min_size=1,
     max_size=8,
 ).filter(lambda s: s)

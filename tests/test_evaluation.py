@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import stat
@@ -22,7 +23,14 @@ from doccat.evaluation import (
     report_to_dict,
     write_comparison_tsv,
 )
-from doccat.models import TrainHyperparams, predict, predict_tokenized, train
+from doccat.models import (
+    CLASSIFIERS,
+    SELECTORS,
+    TrainHyperparams,
+    predict,
+    predict_tokenized,
+    train,
+)
 from doccat.textprep import PreprocessConfig, preprocess_corpus
 
 from helpers import make_overlapping_corpus, metrics_oracle
@@ -230,6 +238,24 @@ class TestEvaluate:
 
 
 class TestBenchmark:
+    def test_one_model_per_pipeline_of_the_papers_table(self, tiny_corpus, default_cfg, tmp_path):
+        # The paper's row order; perfbench's `pipeline_key` parses these names.
+        assert METHOD_ORDER == (
+            "CHI-SQUARE+SGD", "TFIDF+SGD", "CHI-SQUARE+NB", "TFIDF+NB",
+            "CHI-SQUARE+SVM", "TFIDF+SVM",
+        )
+        benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, tmp_path)
+        assert len(list(tmp_path.glob("model_*.json"))) == len(METHOD_ORDER)
+        pipelines = {}
+        for name in METHOD_ORDER:
+            stem = name.replace("+", "_").replace("-", "_")
+            payload = json.loads((tmp_path / f"model_{stem}.json").read_text(encoding="utf-8"))
+            pipelines[name] = (payload["selector"], payload["model_type"])
+        assert sorted(pipelines.values()) == sorted(itertools.product(SELECTORS, CLASSIFIERS))
+        selector_names = {"chi2": "CHI-SQUARE", "tfidf": "TFIDF"}
+        for name, (selector, classifier) in pipelines.items():
+            assert name == f"{selector_names[selector]}+{classifier.upper()}"
+
     def test_six_reports_in_table_order(self, tiny_corpus, default_cfg, tmp_path):
         result = benchmark(
             tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, out_dir=tmp_path
@@ -261,8 +287,8 @@ class TestBenchmark:
         for name in written:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
-    def test_train_equals_test_is_perfect_for_all_six(self, tiny_corpus, default_cfg):
-        result = benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg)
+    def test_train_equals_test_is_perfect_for_all_six(self, tiny_corpus, default_cfg, tmp_path):
+        result = benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, tmp_path)
         for report in result.reports:
             assert report.macro_f1 == 1.0
 
@@ -296,13 +322,13 @@ class TestBenchmark:
             assert payload["train_seconds"] == sum(payload["stage_seconds"].values())
             assert payload["predict_seconds"] == sum(payload["predict_stage_seconds"].values())
 
-    def test_shared_label_precondition(self, tiny_corpus, default_cfg):
+    def test_shared_label_precondition(self, tiny_corpus, default_cfg, tmp_path):
         other = LabeledCorpus((
             LabeledDocument("x", "কনক", "somethingelse"),
             LabeledDocument("y", "খনখ", "another"),
         ))
         with pytest.raises(UnknownLabelError, match="'another'"):
-            benchmark(tiny_corpus, other, TrainHyperparams(), default_cfg)
+            benchmark(tiny_corpus, other, TrainHyperparams(), default_cfg, tmp_path)
 
     def test_unseen_test_label_fails_before_training(
         self, tiny_corpus, default_cfg, tmp_path, monkeypatch
@@ -320,17 +346,21 @@ class TestBenchmark:
             benchmark(tiny_corpus, test_corpus, TrainHyperparams(), default_cfg, out_dir=out_dir)
         assert not out_dir.exists()
 
-    def test_long_unseen_test_label_is_cut_in_the_message(self, tiny_corpus, default_cfg):
+    def test_long_unseen_test_label_is_cut_in_the_message(
+        self, tiny_corpus, default_cfg, tmp_path
+    ):
         label = "z" * 100_000
         test_corpus = LabeledCorpus(
             tuple(tiny_corpus) + (LabeledDocument("new", "কনক", label),)
         )
         with pytest.raises(UnknownLabelError) as caught:
-            benchmark(tiny_corpus, test_corpus, TrainHyperparams(), default_cfg)
+            benchmark(tiny_corpus, test_corpus, TrainHyperparams(), default_cfg, tmp_path)
         assert caught.value.label == label
         assert str(caught.value).endswith("z" * 20 + "...") and len(str(caught.value)) < 300
 
-    def test_one_training_label_rejected_once(self, tiny_corpus, default_cfg, monkeypatch):
+    def test_one_training_label_rejected_once(
+        self, tiny_corpus, default_cfg, tmp_path, monkeypatch
+    ):
         def never(*args, **kwargs):
             raise AssertionError("preprocessed a one-label training corpus")
 
@@ -338,19 +368,19 @@ class TestBenchmark:
         label = tiny_corpus.labels[0]
         single = LabeledCorpus(tuple(doc for doc in tiny_corpus if doc.label == label))
         with pytest.raises(SingleClassError, match="two training labels"):
-            benchmark(single, single, TrainHyperparams(), default_cfg, keep_going=True)
+            benchmark(single, single, TrainHyperparams(), default_cfg, tmp_path, keep_going=True)
 
-    def test_one_label_test_corpus_gives_six_reports(self, tiny_corpus, default_cfg):
+    def test_one_label_test_corpus_gives_six_reports(self, tiny_corpus, default_cfg, tmp_path):
         label = tiny_corpus.labels[0]
         single = LabeledCorpus(tuple(doc for doc in tiny_corpus if doc.label == label))
-        result = benchmark(tiny_corpus, single, TrainHyperparams(), default_cfg)
+        result = benchmark(tiny_corpus, single, TrainHyperparams(), default_cfg, tmp_path)
         assert [r.method_name for r in result.reports] == list(METHOD_ORDER)
         assert not result.failures
         for report in result.reports:
             assert report.confusion.labels == tiny_corpus.labels
             assert report.confusion.total == len(single)
 
-    def test_partial_failure_keeps_going(self, tiny_corpus, default_cfg, monkeypatch):
+    def test_partial_failure_keeps_going(self, tiny_corpus, default_cfg, tmp_path, monkeypatch):
         real = evaluation_module.train_from_tokens
 
         def sabotaged(docs, selector, classifier, *args, **kwargs):
@@ -360,18 +390,20 @@ class TestBenchmark:
 
         monkeypatch.setattr(evaluation_module, "train_from_tokens", sabotaged)
         result = benchmark(
-            tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, keep_going=True
+            tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, tmp_path, keep_going=True
         )
         assert len(result.reports) == 5
         assert [name for name, _ in result.failures] == ["CHI-SQUARE+SVM"]
 
-    def test_failure_propagates_without_keep_going(self, tiny_corpus, default_cfg, monkeypatch):
+    def test_failure_propagates_without_keep_going(
+        self, tiny_corpus, default_cfg, tmp_path, monkeypatch
+    ):
         def explode(*args, **kwargs):
             raise SingleClassError("injected failure")
 
         monkeypatch.setattr(evaluation_module, "train_from_tokens", explode)
         with pytest.raises(SingleClassError):
-            benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg)
+            benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, tmp_path)
 
 
 class TestReportSerialization:

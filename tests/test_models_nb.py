@@ -44,6 +44,11 @@ class TestTrainNB:
         with pytest.raises(SingleClassError):
             train_nb(matrix([{0: 1.0}, {0: 2.0}], 1), ["c", "c"], TrainHyperparams(nb_alpha=0.01))
 
+    def test_label_with_a_form_feed_rejected(self):
+        # "\x0c" ends a line for str.splitlines, so it would split a `-v` line.
+        with pytest.raises(ValueError, match=r"^class label must be non-empty without tabs"):
+            train_nb(matrix([{0: 1.0}, {0: 2.0}], 1), ["a", "b\x0c"], TrainHyperparams())
+
     def test_negative_feature_rejected(self):
         with pytest.raises(NegativeFeatureError):
             train_nb(matrix([{0: -1.0}, {0: 1.0}], 1), ["a", "b"], TrainHyperparams(nb_alpha=0.01))

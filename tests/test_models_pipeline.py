@@ -441,6 +441,11 @@ INCONSISTENT_FILES = {
         "nb", lambda p: p["class_labels"].__setitem__(-1, p["class_labels"][-1] + "\t"),
         "class label must be non-empty without tabs",
     ),
+    # U+2029 ends a line for str.splitlines, so it would split a TSV line too.
+    "line_boundary_in_label": (
+        "nb", lambda p: p["class_labels"].__setitem__(-1, p["class_labels"][-1] + "\u2029"),
+        "class label must be non-empty without tabs or line breaks",
+    ),
     # Training never writes these; they failed later with numpy errors.
     "no_class_labels": (
         "sgd",

@@ -18,7 +18,6 @@ from doccat.textprep import (
     TOKEN_MEMO_SIZE,
     PreprocessConfig,
     TokenizedDocument,
-    _compiled,
     default_config,
     load_stopwords,
     load_suffix_table,
@@ -231,7 +230,7 @@ class TestTokenMemo:
         config = PreprocessConfig(
             stopword_list=frozenset(), suffix_table=(), enable_stemming=False
         )
-        memo = _compiled(config).__self__
+        memo = config._token_memo
         letters = string.ascii_lowercase
         distinct = [
             "".join(letters[(i // 26**k) % 26] for k in range(4))
@@ -244,13 +243,24 @@ class TestTokenMemo:
             assert preprocess_document(doc, config).token_count == chunk
             assert 0 < len(memo) <= TOKEN_MEMO_SIZE
 
+    def test_each_configuration_owns_its_memo(self, default_cfg):
+        copy = dataclasses.replace(default_cfg)
+        assert copy == default_cfg and hash(copy) == hash(default_cfg)
+        assert repr(copy) == repr(default_cfg)
+        assert "_token_memo" not in repr(copy)
+        assert copy._token_memo is not default_cfg._token_memo
+        doc = LabeledDocument(id="d", text="কনক খনখ", label="x")
+        copy._token_memo.clear()
+        preprocess_document(doc, copy)
+        assert sorted(copy._token_memo) == ["কনক", "খনখ"]
+
     def test_memo_that_empties_inside_documents(self, default_cfg, monkeypatch):
         monkeypatch.setattr(textprep, "TOKEN_MEMO_SIZE", 5)
-        # a configuration no other test uses, so the memo starts empty
+        # a new configuration, so its memo starts empty
         config = dataclasses.replace(
             default_cfg, stopword_list=default_cfg.stopword_list | {"memo-empties-inside"}
         )
-        memo = _compiled(config).__self__
+        memo = config._token_memo
         docs = list(make_synthetic_corpus(4, seed=5)) + list(make_overlapping_corpus(2, seed=5))
         expected = [preprocess_oracle(doc, config) for doc in docs]
         # documents with more distinct tokens than the memo holds
@@ -260,7 +270,7 @@ class TestTokenMemo:
             assert len(memo) <= 5
 
     def test_threads_share_the_memo(self, default_cfg):
-        # a configuration no other test uses, so the threads start on a cold memo
+        # a new configuration, so the threads start on a cold memo
         config = dataclasses.replace(
             default_cfg, stopword_list=default_cfg.stopword_list | {"threads-share-the-memo"}
         )

@@ -26,6 +26,11 @@
 # Model files are read by the same rule: a copy of model_TFIDF_SGD.json
 # that starts with a byte-order mark must label the test split to the
 # same bytes as OUT-predict/TFIDF_SGD.tsv.
+#
+# Finally it trains TFIDF+NB with --no-stopwords into OUT-train/ and labels
+# the test split with it twice, under --no-stopwords and under --stopwords
+# with an empty file; the run fails unless both succeed with the same bytes,
+# since switching stopword removal off is applying an empty stopword list.
 set -euo pipefail
 
 doccat=$1
@@ -74,3 +79,12 @@ done
 "$doccat" predict --model "$out-train/model_TFIDF_SGD.bom.json" --input "$corpus/test.jsonl" \
   --out "$out-train/TFIDF_SGD.bom-model.tsv"
 cmp "$out-train/TFIDF_SGD.bom-model.tsv" "$out-predict/TFIDF_SGD.tsv"
+model="$out-train/model_TFIDF_NB.no-stopwords.json"
+"$doccat" train --seed 7 "$@" --no-stopwords --features tfidf --model nb \
+  --corpus "$corpus/train.jsonl" --out "$model"
+: > "$out-train/empty-stopwords.txt"
+"$doccat" predict --model "$model" --no-stopwords --input "$corpus/test.jsonl" \
+  --out "$out-train/TFIDF_NB.no-stopwords.tsv"
+"$doccat" predict --model "$model" --stopwords "$out-train/empty-stopwords.txt" \
+  --input "$corpus/test.jsonl" --out "$out-train/TFIDF_NB.empty-stopwords.tsv"
+cmp "$out-train/TFIDF_NB.empty-stopwords.tsv" "$out-train/TFIDF_NB.no-stopwords.tsv"

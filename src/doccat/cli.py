@@ -197,14 +197,14 @@ def resolve_hyper(args: argparse.Namespace) -> TrainHyperparams:
 
 
 def build_preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
+    """The shipped tables or the given files; `--no-stopwords` and
+    `--no-stemming` empty a table, after its file is read and checked."""
     base = default_config()
     stopwords = load_stopwords(args.stopwords) if args.stopwords else base.stopword_list
     suffixes = load_suffix_table(args.suffixes) if args.suffixes else base.suffix_table
     return PreprocessConfig(
-        stopword_list=stopwords,
-        suffix_table=suffixes,
-        enable_stemming=not args.no_stemming,
-        enable_stopwords=not args.no_stopwords,
+        stopword_list=() if args.no_stopwords else stopwords,
+        suffix_table=() if args.no_stemming else suffixes,
     )
 
 
@@ -226,12 +226,15 @@ def _diag_seconds(args: argparse.Namespace, name: str, seconds: dict[str, float]
 
 def _diag_fit(args: argparse.Namespace, model: models.LinearModel) -> None:
     """One stderr line per class of the solver diagnostics a model file keeps
-    (models.FIT_FIELDS), for the trainers that have any."""
+    (models.FIT_FIELDS), for the trainers that have any. A freshly trained
+    SVM's lines end in its `gap`, which model files do not keep."""
     for label, info in (model.fit_info or {}).items():
         detail = " ".join(
             f"{key}={info[key]:.6e}" if kind is float else f"{key}={info[key]}"
             for key, kind in models.FIT_FIELDS[model.trainer_tag].items()
         )
+        if "gap" in info:
+            detail += f" gap={info['gap']:.6e}"
         _diag(args, f"{model.trainer_tag} class={label} {detail}")
 
 

@@ -38,6 +38,10 @@ def check_field(value: object, name: str) -> None:
     or a line boundary (`fileio.LINE_BOUNDARY_RE`). Ids and labels are
     fields of tab-separated output lines (`predict`), so they must not break
     one. The message quotes `value` by `errors.quoted`."""
+    # A printable string holds neither a tab nor a line boundary, so most
+    # ids and labels skip the search.
+    if type(value) is str and value and value.isprintable():
+        return
     if (
         not isinstance(value, str)
         or not value

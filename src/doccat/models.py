@@ -489,7 +489,8 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     and each pass copies the alphas it starts from (every example is visited
     once per pass); the pass's violation is taken from those records once,
     after the pass. `fit_info` holds per class `updates`, the number of
-    steps that changed the class's alpha.
+    steps that changed the class's alpha, and `gap`, the duality gap
+    relative to the primal objective: (primal - dual) / |primal|.
     """
     labels, classes = _classes(X, y)
     n_rows, n_classes = len(y), len(labels)
@@ -558,12 +559,16 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     squared_norms = np.einsum("ij,ij->i", weights, weights) + biases * biases
     hinge_sums = np.maximum(0.0, 1.0 - margins).sum(axis=0)
     by_class = alphas.T.copy()  # row c is class c's alphas
+    dual_objective = by_class.sum(axis=1) - 0.5 * squared_norms
+    # Positive: at w = 0 and b = 0 every hinge term is 1, elsewhere the norm is.
+    primal_objective = 0.5 * squared_norms + c * hinge_sums
     return _linear_model(
         "svm", labels, weights, biases,
         alphas=by_class,
         margins=margins.T.copy(),
-        dual_objective=by_class.sum(axis=1) - 0.5 * squared_norms,
-        primal_objective=0.5 * squared_norms + c * hinge_sums,
+        dual_objective=dual_objective,
+        primal_objective=primal_objective,
+        gap=(primal_objective - dual_objective) / np.abs(primal_objective),
         violation=violation,
         passes=passes,
         updates=updates,

@@ -6,8 +6,8 @@ The pipeline applied per document is
         -> per token: lowercase -> stem -> remove stopwords
 
 Stripping STRIP_SYMBOLS and lowercasing are fixed steps; a configuration
-chooses the stopwords, the suffix table and whether stemming and stopword
-removal run. Sentences are kept as the grouping unit because the
+is the two tables it applies, stopwords and suffix rules, and an empty
+table applies nothing. Sentences are kept as the grouping unit because the
 chi-square feature scorer uses the sentence as its co-occurrence window.
 Bengali script has no case, so lowercasing only changes embedded Latin (or
 other cased) fragments.
@@ -86,42 +86,44 @@ TOKEN_MEMO_SIZE = 1 << 16
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Immutable preprocessing configuration: the stopwords, the suffix
-    table and whether stemming and stopword removal run.
+    """Immutable preprocessing configuration: the stopwords and the suffix
+    rules it applies.
 
-    `suffix_table` is an ordered list of (suffix, min_stem_length) rules,
-    sorted by descending suffix length so longest-match-first is well
-    defined. `stopword_list` should contain the stemmed forms of inflected
-    stopwords as well, since stopword removal runs after stemming. Any
-    iterables are accepted and stored as a frozenset of stopwords and a
-    tuple of (suffix, min_stem_length) pairs, so a configuration is always
-    hashable. Each configuration builds its own token memo, which is no
-    field: it takes no part in equality, hashing or repr.
+    `suffix_table` holds (suffix, min_stem_length) rules, stored in one
+    canonical order, descending suffix length then suffix, so
+    longest-match-first is well defined and the same rules in any order give
+    an equal configuration, hash and digest. `stopword_list` should contain
+    the stemmed forms of inflected stopwords as well, since stopword removal
+    runs after stemming. Any iterables are accepted and stored as a
+    frozenset of stopwords and a tuple of (suffix, min_stem_length) pairs,
+    so a configuration is always hashable. An empty table applies nothing.
+    Each configuration builds its own token memo, which is no field: it
+    takes no part in equality, hashing or repr.
     """
 
     stopword_list: frozenset[str]
     suffix_table: tuple[tuple[str, int], ...]
-    enable_stemming: bool = True
-    enable_stopwords: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stopword_list", frozenset(self.stopword_list))
-        object.__setattr__(self, "suffix_table", tuple(map(tuple, self.suffix_table)))
+        rules = sorted(map(tuple, self.suffix_table), key=lambda rule: (-len(rule[0]), rule[0]))
+        object.__setattr__(self, "suffix_table", tuple(rules))
         validate_suffix_table(self.suffix_table)
         object.__setattr__(self, "_token_memo", _TokenMemo(self))
 
     def digest(self) -> str:
-        """Stable checksum of the full configuration, for model files."""
+        """Stable checksum of the rules it applies, for model files."""
         payload = json.dumps(
             {
                 "stopword_list": sorted(self.stopword_list),
                 "suffix_table": [list(rule) for rule in self.suffix_table],
-                # The fixed steps keep their keys: model files store this
-                # digest, and a changed digest would reject every existing
-                # model with a misleading mismatch message.
+                # The fixed steps, and the switches that empty tables replaced,
+                # keep their keys: model files store this digest, and a changed
+                # digest would reject every existing model with a misleading
+                # mismatch message.
                 "strip_symbols": sorted(STRIP_SYMBOLS),
-                "enable_stemming": self.enable_stemming,
-                "enable_stopwords": self.enable_stopwords,
+                "enable_stemming": True,
+                "enable_stopwords": True,
                 "lowercase_latin": True,
             },
             ensure_ascii=False,
@@ -148,13 +150,12 @@ class TokenizedDocument:
 
 
 def validate_suffix_table(rules: tuple[tuple[str, int], ...]) -> None:
-    """Check structural invariants of a suffix table.
+    """Check structural invariants of a suffix table, in any order.
 
-    Raises ValueError on empty suffixes, non-positive minimum stem lengths,
-    duplicate suffixes, or rules not sorted by descending suffix length.
+    Raises ValueError on empty suffixes, non-positive minimum stem lengths
+    or duplicate suffixes.
     """
     seen: set[str] = set()
-    previous_len: int | None = None
     for suffix, min_stem in rules:
         if not suffix:
             raise ValueError("suffix table: empty suffix")
@@ -163,9 +164,6 @@ def validate_suffix_table(rules: tuple[tuple[str, int], ...]) -> None:
         if suffix in seen:
             raise ValueError(f"suffix table: duplicate suffix {quoted(suffix)}")
         seen.add(suffix)
-        if previous_len is not None and len(suffix) > previous_len:
-            raise ValueError("suffix table: rules not sorted by descending suffix length")
-        previous_len = len(suffix)
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
@@ -175,8 +173,8 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 def load_suffix_table(path: str | Path) -> tuple[tuple[str, int], ...]:
     """Load suffix rules from a `<suffix>\\t<min_stem_length>` file ('#'
-    comments allowed), sorted by descending suffix length, ties
-    lexicographically. A line that does not parse, fails
+    comments allowed), in file order; `PreprocessConfig` puts them in its
+    canonical order. A line that does not parse, fails
     `validate_suffix_table` or repeats a suffix raises MalformedLineError."""
     rules: dict[str, int] = {}
     for line_no, entry in read_entries(path):
@@ -191,7 +189,7 @@ def load_suffix_table(path: str | Path) -> tuple[tuple[str, int], ...]:
             validate_suffix_table(((suffix, rules[suffix]),))
         except ValueError as exc:
             raise MalformedLineError(str(path), line_no, str(exc)) from None
-    return tuple(sorted(rules.items(), key=lambda rule: (-len(rule[0]), rule[0])))
+    return tuple(rules.items())
 
 
 @lru_cache(maxsize=1)
@@ -206,8 +204,9 @@ def default_config() -> PreprocessConfig:
 
 
 def stem(token: str, suffix_table: tuple[tuple[str, int], ...]) -> str:
-    """Strip at most one suffix: the longest rule whose removal leaves
-    at least the rule's minimum stem length. Otherwise return unchanged."""
+    """Strip at most one suffix: the first rule whose removal leaves at
+    least the rule's minimum stem length, which is the longest such rule in
+    a `PreprocessConfig`'s table. Otherwise return unchanged."""
     for suffix, min_stem in suffix_table:
         if len(token) - len(suffix) >= min_stem and token.endswith(suffix):
             return token[: -len(suffix)]
@@ -218,12 +217,12 @@ class _TokenMemo(dict):
     """A configuration's memo from a stripped raw token to its final token
     ("" for a stopword). A miss lowercases, stems and filters the token,
     first emptying the memo if it holds TOKEN_MEMO_SIZE tokens. It holds
-    the suffix rules and stopwords that apply, not the configuration."""
+    the configuration's two tables, not the configuration."""
 
     def __init__(self, config: PreprocessConfig) -> None:
         super().__init__()
-        self.suffix_table = config.suffix_table if config.enable_stemming else ()
-        self.stopwords = config.stopword_list if config.enable_stopwords else frozenset()
+        self.suffix_table = config.suffix_table
+        self.stopwords = config.stopword_list
 
     def __missing__(self, raw: str) -> str:
         token = stem(raw.lower(), self.suffix_table)

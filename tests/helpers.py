@@ -306,12 +306,15 @@ def reference_train_svm(
     margins = targets * reference_scores(X, weights, biases)
     squared_norms = np.einsum("ij,ij->i", weights, weights) + biases * biases
     hinge_sums = np.maximum(0.0, 1.0 - margins).sum(axis=0)
+    dual = [float(alphas[:, row].sum() - 0.5 * squared_norms[row]) for row in range(len(labels))]
+    primal = [float(0.5 * squared_norms[row] + c * hinge_sums[row]) for row in range(len(labels))]
     fit_info = {
         label: {
             "alphas": alphas[:, row].copy(),
             "margins": margins[:, row].copy(),
-            "dual_objective": float(alphas[:, row].sum() - 0.5 * squared_norms[row]),
-            "primal_objective": float(0.5 * squared_norms[row] + c * hinge_sums[row]),
+            "dual_objective": dual[row],
+            "primal_objective": primal[row],
+            "gap": (primal[row] - dual[row]) / abs(primal[row]),
             "violation": float(violation[row]),
             "passes": int(passes[row]),
             "updates": int(updates[row]),
@@ -359,14 +362,12 @@ def preprocess_oracle(doc: LabeledDocument, config: PreprocessConfig) -> Tokeniz
             token = "".join(ch for ch in raw_token if ch not in STRIP_SYMBOLS).lower()
             if not token:
                 continue
-            if config.enable_stemming:
-                for suffix, min_stem in config.suffix_table:
-                    if len(token) - len(suffix) >= min_stem and token.endswith(suffix):
-                        token = token[: -len(suffix)]
-                        break
+            for suffix, min_stem in config.suffix_table:
+                if len(token) - len(suffix) >= min_stem and token.endswith(suffix):
+                    token = token[: -len(suffix)]
+                    break
             tokens.append(token)
-        if config.enable_stopwords:
-            tokens = [token for token in tokens if token not in config.stopword_list]
+        tokens = [token for token in tokens if token not in config.stopword_list]
         if tokens:
             sentences.append(tuple(tokens))
     return TokenizedDocument(sentences=tuple(sentences), label=doc.label, doc_id=doc.id)

@@ -10,6 +10,7 @@ import pytest
 from doccat.cli import (
     HYPER_DEFAULTS,
     build_parser,
+    build_preprocess_config,
     main,
     parse_config_file,
     resolve_hyper,
@@ -17,7 +18,7 @@ from doccat.cli import (
 from doccat.corpus import load_jsonl
 from doccat.errors import MalformedLineError
 from doccat.models import TrainHyperparams, load_model, predict_tokenized
-from doccat.textprep import default_config, preprocess_document
+from doccat.textprep import PreprocessConfig, default_config, preprocess_document
 
 from helpers import make_synthetic_corpus, save_jsonl
 
@@ -114,6 +115,28 @@ class TestResolvedConfig:
             "nb_alpha": 0.01, "sgd_alpha": 0.0001, "sgd_epochs": 50, "svm_c": 1.0,
             "seed": 42, "chi_top_percent": 30.0, "chi_g_top_k": None,
         }
+
+    def test_no_flags_build_empty_tables(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        parser = build_parser()
+
+        def config(*flags):
+            return build_preprocess_config(
+                parser.parse_args(["preprocess", "--corpus", "c", "--out", "o", *flags])
+            )
+
+        base = default_config()
+        no_stopwords = PreprocessConfig(stopword_list=(), suffix_table=base.suffix_table)
+        no_stemming = PreprocessConfig(stopword_list=base.stopword_list, suffix_table=())
+        assert config() == base
+        for built, expected in [
+            (config("--no-stopwords"), no_stopwords),
+            (config("--stopwords", str(empty)), no_stopwords),
+            (config("--no-stemming"), no_stemming),
+            (config("--suffixes", str(empty)), no_stemming),
+        ]:
+            assert built == expected and built.digest() == expected.digest()
 
     def test_flag_overrides_config_file_overrides_default(self, tmp_path):
         config_file = tmp_path / "run.cfg"
@@ -377,13 +400,18 @@ class TestTrain:
         assert [line.split()[1] for line in lines] == [f"class={label}" for label in labels]
         for line in lines:
             fields = dict(item.split("=", 1) for item in line.split()[1:])
-            assert set(fields) == {"class", "passes", "updates", "violation", "converged"}
+            assert set(fields) == {
+                "class", "passes", "updates", "violation", "converged", "gap",
+            }
+            assert line.endswith(f" gap={fields['gap']}")
             assert int(fields["passes"]) >= 1
             # The first step meets every gradient at -1 and so changes every
             # class's alpha; a pass has one step per document.
             assert 1 <= int(fields["updates"]) <= int(fields["passes"]) * len(docs)
             assert float(fields["violation"]) < 1e-3
             assert fields["converged"] == "True"
+            # Weak duality: no dual objective exceeds the primal one.
+            assert 0.0 <= float(fields["gap"]) < 1e-2
 
     def test_verbose_sgd_prints_objectives_per_class(self, tmp_path, corpora, capsys):
         train_path, _ = corpora
@@ -641,6 +669,40 @@ class TestPredict:
             "with (was it trained with different stopwords or suffixes?)\n"
         )
 
+    # A switched-off step is an empty table, so every way of giving that
+    # empty table makes the same config. A file given beside its --no-*
+    # flag is read and checked, and then not applied.
+    @pytest.mark.parametrize(
+        ("train_flag", "predict_flags"),
+        [
+            ("--no-stopwords", ["--stopwords", "empty.txt"]),
+            ("--no-stopwords", ["--no-stopwords", "--stopwords", "one.txt"]),
+            ("--no-stemming", ["--suffixes", "empty.txt"]),
+            ("--no-stemming", ["--no-stemming", "--suffixes", "one.tsv"]),
+        ],
+        ids=["empty_stopword_file", "unapplied_stopword_file", "empty_suffix_file",
+             "unapplied_suffix_file"],
+    )
+    def test_switched_off_step_is_its_empty_table(
+        self, train_flag, predict_flags, tmp_path, corpora, capsys
+    ):
+        train_path, test_path = corpora
+        (tmp_path / "empty.txt").write_text("# nothing\n", encoding="utf-8")
+        (tmp_path / "one.txt").write_text("কনক\n", encoding="utf-8")
+        (tmp_path / "one.tsv").write_text("নক\t1\n", encoding="utf-8")
+        model_path = tmp_path / "m.json"
+        assert main(["train", train_flag, "--corpus", str(train_path), "--features", "tfidf",
+                     "--model", "nb", "--out", str(model_path)]) == 0
+        predict = ["predict", "--model", str(model_path), "--input", str(test_path)]
+        assert main([*predict, "--out", str(tmp_path / "flag.tsv"), train_flag]) == 0
+        flags = [str(tmp_path / flag) if flag.startswith(("empty", "one")) else flag
+                 for flag in predict_flags]
+        assert main([*predict, "--out", str(tmp_path / "file.tsv"), *flags]) == 0
+        assert "error" not in capsys.readouterr().err
+        expected = (tmp_path / "flag.tsv").read_bytes()
+        assert expected.count(b"\n") == len(load_jsonl(test_path))
+        assert (tmp_path / "file.tsv").read_bytes() == expected
+
 
 class TestEvaluate:
     def test_report_in_missing_directory_fails_before_evaluating(
@@ -682,8 +744,11 @@ class TestEvaluate:
                      "--corpus", str(test_path)])
         assert code == 0
         err = capsys.readouterr().err.splitlines()
-        # The reloaded model prints the lines training printed.
-        assert [line for line in err if line.startswith(f"{classifier} class=")] == trained_fit
+        # The reloaded model prints the lines training printed, less the
+        # SVM's gap, which model files do not keep.
+        assert [line for line in err if line.startswith(f"{classifier} class=")] == [
+            line.split(" gap=")[0] for line in trained_fit
+        ]
         assert len(trained_fit) == (0 if classifier == "nb" else 3)
         stages = [line for line in err if line.startswith("predict ")]
         assert len(stages) == 1

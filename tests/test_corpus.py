@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from doccat.corpus import (
     LabeledCorpus,
     LabeledDocument,
+    check_field,
     load_dir,
     load_jsonl,
     read_jsonl_documents,
@@ -19,13 +20,43 @@ from doccat.errors import (
     MalformedLineError,
     UnreadableFileError,
 )
+from doccat.fileio import LINE_BOUNDARY_RE
 from doccat.textprep import preprocess_corpus
 
 from helpers import save_jsonl
 
+# The characters LINE_BOUNDARY_RE matches, read from its character class.
+LINE_BOUNDARIES = LINE_BOUNDARY_RE.pattern.removeprefix("[").removesuffix("]")
+
 
 def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in rows), encoding="utf-8")
+
+
+class TestCheckField:
+    def test_line_boundaries_are_those_of_splitlines(self):
+        ends_a_line = [chr(i) for i in range(0x110000) if len(f"a{chr(i)}b".splitlines()) == 2]
+        assert sorted(LINE_BOUNDARIES) == ends_a_line
+
+    @pytest.mark.parametrize("char", [*LINE_BOUNDARIES, "\t"], ids=ascii)
+    def test_tab_or_line_boundary_anywhere_fails(self, char):
+        for value in (char, f"{char}id", f"id{char}", f"আ{char}মি"):
+            with pytest.raises(ValueError, match="without tabs or line breaks"):
+                check_field(value, "label")
+
+    # ZWJ and ZWNJ (in Bengali conjuncts and ya-phala) and the other
+    # characters here are not printable, yet no line boundary.
+    @pytest.mark.parametrize("value", [
+        "doc-1", "আমি", " a b ", "র\u200d্য", "ক\u200cষ", "\u200d", "\u200c", "\x00",
+        "\u00ad", "a\u00a0b", "\u2003", "\U0001f600",
+    ], ids=ascii)
+    def test_other_strings_pass(self, value):
+        check_field(value, "document id")
+
+    @pytest.mark.parametrize("value", ["", None, 7, b"id", ["id"]], ids=repr)
+    def test_empty_or_no_string_fails(self, value):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            check_field(value, "document id")
 
 
 class TestLoadJsonl:

@@ -196,11 +196,7 @@ class TestEvaluate:
 
     def test_config_mismatch_rejected(self, synth_train, default_cfg):
         trained = train(synth_train, "tfidf", "nb", TrainHyperparams(), default_cfg)
-        other = PreprocessConfig(
-            stopword_list=default_cfg.stopword_list,
-            suffix_table=default_cfg.suffix_table,
-            enable_stemming=False,
-        )
+        other = PreprocessConfig(stopword_list=default_cfg.stopword_list, suffix_table=())
         with pytest.raises(PreprocessMismatchError):
             evaluate(trained, synth_train, other)
 

@@ -60,6 +60,35 @@ class TestTwoPointProblem:
         assert info["primal_objective"] - info["dual_objective"] == pytest.approx(0.0, abs=1e-3)
 
 
+class TestDualityGap:
+    def test_gap_is_relative_to_the_primal_objective(self, default_cfg):
+        docs = preprocess_corpus(make_overlapping_corpus(6, seed=3), default_cfg)
+        X = vectorize_corpus(docs, build_vocabulary(docs), "tfidf")
+        y = [doc.label for doc in docs]
+        for hyper in (TrainHyperparams(), TrainHyperparams(svm_c=100.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                model = train_svm(X, y, hyper)
+            for info in model.fit_info.values():
+                primal, dual = info["primal_objective"], info["dual_objective"]
+                assert primal > 0.0
+                assert info["gap"] == (primal - dual) / abs(primal)
+                # weak duality, up to rounding
+                assert info["gap"] >= -1e-12
+
+    def test_one_pass_leaves_a_larger_gap(self, default_cfg, monkeypatch):
+        docs = preprocess_corpus(make_overlapping_corpus(6, seed=3), default_cfg)
+        X = vectorize_corpus(docs, build_vocabulary(docs), "tfidf")
+        y = [doc.label for doc in docs]
+        converged = train_svm(X, y, TrainHyperparams())
+        assert converged.converged
+        monkeypatch.setattr(models, "SVM_MAX_PASSES", 1)
+        with pytest.warns(ConvergenceWarning):
+            capped = train_svm(X, y, TrainHyperparams())
+        for label, info in capped.fit_info.items():
+            assert info["gap"] > converged.fit_info[label]["gap"]
+
+
 class TestTrainSVM:
     def test_vanishing_c_shrinks_weights(self):
         X, y = two_point_problem()

@@ -38,15 +38,10 @@ LEXICON = [
 ]
 
 
-def only(stopword_list=frozenset(), enable_stopwords=False) -> PreprocessConfig:
-    """A configuration with stemming off: it strips, lowercases and splits,
-    and removes stopwords if asked to."""
-    return PreprocessConfig(
-        stopword_list=stopword_list,
-        suffix_table=(),
-        enable_stemming=False,
-        enable_stopwords=enable_stopwords,
-    )
+def only(stopword_list=frozenset()) -> PreprocessConfig:
+    """A configuration with no suffix rules: it strips, lowercases and
+    splits, and removes the given stopwords."""
+    return PreprocessConfig(stopword_list=stopword_list, suffix_table=())
 
 
 def tokens_of(text: str, config: PreprocessConfig) -> list[str]:
@@ -115,16 +110,16 @@ class TestStripSymbols:
 
 class TestRemoveStopwords:
     def test_basic(self):
-        config = only(stopword_list=frozenset({"আমি"}), enable_stopwords=True)
+        config = only(stopword_list=frozenset({"আমি"}))
         assert tokens_of("আমি ভাত", config) == ["ভাত"]
 
     def test_empty(self):
-        config = only(stopword_list=frozenset({"আমি"}), enable_stopwords=True)
+        config = only(stopword_list=frozenset({"আমি"}))
         doc = LabeledDocument(id="d", text="আমি আমি", label="x")
         assert preprocess_document(doc, config).sentences == ()
 
     def test_no_match_identity(self):
-        config = only(stopword_list=frozenset({"আমি"}), enable_stopwords=True)
+        config = only(stopword_list=frozenset({"আমি"}))
         assert tokens_of("ভাত খাই", config) == ["ভাত", "খাই"]
 
 
@@ -164,7 +159,7 @@ class TestPreprocessDocument:
         assert out.sentences == ()
 
     def test_flags_off_only_strips_and_lowercases(self, default_cfg):
-        config = dataclasses.replace(default_cfg, enable_stemming=False, enable_stopwords=False)
+        config = dataclasses.replace(default_cfg, stopword_list=(), suffix_table=())
         doc = LabeledDocument(id="d", text="আমি ছেলেরা, Khai ১২৩", label="x")
         out = preprocess_document(doc, config)
         assert list(out.tokens()) == ["আমি", "ছেলেরা", "khai"]
@@ -196,7 +191,8 @@ PIECES = sorted(
 )
 # The document is stripped before it is split into sentences, so the strip
 # symbols that are also sentence delimiters (।, ? and !) must still end
-# their sentences.
+# their sentences. Each case applies the shipped suffix table or none, and
+# the shipped stopwords or none.
 FLAGS = list(itertools.product([True, False], repeat=2))
 
 
@@ -210,10 +206,8 @@ class TestMatchesPerTokenOracle:
         text = "".join(pieces)
         assume(text.strip())
         config = PreprocessConfig(
-            stopword_list=_DEFAULT.stopword_list,
-            suffix_table=_DEFAULT.suffix_table,
-            enable_stemming=stemming,
-            enable_stopwords=stopwords,
+            stopword_list=_DEFAULT.stopword_list if stopwords else (),
+            suffix_table=_DEFAULT.suffix_table if stemming else (),
         )
         doc = LabeledDocument(id="d", text=text, label="x")
         assert preprocess_document(doc, config) == preprocess_oracle(doc, config)
@@ -227,9 +221,7 @@ class TestMatchesPerTokenOracle:
 
 class TestTokenMemo:
     def test_memo_stays_bounded(self):
-        config = PreprocessConfig(
-            stopword_list=frozenset(), suffix_table=(), enable_stemming=False
-        )
+        config = PreprocessConfig(stopword_list=frozenset(), suffix_table=())
         memo = config._token_memo
         letters = string.ascii_lowercase
         distinct = [
@@ -348,12 +340,14 @@ class TestConfigFiles:
             "# suffix\tmin\nরা\t2\n\nগুলো\t2  # plural\nটা\t3\n", encoding="utf-8"
         )
         table = load_suffix_table(path)
-        assert table == (("গুলো", 2), ("টা", 3), ("রা", 2))
+        assert table == (("রা", 2), ("গুলো", 2), ("টা", 3))
+        config = PreprocessConfig(stopword_list=(), suffix_table=table)
+        assert config.suffix_table == (("গুলো", 2), ("টা", 3), ("রা", 2))
 
     def test_byte_order_mark_is_not_part_of_the_first_stopword(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("আমি\nতুমি\n", encoding="utf-8-sig")
-        config = only(stopword_list=load_stopwords(path), enable_stopwords=True)
+        config = only(stopword_list=load_stopwords(path))
         assert tokens_of("আমি ভাত খাই", config) == ["ভাত", "খাই"]
 
     def test_byte_order_mark_is_not_part_of_the_first_suffix(self, tmp_path):
@@ -392,9 +386,15 @@ class TestConfigFiles:
         with pytest.raises(MalformedLineError):
             load_suffix_table(path)
 
-    def test_validate_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            validate_suffix_table((("রা", 2), ("গুলো", 2)))
+    def test_any_order_is_valid_and_stored_canonically(self):
+        rules = (("লো", 2), ("রা", 2), ("গুলো", 2))
+        validate_suffix_table(rules)
+        config = PreprocessConfig(stopword_list=(), suffix_table=rules)
+        # descending suffix length, then suffix
+        assert config.suffix_table == (("গুলো", 2), ("রা", 2), ("লো", 2))
+        # so the longest rule that fits wins, not the first one given
+        assert stem("ঘরগুলো", rules) == "ঘরগু"
+        assert tokens_of("ঘরগুলো", config) == ["ঘর"]
 
     def test_validate_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -421,20 +421,32 @@ class TestConfigFiles:
         assert preprocess_document(doc, config) == preprocess_oracle(doc, default_cfg)
 
     def test_digest_changes_with_config(self, default_cfg):
-        other = PreprocessConfig(
-            stopword_list=default_cfg.stopword_list,
-            suffix_table=default_cfg.suffix_table,
-            enable_stemming=False,
-        )
+        other = PreprocessConfig(stopword_list=default_cfg.stopword_list, suffix_table=())
         assert default_cfg.digest() != other.digest()
-        assert default_cfg.digest() == default_config().digest()
         # Model files store these digests; a changed one rejects every stored model.
-        assert default_cfg.digest() == (
+        assert other.digest() == (
+            "31a36c5b093d4f294294de6bedd993dcb1f8f317ab25b45332496f71cb0f533b"
+        )
+
+    def test_default_digest_is_pinned(self):
+        # Model files store it: a change to the digest or to the shipped
+        # data files rejects every stored model.
+        assert default_config().digest() == (
             "18df3ede197951632825587ae4b54951f315aaa8acc0a7028a785b336fb22611"
         )
-        assert other.digest() == (
-            "53f444b5222c8a8eb048dbf5da9f6bad3d9da44640de4777275c6792eb73bbb6"
-        )
+
+    def test_tie_order_changes_nothing(self, default_cfg):
+        # Two suffixes of one length cannot both end a token, so their order
+        # stems nothing differently.
+        table = list(default_cfg.suffix_table)
+        first = table.index(("গুলোকে", 2))
+        assert table[first + 1] == ("গুলোতে", 2)
+        table[first], table[first + 1] = table[first + 1], table[first]
+        for rules in (table, reversed(table)):
+            config = PreprocessConfig(stopword_list=default_cfg.stopword_list, suffix_table=rules)
+            assert config == default_cfg and hash(config) == hash(default_cfg)
+            assert config.digest() == default_cfg.digest()
+            assert config.suffix_table == default_cfg.suffix_table
 
 
 def test_tokenized_to_json_shape(default_cfg):

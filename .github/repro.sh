@@ -11,10 +11,10 @@
 # caller compares OUT and OUT-predict of two runs with `diff -r`.
 #
 # Then `DOCCAT train --seed 7` with the same options trains CHI-SQUARE+NB
-# into OUT-train/, which is not compared (the model file holds its creation
-# time), and labels the test split with it; the run fails unless that TSV
-# equals the benchmark model's OUT-predict/CHI_SQUARE_NB.tsv byte for byte,
-# so `train` and `benchmark` build the same model.
+# into OUT-train/ and labels the test split with it; the run fails unless
+# that model file equals the benchmark's OUT/model_CHI_SQUARE_NB.json and
+# that TSV equals OUT-predict/CHI_SQUARE_NB.tsv, byte for byte, so `train`
+# and `benchmark` build and save the same model.
 #
 # Last, it writes two copies of the test split into OUT-train/, one that
 # starts with a UTF-8 byte-order mark and one with CRLF line ends,
@@ -64,6 +64,7 @@ mkdir -p "$out-train"
   --corpus "$corpus/train.jsonl" --out "$out-train/model_CHI_SQUARE_NB.json"
 "$doccat" predict --model "$out-train/model_CHI_SQUARE_NB.json" \
   --input "$corpus/test.jsonl" --out "$out-train/CHI_SQUARE_NB.tsv"
+cmp "$out-train/model_CHI_SQUARE_NB.json" "$out/model_CHI_SQUARE_NB.json"
 cmp "$out-train/CHI_SQUARE_NB.tsv" "$out-predict/CHI_SQUARE_NB.tsv"
 { printf '\357\273\277'; cat "$corpus/test.jsonl"; } > "$out-train/test.bom.jsonl"
 awk '{ printf "%s\r\n", $0 }' "$corpus/test.jsonl" > "$out-train/test.crlf.jsonl"

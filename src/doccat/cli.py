@@ -153,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="benchmark_out",
                    help="directory for models, reports, and comparison.tsv")
     p.add_argument("--repro", action="store_true",
-                   help="zero wall-clock fields in output files so runs with the "
-                        "same seed are byte-identical")
+                   help="zero the timings in reports so runs with the same seed are "
+                        "byte-identical (model files hold no wall-clock field)")
     p.set_defaults(func=cmd_benchmark)
     return parser
 
@@ -226,15 +226,13 @@ def _diag_seconds(args: argparse.Namespace, name: str, seconds: dict[str, float]
 
 def _diag_fit(args: argparse.Namespace, model: models.LinearModel) -> None:
     """One stderr line per class of the solver diagnostics a model file keeps
-    (models.FIT_FIELDS), for the trainers that have any. A freshly trained
-    SVM's lines end in its `gap`, which model files do not keep."""
+    (models.FIT_FIELDS), for the trainers that have any: the same lines for
+    a freshly trained model and for the file it is saved to."""
     for label, info in (model.fit_info or {}).items():
         detail = " ".join(
             f"{key}={info[key]:.6e}" if kind is float else f"{key}={info[key]}"
             for key, kind in models.FIT_FIELDS[model.trainer_tag].items()
         )
-        if "gap" in info:
-            detail += f" gap={info['gap']:.6e}"
         _diag(args, f"{model.trainer_tag} class={label} {detail}")
 
 
@@ -254,9 +252,12 @@ def _check_out_path(path: str | None) -> None:
 
 def _check_out_dir(path: str) -> None:
     """Fail as creating the directory `path` with its parents would when
-    `path` is a file (`[Errno 17] File exists`) or lies under one (`[Errno
-    20] Not a directory`). benchmark calls it before it reads anything, and
-    creates the directory later."""
+    `path` is empty (`[Errno 2] No such file or directory: ''`), is a file
+    (`[Errno 17] File exists`) or lies under one (`[Errno 20] Not a
+    directory`). benchmark calls it before it reads anything, and creates
+    the directory later."""
+    if not path:  # Path("") is the current directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     target = Path(path)
     existing = next(p for p in (target, *target.parents) if p.exists())
     if not existing.is_dir():

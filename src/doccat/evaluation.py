@@ -229,8 +229,8 @@ def benchmark(
     with "+" and "-" made "_", and the reports that succeed to
     `comparison.tsv` in table order. With `keep_going`, a failing pipeline
     is recorded and the others still run; otherwise the first failure
-    propagates. `repro` zeroes wall-clock fields in all output files so two
-    runs with the same seed are byte-identical.
+    propagates. `repro` zeroes the reports' timings so two runs with the
+    same seed are byte-identical; model files hold no wall-clock field.
 
     Before it creates `out_dir` or preprocesses anything, a training corpus
     with fewer than two labels raises SingleClassError, and a test label
@@ -254,10 +254,7 @@ def benchmark(
     for name, (selector, classifier) in PIPELINES.items():
         stem = name.replace("+", "_").replace("-", "_")
         try:
-            trained = train_from_tokens(
-                train_docs, selector, classifier, hyper, digest,
-                created_unix_seconds=0 if repro else None,
-            )
+            trained = train_from_tokens(train_docs, selector, classifier, hyper, digest)
             report = _evaluate_tokenized(trained, test_docs, preprocess_seconds)
             if repro:
                 report.stage_seconds = dict.fromkeys(report.stage_seconds, 0.0)

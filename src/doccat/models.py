@@ -49,22 +49,24 @@ single-threaded. Trained models are immutable and safe for concurrent
 prediction.
 
 `save_model` writes a trained model as one JSON document (format version
-2): the pipeline identity, the vocabulary as its terms in ascending order
-(a term's position is its feature index) with their document frequencies,
-whether training converged, a per-class `fit` block of solver diagnostics
-(SGD and SVM only) and each parameter as the base64 of its little-endian
-float64 bytes with its shape. Parameters round-trip bit for bit, and
-saving a loaded model writes the same bytes. Model files are strict JSON
-both ways: `save_model` writes no NaN or infinity, and `load_model` reads
-them as any input file (`fileio.read_text`, `fileio.STRICT_JSON`), checks
-each value as it decodes it, rejects other format versions (a version 1
-file needs retraining) and names the file in every rejection.
+3) that stores each fact once: the pipeline identity, the vocabulary as its
+terms in ascending order (a term's position is its feature index) with
+their document frequencies, the class labels, a per-class `fit` block of
+solver diagnostics (SGD and SVM only), and the weights and biases, each as
+the base64 of its little-endian float64 bytes, in the shape that the
+labels and the vocabulary fix. Nothing in it reads the clock, so the same
+corpus, config and seed write the same bytes. Parameters round-trip bit for
+bit, and saving a loaded model writes the same bytes. Model files are
+strict JSON both ways: `save_model` writes no NaN or infinity, and
+`load_model` reads them as any input file (`fileio.read_text`,
+`fileio.STRICT_JSON`), checks each value as it decodes it, rejects other
+format versions (a version 1 or 2 file needs retraining) and names the file
+in every rejection.
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import math
 import operator
@@ -101,7 +103,7 @@ from .features import (
 from .fileio import STRICT_JSON, atomic_write_text, read_text
 from .textprep import PreprocessConfig, TokenizedDocument, preprocess_corpus
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 SVM_TOLERANCE = 1e-3
 SVM_MAX_PASSES = 1000
@@ -199,7 +201,6 @@ class TrainedModel:
     selector: Selector
     preprocess_config_digest: str
     stage_seconds: dict[str, float]
-    created_unix_seconds: int
 
     @property
     def class_labels(self) -> tuple[str, ...]:
@@ -582,7 +583,6 @@ def train_from_tokens(
     classifier: Classifier,
     hyper: TrainHyperparams,
     preprocess_config_digest: str,
-    created_unix_seconds: int | None = None,
 ) -> TrainedModel:
     """Build the feature space and fit one classifier on preprocessed docs.
 
@@ -613,8 +613,6 @@ def train_from_tokens(
     model = trainer(X, labels, hyper)
     clock.append(time.perf_counter())
 
-    if created_unix_seconds is None:
-        created_unix_seconds = int(time.time())
     return TrainedModel(
         model=model,
         vocabulary=vocabulary,
@@ -623,7 +621,6 @@ def train_from_tokens(
         stage_seconds={
             stage: end - start for stage, start, end in zip(TRAIN_STAGES, clock, clock[1:])
         },
-        created_unix_seconds=created_unix_seconds,
     )
 
 
@@ -684,19 +681,12 @@ def predict_tokenized(
     return label, row[label], row
 
 
-# The model-file key of each LinearModel parameter, per trainer, in file order.
-_PARAMETER_KEYS: dict[str, dict[str, str]] = {
-    "nb": {"biases": "log_prior", "weights": "log_likelihood"},
-    "sgd": {"weights": "weights", "biases": "biases"},
-    "svm": {"weights": "weights", "biases": "biases"},
-}
-
 # The per-class fit diagnostics a model file keeps and `-v` prints, with
 # their JSON types, for the trainers that have any. Alphas, margins and
 # timings stay out.
 FIT_FIELDS: dict[str, dict[str, type]] = {
     "sgd": {"objective_epoch1": float, "objective_final": float, "updates": int},
-    "svm": {"passes": int, "updates": int, "violation": float, "converged": bool},
+    "svm": {"passes": int, "updates": int, "violation": float, "converged": bool, "gap": float},
 }
 
 
@@ -725,27 +715,20 @@ def _typed_list(values: object, kind: type, key: str) -> list:
     return values
 
 
-def _array_to_payload(values: np.ndarray) -> dict:
-    """The shape and the base64 of the little-endian float64 bytes, in C order."""
-    raw = values.astype("<f8", copy=False).tobytes()
-    return {"shape": list(values.shape), "base64": base64.b64encode(raw).decode("ascii")}
+def _array_to_payload(values: np.ndarray) -> str:
+    """The base64 of the little-endian float64 bytes, in C order."""
+    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
 
 
-def _array_from_payload(payload: object, key: str, expected: tuple[int, ...]) -> np.ndarray:
-    """The parameter stored under `key`, if its bytes fill its declared shape,
-    that shape is `expected` and every value is finite."""
-    payload = _typed(payload, dict, key)
-    shape = _typed_list(payload["shape"], int, f"{key} shape")
-    if min(shape, default=0) < 0:
-        raise ModelFormatError(f"{key} shape must not be negative, got {quoted(shape)}")
+def _array_from_payload(text: object, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The parameter stored under `key`, if it is base64 of 8 bytes per value
+    of `shape` and every value is finite."""
     try:
-        raw = base64.b64decode(_typed(payload["base64"], str, f"{key} base64"), validate=True)
-    except binascii.Error as exc:
+        raw = base64.b64decode(_typed(text, str, key), validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
         raise ModelFormatError(f"{key} is not valid base64: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
         raise ModelFormatError(f"{key} holds {len(raw)} bytes, not 8 per value of shape {shape}")
-    if tuple(shape) != expected:
-        raise ModelFormatError(f"{key} has shape {tuple(shape)}, expected {expected}")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(shape)
     if not np.isfinite(values).all():
         raise ModelFormatError(f"{key} has non-finite values")
@@ -797,23 +780,19 @@ def _fit_from_payload(fit: object, model_type: str, labels: list[str]) -> dict |
 
 def model_to_dict(trained: TrainedModel) -> dict:
     """The model-file payload. Each parameter is stored as the base64 of its
-    float64 bytes with its shape, so it round-trips exactly."""
+    float64 bytes, so it round-trips exactly."""
     model = trained.model
-    payload = {
+    return {
         "format_version": MODEL_FORMAT_VERSION,
-        "created_unix_seconds": trained.created_unix_seconds,
-        "feature_mode": trained.feature_mode,
         "selector": trained.selector,
         "preprocess_config_digest": trained.preprocess_config_digest,
         "vocabulary": _vocabulary_to_payload(trained.vocabulary),
         "model_type": model.trainer_tag,
         "class_labels": list(model.class_labels),
-        "converged": model.converged,
         "fit": _fit_to_payload(model),
+        "weights": _array_to_payload(model.weights),
+        "biases": _array_to_payload(model.biases),
     }
-    for name, key in _PARAMETER_KEYS[model.trainer_tag].items():
-        payload[key] = _array_to_payload(getattr(model, name))
-    return payload
 
 
 def save_model(trained: TrainedModel, path: str | Path) -> None:
@@ -835,13 +814,12 @@ def load_model(path: str | Path) -> TrainedModel:
     that cannot be read (`fileio.read_text`) or parsed (`fileio.STRICT_JSON`,
     which rejects NaN, infinities and repeated keys), a format version other
     than MODEL_FORMAT_VERSION (an older file needs retraining), an unknown
-    pipeline or model type, class labels or vocabulary terms not in strictly
+    selector or model type, class labels or vocabulary terms not in strictly
     ascending order, a class label that fails `corpus.check_field`, fewer
     than two class labels or no vocabulary term, a document frequency
     outside [1, n_docs], a fit block whose classes or fields do not match, a
-    negative shape, parameter bytes that are not base64 of 8 bytes per value
-    of their shape, a shape that does not match the labels and vocabulary,
-    or a non-finite parameter."""
+    parameter that is not base64 of 8 bytes per value of the shape the
+    labels and the vocabulary fix, or a non-finite parameter."""
     try:
         payload = _typed(STRICT_JSON.decode(read_text(path)), dict, "top-level value")
         version = _typed(payload["format_version"], int, "format_version")
@@ -851,14 +829,10 @@ def load_model(path: str | Path) -> TrainedModel:
                 f"version {MODEL_FORMAT_VERSION} only, so retrain the model"
             )
         selector = _typed(payload["selector"], str, "selector")
-        feature_mode = _typed(payload["feature_mode"], str, "feature_mode")
-        if FEATURE_MODES.get(selector) != feature_mode:
-            raise ModelFormatError(
-                f"unknown pipeline: selector {quoted(selector)} with feature_mode "
-                f"{quoted(feature_mode)}"
-            )
+        if selector not in SELECTORS:
+            raise ModelFormatError(f"unknown selector {quoted(selector)}")
         model_type = _typed(payload["model_type"], str, "model_type")
-        if model_type not in _PARAMETER_KEYS:
+        if model_type not in CLASSIFIERS:
             raise ModelFormatError(f"unknown model type {quoted(model_type)}")
         labels = _typed_list(payload["class_labels"], str, "class_labels")
         if not all(map(operator.lt, labels, labels[1:])):
@@ -869,20 +843,16 @@ def load_model(path: str | Path) -> TrainedModel:
             raise ModelFormatError(
                 f"class_labels holds {len(labels)} classes; a trained model has at least two"
             )
-        converged = _typed(payload["converged"], bool, "converged")
         vocabulary = _vocabulary_from_payload(payload["vocabulary"])
-        shapes = {"biases": (len(labels),), "weights": (len(labels), len(vocabulary))}
         model = LinearModel(
             class_labels=tuple(labels),
             trainer_tag=model_type,
             fit_info=_fit_from_payload(payload["fit"], model_type, labels),
-            **{
-                name: _array_from_payload(payload[key], key, shapes[name])
-                for name, key in _PARAMETER_KEYS[model_type].items()
-            },
+            weights=_array_from_payload(
+                payload["weights"], "weights", (len(labels), len(vocabulary))
+            ),
+            biases=_array_from_payload(payload["biases"], "biases", (len(labels),)),
         )
-        if converged != model.converged:
-            raise ModelFormatError("converged disagrees with the fit block's classes")
         return TrainedModel(
             model=model,
             vocabulary=vocabulary,
@@ -891,9 +861,6 @@ def load_model(path: str | Path) -> TrainedModel:
                 payload["preprocess_config_digest"], str, "preprocess_config_digest"
             ),
             stage_seconds=dict.fromkeys(TRAIN_STAGES, 0.0),
-            created_unix_seconds=_typed(
-                payload["created_unix_seconds"], int, "created_unix_seconds"
-            ),
         )
     except KeyError as exc:
         raise ModelFormatError(f"invalid model file {path}: missing key {exc}") from exc

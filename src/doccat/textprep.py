@@ -117,13 +117,8 @@ class PreprocessConfig:
             {
                 "stopword_list": sorted(self.stopword_list),
                 "suffix_table": [list(rule) for rule in self.suffix_table],
-                # The fixed steps, and the switches that empty tables replaced,
-                # keep their keys: model files store this digest, and a changed
-                # digest would reject every existing model with a misleading
-                # mismatch message.
+                # The fixed steps, so a change to one changes the digest.
                 "strip_symbols": sorted(STRIP_SYMBOLS),
-                "enable_stemming": True,
-                "enable_stopwords": True,
                 "lowercase_latin": True,
             },
             ensure_ascii=False,

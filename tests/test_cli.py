@@ -382,7 +382,7 @@ class TestTrain:
         model_path = train_model(tmp_path, corpora, features="chi2")
         payload = json.loads(model_path.read_text(encoding="utf-8"))
         assert payload["selector"] == "chi2"
-        assert payload["feature_mode"] == "counts"
+        assert load_model(model_path).feature_mode == "counts"
 
     def test_verbose_svm_prints_solver_diagnostics_per_class(
         self, tmp_path, corpora, capsys
@@ -744,11 +744,9 @@ class TestEvaluate:
                      "--corpus", str(test_path)])
         assert code == 0
         err = capsys.readouterr().err.splitlines()
-        # The reloaded model prints the lines training printed, less the
-        # SVM's gap, which model files do not keep.
-        assert [line for line in err if line.startswith(f"{classifier} class=")] == [
-            line.split(" gap=")[0] for line in trained_fit
-        ]
+        # The reloaded model prints the lines training printed, the SVM's gap
+        # included.
+        assert [line for line in err if line.startswith(f"{classifier} class=")] == trained_fit
         assert len(trained_fit) == (0 if classifier == "nb" else 3)
         stages = [line for line in err if line.startswith("predict ")]
         assert len(stages) == 1
@@ -793,20 +791,21 @@ class TestBenchmark:
             })
         assert outputs[0] == outputs[1]
 
+    # Path("") is the current directory, which would take every output.
     @pytest.mark.parametrize("out_dir, code", [
-        ("afile", errno.EEXIST), ("afile/sub", errno.ENOTDIR),
+        ("afile", errno.EEXIST), ("afile/sub", errno.ENOTDIR), ("", errno.ENOENT),
     ])
     def test_out_dir_at_or_under_a_file_fails_before_loading(
-        self, tmp_path, corpora, capsys, out_dir, code
+        self, tmp_path, corpora, capsys, monkeypatch, out_dir, code
     ):
         train_path, test_path = corpora
+        monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_text("x", encoding="utf-8")
         before = sorted(tmp_path.rglob("*"))
-        target = tmp_path / out_dir
         assert main(["benchmark", "-v", "--train", str(train_path), "--test", str(test_path),
-                     "--out-dir", str(target)]) == 1
+                     "--out-dir", out_dir]) == 1
         assert capsys.readouterr().err == (
-            f"error: [Errno {code}] {os.strerror(code)}: {str(target)!r}\n"
+            f"error: [Errno {code}] {os.strerror(code)}: {out_dir!r}\n"
         )
         assert sorted(tmp_path.rglob("*")) == before
 

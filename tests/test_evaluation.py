@@ -15,6 +15,7 @@ from doccat.errors import (
 )
 from doccat.evaluation import (
     METHOD_ORDER,
+    PIPELINES,
     ConfusionMatrix,
     benchmark,
     confusion_matrix,
@@ -29,7 +30,9 @@ from doccat.models import (
     TrainHyperparams,
     predict,
     predict_tokenized,
+    save_model,
     train,
+    train_from_tokens,
 )
 from doccat.textprep import PreprocessConfig, preprocess_corpus
 
@@ -308,15 +311,30 @@ class TestBenchmark:
                 assert report.preprocess_seconds > 0
         # one shared test pass is preprocessed for all six methods
         assert len({report.preprocess_seconds for report in result.reports}) == 1
-        model_files = sorted(tmp_path.glob("model_*.json"))
-        assert len(model_files) == 6
-        for path in model_files:
-            created = json.loads(path.read_text(encoding="utf-8"))["created_unix_seconds"]
-            assert (created == 0) if repro else (created > 0), path.name
+        assert len(list(tmp_path.glob("model_*.json"))) == 6
         for path in tmp_path.glob("report_*.json"):
             payload = json.loads(path.read_text(encoding="utf-8"))
             assert payload["train_seconds"] == sum(payload["stage_seconds"].values())
             assert payload["predict_seconds"] == sum(payload["predict_stage_seconds"].values())
+
+    def test_model_files_are_the_trained_models(self, tiny_corpus, default_cfg, tmp_path):
+        # --repro zeroes report timings only: with or without it, each model
+        # file holds the bytes that training the pipeline on its own saves.
+        hyper = TrainHyperparams(seed=7)
+        for repro in (False, True):
+            benchmark(tiny_corpus, tiny_corpus, hyper, default_cfg, tmp_path / str(repro),
+                      repro=repro)
+        docs = preprocess_corpus(tiny_corpus, default_cfg)
+        for name, (selector, classifier) in PIPELINES.items():
+            path = tmp_path / "alone" / f"{name}.json"
+            path.parent.mkdir(exist_ok=True)
+            save_model(
+                train_from_tokens(docs, selector, classifier, hyper, default_cfg.digest()), path
+            )
+            stem = name.replace("+", "_").replace("-", "_")
+            for repro in (False, True):
+                saved = tmp_path / str(repro) / f"model_{stem}.json"
+                assert saved.read_bytes() == path.read_bytes(), (name, repro)
 
     def test_shared_label_precondition(self, tiny_corpus, default_cfg, tmp_path):
         other = LabeledCorpus((

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -182,18 +183,16 @@ class TestOneVsRestFrame:
             trainer(matrix([{0: 1.0}, {0: 2.0}, {0: 3.0}], 1), ["a", "b\tc", "a"])
 
 
-def _decode(block):
-    """A model-file parameter block as the float64 array it encodes."""
-    raw = base64.b64decode(block["base64"], validate=True)
-    return np.frombuffer(raw, dtype="<f8").reshape(block["shape"])
+def _decode(payload, key):
+    """Model-file parameter `key` as the float64 array it encodes, in the
+    shape the class labels fix."""
+    values = np.frombuffer(base64.b64decode(payload[key], validate=True), dtype="<f8")
+    n_classes = len(payload["class_labels"])
+    return values.reshape((n_classes, -1) if key == "weights" else n_classes)
 
 
 def _encode(values):
-    values = np.asarray(values, dtype=np.float64)
-    return {
-        "shape": list(values.shape),
-        "base64": base64.b64encode(values.astype("<f8").tobytes()).decode("ascii"),
-    }
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def _write(payload, path):
@@ -212,41 +211,48 @@ def _assert_rejected(path, pattern):
 
 
 class TestModelFile:
-    @pytest.mark.parametrize(
-        "classifier,parameter_keys",
-        [("nb", ["log_prior", "log_likelihood"]), ("svm", ["weights", "biases"])],
-        ids=["nb", "svm"],
-    )
-    def test_schema_fields(self, classifier, parameter_keys, small_tokens, default_cfg):
+    @pytest.mark.parametrize("classifier", ["nb", "svm"])
+    def test_schema_fields(self, classifier, small_tokens, default_cfg):
         trained = train_from_tokens(
             small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg.digest()
         )
         payload = model_to_dict(trained)
         assert list(payload) == [
-            "format_version", "created_unix_seconds", "feature_mode", "selector",
-            "preprocess_config_digest", "vocabulary", "model_type", "class_labels",
-            "converged", "fit", *parameter_keys,
+            "format_version", "selector", "preprocess_config_digest", "vocabulary",
+            "model_type", "class_labels", "fit", "weights", "biases",
         ]
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         assert payload["selector"] == "chi2"
-        assert payload["feature_mode"] == "counts"
         assert payload["model_type"] == classifier
-        assert payload["converged"] is True
         vocabulary = payload["vocabulary"]
         assert list(vocabulary) == ["n_docs", "terms", "doc_freq"]
         assert vocabulary["terms"] == sorted(trained.vocabulary.terms)
         assert vocabulary["terms"] == list(trained.vocabulary.terms)
         assert vocabulary["doc_freq"] == list(trained.vocabulary.doc_freq)
-        for name, key in zip(("biases", "weights") if classifier == "nb"
-                             else ("weights", "biases"), parameter_keys):
-            assert list(payload[key]) == ["shape", "base64"]
-            assert np.array_equal(_decode(payload[key]), getattr(trained.model, name))
+        for key in ("weights", "biases"):
+            assert type(payload[key]) is str
+            decoded = _decode(payload, key)
+            assert decoded.tobytes() == getattr(trained.model, key).tobytes()
         if classifier == "nb":
             assert payload["fit"] is None
         else:
             assert list(payload["fit"]) == list(trained.class_labels)
             for info in payload["fit"].values():
-                assert list(info) == ["passes", "updates", "violation", "converged"]
+                assert list(info) == ["passes", "updates", "violation", "converged", "gap"]
+
+    def test_same_bytes_whatever_the_clock(self, small_tokens, default_cfg, tmp_path,
+                                           monkeypatch):
+        # Each reading of the wall clock is a day after the one before.
+        readings = iter(range(1_700_000_000, 1_800_000_000, 86_400))
+        monkeypatch.setattr(time, "time", lambda: float(next(readings)))
+        files = []
+        for run in ("one", "two"):
+            trained = train_from_tokens(
+                small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg.digest()
+            )
+            save_model(trained, tmp_path / f"{run}.json")
+            files.append((tmp_path / f"{run}.json").read_bytes())
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
     def test_parameters_round_trip_exactly(
@@ -299,32 +305,53 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.model.converged is False
         assert loaded.model.fit_info == {
-            label: {key: info[key] for key in ("passes", "updates", "violation", "converged")}
+            label: {key: info[key]
+                    for key in ("passes", "updates", "violation", "converged", "gap")}
             for label, info in capped.fit_info.items()
         }
         assert all(info["passes"] == 1 for info in loaded.model.fit_info.values())
 
-    def test_version_1_file_asks_for_retraining(self, small_tokens, default_cfg, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_file_asks_for_retraining(
+        self, version, small_tokens, default_cfg, tmp_path
+    ):
         trained = train_from_tokens(
             small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg.digest()
         )
         vocab = trained.vocabulary
         payload = model_to_dict(trained)
-        del payload["converged"], payload["fit"]
-        # The version 1 layout: [term, index, df] triples and float lists.
-        payload.update(
-            format_version=1,
-            vocabulary={
-                "n_docs": vocab.n_docs,
-                "terms": [
-                    [term, index, df]
-                    for index, (term, df) in enumerate(zip(vocab.terms, vocab.doc_freq))
-                ],
-            },
-            weights=trained.model.weights.tolist(),
-            biases=trained.model.biases.tolist(),
+        if version == 1:
+            # [term, index, df] triples and float lists, and no fit block.
+            del payload["fit"]
+            payload.update(
+                vocabulary={
+                    "n_docs": vocab.n_docs,
+                    "terms": [
+                        [term, index, df]
+                        for index, (term, df) in enumerate(zip(vocab.terms, vocab.doc_freq))
+                    ],
+                },
+                weights=trained.model.weights.tolist(),
+                biases=trained.model.biases.tolist(),
+            )
+        else:
+            # The version 2 layout, less its creation time: the feature mode,
+            # a top-level converged and each parameter with its shape.
+            payload.update(
+                feature_mode="tfidf",
+                converged=True,
+                **{
+                    key: {"shape": list(getattr(trained.model, key).shape),
+                          "base64": payload[key]}
+                    for key in ("weights", "biases")
+                },
+            )
+        payload["format_version"] = version
+        _assert_rejected(
+            _write(payload, tmp_path / "model.json"),
+            f"^model format version {version} is not readable: this doccat reads version 3 "
+            "only, so retrain the model$",
         )
-        _assert_rejected(_write(payload, tmp_path / "model.json"), "retrain")
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -344,14 +371,14 @@ class TestModelFile:
     ])
     def test_repeated_key_rejected(self, key, opening, small_tokens, default_cfg, tmp_path):
         # The key's first value goes ahead of the saved one. Without the
-        # check the last value won: a version 3 ahead of a 2 loaded as 2.
+        # check the last value won: a version 2 ahead of a 3 loaded as 3.
         trained = train_from_tokens(
             small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg.digest()
         )
         text = json.dumps(model_to_dict(trained))
         assert text.count(opening) == 1
         path = tmp_path / "model.json"
-        path.write_text(text.replace(opening, f'{opening}3, "{key}": '), encoding="utf-8")
+        path.write_text(text.replace(opening, f'{opening}2, "{key}": '), encoding="utf-8")
         _assert_rejected(path, f"^key '{key}' repeats within one object$")
 
     def test_non_finite_fit_value_is_not_saved(self, small_tokens, default_cfg, tmp_path):
@@ -392,8 +419,8 @@ class TestModelFile:
 
 def _edit_parameter(key, edit):
     """A payload edit that decodes parameter `key`, applies `edit` to the
-    array and stores the result, shape and bytes consistent."""
-    return lambda p: p.update({key: _encode(edit(np.array(_decode(p[key]))))})
+    array and stores the result."""
+    return lambda p: p.update({key: _encode(edit(np.array(_decode(p, key))))})
 
 
 def _set_item(index, value):
@@ -415,21 +442,26 @@ def _replace_first(value):
 # instead of it, pattern its error must match).
 INCONSISTENT_FILES = {
     "list_at_top_level": ("sgd", [1, 2], "^top-level value must be an object, got \\[1, 2\\]$"),
+    # The labels and the vocabulary fix each parameter's shape.
     "truncated_weight_columns": (
-        "sgd", _edit_parameter("weights", lambda w: w[:, :-1]), "weights has shape"
+        "sgd", _edit_parameter("weights", lambda w: w[:, :-1]),
+        r"^weights holds \d+ bytes, not 8 per value of shape \(3, \d+\)$",
     ),
-    "missing_weight_row": ("sgd", _edit_parameter("weights", lambda w: w[:-1]), "weights has shape"),
+    "missing_weight_row": ("sgd", _edit_parameter("weights", lambda w: w[:-1]), "weights holds"),
     "truncated_likelihood_columns": (
-        "nb", _edit_parameter("log_likelihood", lambda w: w[:, :-1]), "log_likelihood has shape"
+        "nb", _edit_parameter("weights", lambda w: w[:, :-1]), "weights holds"
     ),
-    "short_biases": ("sgd", _edit_parameter("biases", lambda b: b[:-1]), "biases has shape"),
+    "short_biases": (
+        "sgd", _edit_parameter("biases", lambda b: b[:-1]),
+        r"^biases holds 16 bytes, not 8 per value of shape \(3,\)$",
+    ),
     "long_log_prior": (
-        "nb", _edit_parameter("log_prior", lambda b: np.append(b, -1.0)), "log_prior has shape"
+        "nb", _edit_parameter("biases", lambda b: np.append(b, -1.0)), "biases holds 32 bytes"
     ),
     "nan_bias": ("svm", _edit_parameter("biases", _set_item(0, math.nan)), "non-finite"),
     "infinite_weight": ("sgd", _edit_parameter("weights", _set_item((1, 0), math.inf)), "non-finite"),
     "nan_likelihood": (
-        "nb", _edit_parameter("log_likelihood", _set_item((0, 0), math.nan)), "non-finite"
+        "nb", _edit_parameter("weights", _set_item((0, 0), math.nan)), "non-finite"
     ),
     "duplicate_labels": (
         "sgd", lambda p: p["class_labels"].__setitem__(1, p["class_labels"][0]), "class_labels"
@@ -452,8 +484,8 @@ INCONSISTENT_FILES = {
         lambda p: p.update(
             class_labels=[],
             fit={},
-            biases=_encode(np.zeros(0)),
-            weights=_encode(np.zeros((0, len(p["vocabulary"]["terms"])))),
+            biases="",
+            weights="",
         ),
         "class_labels holds 0 classes",
     ),
@@ -461,8 +493,8 @@ INCONSISTENT_FILES = {
         "nb",
         lambda p: p.update(
             class_labels=p["class_labels"][:1],
-            log_prior=_encode(_decode(p["log_prior"])[:1]),
-            log_likelihood=_encode(_decode(p["log_likelihood"])[:1]),
+            biases=_encode(_decode(p, "biases")[:1]),
+            weights=_encode(_decode(p, "weights")[:1]),
         ),
         "class_labels holds 1 classes",
     ),
@@ -470,12 +502,11 @@ INCONSISTENT_FILES = {
         "sgd",
         lambda p: p.update(
             vocabulary={"terms": [], "doc_freq": [], "n_docs": -5},
-            weights=_encode(np.zeros((len(p["class_labels"]), 0))),
+            weights="",
         ),
         "at least one term",
     ),
-    "unknown_feature_mode": ("sgd", lambda p: p.update(feature_mode="binary"), "unknown pipeline"),
-    "crossed_pipeline": ("nb", lambda p: p.update(selector="chi2"), "unknown pipeline"),
+    "unknown_selector": ("sgd", lambda p: p.update(selector="counts"), "^unknown selector 'counts'$"),
     "string_class_labels": (
         "sgd", lambda p: p.update(class_labels="abcdefghijkl"[: len(p["class_labels"])]),
         "class_labels must be a list",
@@ -519,51 +550,39 @@ INCONSISTENT_FILES = {
     "short_doc_freq": ("sgd", _edit_vocabulary("doc_freq", lambda dfs: dfs[:-1]), "doc_freq"),
     "long_doc_freq": ("nb", _edit_vocabulary("doc_freq", lambda dfs: dfs + [1]), "doc_freq"),
     "string_n_docs": ("nb", _edit_vocabulary("n_docs", str), "n_docs must be an integer"),
-    "fractional_created_unix_seconds": (
-        "svm", lambda p: p.update(created_unix_seconds=1.9), "created_unix_seconds"
-    ),
     "integer_config_digest": (
         "sgd", lambda p: p.update(preprocess_config_digest=5), "preprocess_config_digest"
     ),
     # A decoder that skips characters outside the alphabet would load this.
     "invalid_base64": (
-        "sgd", lambda p: p["weights"].update(base64="*" + p["weights"]["base64"]),
-        "weights is not valid base64",
+        "sgd", lambda p: p.update(weights="*" + p["weights"]), "weights is not valid base64"
     ),
     "unpadded_base64": (
-        "svm", lambda p: p["biases"].update(base64=p["biases"]["base64"][:-1]),
-        "biases is not valid base64",
+        "svm", lambda p: p.update(biases=p["biases"][:-1]), "biases is not valid base64"
     ),
+    # b64decode raises a plain ValueError, not binascii.Error, for these.
+    "non_ascii_base64": (
+        "nb", lambda p: p.update(weights="\u0995" + p["weights"][1:]),
+        "^weights is not valid base64: ",
+    ),
+    # Byte counts that are no whole number of float64 values.
     "decoded_length_short_of_shape": (
-        "sgd", lambda p: p["biases"].update(base64=_encode(_decode(p["biases"])[:-1])["base64"]),
-        "biases holds",
+        "sgd",
+        lambda p: p.update(biases=base64.b64encode(base64.b64decode(p["biases"])[:-3]).decode()),
+        "^biases holds 21 bytes",
     ),
     "decoded_length_beyond_shape": (
-        "nb", lambda p: p["log_prior"].update(shape=[len(_decode(p["log_prior"])) - 1]),
-        "log_prior holds",
+        "nb",
+        lambda p: p.update(biases=base64.b64encode(base64.b64decode(p["biases"]) + b"\0" * 4)
+                           .decode()),
+        "^biases holds 28 bytes",
     ),
-    "string_shape": ("sgd", lambda p: p["weights"].update(shape="3x10"), "weights shape"),
-    "fractional_shape": (
-        "sgd", lambda p: p["biases"].update(shape=[float(p["biases"]["shape"][0])]), "biases shape"
-    ),
-    "boolean_shape": (
-        "svm", lambda p: p["weights"].update(shape=p["weights"]["shape"] + [True]), "weights shape"
-    ),
-    "negative_shape": (
-        "svm", lambda p: p["biases"].update(shape=[-p["biases"]["shape"][0]]), "biases shape"
-    ),
-    "missing_base64": ("nb", lambda p: p["log_prior"].pop("base64"), "^missing key 'base64'$"),
+    "missing_biases": ("nb", lambda p: p.pop("biases"), "^missing key 'biases'$"),
     "list_parameter": (
-        "sgd", lambda p: p.update(biases=_decode(p["biases"]).tolist()),
-        "^biases must be an object, got \\[",
+        "sgd", lambda p: p.update(biases=_decode(p, "biases").tolist()),
+        "^biases must be a string, got \\[",
     ),
-    "integer_base64": (
-        "svm", lambda p: p["weights"].update(base64=7), "^weights base64 must be a string, got 7$"
-    ),
-    "string_converged": ("sgd", lambda p: p.update(converged="true"), "converged must be"),
-    "converged_against_fit_block": (
-        "svm", lambda p: p.update(converged=False), "converged disagrees"
-    ),
+    "integer_weights": ("svm", lambda p: p.update(weights=7), "^weights must be a string, got 7$"),
     "fit_block_missing_a_class": (
         "svm", lambda p: p["fit"].pop(p["class_labels"][-1]), "fit block's classes"
     ),
@@ -582,14 +601,15 @@ INCONSISTENT_FILES = {
     "fit_block_boolean_passes": (
         "svm", lambda p: p["fit"][p["class_labels"][0]].update(passes=True), "fit passes"
     ),
+    "fit_block_missing_gap": (
+        "svm", lambda p: p["fit"][p["class_labels"][1]].pop("gap"), "fit block of class"
+    ),
+    "fit_block_integer_gap": (
+        "svm", lambda p: p["fit"][p["class_labels"][2]].update(gap=0), "^fit gap of class"
+    ),
     "nb_fit_block": ("nb", lambda p: p.update(fit={}), "no fit block"),
     "missing_fit_block": ("svm", lambda p: p.pop("fit"), "^missing key 'fit'$"),
     # Values of the wrong JSON type, one for each key the type rule checks.
-    "integer_converged": ("svm", lambda p: p.update(converged=1), "^converged must be a boolean"),
-    "boolean_created_unix_seconds": (
-        "nb", lambda p: p.update(created_unix_seconds=True),
-        "^created_unix_seconds must be an integer",
-    ),
     "string_format_version": (
         "sgd", lambda p: p.update(format_version="2"), "^format_version must be an integer"
     ),
@@ -613,20 +633,12 @@ INCONSISTENT_FILES = {
         "svm", lambda p: p["fit"].update({p["class_labels"][0]: [1, 2]}),
         "^fit block of class '[^']+' must be an object",
     ),
-    "null_shape": (
-        "sgd", lambda p: p["weights"].update(shape=None),
-        "^weights shape must be a list of integers",
-    ),
     "vocabulary_as_list": (
         "sgd", lambda p: p.update(vocabulary=[]), "^vocabulary must be an object, got \\[\\]$"
     ),
     "list_selector": (
         "nb", lambda p: p.update(selector=[p["selector"]]),
         "^selector must be a string, got \\['tfidf'\\]$",
-    ),
-    "list_feature_mode": (
-        "sgd", lambda p: p.update(feature_mode=[p["feature_mode"]]),
-        "^feature_mode must be a string, got ",
     ),
     "integer_model_type": (
         "svm", lambda p: p.update(model_type=3), "^model_type must be a string, got 3$"

@@ -77,8 +77,7 @@ class TestTrainSGD:
     def test_deterministic_given_seed(self, synth_train_tokens, default_cfg):
         runs = [
             train_from_tokens(
-                synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=7), default_cfg.digest(),
-                created_unix_seconds=0,
+                synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=7), default_cfg.digest()
             )
             for _ in range(2)
         ]

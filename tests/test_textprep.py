@@ -425,14 +425,14 @@ class TestConfigFiles:
         assert default_cfg.digest() != other.digest()
         # Model files store these digests; a changed one rejects every stored model.
         assert other.digest() == (
-            "31a36c5b093d4f294294de6bedd993dcb1f8f317ab25b45332496f71cb0f533b"
+            "1a46e505ca643c36c8396b9c9d5dda5b9c9303360b3d850bfac884e5b40d415d"
         )
 
     def test_default_digest_is_pinned(self):
         # Model files store it: a change to the digest or to the shipped
         # data files rejects every stored model.
         assert default_config().digest() == (
-            "18df3ede197951632825587ae4b54951f315aaa8acc0a7028a785b336fb22611"
+            "062f246eb73082d5b8e1aea826eb6e7cbf3b2f8913de7486899367b280857dbc"
         )
 
     def test_tie_order_changes_nothing(self, default_cfg):

@@ -200,6 +200,13 @@ def _write(payload, path):
     return path
 
 
+# The top-level keys of a model file, in the order save_model writes them.
+MODEL_KEYS = (
+    "format_version", "selector", "preprocess_config_digest", "vocabulary",
+    "model_type", "class_labels", "fit", "weights", "biases",
+)
+
+
 def _assert_rejected(path, pattern):
     """load_model(path) fails with a ModelFormatError that names the file and
     whose reason matches `pattern`."""
@@ -217,10 +224,7 @@ class TestModelFile:
             small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg.digest()
         )
         payload = model_to_dict(trained)
-        assert list(payload) == [
-            "format_version", "selector", "preprocess_config_digest", "vocabulary",
-            "model_type", "class_labels", "fit", "weights", "biases",
-        ]
+        assert list(payload) == list(MODEL_KEYS)
         assert payload["format_version"] == 3
         assert payload["selector"] == "chi2"
         assert payload["model_type"] == classifier
@@ -577,7 +581,6 @@ INCONSISTENT_FILES = {
                            .decode()),
         "^biases holds 28 bytes",
     ),
-    "missing_biases": ("nb", lambda p: p.pop("biases"), "^missing key 'biases'$"),
     "list_parameter": (
         "sgd", lambda p: p.update(biases=_decode(p, "biases").tolist()),
         "^biases must be a string, got \\[",
@@ -601,6 +604,15 @@ INCONSISTENT_FILES = {
     "fit_block_boolean_passes": (
         "svm", lambda p: p["fit"][p["class_labels"][0]].update(passes=True), "fit passes"
     ),
+    # JSON has one boolean type: neither "true" nor 1 is one.
+    "fit_block_string_converged": (
+        "svm", lambda p: p["fit"][p["class_labels"][0]].update(converged="true"),
+        "^fit converged of class '[^']+' must be a boolean, got 'true'$",
+    ),
+    "fit_block_integer_converged": (
+        "svm", lambda p: p["fit"][p["class_labels"][1]].update(converged=1),
+        "^fit converged of class '[^']+' must be a boolean, got 1$",
+    ),
     "fit_block_missing_gap": (
         "svm", lambda p: p["fit"][p["class_labels"][1]].pop("gap"), "fit block of class"
     ),
@@ -608,7 +620,6 @@ INCONSISTENT_FILES = {
         "svm", lambda p: p["fit"][p["class_labels"][2]].update(gap=0), "^fit gap of class"
     ),
     "nb_fit_block": ("nb", lambda p: p.update(fit={}), "no fit block"),
-    "missing_fit_block": ("svm", lambda p: p.pop("fit"), "^missing key 'fit'$"),
     # Values of the wrong JSON type, one for each key the type rule checks.
     "string_format_version": (
         "sgd", lambda p: p.update(format_version="2"), "^format_version must be an integer"
@@ -680,6 +691,15 @@ class TestModelFileValidation:
     def test_unedited_payload_loads(self, classifier, saved_payloads, tmp_path):
         payload = copy.deepcopy(saved_payloads[classifier])
         assert load_model(_write(payload, tmp_path / "model.json")).model.trainer_tag == classifier
+
+    # Each key holds a fact the loader cannot derive from the others; NB's
+    # `fit` is null, but the key is still required.
+    @pytest.mark.parametrize("classifier", ["nb", "svm"])
+    @pytest.mark.parametrize("key", MODEL_KEYS)
+    def test_every_key_is_required(self, key, classifier, saved_payloads, tmp_path):
+        payload = copy.deepcopy(saved_payloads[classifier])
+        del payload[key]
+        _assert_rejected(_write(payload, tmp_path / "model.json"), f"^missing key '{key}'$")
 
     @pytest.mark.parametrize("case", sorted(INCONSISTENT_FILES))
     def test_inconsistent_model_file_rejected(self, case, saved_payloads, tmp_path):

@@ -21,7 +21,7 @@ from .corpus import (
     LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_document, read_jsonl_documents,
 )
 from .errors import DoccatError, MalformedLineError, quoted
-from .fileio import atomic_write_text, read_entries
+from .fileio import atomic_write_text, check_out_dir, read_entries
 from .models import TrainHyperparams
 from .textprep import (
     PreprocessConfig,
@@ -131,16 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model JSON path")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common, prep],
-                       help="label raw documents with a trained model")
+    p = sub.add_parser("predict", parents=[common],
+                       help="label raw documents with a trained model and its tables")
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--input", required=True,
                    help="raw UTF-8 text file (one document) or JSONL with a 'text' field")
     p.add_argument("--out", default=None, help="output TSV path (default: stdout)")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", parents=[common, prep],
-                       help="score a trained model on a labeled corpus")
+    p = sub.add_parser("evaluate", parents=[common],
+                       help="score a trained model, with its tables, on a labeled corpus")
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--corpus", required=True, help="labeled test corpus")
     p.add_argument("--report", default=None, help="write the full report JSON here")
@@ -250,21 +250,6 @@ def _check_out_path(path: str | None) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
-def _check_out_dir(path: str) -> None:
-    """Fail as creating the directory `path` with its parents would when
-    `path` is empty (`[Errno 2] No such file or directory: ''`), is a file
-    (`[Errno 17] File exists`) or lies under one (`[Errno 20] Not a
-    directory`). benchmark calls it before it reads anything, and creates
-    the directory later."""
-    if not path:  # Path("") is the current directory
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    target = Path(path)
-    existing = next(p for p in (target, *target.parents) if p.exists())
-    if not existing.is_dir():
-        code = errno.EEXIST if existing == target else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), path)
-
-
 def cmd_preprocess(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
     corpus = _load_corpus(args.corpus)
@@ -305,8 +290,7 @@ def _load_predict_documents(path: str) -> list[LabeledDocument]:
 def cmd_predict(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
     trained = models.load_model(args.model)
-    config = build_preprocess_config(args)
-    trained.check_preprocess_config(config)
+    config = trained.preprocess_config
     docs = _load_predict_documents(args.input)
     labels, scores = models.predict(trained, [preprocess_document(doc, config) for doc in docs])
     lines = [
@@ -325,9 +309,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_out_path(args.report)
     trained = models.load_model(args.model)
-    config = build_preprocess_config(args)
     corpus = _load_corpus(args.corpus)
-    report = evaluation.evaluate(trained, corpus, config)
+    report = evaluation.evaluate(trained, corpus, trained.preprocess_config)
     _diag_fit(args, trained.model)
     _diag_seconds(args, "predict", report.predict_stage_seconds)
     if args.report:
@@ -342,7 +325,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out_dir)
+    check_out_dir(args.out_dir)
     hyper = resolve_hyper(args)
     config = build_preprocess_config(args)
     train_corpus = _load_corpus(args.train_corpus)

@@ -24,9 +24,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import LabeledCorpus
-from .errors import LengthMismatchError, SingleClassError, UnknownLabelError
+from .errors import (
+    LengthMismatchError, PreprocessMismatchError, SingleClassError, UnknownLabelError,
+)
 from .features import vectorize_corpus
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, check_out_dir
 from .models import (
     Classifier,
     Selector,
@@ -200,14 +202,15 @@ def evaluate(
 ) -> EvaluationReport:
     """Preprocess, vectorize, and score a labeled test corpus.
 
-    The preprocessing config must be the one the model was trained with
-    (TrainedModel.check_preprocess_config). A test label outside the
-    model's label set raises UnknownLabelError before any preprocessing.
+    A config other than the model's `preprocess_config` raises
+    PreprocessMismatchError, and a test label outside the model's label set
+    raises UnknownLabelError, both before any preprocessing.
     The report is named by the model's pipeline, as in PIPELINES.
     `predict_stage_seconds` times vectorization and scoring over the full
     pass, and `preprocess_seconds` is the preprocessing before it.
     """
-    trained.check_preprocess_config(config)
+    if config != trained.preprocess_config:
+        raise PreprocessMismatchError("the config differs from the model's preprocess_config")
     _check_labels(test_corpus, trained.class_labels)
     docs, preprocess_seconds = _timed_preprocess(test_corpus, config)
     return _evaluate_tokenized(trained, docs, preprocess_seconds)
@@ -232,10 +235,12 @@ def benchmark(
     propagates. `repro` zeroes the reports' timings so two runs with the
     same seed are byte-identical; model files hold no wall-clock field.
 
-    Before it creates `out_dir` or preprocesses anything, a training corpus
-    with fewer than two labels raises SingleClassError, and a test label
-    that no training document has raises UnknownLabelError.
+    Before it creates `out_dir` or preprocesses anything, an `out_dir` that
+    `fileio.check_out_dir` rejects (empty, a file or under one) raises
+    OSError, a training corpus with fewer than two labels SingleClassError,
+    and a test label that no training document has UnknownLabelError.
     """
+    check_out_dir(out_dir)
     if len(train_corpus.labels) < 2:
         raise SingleClassError(
             f"benchmark needs two training labels, got {list(train_corpus.labels)}"
@@ -244,7 +249,6 @@ def benchmark(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    digest = config.digest()
     train_docs = preprocess_corpus(train_corpus, config)
     test_docs, preprocess_seconds = _timed_preprocess(test_corpus, config)
     if repro:
@@ -254,7 +258,7 @@ def benchmark(
     for name, (selector, classifier) in PIPELINES.items():
         stem = name.replace("+", "_").replace("-", "_")
         try:
-            trained = train_from_tokens(train_docs, selector, classifier, hyper, digest)
+            trained = train_from_tokens(train_docs, selector, classifier, hyper, config)
             report = _evaluate_tokenized(trained, test_docs, preprocess_seconds)
             if repro:
                 report.stage_seconds = dict.fromkeys(report.stage_seconds, 0.0)

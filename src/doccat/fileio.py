@@ -9,11 +9,13 @@ at `\\n` only, less one trailing `\\r`; in an entry file (`read_entries`),
 `STRICT_JSON` is the one JSON rule of JSONL lines and model files (RFC
 8259): its decode() raises ValueError on NaN, infinities and repeated keys.
 Output files are written to a temporary sibling and renamed into place so
-a crash mid-write never leaves a torn model or report file.
+a crash mid-write never leaves a torn model or report file; `check_out_dir`
+is the rule for an output directory.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -90,6 +92,21 @@ def read_entries(path: str | Path) -> list[tuple[int, str]]:
         if entry := line.split("#", 1)[0].strip():
             entries.append((line_no, entry))
     return entries
+
+
+def check_out_dir(path: str | Path) -> None:
+    """Fail as creating the directory `path` with its parents would when
+    `path` is empty (`[Errno 2] No such file or directory: ''`), is a file
+    (`[Errno 17] File exists`) or lies under one (`[Errno 20] Not a
+    directory`). `doccat benchmark` calls it before it reads anything and
+    `evaluation.benchmark` before it preprocesses; each creates it later."""
+    if not path:  # Path("") is the current directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    target = Path(path)
+    existing = next(p for p in (target, *target.parents) if p.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == target else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), path)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

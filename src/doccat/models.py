@@ -49,19 +49,20 @@ single-threaded. Trained models are immutable and safe for concurrent
 prediction.
 
 `save_model` writes a trained model as one JSON document (format version
-3) that stores each fact once: the pipeline identity, the vocabulary as its
-terms in ascending order (a term's position is its feature index) with
-their document frequencies, the class labels, a per-class `fit` block of
-solver diagnostics (SGD and SVM only), and the weights and biases, each as
-the base64 of its little-endian float64 bytes, in the shape that the
-labels and the vocabulary fix. Nothing in it reads the clock, so the same
-corpus, config and seed write the same bytes. Parameters round-trip bit for
-bit, and saving a loaded model writes the same bytes. Model files are
-strict JSON both ways: `save_model` writes no NaN or infinity, and
-`load_model` reads them as any input file (`fileio.read_text`,
-`fileio.STRICT_JSON`), checks each value as it decodes it, rejects other
-format versions (a version 1 or 2 file needs retraining) and names the file
-in every rejection.
+4) that stores each fact once: the pipeline identity, the two preprocessing
+tables (stopwords ascending, suffix rules in canonical order; the fixed
+steps belong to the version), the vocabulary as its terms in ascending
+order (a term's position is its feature index) with their document
+frequencies, the class labels, a per-class `fit` block of solver
+diagnostics (SGD and SVM only), and the weights and biases, each as the
+base64 of its little-endian float64 bytes, in the shape that the labels and
+the vocabulary fix. Nothing in it reads the clock, so the same corpus,
+config and seed write the same bytes. Parameters round-trip bit for bit,
+and saving a loaded model writes the same bytes. Model files are strict
+JSON both ways: `save_model` writes no NaN or infinity, and `load_model`
+reads them as any input file (`fileio.read_text`, `fileio.STRICT_JSON`),
+checks each value as it decodes it, rejects other format versions (an
+older file needs retraining) and names the file in every rejection.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from .errors import (
     LengthMismatchError,
     ModelFormatError,
     NegativeFeatureError,
-    PreprocessMismatchError,
     SingleClassError,
     UnreadableFileError,
     quoted,
@@ -103,7 +103,7 @@ from .features import (
 from .fileio import STRICT_JSON, atomic_write_text, read_text
 from .textprep import PreprocessConfig, TokenizedDocument, preprocess_corpus
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 SVM_TOLERANCE = 1e-3
 SVM_MAX_PASSES = 1000
@@ -193,13 +193,13 @@ class LinearModel:
 
 @dataclass(eq=False)
 class TrainedModel:
-    """A fitted classifier bundled with its feature space and pipeline
-    identity; compared by identity, as its LinearModel is."""
+    """A fitted classifier bundled with its feature space, pipeline identity
+    and preprocessing config; compared by identity, as its LinearModel is."""
 
     model: LinearModel
     vocabulary: Vocabulary
     selector: Selector
-    preprocess_config_digest: str
+    preprocess_config: PreprocessConfig
     stage_seconds: dict[str, float]
 
     @property
@@ -214,15 +214,6 @@ class TrainedModel:
     def train_seconds(self) -> float:
         """Feature building, vectorization and fitting: the sum of `stage_seconds`."""
         return sum(self.stage_seconds.values())
-
-    def check_preprocess_config(self, config: PreprocessConfig) -> None:
-        """Raise PreprocessMismatchError unless `config` is the preprocessing
-        config this model was trained with, compared by digest."""
-        if config.digest() != self.preprocess_config_digest:
-            raise PreprocessMismatchError(
-                "preprocessing config does not match the one this model was trained with "
-                "(was it trained with different stopwords or suffixes?)"
-            )
 
 
 def _classes(X: CorpusMatrix, y: Sequence[str]) -> tuple[list[str], np.ndarray]:
@@ -582,7 +573,7 @@ def train_from_tokens(
     selector: Selector,
     classifier: Classifier,
     hyper: TrainHyperparams,
-    preprocess_config_digest: str,
+    preprocess_config: PreprocessConfig,
 ) -> TrainedModel:
     """Build the feature space and fit one classifier on preprocessed docs.
 
@@ -617,7 +608,7 @@ def train_from_tokens(
         model=model,
         vocabulary=vocabulary,
         selector=selector,
-        preprocess_config_digest=preprocess_config_digest,
+        preprocess_config=preprocess_config,
         stage_seconds={
             stage: end - start for stage, start, end in zip(TRAIN_STAGES, clock, clock[1:])
         },
@@ -632,9 +623,8 @@ def train(
     config: PreprocessConfig,
 ) -> TrainedModel:
     """Preprocess a labeled corpus and train one (selector, classifier) pipeline."""
-    return train_from_tokens(
-        preprocess_corpus(corpus, config), selector, classifier, hyper, config.digest()
-    )
+    docs = preprocess_corpus(corpus, config)
+    return train_from_tokens(docs, selector, classifier, hyper, config)
 
 
 def predict_linear(model: LinearModel, X: CorpusMatrix) -> tuple[list[str], np.ndarray]:
@@ -697,6 +687,7 @@ _JSON_NAMES: dict[type, tuple[str, str]] = {
     bool: ("a boolean", "booleans"),
     str: ("a string", "strings"),
     dict: ("an object", "objects"),
+    list: ("a list", "lists"),
 }
 
 
@@ -750,6 +741,27 @@ def _vocabulary_from_payload(payload: object) -> Vocabulary:
     )
 
 
+def _preprocessing_to_payload(config: PreprocessConfig) -> dict:
+    rules = [list(rule) for rule in config.suffix_table]
+    return {"stopwords": sorted(config.stopword_list), "suffix_table": rules}
+
+
+def _preprocessing_from_payload(payload: object) -> PreprocessConfig:
+    """The config of the payload's tables, if the payload is what `save_model`
+    writes for it; PreprocessConfig checks each rule (`validate_suffix_table`)."""
+    payload = _typed(payload, dict, "preprocessing")
+    stopwords = _typed_list(payload["stopwords"], str, "preprocessing stopwords")
+    rules = _typed_list(payload["suffix_table"], list, "preprocessing suffix_table")
+    for rule in rules:
+        if list(map(type, rule)) != [str, int]:
+            raise ModelFormatError(f"suffix rule must be [string, integer], got {quoted(rule)}")
+    config = PreprocessConfig(stopword_list=stopwords, suffix_table=rules)
+    if payload != _preprocessing_to_payload(config):
+        raise ModelFormatError("preprocessing must hold only its stopwords, once each in "
+                               "ascending order, and its suffix rules in canonical order")
+    return config
+
+
 def _fit_to_payload(model: LinearModel) -> dict | None:
     fields = FIT_FIELDS.get(model.trainer_tag)
     if fields is None:
@@ -785,7 +797,7 @@ def model_to_dict(trained: TrainedModel) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "selector": trained.selector,
-        "preprocess_config_digest": trained.preprocess_config_digest,
+        "preprocessing": _preprocessing_to_payload(trained.preprocess_config),
         "vocabulary": _vocabulary_to_payload(trained.vocabulary),
         "model_type": model.trainer_tag,
         "class_labels": list(model.class_labels),
@@ -808,18 +820,21 @@ def load_model(path: str | Path) -> TrainedModel:
     rejection is a ModelFormatError reading `invalid model file <path>:
     <reason>`. A value of the wrong JSON type reads `<key> must be an
     integer|a number|a boolean|a string|an object, got <value>` (cut by
-    `errors.quoted`), or `<key> must be a list of integers|strings`; types
-    are exact, so `true` is not an integer and `1` is not a number. A
+    `errors.quoted`), or `<key> must be a list of integers|strings|lists`;
+    types are exact, so `true` is not an integer and `1` is not a number. A
     missing key reads `missing key '<key>'`. The other reasons are a file
     that cannot be read (`fileio.read_text`) or parsed (`fileio.STRICT_JSON`,
     which rejects NaN, infinities and repeated keys), a format version other
     than MODEL_FORMAT_VERSION (an older file needs retraining), an unknown
-    selector or model type, class labels or vocabulary terms not in strictly
-    ascending order, a class label that fails `corpus.check_field`, fewer
-    than two class labels or no vocabulary term, a document frequency
-    outside [1, n_docs], a fit block whose classes or fields do not match, a
-    parameter that is not base64 of 8 bytes per value of the shape the
-    labels and the vocabulary fix, or a non-finite parameter."""
+    selector or model type, a preprocessing block that `save_model` would
+    not write (a suffix rule that is no [string, integer] pair or fails
+    `textprep.validate_suffix_table`, tables out of order, another key),
+    class labels or vocabulary terms not in strictly ascending order, a
+    class label that fails `corpus.check_field`, fewer than two class labels
+    or no vocabulary term, a document frequency outside [1, n_docs], a fit
+    block whose classes or fields do not match, a parameter that is not
+    base64 of 8 bytes per value of the shape the labels and the vocabulary
+    fix, or a non-finite parameter."""
     try:
         payload = _typed(STRICT_JSON.decode(read_text(path)), dict, "top-level value")
         version = _typed(payload["format_version"], int, "format_version")
@@ -857,9 +872,7 @@ def load_model(path: str | Path) -> TrainedModel:
             model=model,
             vocabulary=vocabulary,
             selector=selector,
-            preprocess_config_digest=_typed(
-                payload["preprocess_config_digest"], str, "preprocess_config_digest"
-            ),
+            preprocess_config=_preprocessing_from_payload(payload["preprocessing"]),
             stage_seconds=dict.fromkeys(TRAIN_STAGES, 0.0),
         )
     except KeyError as exc:

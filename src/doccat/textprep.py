@@ -7,7 +7,8 @@ The pipeline applied per document is
 
 Stripping STRIP_SYMBOLS and lowercasing are fixed steps; a configuration
 is the two tables it applies, stopwords and suffix rules, and an empty
-table applies nothing. Sentences are kept as the grouping unit because the
+table applies nothing. A model file holds the tables, and a change to a
+fixed step needs a new models.MODEL_FORMAT_VERSION. Sentences are kept as the grouping unit because the
 chi-square feature scorer uses the sentence as its co-occurrence window.
 Bengali script has no case, so lowercasing only changes embedded Latin (or
 other cased) fragments.
@@ -45,7 +46,6 @@ thread-safe, so documents may still be preprocessed in parallel.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import string
@@ -92,7 +92,7 @@ class PreprocessConfig:
     `suffix_table` holds (suffix, min_stem_length) rules, stored in one
     canonical order, descending suffix length then suffix, so
     longest-match-first is well defined and the same rules in any order give
-    an equal configuration, hash and digest. `stopword_list` should contain
+    an equal configuration and hash. `stopword_list` should contain
     the stemmed forms of inflected stopwords as well, since stopword removal
     runs after stemming. Any iterables are accepted and stored as a
     frozenset of stopwords and a tuple of (suffix, min_stem_length) pairs,
@@ -110,21 +110,6 @@ class PreprocessConfig:
         object.__setattr__(self, "suffix_table", tuple(rules))
         validate_suffix_table(self.suffix_table)
         object.__setattr__(self, "_token_memo", _TokenMemo(self))
-
-    def digest(self) -> str:
-        """Stable checksum of the rules it applies, for model files."""
-        payload = json.dumps(
-            {
-                "stopword_list": sorted(self.stopword_list),
-                "suffix_table": [list(rule) for rule in self.suffix_table],
-                # The fixed steps, so a change to one changes the digest.
-                "strip_symbols": sorted(STRIP_SYMBOLS),
-                "lowercase_latin": True,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -145,11 +130,8 @@ class TokenizedDocument:
 
 
 def validate_suffix_table(rules: tuple[tuple[str, int], ...]) -> None:
-    """Check structural invariants of a suffix table, in any order.
-
-    Raises ValueError on empty suffixes, non-positive minimum stem lengths
-    or duplicate suffixes.
-    """
+    """Raise ValueError on an empty suffix, a minimum stem length below 1
+    or a repeated suffix, in rules of any order."""
     seen: set[str] = set()
     for suffix, min_stem in rules:
         if not suffix:

@@ -148,10 +148,9 @@ def test_nb_oracle_equivalence():
 
 def test_sgd_descent_and_separability(synth_train_tokens, default_cfg):
     with criterion("sgd-descent-separability", 10.0):
-        digest = default_cfg.digest()
         for seed in (1, 2, 3, 4, 5):
             trained = train_from_tokens(
-                synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=seed), digest
+                synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=seed), default_cfg
             )
             correct = sum(
                 predict_tokenized(trained, doc)[0] == doc.label
@@ -171,9 +170,7 @@ def test_svm_duality(synth_train_tokens, default_cfg):
     # covered by the unit suite.
     with criterion("svm-duality", 30.0):
         hyper = TrainHyperparams(svm_c=2.0)
-        trained = train_from_tokens(
-            synth_train_tokens, "tfidf", "svm", hyper, default_cfg.digest()
-        )
+        trained = train_from_tokens(synth_train_tokens, "tfidf", "svm", hyper, default_cfg)
         assert trained.model.converged
         for label, info in trained.model.fit_info.items():
             assert info["alphas"].min() >= 0.0, label

@@ -17,8 +17,11 @@ from doccat.cli import (
 )
 from doccat.corpus import load_jsonl
 from doccat.errors import MalformedLineError
-from doccat.models import TrainHyperparams, load_model, predict_tokenized
-from doccat.textprep import PreprocessConfig, default_config, preprocess_document
+from doccat.evaluation import evaluate
+from doccat.models import TrainHyperparams, load_model, predict, predict_tokenized
+from doccat.textprep import (
+    PreprocessConfig, default_config, load_stopwords, load_suffix_table, preprocess_document,
+)
 
 from helpers import make_synthetic_corpus, save_jsonl
 
@@ -136,7 +139,7 @@ class TestResolvedConfig:
             (config("--no-stemming"), no_stemming),
             (config("--suffixes", str(empty)), no_stemming),
         ]:
-            assert built == expected and built.digest() == expected.digest()
+            assert built == expected
 
     def test_flag_overrides_config_file_overrides_default(self, tmp_path):
         config_file = tmp_path / "run.cfg"
@@ -493,6 +496,35 @@ class TestTrain:
         assert code == 1
         assert "one class" in capsys.readouterr().err
 
+    # A switched-off step is an empty table, so every way of giving that
+    # empty table writes the same model. A file given beside its --no-*
+    # flag is read and checked, and then not applied.
+    @pytest.mark.parametrize(
+        "ways",
+        [
+            [["--no-stopwords"], ["--stopwords", "empty.txt"],
+             ["--no-stopwords", "--stopwords", "one.txt"]],
+            [["--no-stemming"], ["--suffixes", "empty.txt"],
+             ["--no-stemming", "--suffixes", "one.tsv"]],
+        ],
+        ids=["stopwords", "stemming"],
+    )
+    def test_switched_off_step_is_its_empty_table(self, ways, tmp_path, corpora, capsys):
+        (tmp_path / "empty.txt").write_text("# nothing\n", encoding="utf-8")
+        (tmp_path / "one.txt").write_text("কনক\n", encoding="utf-8")
+        (tmp_path / "one.tsv").write_text("নক\t1\n", encoding="utf-8")
+        saved = []
+        for index, flags in enumerate(ways):
+            path = tmp_path / f"m{index}.json"
+            flags = [str(tmp_path / flag) if flag.startswith(("empty", "one")) else flag
+                     for flag in flags]
+            assert main(["train", *flags, "--corpus", str(corpora[0]), "--features", "tfidf",
+                         "--model", "nb", "--out", str(path)]) == 0
+            saved.append(path.read_bytes())
+        assert "error" not in capsys.readouterr().err
+        assert saved[1:] == saved[:1] * (len(ways) - 1)
+        assert saved[0] != train_model(tmp_path, corpora).read_bytes()
+
 
 class TestPredict:
     def test_out_in_missing_directory_fails_before_reading_the_model(
@@ -652,56 +684,54 @@ class TestPredict:
         assert code == 1
         assert "invalid model file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["predict", "evaluate"])
-    def test_preprocess_mismatch_is_data_error(self, command, tmp_path, corpora, capsys):
-        model_path = train_model(tmp_path, corpora)
-        capsys.readouterr()
-        if command == "predict":
-            sample = tmp_path / "sample.txt"
-            sample.write_text("কনক", encoding="utf-8")
-            data = ["--input", str(sample)]
-        else:
-            data = ["--corpus", str(corpora[1])]
-        code = main([command, "--model", str(model_path), *data, "--no-stemming"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: preprocessing config does not match the one this model was trained "
-            "with (was it trained with different stopwords or suffixes?)\n"
-        )
-
-    # A switched-off step is an empty table, so every way of giving that
-    # empty table makes the same config. A file given beside its --no-*
-    # flag is read and checked, and then not applied.
-    @pytest.mark.parametrize(
-        ("train_flag", "predict_flags"),
-        [
-            ("--no-stopwords", ["--stopwords", "empty.txt"]),
-            ("--no-stopwords", ["--no-stopwords", "--stopwords", "one.txt"]),
-            ("--no-stemming", ["--suffixes", "empty.txt"]),
-            ("--no-stemming", ["--no-stemming", "--suffixes", "one.tsv"]),
-        ],
-        ids=["empty_stopword_file", "unapplied_stopword_file", "empty_suffix_file",
-             "unapplied_suffix_file"],
-    )
-    def test_switched_off_step_is_its_empty_table(
-        self, train_flag, predict_flags, tmp_path, corpora, capsys
-    ):
+    def test_model_brings_its_tables(self, tmp_path, corpora, capsys):
+        # Trained with its own tables, a model labels and scores with them:
+        # predict and evaluate take no preprocessing flag.
         train_path, test_path = corpora
-        (tmp_path / "empty.txt").write_text("# nothing\n", encoding="utf-8")
-        (tmp_path / "one.txt").write_text("কনক\n", encoding="utf-8")
-        (tmp_path / "one.tsv").write_text("নক\t1\n", encoding="utf-8")
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("# the stem of কনক\nকন\n", encoding="utf-8")
+        suffixes = tmp_path / "suf.tsv"
+        suffixes.write_text("ক\t2\n", encoding="utf-8")
         model_path = tmp_path / "m.json"
-        assert main(["train", train_flag, "--corpus", str(train_path), "--features", "tfidf",
-                     "--model", "nb", "--out", str(model_path)]) == 0
-        predict = ["predict", "--model", str(model_path), "--input", str(test_path)]
-        assert main([*predict, "--out", str(tmp_path / "flag.tsv"), train_flag]) == 0
-        flags = [str(tmp_path / flag) if flag.startswith(("empty", "one")) else flag
-                 for flag in predict_flags]
-        assert main([*predict, "--out", str(tmp_path / "file.tsv"), *flags]) == 0
-        assert "error" not in capsys.readouterr().err
-        expected = (tmp_path / "flag.tsv").read_bytes()
-        assert expected.count(b"\n") == len(load_jsonl(test_path))
-        assert (tmp_path / "file.tsv").read_bytes() == expected
+        assert main(["train", "--corpus", str(train_path), "--features", "tfidf",
+                     "--model", "sgd", "--out", str(model_path),
+                     "--stopwords", str(stopwords), "--suffixes", str(suffixes)]) == 0
+        config = PreprocessConfig(load_stopwords(stopwords), load_suffix_table(suffixes))
+        trained = load_model(model_path)
+        assert trained.preprocess_config == config
+        assert "কফ" in trained.vocabulary.terms and "কন" not in trained.vocabulary.terms
+
+        tsv = tmp_path / "labels.tsv"
+        assert main(["predict", "--model", str(model_path), "--input", str(test_path),
+                     "--out", str(tsv)]) == 0
+        corpus = load_jsonl(test_path)
+        labels, _ = predict(trained, [preprocess_document(doc, config) for doc in corpus])
+        lines = tsv.read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[1] for line in lines] == labels
+        shipped = [preprocess_document(doc, default_config()) for doc in corpus]
+        assert predict(trained, shipped)[0] != labels
+
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model_path), "--corpus", str(test_path)]) == 0
+        report = evaluate(trained, corpus, config)
+        assert f"macro_f1={report.macro_f1:.4f} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize(
+        "flag", [["--no-stemming"], ["--no-stopwords"], ["--stopwords", "s.txt"],
+                 ["--suffixes", "s.tsv"]],
+        ids=["no_stemming", "no_stopwords", "stopwords", "suffixes"],
+    )
+    def test_preprocessing_flag_is_usage_error(self, command, flag, tmp_path, corpora, capsys):
+        model_path = train_model(tmp_path, corpora)
+        data = ["--input" if command == "predict" else "--corpus", str(corpora[1])]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", str(model_path), *data, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert flag[0] not in capsys.readouterr().out
 
 
 class TestEvaluate:

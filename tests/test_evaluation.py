@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import os
@@ -329,7 +330,7 @@ class TestBenchmark:
             path = tmp_path / "alone" / f"{name}.json"
             path.parent.mkdir(exist_ok=True)
             save_model(
-                train_from_tokens(docs, selector, classifier, hyper, default_cfg.digest()), path
+                train_from_tokens(docs, selector, classifier, hyper, default_cfg), path
             )
             stem = name.replace("+", "_").replace("-", "_")
             for repro in (False, True):
@@ -359,6 +360,28 @@ class TestBenchmark:
         with pytest.raises(UnknownLabelError, match="'brand-new'"):
             benchmark(tiny_corpus, test_corpus, TrainHyperparams(), default_cfg, out_dir=out_dir)
         assert not out_dir.exists()
+
+    def test_empty_out_dir_writes_nothing(self, tiny_corpus, default_cfg, tmp_path, monkeypatch):
+        # Path("") is the current directory, where the 13 files would land.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as caught:
+            benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, out_dir="")
+        assert caught.value.errno == errno.ENOENT and caught.value.filename == ""
+        assert str(caught.value) == "[Errno 2] No such file or directory: ''"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_dir_that_is_a_file_fails_before_preprocessing(
+        self, tiny_corpus, default_cfg, tmp_path, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("preprocessed for an out_dir that is a file")
+
+        monkeypatch.setattr(evaluation_module, "preprocess_corpus", never)
+        target = tmp_path / "taken"
+        target.write_text("kept", encoding="utf-8")
+        with pytest.raises(FileExistsError):
+            benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, out_dir=target)
+        assert target.read_text(encoding="utf-8") == "kept"
 
     def test_long_unseen_test_label_is_cut_in_the_message(
         self, tiny_corpus, default_cfg, tmp_path

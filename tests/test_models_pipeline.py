@@ -46,7 +46,7 @@ class TestTrainPipelines:
         self, selector, classifier, small_tokens, default_cfg, tmp_path
     ):
         trained = train_from_tokens(
-            small_tokens, selector, classifier, TrainHyperparams(), default_cfg.digest()
+            small_tokens, selector, classifier, TrainHyperparams(), default_cfg
         )
         assert trained.selector == selector
         assert trained.feature_mode == ("tfidf" if selector == "tfidf" else "counts")
@@ -62,7 +62,7 @@ class TestTrainPipelines:
         assert loaded.stage_seconds == {"features": 0.0, "vectorize": 0.0, "fit": 0.0}
         assert loaded.train_seconds == 0.0
         assert loaded.class_labels == trained.class_labels
-        assert loaded.preprocess_config_digest == default_cfg.digest()
+        assert loaded.preprocess_config == default_cfg
         assert loaded.model.converged is trained.model.converged
         if classifier == "nb":
             assert loaded.model.fit_info is None
@@ -76,14 +76,14 @@ class TestTrainPipelines:
 
     def test_tfidf_nb_accepts_fractional_weights(self, small_tokens, default_cfg):
         trained = train_from_tokens(
-            small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg.digest()
+            small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg
         )
         assert trained.model.trainer_tag == "nb"
         assert np.isfinite(trained.model.weights).all()
 
     def test_equal_models_compare_by_identity(self, small_tokens, default_cfg, tmp_path):
         trained = train_from_tokens(
-            small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg.digest()
+            small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg
         )
         save_model(trained, tmp_path / "model.json")
         first, second = (load_model(tmp_path / "model.json") for _ in range(2))
@@ -96,13 +96,13 @@ class TestTrainPipelines:
     def test_unknown_classifier_fails_before_any_work(self, small_tokens, default_cfg):
         with pytest.raises(ValueError, match="classifier"):
             train_from_tokens(
-                small_tokens, "tfidf", "forest", TrainHyperparams(), default_cfg.digest()
+                small_tokens, "tfidf", "forest", TrainHyperparams(), default_cfg
             )
 
     def test_unknown_selector_fails_before_any_work(self, small_tokens, default_cfg):
         with pytest.raises(ValueError, match="selector"):
             train_from_tokens(
-                small_tokens, "mutualinfo", "nb", TrainHyperparams(), default_cfg.digest()
+                small_tokens, "mutualinfo", "nb", TrainHyperparams(), default_cfg
             )
 
     def test_single_label_corpus_rejected(self, default_cfg):
@@ -138,7 +138,7 @@ class TestHyperparams:
                 return _trainer(*args)
             monkeypatch.setattr(models, name, counting)
         train_from_tokens(
-            small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg.digest()
+            small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg
         )
         assert calls == [f"train_{classifier}"]
 
@@ -156,7 +156,7 @@ class TestOneVsRestFrame:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             trained = train_from_tokens(
-                docs, "tfidf", classifier, TrainHyperparams(), default_cfg.digest()
+                docs, "tfidf", classifier, TrainHyperparams(), default_cfg
             )
         model = trained.model
         assert model.class_labels == ("crime", "sport", "sport\0")
@@ -202,7 +202,7 @@ def _write(payload, path):
 
 # The top-level keys of a model file, in the order save_model writes them.
 MODEL_KEYS = (
-    "format_version", "selector", "preprocess_config_digest", "vocabulary",
+    "format_version", "selector", "preprocessing", "vocabulary",
     "model_type", "class_labels", "fit", "weights", "biases",
 )
 
@@ -221,12 +221,16 @@ class TestModelFile:
     @pytest.mark.parametrize("classifier", ["nb", "svm"])
     def test_schema_fields(self, classifier, small_tokens, default_cfg):
         trained = train_from_tokens(
-            small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg.digest()
+            small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg
         )
         payload = model_to_dict(trained)
         assert list(payload) == list(MODEL_KEYS)
-        assert payload["format_version"] == 3
+        assert payload["format_version"] == 4
         assert payload["selector"] == "chi2"
+        assert payload["preprocessing"] == {
+            "stopwords": sorted(default_cfg.stopword_list),
+            "suffix_table": [list(rule) for rule in default_cfg.suffix_table],
+        }
         assert payload["model_type"] == classifier
         vocabulary = payload["vocabulary"]
         assert list(vocabulary) == ["n_docs", "terms", "doc_freq"]
@@ -252,7 +256,7 @@ class TestModelFile:
         files = []
         for run in ("one", "two"):
             trained = train_from_tokens(
-                small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg.digest()
+                small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg
             )
             save_model(trained, tmp_path / f"{run}.json")
             files.append((tmp_path / f"{run}.json").read_bytes())
@@ -263,7 +267,7 @@ class TestModelFile:
         self, classifier, small_tokens, default_cfg, tmp_path
     ):
         trained = train_from_tokens(
-            small_tokens, "tfidf", classifier, TrainHyperparams(), default_cfg.digest()
+            small_tokens, "tfidf", classifier, TrainHyperparams(), default_cfg
         )
         path = tmp_path / "model.json"
         save_model(trained, path)
@@ -276,7 +280,7 @@ class TestModelFile:
 
     def test_extreme_values_round_trip_bit_exactly(self, small_tokens, default_cfg, tmp_path):
         trained = train_from_tokens(
-            small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg.digest()
+            small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg
         )
         extremes = [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
                     np.finfo(np.float64).max, 1 / 3]
@@ -297,7 +301,7 @@ class TestModelFile:
         self, small_tokens, default_cfg, tmp_path, monkeypatch
     ):
         trained = train_from_tokens(
-            small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg.digest()
+            small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg
         )
         X = vectorize_corpus(small_tokens, trained.vocabulary, "tfidf")
         monkeypatch.setattr(models, "SVM_MAX_PASSES", 1)
@@ -315,15 +319,20 @@ class TestModelFile:
         }
         assert all(info["passes"] == 1 for info in loaded.model.fit_info.values())
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_1_file_asks_for_retraining(
         self, version, small_tokens, default_cfg, tmp_path
     ):
         trained = train_from_tokens(
-            small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg.digest()
+            small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg
         )
         vocab = trained.vocabulary
         payload = model_to_dict(trained)
+        # Versions 1-3 kept a SHA-256 digest of the tables, not the tables.
+        del payload["preprocessing"]
+        payload["preprocess_config_digest"] = (
+            "062f246eb73082d5b8e1aea826eb6e7cbf3b2f8913de7486899367b280857dbc"
+        )
         if version == 1:
             # [term, index, df] triples and float lists, and no fit block.
             del payload["fit"]
@@ -338,7 +347,7 @@ class TestModelFile:
                 weights=trained.model.weights.tolist(),
                 biases=trained.model.biases.tolist(),
             )
-        else:
+        elif version == 2:
             # The version 2 layout, less its creation time: the feature mode,
             # a top-level converged and each parameter with its shape.
             payload.update(
@@ -353,7 +362,7 @@ class TestModelFile:
         payload["format_version"] = version
         _assert_rejected(
             _write(payload, tmp_path / "model.json"),
-            f"^model format version {version} is not readable: this doccat reads version 3 "
+            f"^model format version {version} is not readable: this doccat reads version 4 "
             "only, so retrain the model$",
         )
 
@@ -377,7 +386,7 @@ class TestModelFile:
         # The key's first value goes ahead of the saved one. Without the
         # check the last value won: a version 2 ahead of a 3 loaded as 3.
         trained = train_from_tokens(
-            small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg.digest()
+            small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg
         )
         text = json.dumps(model_to_dict(trained))
         assert text.count(opening) == 1
@@ -387,7 +396,7 @@ class TestModelFile:
 
     def test_non_finite_fit_value_is_not_saved(self, small_tokens, default_cfg, tmp_path):
         trained = train_from_tokens(
-            small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg.digest()
+            small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg
         )
         trained.model.fit_info[trained.class_labels[0]]["violation"] = math.nan
         path = tmp_path / "model.json"
@@ -398,7 +407,7 @@ class TestModelFile:
     @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
     def test_byte_order_mark_is_dropped(self, classifier, small_tokens, default_cfg, tmp_path):
         trained = train_from_tokens(
-            small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg.digest()
+            small_tokens, "chi2", classifier, TrainHyperparams(), default_cfg
         )
         plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
         save_model(trained, plain)
@@ -440,6 +449,10 @@ def _edit_vocabulary(key, edit):
 
 def _replace_first(value):
     return lambda values: [value(values[0])] + values[1:]
+
+
+def _edit_preprocessing(key, edit):
+    return lambda p: p["preprocessing"].update({key: edit(p["preprocessing"][key])})
 
 
 # Each case: (model type, edit to the saved payload or a JSON value written
@@ -554,8 +567,69 @@ INCONSISTENT_FILES = {
     "short_doc_freq": ("sgd", _edit_vocabulary("doc_freq", lambda dfs: dfs[:-1]), "doc_freq"),
     "long_doc_freq": ("nb", _edit_vocabulary("doc_freq", lambda dfs: dfs + [1]), "doc_freq"),
     "string_n_docs": ("nb", _edit_vocabulary("n_docs", str), "n_docs must be an integer"),
-    "integer_config_digest": (
-        "sgd", lambda p: p.update(preprocess_config_digest=5), "preprocess_config_digest"
+    # The preprocessing block: exactly what save_model writes for its tables.
+    "preprocessing_as_list": (
+        "sgd", lambda p: p.update(preprocessing=[]), "^preprocessing must be an object, got \\[\\]$"
+    ),
+    "preprocessing_string_stopwords": (
+        "nb", _edit_preprocessing("stopwords", " ".join),
+        "^preprocessing stopwords must be a list of strings$",
+    ),
+    "preprocessing_integer_stopword": (
+        "sgd", _edit_preprocessing("stopwords", lambda words: words + [7]),
+        "^preprocessing stopwords must be a list of strings$",
+    ),
+    "preprocessing_unsorted_stopwords": (
+        "svm", _edit_preprocessing("stopwords", lambda words: words[::-1]),
+        "^preprocessing must hold only its stopwords, once each in ascending order",
+    ),
+    "preprocessing_repeated_stopword": (
+        "nb", _edit_preprocessing("stopwords", lambda words: words[:1] + words),
+        "^preprocessing must hold only its stopwords, once each in ascending order",
+    ),
+    "preprocessing_extra_key": (
+        "sgd", lambda p: p["preprocessing"].update(lowercase=True),
+        "^preprocessing must hold only its stopwords",
+    ),
+    "suffix_table_as_object": (
+        "sgd", _edit_preprocessing("suffix_table", lambda rules: {}),
+        "^preprocessing suffix_table must be a list of lists$",
+    ),
+    "suffix_rule_as_string": (
+        "nb", _edit_preprocessing("suffix_table", _replace_first(lambda rule: rule[0])),
+        "^preprocessing suffix_table must be a list of lists$",
+    ),
+    "suffix_rule_of_three": (
+        "sgd", _edit_preprocessing("suffix_table", _replace_first(lambda rule: rule + [1])),
+        "^suffix rule must be \\[string, integer\\], got \\['",
+    ),
+    "suffix_rule_reversed": (
+        "svm", _edit_preprocessing("suffix_table", _replace_first(lambda rule: rule[::-1])),
+        "^suffix rule must be \\[string, integer\\], got \\[\\d",
+    ),
+    "suffix_rule_float_min_stem": (
+        "sgd", _edit_preprocessing("suffix_table", _replace_first(lambda rule: [rule[0], 2.0])),
+        "^suffix rule must be \\[string, integer\\]",
+    ),
+    "suffix_rule_boolean_min_stem": (
+        "nb", _edit_preprocessing("suffix_table", _replace_first(lambda rule: [rule[0], True])),
+        "^suffix rule must be \\[string, integer\\], got \\['[^']+', True\\]$",
+    ),
+    "empty_suffix": (
+        "sgd", _edit_preprocessing("suffix_table", lambda rules: rules + [["", 1]]),
+        "^suffix table: empty suffix$",
+    ),
+    "zero_min_stem": (
+        "svm", _edit_preprocessing("suffix_table", _replace_first(lambda rule: [rule[0], 0])),
+        "^suffix table: rule '[^']+' has min stem length < 1$",
+    ),
+    "repeated_suffix": (
+        "nb", _edit_preprocessing("suffix_table", lambda rules: rules[:1] + rules),
+        "^suffix table: duplicate suffix '[^']+'$",
+    ),
+    "suffix_rules_out_of_canonical_order": (
+        "sgd", _edit_preprocessing("suffix_table", lambda rules: rules[::-1]),
+        "in ascending order, and its suffix rules in canonical order$",
     ),
     # A decoder that skips characters outside the alphabet would load this.
     "invalid_base64": (
@@ -680,7 +754,7 @@ INCONSISTENT_FILES = {
 def saved_payloads(small_tokens, default_cfg):
     return {
         classifier: model_to_dict(train_from_tokens(
-            small_tokens, "tfidf", classifier, TrainHyperparams(), default_cfg.digest()
+            small_tokens, "tfidf", classifier, TrainHyperparams(), default_cfg
         ))
         for classifier in ("nb", "sgd", "svm")
     }

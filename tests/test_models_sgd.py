@@ -77,7 +77,7 @@ class TestTrainSGD:
     def test_deterministic_given_seed(self, synth_train_tokens, default_cfg):
         runs = [
             train_from_tokens(
-                synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=7), default_cfg.digest()
+                synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=7), default_cfg
             )
             for _ in range(2)
         ]
@@ -86,10 +86,10 @@ class TestTrainSGD:
 
     def test_different_seeds_differ(self, synth_train_tokens, default_cfg):
         m1 = train_from_tokens(
-            synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=1), default_cfg.digest()
+            synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=1), default_cfg
         )
         m2 = train_from_tokens(
-            synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=2), default_cfg.digest()
+            synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=2), default_cfg
         )
         assert not np.array_equal(m1.model.weights, m2.model.weights)
 

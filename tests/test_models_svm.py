@@ -97,7 +97,7 @@ class TestTrainSVM:
 
     def test_alphas_stay_in_box(self, synth_train_tokens, default_cfg):
         trained = train_from_tokens(
-            synth_train_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg.digest()
+            synth_train_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg
         )
         for info in trained.model.fit_info.values():
             assert info["alphas"].min() >= 0.0
@@ -105,7 +105,7 @@ class TestTrainSVM:
 
     def test_duality_gap_at_default_c(self, synth_train_tokens, default_cfg):
         trained = train_from_tokens(
-            synth_train_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg.digest()
+            synth_train_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg
         )
         for info in trained.model.fit_info.values():
             gap = info["primal_objective"] - info["dual_objective"]
@@ -142,7 +142,7 @@ def overlapping_tokens(default_cfg):
 
 def train_overlapping(tokens, cfg, selector="tfidf", seed=42):
     return train_from_tokens(
-        tokens, selector, "svm", TrainHyperparams(seed=seed), cfg.digest()
+        tokens, selector, "svm", TrainHyperparams(seed=seed), cfg
     ).model
 
 
@@ -251,8 +251,8 @@ class TestOneVsRestRows:
 class TestAgreementWithSGD:
     def test_predictions_mostly_agree_on_separable_data(self, synth_train_tokens, default_cfg):
         hyper = TrainHyperparams()
-        svm = train_from_tokens(synth_train_tokens, "tfidf", "svm", hyper, default_cfg.digest())
-        sgd = train_from_tokens(synth_train_tokens, "tfidf", "sgd", hyper, default_cfg.digest())
+        svm = train_from_tokens(synth_train_tokens, "tfidf", "svm", hyper, default_cfg)
+        sgd = train_from_tokens(synth_train_tokens, "tfidf", "sgd", hyper, default_cfg)
         agree = sum(
             predict_tokenized(svm, doc)[0] == predict_tokenized(sgd, doc)[0]
             for doc in synth_train_tokens

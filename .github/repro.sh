@@ -27,10 +27,10 @@
 # that starts with a byte-order mark must label the test split to the
 # same bytes as OUT-predict/TFIDF_SGD.tsv.
 #
-# Finally it trains TFIDF+NB into OUT-train/ twice, once with --no-stopwords
-# and once with --stopwords and an empty file; the run fails unless the two
-# model files are equal byte for byte, since switching stopword removal off
-# is applying an empty stopword list. It then labels the test split with
+# Finally it trains TFIDF+NB into OUT-train/ twice, once with --stopwords and
+# an empty file and once with --stopwords and a file holding only a comment;
+# the run fails unless the two model files are equal byte for byte, since
+# both give the same empty stopword list. It then labels the test split with
 # one of them and no preprocessing flag, since a model file holds its tables.
 set -euo pipefail
 
@@ -81,12 +81,14 @@ done
 "$doccat" predict --model "$out-train/model_TFIDF_SGD.bom.json" --input "$corpus/test.jsonl" \
   --out "$out-train/TFIDF_SGD.bom-model.tsv"
 cmp "$out-train/TFIDF_SGD.bom-model.tsv" "$out-predict/TFIDF_SGD.tsv"
-model="$out-train/model_TFIDF_NB.no-stopwords.json"
-"$doccat" train --seed 7 "$@" --no-stopwords --features tfidf --model nb \
-  --corpus "$corpus/train.jsonl" --out "$model"
 : > "$out-train/empty-stopwords.txt"
-"$doccat" train --seed 7 "$@" --stopwords "$out-train/empty-stopwords.txt" --features tfidf \
-  --model nb --corpus "$corpus/train.jsonl" --out "$out-train/model_TFIDF_NB.empty-stopwords.json"
-cmp "$out-train/model_TFIDF_NB.empty-stopwords.json" "$model"
-"$doccat" predict --model "$model" --input "$corpus/test.jsonl" \
-  --out "$out-train/TFIDF_NB.no-stopwords.tsv"
+echo "# none" > "$out-train/comment-stopwords.txt"
+for stopwords in empty comment; do
+  "$doccat" train --seed 7 "$@" --stopwords "$out-train/$stopwords-stopwords.txt" \
+    --features tfidf --model nb --corpus "$corpus/train.jsonl" \
+    --out "$out-train/model_TFIDF_NB.$stopwords-stopwords.json"
+done
+cmp "$out-train/model_TFIDF_NB.empty-stopwords.json" \
+  "$out-train/model_TFIDF_NB.comment-stopwords.json"
+"$doccat" predict --model "$out-train/model_TFIDF_NB.empty-stopwords.json" \
+  --input "$corpus/test.jsonl" --out "$out-train/TFIDF_NB.empty-stopwords.tsv"

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 data or runtime error, 2 usage error. Successful
 runs print machine-parseable ``key=value`` lines (plus the comparison table
-for ``benchmark``); diagnostics go to stderr. Hyperparameter precedence is
-command-line flags, then an optional ``--config`` key=value file, then the
-built-in defaults. All randomness flows from ``--seed``.
+for ``benchmark``); diagnostics go to stderr. Each setting has one flag:
+a hyperparameter flag defaults to its ``TrainHyperparams`` field, and
+``--stopwords``/``--suffixes`` replace a shipped table (an empty file
+switches that step off). All randomness flows from ``--seed``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from . import evaluation, models
 from .corpus import (
     LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_document, read_jsonl_documents,
 )
-from .errors import DoccatError, MalformedLineError, quoted
-from .fileio import atomic_write_text, check_out_dir, read_entries
+from .errors import DoccatError, quoted
+from .fileio import atomic_write_text, check_out_dir
 from .models import TrainHyperparams
 from .textprep import (
     PreprocessConfig,
@@ -32,8 +33,6 @@ from .textprep import (
     preprocess_document,
     tokenized_to_json,
 )
-
-HYPER_DEFAULTS = {field.name: field.default for field in fields(TrainHyperparams)}
 
 _HYPER_HELP = {
     "nb_alpha": "NB smoothing",
@@ -66,23 +65,16 @@ def _hyper_parser(name: str, kind: type):
     return parse
 
 
-# Flags and config-file values share these parsers; the dataclass field type
-# ("int", "float" or "int | None") names the value type.
-_HYPER_PARSERS = {
-    field.name: _hyper_parser(field.name, int if field.type.startswith("int") else float)
-    for field in fields(TrainHyperparams)
-}
-
-
 def _hyper_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("hyperparameters")
-    for name, default in HYPER_DEFAULTS.items():
-        shown = "all" if default is None else default
-        group.add_argument(f"--{name.replace('_', '-')}", type=_HYPER_PARSERS[name],
-                           default=None, help=f"{_HYPER_HELP[name]} (default {shown})")
-    group.add_argument("--config", default=None, metavar="FILE",
-                       help="key=value file supplying hyperparameter defaults")
+    for field in fields(TrainHyperparams):
+        # The field type ("int", "float" or "int | None") names the value type.
+        kind = int if field.type.startswith("int") else float
+        shown = "all" if field.default is None else field.default
+        group.add_argument(f"--{field.name.replace('_', '-')}",
+                           type=_hyper_parser(field.name, kind), default=field.default,
+                           help=f"{_HYPER_HELP[field.name]} (default {shown})")
     return parent
 
 
@@ -90,11 +82,9 @@ def _preprocess_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("preprocessing")
     group.add_argument("--stopwords", default=None, metavar="FILE",
-                       help="stopword file (default: shipped Bengali list)")
+                       help="stopword file, empty for none (default: shipped Bengali list)")
     group.add_argument("--suffixes", default=None, metavar="FILE",
-                       help="suffix table file (default: shipped Bengali table)")
-    group.add_argument("--no-stemming", action="store_true", help="disable stemming")
-    group.add_argument("--no-stopwords", action="store_true", help="disable stopword removal")
+                       help="suffix table file, empty for none (default: shipped Bengali table)")
     return parent
 
 
@@ -159,52 +149,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config_file(path: str | Path) -> dict[str, int | float]:
-    """Read a `key = value` hyperparameter file ('#' comments allowed; a key
-    is a flag name with or without its dashes). Each value is parsed and
-    checked by its flag's parser on its own line, also when a flag overrides
-    it; a bad line, or a key given twice in any spelling, raises
-    MalformedLineError."""
-    values: dict[str, int | float] = {}
-    first_lines: dict[str, int] = {}
-    for line_no, entry in read_entries(path):
-        key, equals, value = entry.partition("=")
-        key = key.strip().replace("-", "_")
-        if not equals:
-            raise MalformedLineError(str(path), line_no, "expected key=value")
-        if key not in _HYPER_PARSERS:
-            raise MalformedLineError(str(path), line_no, f"unknown key {quoted(key)}")
-        if key in first_lines:
-            raise MalformedLineError(
-                str(path), line_no, f"key {quoted(key)} repeats line {first_lines[key]}"
-            )
-        first_lines[key] = line_no
-        try:
-            values[key] = _HYPER_PARSERS[key](value.strip())
-        except argparse.ArgumentTypeError as exc:
-            raise MalformedLineError(str(path), line_no, f"{key}: {exc}") from None
-    return values
-
-
 def resolve_hyper(args: argparse.Namespace) -> TrainHyperparams:
-    """The flags given, laid over the `--config` file's values; TrainHyperparams
-    supplies the defaults."""
-    values = parse_config_file(args.config) if args.config else {}
-    values.update(
-        (name, getattr(args, name)) for name in HYPER_DEFAULTS if getattr(args, name) is not None
-    )
-    return TrainHyperparams(**values)
+    """The hyperparameter flags' values; each flag defaults to its field's default."""
+    return TrainHyperparams(**{field.name: getattr(args, field.name)
+                               for field in fields(TrainHyperparams)})
 
 
 def build_preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
-    """The shipped tables or the given files; `--no-stopwords` and
-    `--no-stemming` empty a table, after its file is read and checked."""
+    """The shipped tables or the given files; an empty file is an empty table,
+    which switches its step off."""
     base = default_config()
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else base.stopword_list
-    suffixes = load_suffix_table(args.suffixes) if args.suffixes else base.suffix_table
     return PreprocessConfig(
-        stopword_list=() if args.no_stopwords else stopwords,
-        suffix_table=() if args.no_stemming else suffixes,
+        stopword_list=load_stopwords(args.stopwords) if args.stopwords else base.stopword_list,
+        suffix_table=load_suffix_table(args.suffixes) if args.suffixes else base.suffix_table,
     )
 
 
@@ -216,7 +173,7 @@ def _load_corpus(path: str) -> LabeledCorpus:
 
 
 def _diag(args: argparse.Namespace, message: str) -> None:
-    if getattr(args, "verbose", 0):
+    if args.verbose:
         print(message, file=sys.stderr)
 
 

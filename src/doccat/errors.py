@@ -20,9 +20,9 @@ class DoccatError(Exception):
 
 class MalformedLineError(DoccatError):
     """A line of an input file could not be parsed: a JSONL line into a
-    labeled document, or a suffix-table or config line into its rule or
-    value; or a line of a stopword, suffix or config file holds a line
-    boundary other than "\\n" (`fileio.read_entries`)."""
+    labeled document, or a suffix-table line into its rule; or a line of a
+    stopword or suffix file holds a line boundary other than "\\n"
+    (`fileio.read_entries`)."""
 
     def __init__(self, path: str, line_no: int, reason: str) -> None:
         self.path = str(path)

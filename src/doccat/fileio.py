@@ -3,7 +3,7 @@
 `read_text` is the one decoder of input files, model files included:
 strict UTF-8 less a leading byte-order mark, no line end translated; a
 file that cannot be read or decoded fails with its path. `read_lines` is
-the one line rule (JSONL, stopword, suffix and config files): a line ends
+the one line rule (JSONL, stopword and suffix files): a line ends
 at `\\n` only, less one trailing `\\r`; in an entry file (`read_entries`),
 `#` starts a comment and a line may hold no other line boundary.
 `STRICT_JSON` is the one JSON rule of JSONL lines and model files (RFC

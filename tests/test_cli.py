@@ -7,16 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from doccat.cli import (
-    HYPER_DEFAULTS,
-    build_parser,
-    build_preprocess_config,
-    main,
-    parse_config_file,
-    resolve_hyper,
-)
+from doccat.cli import build_parser, build_preprocess_config, main, resolve_hyper
 from doccat.corpus import load_jsonl
-from doccat.errors import MalformedLineError
 from doccat.evaluation import evaluate
 from doccat.models import TrainHyperparams, load_model, predict, predict_tokenized
 from doccat.textprep import (
@@ -72,7 +64,10 @@ class TestUsageContract:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "flag", [["--chi-top-percent", "150"], ["--seed", "-1"]], ids=["percent", "seed"]
+        "flag",
+        [["--chi-top-percent", "150"], ["--seed", "-1"], ["--chi-g-top-k", "0"],
+         ["--sgd-epochs", "0"], ["--svm-c", "nan"]],
+        ids=["percent", "seed", "top_k", "epochs", "svm_c"],
     )
     def test_out_of_range_percent_is_usage_error(self, flag, corpora):
         train_path, _ = corpora
@@ -81,7 +76,7 @@ class TestUsageContract:
                   "--model", "nb", "--out", "m.json", *flag])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--input", "--stopwords", "--suffixes", "--config"])
+    @pytest.mark.parametrize("flag", ["--input", "--stopwords", "--suffixes"])
     def test_input_file_that_is_not_utf8_is_named(self, flag, tmp_path, corpora, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe")
@@ -97,6 +92,26 @@ class TestUsageContract:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and not out.exists()
         assert captured.err.startswith(f"error: unreadable file {bad}: invalid UTF-8: ")
+
+    # Each setting has one flag: hyperparameters have no config file, and an
+    # empty --stopwords or --suffixes file switches a step off.
+    @pytest.mark.parametrize("sub, required", [
+        ("preprocess", ["--corpus", "c", "--out", "o"]),
+        ("train", ["--corpus", "c", "--features", "tfidf", "--model", "nb", "--out", "m"]),
+        ("benchmark", ["--train", "a", "--test", "b"]),
+    ])
+    @pytest.mark.parametrize(
+        "flag", [["--config", "F"], ["--no-stemming"], ["--no-stopwords"]],
+        ids=["config", "no_stemming", "no_stopwords"],
+    )
+    def test_removed_setting_flag_is_usage_error(self, sub, required, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, *required, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        assert flag[0] not in capsys.readouterr().out
 
 
 class TestResolvedConfig:
@@ -114,14 +129,26 @@ class TestResolvedConfig:
         assert hyper.chi_top_percent == 30.0
         assert hyper.seed == 42
         assert hyper.chi_g_top_k is None
-        assert HYPER_DEFAULTS == {
-            "nb_alpha": 0.01, "sgd_alpha": 0.0001, "sgd_epochs": 50, "svm_c": 1.0,
-            "seed": 42, "chi_top_percent": 30.0, "chi_g_top_k": None,
-        }
 
-    def test_no_flags_build_empty_tables(self, tmp_path):
-        empty = tmp_path / "empty.txt"
-        empty.write_text("", encoding="utf-8")
+    def test_each_flag_sets_its_field(self):
+        args = build_parser().parse_args([
+            "benchmark", "--train", "a", "--test", "b", "--nb-alpha", "0.5",
+            "--sgd-alpha", "0.002", "--sgd-epochs", "7", "--svm-c", "2", "--seed", "9",
+            "--chi-top-percent", "45", "--chi-g-top-k", "5",
+        ])
+        assert resolve_hyper(args) == TrainHyperparams(
+            nb_alpha=0.5, sgd_alpha=0.002, sgd_epochs=7, svm_c=2.0, seed=9,
+            chi_top_percent=45.0, chi_g_top_k=5,
+        )
+
+    @pytest.mark.parametrize("text", ["", "# none\n", None],
+                             ids=["empty", "comment_only", "devnull"])
+    def test_no_flags_build_empty_tables(self, text, tmp_path):
+        if text is None:
+            empty = os.devnull
+        else:
+            empty = tmp_path / "empty.txt"
+            empty.write_text(text, encoding="utf-8")
         parser = build_parser()
 
         def config(*flags):
@@ -130,86 +157,13 @@ class TestResolvedConfig:
             )
 
         base = default_config()
-        no_stopwords = PreprocessConfig(stopword_list=(), suffix_table=base.suffix_table)
-        no_stemming = PreprocessConfig(stopword_list=base.stopword_list, suffix_table=())
         assert config() == base
-        for built, expected in [
-            (config("--no-stopwords"), no_stopwords),
-            (config("--stopwords", str(empty)), no_stopwords),
-            (config("--no-stemming"), no_stemming),
-            (config("--suffixes", str(empty)), no_stemming),
-        ]:
-            assert built == expected
-
-    def test_flag_overrides_config_file_overrides_default(self, tmp_path):
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text("nb-alpha = 0.5\nseed = 9\n# comment\n", encoding="utf-8")
-        parser = build_parser()
-        args = parser.parse_args([
-            "train", "--corpus", "c", "--features", "tfidf", "--model", "nb", "--out", "m",
-            "--config", str(config_file), "--nb-alpha", "0.25",
-        ])
-        hyper = resolve_hyper(args)
-        assert hyper.nb_alpha == 0.25  # flag wins
-        assert hyper.seed == 9  # config file wins over default
-        assert hyper.sgd_epochs == HYPER_DEFAULTS["sgd_epochs"]
-
-    def test_unknown_config_key_is_data_error(self, tmp_path, corpora, capsys):
-        train_path, _ = corpora
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text("learning-rate = 3\n", encoding="utf-8")
-        code = main([
-            "train", "--corpus", str(train_path), "--features", "tfidf",
-            "--model", "nb", "--out", str(tmp_path / "m.json"), "--config", str(config_file),
-        ])
-        assert code == 1
-        assert "learning-rate" in capsys.readouterr().err.replace("_", "-")
-
-    @pytest.mark.parametrize(
-        "line", ["chi_g_top_k=0", "sgd-epochs = 0", "svm_c = nan", "seed = -1"]
-    )
-    def test_config_value_gets_the_flag_check(self, line, tmp_path, corpora, capsys):
-        train_path, _ = corpora
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text(line + "\n", encoding="utf-8")
-        code = main([
-            "train", "--corpus", str(train_path), "--features", "chi2",
-            "--model", "nb", "--out", str(tmp_path / "m.json"), "--config", str(config_file),
-        ])
-        assert code == 1
-        key = line.split("=")[0].strip().replace("-", "_")
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "m.json").exists()
-
-    def test_bad_config_value_names_its_line_under_an_overriding_flag(
-        self, tmp_path, corpora, capsys
-    ):
-        train_path, _ = corpora
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text("seed = 9\nsvm_c = nan\n", encoding="utf-8")
-        code = main([
-            "train", "--corpus", str(train_path), "--features", "tfidf", "--model", "svm",
-            "--out", str(tmp_path / "m.json"), "--config", str(config_file), "--svm-c", "2",
-        ])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: {config_file}: malformed line 2: svm_c: 'nan': "
+        assert config("--stopwords", str(empty)) == PreprocessConfig(
+            stopword_list=(), suffix_table=base.suffix_table
         )
-        assert not (tmp_path / "m.json").exists()
-
-    @pytest.mark.parametrize("first, repeat", [
-        ("seed = 1", "seed = 2"),
-        ("sgd-alpha = 0.001", "sgd_alpha = 0.01"),
-        ("sgd_alpha = 0.001", "sgd-alpha = 0.001"),
-    ])
-    def test_repeated_config_key_names_its_line(self, first, repeat, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{first}\n# comment\n{repeat}\n", encoding="utf-8")
-        with pytest.raises(MalformedLineError) as exc:
-            parse_config_file(path)
-        assert exc.value.line_no == 3
-        key = first.split("=")[0].strip().replace("-", "_")
-        assert exc.value.reason == f"key {key!r} repeats line 1"
+        assert config("--suffixes", str(empty)) == PreprocessConfig(
+            stopword_list=base.stopword_list, suffix_table=()
+        )
 
     # Above the largest accepted alpha (1e12), or with an infinite reciprocal.
     @pytest.mark.parametrize("text", ["1e13", "1e306", "5e-324"])
@@ -224,62 +178,25 @@ class TestResolvedConfig:
             main([*argv, "--sgd-alpha", text])
         assert exc.value.code == 2
         assert f"error: argument --sgd-alpha: {text!r}: {reason}" in capsys.readouterr().err
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text(f"seed = 3\nsgd_alpha = {text}\n", encoding="utf-8")
-        assert main([*argv, "--config", str(config_file)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: {config_file}: malformed line 2: sgd_alpha: {text!r}: {reason}"
-        )
         assert not out.exists()
 
     def test_largest_sgd_alpha_trains_without_warnings(self, tmp_path, corpora, capsys):
         out = tmp_path / "m.json"
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text("sgd_alpha = 1e12\n", encoding="utf-8")
-        for source in (["--sgd-alpha", "1e12"], ["--config", str(config_file)]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = main(["train", "--corpus", str(corpora[0]), "--features", "tfidf",
-                             "--model", "sgd", "--out", str(out), *source])
-            assert code == 0 and capsys.readouterr().err == ""
-            weights = load_model(out).model.weights
-            assert weights.any() and np.isfinite(weights).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--corpus", str(corpora[0]), "--features", "tfidf",
+                         "--model", "sgd", "--out", str(out), "--sgd-alpha", "1e12"])
+        assert code == 0 and capsys.readouterr().err == ""
+        weights = load_model(out).model.weights
+        assert weights.any() and np.isfinite(weights).all()
 
-    @pytest.mark.parametrize("key, kind", [("seed", "an integer"), ("sgd_alpha", "a number")])
-    def test_long_config_value_is_cut_in_the_message(self, key, kind, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{key} = {'x' * 100_000}\n", encoding="utf-8")
-        with pytest.raises(MalformedLineError) as exc:
-            parse_config_file(path)
-        assert exc.value.reason == f"{key}: '{'x' * 79}...: not {kind}"
-
-    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("sgd_alpha = 0.001\nseed = 3\n", encoding="utf-8-sig")
-        assert parse_config_file(path) == {"sgd_alpha": 0.001, "seed": 3}
-
-    def test_line_boundary_inside_a_config_line_is_malformed(self, tmp_path):
-        # str.splitlines would read two settings from this one line.
-        path = tmp_path / "run.cfg"
-        path.write_text("seed = 1\u2028svm-c = 2\n", encoding="utf-8")
-        with pytest.raises(MalformedLineError) as exc:
-            parse_config_file(path)
-        assert str(exc.value) == (
-            f"{path}: malformed line 1: holds the line boundary '\\u2028'; lines end at \\n only"
-        )
-
-    def test_crlf_config_file_reads_as_its_lf_copy(self, tmp_path):
-        text = "# run\nsvm_c=2.0\n\nseed = 3  # x\n"
-        lf, crlf = tmp_path / "lf.cfg", tmp_path / "crlf.cfg"
-        lf.write_bytes(text.encode("utf-8"))
-        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
-        assert parse_config_file(crlf) == parse_config_file(lf) == {"svm_c": 2.0, "seed": 3}
-
-    def test_parse_config_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("# svm_c = nan\nsvm_c=2.0\n\nchi-top-percent = 45  # wider\n",
-                        encoding="utf-8")
-        assert parse_config_file(path) == {"svm_c": 2.0, "chi_top_percent": 45.0}
+    @pytest.mark.parametrize("flag, kind", [("--seed", "an integer"), ("--sgd-alpha", "a number")])
+    def test_long_flag_value_is_cut_in_the_message(self, flag, kind, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--train", "a", "--test", "b", flag, "x" * 100_000])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {flag}: '{'x' * 79}...: not {kind}\n")
 
 
 def _assert_missing_directory_named(tmp_path, capsys, argv, flag="--out"):
@@ -496,33 +413,22 @@ class TestTrain:
         assert code == 1
         assert "one class" in capsys.readouterr().err
 
-    # A switched-off step is an empty table, so every way of giving that
-    # empty table writes the same model. A file given beside its --no-*
-    # flag is read and checked, and then not applied.
-    @pytest.mark.parametrize(
-        "ways",
-        [
-            [["--no-stopwords"], ["--stopwords", "empty.txt"],
-             ["--no-stopwords", "--stopwords", "one.txt"]],
-            [["--no-stemming"], ["--suffixes", "empty.txt"],
-             ["--no-stemming", "--suffixes", "one.tsv"]],
-        ],
-        ids=["stopwords", "stemming"],
-    )
-    def test_switched_off_step_is_its_empty_table(self, ways, tmp_path, corpora, capsys):
-        (tmp_path / "empty.txt").write_text("# nothing\n", encoding="utf-8")
-        (tmp_path / "one.txt").write_text("কনক\n", encoding="utf-8")
-        (tmp_path / "one.tsv").write_text("নক\t1\n", encoding="utf-8")
+    # A switched-off step is an empty table, so an empty file and a file of
+    # comments only write the same model, which holds that empty table.
+    @pytest.mark.parametrize("flag, table", [("--stopwords", "stopword_list"),
+                                             ("--suffixes", "suffix_table")])
+    def test_switched_off_step_is_its_empty_table(self, flag, table, tmp_path, corpora, capsys):
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+        (tmp_path / "comment.txt").write_text("# nothing\n", encoding="utf-8")
         saved = []
-        for index, flags in enumerate(ways):
-            path = tmp_path / f"m{index}.json"
-            flags = [str(tmp_path / flag) if flag.startswith(("empty", "one")) else flag
-                     for flag in flags]
-            assert main(["train", *flags, "--corpus", str(corpora[0]), "--features", "tfidf",
-                         "--model", "nb", "--out", str(path)]) == 0
+        for name in ("empty.txt", "comment.txt"):
+            path = tmp_path / f"m-{name}.json"
+            assert main(["train", flag, str(tmp_path / name), "--corpus", str(corpora[0]),
+                         "--features", "tfidf", "--model", "nb", "--out", str(path)]) == 0
+            assert not getattr(load_model(path).preprocess_config, table)
             saved.append(path.read_bytes())
         assert "error" not in capsys.readouterr().err
-        assert saved[1:] == saved[:1] * (len(ways) - 1)
+        assert saved[0] == saved[1]
         assert saved[0] != train_model(tmp_path, corpora).read_bytes()
 
 

@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
-# Usage: repro.sh DOCCAT CORPUS OUT [BENCHMARK OPTION...]
+# Usage: repro.sh DOCCAT CORPUS OUT
 #
 # Runs `DOCCAT benchmark --repro --seed 7` on CORPUS/train.jsonl and
-# CORPUS/test.jsonl into OUT, with any extra benchmark options, then labels
-# the test split with three of the models it wrote (one per classifier) into
-# OUT-predict/<model>.tsv and writes its preprocessed tokens to
-# OUT-predict/test.tokens.jsonl. Fails unless each prediction TSV has one
-# line per test document, each of exactly three tab-separated fields (id,
-# label, score), and the tokens file has one line per test document. The
-# caller compares OUT and OUT-predict of two runs with `diff -r`.
+# CORPUS/test.jsonl into OUT, then labels the test split with three of the
+# models it wrote (one per classifier) into OUT-predict/<model>.tsv and
+# writes its preprocessed tokens to OUT-predict/test.tokens.jsonl. Fails
+# unless each prediction TSV has one line per test document, each of exactly
+# three tab-separated fields (id, label, score), and the tokens file has one
+# line per test document. The caller compares OUT and OUT-predict of two
+# runs with `diff -r`.
 #
-# Then `DOCCAT train --seed 7` with the same options trains CHI-SQUARE+NB
-# into OUT-train/ and labels the test split with it; the run fails unless
-# that model file equals the benchmark's OUT/model_CHI_SQUARE_NB.json and
-# that TSV equals OUT-predict/CHI_SQUARE_NB.tsv, byte for byte, so `train`
-# and `benchmark` build and save the same model.
+# Then `DOCCAT train --seed 7` trains CHI-SQUARE+NB into OUT-train/ and
+# labels the test split with it; the run fails unless that model file
+# equals the benchmark's OUT/model_CHI_SQUARE_NB.json and that TSV equals
+# OUT-predict/CHI_SQUARE_NB.tsv, byte for byte, so `train` and `benchmark`
+# build and save the same model.
 #
 # Last, it writes two copies of the test split into OUT-train/, one that
 # starts with a UTF-8 byte-order mark and one with CRLF line ends,
@@ -37,9 +37,8 @@ set -euo pipefail
 doccat=$1
 corpus=$2
 out=$3
-shift 3
 
-"$doccat" benchmark --repro --seed 7 "$@" \
+"$doccat" benchmark --repro --seed 7 \
   --train "$corpus/train.jsonl" --test "$corpus/test.jsonl" --out-dir "$out"
 mkdir -p "$out-predict"
 for model in TFIDF_SGD CHI_SQUARE_NB CHI_SQUARE_SVM; do
@@ -61,7 +60,7 @@ if [ "$(wc -l < "$tokens")" -ne "$(grep -c . "$corpus/test.jsonl")" ]; then
   exit 1
 fi
 mkdir -p "$out-train"
-"$doccat" train --seed 7 "$@" --features chi2 --model nb \
+"$doccat" train --seed 7 --features chi2 --model nb \
   --corpus "$corpus/train.jsonl" --out "$out-train/model_CHI_SQUARE_NB.json"
 "$doccat" predict --model "$out-train/model_CHI_SQUARE_NB.json" \
   --input "$corpus/test.jsonl" --out "$out-train/CHI_SQUARE_NB.tsv"
@@ -84,7 +83,7 @@ cmp "$out-train/TFIDF_SGD.bom-model.tsv" "$out-predict/TFIDF_SGD.tsv"
 : > "$out-train/empty-stopwords.txt"
 echo "# none" > "$out-train/comment-stopwords.txt"
 for stopwords in empty comment; do
-  "$doccat" train --seed 7 "$@" --stopwords "$out-train/$stopwords-stopwords.txt" \
+  "$doccat" train --seed 7 --stopwords "$out-train/$stopwords-stopwords.txt" \
     --features tfidf --model nb --corpus "$corpus/train.jsonl" \
     --out "$out-train/model_TFIDF_NB.$stopwords-stopwords.json"
 done

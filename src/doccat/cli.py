@@ -41,8 +41,6 @@ _HYPER_HELP = {
     "svm_c": "SVM soft-margin penalty",
     "seed": "random seed for all shuffling",
     "chi_top_percent": "share of each document's chi-ranked terms to keep",
-    "chi_g_top_k": "restrict chi co-occurrence partners to the k most frequent terms "
-                   "per document",
 }
 
 
@@ -69,12 +67,11 @@ def _hyper_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("hyperparameters")
     for field in fields(TrainHyperparams):
-        # The field type ("int", "float" or "int | None") names the value type.
-        kind = int if field.type.startswith("int") else float
-        shown = "all" if field.default is None else field.default
+        # The field type ("int" or "float") names the value type.
+        kind = int if field.type == "int" else float
         group.add_argument(f"--{field.name.replace('_', '-')}",
                            type=_hyper_parser(field.name, kind), default=field.default,
-                           help=f"{_HYPER_HELP[field.name]} (default {shown})")
+                           help=f"{_HYPER_HELP[field.name]} (default {field.default})")
     return parent
 
 
@@ -157,11 +154,13 @@ def resolve_hyper(args: argparse.Namespace) -> TrainHyperparams:
 
 def build_preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
     """The shipped tables or the given files; an empty file is an empty table,
-    which switches its step off."""
+    which switches its step off. An empty path names no file, so it fails to
+    read like a missing one."""
     base = default_config()
+    stopwords, suffixes = args.stopwords, args.suffixes
     return PreprocessConfig(
-        stopword_list=load_stopwords(args.stopwords) if args.stopwords else base.stopword_list,
-        suffix_table=load_suffix_table(args.suffixes) if args.suffixes else base.suffix_table,
+        stopword_list=base.stopword_list if stopwords is None else load_stopwords(stopwords),
+        suffix_table=base.suffix_table if suffixes is None else load_suffix_table(suffixes),
     )
 
 

@@ -38,11 +38,10 @@ contains term t:
     E = p (x) n      E[g, w] = p_g * n_w, with p_g g's share of the
                      document's tokens
 
-g ranges over the document's distinct terms (or its k most frequent ones,
-see chi_score_document), and the partners are added one after another in
-lexicographic order, so scores do not depend on the process's string
-hashing. `check_chi_settings` is the one range check of the settings
-`top_percent` and `g_top_k`, for every caller.
+g ranges over the document's other distinct terms, added one after another
+in lexicographic order, so scores do not depend on the process's string
+hashing. `check_chi_settings` is the one range check of `top_percent`, for
+every caller.
 
 The scores of a corpus are computed in batches rather than one document at
 a time. Every term gets one id in ascending term order, and the documents,
@@ -50,13 +49,12 @@ sorted by token count, are cut into chunks. A chunk is a padded stack of
 incidence matrices, (documents, sentences, T) with T the widest document;
 O and E for all of its documents come from one batched product and one
 broadcast, with the same elementwise expressions as for a single document.
-After the deviation is taken, the pairs that must not count (padding, the
-terms outside g_top_k, g == w) get an infinite E, so each adds an exact
-+0.0 to a non-negative sum, which then equals the one-document result bit
-for bit. The documents x T x T arrays of a chunk hold at most
-_CHI_CHUNK_CELLS cells (512 KB per float64 array), because a document has no
-more distinct terms than tokens; only a document that alone exceeds that
-makes a larger chunk, of itself.
+After the deviation is taken, the pairs that must not count (padding and
+g == w) get an infinite E, so each adds an exact +0.0 to a non-negative
+sum, which then equals the one-document result bit for bit. The documents
+x T x T arrays of a chunk hold at most _CHI_CHUNK_CELLS cells (512 KB per
+float64 array), because a document has no more distinct terms than tokens;
+only a document that alone exceeds that makes a larger chunk, of itself.
 
 Note on n_w: a narrower reading of this family of scores takes n_w to be
 w's own frequency within its sentences; this implementation deliberately
@@ -225,32 +223,27 @@ def idf(n_docs: int, df: int) -> float:
     return math.log((n_docs + 1) / (df + 1)) + 1.0
 
 
-def check_chi_settings(top_percent: float = 100.0, g_top_k: int | None = None) -> None:
-    """Raise ValueError unless 0 < top_percent <= 100 and g_top_k is None or at least 1."""
+def check_chi_settings(top_percent: float) -> None:
+    """Raise ValueError unless 0 < top_percent <= 100."""
     if not 0.0 < top_percent <= 100.0:
         raise ValueError(f"chi_top_percent must be in (0, 100], got {top_percent!r}")
-    if g_top_k is not None and g_top_k < 1:
-        raise ValueError(f"chi_g_top_k must be at least 1, got {g_top_k!r}")
 
 
-def chi_score_document(doc: TokenizedDocument, g_top_k: int | None = None) -> ChiScoreTable:
+def chi_score_document(doc: TokenizedDocument) -> ChiScoreTable:
     """Score every distinct term of one document by sentence co-occurrence.
 
     For each term w, the squared deviation of observed sentence-level
     co-occurrence from its expectation p_g * n_w is summed over the
     document's other distinct terms g (see the module docstring for the
-    exact quantities). `g_top_k` optionally restricts g to the document's
-    k most frequent terms (ties broken lexicographically); the default
-    uses all terms; `check_chi_settings` rejects a k below 1.
+    exact quantities).
 
     An empty document yields an empty table; a term with no co-occurring
     terms scores 0.
     """
-    check_chi_settings(g_top_k=g_top_k)
     terms = _sorted_terms([doc])
     if not terms:
         return {}
-    (_, _, scores), = _chi_chunks([doc], terms, g_top_k)
+    (_, _, scores), = _chi_chunks([doc], terms)
     return dict(zip(terms, scores[0].tolist()))
 
 
@@ -260,7 +253,7 @@ def _sorted_terms(docs: Sequence[TokenizedDocument]) -> list[str]:
 
 
 def _chi_chunks(
-    docs: Sequence[TokenizedDocument], terms: list[str], g_top_k: int | None
+    docs: Sequence[TokenizedDocument], terms: list[str]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Chi-score the non-empty documents in chunks of similar size.
 
@@ -284,12 +277,12 @@ def _chi_chunks(
             and (stop - start + 1) * sizes[order[stop]] ** 2 <= _CHI_CHUNK_CELLS
         ):
             stop += 1
-        yield _chi_chunk([docs[index] for index in order[start:stop]], term_ids, g_top_k)
+        yield _chi_chunk([docs[index] for index in order[start:stop]], term_ids)
         start = stop
 
 
 def _chi_chunk(
-    docs: list[TokenizedDocument], term_ids: dict[str, int], g_top_k: int | None
+    docs: list[TokenizedDocument], term_ids: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_chi_chunks` for one chunk of non-empty documents."""
     n_docs, n_ids = len(docs), len(term_ids)
@@ -321,14 +314,6 @@ def _chi_chunk(
     padded_lengths[sentence_doc, 0, sentence_row] = lengths
 
     real = np.arange(width) < n_terms[:, None]
-    partners = real
-    if g_top_k is not None:
-        # Columns are in term order and padding counts 0, so a stable sort
-        # ranks each document's real terms by (-count, term) ahead of padding.
-        partners = np.zeros_like(real)
-        ranked = np.argsort(-counts, axis=1, kind="stable")[:, :g_top_k]
-        np.put_along_axis(partners, ranked, True, axis=1)
-        partners &= real
 
     # Axis 1 holds the partners g, axis 2 the terms w. A contiguous B^T lets
     # the batched product run as BLAS calls; the strided view took twice as
@@ -341,18 +326,14 @@ def _chi_chunk(
     deviation *= deviation
     # Once the deviation is taken, an excluded pair gets an infinite
     # expectation, so its finite squared deviation adds an exact +0.0.
-    expected[~partners] = np.inf  # padding and, with g_top_k, the other terms
-    expected.transpose(0, 2, 1)[~real] = np.inf  # padding
+    expected[~real] = np.inf  # padding partners
+    expected.transpose(0, 2, 1)[~real] = np.inf  # padding terms
     expected.reshape(n_docs, -1)[:, :: width + 1] = np.inf  # g == w
     # The sum over axis 1 adds the partners one after another in term order.
     return ids, n_terms, np.divide(deviation, expected, out=deviation).sum(axis=1)
 
 
-def select_chi_features(
-    docs: Sequence[TokenizedDocument],
-    top_percent: float,
-    g_top_k: int | None = None,
-) -> Vocabulary:
+def select_chi_features(docs: Sequence[TokenizedDocument], top_percent: float) -> Vocabulary:
     """Keep each document's top share of chi-scored terms; union the keeps.
 
     Per document, terms are ranked by score descending (ties broken
@@ -364,14 +345,14 @@ def select_chi_features(
     """
     if not docs:
         raise ValueError("cannot select features from zero documents")
-    check_chi_settings(top_percent, g_top_k)
+    check_chi_settings(top_percent)
 
     terms = _sorted_terms(docs)
     if not terms:
         raise EmptyVocabularyError("chi-square selection kept no terms (all documents empty)")
     kept = np.zeros(len(terms), dtype=bool)
     doc_freq = np.zeros(len(terms), dtype=np.intp)
-    for ids, n_terms, scores in _chi_chunks(docs, terms, g_top_k):
+    for ids, n_terms, scores in _chi_chunks(docs, terms):
         columns = np.arange(ids.shape[1])
         doc_freq += np.bincount(ids[columns < n_terms[:, None]], minlength=len(terms))
         keep = np.ceil(top_percent * n_terms / 100.0)

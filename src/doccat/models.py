@@ -104,6 +104,10 @@ from .fileio import STRICT_JSON, atomic_write_text, read_text
 from .textprep import PreprocessConfig, TokenizedDocument, preprocess_corpus
 
 MODEL_FORMAT_VERSION = 4
+# The keys of a model file, in the order `save_model` writes them.
+_MODEL_KEYS = ("format_version", "selector", "preprocessing", "vocabulary", "model_type",
+               "class_labels", "fit", "weights", "biases")
+_VOCABULARY_KEYS = ("n_docs", "terms", "doc_freq")
 
 SVM_TOLERANCE = 1e-3
 SVM_MAX_PASSES = 1000
@@ -133,10 +137,9 @@ class TrainHyperparams:
     """Training knobs; the defaults are the reference configuration.
 
     Every field is checked here, when one is built, and the trainers trust
-    it. `sgd_epochs`, `seed` and a set `chi_g_top_k` must be exact ints, the
-    other four ints or floats but not bools; `features.check_chi_settings`
-    checks the two chi-square ranges. Each rejection is a ValueError naming
-    the field.
+    it. `sgd_epochs` and `seed` must be exact ints, the other four ints or
+    floats but not bools; `features.check_chi_settings` checks the range of
+    `chi_top_percent`. Each rejection is a ValueError naming the field.
     """
 
     nb_alpha: float = 0.01
@@ -145,7 +148,6 @@ class TrainHyperparams:
     svm_c: float = 1.0
     seed: int = 42
     chi_top_percent: float = 30.0
-    chi_g_top_k: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("nb_alpha", "sgd_alpha", "svm_c", "chi_top_percent"):
@@ -154,9 +156,9 @@ class TrainHyperparams:
                 raise ValueError(f"{name} must be a number, got {quoted(value)}")
             if name != "chi_top_percent" and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("sgd_epochs", "seed", "chi_g_top_k"):
+        for name in ("sgd_epochs", "seed"):
             value = getattr(self, name)
-            if type(value) is not int and not (name == "chi_g_top_k" and value is None):
+            if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {quoted(value)}")
         if not (self.sgd_alpha <= SGD_ALPHA_MAX and math.isfinite(1.0 / self.sgd_alpha)):
             raise ValueError(f"sgd_alpha must be at most {SGD_ALPHA_MAX:g} and have a finite "
@@ -165,7 +167,7 @@ class TrainHyperparams:
             raise ValueError(f"sgd_epochs must be at least 1, got {self.sgd_epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        check_chi_settings(self.chi_top_percent, self.chi_g_top_k)
+        check_chi_settings(self.chi_top_percent)
 
 
 @dataclass(eq=False)
@@ -593,7 +595,7 @@ def train_from_tokens(
     if selector == "tfidf":
         vocabulary = build_vocabulary(docs)
     else:
-        vocabulary = select_chi_features(docs, hyper.chi_top_percent, hyper.chi_g_top_k)
+        vocabulary = select_chi_features(docs, hyper.chi_top_percent)
     clock.append(time.perf_counter())
     X = vectorize_corpus(docs, vocabulary, FEATURE_MODES[selector])
     clock.append(time.perf_counter())
@@ -699,6 +701,13 @@ def _typed(value: object, kind: type, key: str):
     return value
 
 
+def _check_keys(payload: dict, keys: tuple[str, ...], where: str) -> None:
+    """Reject the first key of `payload` that is not in `keys`."""
+    for key in payload:
+        if key not in keys:
+            raise ModelFormatError(f"unknown {where} key {quoted(key)}")
+
+
 def _typed_list(values: object, kind: type, key: str) -> list:
     """`values` if it is a list whose items' types are exactly `kind`."""
     if type(values) is not list or not set(map(type, values)) <= {kind}:
@@ -731,9 +740,11 @@ def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
 
 
 def _vocabulary_from_payload(payload: object) -> Vocabulary:
-    """The vocabulary of the payload's JSON lists; Vocabulary checks their
-    order, their lengths and that every document frequency is in [1, n_docs]."""
+    """The vocabulary of the payload's JSON lists, if it holds no other key;
+    Vocabulary checks their order, their lengths and that every document
+    frequency is in [1, n_docs]."""
     payload = _typed(payload, dict, "vocabulary")
+    _check_keys(payload, _VOCABULARY_KEYS, "vocabulary")
     return Vocabulary(
         terms=tuple(_typed_list(payload["terms"], str, "vocabulary terms")),
         doc_freq=tuple(_typed_list(payload["doc_freq"], int, "vocabulary doc_freq")),
@@ -822,7 +833,9 @@ def load_model(path: str | Path) -> TrainedModel:
     integer|a number|a boolean|a string|an object, got <value>` (cut by
     `errors.quoted`), or `<key> must be a list of integers|strings|lists`;
     types are exact, so `true` is not an integer and `1` is not a number. A
-    missing key reads `missing key '<key>'`. The other reasons are a file
+    missing key reads `missing key '<key>'`, and a key that `save_model`
+    does not write, at the top level or in the vocabulary, reads `unknown
+    top-level|vocabulary key '<key>'`. The other reasons are a file
     that cannot be read (`fileio.read_text`) or parsed (`fileio.STRICT_JSON`,
     which rejects NaN, infinities and repeated keys), a format version other
     than MODEL_FORMAT_VERSION (an older file needs retraining), an unknown
@@ -843,6 +856,7 @@ def load_model(path: str | Path) -> TrainedModel:
                 f"model format version {version} is not readable: this doccat reads "
                 f"version {MODEL_FORMAT_VERSION} only, so retrain the model"
             )
+        _check_keys(payload, _MODEL_KEYS, "top-level")
         selector = _typed(payload["selector"], str, "selector")
         if selector not in SELECTORS:
             raise ModelFormatError(f"unknown selector {quoted(selector)}")

@@ -373,9 +373,7 @@ def preprocess_oracle(doc: LabeledDocument, config: PreprocessConfig) -> Tokeniz
     return TokenizedDocument(sentences=tuple(sentences), label=doc.label, doc_id=doc.id)
 
 
-def reference_chi_scores(
-    doc: TokenizedDocument, g_top_k: int | None = None
-) -> tuple[list[str], np.ndarray]:
+def reference_chi_scores(doc: TokenizedDocument) -> tuple[list[str], np.ndarray]:
     """The per-document form of the chi-square scorer in `doccat.features`:
     the document's distinct terms in sorted order and their scores.
 
@@ -397,33 +395,25 @@ def reference_chi_scores(
         [column[token] for sentence in doc.sentences for token in sentence],
     ] = 1.0
 
-    # Column order is term order, so a stable sort ranks by (-count, term).
-    partners = np.ones(len(terms), dtype=bool)
-    if g_top_k is not None:
-        partners[np.argsort(-counts, kind="stable")[g_top_k:]] = False
-    rows = np.flatnonzero(partners)
-
     # Rows are partners g, columns are terms w.
-    observed = (incidence.T @ incidence)[partners]
-    expected = np.outer(counts[partners] / counts.sum(), lengths @ incidence)
+    observed = incidence.T @ incidence
+    expected = np.outer(counts / counts.sum(), lengths @ incidence)
     deviation = observed - expected
     contribution = deviation * deviation / expected
-    contribution[np.arange(rows.size), rows] = 0.0  # g == w
+    np.fill_diagonal(contribution, 0.0)  # g == w
     # Summing a C-contiguous (partner, term) array over axis 0 adds the
     # partners one after another in sorted order.
     return terms, contribution.sum(axis=0)
 
 
-def reference_select_chi_features(
-    docs: list[TokenizedDocument], top_percent: float, g_top_k: int | None = None
-) -> Vocabulary:
+def reference_select_chi_features(docs: list[TokenizedDocument], top_percent: float) -> Vocabulary:
     """The per-document form of `doccat.features.select_chi_features`: score
     each document with `reference_chi_scores`, keep its top share ranked by
     (-score, term), and count document frequencies with a Counter."""
     kept: set[str] = set()
     doc_freq: Counter = Counter()
     for doc in docs:
-        terms, scores = reference_chi_scores(doc, g_top_k)
+        terms, scores = reference_chi_scores(doc)
         doc_freq.update(terms)
         keep = math.ceil(top_percent * len(terms) / 100.0)
         kept.update(terms[index] for index in np.argsort(-scores, kind="stable")[:keep].tolist())
@@ -433,26 +423,19 @@ def reference_select_chi_features(
     )
 
 
-def chi_oracle(sentences: list[list[str]], g_top_k: int | None = None) -> dict[str, float]:
-    """Brute-force triple loop over the co-occurrence score definition.
-
-    With `g_top_k`, the partners g are the k most frequent terms, ties
-    going to the lexicographically smaller term.
-    """
+def chi_oracle(sentences: list[list[str]]) -> dict[str, float]:
+    """Brute-force triple loop over the co-occurrence score definition."""
     tokens = [token for sentence in sentences for token in sentence]
     total = len(tokens)
     if total == 0:
         return {}
     distinct = sorted(set(tokens))
-    partners = distinct
-    if g_top_k is not None:
-        partners = sorted(distinct, key=lambda term: (-tokens.count(term), term))[:g_top_k]
     scores = {}
     for w in distinct:
         containing = [sentence for sentence in sentences if w in sentence]
         n_w = sum(len(sentence) for sentence in containing)
         score = 0.0
-        for g in partners:
+        for g in distinct:
             if g == w:
                 continue
             observed = sum(1 for sentence in sentences if w in sentence and g in sentence)

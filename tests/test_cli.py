@@ -65,9 +65,9 @@ class TestUsageContract:
 
     @pytest.mark.parametrize(
         "flag",
-        [["--chi-top-percent", "150"], ["--seed", "-1"], ["--chi-g-top-k", "0"],
-         ["--sgd-epochs", "0"], ["--svm-c", "nan"]],
-        ids=["percent", "seed", "top_k", "epochs", "svm_c"],
+        [["--chi-top-percent", "150"], ["--chi-top-percent", "0"], ["--seed", "-1"],
+         ["--sgd-epochs", "0"], ["--svm-c", "nan"], ["--nb-alpha", "0"], ["--sgd-alpha", "-1"]],
+        ids=["percent", "percent_zero", "seed", "epochs", "svm_c", "nb_alpha", "sgd_alpha"],
     )
     def test_out_of_range_percent_is_usage_error(self, flag, corpora):
         train_path, _ = corpora
@@ -93,16 +93,18 @@ class TestUsageContract:
         assert code == 1 and captured.out == "" and not out.exists()
         assert captured.err.startswith(f"error: unreadable file {bad}: invalid UTF-8: ")
 
-    # Each setting has one flag: hyperparameters have no config file, and an
-    # empty --stopwords or --suffixes file switches a step off.
+    # Each setting has one flag: hyperparameters have no config file, an
+    # empty --stopwords or --suffixes file switches a step off, and every
+    # chi-square partner counts.
     @pytest.mark.parametrize("sub, required", [
         ("preprocess", ["--corpus", "c", "--out", "o"]),
         ("train", ["--corpus", "c", "--features", "tfidf", "--model", "nb", "--out", "m"]),
         ("benchmark", ["--train", "a", "--test", "b"]),
     ])
     @pytest.mark.parametrize(
-        "flag", [["--config", "F"], ["--no-stemming"], ["--no-stopwords"]],
-        ids=["config", "no_stemming", "no_stopwords"],
+        "flag",
+        [["--config", "F"], ["--no-stemming"], ["--no-stopwords"], ["--chi-g-top-k", "5"]],
+        ids=["config", "no_stemming", "no_stopwords", "chi_partner_limit"],
     )
     def test_removed_setting_flag_is_usage_error(self, sub, required, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -128,17 +130,15 @@ class TestResolvedConfig:
         assert hyper.svm_c == 1.0
         assert hyper.chi_top_percent == 30.0
         assert hyper.seed == 42
-        assert hyper.chi_g_top_k is None
 
     def test_each_flag_sets_its_field(self):
         args = build_parser().parse_args([
             "benchmark", "--train", "a", "--test", "b", "--nb-alpha", "0.5",
             "--sgd-alpha", "0.002", "--sgd-epochs", "7", "--svm-c", "2", "--seed", "9",
-            "--chi-top-percent", "45", "--chi-g-top-k", "5",
+            "--chi-top-percent", "45",
         ])
         assert resolve_hyper(args) == TrainHyperparams(
-            nb_alpha=0.5, sgd_alpha=0.002, sgd_epochs=7, svm_c=2.0, seed=9,
-            chi_top_percent=45.0, chi_g_top_k=5,
+            nb_alpha=0.5, sgd_alpha=0.002, sgd_epochs=7, svm_c=2.0, seed=9, chi_top_percent=45.0
         )
 
     @pytest.mark.parametrize("text", ["", "# none\n", None],
@@ -430,6 +430,25 @@ class TestTrain:
         assert "error" not in capsys.readouterr().err
         assert saved[0] == saved[1]
         assert saved[0] != train_model(tmp_path, corpora).read_bytes()
+
+    # An empty path names no file: it fails as a missing file would, rather
+    # than run with the shipped table, on each subcommand that takes one.
+    @pytest.mark.parametrize("sub", ["train", "preprocess", "benchmark"])
+    @pytest.mark.parametrize("flag", ["--stopwords", "--suffixes"])
+    def test_empty_table_path_is_an_error(self, sub, flag, tmp_path, corpora, capsys):
+        train_path, test_path = corpora
+        out = tmp_path / "out"
+        argv = {
+            "train": ["--corpus", str(train_path), "--features", "tfidf", "--model", "nb",
+                      "--out", str(out)],
+            "preprocess": ["--corpus", str(train_path), "--out", str(out)],
+            "benchmark": ["--train", str(train_path), "--test", str(test_path),
+                          "--out-dir", str(out)],
+        }[sub]
+        code = main([sub, flag, "", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err.endswith("[Errno 2] No such file or directory: ''\n")
 
 
 class TestPredict:

@@ -308,37 +308,19 @@ class TestChiScore:
             reversed_doc = TokenizedDocument(sentences=doc.sentences[::-1])
             assert chi_score_document(doc) == pytest.approx(chi_score_document(reversed_doc))
 
-    def test_g_top_k_restricts_partners(self):
-        doc = tdoc(["ক", "ক", "খ"], ["ক", "গ"])
-        full = chi_score_document(doc)
-        limited = chi_score_document(doc, g_top_k=1)
-        # only the most frequent term (ক) serves as a partner
-        assert set(limited) == set(full)
-        assert limited["ক"] == 0.0  # its only partner would be itself
-
-    def test_g_top_k_matches_brute_force_oracle(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(100):
-            doc = random_tokenized_doc(rng)
-            k = int(rng.integers(1, 5))
-            expected = chi_oracle([list(s) for s in doc.sentences], g_top_k=k)
-            actual = chi_score_document(doc, g_top_k=k)
-            assert set(actual) == set(expected)
-            for term, score in actual.items():
-                assert score == pytest.approx(expected[term], abs=1e-9)
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_g_top_k_below_one_rejected(self, k):
-        with pytest.raises(ValueError, match="g_top_k"):
-            chi_score_document(tdoc(["ক", "খ"]), g_top_k=k)
+    def test_every_term_is_a_partner(self):
+        # ক's score sums over all three other terms: খ gives 1/15, গ 1/30 and
+        # ঘ, the rarest and never beside ক, 5/6.
+        scores = chi_score_document(tdoc(["ক", "খ", "গ"], ["ক", "খ"], ["ঘ"]))
+        assert scores["ক"] == pytest.approx(1 / 15 + 1 / 30 + 5 / 6, abs=1e-12)
 
 
-def batched_chi_rows(docs, g_top_k=None):
+def batched_chi_rows(docs):
     """The batched scores of `docs` as a Counter of (terms, score bytes), one
     entry per non-empty document, and each chunk's document widths."""
     terms = features_module._sorted_terms(docs)
     rows, chunk_widths = Counter(), []
-    for ids, n_terms, scores in features_module._chi_chunks(docs, terms, g_top_k):
+    for ids, n_terms, scores in features_module._chi_chunks(docs, terms):
         chunk_widths.append(n_terms.tolist())
         for row, n in enumerate(n_terms.tolist()):
             row_terms = tuple(terms[index] for index in ids[row, :n].tolist())
@@ -346,11 +328,11 @@ def batched_chi_rows(docs, g_top_k=None):
     return rows, chunk_widths
 
 
-def reference_chi_rows(docs, g_top_k=None):
+def reference_chi_rows(docs):
     """`batched_chi_rows` from `reference_chi_scores`, one document at a time."""
     rows = Counter()
     for doc in docs:
-        terms, scores = reference_chi_scores(doc, g_top_k)
+        terms, scores = reference_chi_scores(doc)
         if terms:
             rows[tuple(terms), scores.tobytes()] += 1
     return rows
@@ -381,17 +363,16 @@ class TestBatchedChiScores:
     """The chunked scorer against the per-document `reference_chi_scores`,
     compared bit for bit (`tobytes()`)."""
 
-    @pytest.mark.parametrize("g_top_k", [None, 1, 5, 1000])
     @pytest.mark.parametrize("cells", [None, 1, 2000])
     def test_synthetic_corpora_match_the_reference(
-        self, g_top_k, cells, synth_train_tokens, default_cfg, monkeypatch
+        self, cells, synth_train_tokens, default_cfg, monkeypatch
     ):
         overlapping = preprocess_corpus(make_overlapping_corpus(5, seed=1), default_cfg)
         if cells is not None:  # 1: one document per chunk; 2000: mixed widths
             monkeypatch.setattr(features_module, "_CHI_CHUNK_CELLS", cells)
         for docs in (synth_train_tokens, overlapping, EDGE_DOCS):
-            rows, chunk_widths = batched_chi_rows(docs, g_top_k)
-            assert rows == reference_chi_rows(docs, g_top_k)
+            rows, chunk_widths = batched_chi_rows(docs)
+            assert rows == reference_chi_rows(docs)
             assert sum(map(len, chunk_widths)) == sum(1 for doc in docs if doc.token_count)
             if cells == 1:
                 assert all(len(widths) == 1 for widths in chunk_widths)
@@ -399,41 +380,36 @@ class TestBatchedChiScores:
                 assert len(chunk_widths) > 1
                 assert any(min(widths) < max(widths) for widths in chunk_widths)
 
-    @given(
-        docs=documents_strategy,
-        g_top_k=st.sampled_from([None, 1, 2, 3, 20]),
-        cells=st.integers(1, 3000),
-    )
+    @given(docs=documents_strategy, cells=st.integers(1, 3000))
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_random_documents_match_the_reference(self, docs, g_top_k, cells, monkeypatch):
+    def test_random_documents_match_the_reference(self, docs, cells, monkeypatch):
         monkeypatch.setattr(features_module, "_CHI_CHUNK_CELLS", cells)
-        assert batched_chi_rows(docs, g_top_k)[0] == reference_chi_rows(docs, g_top_k)
+        assert batched_chi_rows(docs)[0] == reference_chi_rows(docs)
         if any(doc.token_count for doc in docs):
             for top_percent in (30.0, 100.0):
-                assert select_chi_features(docs, top_percent, g_top_k) == (
-                    reference_select_chi_features(docs, top_percent, g_top_k)
+                assert select_chi_features(docs, top_percent) == (
+                    reference_select_chi_features(docs, top_percent)
                 )
         else:
             with pytest.raises(EmptyVocabularyError):
-                select_chi_features(docs, 30.0, g_top_k)
+                select_chi_features(docs, 30.0)
 
-    @pytest.mark.parametrize("g_top_k", [None, 1, 1000])
-    def test_one_document_matches_the_reference(self, g_top_k):
+    def test_one_document_matches_the_reference(self):
         for doc in EDGE_DOCS:
-            terms, scores = reference_chi_scores(doc, g_top_k)
-            table = chi_score_document(doc, g_top_k)
+            terms, scores = reference_chi_scores(doc)
+            table = chi_score_document(doc)
             assert list(table) == terms
             assert np.array(list(table.values())).tobytes() == scores.tobytes()
 
-    @pytest.mark.parametrize("g_top_k", [None, 1, 5])
+    @pytest.mark.parametrize("top_percent", [1.0, 30.0, 100.0])
     def test_selection_matches_the_reference(
-        self, g_top_k, synth_train_tokens, default_cfg, monkeypatch
+        self, top_percent, synth_train_tokens, default_cfg, monkeypatch
     ):
         overlapping = preprocess_corpus(make_overlapping_corpus(5, seed=1), default_cfg)
         monkeypatch.setattr(features_module, "_CHI_CHUNK_CELLS", 2000)
         for docs in (synth_train_tokens, overlapping, EDGE_DOCS):
-            assert select_chi_features(docs, 30.0, g_top_k) == (
-                reference_select_chi_features(docs, 30.0, g_top_k)
+            assert select_chi_features(docs, top_percent) == (
+                reference_select_chi_features(docs, top_percent)
             )
 
     def test_all_empty_corpus_rejected_with_a_tiny_budget(self, monkeypatch):
@@ -500,11 +476,11 @@ class TestSelectChiFeatures:
         with pytest.raises(ValueError):
             select_chi_features([tdoc(["ক"])], top_percent=100.5)
 
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_g_top_k_below_one_rejected(self, k):
+    @pytest.mark.parametrize("top_percent", [0.0, -1.0, 100.5, math.nan])
+    def test_bad_percent_rejected_before_scoring(self, top_percent):
         # even when no document has a term to score
-        with pytest.raises(ValueError, match="g_top_k"):
-            select_chi_features([tdoc()], top_percent=30.0, g_top_k=k)
+        with pytest.raises(ValueError, match="^chi_top_percent must be in"):
+            select_chi_features([tdoc()], top_percent=top_percent)
 
     def test_df_counted_over_all_docs(self):
         # খ survives selection only in doc_a's ranking but DF spans both docs

@@ -115,7 +115,8 @@ class TestHyperparams:
     # A float where an exact int belongs, a bool or a non-number where a number does.
     @pytest.mark.parametrize("field, value", [
         ("nb_alpha", True), ("sgd_alpha", "0.0001"), ("sgd_epochs", 2.5), ("svm_c", None),
-        ("seed", 1.5), ("chi_top_percent", True), ("chi_g_top_k", 2.5),
+        ("seed", 1.5), ("chi_top_percent", True), ("sgd_epochs", True), ("seed", "7"),
+        ("chi_top_percent", "30"),
     ])
     def test_wrong_type_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an? (integer|number), got "):
@@ -459,6 +460,13 @@ def _edit_preprocessing(key, edit):
 # instead of it, pattern its error must match).
 INCONSISTENT_FILES = {
     "list_at_top_level": ("sgd", [1, 2], "^top-level value must be an object, got \\[1, 2\\]$"),
+    # A model file holds its nine keys and nothing else.
+    "extra_top_level_key": (
+        "nb", lambda p: p.update(created="2024-01-01"), "^unknown top-level key 'created'$"
+    ),
+    "vocabulary_extra_key": (
+        "nb", lambda p: p["vocabulary"].update(index={}), "^unknown vocabulary key 'index'$"
+    ),
     # The labels and the vocabulary fix each parameter's shape.
     "truncated_weight_columns": (
         "sgd", _edit_parameter("weights", lambda w: w[:, :-1]),

@@ -22,7 +22,6 @@ from .features import (
     CorpusMatrix,
     Vocabulary,
     build_vocabulary,
-    chi_score_document,
     count_vector,
     idf,
     select_chi_features,
@@ -68,7 +67,6 @@ __all__ = [
     "Vocabulary",
     "benchmark",
     "build_vocabulary",
-    "chi_score_document",
     "confusion_matrix",
     "count_vector",
     "default_config",

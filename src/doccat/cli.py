@@ -165,10 +165,12 @@ def build_preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
 
 
 def _load_corpus(path: str) -> LabeledCorpus:
-    target = Path(path)
-    if target.is_dir():
-        return load_dir(target)
-    return load_jsonl(target)
+    """A directory-per-category corpus, else a JSONL file. An empty path
+    names no file (`Path("")` is the current directory), so it fails to read
+    like a missing one."""
+    if path and Path(path).is_dir():
+        return load_dir(path)
+    return load_jsonl(path)
 
 
 def _diag(args: argparse.Namespace, message: str) -> None:
@@ -236,11 +238,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_predict_documents(path: str) -> list[LabeledDocument]:
-    """Prediction input: JSONL, whose labels are not read, or one raw text file."""
+    """Prediction input: JSONL, whose labels are not read, or one raw text
+    file. The path is read as given, so an empty one fails as a missing file."""
     target = Path(path)
     if target.suffix == ".jsonl":
-        return read_jsonl_documents(target, label="-")
-    return [read_document(target, target.name, "-")]
+        return read_jsonl_documents(path, label="-")
+    return [read_document(path, target.name, "-")]
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

@@ -19,7 +19,9 @@ file of one that fails.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,7 +114,7 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
         UnreadableFileError: the file cannot be read or is not valid UTF-8.
         EmptyCorpusError: the file holds no documents.
     """
-    path = Path(path)
+    name = Path(path).name
     documents: list[LabeledDocument] = []
     required = ("text",) if label is not None else ("text", "label")
     for line_no, line in read_lines(path):
@@ -133,7 +135,7 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
         doc_id = obj.get("id")
         try:
             documents.append(LabeledDocument(
-                id=f"{path.name}:{line_no}" if doc_id is None else doc_id,
+                id=f"{name}:{line_no}" if doc_id is None else doc_id,
                 text=obj["text"], label=obj["label"] if label is None else label,
             ))
         except ValueError as exc:
@@ -160,7 +162,7 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
         raise DuplicateIdError(exc.doc_id, str(path)) from None
 
 
-def read_document(path: Path, doc_id: str, label: str) -> LabeledDocument:
+def read_document(path: str | Path, doc_id: str, label: str) -> LabeledDocument:
     """The document whose text is all of the file at `path` (`read_text`).
     UnreadableFileError names the path when it or `LabeledDocument` fails."""
     try:
@@ -176,11 +178,15 @@ def load_dir(path: str | Path) -> LabeledCorpus:
     Documents are ordered by ``(label, filename)`` lexicographically.
 
     Raises:
+        FileNotFoundError: `path` is empty, which names no directory
+            (`Path("")` would be the current one).
         NotADirectoryError: `path` is not a directory.
         UnreadableFileError: a ``.txt`` file cannot be read, is not UTF-8,
             or holds no text.
         EmptyCorpusError: no documents were found.
     """
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     root = Path(path)
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")

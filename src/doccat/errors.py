@@ -48,12 +48,13 @@ class DuplicateIdError(DoccatError):
 
 class UnreadableFileError(DoccatError):
     """An input file could not be read or decoded as UTF-8, or a document
-    file (`corpus.read_document`) held no valid document."""
+    file (`corpus.read_document`) held no valid document. The message
+    quotes the path as repr(str(path)), never cut, as OSError does."""
 
     def __init__(self, path: str, reason: str) -> None:
         self.path = str(path)
         self.reason = reason
-        super().__init__(f"unreadable file {path}: {reason}")
+        super().__init__(f"unreadable file {self.path!r}: {reason}")
 
 
 class EmptyVocabularyError(DoccatError):

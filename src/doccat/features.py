@@ -79,8 +79,6 @@ import numpy as np
 from .errors import EmptyVocabularyError, quoted
 from .textprep import TokenizedDocument
 
-ChiScoreTable = dict[str, float]
-
 # Cells (documents x T x T) of one chunk's padded chi-square arrays: 512 KB
 # per float64 array. Larger chunks were no faster on 3000 documents.
 _CHI_CHUNK_CELLS = 1 << 16
@@ -227,24 +225,6 @@ def check_chi_settings(top_percent: float) -> None:
     """Raise ValueError unless 0 < top_percent <= 100."""
     if not 0.0 < top_percent <= 100.0:
         raise ValueError(f"chi_top_percent must be in (0, 100], got {top_percent!r}")
-
-
-def chi_score_document(doc: TokenizedDocument) -> ChiScoreTable:
-    """Score every distinct term of one document by sentence co-occurrence.
-
-    For each term w, the squared deviation of observed sentence-level
-    co-occurrence from its expectation p_g * n_w is summed over the
-    document's other distinct terms g (see the module docstring for the
-    exact quantities).
-
-    An empty document yields an empty table; a term with no co-occurring
-    terms scores 0.
-    """
-    terms = _sorted_terms([doc])
-    if not terms:
-        return {}
-    (_, _, scores), = _chi_chunks([doc], terms)
-    return dict(zip(terms, scores[0].tolist()))
 
 
 def _sorted_terms(docs: Sequence[TokenizedDocument]) -> list[str]:

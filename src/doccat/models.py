@@ -828,9 +828,10 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> TrainedModel:
     """Load a model file, checking each value as it is decoded. Every
-    rejection is a ModelFormatError reading `invalid model file <path>:
-    <reason>`. A value of the wrong JSON type reads `<key> must be an
-    integer|a number|a boolean|a string|an object, got <value>` (cut by
+    rejection is a ModelFormatError reading `invalid model file '<path>':
+    <reason>`, the path quoted as repr(str(path)) and never cut. A value
+    of the wrong JSON type reads `<key> must be an integer|a number|a
+    boolean|a string|an object, got <value>` (cut by
     `errors.quoted`), or `<key> must be a list of integers|strings|lists`;
     types are exact, so `true` is not an integer and `1` is not a number. A
     missing key reads `missing key '<key>'`, and a key that `save_model`
@@ -890,9 +891,9 @@ def load_model(path: str | Path) -> TrainedModel:
             stage_seconds=dict.fromkeys(TRAIN_STAGES, 0.0),
         )
     except KeyError as exc:
-        raise ModelFormatError(f"invalid model file {path}: missing key {exc}") from exc
+        raise ModelFormatError(f"invalid model file {str(path)!r}: missing key {exc}") from exc
     except UnreadableFileError as exc:
-        raise ModelFormatError(f"invalid model file {path}: {exc.reason}") from exc
+        raise ModelFormatError(f"invalid model file {str(path)!r}: {exc.reason}") from exc
     # The decoder raises RecursionError on arrays or objects nested too deep.
     except (RecursionError, TypeError, ValueError, ModelFormatError) as exc:
-        raise ModelFormatError(f"invalid model file {path}: {exc}") from exc
+        raise ModelFormatError(f"invalid model file {str(path)!r}: {exc}") from exc

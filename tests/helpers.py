@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from doccat.corpus import LabeledCorpus, LabeledDocument
-from doccat.features import CorpusMatrix, Vocabulary
+from doccat.features import CorpusMatrix, Vocabulary, _chi_chunks
 from doccat.errors import SingleClassError
 from doccat.models import LinearModel, TrainHyperparams, predict_linear
 from doccat.textprep import (
@@ -371,6 +371,15 @@ def preprocess_oracle(doc: LabeledDocument, config: PreprocessConfig) -> Tokeniz
         if tokens:
             sentences.append(tuple(tokens))
     return TokenizedDocument(sentences=tuple(sentences), label=doc.label, doc_id=doc.id)
+
+
+def chi_scores(doc: TokenizedDocument) -> dict[str, float]:
+    """One document's chi-square scores by term, in ascending term order, read
+    through `doccat.features._chi_chunks`, the scorer of `select_chi_features`;
+    an empty document has none."""
+    terms = sorted(set(doc.tokens()))
+    chunks = list(_chi_chunks([doc], terms))
+    return dict(zip(terms, chunks[0][2][0].tolist())) if chunks else {}
 
 
 def reference_chi_scores(doc: TokenizedDocument) -> tuple[list[str], np.ndarray]:

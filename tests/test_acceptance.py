@@ -19,7 +19,6 @@ from doccat.corpus import load_dir, load_jsonl
 from doccat.evaluation import METHOD_ORDER, ConfusionMatrix, benchmark, metrics_from_matrix
 from doccat.features import (
     build_vocabulary,
-    chi_score_document,
     idf,
     select_chi_features,
     vectorize_corpus,
@@ -34,6 +33,7 @@ from doccat.textprep import TokenizedDocument, default_config
 
 from helpers import (
     chi_oracle,
+    chi_scores,
     make_synthetic_corpus,
     matrix,
     metrics_oracle,
@@ -96,14 +96,14 @@ def test_chi_square_oracle_equivalence():
         for _ in range(200):
             doc = random_tokenized_doc(rng, max_sentences=5, max_terms=6)
             expected = chi_oracle([list(s) for s in doc.sentences])
-            actual = chi_score_document(doc)
+            actual = chi_scores(doc)
             assert set(actual) == set(expected)
             for term in actual:
                 assert abs(actual[term] - expected[term]) <= 1e-9
         # identical sentences make every observed co-occurrence equal its
         # expectation, so the score is exactly zero
         uniform = TokenizedDocument(sentences=(("ক", "খ"), ("ক", "খ")))
-        assert chi_score_document(uniform) == {"ক": 0.0, "খ": 0.0}
+        assert chi_scores(uniform) == {"ক": 0.0, "খ": 0.0}
 
 
 def test_chi_selection_identity():

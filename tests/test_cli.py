@@ -2,7 +2,12 @@ import errno
 import json
 import os
 import re
+import shlex
+import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +96,7 @@ class TestUsageContract:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and not out.exists()
-        assert captured.err.startswith(f"error: unreadable file {bad}: invalid UTF-8: ")
+        assert captured.err.startswith(f"error: unreadable file {str(bad)!r}: invalid UTF-8: ")
 
     # Each setting has one flag: hyperparameters have no config file, an
     # empty --stopwords or --suffixes file switches a step off, and every
@@ -242,6 +247,43 @@ class TestOutputPath:
         assert main([*argv, "-v", flag, ""]) == 1
         assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestEmptyInputPath:
+    """An empty input path names no file, so it fails as `--stopwords ""`
+    does, and the message quotes it. The working directory holds two
+    category folders, which `Path("")`, the current directory, would read
+    as a corpus."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["preprocess", "--corpus", "", "--out", "o.jsonl"], "unreadable file"),
+        (["train", "--corpus", "", "--features", "tfidf", "--model", "nb", "--out", "m.json"],
+         "unreadable file"),
+        (["benchmark", "--train", "", "--test", "{test}", "--out-dir", "bench"],
+         "unreadable file"),
+        (["benchmark", "--train", "{train}", "--test", "", "--out-dir", "bench"],
+         "unreadable file"),
+        (["predict", "--model", "{model}", "--input", "", "--out", "p.tsv"], "unreadable file"),
+        (["evaluate", "--model", "{model}", "--corpus", "", "--report", "r.json"],
+         "unreadable file"),
+        (["predict", "--model", "", "--input", "{test}", "--out", "p.tsv"],
+         "invalid model file"),
+    ], ids=["preprocess", "train", "benchmark-train", "benchmark-test", "predict", "evaluate",
+            "model"])
+    def test_fails_as_a_missing_file(self, argv, error, tmp_path, corpora, monkeypatch, capsys):
+        paths = {"train": corpora[0], "test": corpora[1], "model": train_model(tmp_path, corpora)}
+        work = tmp_path / "work"
+        for label in ("a", "b"):
+            (work / label).mkdir(parents=True)
+            (work / label / "1.txt").write_text("কনক খগ। ঘঙ চছ", encoding="utf-8")
+        before = sorted(work.rglob("*"))
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error} '': [Errno 2] No such file or directory: ''\n"
+        assert sorted(work.rglob("*")) == before
 
 
 class TestPreprocess:
@@ -448,7 +490,9 @@ class TestTrain:
         code = main([sub, flag, "", *argv])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and not out.exists()
-        assert captured.err.endswith("[Errno 2] No such file or directory: ''\n")
+        assert captured.err == (
+            "error: unreadable file '': [Errno 2] No such file or directory: ''\n"
+        )
 
 
 class TestPredict:
@@ -558,7 +602,7 @@ class TestPredict:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == (
-            f"error: unreadable file {sample}: document 'blank.txt': "
+            f"error: unreadable file {str(sample)!r}: document 'blank.txt': "
             "text must be a non-empty string\n"
         )
 
@@ -607,7 +651,7 @@ class TestPredict:
         sample.write_text("কনক", encoding="utf-8")
         code = main(["predict", "--model", str(broken), "--input", str(sample)])
         assert code == 1
-        assert "invalid model file" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: invalid model file {str(broken)!r}: ")
 
     def test_model_brings_its_tables(self, tmp_path, corpora, capsys):
         # Trained with its own tables, a model labels and scores with them:
@@ -806,3 +850,48 @@ class TestBenchmark:
         captured = capsys.readouterr()
         assert "CHI-SQUARE+NB" in captured.err
         assert "TFIDF+SVM" in captured.out  # the others still reported
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _tree(root):
+    """Each file's bytes (None for a directory) by its path under `root`, so
+    two trees compare equal exactly when `diff -r` finds no difference."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes() if path.is_file() else None
+        for path in root.rglob("*")
+    }
+
+
+@pytest.mark.skipif(shutil.which("bash") is None,
+                    reason="bash is missing, and .github/repro.sh is a bash script")
+def test_repro_script_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
+    """CI's cross-process step: .github/repro.sh, which runs its own checks,
+    in two processes under PYTHONHASHSEED 0 and 1 on a corpusgen seed 5
+    corpus; the two output trees and prediction trees must be identical."""
+    corpus = tmp_path / "corpus"
+    subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "corpusgen.py"), "--seed", "5",
+         "--out", str(corpus), "train=4", "test=8"],
+        check=True, capture_output=True, timeout=120,
+    )
+    doccat = tmp_path / "doccat"
+    doccat.write_text(
+        f'#!{shutil.which("bash")}\nexec {shlex.quote(sys.executable)} -m doccat.cli "$@"\n',
+        encoding="utf-8",
+    )
+    doccat.chmod(0o755)
+    path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+    for hash_seed in ("0", "1"):
+        run = subprocess.run(
+            ["bash", str(REPO / ".github" / "repro.sh"), str(doccat), str(corpus),
+             str(tmp_path / f"repro-{hash_seed}")],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed,
+                 "PYTHONWARNINGS": "error::RuntimeWarning"},
+            capture_output=True, text=True, timeout=600,
+        )
+        assert run.returncode == 0, run.stderr
+    for tree in ("repro-{}", "repro-{}-predict"):
+        first = _tree(tmp_path / tree.format(0))
+        assert first and first == _tree(tmp_path / tree.format(1))

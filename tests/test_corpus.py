@@ -237,6 +237,13 @@ class TestLoadJsonl:
         with pytest.raises(UnreadableFileError):
             load_jsonl(tmp_path / "absent.jsonl")
 
+    def test_empty_path_is_a_missing_file(self, tmp_path, monkeypatch):
+        # Read as Path(""), it would open the current directory.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(UnreadableFileError) as caught:
+            load_jsonl("")
+        assert str(caught.value) == "unreadable file '': [Errno 2] No such file or directory: ''"
+
     def test_byte_order_mark_is_dropped(self, tmp_path):
         plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
         write_jsonl(plain, [{"id": "a", "text": "খেলা", "label": "x"},
@@ -292,6 +299,14 @@ class TestLoadDir:
         target.write_text("x", encoding="utf-8")
         with pytest.raises(NotADirectoryError):
             load_dir(target)
+
+    def test_empty_path_names_no_directory(self, tmp_path, monkeypatch):
+        # Path("") is the current directory, here a corpus of two categories.
+        self.make_tree(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as caught:
+            load_dir("")
+        assert str(caught.value) == "[Errno 2] No such file or directory: ''"
 
     def test_unreadable_file(self, tmp_path):
         (tmp_path / "Sports").mkdir()

@@ -18,7 +18,6 @@ from doccat.features import (
     CorpusMatrix,
     Vocabulary,
     build_vocabulary,
-    chi_score_document,
     count_vector,
     idf,
     select_chi_features,
@@ -29,6 +28,7 @@ from doccat.textprep import TokenizedDocument, preprocess_corpus
 
 from helpers import (
     chi_oracle,
+    chi_scores,
     make_overlapping_corpus,
     random_tokenized_doc,
     reference_chi_scores,
@@ -275,19 +275,19 @@ class TestTfidfVector:
 
 class TestChiScore:
     def test_two_sentence_example(self):
-        scores = chi_score_document(tdoc(["ক", "খ"], ["ক", "গ"]))
+        scores = chi_scores(tdoc(["ক", "খ"], ["ক", "গ"]))
         assert scores["ক"] == 0.0
         assert scores["খ"] == pytest.approx(0.5, abs=1e-12)
         assert scores["গ"] == pytest.approx(0.5, abs=1e-12)
 
     def test_single_term_scores_zero(self):
-        assert chi_score_document(tdoc(["ক"])) == {"ক": 0.0}
+        assert chi_scores(tdoc(["ক"])) == {"ক": 0.0}
 
     def test_empty_document(self):
-        assert chi_score_document(tdoc()) == {}
+        assert chi_scores(tdoc()) == {}
 
     def test_uniform_cooccurrence_is_exactly_zero(self):
-        scores = chi_score_document(tdoc(["ক", "খ"], ["ক", "খ"]))
+        scores = chi_scores(tdoc(["ক", "খ"], ["ক", "খ"]))
         assert scores == {"ক": 0.0, "খ": 0.0}
 
     def test_matches_brute_force_oracle(self):
@@ -295,7 +295,7 @@ class TestChiScore:
         for _ in range(100):
             doc = random_tokenized_doc(rng)
             expected = chi_oracle([list(s) for s in doc.sentences])
-            actual = chi_score_document(doc)
+            actual = chi_scores(doc)
             assert set(actual) == set(expected)
             for term, score in actual.items():
                 assert score == pytest.approx(expected[term], abs=1e-9)
@@ -306,12 +306,12 @@ class TestChiScore:
         for _ in range(30):
             doc = random_tokenized_doc(rng)
             reversed_doc = TokenizedDocument(sentences=doc.sentences[::-1])
-            assert chi_score_document(doc) == pytest.approx(chi_score_document(reversed_doc))
+            assert chi_scores(doc) == pytest.approx(chi_scores(reversed_doc))
 
     def test_every_term_is_a_partner(self):
         # ক's score sums over all three other terms: খ gives 1/15, গ 1/30 and
         # ঘ, the rarest and never beside ক, 5/6.
-        scores = chi_score_document(tdoc(["ক", "খ", "গ"], ["ক", "খ"], ["ঘ"]))
+        scores = chi_scores(tdoc(["ক", "খ", "গ"], ["ক", "খ"], ["ঘ"]))
         assert scores["ক"] == pytest.approx(1 / 15 + 1 / 30 + 5 / 6, abs=1e-12)
 
 
@@ -394,13 +394,6 @@ class TestBatchedChiScores:
             with pytest.raises(EmptyVocabularyError):
                 select_chi_features(docs, 30.0)
 
-    def test_one_document_matches_the_reference(self):
-        for doc in EDGE_DOCS:
-            terms, scores = reference_chi_scores(doc)
-            table = chi_score_document(doc)
-            assert list(table) == terms
-            assert np.array(list(table.values())).tobytes() == scores.tobytes()
-
     @pytest.mark.parametrize("top_percent", [1.0, 30.0, 100.0])
     def test_selection_matches_the_reference(
         self, top_percent, synth_train_tokens, default_cfg, monkeypatch
@@ -439,13 +432,14 @@ class TestSelectChiFeatures:
             assert selected == baseline
 
     def test_ranks_by_score_then_term(self):
-        # the per-document ranking is sorted((-score, term)) over the dict API
+        # the per-document ranking is sorted((-score, term)) over the reference scores
         rng = np.random.default_rng(8)
         for top_percent in (10.0, 30.0, 55.0):
             docs = [random_tokenized_doc(rng) for _ in range(25)]
             expected: set[str] = set()
             for doc in docs:
-                table = chi_score_document(doc)
+                terms, scores = reference_chi_scores(doc)
+                table = dict(zip(terms, scores.tolist()))
                 ranked = sorted(table, key=lambda term: (-table[term], term))
                 expected.update(ranked[: math.ceil(top_percent * len(table) / 100.0)])
             vocab = select_chi_features(docs, top_percent)

@@ -213,7 +213,7 @@ def _assert_rejected(path, pattern):
     whose reason matches `pattern`."""
     with pytest.raises(ModelFormatError) as caught:
         load_model(path)
-    prefix = f"invalid model file {path}: "
+    prefix = f"invalid model file {str(path)!r}: "
     assert str(caught.value).startswith(prefix)
     assert re.search(pattern, str(caught.value)[len(prefix):])
 
@@ -426,7 +426,7 @@ class TestModelFile:
         with pytest.raises(ModelFormatError) as caught:
             load_model(path)
         message = str(caught.value)
-        assert message.startswith(f"invalid model file {path}: invalid UTF-8: ")
+        assert message.startswith(f"invalid model file {str(path)!r}: invalid UTF-8: ")
         assert "in position 35" in message
         assert message.count(str(path)) == 1
 
@@ -802,7 +802,7 @@ class TestModelFileValidation:
         with pytest.raises(ModelFormatError) as caught:
             load_model(_write(payload, tmp_path / "m.json").name)
         message = str(caught.value)
-        assert message.startswith("invalid model file m.json: class label must be non-empty")
+        assert message.startswith("invalid model file 'm.json': class label must be non-empty")
         assert message.endswith("x" * 20 + "...") and len(message) < 300
 
 

@@ -1,11 +1,11 @@
 """Command-line interface: preprocess, train, predict, evaluate, benchmark.
 
 Exit codes: 0 success, 1 data or runtime error, 2 usage error. Successful
-runs print machine-parseable ``key=value`` lines (plus the comparison table
-for ``benchmark``); diagnostics go to stderr. Each setting has one flag:
-a hyperparameter flag defaults to its ``TrainHyperparams`` field, and
-``--stopwords``/``--suffixes`` replace a shipped table (an empty file
-switches that step off). All randomness flows from ``--seed``.
+runs print machine-parseable lines only; diagnostics go to stderr. Each
+setting has one flag: a hyperparameter flag defaults to its
+``TrainHyperparams`` field, and ``--stopwords``/``--suffixes`` replace a
+shipped table (an empty file switches that step off). All randomness flows
+from ``--seed``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .corpus import (
     LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_document, read_jsonl_documents,
 )
 from .errors import DoccatError, quoted
-from .fileio import atomic_write_text, check_out_dir
+from .fileio import atomic_write_text, check_out_dir, read_text
 from .models import TrainHyperparams
 from .textprep import (
     PreprocessConfig,
@@ -197,14 +197,14 @@ def _diag_fit(args: argparse.Namespace, model: models.LinearModel) -> None:
 def _check_out_path(path: str | None) -> None:
     """Fail as open(path, "w") would when `path` is empty or its directory
     does not exist (`[Errno 2] No such file or directory: '<path>'`), or
-    when it is a directory (`[Errno 21] Is a directory: '<path>'`).
-    preprocess, train, predict and evaluate call it for their output file
-    before they read anything; None is no file."""
+    when it is a directory or ends in a separator (`[Errno 21] Is a
+    directory: '<path>'`). preprocess, train, predict and evaluate call it
+    for their output file before they read anything; None is no file."""
     if path is None:
         return
     if not path or not Path(path).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if Path(path).is_dir():
+    if path.endswith(("/", os.sep)) or Path(path).is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
@@ -299,7 +299,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         keep_going=True,
         repro=args.repro,
     )
-    print(evaluation.format_report_table(result.reports))
+    sys.stdout.write(read_text(Path(args.out_dir) / "comparison.tsv"))
     print(f"out_dir={Path(args.out_dir)}")
     for name, error in result.failures:
         print(f"error: {name} failed: {error}", file=sys.stderr)

@@ -141,7 +141,7 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
         except ValueError as exc:
             raise MalformedLineError(str(path), line_no, str(exc)) from exc
     if not documents:
-        raise EmptyCorpusError(f"no documents in {path}")
+        raise EmptyCorpusError(f"no documents in {str(path)!r}")
     return documents
 
 
@@ -180,7 +180,7 @@ def load_dir(path: str | Path) -> LabeledCorpus:
     Raises:
         FileNotFoundError: `path` is empty, which names no directory
             (`Path("")` would be the current one).
-        NotADirectoryError: `path` is not a directory.
+        NotADirectoryError: `path` is not a directory (`[Errno 20]`).
         UnreadableFileError: a ``.txt`` file cannot be read, is not UTF-8,
             or holds no text.
         EmptyCorpusError: no documents were found.
@@ -189,7 +189,7 @@ def load_dir(path: str | Path) -> LabeledCorpus:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     root = Path(path)
     if not root.is_dir():
-        raise NotADirectoryError(f"not a directory: {root}")
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
 
     documents = [
         read_document(txt, f"{category_dir.name}/{txt.name}", category_dir.name)
@@ -197,5 +197,5 @@ def load_dir(path: str | Path) -> LabeledCorpus:
         for txt in sorted(category_dir.glob("*.txt"))
     ]
     if not documents:
-        raise EmptyCorpusError(f"no documents under {root}")
+        raise EmptyCorpusError(f"no documents under {str(path)!r}")
     return LabeledCorpus(documents=tuple(documents))

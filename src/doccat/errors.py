@@ -22,28 +22,28 @@ class MalformedLineError(DoccatError):
     """A line of an input file could not be parsed: a JSONL line into a
     labeled document, or a suffix-table line into its rule; or a line of a
     stopword or suffix file holds a line boundary other than "\\n"
-    (`fileio.read_entries`)."""
+    (`fileio.read_entries`). The path is quoted as in UnreadableFileError."""
 
     def __init__(self, path: str, line_no: int, reason: str) -> None:
         self.path = str(path)
         self.line_no = line_no
         self.reason = reason
-        super().__init__(f"{path}: malformed line {line_no}: {reason}")
+        super().__init__(f"{self.path!r}: malformed line {line_no}: {reason}")
 
 
 class EmptyCorpusError(DoccatError):
-    """A corpus source contained no documents."""
+    """A corpus source (its path quoted by repr) contained no documents."""
 
 
 class DuplicateIdError(DoccatError):
     """Two documents in one corpus share an id; a `path` given names the
-    corpus file, as MalformedLineError does."""
+    corpus file, quoted as MalformedLineError quotes it."""
 
     def __init__(self, doc_id: str, path: str | None = None) -> None:
         self.doc_id = doc_id
         self.path = path
         message = f"duplicate document id: {quoted(doc_id)}"
-        super().__init__(message if path is None else f"{path}: {message}")
+        super().__init__(message if path is None else f"{str(path)!r}: {message}")
 
 
 class UnreadableFileError(DoccatError):

@@ -289,19 +289,6 @@ def write_comparison_tsv(reports: Sequence[EvaluationReport], path: str | Path) 
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def format_report_table(reports: Sequence[EvaluationReport]) -> str:
-    """Human-readable comparison table with percentage metrics."""
-    header = f"{'Method':<16}{'Train Time(sec)':>16}{'Precision (%)':>15}{'Recall (%)':>12}{'F1-Measure (%)':>16}"
-    rows = [header, "-" * len(header)]
-    for report in reports:
-        rows.append(
-            f"{report.method_name:<16}{report.train_seconds:>16.4f}"
-            f"{100 * report.macro_precision:>15.2f}{100 * report.macro_recall:>12.2f}"
-            f"{100 * report.macro_f1:>16.2f}"
-        )
-    return "\n".join(rows)
-
-
 def report_to_dict(report: EvaluationReport) -> dict:
     return {
         "method": report.method_name,

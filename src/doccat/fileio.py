@@ -115,9 +115,13 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     The file gets the mode a plain open() would give it, 0o666 less the
     umask: the temp file is created with that mode, and the kernel applies
     the umask (tempfile.mkstemp would create it 0o600). A failed create or
-    rename raises an OSError naming `path`, not the temp file.
+    rename raises an OSError naming `path`, not the temp file, and a `path`
+    ending in a separator (which Path() drops) fails as open() would.
     """
     target = Path(path)
+    if str(path).endswith(("/", os.sep)):
+        code = errno.EISDIR if target.parent.is_dir() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(path))
     while True:
         tmp_name = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
         try:

@@ -175,9 +175,8 @@ class LinearModel:
     """One-vs-rest linear decision functions: score_c(x) = w_c . x + b_c.
 
     `fit_info` maps each class label to its trainer's diagnostics (None
-    for NB), and `converged` is derived from it. Models compare by
-    identity: a field-wise `==` would compare arrays, which has no single
-    truth value.
+    for NB). Models compare by identity: a field-wise `==` would compare
+    arrays, which has no single truth value.
     """
 
     class_labels: tuple[str, ...]
@@ -185,12 +184,6 @@ class LinearModel:
     biases: np.ndarray  # shape (n_classes,)
     trainer_tag: Classifier
     fit_info: dict | None = None
-
-    @property
-    def converged(self) -> bool:
-        """True when every class converged; a class whose `fit_info` has no
-        `converged` entry counts as converged."""
-        return all(info.get("converged", True) for info in (self.fit_info or {}).values())
 
 
 @dataclass(eq=False)
@@ -763,9 +756,6 @@ def _preprocessing_from_payload(payload: object) -> PreprocessConfig:
     payload = _typed(payload, dict, "preprocessing")
     stopwords = _typed_list(payload["stopwords"], str, "preprocessing stopwords")
     rules = _typed_list(payload["suffix_table"], list, "preprocessing suffix_table")
-    for rule in rules:
-        if list(map(type, rule)) != [str, int]:
-            raise ModelFormatError(f"suffix rule must be [string, integer], got {quoted(rule)}")
     config = PreprocessConfig(stopword_list=stopwords, suffix_table=rules)
     if payload != _preprocessing_to_payload(config):
         raise ModelFormatError("preprocessing must hold only its stopwords, once each in "
@@ -841,8 +831,8 @@ def load_model(path: str | Path) -> TrainedModel:
     which rejects NaN, infinities and repeated keys), a format version other
     than MODEL_FORMAT_VERSION (an older file needs retraining), an unknown
     selector or model type, a preprocessing block that `save_model` would
-    not write (a suffix rule that is no [string, integer] pair or fails
-    `textprep.validate_suffix_table`, tables out of order, another key),
+    not write (a suffix rule that `textprep.validate_suffix_table` rejects,
+    tables out of order, another key),
     class labels or vocabulary terms not in strictly ascending order, a
     class label that fails `corpus.check_field`, fewer than two class labels
     or no vocabulary term, a document frequency outside [1, n_docs], a fit

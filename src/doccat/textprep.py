@@ -96,9 +96,10 @@ class PreprocessConfig:
     the stemmed forms of inflected stopwords as well, since stopword removal
     runs after stemming. Any iterables are accepted and stored as a
     frozenset of stopwords and a tuple of (suffix, min_stem_length) pairs,
-    so a configuration is always hashable. An empty table applies nothing.
-    Each configuration builds its own token memo, which is no field: it
-    takes no part in equality, hashing or repr.
+    so a configuration is always hashable; a stopword that is no str, or a
+    rule that `validate_suffix_table` rejects, raises ValueError. An empty
+    table applies nothing. Each configuration builds its own token memo,
+    which is no field: it takes no part in equality, hashing or repr.
     """
 
     stopword_list: frozenset[str]
@@ -106,9 +107,13 @@ class PreprocessConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stopword_list", frozenset(self.stopword_list))
-        rules = sorted(map(tuple, self.suffix_table), key=lambda rule: (-len(rule[0]), rule[0]))
+        for word in self.stopword_list:
+            if type(word) is not str:
+                raise ValueError(f"stopword must be a string, got {quoted(word)}")
+        rules = tuple(self.suffix_table)
+        validate_suffix_table(rules)
+        rules = sorted(map(tuple, rules), key=lambda rule: (-len(rule[0]), rule[0]))
         object.__setattr__(self, "suffix_table", tuple(rules))
-        validate_suffix_table(self.suffix_table)
         object.__setattr__(self, "_token_memo", _TokenMemo(self))
 
 
@@ -130,10 +135,16 @@ class TokenizedDocument:
 
 
 def validate_suffix_table(rules: tuple[tuple[str, int], ...]) -> None:
-    """Raise ValueError on an empty suffix, a minimum stem length below 1
-    or a repeated suffix, in rules of any order."""
+    """Raise ValueError on a rule that is no (suffix, min_stem_length) pair
+    of exactly a str and an int (True is no length), an empty suffix, a
+    minimum stem length below 1 or a repeated suffix, in rules of any order."""
     seen: set[str] = set()
-    for suffix, min_stem in rules:
+    for rule in rules:
+        if list(map(type, rule)) != [str, int]:
+            raise ValueError(
+                f"suffix table: rule must be a (string, integer) pair, got {quoted(rule)}"
+            )
+        suffix, min_stem = rule
         if not suffix:
             raise ValueError("suffix table: empty suffix")
         if min_stem < 1:

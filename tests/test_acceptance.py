@@ -171,7 +171,7 @@ def test_svm_duality(synth_train_tokens, default_cfg):
     with criterion("svm-duality", 30.0):
         hyper = TrainHyperparams(svm_c=2.0)
         trained = train_from_tokens(synth_train_tokens, "tfidf", "svm", hyper, default_cfg)
-        assert trained.model.converged
+        assert all(info["converged"] for info in trained.model.fit_info.values())
         for label, info in trained.model.fit_info.items():
             assert info["alphas"].min() >= 0.0, label
             assert info["alphas"].max() <= hyper.svm_c, label

@@ -240,6 +240,17 @@ class TestOutputPath:
         assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'adir'\n"
         assert list(tmp_path.rglob("*")) == [tmp_path / "adir"]
 
+    # Path() drops a trailing separator, so `newdir/` once wrote a file `newdir`.
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_trailing_separator_fails_before_reading(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv, flag = self.COMMANDS[command]
+        assert main([*argv, "-v", flag, "newdir/"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'newdir/'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_empty_path_fails_before_reading(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
@@ -311,7 +322,16 @@ class TestPreprocess:
         code = main(["preprocess", "--corpus", str(deep), "--out", str(tmp_path / "o.jsonl")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {deep}: malformed line 2: invalid JSON: nested too deep\n"
+            f"error: {str(deep)!r}: malformed line 2: invalid JSON: nested too deep\n"
+        )
+
+    def test_path_that_reads_as_a_reason_is_quoted(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("x: malformed line 9.jsonl").write_text("{oops\n", encoding="utf-8")
+        code = main(["preprocess", "--corpus", "x: malformed line 9.jsonl", "--out", "o.jsonl"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: 'x: malformed line 9.jsonl': malformed line 1: invalid JSON: "
         )
 
     def test_missing_corpus_file(self, tmp_path, capsys):
@@ -430,7 +450,7 @@ class TestTrain:
                      "--model", "nb", "--out", str(out), "--suffixes", str(suffixes)])
         captured = capsys.readouterr()
         assert code == 1 and not out.exists()
-        assert captured.err.startswith(f"error: {suffixes}: malformed line ")
+        assert captured.err.startswith(f"error: {str(suffixes)!r}: malformed line ")
 
     def test_out_in_missing_directory_names_the_path(self, tmp_path, corpora, capsys):
         _assert_missing_directory_named(tmp_path, capsys, [
@@ -591,7 +611,7 @@ class TestPredict:
         code = main(["predict", "--model", str(model_path), "--input", str(batch)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == f"error: no documents in {batch}\n"
+        assert captured.err == f"error: no documents in {str(batch)!r}\n"
 
     def test_blank_raw_file_names_its_path(self, tmp_path, corpora, capsys):
         model_path = train_model(tmp_path, corpora)
@@ -778,6 +798,27 @@ class TestBenchmark:
             assert name in out
         assert (out_dir / "comparison.tsv").exists()
 
+    def test_prints_comparison_tsv_then_out_dir(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        subprocess.run(
+            [sys.executable, str(REPO / "perfbench" / "corpusgen.py"), "--seed", "5",
+             "--out", str(corpus), "train=4", "test=8"],
+            check=True, capture_output=True, timeout=120,
+        )
+        out_dir = tmp_path / "bench"
+        run = subprocess.run(
+            [sys.executable, "-m", "doccat.cli", "benchmark", "--repro", "--seed", "7",
+             "--train", str(corpus / "train.jsonl"), "--test", str(corpus / "test.jsonl"),
+             "--out-dir", str(out_dir)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(REPO / "src"), os.environ.get("PYTHONPATH", "")])},
+            capture_output=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        table = (out_dir / "comparison.tsv").read_bytes()
+        assert len(table.splitlines()) == 7
+        assert run.stdout == table + f"out_dir={out_dir}\n".encode()
+
     def test_seeded_runs_are_byte_identical(self, tmp_path, corpora):
         train_path, test_path = corpora
         outputs = []
@@ -826,7 +867,9 @@ class TestBenchmark:
         code = main(["benchmark", "--train", str(train_path), "--test", str(test_path),
                      "--out-dir", str(tmp_path / "bench")])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {test_path}: duplicate document id: 'a'\n"
+        assert capsys.readouterr().err == (
+            f"error: {str(test_path)!r}: duplicate document id: 'a'\n"
+        )
         assert not (tmp_path / "bench").exists()
 
     def test_partial_failure_reports_rest_and_exits_one(

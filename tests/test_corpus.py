@@ -89,8 +89,9 @@ class TestLoadJsonl:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(EmptyCorpusError) as caught:
             load_jsonl(path)
+        assert str(caught.value) == f"no documents in {str(path)!r}"
 
     def test_blank_lines_only(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -179,7 +180,7 @@ class TestLoadJsonl:
         with pytest.raises(DuplicateIdError) as caught:
             load_jsonl(path)
         assert (caught.value.doc_id, caught.value.path) == ("d", str(path))
-        assert str(caught.value) == f"{path}: duplicate document id: 'd'"
+        assert str(caught.value) == f"{str(path)!r}: duplicate document id: 'd'"
 
     def test_crlf_file_loads_as_its_lf_copy(self, tmp_path):
         # Same file name, so the synthesized ids match too.
@@ -212,7 +213,7 @@ class TestLoadJsonl:
         path.write_text(f'{{"text": "খ", "label": "x"}}\n{line}\n', encoding="utf-8")
         with pytest.raises(MalformedLineError) as exc:
             load_jsonl(path)
-        assert str(exc.value) == f"{path}: malformed line 2: invalid JSON: {reason}"
+        assert str(exc.value) == f"{str(path)!r}: malformed line 2: invalid JSON: {reason}"
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
@@ -297,8 +298,9 @@ class TestLoadDir:
     def test_not_a_directory(self, tmp_path):
         target = tmp_path / "f.txt"
         target.write_text("x", encoding="utf-8")
-        with pytest.raises(NotADirectoryError):
+        with pytest.raises(NotADirectoryError) as caught:
             load_dir(target)
+        assert str(caught.value) == f"[Errno 20] Not a directory: {str(target)!r}"
 
     def test_empty_path_names_no_directory(self, tmp_path, monkeypatch):
         # Path("") is the current directory, here a corpus of two categories.
@@ -344,8 +346,9 @@ class TestLoadDir:
 
     def test_empty_tree(self, tmp_path):
         (tmp_path / "Sports").mkdir()
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(EmptyCorpusError) as caught:
             load_dir(tmp_path)
+        assert str(caught.value) == f"no documents under {str(tmp_path)!r}"
 
     @pytest.mark.parametrize("category, name", [("Spo\trts", "a.txt"), ("Sports", "a\tb.txt")])
     def test_tab_in_label_or_file_name_names_the_file(self, tmp_path, category, name):

@@ -1,10 +1,11 @@
 import codecs
+import os
 import re
 
 import pytest
 
 from doccat.errors import MalformedLineError, UnreadableFileError
-from doccat.fileio import STRICT_JSON, read_entries, read_lines, read_text
+from doccat.fileio import STRICT_JSON, atomic_write_text, read_entries, read_lines, read_text
 
 # Every character other than "\n" at which str.splitlines ends a line.
 OTHER_BOUNDARIES = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -101,3 +102,23 @@ class TestReadEntries:
         path = tmp_path / "f.txt"
         path.write_bytes(b"# head\r\n a \r\n\r\nb # tail\r\n")
         assert read_entries(path) == [(2, "a"), (4, "b")]
+
+
+class TestAtomicWriteText:
+    # Path() drops a trailing separator, so `newdir/` once wrote a file
+    # `newdir`; each fails here as open(name, "w") fails on Linux.
+    @pytest.mark.parametrize("name, error", [
+        ("newdir/", "[Errno 21] Is a directory"),
+        ("afile/", "[Errno 21] Is a directory"),
+        ("adir/", "[Errno 21] Is a directory"),
+        ("nodir/x/", "[Errno 2] No such file or directory"),
+    ])
+    def test_trailing_separator_fails_as_open_does(self, tmp_path, monkeypatch, name, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept", encoding="utf-8")
+        (tmp_path / "adir").mkdir()
+        with pytest.raises(OSError) as caught:
+            atomic_write_text(name, "text")
+        assert str(caught.value) == f"{error}: {name!r}"
+        assert sorted(os.listdir()) == ["adir", "afile"] and os.listdir("adir") == []
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"

@@ -63,7 +63,6 @@ class TestTrainPipelines:
         assert loaded.train_seconds == 0.0
         assert loaded.class_labels == trained.class_labels
         assert loaded.preprocess_config == default_cfg
-        assert loaded.model.converged is trained.model.converged
         if classifier == "nb":
             assert loaded.model.fit_info is None
         else:
@@ -219,6 +218,15 @@ def _assert_rejected(path, pattern):
 
 
 class TestModelFile:
+    def test_save_to_a_trailing_separator_writes_nothing(
+        self, small_tokens, default_cfg, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        trained = train_from_tokens(small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg)
+        with pytest.raises(IsADirectoryError, match="^\\[Errno 21\\] Is a directory: 'm/'$"):
+            save_model(trained, "m/")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("classifier", ["nb", "svm"])
     def test_schema_fields(self, classifier, small_tokens, default_cfg):
         trained = train_from_tokens(
@@ -308,11 +316,11 @@ class TestModelFile:
         monkeypatch.setattr(models, "SVM_MAX_PASSES", 1)
         with pytest.warns(ConvergenceWarning):
             capped = train_svm(X, [doc.label for doc in small_tokens], TrainHyperparams())
-        assert capped.converged is False
+        assert not all(info["converged"] for info in capped.fit_info.values())
         path = tmp_path / "model.json"
         save_model(dataclasses.replace(trained, model=capped), path)
         loaded = load_model(path)
-        assert loaded.model.converged is False
+        assert not all(info["converged"] for info in loaded.model.fit_info.values())
         assert loaded.model.fit_info == {
             label: {key: info[key]
                     for key in ("passes", "updates", "violation", "converged", "gap")}
@@ -609,19 +617,19 @@ INCONSISTENT_FILES = {
     ),
     "suffix_rule_of_three": (
         "sgd", _edit_preprocessing("suffix_table", _replace_first(lambda rule: rule + [1])),
-        "^suffix rule must be \\[string, integer\\], got \\['",
+        "^suffix table: rule must be a \\(string, integer\\) pair, got \\['",
     ),
     "suffix_rule_reversed": (
         "svm", _edit_preprocessing("suffix_table", _replace_first(lambda rule: rule[::-1])),
-        "^suffix rule must be \\[string, integer\\], got \\[\\d",
+        "^suffix table: rule must be a \\(string, integer\\) pair, got \\[\\d",
     ),
     "suffix_rule_float_min_stem": (
         "sgd", _edit_preprocessing("suffix_table", _replace_first(lambda rule: [rule[0], 2.0])),
-        "^suffix rule must be \\[string, integer\\]",
+        "^suffix table: rule must be a \\(string, integer\\) pair, got \\['[^']+', 2\\.0\\]$",
     ),
     "suffix_rule_boolean_min_stem": (
         "nb", _edit_preprocessing("suffix_table", _replace_first(lambda rule: [rule[0], True])),
-        "^suffix rule must be \\[string, integer\\], got \\['[^']+', True\\]$",
+        "^suffix table: rule must be a \\(string, integer\\) pair, got \\['[^']+', True\\]$",
     ),
     "empty_suffix": (
         "sgd", _edit_preprocessing("suffix_table", lambda rules: rules + [["", 1]]),

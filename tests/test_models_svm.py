@@ -81,7 +81,7 @@ class TestDualityGap:
         X = vectorize_corpus(docs, build_vocabulary(docs), "tfidf")
         y = [doc.label for doc in docs]
         converged = train_svm(X, y, TrainHyperparams())
-        assert converged.converged
+        assert all(info["converged"] for info in converged.fit_info.values())
         monkeypatch.setattr(models, "SVM_MAX_PASSES", 1)
         with pytest.warns(ConvergenceWarning):
             capped = train_svm(X, y, TrainHyperparams())
@@ -124,7 +124,7 @@ class TestTrainSVM:
         y[0], y[1] = "a", "b"
         with pytest.warns(ConvergenceWarning):
             model = train_svm(X, y, TrainHyperparams())
-        assert model.converged is False
+        assert not all(info["converged"] for info in model.fit_info.values())
         assert model.weights.shape == (2, 4)  # model still returned
 
     def test_deterministic(self):
@@ -158,7 +158,7 @@ class TestOverlappingCorpus:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
             model = train_overlapping(overlapping_tokens, default_cfg, selector)
-        assert model.converged is True
+        assert all(info["converged"] for info in model.fit_info.values())
         for label, info in model.fit_info.items():
             assert info["converged"] is True, label
             assert info["violation"] < SVM_TOLERANCE, label
@@ -172,7 +172,8 @@ class TestOverlappingCorpus:
     def test_different_seeds_reach_the_same_optimum(self, overlapping_tokens, default_cfg):
         m1 = train_overlapping(overlapping_tokens, default_cfg, seed=1)
         m2 = train_overlapping(overlapping_tokens, default_cfg, seed=2)
-        assert m1.converged and m2.converged
+        for model in (m1, m2):
+            assert all(info["converged"] for info in model.fit_info.values())
         assert not np.array_equal(m1.weights, m2.weights)  # the seed reaches the solver
         for label in m1.class_labels:
             assert m2.fit_info[label]["dual_objective"] == pytest.approx(
@@ -195,7 +196,8 @@ def assert_matches_reference(X, y):
     assert model.class_labels == reference.class_labels
     assert np.array_equal(model.weights, reference.weights)
     assert np.array_equal(model.biases, reference.biases)
-    assert model.converged == reference.converged
+    assert (all(info["converged"] for info in model.fit_info.values())
+            == all(info["converged"] for info in reference.fit_info.values()))
     for label, expected in reference.fit_info.items():
         info = model.fit_info[label]
         assert info.keys() == expected.keys(), label
@@ -215,7 +217,7 @@ class TestMatchesPerStepReference:
     @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
     def test_overlapping_corpus(self, overlapping_tokens, selector):
         model = assert_matches_reference(*overlapping_matrix(overlapping_tokens, selector))
-        assert model.converged
+        assert all(info["converged"] for info in model.fit_info.values())
         passes = [info["passes"] for info in model.fit_info.values()]
         # Classes that stop early are carried through later passes.
         assert min(passes) < max(passes)
@@ -227,7 +229,7 @@ class TestMatchesPerStepReference:
         X, y = overlapping_matrix(overlapping_tokens, "tfidf")
         with pytest.warns(ConvergenceWarning):
             model = assert_matches_reference(X, y)
-        assert not model.converged
+        assert not all(info["converged"] for info in model.fit_info.values())
         assert all(info["passes"] == 3 for info in model.fit_info.values())
 
 
@@ -238,7 +240,8 @@ class TestOneVsRestRows:
         X, y = vectorize_corpus(docs, vocab, "tfidf"), [doc.label for doc in docs]
         hyper = TrainHyperparams(seed=5)
         model = train_svm(X, y, hyper)
-        assert len(model.class_labels) == 3 and model.converged
+        assert len(model.class_labels) == 3
+        assert all(info["converged"] for info in model.fit_info.values())
         for row, label in enumerate(model.class_labels):
             relabeled = [label if example == label else "~rest" for example in y]
             alone = train_svm(X, relabeled, hyper)

@@ -404,6 +404,24 @@ class TestConfigFiles:
         with pytest.raises(ValueError):
             validate_suffix_table((("রা", 0),))
 
+    # Each of these trained, then failed to load from its saved model file, or
+    # raised TypeError: a config must hold what a model file can hold.
+    NOT_A_RULE = "suffix table: rule must be a (string, integer) pair, got "
+
+    @pytest.mark.parametrize("stopwords, rules, message", [
+        ((), [("া", True)], NOT_A_RULE + "('া', True)"),
+        ((), [("া", 2.5)], NOT_A_RULE + "('া', 2.5)"),
+        ((), [("া", "2")], NOT_A_RULE + "('া', '2')"),
+        ((), [(5, 1)], NOT_A_RULE + "(5, 1)"),
+        ((), [("া", 1, 1)], NOT_A_RULE + "('া', 1, 1)"),
+        ([5], (), "stopword must be a string, got 5"),
+    ], ids=["boolean_min", "float_min", "string_min", "integer_suffix", "triple",
+            "integer_stopword"])
+    def test_config_rejects_what_a_model_file_cannot_hold(self, stopwords, rules, message):
+        with pytest.raises(ValueError) as caught:
+            PreprocessConfig(stopword_list=stopwords, suffix_table=rules)
+        assert str(caught.value) == message
+
     def test_shipped_stopwords_closed_under_stemming(self, default_cfg):
         # removal runs after stemming, so each entry's stem must be listed too
         for word in default_cfg.stopword_list:

@@ -11,8 +11,6 @@ from ``--seed``.
 from __future__ import annotations
 
 import argparse
-import errno
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -22,7 +20,7 @@ from .corpus import (
     LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_document, read_jsonl_documents,
 )
 from .errors import DoccatError, quoted
-from .fileio import atomic_write_text, check_out_dir, read_text
+from .fileio import atomic_write_text, check_out_dir, check_out_path, read_text
 from .models import TrainHyperparams
 from .textprep import (
     PreprocessConfig,
@@ -87,8 +85,8 @@ def _preprocess_flags() -> argparse.ArgumentParser:
 
 def _common_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("-v", "--verbose", action="count", default=0,
-                        help="increase diagnostic output on stderr")
+    parent.add_argument("-v", "--verbose", action="store_true",
+                        help="print diagnostics on stderr")
     return parent
 
 
@@ -194,22 +192,8 @@ def _diag_fit(args: argparse.Namespace, model: models.LinearModel) -> None:
         _diag(args, f"{model.trainer_tag} class={label} {detail}")
 
 
-def _check_out_path(path: str | None) -> None:
-    """Fail as open(path, "w") would when `path` is empty or its directory
-    does not exist (`[Errno 2] No such file or directory: '<path>'`), or
-    when it is a directory or ends in a separator (`[Errno 21] Is a
-    directory: '<path>'`). preprocess, train, predict and evaluate call it
-    for their output file before they read anything; None is no file."""
-    if path is None:
-        return
-    if not path or not Path(path).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if path.endswith(("/", os.sep)) or Path(path).is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-
-
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    _check_out_path(args.out)
+    check_out_path(args.out)
     corpus = _load_corpus(args.corpus)
     _diag(args, f"loaded {len(corpus)} documents, {len(corpus.labels)} labels")
     config = build_preprocess_config(args)
@@ -220,7 +204,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _check_out_path(args.out)
+    check_out_path(args.out)
     hyper = resolve_hyper(args)
     config = build_preprocess_config(args)
     corpus = _load_corpus(args.corpus)
@@ -247,7 +231,8 @@ def _load_predict_documents(path: str) -> list[LabeledDocument]:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    _check_out_path(args.out)
+    if args.out is not None:
+        check_out_path(args.out)
     trained = models.load_model(args.model)
     config = trained.preprocess_config
     docs = _load_predict_documents(args.input)
@@ -266,7 +251,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _check_out_path(args.report)
+    if args.report is not None:
+        check_out_path(args.report)
     trained = models.load_model(args.model)
     corpus = _load_corpus(args.corpus)
     report = evaluation.evaluate(trained, corpus, trained.preprocess_config)

@@ -19,7 +19,6 @@ file of one that fails.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 from dataclasses import dataclass, field
@@ -178,23 +177,17 @@ def load_dir(path: str | Path) -> LabeledCorpus:
     Documents are ordered by ``(label, filename)`` lexicographically.
 
     Raises:
-        FileNotFoundError: `path` is empty, which names no directory
-            (`Path("")` would be the current one).
-        NotADirectoryError: `path` is not a directory (`[Errno 20]`).
+        OSError: `os.listdir(path)` fails: `[Errno 2]` for a missing or
+            empty path, `[Errno 20]` for a file.
         UnreadableFileError: a ``.txt`` file cannot be read, is not UTF-8,
             or holds no text.
         EmptyCorpusError: no documents were found.
     """
-    if not path:
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     root = Path(path)
-    if not root.is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
-
     documents = [
-        read_document(txt, f"{category_dir.name}/{txt.name}", category_dir.name)
-        for category_dir in sorted(p for p in root.iterdir() if p.is_dir())
-        for txt in sorted(category_dir.glob("*.txt"))
+        read_document(txt, f"{label}/{txt.name}", label)
+        for label in sorted(os.listdir(path)) if (root / label).is_dir()
+        for txt in sorted((root / label).glob("*.txt"))
     ]
     if not documents:
         raise EmptyCorpusError(f"no documents under {str(path)!r}")

@@ -9,8 +9,8 @@ at `\\n` only, less one trailing `\\r`; in an entry file (`read_entries`),
 `STRICT_JSON` is the one JSON rule of JSONL lines and model files (RFC
 8259): its decode() raises ValueError on NaN, infinities and repeated keys.
 Output files are written to a temporary sibling and renamed into place so
-a crash mid-write never leaves a torn model or report file; `check_out_dir`
-is the rule for an output directory.
+a crash mid-write never leaves a torn model or report file; a bad output
+path gets the OS's own error (`check_out_path`, `check_out_dir`).
 """
 
 from __future__ import annotations
@@ -106,7 +106,22 @@ def check_out_dir(path: str | Path) -> None:
     existing = next(p for p in (target, *target.parents) if p.exists())
     if not existing.is_dir():
         code = errno.EEXIST if existing == target else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), path)
+        raise OSError(code, os.strerror(code), str(path))
+
+
+def check_out_path(path: str | Path) -> None:
+    """Fail as open(path, "w") would, with the OS's own error: `path` is
+    created and removed at once. An existing file is left untouched, and an
+    existing directory fails with `[Errno 21]`, as the rename into place
+    would. The CLI calls it for each output file before it reads anything."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except FileExistsError:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path)) from None
+        return
+    os.close(fd)
+    os.remove(path)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -115,13 +130,13 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     The file gets the mode a plain open() would give it, 0o666 less the
     umask: the temp file is created with that mode, and the kernel applies
     the umask (tempfile.mkstemp would create it 0o600). A failed create or
-    rename raises an OSError naming `path`, not the temp file, and a `path`
-    ending in a separator (which Path() drops) fails as open() would.
+    rename raises an OSError naming `path`, not the temp file; a `path` with
+    no file name (empty, `.`) or ending in a separator (which Path() drops)
+    fails in `check_out_path`, as open() would.
     """
     target = Path(path)
-    if str(path).endswith(("/", os.sep)):
-        code = errno.EISDIR if target.parent.is_dir() else errno.ENOENT
-        raise OSError(code, os.strerror(code), str(path))
+    if not target.name or str(path).endswith(("/", os.sep)):
+        check_out_path(path)
     while True:
         tmp_name = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
         try:

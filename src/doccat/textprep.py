@@ -94,18 +94,22 @@ class PreprocessConfig:
     longest-match-first is well defined and the same rules in any order give
     an equal configuration and hash. `stopword_list` should contain
     the stemmed forms of inflected stopwords as well, since stopword removal
-    runs after stemming. Any iterables are accepted and stored as a
-    frozenset of stopwords and a tuple of (suffix, min_stem_length) pairs,
-    so a configuration is always hashable; a stopword that is no str, or a
-    rule that `validate_suffix_table` rejects, raises ValueError. An empty
-    table applies nothing. Each configuration builds its own token memo,
-    which is no field: it takes no part in equality, hashing or repr.
+    runs after stemming. Iterables other than a str are stored as a frozenset
+    of stopwords and a tuple of (suffix, min_stem_length) pairs, so a config
+    is always hashable; a str table (its items are characters), a stopword
+    that is no str, or a rule that `validate_suffix_table` rejects, raises
+    ValueError. An empty table applies nothing. Each configuration builds
+    its own token memo, which is no field: it takes no part in equality,
+    hashing or repr.
     """
 
     stopword_list: frozenset[str]
     suffix_table: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
+        for name in ("stopword_list", "suffix_table"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a collection, not a string")
         object.__setattr__(self, "stopword_list", frozenset(self.stopword_list))
         for word in self.stopword_list:
             if type(word) is not str:

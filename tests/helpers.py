@@ -1,13 +1,15 @@
 """Shared test utilities: synthetic corpora and independent brute-force oracles.
 
 The oracles here are written directly from the definitions and deliberately
-share no code with the package so that agreement is meaningful.
+share no code with the package so that agreement is meaningful; a path's
+error is the one the OS gives (`os_error`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections import Counter
 from pathlib import Path
@@ -125,6 +127,34 @@ def save_jsonl(corpus: LabeledCorpus, path: str | Path) -> None:
         for doc in corpus
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# Output paths, relative to a directory that `make_out_tree` fills: each
+# way a path can be new, taken, missing its directory, under a file or end
+# in a separator.
+OUT_PATHS = ("", "newfile", "newdir/", "adir/", "afile/", "afile/x", "afile/x/",
+             "nodir/x", "nodir/x/", "adir", "afile")
+
+
+def make_out_tree(root: Path) -> None:
+    """A file `afile` holding "kept" and an empty directory `adir`."""
+    (root / "afile").write_text("kept", encoding="utf-8")
+    (root / "adir").mkdir()
+
+
+def assert_out_tree_kept(root: Path) -> None:
+    """`root` holds just what `make_out_tree` made, bytes unchanged."""
+    assert sorted(os.listdir(root)) == ["adir", "afile"] and os.listdir(root / "adir") == []
+    assert (root / "afile").read_text(encoding="utf-8") == "kept"
+
+
+def os_error(call) -> tuple[type, str] | None:
+    """The type and message of the OSError that `call()` raises, or None."""
+    try:
+        call()
+    except OSError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def matrix(rows: list[dict[int, float]], n_features: int) -> CorpusMatrix:

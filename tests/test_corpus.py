@@ -1,6 +1,8 @@
 import codecs
 import json
+import os
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from doccat.errors import (
 from doccat.fileio import LINE_BOUNDARY_RE
 from doccat.textprep import preprocess_corpus
 
-from helpers import save_jsonl
+from helpers import os_error, save_jsonl
 
 # The characters LINE_BOUNDARY_RE matches, read from its character class.
 LINE_BOUNDARIES = LINE_BOUNDARY_RE.pattern.removeprefix("[").removesuffix("]")
@@ -295,20 +297,16 @@ class TestLoadDir:
         corpus = load_dir(tmp_path)
         assert corpus.labels == ("Sports",)
 
-    def test_not_a_directory(self, tmp_path):
-        target = tmp_path / "f.txt"
-        target.write_text("x", encoding="utf-8")
-        with pytest.raises(NotADirectoryError) as caught:
-            load_dir(target)
-        assert str(caught.value) == f"[Errno 20] Not a directory: {str(target)!r}"
-
-    def test_empty_path_names_no_directory(self, tmp_path, monkeypatch):
-        # Path("") is the current directory, here a corpus of two categories.
+    # Path("") is the current directory, here a corpus of two categories.
+    @pytest.mark.parametrize("name", ["", "missing", Path("Sports/a.txt")], ids=repr)
+    def test_root_that_cannot_be_listed_fails_as_listdir_does(
+        self, tmp_path, monkeypatch, name
+    ):
         self.make_tree(tmp_path)
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(FileNotFoundError) as caught:
-            load_dir("")
-        assert str(caught.value) == "[Errno 2] No such file or directory: ''"
+        error = os_error(lambda: load_dir(name))
+        assert error is not None and error == os_error(lambda: os.listdir(name))
+        assert error[1].endswith(f": {str(name)!r}")
 
     def test_unreadable_file(self, tmp_path):
         (tmp_path / "Sports").mkdir()

@@ -379,8 +379,9 @@ class TestBenchmark:
         monkeypatch.setattr(evaluation_module, "preprocess_corpus", never)
         target = tmp_path / "taken"
         target.write_text("kept", encoding="utf-8")
-        with pytest.raises(FileExistsError):
+        with pytest.raises(FileExistsError) as caught:
             benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, out_dir=target)
+        assert str(caught.value) == f"[Errno 17] File exists: {str(target)!r}"
         assert target.read_text(encoding="utf-8") == "kept"
 
     def test_long_unseen_test_label_is_cut_in_the_message(

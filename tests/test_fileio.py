@@ -1,11 +1,15 @@
 import codecs
-import os
 import re
+from pathlib import Path
 
 import pytest
 
 from doccat.errors import MalformedLineError, UnreadableFileError
-from doccat.fileio import STRICT_JSON, atomic_write_text, read_entries, read_lines, read_text
+from doccat.fileio import (
+    STRICT_JSON, atomic_write_text, check_out_path, read_entries, read_lines, read_text,
+)
+
+from helpers import OUT_PATHS, assert_out_tree_kept, make_out_tree, os_error
 
 # Every character other than "\n" at which str.splitlines ends a line.
 OTHER_BOUNDARIES = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -106,19 +110,30 @@ class TestReadEntries:
 
 class TestAtomicWriteText:
     # Path() drops a trailing separator, so `newdir/` once wrote a file
-    # `newdir`; each fails here as open(name, "w") fails on Linux.
-    @pytest.mark.parametrize("name, error", [
-        ("newdir/", "[Errno 21] Is a directory"),
-        ("afile/", "[Errno 21] Is a directory"),
-        ("adir/", "[Errno 21] Is a directory"),
-        ("nodir/x/", "[Errno 2] No such file or directory"),
-    ])
-    def test_trailing_separator_fails_as_open_does(self, tmp_path, monkeypatch, name, error):
+    # `newdir`, and it names no file in an empty path.
+    @pytest.mark.parametrize("name", OUT_PATHS, ids=repr)
+    def test_fails_as_open_does(self, tmp_path, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "afile").write_text("kept", encoding="utf-8")
-        (tmp_path / "adir").mkdir()
-        with pytest.raises(OSError) as caught:
-            atomic_write_text(name, "text")
-        assert str(caught.value) == f"{error}: {name!r}"
-        assert sorted(os.listdir()) == ["adir", "afile"] and os.listdir("adir") == []
-        assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
+        make_out_tree(tmp_path)
+        error = os_error(lambda: atomic_write_text(name, "text"))
+        if error is None:
+            assert Path(name).read_text(encoding="utf-8") == "text"
+            assert not list(tmp_path.rglob("*.tmp"))
+        else:
+            assert_out_tree_kept(tmp_path)
+        assert error == os_error(lambda: open(name, "w").close())
+
+
+class TestCheckOutPath:
+    @pytest.mark.parametrize("name", OUT_PATHS, ids=repr)
+    def test_fails_as_open_does_and_creates_nothing(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        make_out_tree(tmp_path)
+        error = os_error(lambda: check_out_path(name))
+        assert_out_tree_kept(tmp_path)
+        assert error == os_error(lambda: open(name, "w").close())
+
+    def test_a_directory_is_named_by_its_string(self, tmp_path):
+        with pytest.raises(IsADirectoryError) as caught:
+            check_out_path(tmp_path)
+        assert str(caught.value) == f"[Errno 21] Is a directory: {str(tmp_path)!r}"

@@ -218,13 +218,18 @@ def _assert_rejected(path, pattern):
 
 
 class TestModelFile:
-    def test_save_to_a_trailing_separator_writes_nothing(
-        self, small_tokens, default_cfg, tmp_path, monkeypatch
+    @pytest.mark.parametrize("path, error", [
+        ("m/", IsADirectoryError("[Errno 21] Is a directory: 'm/'")),
+        ("", FileNotFoundError("[Errno 2] No such file or directory: ''")),
+    ], ids=repr)
+    def test_save_to_an_unwritable_path_writes_nothing(
+        self, small_tokens, default_cfg, tmp_path, monkeypatch, path, error
     ):
         monkeypatch.chdir(tmp_path)
         trained = train_from_tokens(small_tokens, "tfidf", "nb", TrainHyperparams(), default_cfg)
-        with pytest.raises(IsADirectoryError, match="^\\[Errno 21\\] Is a directory: 'm/'$"):
-            save_model(trained, "m/")
+        with pytest.raises(type(error)) as caught:
+            save_model(trained, path)
+        assert str(caught.value) == str(error)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("classifier", ["nb", "svm"])

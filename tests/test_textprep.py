@@ -422,6 +422,15 @@ class TestConfigFiles:
             PreprocessConfig(stopword_list=stopwords, suffix_table=rules)
         assert str(caught.value) == message
 
+    # A str iterates as its characters: "এবং" once made the three one-letter
+    # stopwords "ং", "এ" and "ব", which trained and saved without a word.
+    @pytest.mark.parametrize("field", ["stopword_list", "suffix_table"])
+    def test_config_rejects_a_string_table(self, field):
+        tables = {"stopword_list": (), "suffix_table": (), field: "এবং"}
+        with pytest.raises(ValueError) as caught:
+            PreprocessConfig(**tables)
+        assert str(caught.value) == f"{field} must be a collection, not a string"
+
     def test_shipped_stopwords_closed_under_stemming(self, default_cfg):
         # removal runs after stemming, so each entry's stem must be listed too
         for word in default_cfg.stopword_list:

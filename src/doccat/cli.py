@@ -11,6 +11,7 @@ from ``--seed``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -163,10 +164,8 @@ def build_preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
 
 
 def _load_corpus(path: str) -> LabeledCorpus:
-    """A directory-per-category corpus, else a JSONL file. An empty path
-    names no file (`Path("")` is the current directory), so it fails to read
-    like a missing one."""
-    if path and Path(path).is_dir():
+    """A directory-per-category corpus, else a JSONL file."""
+    if os.path.isdir(path):
         return load_dir(path)
     return load_jsonl(path)
 

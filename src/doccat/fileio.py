@@ -130,15 +130,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     The file gets the mode a plain open() would give it, 0o666 less the
     umask: the temp file is created with that mode, and the kernel applies
     the umask (tempfile.mkstemp would create it 0o600). A failed create or
-    rename raises an OSError naming `path`, not the temp file; a `path` with
-    no file name (empty, `.`) or ending in a separator (which Path() drops)
-    fails in `check_out_path`, as open() would.
+    rename raises an OSError naming `path`, not the temp file. The path is
+    judged as written: one whose last component is empty, `.` or `..`
+    (`m/`, `m/.`, `..`) names no file, so it fails in `check_out_path` with
+    what open() raises and nothing is written.
     """
-    target = Path(path)
-    if not target.name or str(path).endswith(("/", os.sep)):
+    if os.path.basename(path) in ("", ".", ".."):
         check_out_path(path)
     while True:
-        tmp_name = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
+        tmp_name = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
         try:
             fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break
@@ -150,7 +150,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         try:
-            os.replace(tmp_name, target)
+            os.replace(tmp_name, path)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:

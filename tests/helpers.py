@@ -130,10 +130,11 @@ def save_jsonl(corpus: LabeledCorpus, path: str | Path) -> None:
 
 
 # Output paths, relative to a directory that `make_out_tree` fills: each
-# way a path can be new, taken, missing its directory, under a file or end
-# in a separator.
+# way a path can be new, taken, missing its directory, under a file, end
+# in a separator or end in `.` or `..` (which Path() would fold away).
 OUT_PATHS = ("", "newfile", "newdir/", "adir/", "afile/", "afile/x", "afile/x/",
-             "nodir/x", "nodir/x/", "adir", "afile")
+             "nodir/x", "nodir/x/", "adir", "afile", ".", "..", "afile/.", "new/.",
+             "adir/.", "adir/..")
 
 
 def make_out_tree(root: Path) -> None:

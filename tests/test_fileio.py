@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 from doccat.errors import MalformedLineError, UnreadableFileError
+from doccat.evaluation import evaluate, write_report
 from doccat.fileio import (
     STRICT_JSON, atomic_write_text, check_out_path, read_entries, read_lines, read_text,
 )
+from doccat.models import TrainHyperparams, save_model, train
 
 from helpers import OUT_PATHS, assert_out_tree_kept, make_out_tree, os_error
 
@@ -108,16 +110,29 @@ class TestReadEntries:
         assert read_entries(path) == [(2, "a"), (4, "b")]
 
 
+@pytest.fixture(scope="module")
+def writers(tiny_corpus, default_cfg):
+    """Each writer of an output file, as a call on a path."""
+    trained = train(tiny_corpus, "tfidf", "nb", TrainHyperparams(), default_cfg)
+    report = evaluate(trained, tiny_corpus, default_cfg)
+    return {
+        "atomic_write_text": lambda path: atomic_write_text(path, "text"),
+        "save_model": lambda path: save_model(trained, path),
+        "write_report": lambda path: write_report(report, path),
+    }
+
+
 class TestAtomicWriteText:
-    # Path() drops a trailing separator, so `newdir/` once wrote a file
-    # `newdir`, and it names no file in an empty path.
+    # Each path is judged as written: Path() would fold a trailing separator
+    # or a last `.` away and name another file.
     @pytest.mark.parametrize("name", OUT_PATHS, ids=repr)
-    def test_fails_as_open_does(self, tmp_path, monkeypatch, name):
+    @pytest.mark.parametrize("writer", ["atomic_write_text", "save_model", "write_report"])
+    def test_every_writer_fails_as_open_does(self, tmp_path, monkeypatch, writers, writer, name):
         monkeypatch.chdir(tmp_path)
         make_out_tree(tmp_path)
-        error = os_error(lambda: atomic_write_text(name, "text"))
+        error = os_error(lambda: writers[writer](name))
         if error is None:
-            assert Path(name).read_text(encoding="utf-8") == "text"
+            assert Path(name).stat().st_size > 0
             assert not list(tmp_path.rglob("*.tmp"))
         else:
             assert_out_tree_kept(tmp_path)

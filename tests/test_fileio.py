@@ -111,15 +111,21 @@ class TestReadEntries:
 
 
 @pytest.fixture(scope="module")
-def writers(tiny_corpus, default_cfg):
-    """Each writer of an output file, as a call on a path."""
+def writers(tiny_corpus, default_cfg, tmp_path_factory):
+    """Each writer of an output file, as a call on a path, and the text it
+    must write there: what the same call writes to a fresh path."""
     trained = train(tiny_corpus, "tfidf", "nb", TrainHyperparams(), default_cfg)
     report = evaluate(trained, tiny_corpus, default_cfg)
-    return {
+    calls = {
         "atomic_write_text": lambda path: atomic_write_text(path, "text"),
         "save_model": lambda path: save_model(trained, path),
         "write_report": lambda path: write_report(report, path),
     }
+    fresh = tmp_path_factory.mktemp("fresh")
+    for name, call in calls.items():
+        call(fresh / name)
+    return {name: (call, (fresh / name).read_text(encoding="utf-8"))
+            for name, call in calls.items()}
 
 
 class TestAtomicWriteText:
@@ -130,9 +136,10 @@ class TestAtomicWriteText:
     def test_every_writer_fails_as_open_does(self, tmp_path, monkeypatch, writers, writer, name):
         monkeypatch.chdir(tmp_path)
         make_out_tree(tmp_path)
-        error = os_error(lambda: writers[writer](name))
+        call, text = writers[writer]
+        error = os_error(lambda: call(name))
         if error is None:
-            assert Path(name).stat().st_size > 0
+            assert Path(name).read_text(encoding="utf-8") == text
             assert not list(tmp_path.rglob("*.tmp"))
         else:
             assert_out_tree_kept(tmp_path)

@@ -181,7 +181,7 @@ def _evaluate_tokenized(
     trained: TrainedModel, docs: Sequence[TokenizedDocument], preprocess_seconds: float
 ) -> EvaluationReport:
     clock = [time.perf_counter()]
-    X = vectorize_corpus(docs, trained.vocabulary, trained.feature_mode)
+    X = vectorize_corpus(docs, trained.vocabulary, trained.selector)
     clock.append(time.perf_counter())
     y_pred, _ = predict_linear(trained.model, X)
     clock.append(time.perf_counter())
@@ -230,13 +230,14 @@ def benchmark(
     Each pipeline's model and report are written to `out_dir` as
     `model_<stem>.json` and `report_<stem>.json`, the stem being its name
     with "+" and "-" made "_", and the reports that succeed to
-    `comparison.tsv` in table order. With `keep_going`, a failing pipeline
+    `comparison.tsv` in table order; a pipeline that fails leaves no model or
+    report, not even an earlier run's. With `keep_going`, a failing pipeline
     is recorded and the others still run; otherwise the first failure
     propagates. `repro` zeroes the reports' timings so two runs with the
     same seed are byte-identical; model files hold no wall-clock field.
 
     Before it creates `out_dir` or preprocesses anything, an `out_dir` that
-    `fileio.check_out_dir` rejects (empty, a file or under one) raises
+    `fileio.check_out_dir` rejects (one that os.makedirs would) raises
     OSError, a training corpus with fewer than two labels SingleClassError,
     and a test label that no training document has UnknownLabelError.
     """
@@ -257,14 +258,17 @@ def benchmark(
     result = BenchmarkResult()
     for name, (selector, classifier) in PIPELINES.items():
         stem = name.replace("+", "_").replace("-", "_")
+        model_path, report_path = out_dir / f"model_{stem}.json", out_dir / f"report_{stem}.json"
         try:
+            model_path.unlink(missing_ok=True)  # a failure leaves no earlier run's files
+            report_path.unlink(missing_ok=True)
             trained = train_from_tokens(train_docs, selector, classifier, hyper, config)
             report = _evaluate_tokenized(trained, test_docs, preprocess_seconds)
             if repro:
                 report.stage_seconds = dict.fromkeys(report.stage_seconds, 0.0)
                 report.predict_stage_seconds = dict.fromkeys(report.predict_stage_seconds, 0.0)
-            save_model(trained, out_dir / f"model_{stem}.json")
-            write_report(report, out_dir / f"report_{stem}.json")
+            save_model(trained, model_path)
+            write_report(report, report_path)
             del trained  # not held while the next pipeline trains
         except Exception as exc:  # noqa: BLE001 - collected per pipeline
             if not keep_going:

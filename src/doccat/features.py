@@ -1,26 +1,27 @@
 """Feature engineering: vocabularies, TF-IDF vectors, and chi-square selection.
 
-Two pipelines are provided and used separately downstream:
+Two feature spaces are provided, each named by its selector (SELECTORS):
 
-* TF-IDF: raw term counts weighted by the smoothed inverse document
-  frequency ``ln((N + 1) / (DF + 1)) + 1`` and scaled to unit Euclidean
-  norm (length normalization). The squares are summed with math.fsum,
-  which rounds correctly, so a norm depends neither on the order of the
-  terms nor on the Python version.
-* Chi-square: a per-document co-occurrence score ranks each document's
-  terms; the top share of every document's ranking is kept and the union
-  forms the vocabulary, vectorized with raw counts.
+* TF-IDF ("tfidf"): raw term counts weighted by the smoothed inverse
+  document frequency ``ln((N + 1) / (DF + 1)) + 1`` and scaled to unit
+  Euclidean norm (length normalization). The squares are summed with
+  math.fsum, which rounds correctly, so a norm depends neither on the
+  order of the terms nor on the Python version.
+* Chi-square ("chi2"): a per-document co-occurrence score ranks each
+  document's terms; the top share of every document's ranking is kept and
+  the union forms the vocabulary, vectorized with raw counts.
 
 A corpus becomes one CorpusMatrix: a CSR matrix with one row per document
 of ascending feature indices and their non-zero weights, checked once when
 it is built and used as it is by the trainers and the scoring.
-`vectorize_corpus` builds it in chunks of whole documents of at most
-_VECTORIZE_CHUNK_TOKENS tokens: per chunk, one pass maps the tokens to
-feature ids, one `np.unique` counts the (document, feature) keys, and for
-TF-IDF each row takes one correctly rounded norm. One document's row comes
-from `count_vector` or `tfidf_vector`, ascending like a matrix row, which
-prediction scores as it is, so one document is never built into a one-row
-matrix; a corpus row equals its document's vector bit for bit.
+`vectorize_corpus(docs, vocab, selector)` builds it in chunks of whole
+documents of at most _VECTORIZE_CHUNK_TOKENS tokens: per chunk, one pass
+maps the tokens to feature ids, one `np.unique` counts the (document,
+feature) keys, and for TF-IDF each row takes one correctly rounded norm.
+One document's row comes from `count_vector` or `tfidf_vector`, ascending
+like a matrix row, which prediction scores as it is, so one document is
+never built into a one-row matrix; a corpus row equals its document's
+vector bit for bit.
 
 The chi-square score for a term w in one document treats each sentence as
 the co-occurrence window:
@@ -72,7 +73,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -88,7 +89,8 @@ _CHI_CHUNK_CELLS = 1 << 16
 # 10 MB of allocations, against 4 MB in chunks of this size.
 _VECTORIZE_CHUNK_TOKENS = 1 << 14
 
-FeatureMode = Literal["tfidf", "counts"]
+Selector = Literal["tfidf", "chi2"]
+SELECTORS: tuple[Selector, ...] = get_args(Selector)
 
 
 @dataclass(frozen=True)
@@ -165,21 +167,15 @@ class CorpusMatrix:
             raise ValueError(f"n_features must be positive, got {n_features}")
         if indptr.ndim != 1 or indices.ndim != 1 or indices.shape != values.shape:
             raise ValueError("indptr, indices and values must be 1-D, the last two equally long")
-        bounds = indptr.tolist()
-        if not bounds or bounds[0] != 0 or bounds[-1] != nnz:
+        if not indptr.size or indptr[0] != 0 or indptr[-1] != nnz:
             raise ValueError("indptr must run from 0 to the number of stored entries")
-        if any(end < start for start, end in zip(bounds, bounds[1:])):
+        if (np.diff(indptr) < 0).any():
             raise ValueError("indptr must not decrease")
-        # np.count_nonzero is the cheapest reduction on short arrays.
-        falls = indices[1:] <= indices[:-1]
-        if np.count_nonzero(falls):
-            # An index may fall or repeat only where a new row starts.
-            if not set((np.flatnonzero(falls) + 1).tolist()) <= set(bounds):
-                raise ValueError("feature indices must be strictly ascending within each row")
-            low, high = indices.min(), indices.max()
-        else:  # ascending throughout, so the ends bound every index
-            low, high = (indices[0], indices[-1]) if nnz else (0, 0)
-        if low < 0 or high >= n_features:
+        # An index may fall or repeat only where a new row starts. The "table"
+        # kind skips isin's sort method, which imports numpy.ma (1.2 MB of RSS).
+        if not np.isin(np.flatnonzero(indices[1:] <= indices[:-1]) + 1, indptr, kind="table").all():
+            raise ValueError("feature indices must be strictly ascending within each row")
+        if nnz and (indices.min() < 0 or indices.max() >= n_features):
             raise ValueError(f"feature index outside [0, {n_features})")
         if np.count_nonzero(np.isfinite(values)) < nnz or np.count_nonzero(values) < nnz:
             raise ValueError("feature weights must be finite and non-zero")
@@ -380,17 +376,17 @@ def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray,
 
 
 def vectorize_corpus(
-    docs: Sequence[TokenizedDocument], vocab: Vocabulary, mode: FeatureMode
+    docs: Sequence[TokenizedDocument], vocab: Vocabulary, selector: Selector
 ) -> CorpusMatrix:
-    """One row per document, in order: raw counts for "counts", unit-norm
-    TF-IDF weights for "tfidf".
+    """One row per document, in order: unit-norm TF-IDF weights for the
+    "tfidf" selector, raw counts for "chi2".
 
     The documents are vectorized in chunks of at most _VECTORIZE_CHUNK_TOKENS
     tokens (a longer document is a chunk of its own) and the chunks' arrays
-    are joined once. Every row equals `count_vector` ("counts") or
-    `tfidf_vector` ("tfidf") of its document bit for bit."""
-    if mode not in ("tfidf", "counts"):
-        raise ValueError(f"unknown feature mode: {mode!r}")
+    are joined once. Every row equals `tfidf_vector` ("tfidf") or
+    `count_vector` ("chi2") of its document bit for bit."""
+    if selector not in SELECTORS:
+        raise ValueError(f"unknown selector: {selector!r} (expected one of {SELECTORS})")
     sizes = [doc.token_count for doc in docs]
     pieces = []  # (row lengths, indices, values) per chunk
     start = 0
@@ -399,7 +395,7 @@ def vectorize_corpus(
         while stop < len(docs) and tokens + sizes[stop] <= _VECTORIZE_CHUNK_TOKENS:
             tokens += sizes[stop]
             stop += 1
-        pieces.append(_vectorize_chunk(docs[start:stop], sizes[start:stop], vocab, mode))
+        pieces.append(_vectorize_chunk(docs[start:stop], sizes[start:stop], vocab, selector))
         start = stop
     if not pieces:
         return CorpusMatrix([0], [], [], len(vocab))
@@ -412,7 +408,7 @@ def _vectorize_chunk(
     docs: Sequence[TokenizedDocument],
     sizes: list[int],
     vocab: Vocabulary,
-    mode: FeatureMode,
+    selector: Selector,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`vectorize_corpus` for one chunk of documents with `sizes` tokens each:
     its row lengths, feature indices and weights."""
@@ -431,7 +427,7 @@ def _vectorize_chunk(
     indices = keys - rows * n_features
     values = counts.astype(np.float64)
     row_lengths = np.bincount(rows, minlength=len(docs))
-    if mode == "tfidf" and keys.size:
+    if selector == "tfidf" and keys.size:
         # The same elementwise operations as tfidf_vector, and the same
         # correctly rounded norm, so every row equals `tfidf_vector` bit for bit.
         values *= vocab.idf_weights[indices]

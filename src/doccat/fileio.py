@@ -95,18 +95,23 @@ def read_entries(path: str | Path) -> list[tuple[int, str]]:
 
 
 def check_out_dir(path: str | Path) -> None:
-    """Fail as creating the directory `path` with its parents would when
-    `path` is empty (`[Errno 2] No such file or directory: ''`), is a file
-    (`[Errno 17] File exists`) or lies under one (`[Errno 20] Not a
-    directory`). `doccat benchmark` calls it before it reads anything and
-    `evaluation.benchmark` before it preprocesses; each creates it later."""
-    if not path:  # Path("") is the current directory
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    target = Path(path)
-    existing = next(p for p in (target, *target.parents) if p.exists())
-    if not existing.is_dir():
-        code = errno.EEXIST if existing == target else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), str(path))
+    """Fail as os.makedirs(path, exist_ok=True) would, in its order and with
+    the OS's error, but create nothing: the first directory it would make is
+    made and removed at once. The CLI calls it before it reads anything."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    if not tail:
+        head, tail = os.path.split(head)
+    if head and tail and not os.path.lexists(head):  # makedirs finds a dangling link taken
+        check_out_dir(head)
+        return
+    try:
+        os.mkdir(path)
+    except OSError:
+        if not os.path.isdir(path):
+            raise
+    else:
+        os.rmdir(path)
 
 
 def check_out_path(path: str | Path) -> None:

@@ -15,7 +15,8 @@ each row to its class index by exact string lookup, so labels that differ
 only by a trailing NUL are two classes. `_linear_model` builds every
 trainer's LinearModel and per-class `fit_info`. Every trainer
 returns a LinearModel, scored as w_c . x + b_c: `predict` labels a batch of
-documents, and `predict_tokenized` labels one document from the row that
+documents in the feature space that the model's selector names, and
+`predict_tokenized` labels one document from the row that
 features.tfidf_vector or features.count_vector returns, without building a
 one-row matrix. Every w . x of whole rows but the SVM's per-step gradient
 is summed by `_block_dots`, which sums each row on its own, so a document
@@ -90,8 +91,9 @@ from .errors import (
     quoted,
 )
 from .features import (
+    SELECTORS,
     CorpusMatrix,
-    FeatureMode,
+    Selector,
     Vocabulary,
     build_vocabulary,
     check_chi_settings,
@@ -121,14 +123,10 @@ _SGD_POSITION_CHUNK = 16_384
 # The row starts of a one-row block, indexed by whether the row has entries.
 _ONE_ROW_STARTS = (np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp))
 
-SELECTORS = ("tfidf", "chi2")
-# The feature mode each selector's pipeline vectorizes with.
-FEATURE_MODES: dict[str, FeatureMode] = {"tfidf": "tfidf", "chi2": "counts"}
 CLASSIFIERS = ("nb", "sgd", "svm")
 # The timed stages of training, in the order they run.
 TRAIN_STAGES = ("features", "vectorize", "fit")
 
-Selector = Literal["tfidf", "chi2"]
 Classifier = Literal["nb", "sgd", "svm"]
 
 
@@ -200,10 +198,6 @@ class TrainedModel:
     @property
     def class_labels(self) -> tuple[str, ...]:
         return self.model.class_labels
-
-    @property
-    def feature_mode(self) -> FeatureMode:
-        return FEATURE_MODES[self.selector]
 
     @property
     def train_seconds(self) -> float:
@@ -590,7 +584,7 @@ def train_from_tokens(
     else:
         vocabulary = select_chi_features(docs, hyper.chi_top_percent)
     clock.append(time.perf_counter())
-    X = vectorize_corpus(docs, vocabulary, FEATURE_MODES[selector])
+    X = vectorize_corpus(docs, vocabulary, selector)
     clock.append(time.perf_counter())
 
     # Built per call from the module's names, so a wrapper bound in a
@@ -640,7 +634,7 @@ def predict(
 ) -> tuple[list[str], np.ndarray]:
     """Labels and (n, C) per-class scores of preprocessed documents,
     vectorized in the model's stored feature space."""
-    X = vectorize_corpus(docs, trained.vocabulary, trained.feature_mode)
+    X = vectorize_corpus(docs, trained.vocabulary, trained.selector)
     return predict_linear(trained.model, X)
 
 
@@ -656,7 +650,7 @@ def predict_tokenized(
     _check_width(len(trained.vocabulary), model.weights)
     # Both builders are looked up by name on every call, so a wrapper bound
     # in their place (a tracer, say) sees each row.
-    vector = tfidf_vector if trained.feature_mode == "tfidf" else count_vector
+    vector = tfidf_vector if trained.selector == "tfidf" else count_vector
     cols, vals = vector(doc, trained.vocabulary)
     starts = _ONE_ROW_STARTS[cols.size > 0]
     scores = _block_dots(model.weights, cols, vals, starts, starts, 1)[0]

@@ -330,7 +330,7 @@ class TestTrain:
         model_path = train_model(tmp_path, corpora, features="chi2")
         payload = json.loads(model_path.read_text(encoding="utf-8"))
         assert payload["selector"] == "chi2"
-        assert load_model(model_path).feature_mode == "counts"
+        assert load_model(model_path).selector == "chi2"
 
     def test_verbose_svm_prints_solver_diagnostics_per_class(
         self, tmp_path, corpora, capsys
@@ -854,9 +854,9 @@ def _tree(root):
 @pytest.mark.skipif(shutil.which("bash") is None,
                     reason="bash is missing, and .github/repro.sh is a bash script")
 def test_repro_script_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
-    """CI's cross-process step: .github/repro.sh, which runs its own checks,
-    in two processes under PYTHONHASHSEED 0 and 1 on a corpusgen seed 5
-    corpus; the two output trees and prediction trees must be identical."""
+    """.github/repro.sh, which runs its own checks, in two processes under
+    PYTHONHASHSEED 0 and 1 on a corpusgen seed 5 corpus; the two output
+    trees and prediction trees must be identical. Every CI test cell runs it."""
     corpus = tmp_path / "corpus"
     subprocess.run(
         [sys.executable, str(REPO / "perfbench" / "corpusgen.py"), "--seed", "5",

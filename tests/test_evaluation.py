@@ -40,6 +40,7 @@ from doccat.textprep import PreprocessConfig, preprocess_corpus
 from helpers import make_overlapping_corpus, metrics_oracle
 
 import doccat.evaluation as evaluation_module
+import doccat.models as models_module
 
 
 class TestConfusionMatrix:
@@ -432,6 +433,28 @@ class TestBenchmark:
         )
         assert len(result.reports) == 5
         assert [name for name, _ in result.failures] == ["CHI-SQUARE+SVM"]
+
+    def test_failed_pipeline_leaves_no_output_of_an_earlier_run(
+        self, tiny_corpus, default_cfg, tmp_path, monkeypatch
+    ):
+        hyper = TrainHyperparams()
+        benchmark(tiny_corpus, tiny_corpus, hyper, default_cfg, tmp_path, keep_going=True)
+        earlier = {path.name for path in tmp_path.iterdir()}
+        assert len(earlier) == 13
+        for name in earlier:
+            (tmp_path / name).write_text("stale", encoding="utf-8")
+
+        def explode(*args, **kwargs):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(models_module, "train_nb", explode)
+        result = benchmark(tiny_corpus, tiny_corpus, hyper, default_cfg, tmp_path, keep_going=True)
+        assert [name for name, _ in result.failures] == ["CHI-SQUARE+NB", "TFIDF+NB"]
+        nb_outputs = {f"{kind}_{selector}_NB.json"
+                      for kind in ("model", "report") for selector in ("CHI_SQUARE", "TFIDF")}
+        assert {path.name for path in tmp_path.iterdir()} == earlier - nb_outputs
+        for path in tmp_path.iterdir():
+            assert path.read_text(encoding="utf-8") != "stale", path.name
 
     def test_failure_propagates_without_keep_going(
         self, tiny_corpus, default_cfg, tmp_path, monkeypatch

@@ -24,7 +24,8 @@ from doccat.features import (
     tfidf_vector,
     vectorize_corpus,
 )
-from doccat.textprep import TokenizedDocument, preprocess_corpus
+from doccat.models import TrainHyperparams, train_from_tokens
+from doccat.textprep import TokenizedDocument, default_config, preprocess_corpus
 
 from helpers import (
     chi_oracle,
@@ -41,9 +42,9 @@ def tdoc(*sentences, label=None):
     return TokenizedDocument(sentences=tuple(tuple(s) for s in sentences), label=label)
 
 
-def pairs(doc, vocab, mode):
+def pairs(doc, vocab, selector):
     """The one-row matrix of `doc` as (feature index, weight) pairs."""
-    return row_pairs(vectorize_corpus([doc], vocab, mode), 0)
+    return row_pairs(vectorize_corpus([doc], vocab, selector), 0)
 
 
 class TestBuildVocabulary:
@@ -122,9 +123,11 @@ class TestCorpusMatrix:
     def build(indptr, indices, values, n_features=8):
         return CorpusMatrix(indptr, indices, values, n_features)
 
-    def test_ascending_required_within_a_row(self):
+    # The second input falls inside a later row, not the first.
+    @pytest.mark.parametrize("indptr, indices", [([0, 2], [2, 1]), ([0, 2, 4], [0, 3, 5, 4])])
+    def test_ascending_required_within_a_row(self, indptr, indices):
         with pytest.raises(ValueError, match="ascending"):
-            self.build([0, 2], [2, 1], [1.0, 1.0])
+            self.build(indptr, indices, [1.0] * len(indices))
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -196,15 +199,15 @@ class TestCorpusMatrix:
 class TestCountVector:
     def test_counting(self):
         vocab = build_vocabulary([tdoc(["ক", "ক", "খ"])])
-        assert pairs(tdoc(["ক", "ক", "খ"]), vocab, "counts") == [(0, 2.0), (1, 1.0)]
+        assert pairs(tdoc(["ক", "ক", "খ"]), vocab, "chi2") == [(0, 2.0), (1, 1.0)]
 
     def test_oov_ignored(self):
         vocab = build_vocabulary([tdoc(["ক"])])
-        assert pairs(tdoc(["ঘ", "ঙ"]), vocab, "counts") == []
+        assert pairs(tdoc(["ঘ", "ঙ"]), vocab, "chi2") == []
 
     def test_empty_doc(self):
         vocab = build_vocabulary([tdoc(["ক"])])
-        assert pairs(tdoc(), vocab, "counts") == []
+        assert pairs(tdoc(), vocab, "chi2") == []
 
 
 class TestTfidfVector:
@@ -514,7 +517,7 @@ class TestVectorizeCorpus:
     def test_order_preserved(self):
         docs = [tdoc(["ক"]), tdoc(["খ"]), tdoc(["ক", "খ"])]
         vocab = build_vocabulary(docs)
-        X = vectorize_corpus(docs, vocab, "counts")
+        X = vectorize_corpus(docs, vocab, "chi2")
         assert X.shape == (3, 2)
         assert row_pairs(X, 0) == [(0, 1.0)]
         assert row_pairs(X, 2) == [(0, 1.0), (1, 1.0)]
@@ -523,11 +526,11 @@ class TestVectorizeCorpus:
         rng = np.random.default_rng(11)
         docs = [random_tokenized_doc(rng) for _ in range(20)]
         vocab = build_vocabulary(docs)
-        for weight in vectorize_corpus(docs, vocab, "counts").values.tolist():
+        for weight in vectorize_corpus(docs, vocab, "chi2").values.tolist():
             assert weight > 0 and weight.is_integer()
 
-    @pytest.mark.parametrize("mode", ["tfidf", "counts"])
-    def test_each_row_equals_its_document_alone(self, mode, monkeypatch):
+    @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
+    def test_each_row_equals_its_document_alone(self, selector, monkeypatch):
         cap = 12
         monkeypatch.setattr(features_module, "_VECTORIZE_CHUNK_TOKENS", cap)
         rng = np.random.default_rng(13)
@@ -539,9 +542,9 @@ class TestVectorizeCorpus:
         assert max(sizes) > cap  # a chunk of its own
         assert sum(sizes) > 3 * cap  # several chunks
         assert any(a + b <= cap for a, b in zip(sizes, sizes[1:]))  # a chunk of two
-        X = vectorize_corpus(docs, vocab, mode)
+        X = vectorize_corpus(docs, vocab, selector)
         assert X.shape == (len(docs), len(vocab))
-        vector = tfidf_vector if mode == "tfidf" else count_vector
+        vector = tfidf_vector if selector == "tfidf" else count_vector
         for row, doc in enumerate(docs):
             indices, values = vector(doc, vocab)
             start, end = X.indptr[row], X.indptr[row + 1]
@@ -569,6 +572,13 @@ class TestVectorizeCorpus:
         vocab = build_vocabulary([tdoc(["ক"])])
         assert vectorize_corpus([], vocab, "tfidf").shape == (0, 1)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            vectorize_corpus([tdoc(["ক"])], build_vocabulary([tdoc(["ক"])]), "binary")
+    # "counts" is how the chi-square space weights its terms, not its name.
+    @pytest.mark.parametrize("selector", ["counts", "binary"])
+    def test_unknown_selector_fails_as_in_training(self, selector):
+        docs = [tdoc(["ক"], label="a"), tdoc(["খ"], label="b")]
+        with pytest.raises(ValueError) as caught:
+            vectorize_corpus(docs, build_vocabulary(docs), selector)
+        with pytest.raises(ValueError) as in_training:
+            train_from_tokens(docs, selector, "nb", TrainHyperparams(), default_config())
+        assert str(caught.value) == str(in_training.value)
+        assert str(caught.value).startswith(f"unknown selector: {selector!r}")

@@ -1,4 +1,5 @@
 import codecs
+import os
 import re
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 from doccat.errors import MalformedLineError, UnreadableFileError
 from doccat.evaluation import evaluate, write_report
 from doccat.fileio import (
-    STRICT_JSON, atomic_write_text, check_out_path, read_entries, read_lines, read_text,
+    STRICT_JSON, atomic_write_text, check_out_dir, check_out_path, read_entries, read_lines,
+    read_text,
 )
 from doccat.models import TrainHyperparams, save_model, train
 
@@ -159,3 +161,31 @@ class TestCheckOutPath:
         with pytest.raises(IsADirectoryError) as caught:
             check_out_path(tmp_path)
         assert str(caught.value) == f"[Errno 21] Is a directory: {str(tmp_path)!r}"
+
+
+class TestCheckOutDir:
+    # Past OUT_PATHS: `..` after a new directory, `.` after a missing one,
+    # `..` under a file, a doubled separator and two new levels.
+    @pytest.mark.parametrize(
+        "name", OUT_PATHS + ("new/..", "nodir/x/.", "afile/..", "nodir//x", "adir/new/x/"),
+        ids=repr,
+    )
+    def test_fails_as_makedirs_does_and_creates_nothing(self, tmp_path, monkeypatch, name):
+        made, checked = tmp_path / "made", tmp_path / "checked"
+        for root in (made, checked):
+            root.mkdir()
+            make_out_tree(root)
+        monkeypatch.chdir(made)
+        expected = os_error(lambda: os.makedirs(name, exist_ok=True))
+        monkeypatch.chdir(checked)
+        assert os_error(lambda: check_out_dir(name)) == expected
+        assert_out_tree_kept(checked)
+
+    # os.path.exists calls a dangling link missing, yet mkdir finds it taken.
+    @pytest.mark.parametrize("name", ["link", "link/", "link/x", "link/x/y"])
+    def test_a_dangling_link_fails_as_makedirs_does(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        os.symlink("nowhere", "link")
+        expected = os_error(lambda: os.makedirs(name, exist_ok=True))
+        assert expected is not None and os_error(lambda: check_out_dir(name)) == expected
+        assert os.listdir(tmp_path) == ["link"]

@@ -49,7 +49,6 @@ class TestTrainPipelines:
             small_tokens, selector, classifier, TrainHyperparams(), default_cfg
         )
         assert trained.selector == selector
-        assert trained.feature_mode == ("tfidf" if selector == "tfidf" else "counts")
         assert trained.model.weights.shape[1] == len(trained.vocabulary)
         assert trained.train_seconds > 0
         assert list(trained.stage_seconds) == ["features", "vectorize", "fit"]

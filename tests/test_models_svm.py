@@ -185,7 +185,7 @@ def overlapping_matrix(tokens, selector):
     if selector == "tfidf":
         X = vectorize_corpus(tokens, build_vocabulary(tokens), "tfidf")
     else:
-        X = vectorize_corpus(tokens, select_chi_features(tokens, 30.0), "counts")
+        X = vectorize_corpus(tokens, select_chi_features(tokens, 30.0), "chi2")
     return X, [doc.label for doc in tokens]
 
 

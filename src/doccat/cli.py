@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 data or runtime error, 2 usage error. Successful
 runs print machine-parseable lines only; diagnostics go to stderr. Each
-setting has one flag: a hyperparameter flag defaults to its
-``TrainHyperparams`` field, and ``--stopwords``/``--suffixes`` replace a
-shipped table (an empty file switches that step off). All randomness flows
-from ``--seed``.
+setting has one flag: a hyperparameter flag takes its type, default and
+help from its ``TrainHyperparams`` field, and ``--stopwords``/``--suffixes``
+replace a shipped table (an empty file switches that step off). All
+randomness flows from ``--seed``.
 """
 
 from __future__ import annotations
@@ -32,15 +32,6 @@ from .textprep import (
     preprocess_document,
     tokenized_to_json,
 )
-
-_HYPER_HELP = {
-    "nb_alpha": "NB smoothing",
-    "sgd_alpha": "SGD L2 regularization strength",
-    "sgd_epochs": "SGD passes over the data",
-    "svm_c": "SVM soft-margin penalty",
-    "seed": "random seed for all shuffling",
-    "chi_top_percent": "share of each document's chi-ranked terms to keep",
-}
 
 
 def _hyper_parser(name: str, kind: type):
@@ -70,7 +61,7 @@ def _hyper_flags() -> argparse.ArgumentParser:
         kind = int if field.type == "int" else float
         group.add_argument(f"--{field.name.replace('_', '-')}",
                            type=_hyper_parser(field.name, kind), default=field.default,
-                           help=f"{_HYPER_HELP[field.name]} (default {field.default})")
+                           help=f"{field.metadata['help']} (default {field.default})")
     return parent
 
 

@@ -96,22 +96,33 @@ def read_entries(path: str | Path) -> list[tuple[int, str]]:
 
 def check_out_dir(path: str | Path) -> None:
     """Fail as os.makedirs(path, exist_ok=True) would, in its order and with
-    the OS's error, but create nothing: the first directory it would make is
-    made and removed at once. The CLI calls it before it reads anything."""
-    path = os.fspath(path)
+    the OS's error, but create nothing: each directory it would make is
+    made, and all are removed again, deepest first, once the check has
+    passed or failed. An existing directory costs one mkdir attempt. The
+    CLI calls it before it reads anything."""
+    made: list[str] = []
+    try:
+        _make_dirs(os.fspath(path), made)
+    finally:
+        for name in reversed(made):
+            os.rmdir(name)
+
+
+def _make_dirs(path: str, made: list[str]) -> None:
+    """os.makedirs(path, exist_ok=True), appending each directory it makes
+    to `made`."""
     head, tail = os.path.split(path)
     if not tail:
         head, tail = os.path.split(head)
     if head and tail and not os.path.lexists(head):  # makedirs finds a dangling link taken
-        check_out_dir(head)
-        return
+        _make_dirs(head, made)
     try:
         os.mkdir(path)
     except OSError:
         if not os.path.isdir(path):
             raise
     else:
-        os.rmdir(path)
+        made.append(path)
 
 
 def check_out_path(path: str | Path) -> None:

@@ -74,9 +74,9 @@ import math
 import operator
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -123,49 +123,54 @@ _SGD_POSITION_CHUNK = 16_384
 # The row starts of a one-row block, indexed by whether the row has entries.
 _ONE_ROW_STARTS = (np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp))
 
-CLASSIFIERS = ("nb", "sgd", "svm")
+Classifier = Literal["nb", "sgd", "svm"]
+CLASSIFIERS: tuple[Classifier, ...] = get_args(Classifier)
 # The timed stages of training, in the order they run.
 TRAIN_STAGES = ("features", "vectorize", "fit")
-
-Classifier = Literal["nb", "sgd", "svm"]
 
 
 @dataclass(frozen=True)
 class TrainHyperparams:
     """Training knobs; the defaults are the reference configuration.
 
-    Every field is checked here, when one is built, and the trainers trust
-    it. `sgd_epochs` and `seed` must be exact ints, the other four ints or
-    floats but not bools; `features.check_chi_settings` checks the range of
-    `chi_top_percent`. Each rejection is a ValueError naming the field.
+    Each field is the one declaration of its setting: its type, its default
+    and, in `metadata["help"]`, the help of its CLI flag. Every field is
+    checked here, when one is built, and the trainers trust it. A field
+    declared `int` must be an exact int, one declared `float` an int or a
+    float but not a bool. `features.check_chi_settings` checks the range of
+    `chi_top_percent`; every other float must be positive and finite. The
+    fields are checked in declaration order, each for its type and then its
+    range, so of several bad fields the first declared is reported. Each
+    rejection is a ValueError naming the field.
     """
 
-    nb_alpha: float = 0.01
-    sgd_alpha: float = 0.0001
-    sgd_epochs: int = 50
-    svm_c: float = 1.0
-    seed: int = 42
-    chi_top_percent: float = 30.0
+    nb_alpha: float = field(default=0.01, metadata={"help": "NB smoothing"})
+    sgd_alpha: float = field(default=0.0001, metadata={"help": "SGD L2 regularization strength"})
+    sgd_epochs: int = field(default=50, metadata={"help": "SGD passes over the data"})
+    svm_c: float = field(default=1.0, metadata={"help": "SVM soft-margin penalty"})
+    seed: int = field(default=42, metadata={"help": "random seed for all shuffling"})
+    chi_top_percent: float = field(
+        default=30.0, metadata={"help": "share of each document's chi-ranked terms to keep"})
 
     def __post_init__(self) -> None:
-        for name in ("nb_alpha", "sgd_alpha", "svm_c", "chi_top_percent"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+        for spec in fields(self):
+            name, value = spec.name, getattr(self, spec.name)
+            if spec.type == "int":
+                if type(value) is not int:
+                    raise ValueError(f"{name} must be an integer, got {quoted(value)}")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {quoted(value)}")
-            if name != "chi_top_percent" and not 0.0 < value < math.inf:
+            elif name == "chi_top_percent":
+                check_chi_settings(value)
+            elif not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("sgd_epochs", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {quoted(value)}")
-        if not (self.sgd_alpha <= SGD_ALPHA_MAX and math.isfinite(1.0 / self.sgd_alpha)):
-            raise ValueError(f"sgd_alpha must be at most {SGD_ALPHA_MAX:g} and have a finite "
-                             f"reciprocal, got {self.sgd_alpha!r}")
-        if self.sgd_epochs < 1:
-            raise ValueError(f"sgd_epochs must be at least 1, got {self.sgd_epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        check_chi_settings(self.chi_top_percent)
+            if name == "sgd_alpha" and not (value <= SGD_ALPHA_MAX and math.isfinite(1.0 / value)):
+                raise ValueError(f"sgd_alpha must be at most {SGD_ALPHA_MAX:g} and have a "
+                                 f"finite reciprocal, got {value!r}")
+            if name == "sgd_epochs" and value < 1:
+                raise ValueError(f"sgd_epochs must be at least 1, got {value}")
+            if name == "seed" and value < 0:
+                raise ValueError(f"seed must be non-negative, got {value}")
 
 
 @dataclass(eq=False)
@@ -758,29 +763,29 @@ def _preprocessing_from_payload(payload: object) -> PreprocessConfig:
 
 
 def _fit_to_payload(model: LinearModel) -> dict | None:
-    fields = FIT_FIELDS.get(model.trainer_tag)
-    if fields is None:
+    kinds = FIT_FIELDS.get(model.trainer_tag)
+    if kinds is None:
         return None
     return {
-        label: {key: model.fit_info[label][key] for key in fields}
+        label: {key: model.fit_info[label][key] for key in kinds}
         for label in model.class_labels
     }
 
 
 def _fit_from_payload(fit: object, model_type: str, labels: list[str]) -> dict | None:
-    fields = FIT_FIELDS.get(model_type)
-    if fields is None:
+    kinds = FIT_FIELDS.get(model_type)
+    if kinds is None:
         if fit is not None:
             raise ModelFormatError(f"a {model_type} model file has no fit block")
         return None
     if list(_typed(fit, dict, "fit")) != labels:
         raise ModelFormatError("the fit block's classes differ from class_labels")
     for label, info in fit.items():
-        if set(_typed(info, dict, f"fit block of class {quoted(label)}")) != set(fields):
+        if set(_typed(info, dict, f"fit block of class {quoted(label)}")) != set(kinds):
             raise ModelFormatError(
-                f"fit block of class {quoted(label)} must hold {', '.join(fields)}"
+                f"fit block of class {quoted(label)} must hold {', '.join(kinds)}"
             )
-        for key, kind in fields.items():
+        for key, kind in kinds.items():
             _typed(info[key], kind, f"fit {key} of class {quoted(label)}")
     return fit
 

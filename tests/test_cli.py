@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,17 @@ class TestResolvedConfig:
         assert resolve_hyper(args) == TrainHyperparams(
             nb_alpha=0.5, sgd_alpha=0.002, sgd_epochs=7, svm_c=2.0, seed=9, chi_top_percent=45.0
         )
+
+    # A flag's help and default come from its field's declaration alone.
+    @pytest.mark.parametrize("field", fields(TrainHyperparams), ids=lambda field: field.name)
+    def test_each_flag_shows_its_fields_help_and_default(self, field, capsys):
+        assert field.metadata["help"].strip()
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        flag = f"--{field.name.replace('_', '-')} {field.name.upper()}"
+        assert f"{flag} {field.metadata['help']} (default {field.default})" in shown
 
     @pytest.mark.parametrize("text", ["", "# none\n", None],
                              ids=["empty", "comment_only", "devnull"])
@@ -792,6 +804,20 @@ class TestBenchmark:
             f"error: [Errno {code}] {os.strerror(code)}: {out_dir!r}\n"
         )
         assert sorted(tmp_path.rglob("*")) == before
+
+    # os.makedirs makes `new` before the OS refuses the name below it.
+    def test_out_dir_refused_below_a_new_level_fails_before_loading(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        out_dir = "new/" + "x" * 300
+        assert main(["benchmark", "--train", "absent.jsonl", "--test", "absent.jsonl",
+                     "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
+            f"{out_dir!r}\n"
+        )
+        assert os.listdir(tmp_path) == []
 
     def test_unseen_test_label_is_one_error(self, tmp_path, corpora, capsys):
         train_path, test_path = corpora

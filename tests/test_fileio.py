@@ -163,12 +163,19 @@ class TestCheckOutPath:
         assert str(caught.value) == f"[Errno 21] Is a directory: {str(tmp_path)!r}"
 
 
+LONG_NAME = "x" * 300  # past the 255-byte name limit of common file systems
+
+
 class TestCheckOutDir:
-    # Past OUT_PATHS: `..` after a new directory, `.` after a missing one,
-    # `..` under a file, a doubled separator and two new levels.
+    # Past OUT_PATHS (`new/.` among them): `..` after a new directory, `.`
+    # after a missing one, `..` under a file, a doubled separator, two and
+    # three new levels, and a name too long for the OS one or two levels
+    # below a new directory.
     @pytest.mark.parametrize(
-        "name", OUT_PATHS + ("new/..", "nodir/x/.", "afile/..", "nodir//x", "adir/new/x/"),
-        ids=repr,
+        "name",
+        OUT_PATHS + ("new/..", "nodir/x/.", "afile/..", "nodir//x", "adir/new/x/", "new/sub/x",
+                     f"new/{LONG_NAME}", f"new/sub/{LONG_NAME}"),
+        ids=lambda name: repr(name.replace(LONG_NAME, "<300 x>")),
     )
     def test_fails_as_makedirs_does_and_creates_nothing(self, tmp_path, monkeypatch, name):
         made, checked = tmp_path / "made", tmp_path / "checked"

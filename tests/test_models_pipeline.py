@@ -120,6 +120,17 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=f"^{field} must be an? (integer|number), got "):
             TrainHyperparams(**{field: value})
 
+    # Each field is checked for its type and then its range before the next
+    # declared one, so a type error may be named before a range error.
+    @pytest.mark.parametrize("bad, named", [
+        ({"sgd_epochs": "x", "svm_c": -1}, "sgd_epochs"),
+        ({"sgd_epochs": 0, "svm_c": 0}, "sgd_epochs"),
+        ({"seed": -1, "chi_top_percent": "x"}, "seed"),
+    ], ids=["type_before_range", "ranges", "range_before_type"])
+    def test_first_bad_field_in_declaration_order_is_named(self, bad, named):
+        with pytest.raises(ValueError, match=f"^{named} must be "):
+            TrainHyperparams(**bad)
+
     def test_ints_and_numpy_floats_are_numbers(self):
         hyper = TrainHyperparams(nb_alpha=1, svm_c=np.float64(2.0), chi_top_percent=50)
         assert (hyper.nb_alpha, hyper.svm_c, hyper.chi_top_percent) == (1, 2.0, 50)

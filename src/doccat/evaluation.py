@@ -181,14 +181,14 @@ def _evaluate_tokenized(
     trained: TrainedModel, docs: Sequence[TokenizedDocument], preprocess_seconds: float
 ) -> EvaluationReport:
     clock = [time.perf_counter()]
-    X = vectorize_corpus(docs, trained.vocabulary, trained.selector)
+    X = vectorize_corpus(docs, trained.vocabulary)
     clock.append(time.perf_counter())
     y_pred, _ = predict_linear(trained.model, X)
     clock.append(time.perf_counter())
 
     y_true = [doc.label for doc in docs]
     report = metrics_from_matrix(confusion_matrix(y_true, y_pred, trained.class_labels))
-    report.method_name = _METHOD_NAMES[trained.selector, trained.model.trainer_tag]
+    report.method_name = _METHOD_NAMES[trained.vocabulary.selector, trained.model.trainer_tag]
     report.stage_seconds = dict(trained.stage_seconds)
     report.predict_stage_seconds = {
         stage: end - start for stage, start, end in zip(PREDICT_STAGES, clock, clock[1:])

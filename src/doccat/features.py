@@ -1,6 +1,7 @@
 """Feature engineering: vocabularies, TF-IDF vectors, and chi-square selection.
 
-Two feature spaces are provided, each named by its selector (SELECTORS):
+Two feature spaces are provided, each named by its selector (SELECTORS),
+which its Vocabulary carries:
 
 * TF-IDF ("tfidf"): raw term counts weighted by the smoothed inverse
   document frequency ``ln((N + 1) / (DF + 1)) + 1`` and scaled to unit
@@ -14,8 +15,8 @@ Two feature spaces are provided, each named by its selector (SELECTORS):
 A corpus becomes one CorpusMatrix: a CSR matrix with one row per document
 of ascending feature indices and their non-zero weights, checked once when
 it is built and used as it is by the trainers and the scoring.
-`vectorize_corpus(docs, vocab, selector)` builds it in chunks of whole
-documents of at most _VECTORIZE_CHUNK_TOKENS tokens: per chunk, one pass
+`vectorize_corpus(docs, vocab)` builds it in chunks of whole documents of
+at most _VECTORIZE_CHUNK_TOKENS tokens: per chunk, one pass
 maps the tokens to feature ids, one `np.unique` counts the (document,
 feature) keys, and for TF-IDF each row takes one correctly rounded norm.
 One document's row comes from `count_vector` or `tfidf_vector`, ascending
@@ -97,19 +98,22 @@ SELECTORS: tuple[Selector, ...] = get_args(Selector)
 class Vocabulary:
     """A feature space as the model file stores it.
 
-    `terms` is not empty, strictly ascending and a term's position is its
-    feature index, so the same documents always give the same feature space.
-    `doc_freq` holds each term's document frequency in the same order, as
-    Python ints in [1, n_docs]. `index`, the term-to-feature-index map, is
-    built on first use.
+    `selector` names it and so its weighting (SELECTORS). `terms` is not
+    empty, strictly ascending and a term's position is its feature index, so
+    the same documents always give the same feature space. `doc_freq` holds
+    each term's document frequency in the same order, as Python ints in
+    [1, n_docs]. `index`, the term-to-feature-index map, is built on first use.
     """
 
     terms: tuple[str, ...]
     doc_freq: tuple[int, ...]
     n_docs: int
+    selector: Selector
 
     def __post_init__(self) -> None:
         terms, doc_freq, n_docs = self.terms, self.doc_freq, self.n_docs
+        if self.selector not in SELECTORS:
+            raise ValueError(f"unknown selector: {self.selector!r} (expected one of {SELECTORS})")
         if not terms:
             raise ValueError("a vocabulary needs at least one term")
         if not all(map(operator.lt, terms, terms[1:])):
@@ -202,7 +206,8 @@ def build_vocabulary(docs: Sequence[TokenizedDocument]) -> Vocabulary:
         raise EmptyVocabularyError("no terms to build a vocabulary from (all documents empty)")
     terms = tuple(sorted(doc_freq))
     return Vocabulary(
-        terms=terms, doc_freq=tuple(map(doc_freq.__getitem__, terms)), n_docs=len(docs)
+        terms=terms, doc_freq=tuple(map(doc_freq.__getitem__, terms)), n_docs=len(docs),
+        selector="tfidf",
     )
 
 
@@ -315,9 +320,9 @@ def select_chi_features(docs: Sequence[TokenizedDocument], top_percent: float) -
     Per document, terms are ranked by score descending (ties broken
     lexicographically) and the first ceil(top_percent * distinct-term count
     / 100) survive, computed in that order: at 30% a 10-term document keeps
-    3 (0.3 * 10 would round up to 4). Document frequencies and N in the returned vocabulary
-    are computed over the full `docs` list. With top_percent=100 the result
-    is identical to build_vocabulary(docs).
+    3 (0.3 * 10 would round up to 4). Document frequencies and N in the
+    returned "chi2" vocabulary are computed over the full `docs` list. With
+    top_percent=100 only its selector differs from build_vocabulary(docs).
     """
     if not docs:
         raise ValueError("cannot select features from zero documents")
@@ -342,6 +347,7 @@ def select_chi_features(docs: Sequence[TokenizedDocument], top_percent: float) -
         terms=tuple(compress(terms, kept.tolist())),
         doc_freq=tuple(doc_freq[kept].tolist()),
         n_docs=len(docs),
+        selector="chi2",
     )
 
 
@@ -375,18 +381,14 @@ def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray,
     return indices, weights
 
 
-def vectorize_corpus(
-    docs: Sequence[TokenizedDocument], vocab: Vocabulary, selector: Selector
-) -> CorpusMatrix:
-    """One row per document, in order: unit-norm TF-IDF weights for the
-    "tfidf" selector, raw counts for "chi2".
+def vectorize_corpus(docs: Sequence[TokenizedDocument], vocab: Vocabulary) -> CorpusMatrix:
+    """One row per document, in order, weighted as `vocab.selector` names:
+    unit-norm TF-IDF weights for "tfidf", raw counts for "chi2".
 
     The documents are vectorized in chunks of at most _VECTORIZE_CHUNK_TOKENS
     tokens (a longer document is a chunk of its own) and the chunks' arrays
     are joined once. Every row equals `tfidf_vector` ("tfidf") or
     `count_vector` ("chi2") of its document bit for bit."""
-    if selector not in SELECTORS:
-        raise ValueError(f"unknown selector: {selector!r} (expected one of {SELECTORS})")
     sizes = [doc.token_count for doc in docs]
     pieces = []  # (row lengths, indices, values) per chunk
     start = 0
@@ -395,7 +397,7 @@ def vectorize_corpus(
         while stop < len(docs) and tokens + sizes[stop] <= _VECTORIZE_CHUNK_TOKENS:
             tokens += sizes[stop]
             stop += 1
-        pieces.append(_vectorize_chunk(docs[start:stop], sizes[start:stop], vocab, selector))
+        pieces.append(_vectorize_chunk(docs[start:stop], sizes[start:stop], vocab))
         start = stop
     if not pieces:
         return CorpusMatrix([0], [], [], len(vocab))
@@ -405,10 +407,7 @@ def vectorize_corpus(
 
 
 def _vectorize_chunk(
-    docs: Sequence[TokenizedDocument],
-    sizes: list[int],
-    vocab: Vocabulary,
-    selector: Selector,
+    docs: Sequence[TokenizedDocument], sizes: list[int], vocab: Vocabulary
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`vectorize_corpus` for one chunk of documents with `sizes` tokens each:
     its row lengths, feature indices and weights."""
@@ -427,7 +426,7 @@ def _vectorize_chunk(
     indices = keys - rows * n_features
     values = counts.astype(np.float64)
     row_lengths = np.bincount(rows, minlength=len(docs))
-    if selector == "tfidf" and keys.size:
+    if vocab.selector == "tfidf" and keys.size:
         # The same elementwise operations as tfidf_vector, and the same
         # correctly rounded norm, so every row equals `tfidf_vector` bit for bit.
         values *= vocab.idf_weights[indices]

@@ -143,9 +143,11 @@ def check_out_path(path: str | Path) -> None:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write `text` (UTF-8) to `path` via a temp file + rename.
 
-    The file gets the mode a plain open() would give it, 0o666 less the
-    umask: the temp file is created with that mode, and the kernel applies
-    the umask (tempfile.mkstemp would create it 0o600). A failed create or
+    The temp file, `.<8 hex digits>.tmp` beside `path`, has a fixed-length
+    name, so any last component that open() takes can be written. The file
+    gets the mode a plain open() would give it, 0o666 less the umask: the
+    temp file is created with that mode, and the kernel applies the umask
+    (tempfile.mkstemp would create it 0o600). A failed create or
     rename raises an OSError naming `path`, not the temp file. The path is
     judged as written: one whose last component is empty, `.` or `..`
     (`m/`, `m/.`, `..`) names no file, so it fails in `check_out_path` with
@@ -154,7 +156,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     if os.path.basename(path) in ("", ".", ".."):
         check_out_path(path)
     while True:
-        tmp_name = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+        tmp_name = os.path.join(os.path.dirname(path), f".{os.urandom(4).hex()}.tmp")
         try:
             fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break

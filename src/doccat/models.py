@@ -15,7 +15,7 @@ each row to its class index by exact string lookup, so labels that differ
 only by a trailing NUL are two classes. `_linear_model` builds every
 trainer's LinearModel and per-class `fit_info`. Every trainer
 returns a LinearModel, scored as w_c . x + b_c: `predict` labels a batch of
-documents in the feature space that the model's selector names, and
+documents in the feature space of the model's vocabulary, and
 `predict_tokenized` labels one document from the row that
 features.tfidf_vector or features.count_vector returns, without building a
 one-row matrix. Every w . x of whole rows but the SVM's per-step gradient
@@ -191,12 +191,11 @@ class LinearModel:
 
 @dataclass(eq=False)
 class TrainedModel:
-    """A fitted classifier bundled with its feature space, pipeline identity
-    and preprocessing config; compared by identity, as its LinearModel is."""
+    """A fitted classifier (`model.trainer_tag`) bundled with its feature space
+    (`vocabulary.selector`) and preprocessing config; compared by identity."""
 
     model: LinearModel
     vocabulary: Vocabulary
-    selector: Selector
     preprocess_config: PreprocessConfig
     stage_seconds: dict[str, float]
 
@@ -495,12 +494,12 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     gradients = np.empty((n_rows, n_classes))
     visited = np.empty((n_rows, n_classes))
 
-    running = np.ones(n_classes, dtype=bool)
     converged = np.zeros(n_classes, dtype=bool)
     passes = np.zeros(n_classes, dtype=int)
     updates = np.zeros(n_classes, dtype=int)
     violation = np.full(n_classes, np.inf)
     for _ in range(SVM_MAX_PASSES):
+        running = ~converged
         if not running.any():
             break
         passes[running] += 1
@@ -532,7 +531,6 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
             final = np.abs(_projected_gradient(margins - 1.0, alphas, c)).max(axis=0)
             violation[check] = final[check]
             converged |= check & (final < SVM_TOLERANCE)
-            running &= ~converged
 
     for row in (~converged).nonzero()[0].tolist():
         warnings.warn(
@@ -589,7 +587,7 @@ def train_from_tokens(
     else:
         vocabulary = select_chi_features(docs, hyper.chi_top_percent)
     clock.append(time.perf_counter())
-    X = vectorize_corpus(docs, vocabulary, selector)
+    X = vectorize_corpus(docs, vocabulary)
     clock.append(time.perf_counter())
 
     # Built per call from the module's names, so a wrapper bound in a
@@ -601,7 +599,6 @@ def train_from_tokens(
     return TrainedModel(
         model=model,
         vocabulary=vocabulary,
-        selector=selector,
         preprocess_config=preprocess_config,
         stage_seconds={
             stage: end - start for stage, start, end in zip(TRAIN_STAGES, clock, clock[1:])
@@ -638,8 +635,8 @@ def predict(
     trained: TrainedModel, docs: Sequence[TokenizedDocument]
 ) -> tuple[list[str], np.ndarray]:
     """Labels and (n, C) per-class scores of preprocessed documents,
-    vectorized in the model's stored feature space."""
-    X = vectorize_corpus(docs, trained.vocabulary, trained.selector)
+    vectorized in the model's stored feature space (`vectorize_corpus`)."""
+    X = vectorize_corpus(docs, trained.vocabulary)
     return predict_linear(trained.model, X)
 
 
@@ -648,15 +645,16 @@ def predict_tokenized(
 ) -> tuple[str, float, dict[str, float]]:
     """Predict one preprocessed document: (label, winning score, all scores).
 
-    The document's row is scored as it is, with the same arithmetic as its
-    row of `predict`, so the label and scores are the same bit for bit.
+    The row that the vocabulary's selector names is scored as it is, with the
+    same arithmetic as its row of `predict`, to the same label and scores
+    bit for bit.
     """
-    model = trained.model
-    _check_width(len(trained.vocabulary), model.weights)
+    model, vocab = trained.model, trained.vocabulary
+    _check_width(len(vocab), model.weights)
     # Both builders are looked up by name on every call, so a wrapper bound
     # in their place (a tracer, say) sees each row.
-    vector = tfidf_vector if trained.selector == "tfidf" else count_vector
-    cols, vals = vector(doc, trained.vocabulary)
+    vector = tfidf_vector if vocab.selector == "tfidf" else count_vector
+    cols, vals = vector(doc, vocab)
     starts = _ONE_ROW_STARTS[cols.size > 0]
     scores = _block_dots(model.weights, cols, vals, starts, starts, 1)[0]
     scores += model.biases
@@ -731,16 +729,17 @@ def _vocabulary_to_payload(vocab: Vocabulary) -> dict:
     return {"n_docs": vocab.n_docs, "terms": list(vocab.terms), "doc_freq": list(vocab.doc_freq)}
 
 
-def _vocabulary_from_payload(payload: object) -> Vocabulary:
-    """The vocabulary of the payload's JSON lists, if it holds no other key;
-    Vocabulary checks their order, their lengths and that every document
-    frequency is in [1, n_docs]."""
+def _vocabulary_from_payload(payload: object, selector: Selector) -> Vocabulary:
+    """The `selector` vocabulary of the payload's JSON lists, if it holds no
+    other key; Vocabulary checks their order, their lengths and that every
+    document frequency is in [1, n_docs]."""
     payload = _typed(payload, dict, "vocabulary")
     _check_keys(payload, _VOCABULARY_KEYS, "vocabulary")
     return Vocabulary(
         terms=tuple(_typed_list(payload["terms"], str, "vocabulary terms")),
         doc_freq=tuple(_typed_list(payload["doc_freq"], int, "vocabulary doc_freq")),
         n_docs=_typed(payload["n_docs"], int, "n_docs"),
+        selector=selector,
     )
 
 
@@ -796,7 +795,7 @@ def model_to_dict(trained: TrainedModel) -> dict:
     model = trained.model
     return {
         "format_version": MODEL_FORMAT_VERSION,
-        "selector": trained.selector,
+        "selector": trained.vocabulary.selector,
         "preprocessing": _preprocessing_to_payload(trained.preprocess_config),
         "vocabulary": _vocabulary_to_payload(trained.vocabulary),
         "model_type": model.trainer_tag,
@@ -862,7 +861,7 @@ def load_model(path: str | Path) -> TrainedModel:
             raise ModelFormatError(
                 f"class_labels holds {len(labels)} classes; a trained model has at least two"
             )
-        vocabulary = _vocabulary_from_payload(payload["vocabulary"])
+        vocabulary = _vocabulary_from_payload(payload["vocabulary"], selector)
         model = LinearModel(
             class_labels=tuple(labels),
             trainer_tag=model_type,
@@ -875,7 +874,6 @@ def load_model(path: str | Path) -> TrainedModel:
         return TrainedModel(
             model=model,
             vocabulary=vocabulary,
-            selector=selector,
             preprocess_config=_preprocessing_from_payload(payload["preprocessing"]),
             stage_seconds=dict.fromkeys(TRAIN_STAGES, 0.0),
         )

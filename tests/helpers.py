@@ -131,10 +131,17 @@ def save_jsonl(corpus: LabeledCorpus, path: str | Path) -> None:
 
 # Output paths, relative to a directory that `make_out_tree` fills: each
 # way a path can be new, taken, missing its directory, under a file, end
-# in a separator or end in `.` or `..` (which Path() would fold away).
+# in a separator or end in `.` or `..` (which Path() would fold away), and
+# a last component of 255 bytes, the longest that common file systems take.
 OUT_PATHS = ("", "newfile", "newdir/", "adir/", "afile/", "afile/x", "afile/x/",
              "nodir/x", "nodir/x/", "adir", "afile", ".", "..", "afile/.", "new/.",
-             "adir/.", "adir/..")
+             "adir/.", "adir/..", "m" * 250 + ".json", "adir/" + "m" * 255)
+
+
+def path_id(name: str) -> str:
+    """A test id for `name`: its repr, each run of 50 or more equal
+    characters written `<count char>`."""
+    return repr(re.sub(r"(.)\1{49,}", lambda run: f"<{len(run[0])} {run[1]}>", name))
 
 
 def make_out_tree(root: Path) -> None:
@@ -459,7 +466,8 @@ def reference_select_chi_features(docs: list[TokenizedDocument], top_percent: fl
         kept.update(terms[index] for index in np.argsort(-scores, kind="stable")[:keep].tolist())
     ordered = tuple(sorted(kept))
     return Vocabulary(
-        terms=ordered, doc_freq=tuple(doc_freq[term] for term in ordered), n_docs=len(docs)
+        terms=ordered, doc_freq=tuple(doc_freq[term] for term in ordered), n_docs=len(docs),
+        selector="chi2",
     )
 
 

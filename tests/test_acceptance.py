@@ -80,7 +80,7 @@ def test_tfidf_normalization():
         docs = [random_tokenized_doc(rng) for _ in range(500)]
         vocab = build_vocabulary(docs)
         non_empty = 0
-        X = vectorize_corpus(docs, vocab, "tfidf")
+        X = vectorize_corpus(docs, vocab)
         for row in range(X.shape[0]):
             weights = [weight for _, weight in row_pairs(X, row)]
             if weights:

@@ -22,7 +22,8 @@ from doccat.textprep import (
 )
 
 from helpers import (
-    OUT_PATHS, assert_out_tree_kept, make_out_tree, make_synthetic_corpus, os_error, save_jsonl,
+    OUT_PATHS, assert_out_tree_kept, make_out_tree, make_synthetic_corpus, os_error, path_id,
+    save_jsonl,
 )
 
 SUBCOMMANDS = ("preprocess", "train", "predict", "evaluate", "benchmark")
@@ -230,7 +231,7 @@ class TestOutputPath:
                      "--report"),
     }
 
-    @pytest.mark.parametrize("name", OUT_PATHS, ids=repr)
+    @pytest.mark.parametrize("name", OUT_PATHS, ids=path_id)
     @pytest.mark.parametrize("command", COMMANDS)
     def test_fails_as_open_does_before_reading(
         self, tmp_path, monkeypatch, capsys, command, name
@@ -342,7 +343,19 @@ class TestTrain:
         model_path = train_model(tmp_path, corpora, features="chi2")
         payload = json.loads(model_path.read_text(encoding="utf-8"))
         assert payload["selector"] == "chi2"
-        assert load_model(model_path).selector == "chi2"
+        assert load_model(model_path).vocabulary.selector == "chi2"
+
+    def test_writes_a_model_under_the_longest_name(self, tmp_path, corpora):
+        """A 255-byte last component, which open(path, "w") accepts, gets the
+        model, and no temporary file is left beside it."""
+        train_path, _ = corpora
+        out = tmp_path / "out"
+        out.mkdir()
+        model_path = out / ("m" * 250 + ".json")
+        assert main(["train", "--corpus", str(train_path), "--features", "tfidf",
+                     "--model", "nb", "--out", str(model_path)]) == 0
+        assert os.listdir(out) == [model_path.name]
+        assert load_model(model_path).vocabulary.selector == "tfidf"
 
     def test_verbose_svm_prints_solver_diagnostics_per_class(
         self, tmp_path, corpora, capsys

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,9 @@ def tdoc(*sentences, label=None):
     return TokenizedDocument(sentences=tuple(tuple(s) for s in sentences), label=label)
 
 
-def pairs(doc, vocab, selector):
+def pairs(doc, vocab):
     """The one-row matrix of `doc` as (feature index, weight) pairs."""
-    return row_pairs(vectorize_corpus([doc], vocab, selector), 0)
+    return row_pairs(vectorize_corpus([doc], vocab), 0)
 
 
 class TestBuildVocabulary:
@@ -78,7 +79,18 @@ class TestBuildVocabulary:
         ]
         for (terms, doc_freq, n_docs), message in cases:
             with pytest.raises(ValueError, match=message):
-                Vocabulary(terms=terms, doc_freq=doc_freq, n_docs=n_docs)
+                Vocabulary(terms=terms, doc_freq=doc_freq, n_docs=n_docs, selector="tfidf")
+
+    # "counts" is how the chi-square space weights its terms, not its name.
+    @pytest.mark.parametrize("selector", ["counts", "binary"])
+    def test_unknown_selector_fails_as_in_training(self, selector):
+        docs = [tdoc(["ক"], label="a"), tdoc(["খ"], label="b")]
+        with pytest.raises(ValueError) as caught:
+            Vocabulary(terms=("ক", "খ"), doc_freq=(1, 1), n_docs=2, selector=selector)
+        with pytest.raises(ValueError) as in_training:
+            train_from_tokens(docs, selector, "nb", TrainHyperparams(), default_config())
+        assert str(caught.value) == str(in_training.value)
+        assert str(caught.value).startswith(f"unknown selector: {selector!r}")
 
     def test_index_is_the_position_of_each_term(self):
         rng = np.random.default_rng(3)
@@ -198,40 +210,40 @@ class TestCorpusMatrix:
 
 class TestCountVector:
     def test_counting(self):
-        vocab = build_vocabulary([tdoc(["ক", "ক", "খ"])])
-        assert pairs(tdoc(["ক", "ক", "খ"]), vocab, "chi2") == [(0, 2.0), (1, 1.0)]
+        vocab = select_chi_features([tdoc(["ক", "ক", "খ"])], 100.0)
+        assert pairs(tdoc(["ক", "ক", "খ"]), vocab) == [(0, 2.0), (1, 1.0)]
 
     def test_oov_ignored(self):
-        vocab = build_vocabulary([tdoc(["ক"])])
-        assert pairs(tdoc(["ঘ", "ঙ"]), vocab, "chi2") == []
+        vocab = select_chi_features([tdoc(["ক"])], 100.0)
+        assert pairs(tdoc(["ঘ", "ঙ"]), vocab) == []
 
     def test_empty_doc(self):
-        vocab = build_vocabulary([tdoc(["ক"])])
-        assert pairs(tdoc(), vocab, "chi2") == []
+        vocab = select_chi_features([tdoc(["ক"])], 100.0)
+        assert pairs(tdoc(), vocab) == []
 
 
 class TestTfidfVector:
     def test_weighting_then_normalization(self):
         # vocab over two docs: DF(ক)=1, DF(খ)=2, N=2
         vocab = build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ"])])
-        weights = dict(pairs(tdoc(["ক", "ক", "খ"]), vocab, "tfidf"))
+        weights = dict(pairs(tdoc(["ক", "ক", "খ"]), vocab))
         assert weights[0] == pytest.approx(0.9421556246632359, abs=1e-12)
         assert weights[1] == pytest.approx(0.33517574332792605, abs=1e-12)
         assert np.linalg.norm(list(weights.values())) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_token_normalizes_to_one(self):
         vocab = build_vocabulary([tdoc(["ক", "খ"]), tdoc(["খ"])])
-        assert pairs(tdoc(["ক", "ক", "ক"]), vocab, "tfidf") == [(0, 1.0)]
+        assert pairs(tdoc(["ক", "ক", "ক"]), vocab) == [(0, 1.0)]
 
     def test_empty_doc(self):
         vocab = build_vocabulary([tdoc(["ক"])])
-        assert pairs(tdoc(), vocab, "tfidf") == []
+        assert pairs(tdoc(), vocab) == []
 
     def test_unit_norm_property(self):
         rng = np.random.default_rng(4)
         docs = [random_tokenized_doc(rng) for _ in range(60)]
         vocab = build_vocabulary(docs)
-        X = vectorize_corpus(docs, vocab, "tfidf")
+        X = vectorize_corpus(docs, vocab)
         for row in range(X.shape[0]):
             weights = [weight for _, weight in row_pairs(X, row)]
             if weights:
@@ -247,8 +259,8 @@ class TestTfidfVector:
             shuffled = tdoc(tokens)
             # The norm is summed correctly rounded, so in any order.
             assert (
-                vectorize_corpus([shuffled], vocab, "tfidf").values.tobytes()
-                == vectorize_corpus([doc], vocab, "tfidf").values.tobytes()
+                vectorize_corpus([shuffled], vocab).values.tobytes()
+                == vectorize_corpus([doc], vocab).values.tobytes()
             )
             assert (
                 tfidf_vector(shuffled, vocab)[1].tobytes()
@@ -273,7 +285,7 @@ class TestTfidfVector:
             }
             norm = math.sqrt(math.fsum(weight * weight for weight in weighted.values()))
             expected = sorted((index, weight / norm) for index, weight in weighted.items())
-            assert pairs(doc, vocab, "tfidf") == expected
+            assert pairs(doc, vocab) == expected
 
 
 class TestChiScore:
@@ -432,7 +444,11 @@ class TestSelectChiFeatures:
             docs = [random_tokenized_doc(rng) for _ in range(int(rng.integers(1, 8)))]
             selected = select_chi_features(docs, top_percent=100.0)
             baseline = build_vocabulary(docs)
-            assert selected == baseline
+            assert selected.terms == baseline.terms
+            assert selected.doc_freq == baseline.doc_freq
+            assert selected.n_docs == baseline.n_docs
+            # The same terms, in another feature space.
+            assert (selected.selector, baseline.selector) == ("chi2", "tfidf")
 
     def test_ranks_by_score_then_term(self):
         # the per-document ranking is sorted((-score, term)) over the reference scores
@@ -516,8 +532,8 @@ class TestSelectChiFeatures:
 class TestVectorizeCorpus:
     def test_order_preserved(self):
         docs = [tdoc(["ক"]), tdoc(["খ"]), tdoc(["ক", "খ"])]
-        vocab = build_vocabulary(docs)
-        X = vectorize_corpus(docs, vocab, "chi2")
+        vocab = select_chi_features(docs, 100.0)
+        X = vectorize_corpus(docs, vocab)
         assert X.shape == (3, 2)
         assert row_pairs(X, 0) == [(0, 1.0)]
         assert row_pairs(X, 2) == [(0, 1.0), (1, 1.0)]
@@ -525,8 +541,8 @@ class TestVectorizeCorpus:
     def test_counts_are_positive_integers(self):
         rng = np.random.default_rng(11)
         docs = [random_tokenized_doc(rng) for _ in range(20)]
-        vocab = build_vocabulary(docs)
-        for weight in vectorize_corpus(docs, vocab, "chi2").values.tolist():
+        vocab = select_chi_features(docs, 100.0)
+        for weight in vectorize_corpus(docs, vocab).values.tolist():
             assert weight > 0 and weight.is_integer()
 
     @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
@@ -535,14 +551,15 @@ class TestVectorizeCorpus:
         monkeypatch.setattr(features_module, "_VECTORIZE_CHUNK_TOKENS", cap)
         rng = np.random.default_rng(13)
         docs = [random_tokenized_doc(rng, max_terms=6) for _ in range(40)]
-        vocab = build_vocabulary(docs[:20])  # later documents carry unseen terms
+        # Later documents carry unseen terms.
+        vocab = replace(build_vocabulary(docs[:20]), selector=selector)
         docs[5] = docs[17] = tdoc()
         docs[30] = tdoc(["ঞ", "ঞ"])  # only out-of-vocabulary tokens
         sizes = [doc.token_count for doc in docs]
         assert max(sizes) > cap  # a chunk of its own
         assert sum(sizes) > 3 * cap  # several chunks
         assert any(a + b <= cap for a, b in zip(sizes, sizes[1:]))  # a chunk of two
-        X = vectorize_corpus(docs, vocab, selector)
+        X = vectorize_corpus(docs, vocab)
         assert X.shape == (len(docs), len(vocab))
         vector = tfidf_vector if selector == "tfidf" else count_vector
         for row, doc in enumerate(docs):
@@ -570,15 +587,4 @@ class TestVectorizeCorpus:
 
     def test_zero_documents_give_zero_rows(self):
         vocab = build_vocabulary([tdoc(["ক"])])
-        assert vectorize_corpus([], vocab, "tfidf").shape == (0, 1)
-
-    # "counts" is how the chi-square space weights its terms, not its name.
-    @pytest.mark.parametrize("selector", ["counts", "binary"])
-    def test_unknown_selector_fails_as_in_training(self, selector):
-        docs = [tdoc(["ক"], label="a"), tdoc(["খ"], label="b")]
-        with pytest.raises(ValueError) as caught:
-            vectorize_corpus(docs, build_vocabulary(docs), selector)
-        with pytest.raises(ValueError) as in_training:
-            train_from_tokens(docs, selector, "nb", TrainHyperparams(), default_config())
-        assert str(caught.value) == str(in_training.value)
-        assert str(caught.value).startswith(f"unknown selector: {selector!r}")
+        assert vectorize_corpus([], vocab).shape == (0, 1)

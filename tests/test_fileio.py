@@ -13,7 +13,7 @@ from doccat.fileio import (
 )
 from doccat.models import TrainHyperparams, save_model, train
 
-from helpers import OUT_PATHS, assert_out_tree_kept, make_out_tree, os_error
+from helpers import OUT_PATHS, assert_out_tree_kept, make_out_tree, os_error, path_id
 
 # Every character other than "\n" at which str.splitlines ends a line.
 OTHER_BOUNDARIES = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -133,7 +133,7 @@ def writers(tiny_corpus, default_cfg, tmp_path_factory):
 class TestAtomicWriteText:
     # Each path is judged as written: Path() would fold a trailing separator
     # or a last `.` away and name another file.
-    @pytest.mark.parametrize("name", OUT_PATHS, ids=repr)
+    @pytest.mark.parametrize("name", OUT_PATHS, ids=path_id)
     @pytest.mark.parametrize("writer", ["atomic_write_text", "save_model", "write_report"])
     def test_every_writer_fails_as_open_does(self, tmp_path, monkeypatch, writers, writer, name):
         monkeypatch.chdir(tmp_path)
@@ -149,7 +149,7 @@ class TestAtomicWriteText:
 
 
 class TestCheckOutPath:
-    @pytest.mark.parametrize("name", OUT_PATHS, ids=repr)
+    @pytest.mark.parametrize("name", OUT_PATHS, ids=path_id)
     def test_fails_as_open_does_and_creates_nothing(self, tmp_path, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
         make_out_tree(tmp_path)
@@ -175,7 +175,7 @@ class TestCheckOutDir:
         "name",
         OUT_PATHS + ("new/..", "nodir/x/.", "afile/..", "nodir//x", "adir/new/x/", "new/sub/x",
                      f"new/{LONG_NAME}", f"new/sub/{LONG_NAME}"),
-        ids=lambda name: repr(name.replace(LONG_NAME, "<300 x>")),
+        ids=path_id,
     )
     def test_fails_as_makedirs_does_and_creates_nothing(self, tmp_path, monkeypatch, name):
         made, checked = tmp_path / "made", tmp_path / "checked"

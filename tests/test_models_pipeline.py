@@ -48,7 +48,7 @@ class TestTrainPipelines:
         trained = train_from_tokens(
             small_tokens, selector, classifier, TrainHyperparams(), default_cfg
         )
-        assert trained.selector == selector
+        assert trained.vocabulary.selector == selector
         assert trained.model.weights.shape[1] == len(trained.vocabulary)
         assert trained.train_seconds > 0
         assert list(trained.stage_seconds) == ["features", "vectorize", "fit"]
@@ -58,6 +58,8 @@ class TestTrainPipelines:
         path = tmp_path / "model.json"
         save_model(trained, path)
         loaded = load_model(path)
+        # The selector comes back from the file's top level into the vocabulary.
+        assert loaded.vocabulary == trained.vocabulary
         assert loaded.stage_seconds == {"features": 0.0, "vectorize": 0.0, "fit": 0.0}
         assert loaded.train_seconds == 0.0
         assert loaded.class_labels == trained.class_labels
@@ -313,7 +315,7 @@ class TestModelFile:
         trained = train_from_tokens(
             small_tokens, "tfidf", "svm", TrainHyperparams(), default_cfg
         )
-        X = vectorize_corpus(small_tokens, trained.vocabulary, "tfidf")
+        X = vectorize_corpus(small_tokens, trained.vocabulary)
         monkeypatch.setattr(models, "SVM_MAX_PASSES", 1)
         with pytest.warns(ConvergenceWarning):
             capped = train_svm(X, [doc.label for doc in small_tokens], TrainHyperparams())

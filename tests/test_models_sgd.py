@@ -183,7 +183,7 @@ class TestHingeObjective:
 def overlapping_tfidf(cfg, n_categories):
     docs = preprocess_corpus(make_overlapping_corpus(8, seed=11, n_categories=n_categories), cfg)
     vocab = build_vocabulary(docs)
-    return vectorize_corpus(docs, vocab, "tfidf"), [doc.label for doc in docs]
+    return vectorize_corpus(docs, vocab), [doc.label for doc in docs]
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +284,7 @@ class TestBlockScoringMatchesPerStepReference:
 
     def test_chi2_counts_with_empty_rows_at_start_middle_and_end(self, default_cfg):
         docs = preprocess_corpus(make_overlapping_corpus(20, seed=12, n_categories=3), default_cfg)
-        X = vectorize_corpus(docs, select_chi_features(docs, 30.0), "chi2")
+        X = vectorize_corpus(docs, select_chi_features(docs, 30.0))
         y = [doc.label for doc in docs]
         X, y = with_empty_rows(X, y, [0, X.shape[0] // 2, X.shape[0]], sorted(set(y)))
         lengths = np.diff(X.indptr)

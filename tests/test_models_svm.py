@@ -63,7 +63,7 @@ class TestTwoPointProblem:
 class TestDualityGap:
     def test_gap_is_relative_to_the_primal_objective(self, default_cfg):
         docs = preprocess_corpus(make_overlapping_corpus(6, seed=3), default_cfg)
-        X = vectorize_corpus(docs, build_vocabulary(docs), "tfidf")
+        X = vectorize_corpus(docs, build_vocabulary(docs))
         y = [doc.label for doc in docs]
         for hyper in (TrainHyperparams(), TrainHyperparams(svm_c=100.0)):
             with warnings.catch_warnings():
@@ -78,7 +78,7 @@ class TestDualityGap:
 
     def test_one_pass_leaves_a_larger_gap(self, default_cfg, monkeypatch):
         docs = preprocess_corpus(make_overlapping_corpus(6, seed=3), default_cfg)
-        X = vectorize_corpus(docs, build_vocabulary(docs), "tfidf")
+        X = vectorize_corpus(docs, build_vocabulary(docs))
         y = [doc.label for doc in docs]
         converged = train_svm(X, y, TrainHyperparams())
         assert all(info["converged"] for info in converged.fit_info.values())
@@ -183,9 +183,9 @@ class TestOverlappingCorpus:
 
 def overlapping_matrix(tokens, selector):
     if selector == "tfidf":
-        X = vectorize_corpus(tokens, build_vocabulary(tokens), "tfidf")
+        X = vectorize_corpus(tokens, build_vocabulary(tokens))
     else:
-        X = vectorize_corpus(tokens, select_chi_features(tokens, 30.0), "chi2")
+        X = vectorize_corpus(tokens, select_chi_features(tokens, 30.0))
     return X, [doc.label for doc in tokens]
 
 
@@ -237,7 +237,7 @@ class TestOneVsRestRows:
     def test_each_row_matches_its_class_trained_alone(self, default_cfg):
         docs = preprocess_corpus(make_overlapping_corpus(8, seed=11, n_categories=3), default_cfg)
         vocab = build_vocabulary(docs)
-        X, y = vectorize_corpus(docs, vocab, "tfidf"), [doc.label for doc in docs]
+        X, y = vectorize_corpus(docs, vocab), [doc.label for doc in docs]
         hyper = TrainHyperparams(seed=5)
         model = train_svm(X, y, hyper)
         assert len(model.class_labels) == 3

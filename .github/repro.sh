@@ -23,7 +23,9 @@
 # OUT-predict/TFIDF_SGD.tsv byte for byte, so neither a leading byte-order
 # mark nor CRLF line ends change any output. (The corpus gives every
 # document an explicit id, so a copy's file name appears in no output.)
-# Model files are read by the same rule: a copy of model_TFIDF_SGD.json
+# A third copy, test.JSONL, must label to the same TSV too, since
+# `predict` reads a `.jsonl` suffix in any case as JSONL. Model files are
+# read by the same rule as the test split: a copy of model_TFIDF_SGD.json
 # that starts with a byte-order mark must label the test split to the
 # same bytes as OUT-predict/TFIDF_SGD.tsv.
 #
@@ -76,6 +78,10 @@ for copy in bom crlf; do
     --out "$out-train/TFIDF_SGD.$copy.tsv"
   cmp "$out-train/TFIDF_SGD.$copy.tsv" "$out-predict/TFIDF_SGD.tsv"
 done
+cp "$corpus/test.jsonl" "$out-train/test.JSONL"
+"$doccat" predict --model "$out/model_TFIDF_SGD.json" --input "$out-train/test.JSONL" \
+  --out "$out-train/TFIDF_SGD.upper-suffix.tsv"
+cmp "$out-train/TFIDF_SGD.upper-suffix.tsv" "$out-predict/TFIDF_SGD.tsv"
 { printf '\357\273\277'; cat "$out/model_TFIDF_SGD.json"; } > "$out-train/model_TFIDF_SGD.bom.json"
 "$doccat" predict --model "$out-train/model_TFIDF_SGD.bom.json" --input "$corpus/test.jsonl" \
   --out "$out-train/TFIDF_SGD.bom-model.tsv"

@@ -161,6 +161,24 @@ def _load_corpus(path: str) -> LabeledCorpus:
     return load_jsonl(path)
 
 
+def _check_out(args: argparse.Namespace, out_flag: str, input_flags: tuple[str, ...]) -> None:
+    """`check_out_path` on the path of `out_flag`, if given, then fail when it
+    names the same existing file as one of `input_flags`, which the command
+    would otherwise replace with its output."""
+    out = getattr(args, out_flag)
+    if out is None:
+        return
+    check_out_path(out)
+    for flag in input_flags:
+        source = getattr(args, flag)
+        try:
+            same = source is not None and os.path.samefile(out, source)
+        except OSError:  # one of the two names no existing file
+            continue
+        if same:
+            raise ValueError(f"--{out_flag} and --{flag} name the same file {out!r}")
+
+
 def _diag(args: argparse.Namespace, message: str) -> None:
     if args.verbose:
         print(message, file=sys.stderr)
@@ -183,7 +201,7 @@ def _diag_fit(args: argparse.Namespace, model: models.LinearModel) -> None:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    check_out_path(args.out)
+    _check_out(args, "out", ("corpus", "stopwords", "suffixes"))
     corpus = _load_corpus(args.corpus)
     _diag(args, f"loaded {len(corpus)} documents, {len(corpus.labels)} labels")
     config = build_preprocess_config(args)
@@ -194,7 +212,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    check_out_path(args.out)
+    _check_out(args, "out", ("corpus", "stopwords", "suffixes"))
     hyper = resolve_hyper(args)
     config = build_preprocess_config(args)
     corpus = _load_corpus(args.corpus)
@@ -212,17 +230,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_predict_documents(path: str) -> list[LabeledDocument]:
-    """Prediction input: JSONL, whose labels are not read, or one raw text
-    file. The path is read as given, so an empty one fails as a missing file."""
+    """Prediction input: JSONL (a `.jsonl` suffix in any case), whose labels
+    are not read, or one raw text file. The path is read as given, so an
+    empty one fails as a missing file."""
     target = Path(path)
-    if target.suffix == ".jsonl":
+    if target.suffix.lower() == ".jsonl":
         return read_jsonl_documents(path, label="-")
     return [read_document(path, target.name, "-")]
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if args.out is not None:
-        check_out_path(args.out)
+    _check_out(args, "out", ("model", "input"))
     trained = models.load_model(args.model)
     config = trained.preprocess_config
     docs = _load_predict_documents(args.input)
@@ -241,8 +259,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.report is not None:
-        check_out_path(args.report)
+    _check_out(args, "report", ("model", "corpus"))
     trained = models.load_model(args.model)
     corpus = _load_corpus(args.corpus)
     report = evaluation.evaluate(trained, corpus, trained.preprocess_config)

@@ -1,7 +1,7 @@
 """Feature engineering: vocabularies, TF-IDF vectors, and chi-square selection.
 
 Two feature spaces are provided, each named by its selector (SELECTORS),
-which its Vocabulary carries:
+which its Vocabulary carries and only this module interprets:
 
 * TF-IDF ("tfidf"): raw term counts weighted by the smoothed inverse
   document frequency ``ln((N + 1) / (DF + 1)) + 1`` and scaled to unit
@@ -19,8 +19,8 @@ it is built and used as it is by the trainers and the scoring.
 at most _VECTORIZE_CHUNK_TOKENS tokens: per chunk, one pass
 maps the tokens to feature ids, one `np.unique` counts the (document,
 feature) keys, and for TF-IDF each row takes one correctly rounded norm.
-One document's row comes from `count_vector` or `tfidf_vector`, ascending
-like a matrix row, which prediction scores as it is, so one document is
+One document's row comes from `vectorize_document`, ascending like a
+matrix row, which prediction scores as it is, so one document is
 never built into a one-row matrix; a corpus row equals its document's
 vector bit for bit.
 
@@ -94,6 +94,12 @@ Selector = Literal["tfidf", "chi2"]
 SELECTORS: tuple[Selector, ...] = get_args(Selector)
 
 
+def check_selector(selector: object) -> None:
+    """Raise ValueError unless `selector` is one of SELECTORS."""
+    if selector not in SELECTORS:
+        raise ValueError(f"unknown selector: {quoted(selector)} (expected one of {SELECTORS})")
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """A feature space as the model file stores it.
@@ -102,7 +108,9 @@ class Vocabulary:
     empty, strictly ascending and a term's position is its feature index, so
     the same documents always give the same feature space. `doc_freq` holds
     each term's document frequency in the same order, as Python ints in
-    [1, n_docs]. `index`, the term-to-feature-index map, is built on first use.
+    [1, n_docs]; n_docs is at most 2**53, the largest count a float holds
+    exactly, so `idf` cannot overflow. `index`, the term-to-feature-index
+    map, is built on first use.
     """
 
     terms: tuple[str, ...]
@@ -112,8 +120,7 @@ class Vocabulary:
 
     def __post_init__(self) -> None:
         terms, doc_freq, n_docs = self.terms, self.doc_freq, self.n_docs
-        if self.selector not in SELECTORS:
-            raise ValueError(f"unknown selector: {self.selector!r} (expected one of {SELECTORS})")
+        check_selector(self.selector)
         if not terms:
             raise ValueError("a vocabulary needs at least one term")
         if not all(map(operator.lt, terms, terms[1:])):
@@ -122,6 +129,8 @@ class Vocabulary:
             raise ValueError(
                 f"vocabulary doc_freq holds {len(doc_freq)} values for {len(terms)} terms"
             )
+        if n_docs > 2**53:
+            raise ValueError("n_docs exceeds 2**53, the largest count a float holds exactly")
         if not (1 <= min(doc_freq) and max(doc_freq) <= n_docs):
             term, df = next(
                 (term, df) for term, df in zip(terms, doc_freq) if not 1 <= df <= n_docs
@@ -351,6 +360,18 @@ def select_chi_features(docs: Sequence[TokenizedDocument], top_percent: float) -
     )
 
 
+def build_feature_space(
+    docs: Sequence[TokenizedDocument], selector: Selector, top_percent: float
+) -> Vocabulary:
+    """`build_vocabulary` ("tfidf") or `select_chi_features` ("chi2") of `docs`,
+    the selector checked first. Builders here are looked up by name on every
+    call, so a wrapper bound in one's place (a tracer) sees each call."""
+    check_selector(selector)
+    if selector == "tfidf":
+        return build_vocabulary(docs)
+    return select_chi_features(docs, top_percent)
+
+
 def count_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """One document's row of raw counts: its in-vocabulary feature indices in
     ascending order and their counts; out-of-vocabulary tokens are ignored."""
@@ -379,6 +400,14 @@ def tfidf_vector(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray,
         weights *= vocab.idf_weights[indices]
         weights /= _norm((weights * weights).tolist())
     return indices, weights
+
+
+def vectorize_document(doc: TokenizedDocument, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """`vectorize_corpus` of one document: `tfidf_vector` ("tfidf") or
+    `count_vector` ("chi2") as `vocab.selector` names."""
+    if vocab.selector == "tfidf":
+        return tfidf_vector(doc, vocab)
+    return count_vector(doc, vocab)
 
 
 def vectorize_corpus(docs: Sequence[TokenizedDocument], vocab: Vocabulary) -> CorpusMatrix:

@@ -17,10 +17,11 @@ trainer's LinearModel and per-class `fit_info`. Every trainer
 returns a LinearModel, scored as w_c . x + b_c: `predict` labels a batch of
 documents in the feature space of the model's vocabulary, and
 `predict_tokenized` labels one document from the row that
-features.tfidf_vector or features.count_vector returns, without building a
-one-row matrix. Every w . x of whole rows but the SVM's per-step gradient
-is summed by `_block_dots`, which sums each row on its own, so a document
-scores the same bits alone as inside a corpus.
+`features.vectorize_document` returns, without building a one-row matrix;
+a selector is only passed through to `features`. Every w . x of whole
+rows but the SVM's per-step gradient is summed by `_block_dots`, which
+sums each row on its own, so a document scores the same bits alone as
+inside a corpus.
 
 * Naive Bayes uses Lidstone smoothing and accepts real-valued non-negative
   feature weights, so TF-IDF inputs are as valid as raw counts. Its log
@@ -95,12 +96,10 @@ from .features import (
     CorpusMatrix,
     Selector,
     Vocabulary,
-    build_vocabulary,
+    build_feature_space,
     check_chi_settings,
-    count_vector,
-    select_chi_features,
-    tfidf_vector,
     vectorize_corpus,
+    vectorize_document,
 )
 from .fileio import STRICT_JSON, atomic_write_text, read_text
 from .textprep import PreprocessConfig, TokenizedDocument, preprocess_corpus
@@ -569,12 +568,11 @@ def train_from_tokens(
 ) -> TrainedModel:
     """Build the feature space and fit one classifier on preprocessed docs.
 
+    `features.build_feature_space` checks the selector and builds its space.
     `stage_seconds` times feature building ("features"), vectorization
     ("vectorize") and classifier fitting ("fit"); their sum,
     `train_seconds`, is the method-specific work the benchmark compares.
     """
-    if selector not in SELECTORS:
-        raise ValueError(f"unknown selector: {selector!r} (expected one of {SELECTORS})")
     if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier: {classifier!r} (expected one of {CLASSIFIERS})")
     labels = [doc.label for doc in docs]
@@ -582,10 +580,7 @@ def train_from_tokens(
         raise ValueError("training documents must carry labels")
 
     clock = [time.perf_counter()]
-    if selector == "tfidf":
-        vocabulary = build_vocabulary(docs)
-    else:
-        vocabulary = select_chi_features(docs, hyper.chi_top_percent)
+    vocabulary = build_feature_space(docs, selector, hyper.chi_top_percent)
     clock.append(time.perf_counter())
     X = vectorize_corpus(docs, vocabulary)
     clock.append(time.perf_counter())
@@ -645,16 +640,13 @@ def predict_tokenized(
 ) -> tuple[str, float, dict[str, float]]:
     """Predict one preprocessed document: (label, winning score, all scores).
 
-    The row that the vocabulary's selector names is scored as it is, with the
+    The row of `features.vectorize_document` is scored as it is, with the
     same arithmetic as its row of `predict`, to the same label and scores
     bit for bit.
     """
     model, vocab = trained.model, trained.vocabulary
     _check_width(len(vocab), model.weights)
-    # Both builders are looked up by name on every call, so a wrapper bound
-    # in their place (a tracer, say) sees each row.
-    vector = tfidf_vector if vocab.selector == "tfidf" else count_vector
-    cols, vals = vector(doc, vocab)
+    cols, vals = vectorize_document(doc, vocab)
     starts = _ONE_ROW_STARTS[cols.size > 0]
     scores = _block_dots(model.weights, cols, vals, starts, starts, 1)[0]
     scores += model.biases
@@ -828,12 +820,13 @@ def load_model(path: str | Path) -> TrainedModel:
     that cannot be read (`fileio.read_text`) or parsed (`fileio.STRICT_JSON`,
     which rejects NaN, infinities and repeated keys), a format version other
     than MODEL_FORMAT_VERSION (an older file needs retraining), an unknown
-    selector or model type, a preprocessing block that `save_model` would
+    model type, a preprocessing block that `save_model` would
     not write (a suffix rule that `textprep.validate_suffix_table` rejects,
     tables out of order, another key),
     class labels or vocabulary terms not in strictly ascending order, a
     class label that fails `corpus.check_field`, fewer than two class labels
-    or no vocabulary term, a document frequency outside [1, n_docs], a fit
+    or no vocabulary term, a document frequency outside [1, n_docs], an
+    n_docs above 2**53, an unknown selector (`features.check_selector`), a fit
     block whose classes or fields do not match, a parameter that is not
     base64 of 8 bytes per value of the shape the labels and the vocabulary
     fix, or a non-finite parameter."""
@@ -847,8 +840,6 @@ def load_model(path: str | Path) -> TrainedModel:
             )
         _check_keys(payload, _MODEL_KEYS, "top-level")
         selector = _typed(payload["selector"], str, "selector")
-        if selector not in SELECTORS:
-            raise ModelFormatError(f"unknown selector {quoted(selector)}")
         model_type = _typed(payload["model_type"], str, "model_type")
         if model_type not in CLASSIFIERS:
             raise ModelFormatError(f"unknown model type {quoted(model_type)}")

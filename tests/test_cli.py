@@ -289,6 +289,48 @@ class TestEmptyInputPath:
         assert sorted(work.rglob("*")) == before
 
 
+class TestOutputIsNotAnInput:
+    """An output flag naming the same existing file as an input flag fails
+    before anything is read, naming both flags, and leaves the input as it
+    was. `./` spells one name another way, as a link would."""
+
+    @pytest.mark.parametrize("argv, out_flag, input_flag", [
+        (["preprocess", "--corpus", "{train}", "--out", "{train}"], "--out", "--corpus"),
+        (["preprocess", "--corpus", "{train}", "--suffixes", "{table}", "--out", "./{table}"],
+         "--out", "--suffixes"),
+        (["train", "--corpus", "{train}", "--features", "tfidf", "--model", "nb",
+          "--out", "./{train}"], "--out", "--corpus"),
+        (["train", "--corpus", "{train}", "--stopwords", "{table}", "--features", "chi2",
+          "--model", "nb", "--out", "{table}"], "--out", "--stopwords"),
+        (["predict", "--model", "{model}", "--input", "{test}", "--out", "{model}"],
+         "--out", "--model"),
+        (["predict", "--model", "absent.json", "--input", "{test}", "--out", "{test}"],
+         "--out", "--input"),
+        (["evaluate", "--model", "{model}", "--corpus", "{test}", "--report", "{model}"],
+         "--report", "--model"),
+        (["evaluate", "--model", "absent.json", "--corpus", "{test}", "--report", "./{test}"],
+         "--report", "--corpus"),
+    ], ids=["preprocess", "preprocess-suffixes", "train", "train-stopwords", "predict-model",
+            "predict-input", "evaluate-model", "evaluate-corpus"])
+    def test_fails_and_keeps_the_input(
+        self, argv, out_flag, input_flag, tmp_path, corpora, monkeypatch, capsys
+    ):
+        train_model(tmp_path, corpora)
+        (tmp_path / "table.txt").write_text("", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        names = {"train": "train.jsonl", "test": "test.jsonl", "model": "model.json",
+                 "table": "table.txt"}
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        argv = [arg.format(**names) for arg in argv]
+        assert main(argv) == 1
+        out = argv[argv.index(out_flag) + 1]
+        assert capsys.readouterr().err == (
+            f"error: {out_flag} and {input_flag} name the same file {out!r}\n"
+        )
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 class TestPreprocess:
     def test_writes_tokenized_jsonl(self, tmp_path, corpora, capsys):
         train_path, _ = corpora
@@ -537,6 +579,20 @@ class TestPredict:
             (row,) = map(json.loads, tokens_path.read_text(encoding="utf-8").splitlines())
             outputs[name] = ((tmp_path / f"{name}.tsv").read_bytes(), row["sentences"])
         assert outputs["raw"] == outputs["jsonl"]
+
+    def test_upper_case_jsonl_suffix_reads_as_jsonl(self, tmp_path, corpora):
+        model_path = train_model(tmp_path, corpora, classifier="sgd")
+        _, test_path = corpora
+        upper = tmp_path / "test.JSONL"
+        shutil.copyfile(test_path, upper)
+        outputs = []
+        for batch in (test_path, upper):
+            out = tmp_path / f"{batch.name}.tsv"
+            assert main(["predict", "--model", str(model_path), "--input", str(batch),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == len(load_jsonl(test_path))
 
     def test_jsonl_order_preserved(self, tmp_path, corpora, capsys):
         model_path = train_model(tmp_path, corpora)

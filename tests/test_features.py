@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 
 import doccat.features as features_module
 
-from doccat.errors import EmptyVocabularyError
+from doccat.errors import EmptyVocabularyError, quoted
 from doccat.features import (
     CorpusMatrix,
     Vocabulary,
+    build_feature_space,
     build_vocabulary,
     count_vector,
     idf,
     select_chi_features,
     tfidf_vector,
     vectorize_corpus,
+    vectorize_document,
 )
 from doccat.models import TrainHyperparams, train_from_tokens
 from doccat.textprep import TokenizedDocument, default_config, preprocess_corpus
@@ -75,6 +77,7 @@ class TestBuildVocabulary:
             ((("ক", "খ"), (1, 1, 1), 1), "doc_freq holds 3 values for 2 terms"),
             ((("ক", "খ"), (1, 5), 2), r"'খ': DF 5 outside \[1, 2\]"),
             ((("ক", "খ"), (0, 1), 2), r"'ক': DF 0 outside \[1, 2\]"),
+            ((("ক",), (1,), 2**53 + 1), r"^n_docs exceeds 2\*\*53, the largest count"),
             (((), (), -5), "at least one term"),
         ]
         for (terms, doc_freq, n_docs), message in cases:
@@ -82,15 +85,21 @@ class TestBuildVocabulary:
                 Vocabulary(terms=terms, doc_freq=doc_freq, n_docs=n_docs, selector="tfidf")
 
     # "counts" is how the chi-square space weights its terms, not its name.
-    @pytest.mark.parametrize("selector", ["counts", "binary"])
+    @pytest.mark.parametrize(
+        "selector", ["counts", "binary", pytest.param("x" * 10_000, id="long")]
+    )
     def test_unknown_selector_fails_as_in_training(self, selector):
         docs = [tdoc(["ক"], label="a"), tdoc(["খ"], label="b")]
         with pytest.raises(ValueError) as caught:
             Vocabulary(terms=("ক", "খ"), doc_freq=(1, 1), n_docs=2, selector=selector)
         with pytest.raises(ValueError) as in_training:
             train_from_tokens(docs, selector, "nb", TrainHyperparams(), default_config())
-        assert str(caught.value) == str(in_training.value)
-        assert str(caught.value).startswith(f"unknown selector: {selector!r}")
+        message = str(caught.value)
+        assert message == str(in_training.value)
+        assert message == (
+            f"unknown selector: {quoted(selector)} (expected one of ('tfidf', 'chi2'))"
+        )
+        assert len(message) < 200
 
     def test_index_is_the_position_of_each_term(self):
         rng = np.random.default_rng(3)
@@ -529,6 +538,23 @@ class TestSelectChiFeatures:
         assert vocabularies[0] == vocabularies[1]
 
 
+class TestBuildFeatureSpace:
+    def test_each_selector_builds_its_space(self):
+        rng = np.random.default_rng(29)
+        docs = [random_tokenized_doc(rng) for _ in range(20)]
+        assert build_feature_space(docs, "tfidf", 30.0) == build_vocabulary(docs)
+        assert build_feature_space(docs, "chi2", 30.0) == select_chi_features(docs, 30.0)
+        assert build_feature_space(docs, "chi2", 60.0) == select_chi_features(docs, 60.0)
+
+    def test_unknown_selector_fails_before_the_documents_are_read(self):
+        def unreadable():
+            raise AssertionError("the documents were read")
+            yield
+
+        with pytest.raises(ValueError, match="^unknown selector: 'counts'"):
+            build_feature_space(unreadable(), "counts", 30.0)
+
+
 class TestVectorizeCorpus:
     def test_order_preserved(self):
         docs = [tdoc(["ক"]), tdoc(["খ"]), tdoc(["ক", "খ"])]
@@ -561,9 +587,8 @@ class TestVectorizeCorpus:
         assert any(a + b <= cap for a, b in zip(sizes, sizes[1:]))  # a chunk of two
         X = vectorize_corpus(docs, vocab)
         assert X.shape == (len(docs), len(vocab))
-        vector = tfidf_vector if selector == "tfidf" else count_vector
         for row, doc in enumerate(docs):
-            indices, values = vector(doc, vocab)
+            indices, values = vectorize_document(doc, vocab)
             start, end = X.indptr[row], X.indptr[row + 1]
             assert X.indices[start:end].tobytes() == indices.tobytes()
             assert X.values[start:end].tobytes() == values.tobytes()

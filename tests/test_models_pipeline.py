@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from doccat import models
+from doccat import features, models
 from doccat.errors import ConvergenceWarning, ModelFormatError, SingleClassError
 from doccat.features import vectorize_corpus
 from doccat.models import (
@@ -104,6 +104,22 @@ class TestTrainPipelines:
             train_from_tokens(
                 small_tokens, "mutualinfo", "nb", TrainHyperparams(), default_cfg
             )
+
+    def test_predict_tokenized_looks_its_row_builder_up_on_every_call(
+        self, small_tokens, default_cfg, monkeypatch
+    ):
+        trained = train_from_tokens(small_tokens, "tfidf", "sgd", TrainHyperparams(), default_cfg)
+        expected = predict_tokenized(trained, small_tokens[0])
+        rows = []
+        tfidf_vector = features.tfidf_vector
+
+        def traced(doc, vocab):
+            rows.append(doc)
+            return tfidf_vector(doc, vocab)
+
+        monkeypatch.setattr(features, "tfidf_vector", traced)
+        assert predict_tokenized(trained, small_tokens[0]) == expected
+        assert rows == [small_tokens[0]]
 
     def test_single_label_corpus_rejected(self, default_cfg):
         corpus = make_synthetic_corpus(4, seed=3, n_categories=1, pool_size=3)
@@ -542,7 +558,18 @@ INCONSISTENT_FILES = {
         ),
         "at least one term",
     ),
-    "unknown_selector": ("sgd", lambda p: p.update(selector="counts"), "^unknown selector 'counts'$"),
+    "unknown_selector": ("sgd", lambda p: p.update(selector="counts"),
+                         r"^unknown selector: 'counts' \(expected one of \('tfidf', 'chi2'\)\)$"),
+    # The message of every unknown selector cuts the value (errors.quoted).
+    "long_unknown_selector": (
+        "sgd", lambda p: p.update(selector="x" * 10_000),
+        "^unknown selector: '" + "x" * 79 + r"\.\.\. \(expected one of \('tfidf', 'chi2'\)\)$",
+    ),
+    # Above 2**53, idf's (n_docs + 1) / (df + 1) can overflow a float.
+    "n_docs_beyond_float": (
+        "sgd", lambda p: p["vocabulary"].update(n_docs=10**400),
+        r"^n_docs exceeds 2\*\*53, the largest count a float holds exactly$",
+    ),
     "string_class_labels": (
         "sgd", lambda p: p.update(class_labels="abcdefghijkl"[: len(p["class_labels"])]),
         "class_labels must be a list",

@@ -5,7 +5,7 @@ import pytest
 
 from doccat import models
 from doccat.errors import ConvergenceWarning, SingleClassError
-from doccat.features import build_vocabulary, select_chi_features, vectorize_corpus
+from doccat.features import build_feature_space, build_vocabulary, vectorize_corpus
 from doccat.models import (
     SVM_TOLERANCE,
     TrainHyperparams,
@@ -182,10 +182,7 @@ class TestOverlappingCorpus:
 
 
 def overlapping_matrix(tokens, selector):
-    if selector == "tfidf":
-        X = vectorize_corpus(tokens, build_vocabulary(tokens))
-    else:
-        X = vectorize_corpus(tokens, select_chi_features(tokens, 30.0))
+    X = vectorize_corpus(tokens, build_feature_space(tokens, selector, 30.0))
     return X, [doc.label for doc in tokens]
 
 

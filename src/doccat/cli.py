@@ -17,9 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import evaluation, models
-from .corpus import (
-    LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_document, read_jsonl_documents,
-)
+from .corpus import LabeledCorpus, LabeledDocument, load_dir, load_jsonl, read_document
 from .errors import DoccatError, quoted
 from .fileio import atomic_write_text, check_out_dir, check_out_path, read_text
 from .models import TrainHyperparams
@@ -229,14 +227,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_predict_documents(path: str) -> list[LabeledDocument]:
-    """Prediction input: JSONL (a `.jsonl` suffix in any case), whose labels
-    are not read, or one raw text file. The path is read as given, so an
-    empty one fails as a missing file."""
+def _load_predict_documents(path: str) -> tuple[LabeledDocument, ...]:
+    """Prediction input: a JSONL corpus (a `.jsonl` suffix in any case), whose
+    labels are not read but whose ids must differ, or one raw text file.
+    The path is read as given, so an empty one fails as a missing file."""
     target = Path(path)
     if target.suffix.lower() == ".jsonl":
-        return read_jsonl_documents(path, label="-")
-    return [read_document(path, target.name, "-")]
+        return load_jsonl(path, label="-").documents
+    return (read_document(path, target.name, "-"),)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

@@ -144,9 +144,9 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
     return documents
 
 
-def load_jsonl(path: str | Path) -> LabeledCorpus:
-    """Load a labeled corpus from a JSONL file (see `read_jsonl_documents`),
-    preserving line order.
+def load_jsonl(path: str | Path, label: str | None = None) -> LabeledCorpus:
+    """Load a labeled corpus from a JSONL file (see `read_jsonl_documents`,
+    which gives a `label` argument to every document), preserving line order.
 
     Raises:
         MalformedLineError, UnreadableFileError, EmptyCorpusError: as
@@ -154,7 +154,7 @@ def load_jsonl(path: str | Path) -> LabeledCorpus:
         DuplicateIdError: two lines carry the same id; the message starts
             with `<path>: `.
     """
-    documents = tuple(read_jsonl_documents(path))
+    documents = tuple(read_jsonl_documents(path, label))
     try:
         return LabeledCorpus(documents=documents)
     except DuplicateIdError as exc:

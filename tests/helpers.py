@@ -19,7 +19,7 @@ import numpy as np
 from doccat.corpus import LabeledCorpus, LabeledDocument
 from doccat.features import CorpusMatrix, Vocabulary, _chi_chunks
 from doccat.errors import SingleClassError
-from doccat.models import LinearModel, TrainHyperparams, predict_linear
+from doccat.models import LinearModel, TrainHyperparams, _orders, predict_linear
 from doccat.textprep import (
     SENTENCE_DELIMITERS,
     STRIP_SYMBOLS,
@@ -212,9 +212,11 @@ def reference_train_sgd(
 
     Every step scores one example against all classes with a matrix-vector
     product, decays `scale` and updates the classes whose margin is below 1;
-    nothing is batched. The objectives score the corpus with
-    `reference_scores` and repeat the arithmetic of `models._hinge_objectives`
-    operation for operation, so that `fit_info` can be compared bit for bit.
+    nothing is batched. The example orders are an input, not what is
+    checked, so they come from `models._orders` as the trainer's do. The
+    objectives score the corpus with `reference_scores` and repeat the
+    arithmetic of `models._hinge_objectives` operation for operation, so
+    that `fit_info` can be compared bit for bit.
     """
     labels = sorted(set(y))
     if len(labels) < 2:
@@ -228,7 +230,7 @@ def reference_train_sgd(
     scale = 1.0
     t0 = 1.0 / alpha
     step = 0
-    rng = np.random.default_rng(hyper.seed)
+    orders = _orders(hyper.seed, len(y))
     bounds = X.indptr.tolist()
 
     def objectives(weights):
@@ -236,7 +238,7 @@ def reference_train_sgd(
         return 0.5 * alpha * np.einsum("ij,ij->i", weights, weights) + hinge.mean(axis=0)
 
     for epoch in range(hyper.sgd_epochs):
-        for i in rng.permutation(len(y)).tolist():
+        for i in next(orders).tolist():
             step += 1
             eta = 1.0 / (alpha * (t0 + step))
             start, end = bounds[i], bounds[i + 1]
@@ -278,7 +280,8 @@ def reference_train_svm(
 
     Every step scores one example against all classes, accumulates the
     violation, and updates only the running classes whose alpha changes,
-    through a 2-D fancy-index scatter; stopped classes are masked out. The
+    through a 2-D fancy-index scatter; stopped classes are masked out. Each
+    pass's order comes from `models._orders`, as the trainer's does. The
     pass-end check and `fit_info` score the corpus with `reference_scores`
     and repeat `models.train_svm` operation for operation, so the result can
     be compared bit for bit. No warning is emitted.
@@ -297,7 +300,7 @@ def reference_train_svm(
         float(X.values[start:end] @ X.values[start:end]) + 1.0
         for start, end in zip(bounds, bounds[1:])
     ]
-    rng = np.random.default_rng(hyper.seed)
+    orders = _orders(hyper.seed, len(y))
 
     def projected_gradient(gradient, alpha):
         return np.where(
@@ -316,7 +319,7 @@ def reference_train_svm(
             break
         passes[running] += 1
         sweep_violation = np.zeros(n_classes)
-        for i in rng.permutation(len(y)).tolist():
+        for i in next(orders).tolist():
             start, end = bounds[i], bounds[i + 1]
             cols, x = X.indices[start:end], X.values[start:end]
             t, a = targets[i], alphas[i]

@@ -647,6 +647,21 @@ class TestPredict:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: no documents in {str(batch)!r}\n"
 
+    def test_repeated_id_in_a_batch_fails_as_in_a_corpus(self, tmp_path, corpora, capsys):
+        model_path = train_model(tmp_path, corpora)
+        capsys.readouterr()
+        batch = tmp_path / "dup.jsonl"
+        batch.write_text(
+            '{"id": "a", "text": "কনক"}\n{"id": "a", "text": "খনখ"}\n{"id": "b", "text": "গনগ"}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "labels.tsv"
+        code = main(["predict", "--model", str(model_path), "--input", str(batch),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err == f"error: {str(batch)!r}: duplicate document id: 'a'\n"
+
     def test_blank_raw_file_names_its_path(self, tmp_path, corpora, capsys):
         model_path = train_model(tmp_path, corpora)
         capsys.readouterr()

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -92,6 +93,35 @@ class TestTrainSGD:
             synth_train_tokens, "tfidf", "sgd", TrainHyperparams(seed=2), default_cfg
         )
         assert not np.array_equal(m1.model.weights, m2.model.weights)
+
+
+class TestOrders:
+    """`models._orders`, the example order of every SGD epoch and SVM pass."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 240, 1024, 1025])
+    def test_each_draw_is_an_intp_permutation(self, n):
+        orders = models._orders(7, n)
+        for _ in range(3):
+            order = next(orders)
+            assert order.dtype == np.intp
+            assert sorted(order.tolist()) == list(range(n))
+
+    def test_one_example_orders_to_itself(self):
+        assert next(models._orders(42, 1)).tolist() == [0]
+
+    def test_seed_42_stream_is_pinned(self):
+        # Any change to the stream changes every SGD and SVM model.
+        orders = models._orders(42, 8)
+        assert [next(orders).tolist() for _ in range(2)] == [
+            [4, 0, 3, 2, 6, 7, 5, 1],
+            [0, 1, 2, 7, 4, 3, 6, 5],
+        ]
+
+    def test_first_orders_of_three_are_near_uniform(self):
+        # Deterministic: over seeds 0-5999 the counts run from 977 to 1090.
+        counts = Counter(tuple(next(models._orders(seed, 3)).tolist()) for seed in range(6000))
+        assert len(counts) == 6
+        assert all(850 <= count <= 1150 for count in counts.values()), counts
 
 
 class TestPredictLinear:

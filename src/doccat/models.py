@@ -19,7 +19,7 @@ documents in the feature space of the model's vocabulary, and
 `predict_tokenized` labels one document from the row that
 `features.vectorize_document` returns, without building a one-row matrix;
 a selector is only passed through to `features`. Every w . x of whole
-rows but the SVM's per-step gradient is summed by `_block_dots`, which
+rows but the SVM's per-step score is summed by `_block_dots`, which
 sums each row on its own, so a document scores the same bits alone as
 inside a corpus.
 
@@ -39,7 +39,9 @@ inside a corpus.
 * The SVM trainer solves the L1-loss C-SVC dual by coordinate descent with
   the bias as a constant-1 feature, visiting the examples in a seeded
   random permutation on every pass, and stopping each class when its
-  largest projected-gradient violation falls below the tolerance.
+  largest projected-gradient violation falls below the tolerance. During
+  the fit the bias is the last row of one (features + 1, classes) weight
+  matrix, as in LIBLINEAR (Fan et al., JMLR 2008).
 
 Every SGD epoch's and SVM pass's example order is a draw of `_orders`,
 from CPython's MT19937 through `random.Random(seed).getrandbits`, whose
@@ -49,11 +51,11 @@ bytes do not depend on the interpreter; no trainer imports `numpy.random`.
 The classes share the seeded example order and, for SGD, the step size,
 so every row of a trained model equals the model of its binary problem
 trained alone: bit for bit for NB and SGD, within rounding for the SVM.
-The SVM scores all classes of a step with one matrix-vector product, whose
-rounding depends on the number of classes; on a 12-class corpus its rows
-differed from the rows trained alone by up to 1.6e-15. Training runs
-single-threaded. Trained models are immutable and safe for concurrent
-prediction.
+The SVM scores all classes of a step, bias included, with one
+matrix-vector product, whose rounding depends on the number of classes; on
+12-class corpora its rows differed from the rows trained alone by up to
+1.9e-15. Training runs single-threaded. Trained models are immutable and
+safe for concurrent prediction.
 
 `save_model` writes a trained model as one JSON document (format version
 4) that stores each fact once: the pipeline identity, the two preprocessing
@@ -488,37 +490,52 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     2008), so corpora grouped by label converge and training is
     deterministic given (seed, corpus). All classes share the pass, and a
     class stops once its largest projected-gradient violation, measured
-    again on the final iterate, is below SVM_TOLERANCE. The bias is a
-    constant-1 feature kept in its own vector. A class still running after
-    SVM_MAX_PASSES passes emits a ConvergenceWarning and is recorded as not
-    converged in `fit_info`; the model is still returned.
+    again on the final iterate, is below SVM_TOLERANCE. A class still
+    running after SVM_MAX_PASSES passes emits a ConvergenceWarning and is
+    recorded as not converged in `fit_info`; the model is still returned.
 
-    A step gathers the example's columns of the weight matrix once, scores
-    every class with them and writes them back updated. A stopped class's
-    curvature is infinite for the pass, so its step is exactly zero and
-    leaves its alpha and weights unchanged. Each step records its gradients,
-    and each pass copies the alphas it starts from (every example is visited
-    once per pass); the pass's violation is taken from those records once,
-    after the pass. `fit_info` holds per class `updates`, the number of
-    steps that changed the class's alpha, and `gap`, the duality gap
-    relative to the primal objective: (primal - dual) / |primal|.
+    The bias is a constant-1 feature: during the fit the weights are one
+    (V+1, C) matrix W whose row V is the bias, and every example carries
+    the extra entry (V, 1.0) in one augmented copy of X. The duals are kept
+    signed, beta = t * alpha for the example's target t, in the box
+    [min(0, tC), max(0, tC)]; as t is +1 or -1, every beta rounds as
+    t * alpha would. A step gathers the example's rows of W once, scores
+    every class with them, clips each beta - (score - t) / q into its box
+    (q = x . x + 1) and writes the rows back updated. A stopped class's box
+    is pinned to its betas at the start of each pass, so its step is
+    exactly zero and leaves its alphas and weights unchanged. Each step's
+    arrays are views built once, before the first pass. Each step records
+    its scores, and each pass copies the betas it starts from (every
+    example is visited once per pass); the pass's violation is taken from
+    those records once, after the pass. `fit_info` holds per class
+    `updates`, the number of steps that changed the class's alpha, and
+    `gap`, the duality gap relative to the primal objective:
+    (primal - dual) / |primal|.
     """
     labels, classes = _classes(X, y)
-    n_rows, n_classes = len(y), len(labels)
+    n_rows, n_classes, n_features = len(y), len(labels), X.n_features
     targets = _targets(classes, n_classes)
     c = hyper.svm_c
-    alphas = np.zeros((n_rows, n_classes))
-    weights = np.zeros((n_classes, X.n_features))
-    biases = np.zeros(n_classes)
+    W = np.zeros((n_features + 1, n_classes))
+    indices = np.insert(X.indices, X.indptr[1:], n_features)
+    values = np.insert(X.values, X.indptr[1:], 1.0)
+    betas = np.zeros((n_rows, n_classes))
+    low, high = np.minimum(targets * c, 0.0), np.maximum(targets * c, 0.0)
+    scores = np.empty((n_rows, n_classes))  # each pass's scores, by example
+    visited = np.empty((n_rows, n_classes))  # each pass's starting betas
+    # Each example's augmented entries, curvature and rows of the
+    # per-example arrays, as views built once.
+    steps = []
     bounds = X.indptr.tolist()
-    q_diag = np.array([
-        float(X.values[start:end] @ X.values[start:end]) + 1.0
-        for start, end in zip(bounds, bounds[1:])
-    ])
+    for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        x = X.values[start:end]
+        rows = slice(start + i, end + i + 1)
+        steps.append((indices[rows], values[rows], float(x @ x) + 1.0,
+                      betas[i], low[i], high[i], targets[i], scores[i]))
     orders = _orders(hyper.seed, n_rows)
-    # Each pass's gradient and starting alphas of every step, by example.
-    gradients = np.empty((n_rows, n_classes))
-    visited = np.empty((n_rows, n_classes))
+
+    def unaugmented() -> tuple[np.ndarray, np.ndarray]:
+        return np.ascontiguousarray(W[:n_features].T), W[n_features].copy()
 
     converged = np.zeros(n_classes, dtype=bool)
     passes = np.zeros(n_classes, dtype=int)
@@ -529,35 +546,38 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
         if not running.any():
             break
         passes[running] += 1
-        curvature = q_diag[:, None] * np.where(running, 1.0, np.inf)
-        np.copyto(visited, alphas)
+        low[:, converged] = high[:, converged] = betas[:, converged]
+        np.copyto(visited, betas)
         for i in next(orders).tolist():
-            start, end = bounds[i], bounds[i + 1]
-            cols, x = X.indices[start:end], X.values[start:end]
-            t, a = targets[i], alphas[i]
-            local = weights.take(cols, axis=1)
-            gradient = t * (local @ x + biases) - 1.0
-            gradients[i] = gradient
-            updated = np.minimum(np.maximum(a - gradient / curvature[i], 0.0), c)
-            # A zero projected gradient leaves `updated` equal to `a`, and
-            # then the zero delta leaves the weights and the bias as they are.
-            delta = (updated - a) * t
-            a[:] = updated
-            local += delta[:, None] * x
-            weights[:, cols] = local
-            biases += delta
-        updates += (alphas != visited).sum(axis=0)
-        sweep_violation = np.abs(_projected_gradient(gradients, visited, c)).max(axis=0)
+            cols, x, q, b, lo, hi, t, score = steps[i]
+            local = W.take(cols, axis=0)
+            s = x @ local
+            score[:] = s
+            # beta - (s - t) / q is t * (alpha - gradient / q) to the bit.
+            s -= t
+            s /= q
+            np.subtract(b, s, out=s)
+            np.maximum(s, lo, out=s)
+            np.minimum(s, hi, out=s)
+            delta = s - b
+            b[:] = s
+            local += np.multiply.outer(x, delta)
+            W[cols] = local
+        updates += (betas != visited).sum(axis=0)
+        sweep_violation = np.abs(
+            _projected_gradient(targets * scores - 1.0, visited * targets, c)
+        ).max(axis=0)
         violation[running] = sweep_violation[running]
         # Gradients measured mid-sweep go stale as later updates move w, so
         # confirm convergence against the final iterate before stopping.
         check = running & (sweep_violation < SVM_TOLERANCE)
         if check.any():
-            margins = targets * _scores(X, weights, biases)
-            final = np.abs(_projected_gradient(margins - 1.0, alphas, c)).max(axis=0)
+            margins = targets * _scores(X, *unaugmented())
+            final = np.abs(_projected_gradient(margins - 1.0, betas * targets, c)).max(axis=0)
             violation[check] = final[check]
             converged |= check & (final < SVM_TOLERANCE)
 
+    weights, biases = unaugmented()
     for row in (~converged).nonzero()[0].tolist():
         warnings.warn(
             f"SVM problem for class {labels[row]!r} stopped after {passes[row]} passes "
@@ -568,7 +588,7 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     margins = targets * _scores(X, weights, biases)
     squared_norms = np.einsum("ij,ij->i", weights, weights) + biases * biases
     hinge_sums = np.maximum(0.0, 1.0 - margins).sum(axis=0)
-    by_class = alphas.T.copy()  # row c is class c's alphas
+    by_class = (betas * targets).T.copy()  # row c is class c's alphas
     dual_objective = by_class.sum(axis=1) - 0.5 * squared_norms
     # Positive: at w = 0 and b = 0 every hinge term is 1, elsewhere the norm is.
     primal_objective = 0.5 * squared_norms + c * hinge_sums

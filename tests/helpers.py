@@ -278,13 +278,15 @@ def reference_train_svm(
 ) -> LinearModel:
     """The per-step form of `models.train_svm`.
 
-    Every step scores one example against all classes, accumulates the
-    violation, and updates only the running classes whose alpha changes,
-    through a 2-D fancy-index scatter; stopped classes are masked out. Each
-    pass's order comes from `models._orders`, as the trainer's does. The
-    pass-end check and `fit_info` score the corpus with `reference_scores`
-    and repeat `models.train_svm` operation for operation, so the result can
-    be compared bit for bit. No warning is emitted.
+    The weights are one (V+1, C) matrix whose row V is the bias, and each
+    example is its entries followed by (V, 1.0). Every step scores one
+    example against all classes, accumulates the violation, and updates
+    only the running classes whose alpha changes, through a 2-D fancy-index
+    scatter; stopped classes are masked out. Each pass's order comes from
+    `models._orders`, as the trainer's does. The pass-end check and
+    `fit_info` score the corpus with `reference_scores` and repeat
+    `models.train_svm` operation for operation, so the result can be
+    compared bit for bit. No warning is emitted.
     """
     labels = sorted(set(y))
     if len(labels) < 2:
@@ -293,8 +295,7 @@ def reference_train_svm(
     n_classes = len(labels)
     c = hyper.svm_c
     alphas = np.zeros((len(y), n_classes))
-    weights = np.zeros((n_classes, X.n_features))
-    biases = np.zeros(n_classes)
+    W = np.zeros((X.n_features + 1, n_classes))
     bounds = X.indptr.tolist()
     q_diag = [
         float(X.values[start:end] @ X.values[start:end]) + 1.0
@@ -321,9 +322,10 @@ def reference_train_svm(
         sweep_violation = np.zeros(n_classes)
         for i in next(orders).tolist():
             start, end = bounds[i], bounds[i + 1]
-            cols, x = X.indices[start:end], X.values[start:end]
+            cols = np.append(X.indices[start:end], X.n_features)
+            x = np.append(X.values[start:end], 1.0)
             t, a = targets[i], alphas[i]
-            gradient = t * (weights.take(cols, axis=1) @ x + biases) - 1.0
+            gradient = t * (x @ W.take(cols, axis=0)) - 1.0
             np.maximum(
                 sweep_violation, np.abs(projected_gradient(gradient, a)), out=sweep_violation
             )
@@ -332,18 +334,18 @@ def reference_train_svm(
             if rows.size:
                 delta = (updated[rows] - a[rows]) * t[rows]
                 a[rows] = updated[rows]
-                weights[rows[:, None], cols] += delta[:, None] * x
-                biases[rows] += delta
+                W[cols[:, None], rows] += x[:, None] * delta
                 updates[rows] += 1
         violation[running] = sweep_violation[running]
         check = running & (sweep_violation < tolerance)
         if check.any():
-            margins = targets * reference_scores(X, weights, biases)
+            margins = targets * reference_scores(X, W[:-1].T, W[-1])
             final = np.abs(projected_gradient(margins - 1.0, alphas)).max(axis=0)
             violation[check] = final[check]
             converged |= check & (final < tolerance)
             running &= ~converged
 
+    weights, biases = W[:-1].T.copy(), W[-1].copy()
     margins = targets * reference_scores(X, weights, biases)
     squared_norms = np.einsum("ij,ij->i", weights, weights) + biases * biases
     hinge_sums = np.maximum(0.0, 1.0 - margins).sum(axis=0)

@@ -221,6 +221,25 @@ class TestMatchesPerStepReference:
         for info in model.fit_info.values():
             assert 0 < info["updates"] <= info["passes"] * len(info["alphas"])
 
+    @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
+    def test_a_stopped_class_stays_frozen(self, overlapping_tokens, monkeypatch, selector):
+        """The class that stops first ends a run capped at its pass count with
+        the bits it ends the full run with: the later passes never move it."""
+        X, y = overlapping_matrix(overlapping_tokens, selector)
+        full = train_svm(X, y, TrainHyperparams())
+        passes = {label: info["passes"] for label, info in full.fit_info.items()}
+        first = min(passes, key=passes.get)
+        assert passes[first] < max(passes.values())
+        monkeypatch.setattr(models, "SVM_MAX_PASSES", passes[first])
+        with pytest.warns(ConvergenceWarning):
+            capped = train_svm(X, y, TrainHyperparams())
+        assert capped.fit_info[first]["converged"] is True
+        row = full.class_labels.index(first)
+        assert (capped.fit_info[first]["alphas"].tobytes()
+                == full.fit_info[first]["alphas"].tobytes())
+        assert capped.weights[row].tobytes() == full.weights[row].tobytes()
+        assert capped.biases[row].tobytes() == full.biases[row].tobytes()
+
     def test_capped_run(self, overlapping_tokens, monkeypatch):
         monkeypatch.setattr(models, "SVM_MAX_PASSES", 3)
         X, y = overlapping_matrix(overlapping_tokens, "tfidf")

@@ -41,7 +41,9 @@ inside a corpus.
   random permutation on every pass, and stopping each class when its
   largest projected-gradient violation falls below the tolerance. During
   the fit the bias is the last row of one (features + 1, classes) weight
-  matrix, as in LIBLINEAR (Fan et al., JMLR 2008).
+  matrix, as in LIBLINEAR (Fan et al., JMLR 2008). A visit copies the
+  example's whole rows of that matrix out and back, and numpy's BLAS
+  `dot` writes its two products into buffers allocated once per fit.
 
 Every SGD epoch's and SVM pass's example order is a draw of `_orders`,
 from CPython's MT19937 through `random.Random(seed).getrandbits`, whose
@@ -503,8 +505,18 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     every class with them, clips each beta - (score - t) / q into its box
     (q = x . x + 1) and writes the rows back updated. A stopped class's box
     is pinned to its betas at the start of each pass, so its step is
-    exactly zero and leaves its alphas and weights unchanged. Each step's
-    arrays are views built once, before the first pass. Each step records
+    exactly zero and leaves its alphas and weights unchanged.
+
+    W is also viewed as a 1-D array of whole rows (one void item per row),
+    so the gather (`take`) and the write-back (a 1-D fancy index) copy a
+    row per index. Four buffers serve every step of the fit: the gathered
+    rows and the outer product x delta, each one row wider than the widest
+    example, the clipped betas and their change delta. `np.dot` writes the
+    score into the step's score record and the outer product into its
+    buffer; the product's inner dimension is 1, so each entry is x_k *
+    delta_c rounded once, as `np.multiply.outer` would give. Each step's
+    arrays, buffer slices included, are views built once, before the first
+    pass, and a step is 12 numpy calls. Each step records
     its scores, and each pass copies the betas it starts from (every
     example is visited once per pass); the pass's violation is taken from
     those records once, after the pass. `fit_info` holds per class
@@ -523,15 +535,27 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     low, high = np.minimum(targets * c, 0.0), np.maximum(targets * c, 0.0)
     scores = np.empty((n_rows, n_classes))  # each pass's scores, by example
     visited = np.empty((n_rows, n_classes))  # each pass's starting betas
+    # W and the gather buffer seen as 1-D arrays of whole rows, so a gather
+    # or scatter copies one row per index.
+    as_rows = np.dtype((np.void, W.itemsize * n_classes))
+    W_rows = W.view(as_rows)[:, 0]
+    widest = int(np.diff(X.indptr).max()) + 1
+    gathered = np.empty((widest, n_classes))
+    gathered_rows = gathered.view(as_rows)[:, 0]
+    products = np.empty((widest, n_classes))
+    s = np.empty(n_classes)
+    delta = np.empty((1, n_classes))
     # Each example's augmented entries, curvature and rows of the
-    # per-example arrays, as views built once.
+    # per-example arrays and the fit-wide buffers, as views built once.
     steps = []
     bounds = X.indptr.tolist()
     for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
         x = X.values[start:end]
         rows = slice(start + i, end + i + 1)
-        steps.append((indices[rows], values[rows], float(x @ x) + 1.0,
-                      betas[i], low[i], high[i], targets[i], scores[i]))
+        width = end - start + 1
+        steps.append((indices[rows], values[rows], values[rows, None], float(x @ x) + 1.0,
+                      betas[i], low[i], high[i], targets[i], scores[i],
+                      gathered[:width], gathered_rows[:width], products[:width]))
     orders = _orders(hyper.seed, n_rows)
 
     def unaugmented() -> tuple[np.ndarray, np.ndarray]:
@@ -549,20 +573,23 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
         low[:, converged] = high[:, converged] = betas[:, converged]
         np.copyto(visited, betas)
         for i in next(orders).tolist():
-            cols, x, q, b, lo, hi, t, score = steps[i]
-            local = W.take(cols, axis=0)
-            s = x @ local
-            score[:] = s
-            # beta - (s - t) / q is t * (alpha - gradient / q) to the bit.
-            s -= t
+            cols, x, x_column, q, b, lo, hi, t, score, local, local_rows, product = steps[i]
+            # Every column is in range, so "clip" clips nothing; unlike the
+            # default "raise", it writes into `out` without a buffered copy.
+            W_rows.take(cols, out=local_rows, mode="clip")
+            np.dot(x, local, out=score)
+            # beta - (score - t) / q is t * (alpha - gradient / q) to the bit.
+            np.subtract(score, t, out=s)
             s /= q
             np.subtract(b, s, out=s)
             np.maximum(s, lo, out=s)
             np.minimum(s, hi, out=s)
-            delta = s - b
+            np.subtract(s, b, out=delta)
             b[:] = s
-            local += np.multiply.outer(x, delta)
-            W[cols] = local
+            # One term per entry: each is x_k * delta_c rounded once.
+            np.dot(x_column, delta, out=product)
+            local += product
+            W_rows[cols] = local_rows
         updates += (betas != visited).sum(axis=0)
         sweep_violation = np.abs(
             _projected_gradient(targets * scores - 1.0, visited * targets, c)

@@ -182,6 +182,17 @@ def row_pairs(X: CorpusMatrix, row: int) -> list[tuple[int, float]]:
     return list(zip(X.indices[start:end].tolist(), X.values[start:end].tolist()))
 
 
+def with_empty_rows(X, y, before, labels):
+    """X and y with an empty row, labeled from `labels` in turn, inserted
+    before each row index in `before` (X.shape[0] appends one)."""
+    lengths = np.insert(np.diff(X.indptr), before, 0)
+    y = list(y)
+    for count, index in enumerate(sorted(before, reverse=True)):
+        y.insert(index, labels[count % len(labels)])
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    return CorpusMatrix(indptr, X.indices, X.values, X.n_features), y
+
+
 def predict_row(
     model: LinearModel, row: dict[int, float]
 ) -> tuple[str, dict[str, float]]:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from doccat import models
 from doccat.errors import SingleClassError
-from doccat.features import CorpusMatrix, build_vocabulary, select_chi_features, vectorize_corpus
+from doccat.features import build_vocabulary, select_chi_features, vectorize_corpus
 from doccat.models import (
     LinearModel,
     TrainHyperparams,
@@ -25,6 +25,7 @@ from helpers import (
     predict_row,
     reference_train_sgd,
     row_pairs,
+    with_empty_rows,
 )
 
 
@@ -233,17 +234,6 @@ class TestOneVsRestRows:
             alone_row = alone.class_labels.index(label)
             assert model.weights[row] == pytest.approx(alone.weights[alone_row], abs=0)
             assert model.biases[row] == pytest.approx(alone.biases[alone_row], abs=0)
-
-
-def with_empty_rows(X, y, before, labels):
-    """X and y with an empty row, labeled from `labels` in turn, inserted
-    before each row index in `before` (X.shape[0] appends one)."""
-    lengths = np.insert(np.diff(X.indptr), before, 0)
-    y = list(y)
-    for count, index in enumerate(sorted(before, reverse=True)):
-        y.insert(index, labels[count % len(labels)])
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    return CorpusMatrix(indptr, X.indices, X.values, X.n_features), y
 
 
 def assert_matches_reference(X, y, hyper):

@@ -5,7 +5,7 @@ import pytest
 
 from doccat import models
 from doccat.errors import ConvergenceWarning, SingleClassError
-from doccat.features import build_feature_space, build_vocabulary, vectorize_corpus
+from doccat.features import CorpusMatrix, build_feature_space, build_vocabulary, vectorize_corpus
 from doccat.models import (
     SVM_TOLERANCE,
     TrainHyperparams,
@@ -15,7 +15,13 @@ from doccat.models import (
 )
 from doccat.textprep import preprocess_corpus
 
-from helpers import make_overlapping_corpus, matrix, predict_row, reference_train_svm
+from helpers import (
+    make_overlapping_corpus,
+    matrix,
+    predict_row,
+    reference_train_svm,
+    with_empty_rows,
+)
 
 
 def two_point_problem():
@@ -239,6 +245,24 @@ class TestMatchesPerStepReference:
                 == full.fit_info[first]["alphas"].tobytes())
         assert capped.weights[row].tobytes() == full.weights[row].tobytes()
         assert capped.biases[row].tobytes() == full.biases[row].tobytes()
+
+    @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
+    def test_empty_rows_and_a_full_row(self, overlapping_tokens, selector):
+        """An empty row's step holds the bias entry alone, and a row holding
+        every feature fills the trainer's widest gather."""
+        X, y = overlapping_matrix(overlapping_tokens, selector)
+        n_features, n_rows = X.n_features, X.shape[0]
+        full = CorpusMatrix(
+            np.append(X.indptr, X.indptr[-1] + n_features),
+            np.concatenate((X.indices, np.arange(n_features))),
+            np.concatenate((X.values, np.full(n_features, X.values.mean()))),
+            n_features,
+        )
+        X, y = with_empty_rows(full, y + [y[0]], [0, n_rows // 2, n_rows + 1], sorted(set(y)))
+        lengths = np.diff(X.indptr)
+        assert lengths[0] == lengths[n_rows // 2 + 1] == lengths[-1] == 0
+        assert lengths.max() == n_features
+        assert_matches_reference(X, y)
 
     def test_capped_run(self, overlapping_tokens, monkeypatch):
         monkeypatch.setattr(models, "SVM_MAX_PASSES", 3)

@@ -19,9 +19,10 @@ documents in the feature space of the model's vocabulary, and
 `predict_tokenized` labels one document from the row that
 `features.vectorize_document` returns, without building a one-row matrix;
 a selector is only passed through to `features`. Every w . x of whole
-rows but the SVM's per-step score is summed by `_block_dots`, which
-sums each row on its own, so a document scores the same bits alone as
-inside a corpus.
+rows but the SVM's per-step score is summed by `_block_dots` into an
+array its caller passes (a block's scores, one document's row, or one
+class's strided column of a block), each row on its own, so a document
+scores the same bits alone as inside a corpus.
 
 * Naive Bayes uses Lidstone smoothing and accepts real-valued non-negative
   feature weights, so TF-IDF inputs are as valid as raw counts. Its log
@@ -42,8 +43,9 @@ inside a corpus.
   largest projected-gradient violation falls below the tolerance. During
   the fit the bias is the last row of one (features + 1, classes) weight
   matrix, as in LIBLINEAR (Fan et al., JMLR 2008). A visit copies the
-  example's whole rows of that matrix out and back, and numpy's BLAS
-  `dot` writes its two products into buffers allocated once per fit.
+  example's whole rows of that matrix out and back, the `ndarray.dot`
+  method writes its two BLAS products into buffers allocated once per fit,
+  and the clipped duals go straight into the second of two dual buffers.
 
 Every SGD epoch's and SVM pass's example order is a draw of `_orders`,
 from CPython's MT19937 through `random.Random(seed).getrandbits`, whose
@@ -260,23 +262,24 @@ def _block_dots(
     vals: np.ndarray,
     filled: np.ndarray,
     starts: np.ndarray,
-    n_rows: int,
-) -> np.ndarray:
-    """(n_rows, C) products coefficients @ x of a block of rows x laid end to
-    end in `cols` and `vals`, or (n_rows,) for one (V,) coefficient row: one
-    gather, one multiply and one reduceat. Row filled[k] starts at
-    starts[k]; the other rows are empty and score 0.
+    out: np.ndarray,
+) -> None:
+    """Write into `out`, (n_rows, C), the products coefficients @ x of a
+    block of rows x laid end to end in `cols` and `vals`, or into `out`,
+    (n_rows,), those of one (V,) coefficient row: one gather, one multiply
+    and one reduceat. `out` may be strided, such as a column of a block's
+    (n_rows, C) products. Row filled[k] starts at starts[k]; the other rows
+    are empty and score 0.
     reduceat sums each row's products on their own, so a row scores the
     same bits alone as inside any block. (It sums from one start to the
     next, so it must not see an empty row.)"""
     products = coefficients.take(cols, axis=-1)
     products *= vals
-    dots = np.zeros((n_rows, *coefficients.shape[:-1]))
-    if len(starts) == n_rows:  # no empty row: reduceat writes every row in place
-        np.add.reduceat(products, starts, axis=-1, out=dots.T)
+    if len(starts) == len(out):  # no empty row: reduceat writes every row in place
+        np.add.reduceat(products, starts, axis=-1, out=out.T)
     else:
-        dots[filled] = np.add.reduceat(products, starts, axis=-1).T
-    return dots
+        out.fill(0.0)
+        out[filled] = np.add.reduceat(products, starts, axis=-1).T
 
 
 def _scores(X: CorpusMatrix, coefficients: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -292,9 +295,8 @@ def _scores(X: CorpusMatrix, coefficients: np.ndarray, offsets: np.ndarray) -> n
         lo, hi = bounds[begin], bounds[end]
         filled = lengths[begin:end].nonzero()[0]
         starts = X.indptr[begin:end][filled] - lo
-        scores[begin:end] = _block_dots(
-            coefficients, X.indices[lo:hi], X.values[lo:hi], filled, starts, end - begin
-        )
+        _block_dots(coefficients, X.indices[lo:hi], X.values[lo:hi], filled, starts,
+                    scores[begin:end])
     scores += offsets
     return scores
 
@@ -380,10 +382,14 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     current biases. The steps before the first margin below 1 change
     nothing; that step's update is applied as a single step would apply it,
     the whole block's rows are summed again by `_block_dots` for each
-    updated class, and the scan goes on after the step, reading only the
-    rows after it. The block sums may run in a different order from a
-    per-step dot product, which can matter only for a margin within
-    rounding of exactly 1.
+    updated class, straight into that class's column of the block's sums,
+    and the scan goes on after the step, reading only the rows after it.
+    An update reads the step's entries, step size and post-step scale once
+    for all its classes, from Python lists of the epoch's schedule, takes
+    each class's sign from its target (+1.0 or -1.0, so eta * target is
+    exact) and adds to that class's row of v through a 1-D view. The block
+    sums may run in a different order from a per-step dot product, which
+    can matter only for a margin within rounding of exactly 1.
 
     Each row equals the model trained on its class alone, training is
     deterministic given (seed, corpus), and symmetric label swaps produce
@@ -397,6 +403,7 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     alpha = hyper.sgd_alpha
     n_rows, n_classes = X.shape[0], len(labels)
     v = np.zeros((n_classes, X.n_features))
+    v_rows = list(v)  # each class's row as a 1-D view
     biases = np.zeros(n_classes)
     updates = np.zeros(n_classes, dtype=int)
     scale = 1.0
@@ -432,6 +439,7 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
         # scales[k] is the scale before step k of the epoch and scales[k + 1]
         # the scale after it; accumulate multiplies in step order.
         scales = np.multiply.accumulate(np.concatenate(([scale], 1.0 - etas * alpha)))
+        etas_list, scales_list = etas.tolist(), scales.tolist()
         begin = 0
         while begin < n_rows:
             end = min(begin + _BLOCK_ROWS, n_rows)
@@ -439,7 +447,8 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
             cols, vals = epoch_cols[lo:hi], epoch_vals[lo:hi]
             filled = row_lengths[begin:end].nonzero()[0]
             starts = offsets[begin:end][filled] - lo
-            dots = _block_dots(v, cols, vals, filled, starts, end - begin)
+            dots = np.empty((end - begin, n_classes))
+            _block_dots(v, cols, vals, filled, starts, dots)
             block_targets = epoch_targets[begin:end]
             first = 0  # the block's first row not yet scanned
             while first < end - begin:
@@ -455,13 +464,17 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
                 updated = below[first_below // n_classes]
                 updates += updated
                 row = slice(offsets_list[step] - lo, offsets_list[step + 1] - lo)
+                step_cols, step_vals = cols[row], vals[row]
+                eta, step_scale = etas_list[step], scales_list[step + 1]
                 first = step - begin + 1
                 for c in updated.nonzero()[0].tolist():
-                    change = etas[step] * block_targets[step - begin, c]
-                    v[c, cols[row]] += vals[row] * (change / scales[step + 1])
+                    # The target is +1.0 or -1.0, so the product is exact.
+                    change = eta * block_targets.item(step - begin, c)
+                    v_rows[c][step_cols] += step_vals * (change / step_scale)
                     biases[c] += change
-                    dots[:, c] = _block_dots(v[c], cols, vals, filled, starts, end - begin)
+                    _block_dots(v_rows[c], cols, vals, filled, starts, dots[:, c])
             begin = end
+        del etas_list, scales_list  # before the objective or the next epoch's positions
         scale = scales[-1]
         if epoch == 0:
             objective_epoch1 = _hinge_objectives(X, targets, scale * v, biases, alpha)
@@ -509,17 +522,21 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
 
     W is also viewed as a 1-D array of whole rows (one void item per row),
     so the gather (`take`) and the write-back (a 1-D fancy index) copy a
-    row per index. Four buffers serve every step of the fit: the gathered
+    row per index. Three buffers serve every step of the fit: the gathered
     rows and the outer product x delta, each one row wider than the widest
-    example, the clipped betas and their change delta. `np.dot` writes the
-    score into the step's score record and the outer product into its
-    buffer; the product's inner dimension is 1, so each entry is x_k *
-    delta_c rounded once, as `np.multiply.outer` would give. Each step's
-    arrays, buffer slices included, are views built once, before the first
-    pass, and a step is 12 numpy calls. Each step records
-    its scores, and each pass copies the betas it starts from (every
-    example is visited once per pass); the pass's violation is taken from
-    those records once, after the pass. `fit_info` holds per class
+    example, and delta. The betas live in two (n, C) buffers: a pass reads
+    each example's betas from one and writes the clipped betas straight
+    into the example's row of the other, so the buffer it reads is the
+    record of the betas it started from (every example is visited once per
+    pass), and the next pass swaps the two. The `ndarray.dot` method, which
+    skips the dispatch that `np.dot` runs on every call, writes the score
+    into the step's score record and the outer product into its buffer;
+    the product's inner dimension is 1, so each entry is x_k * delta_c
+    rounded once, as `np.multiply.outer` would give. Each step's arrays,
+    both beta rows and buffer slices included, are views built once,
+    before the first pass, and a step is 11 numpy calls. Each step records
+    its scores; the pass's violation is taken from those records and the
+    starting betas once, after the pass. `fit_info` holds per class
     `updates`, the number of steps that changed the class's alpha, and
     `gap`, the duality gap relative to the primal objective:
     (primal - dual) / |primal|.
@@ -531,10 +548,11 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     W = np.zeros((n_features + 1, n_classes))
     indices = np.insert(X.indices, X.indptr[1:], n_features)
     values = np.insert(X.values, X.indptr[1:], 1.0)
-    betas = np.zeros((n_rows, n_classes))
+    # A pass reads each example's betas from one buffer and writes them
+    # clipped into the other, so the one it reads is its starting record.
+    beta_buffers = np.zeros((2, n_rows, n_classes))
     low, high = np.minimum(targets * c, 0.0), np.maximum(targets * c, 0.0)
     scores = np.empty((n_rows, n_classes))  # each pass's scores, by example
-    visited = np.empty((n_rows, n_classes))  # each pass's starting betas
     # W and the gather buffer seen as 1-D arrays of whole rows, so a gather
     # or scatter copies one row per index.
     as_rows = np.dtype((np.void, W.itemsize * n_classes))
@@ -543,8 +561,8 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     gathered = np.empty((widest, n_classes))
     gathered_rows = gathered.view(as_rows)[:, 0]
     products = np.empty((widest, n_classes))
-    s = np.empty(n_classes)
     delta = np.empty((1, n_classes))
+    delta_row = delta[0]  # a ufunc writes a 1-D `out` faster than a (1, C) one
     # Each example's augmented entries, curvature and rows of the
     # per-example arrays and the fit-wide buffers, as views built once.
     steps = []
@@ -554,9 +572,11 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
         rows = slice(start + i, end + i + 1)
         width = end - start + 1
         steps.append((indices[rows], values[rows], values[rows, None], float(x @ x) + 1.0,
-                      betas[i], low[i], high[i], targets[i], scores[i],
-                      gathered[:width], gathered_rows[:width], products[:width]))
+                      beta_buffers[0, i], beta_buffers[1, i], low[i], high[i], targets[i],
+                      scores[i], gathered[:width], gathered_rows[:width], products[:width]))
     orders = _orders(hyper.seed, n_rows)
+    # Looked up once per fit rather than on every step.
+    take, subtract, maximum, minimum = W_rows.take, np.subtract, np.maximum, np.minimum
 
     def unaugmented() -> tuple[np.ndarray, np.ndarray]:
         return np.ascontiguousarray(W[:n_features].T), W[n_features].copy()
@@ -565,29 +585,32 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     passes = np.zeros(n_classes, dtype=int)
     updates = np.zeros(n_classes, dtype=int)
     violation = np.full(n_classes, np.inf)
-    for _ in range(SVM_MAX_PASSES):
+    betas, visited = beta_buffers  # the current betas, and the other buffer
+    for pass_index in range(SVM_MAX_PASSES):
         running = ~converged
         if not running.any():
             break
         passes[running] += 1
-        low[:, converged] = high[:, converged] = betas[:, converged]
-        np.copyto(visited, betas)
+        visited, betas = betas, visited
+        low[:, converged] = high[:, converged] = visited[:, converged]
+        odd = pass_index % 2 == 1
         for i in next(orders).tolist():
-            cols, x, x_column, q, b, lo, hi, t, score, local, local_rows, product = steps[i]
+            cols, x, x_column, q, b, s, lo, hi, t, score, local, local_rows, product = steps[i]
+            if odd:  # this pass reads buffer 1 and writes buffer 0
+                b, s = s, b
             # Every column is in range, so "clip" clips nothing; unlike the
             # default "raise", it writes into `out` without a buffered copy.
-            W_rows.take(cols, out=local_rows, mode="clip")
-            np.dot(x, local, out=score)
+            take(cols, out=local_rows, mode="clip")
+            x.dot(local, score)
             # beta - (score - t) / q is t * (alpha - gradient / q) to the bit.
-            np.subtract(score, t, out=s)
+            subtract(score, t, out=s)
             s /= q
-            np.subtract(b, s, out=s)
-            np.maximum(s, lo, out=s)
-            np.minimum(s, hi, out=s)
-            np.subtract(s, b, out=delta)
-            b[:] = s
+            subtract(b, s, out=s)
+            maximum(s, lo, out=s)
+            minimum(s, hi, out=s)
+            subtract(s, b, out=delta_row)
             # One term per entry: each is x_k * delta_c rounded once.
-            np.dot(x_column, delta, out=product)
+            x_column.dot(delta, product)
             local += product
             W_rows[cols] = local_rows
         updates += (betas != visited).sum(axis=0)
@@ -722,7 +745,9 @@ def predict_tokenized(
     _check_width(len(vocab), model.weights)
     cols, vals = vectorize_document(doc, vocab)
     starts = _ONE_ROW_STARTS[cols.size > 0]
-    scores = _block_dots(model.weights, cols, vals, starts, starts, 1)[0]
+    dots = np.empty((1, len(model.biases)))
+    _block_dots(model.weights, cols, vals, starts, starts, dots)
+    scores = dots[0]
     scores += model.biases
     label = model.class_labels[int(scores.argmax())]
     row = dict(zip(model.class_labels, scores.tolist()))

@@ -896,14 +896,42 @@ class TestBlockedScorer:
         bounds = X.indptr.tolist()
         for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
             starts = np.zeros(min(end - start, 1), dtype=np.intp)
-            alone = models._block_dots(
-                coefficients, X.indices[start:end], X.values[start:end], starts, starts, 1
+            alone = np.empty((1, len(offsets)))
+            models._block_dots(
+                coefficients, X.indices[start:end], X.values[start:end], starts, starts, alone
             )
-            assert alone.shape == (1, len(offsets))
             assert scores[row].tobytes() == (alone[0] + offsets).tobytes()
-            one_class = models._block_dots(
-                coefficients[-1], X.indices[start:end], X.values[start:end], starts, starts, 1
+            one_class = np.empty(1)
+            models._block_dots(
+                coefficients[-1], X.indices[start:end], X.values[start:end], starts, starts,
+                one_class,
             )
             assert one_class.tobytes() == alone[:, -1].tobytes()
             if start == end:
                 assert scores[row].tobytes() == offsets.tobytes()
+
+    def test_a_strided_column_and_a_fresh_array_get_the_same_bits(self):
+        """`_block_dots` writes into the array it is given: one class's sums
+        into a column of the block's (rows, classes) products, as SGD
+        re-sums an updated class, equal those written into a contiguous
+        array, and empty rows read exactly 0 whatever the array held."""
+        rng = np.random.default_rng(3)
+        n_features, empty = 8, [0, 3, 6]
+        rows = [{} if row in empty else {
+            int(index): float(rng.uniform(0.1, 3.0))
+            for index in rng.choice(n_features, int(rng.integers(1, n_features + 1)), False)
+        } for row in range(7)]
+        X = matrix(rows, n_features)
+        coefficients = rng.standard_normal((4, n_features))
+        filled = np.diff(X.indptr).nonzero()[0]
+        starts = X.indptr[:-1][filled]
+        block = np.full((len(rows), len(coefficients)), np.nan)
+        models._block_dots(coefficients, X.indices, X.values, filled, starts, block)
+        for c in range(len(coefficients)):
+            column = np.full_like(block, np.nan)
+            models._block_dots(coefficients[c], X.indices, X.values, filled, starts, column[:, c])
+            fresh = np.full(len(rows), np.nan)
+            models._block_dots(coefficients[c], X.indices, X.values, filled, starts, fresh)
+            assert column[:, c].tobytes() == fresh.tobytes() == block[:, c].tobytes()
+            assert fresh[empty].tobytes() == np.zeros(len(empty)).tobytes()
+            assert np.isnan(np.delete(column, c, axis=1)).all()

@@ -43,6 +43,7 @@ from .models import (
 )
 from .textprep import (
     PreprocessConfig,
+    TokenizedCorpus,
     TokenizedDocument,
     default_config,
     preprocess_corpus,
@@ -61,6 +62,7 @@ __all__ = [
     "LabeledDocument",
     "LinearModel",
     "PreprocessConfig",
+    "TokenizedCorpus",
     "TokenizedDocument",
     "TrainHyperparams",
     "TrainedModel",

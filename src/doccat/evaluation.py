@@ -38,7 +38,7 @@ from .models import (
     save_model,
     train_from_tokens,
 )
-from .textprep import PreprocessConfig, TokenizedDocument, preprocess_corpus
+from .textprep import PreprocessConfig, TokenizedCorpus, TokenizedDocument, preprocess_corpus
 
 # The paper's results table: each method's name and its (selector,
 # classifier) pipeline, in the table's row order.
@@ -171,7 +171,7 @@ def _check_labels(corpus: LabeledCorpus, known: Sequence[str]) -> None:
 
 def _timed_preprocess(
     corpus: LabeledCorpus, config: PreprocessConfig
-) -> tuple[list[TokenizedDocument], float]:
+) -> tuple[TokenizedCorpus, float]:
     started = time.perf_counter()
     docs = preprocess_corpus(corpus, config)
     return docs, time.perf_counter() - started

@@ -12,13 +12,23 @@ which its Vocabulary carries and only this module interprets:
   document's terms; the top share of every document's ranking is kept and
   the union forms the vocabulary, vectorized with raw counts.
 
+The three corpus builders, `build_vocabulary`, `select_chi_features` and
+`vectorize_corpus`, read the documents through their token table
+(`textprep.token_table`): the corpus's distinct terms in ascending order and
+one id per token, a term's position there, so no id depends on the
+process's string hashing. A TokenizedCorpus keeps its table, so its token
+strings are mapped to ids once, however many features are built from it.
+`build_vocabulary` counts each term's documents from one sort of the
+(document, id) keys.
+
 A corpus becomes one CorpusMatrix: a CSR matrix with one row per document
 of ascending feature indices and their non-zero weights, checked once when
 it is built and used as it is by the trainers and the scoring.
-`vectorize_corpus(docs, vocab)` builds it in chunks of whole documents of
-at most _VECTORIZE_CHUNK_TOKENS tokens: per chunk, one pass
-maps the tokens to feature ids, one `np.unique` counts the (document,
-feature) keys, and for TF-IDF each row takes one correctly rounded norm.
+`vectorize_corpus(docs, vocab)` looks up the feature index of each of the
+corpus's terms once, then builds the matrix in chunks of whole documents of
+at most _VECTORIZE_CHUNK_TOKENS tokens: per chunk, one `take` maps the
+token ids to feature ids, one `np.unique` counts the (document, feature)
+keys, and for TF-IDF each row takes one correctly rounded norm.
 One document's row comes from `vectorize_document`, ascending like a
 matrix row, which prediction scores as it is, so one document is
 never built into a one-row matrix; a corpus row equals its document's
@@ -46,11 +56,12 @@ hashing. `check_chi_settings` is the one range check of `top_percent`, for
 every caller.
 
 The scores of a corpus are computed in batches rather than one document at
-a time. Every term gets one id in ascending term order, and the documents,
-sorted by token count, are cut into chunks. A chunk is a padded stack of
-incidence matrices, (documents, sentences, T) with T the widest document;
-O and E for all of its documents come from one batched product and one
-broadcast, with the same elementwise expressions as for a single document.
+a time. The documents, sorted by token count, are cut into chunks, and a
+chunk's token ids and sentence lengths are gathered from the token table.
+A chunk is a padded stack of incidence matrices, (documents, sentences, T)
+with T the widest document; O and E for all of its documents come from one
+batched product and one broadcast, with the same elementwise expressions as
+for a single document.
 After the deviation is taken, the pairs that must not count (padding and
 g == w) get an infinite E, so each adds an exact +0.0 to a non-negative
 sum, which then equals the one-document result bit for bit. The documents
@@ -73,13 +84,13 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from typing import Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
 from .errors import EmptyVocabularyError, quoted
-from .textprep import TokenizedDocument
+from .textprep import TokenizedDocument, TokenTable, token_table
 
 # Cells (documents x T x T) of one chunk's padded chi-square arrays: 512 KB
 # per float64 array. Larger chunks were no faster on 3000 documents.
@@ -208,15 +219,23 @@ def build_vocabulary(docs: Sequence[TokenizedDocument]) -> Vocabulary:
     """
     if not docs:
         raise ValueError("cannot build a vocabulary from zero documents")
-    doc_freq: Counter[str] = Counter()
-    for doc in docs:
-        doc_freq.update(set(doc.tokens()))
-    if not doc_freq:
+    table = token_table(docs)
+    n_terms = len(table.terms)
+    if not n_terms:
         raise EmptyVocabularyError("no terms to build a vocabulary from (all documents empty)")
-    terms = tuple(sorted(doc_freq))
+    # One (document, term) key per token, in intp: documents x terms can
+    # exceed int32. A term's document frequency counts its distinct keys,
+    # found by one sort in place. (Plain np.unique takes a hash-table path in
+    # numpy 2.4 that was 10x slower on 178k keys, and imports numpy.ma.)
+    keys = np.repeat(np.arange(len(docs)) * n_terms, np.diff(table.token_offsets))
+    keys += table.ids
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    doc_freq = np.bincount(keys[first] % n_terms, minlength=n_terms)
     return Vocabulary(
-        terms=terms, doc_freq=tuple(map(doc_freq.__getitem__, terms)), n_docs=len(docs),
-        selector="tfidf",
+        terms=table.terms, doc_freq=tuple(doc_freq.tolist()), n_docs=len(docs), selector="tfidf"
     )
 
 
@@ -237,54 +256,57 @@ def check_chi_settings(top_percent: float) -> None:
         raise ValueError(f"chi_top_percent must be in (0, 100], got {top_percent!r}")
 
 
-def _sorted_terms(docs: Sequence[TokenizedDocument]) -> list[str]:
-    """The distinct terms of `docs` in ascending order."""
-    return sorted(set(chain.from_iterable(chain.from_iterable(doc.sentences for doc in docs))))
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The index ranges [start, start + length), concatenated in order."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
 
-def _chi_chunks(
-    docs: Sequence[TokenizedDocument], terms: list[str]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Chi-score the non-empty documents in chunks of similar size.
+def _chi_chunks(table: TokenTable) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Chi-score the non-empty documents of `table` in chunks of similar size.
 
-    `terms` are the distinct terms of `docs` in ascending order, and a term's
-    id is its position there. Yields (ids, n_terms, scores) per chunk, one
-    row per document: the document's term ids ascending in
-    ids[r, :n_terms[r]] and their scores at the same positions. The rest of
-    a row is padding: id 0 and score 0.
+    A term's id is its position in `table.terms`. Yields (ids, n_terms,
+    scores) per chunk, one row per document: the document's term ids
+    ascending in ids[r, :n_terms[r]] and their scores at the same
+    positions. The rest of a row is padding: id 0 and score 0.
     """
-    term_ids = dict(zip(terms, range(len(terms))))
     # A document has at most as many distinct terms as tokens, so the token
     # count bounds the chunk's padded width.
-    sizes = [doc.token_count for doc in docs]
-    order = sorted(filter(sizes.__getitem__, range(len(docs))), key=sizes.__getitem__)
+    token_starts, sentence_starts = table.token_offsets[:-1], table.sentence_offsets[:-1]
+    sizes, sentence_counts = np.diff(table.token_offsets), np.diff(table.sentence_offsets)
+    order = np.argsort(sizes, kind="stable")
+    order = order[sizes[order] > 0]
+    sorted_sizes = sizes[order].tolist()
     start = 0
     while start < len(order):
         # Sizes ascend, so the chunk's last document is its widest.
         stop = start + 1
         while (
             stop < len(order)
-            and (stop - start + 1) * sizes[order[stop]] ** 2 <= _CHI_CHUNK_CELLS
+            and (stop - start + 1) * sorted_sizes[stop] ** 2 <= _CHI_CHUNK_CELLS
         ):
             stop += 1
-        yield _chi_chunk([docs[index] for index in order[start:stop]], term_ids)
+        chunk = order[start:stop]
+        per_doc = sentence_counts[chunk]
+        yield _chi_chunk(
+            table.ids[_ranges(token_starts[chunk], sizes[chunk])],
+            table.sentence_lengths[_ranges(sentence_starts[chunk], per_doc)],
+            per_doc,
+            len(table.terms),
+        )
         start = stop
 
 
 def _chi_chunk(
-    docs: list[TokenizedDocument], term_ids: dict[str, int]
+    tokens: np.ndarray, lengths: np.ndarray, per_doc: np.ndarray, n_ids: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_chi_chunks` for one chunk of non-empty documents."""
-    n_docs, n_ids = len(docs), len(term_ids)
-    sentences = [sentence for doc in docs for sentence in doc.sentences]
-    per_doc = np.fromiter(map(len, (doc.sentences for doc in docs)), np.intp, n_docs)
-    lengths = np.fromiter(map(len, sentences), np.intp, len(sentences))
-    tokens = np.fromiter(
-        map(term_ids.__getitem__, chain.from_iterable(sentences)), np.intp, int(lengths.sum())
-    )
+    """`_chi_chunks` for one chunk of non-empty documents: `tokens` holds
+    their token ids, each below `n_ids`, `lengths` their sentence lengths and
+    `per_doc` each document's number of sentences."""
+    n_docs, n_sentences = len(per_doc), len(lengths)
     sentence_doc = np.repeat(np.arange(n_docs), per_doc)
-    sentence_row = np.arange(len(sentences)) - np.repeat(np.cumsum(per_doc) - per_doc, per_doc)
-    token_sentence = np.repeat(np.arange(len(sentences)), lengths)
+    sentence_row = np.arange(n_sentences) - np.repeat(np.cumsum(per_doc) - per_doc, per_doc)
+    token_sentence = np.repeat(np.arange(n_sentences), lengths)
     token_doc = sentence_doc[token_sentence]
 
     # One key per (document, term), ascending by document and then term, so
@@ -337,12 +359,13 @@ def select_chi_features(docs: Sequence[TokenizedDocument], top_percent: float) -
         raise ValueError("cannot select features from zero documents")
     check_chi_settings(top_percent)
 
-    terms = _sorted_terms(docs)
+    table = token_table(docs)
+    terms = table.terms
     if not terms:
         raise EmptyVocabularyError("chi-square selection kept no terms (all documents empty)")
     kept = np.zeros(len(terms), dtype=bool)
     doc_freq = np.zeros(len(terms), dtype=np.intp)
-    for ids, n_terms, scores in _chi_chunks(docs, terms):
+    for ids, n_terms, scores in _chi_chunks(table):
         columns = np.arange(ids.shape[1])
         doc_freq += np.bincount(ids[columns < n_terms[:, None]], minlength=len(terms))
         keep = np.ceil(top_percent * n_terms / 100.0)
@@ -418,16 +441,22 @@ def vectorize_corpus(docs: Sequence[TokenizedDocument], vocab: Vocabulary) -> Co
     tokens (a longer document is a chunk of its own) and the chunks' arrays
     are joined once. Every row equals `tfidf_vector` ("tfidf") or
     `count_vector` ("chi2") of its document bit for bit."""
-    sizes = [doc.token_count for doc in docs]
+    table = token_table(docs)
+    # Each of the corpus's terms' feature index, -1 outside the vocabulary.
+    term_features = np.fromiter(
+        map(vocab.index.get, table.terms, repeat(-1)), np.intp, len(table.terms)
+    )
+    sizes = np.diff(table.token_offsets).tolist()
     pieces = []  # (row lengths, indices, values) per chunk
-    start = 0
+    start = first_token = 0
     while start < len(docs):
         stop, tokens = start + 1, sizes[start]
         while stop < len(docs) and tokens + sizes[stop] <= _VECTORIZE_CHUNK_TOKENS:
             tokens += sizes[stop]
             stop += 1
-        pieces.append(_vectorize_chunk(docs[start:stop], sizes[start:stop], vocab))
-        start = stop
+        ids = term_features.take(table.ids[first_token:first_token + tokens])
+        pieces.append(_vectorize_chunk(ids, sizes[start:stop], vocab))
+        start, first_token = stop, first_token + tokens
     if not pieces:
         return CorpusMatrix([0], [], [], len(vocab))
     row_lengths, indices, values = map(np.concatenate, zip(*pieces))
@@ -436,17 +465,13 @@ def vectorize_corpus(docs: Sequence[TokenizedDocument], vocab: Vocabulary) -> Co
 
 
 def _vectorize_chunk(
-    docs: Sequence[TokenizedDocument], sizes: list[int], vocab: Vocabulary
+    ids: np.ndarray, sizes: list[int], vocab: Vocabulary
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`vectorize_corpus` for one chunk of documents with `sizes` tokens each:
+    """`vectorize_corpus` for one chunk of documents with `sizes` tokens each,
+    whose tokens have the feature indices `ids` (-1 outside the vocabulary):
     its row lengths, feature indices and weights."""
     n_features = len(vocab)
-    ids = np.fromiter(
-        map(vocab.index.get, chain.from_iterable(doc.tokens() for doc in docs), repeat(-1)),
-        np.intp,
-        sum(sizes),
-    )
-    keys = np.repeat(np.arange(len(docs)) * n_features, sizes)
+    keys = np.repeat(np.arange(len(sizes)) * n_features, sizes)
     keys += ids
     # One key per (document, feature) in ascending order, so each row's
     # indices ascend; out-of-vocabulary tokens (id -1) are dropped first.
@@ -454,7 +479,7 @@ def _vectorize_chunk(
     rows = keys // n_features
     indices = keys - rows * n_features
     values = counts.astype(np.float64)
-    row_lengths = np.bincount(rows, minlength=len(docs))
+    row_lengths = np.bincount(rows, minlength=len(sizes))
     if vocab.selector == "tfidf" and keys.size:
         # The same elementwise operations as tfidf_vector, and the same
         # correctly rounded norm, so every row equals `tfidf_vector` bit for bit.

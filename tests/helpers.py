@@ -25,6 +25,7 @@ from doccat.textprep import (
     STRIP_SYMBOLS,
     PreprocessConfig,
     TokenizedDocument,
+    token_table,
 )
 
 CATEGORY_NAMES = (
@@ -432,7 +433,7 @@ def chi_scores(doc: TokenizedDocument) -> dict[str, float]:
     through `doccat.features._chi_chunks`, the scorer of `select_chi_features`;
     an empty document has none."""
     terms = sorted(set(doc.tokens()))
-    chunks = list(_chi_chunks([doc], terms))
+    chunks = list(_chi_chunks(token_table([doc])))
     return dict(zip(terms, chunks[0][2][0].tolist())) if chunks else {}
 
 
@@ -485,6 +486,42 @@ def reference_select_chi_features(docs: list[TokenizedDocument], top_percent: fl
         terms=ordered, doc_freq=tuple(doc_freq[term] for term in ordered), n_docs=len(docs),
         selector="chi2",
     )
+
+
+def reference_build_vocabulary(docs: list[TokenizedDocument]) -> Vocabulary:
+    """`doccat.features.build_vocabulary` from the token strings: each
+    document's distinct tokens counted with a Counter, the terms sorted."""
+    doc_freq: Counter = Counter()
+    for doc in docs:
+        doc_freq.update(set(doc.tokens()))
+    terms = tuple(sorted(doc_freq))
+    return Vocabulary(
+        terms=terms, doc_freq=tuple(doc_freq[term] for term in terms), n_docs=len(docs),
+        selector="tfidf",
+    )
+
+
+def reference_vectorize_corpus(docs: list[TokenizedDocument], vocab: Vocabulary) -> CorpusMatrix:
+    """`doccat.features.vectorize_corpus` from the token strings, one document
+    at a time: a row counts the document's in-vocabulary tokens by term in
+    ascending feature order; for "tfidf" each count is multiplied by
+    ln((N + 1) / (DF + 1)) + 1 and the row divided by its Euclidean norm,
+    the square root of the math.fsum of its squared weights."""
+    column = {term: index for index, term in enumerate(vocab.terms)}
+    indptr, indices, values = [0], [], []
+    for doc in docs:
+        counts = Counter(column[token] for token in doc.tokens() if token in column)
+        row = sorted(counts)
+        weights = np.array([float(counts[index]) for index in row])
+        if vocab.selector == "tfidf" and row:
+            weights *= np.array([
+                math.log((vocab.n_docs + 1) / (vocab.doc_freq[index] + 1)) + 1.0 for index in row
+            ])
+            weights /= math.sqrt(math.fsum((weights * weights).tolist()))
+        indices += row
+        values += weights.tolist()
+        indptr.append(len(indices))
+    return CorpusMatrix(indptr, indices, values, len(vocab))
 
 
 def chi_oracle(sentences: list[list[str]]) -> dict[str, float]:

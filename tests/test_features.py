@@ -13,7 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import doccat.features as features_module
+import doccat.textprep as textprep_module
 
+from doccat.corpus import LabeledCorpus, LabeledDocument
 from doccat.errors import EmptyVocabularyError, quoted
 from doccat.features import (
     CorpusMatrix,
@@ -28,15 +30,23 @@ from doccat.features import (
     vectorize_document,
 )
 from doccat.models import TrainHyperparams, train_from_tokens
-from doccat.textprep import TokenizedDocument, default_config, preprocess_corpus
+from doccat.textprep import (
+    TokenizedCorpus,
+    TokenizedDocument,
+    default_config,
+    preprocess_corpus,
+    token_table,
+)
 
 from helpers import (
     chi_oracle,
     chi_scores,
     make_overlapping_corpus,
     random_tokenized_doc,
+    reference_build_vocabulary,
     reference_chi_scores,
     reference_select_chi_features,
+    reference_vectorize_corpus,
     row_pairs,
 )
 
@@ -342,9 +352,10 @@ class TestChiScore:
 def batched_chi_rows(docs):
     """The batched scores of `docs` as a Counter of (terms, score bytes), one
     entry per non-empty document, and each chunk's document widths."""
-    terms = features_module._sorted_terms(docs)
+    table = token_table(docs)
+    terms = table.terms
     rows, chunk_widths = Counter(), []
-    for ids, n_terms, scores in features_module._chi_chunks(docs, terms):
+    for ids, n_terms, scores in features_module._chi_chunks(table):
         chunk_widths.append(n_terms.tolist())
         for row, n in enumerate(n_terms.tolist()):
             row_terms = tuple(terms[index] for index in ids[row, :n].tolist())
@@ -613,3 +624,134 @@ class TestVectorizeCorpus:
     def test_zero_documents_give_zero_rows(self):
         vocab = build_vocabulary([tdoc(["ক"])])
         assert vectorize_corpus([], vocab).shape == (0, 1)
+
+
+# Words for raw test corpora: terms the shipped stemmer leaves alone, a
+# stopword and a token of strip symbols only (so some documents preprocess
+# to nothing), and terms that only test documents use.
+TRAIN_WORDS = ["কনক", "খপখ", "গবগ", "তনক", "থমচ", "দফছ", "তিনি", "১২৩"]
+TEST_ONLY_WORDS = ["ঞনঞ", "টমট"]
+
+
+def raw_corpus(texts: list[str], prefix: str) -> LabeledCorpus:
+    return LabeledCorpus(documents=tuple(
+        LabeledDocument(id=f"{prefix}{index}", text=text, label="x")
+        for index, text in enumerate(texts)
+    ))
+
+
+def text_strategy(words):
+    sentence = st.lists(st.sampled_from(words), min_size=1, max_size=8).map(" ".join)
+    return st.lists(sentence, min_size=1, max_size=4).map("। ".join)
+
+
+def matrix_bytes(X: CorpusMatrix) -> tuple:
+    return X.indptr.tobytes(), X.indices.tobytes(), X.values.tobytes(), X.n_features
+
+
+def feature_outputs(vocabulary, select, vectorize, train, test):
+    """The TF-IDF vocabulary (`vocabulary`) and the chi-square vocabularies
+    (`select`) at 5, 30 and 100% of `train`, and each one's matrices
+    (`vectorize`) of `train` and `test`, as bytes."""
+    vocabs = [vocabulary(train)] + [select(train, top_percent) for top_percent in (5.0, 30.0, 100.0)]
+    return vocabs, [
+        matrix_bytes(vectorize(docs, vocab)) for vocab in vocabs for docs in (train, test)
+    ]
+
+
+def assert_builders_agree(train, test):
+    """The feature builders give the same bits on TokenizedCorpus results, on
+    plain lists of their documents and through the string oracles."""
+    assert type(train) is type(test) is TokenizedCorpus
+    builders = (build_vocabulary, select_chi_features, vectorize_corpus)
+    if not any(doc.token_count for doc in train):
+        for docs in (train, list(train)):
+            with pytest.raises(EmptyVocabularyError):
+                build_vocabulary(docs)
+            with pytest.raises(EmptyVocabularyError):
+                select_chi_features(docs, 30.0)
+        return
+    expected = feature_outputs(
+        reference_build_vocabulary, reference_select_chi_features, reference_vectorize_corpus,
+        list(train), list(test),
+    )
+    assert feature_outputs(*builders, list(train), list(test)) == expected
+    assert feature_outputs(*builders, train, test) == expected
+    # The corpora kept their tables across the calls.
+    assert token_table(train) is token_table(train)
+
+
+class TestTokenTableBuilders:
+    """`build_vocabulary`, `select_chi_features` and `vectorize_corpus` read
+    every corpus through its token table; the results must not depend on
+    whether the table was kept by a TokenizedCorpus or built for a list."""
+
+    def test_edge_documents(self, default_cfg, monkeypatch):
+        cap, cells = 10, 40
+        monkeypatch.setattr(features_module, "_VECTORIZE_CHUNK_TOKENS", cap)
+        monkeypatch.setattr(features_module, "_CHI_CHUNK_CELLS", cells)
+        monkeypatch.setattr(textprep_module, "_RENUMBER_TOKENS", 7)
+        train = preprocess_corpus(raw_corpus([
+            "কনক খপখ। গবগ কনক",
+            "তিনি ১২৩",  # preprocesses to an empty document
+            " ".join(["কনক", "খপখ", "তনক", "থমচ"] * 4) + "। দফছ কনক",  # longer than cap
+            "খপখ গবগ। তনক",
+            "১২৩।",
+        ], "train"), default_cfg)
+        test = preprocess_corpus(raw_corpus([
+            "ঞনঞ টমট। ঞনঞ",  # all out of vocabulary
+            "তিনি",
+            "কনক ঞনঞ " * 8,
+            "গবগ",
+        ], "test"), default_cfg)
+        sizes = [doc.token_count for doc in train] + [doc.token_count for doc in test]
+        assert 0 in sizes and max(sizes) > cap
+        assert max(sizes) ** 2 > cells  # a chi-square chunk of one document
+        assert_builders_agree(train, test)
+
+    @given(
+        train_texts=st.lists(text_strategy(TRAIN_WORDS), min_size=1, max_size=10),
+        test_texts=st.lists(text_strategy(TRAIN_WORDS + TEST_ONLY_WORDS), max_size=6),
+        cap=st.integers(1, 40),
+        cells=st.integers(1, 3000),
+    )
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_corpora(self, train_texts, test_texts, cap, cells, default_cfg, monkeypatch):
+        monkeypatch.setattr(features_module, "_VECTORIZE_CHUNK_TOKENS", cap)
+        monkeypatch.setattr(features_module, "_CHI_CHUNK_CELLS", cells)
+        assert_builders_agree(
+            preprocess_corpus(raw_corpus(train_texts, "train"), default_cfg),
+            preprocess_corpus(raw_corpus(test_texts, "test"), default_cfg),
+        )
+
+
+class TestStaleTable:
+    """A TokenizedCorpus keeps its token table, and a feature call after the
+    corpus changed must see the change, as a fresh list of its items does."""
+
+    def assert_as_fresh_list(self, corpus, previous):
+        fresh = list(corpus)
+        outputs = feature_outputs(
+            build_vocabulary, select_chi_features, vectorize_corpus, corpus, corpus
+        )
+        assert outputs == feature_outputs(
+            build_vocabulary, select_chi_features, vectorize_corpus, fresh, fresh
+        )
+        assert outputs != previous  # the change shows in the results
+        return outputs
+
+    def test_items_changed_after_a_feature_call(self, default_cfg):
+        corpus = preprocess_corpus(make_overlapping_corpus(2, seed=4, n_categories=3), default_cfg)
+        other = preprocess_corpus(make_overlapping_corpus(2, seed=9, n_categories=5), default_cfg)
+        outputs = self.assert_as_fresh_list(corpus, None)
+        table = token_table(corpus)
+        corpus.append(other[-1])
+        outputs = self.assert_as_fresh_list(corpus, outputs)
+        corpus[0] = other[-2]  # the same length, one item replaced
+        outputs = self.assert_as_fresh_list(corpus, outputs)
+        del corpus[1]
+        outputs = self.assert_as_fresh_list(corpus, outputs)
+        corpus.reverse()  # the same items in another order
+        self.assert_as_fresh_list(corpus, outputs)
+        assert token_table(corpus) is not table

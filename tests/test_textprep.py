@@ -4,6 +4,7 @@ import string
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -17,12 +18,16 @@ from doccat.textprep import (
     STRIP_SYMBOLS,
     TOKEN_MEMO_SIZE,
     PreprocessConfig,
+    TokenizedCorpus,
     TokenizedDocument,
+    TokenTable,
     default_config,
     load_stopwords,
     load_suffix_table,
+    preprocess_corpus,
     preprocess_document,
     stem,
+    token_table,
     tokenized_to_json,
     validate_suffix_table,
 )
@@ -172,6 +177,52 @@ class TestPreprocessDocument:
     def test_determinism(self, default_cfg):
         doc = LabeledDocument(id="d", text="ছেলেরা খেলা দেখে। আবার খেলবে!", label="x")
         assert preprocess_document(doc, default_cfg) == preprocess_document(doc, default_cfg)
+
+
+class TestTokenizedCorpus:
+    def test_a_list_of_the_documents(self, default_cfg):
+        raw = make_overlapping_corpus(2, seed=3, n_categories=3)
+        corpus = preprocess_corpus(raw, default_cfg)
+        assert type(corpus) is TokenizedCorpus and isinstance(corpus, list)
+        assert corpus == [preprocess_document(doc, default_cfg) for doc in raw]
+        for plain in (corpus[1:], corpus[:], corpus + [], list(corpus)):
+            assert type(plain) is list
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_the_table_holds_every_token_by_term(self, block, monkeypatch):
+        if block is not None:  # renumbered in several blocks, the last one partial
+            monkeypatch.setattr(textprep, "_RENUMBER_TOKENS", block)
+        docs = [
+            TokenizedDocument(sentences=(("খ", "ক", "খ"), ("গ",))),
+            TokenizedDocument(sentences=()),
+            TokenizedDocument(sentences=(("ক",), (), ("ঘ", "খ"))),
+        ]
+        table = token_table(docs)
+        assert table.terms == ("ক", "খ", "গ", "ঘ")
+        assert table.ids.dtype == table.sentence_lengths.dtype == np.int32
+        assert table.ids.tolist() == [1, 0, 1, 2, 0, 3, 1]
+        assert table.sentence_lengths.tolist() == [3, 1, 1, 0, 2]
+        assert table.sentence_offsets.tolist() == [0, 2, 2, 5]
+        assert table.token_offsets.tolist() == [0, 4, 4, 7]
+        for array in (table.ids, table.sentence_lengths, table.sentence_offsets,
+                      table.token_offsets):
+            assert not array.flags.writeable
+        empty = token_table([])
+        assert empty.terms == () and empty.ids.size == 0
+        assert empty.token_offsets.tolist() == empty.sentence_offsets.tolist() == [0]
+
+    def test_a_corpus_table_equals_a_list_table_and_is_kept(self, default_cfg):
+        corpus = preprocess_corpus(make_synthetic_corpus(3, seed=5), default_cfg)
+        table = token_table(corpus)
+        assert isinstance(table, TokenTable)
+        assert token_table(corpus) is table
+        fresh = token_table(list(corpus))
+        assert fresh is not table
+        assert fresh.terms == table.terms == tuple(sorted({t for d in corpus for t in d.tokens()}))
+        for name in ("ids", "sentence_lengths", "sentence_offsets", "token_offsets"):
+            assert getattr(fresh, name).tobytes() == getattr(table, name).tobytes()
+        tokens = [table.terms[i] for i in table.ids.tolist()]
+        assert tokens == [token for doc in corpus for token in doc.tokens()]
 
 
 # Raw text pieces whose concatenations exercise every step: stems, shipped

@@ -45,7 +45,8 @@ scores the same bits alone as inside a corpus.
   matrix, as in LIBLINEAR (Fan et al., JMLR 2008). A visit copies the
   example's whole rows of that matrix out and back, the `ndarray.dot`
   method writes its two BLAS products into buffers allocated once per fit,
-  and the clipped duals go straight into the second of two dual buffers.
+  and the clipped duals go straight into the one dual array, whose values
+  at the start of each pass are kept in a record that the pass reads.
 
 Every SGD epoch's and SVM pass's example order is a draw of `_orders`,
 from CPython's MT19937 through `random.Random(seed).getrandbits`, whose
@@ -488,13 +489,15 @@ def train_sgd(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     )
 
 
-def _projected_gradient(gradient: np.ndarray, alpha: np.ndarray, c: float) -> np.ndarray:
-    """The dual gradient projected onto the box 0 <= alpha <= C, elementwise."""
-    return np.where(
-        alpha <= 0.0,
-        np.minimum(gradient, 0.0),
-        np.where(alpha >= c, np.maximum(gradient, 0.0), gradient),
-    )
+def _violations(margins: np.ndarray, betas: np.ndarray, targets: np.ndarray,
+                c: float) -> np.ndarray:
+    """Each class's largest projected-gradient violation: the largest |g| of
+    the dual gradients g = margin - 1 projected onto the box 0 <= alpha <= C
+    of each alpha = beta * t."""
+    gradient, alphas = margins - 1.0, betas * targets
+    projected = np.where(alphas <= 0.0, np.minimum(gradient, 0.0),
+                         np.where(alphas >= c, np.maximum(gradient, 0.0), gradient))
+    return np.abs(projected).max(axis=0)
 
 
 def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> LinearModel:
@@ -524,22 +527,23 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     so the gather (`take`) and the write-back (a 1-D fancy index) copy a
     row per index. Three buffers serve every step of the fit: the gathered
     rows and the outer product x delta, each one row wider than the widest
-    example, and delta. The betas live in two (n, C) buffers: a pass reads
-    each example's betas from one and writes the clipped betas straight
-    into the example's row of the other, so the buffer it reads is the
-    record of the betas it started from (every example is visited once per
-    pass), and the next pass swaps the two. The `ndarray.dot` method, which
-    skips the dispatch that `np.dot` runs on every call, writes the score
-    into the step's score record and the outer product into its buffer;
-    the product's inner dimension is 1, so each entry is x_k * delta_c
-    rounded once, as `np.multiply.outer` would give. Each step's arrays,
-    both beta rows and buffer slices included, are views built once,
-    before the first pass, and a step is 11 numpy calls. Each step records
-    its scores; the pass's violation is taken from those records and the
-    starting betas once, after the pass. `fit_info` holds per class
-    `updates`, the number of steps that changed the class's alpha, and
-    `gap`, the duality gap relative to the primal objective:
-    (primal - dual) / |primal|.
+    example, and delta. The betas live in one (n, C) array; each pass
+    starts by copying it into a second, the record of the betas the pass
+    started from, and a step reads the example's betas from that record
+    and writes the clipped betas straight into the example's row of the
+    live array. The `ndarray.dot` method, which skips the dispatch that
+    `np.dot` runs on every call, writes the score into the step's score
+    record and the outer product into its buffer; the product's inner
+    dimension is 1, so each entry is x_k * delta_c rounded once, as
+    `np.multiply.outer` would give. Each step's arrays are views built
+    once, before the first pass: the example's rows of the per-example
+    arrays, and the buffers' slices as wide as the example, one set of
+    them per width, shared by every example of that width. A step is 11
+    numpy calls. Each step records its scores; the pass's violation
+    (`_violations`) is taken from those records and the starting betas
+    once, after the pass. `fit_info` holds per class `updates`, the number
+    of steps that changed the class's alpha, and `gap`, the duality gap
+    relative to the primal objective: (primal - dual) / |primal|.
     """
     labels, classes = _classes(X, y)
     n_rows, n_classes, n_features = len(y), len(labels), X.n_features
@@ -548,32 +552,33 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     W = np.zeros((n_features + 1, n_classes))
     indices = np.insert(X.indices, X.indptr[1:], n_features)
     values = np.insert(X.values, X.indptr[1:], 1.0)
-    # A pass reads each example's betas from one buffer and writes them
-    # clipped into the other, so the one it reads is its starting record.
-    beta_buffers = np.zeros((2, n_rows, n_classes))
+    # The live betas, and each pass's record of the betas it started from.
+    betas, visited = np.zeros((n_rows, n_classes)), np.empty((n_rows, n_classes))
     low, high = np.minimum(targets * c, 0.0), np.maximum(targets * c, 0.0)
     scores = np.empty((n_rows, n_classes))  # each pass's scores, by example
     # W and the gather buffer seen as 1-D arrays of whole rows, so a gather
     # or scatter copies one row per index.
     as_rows = np.dtype((np.void, W.itemsize * n_classes))
     W_rows = W.view(as_rows)[:, 0]
-    widest = int(np.diff(X.indptr).max()) + 1
-    gathered = np.empty((widest, n_classes))
+    widths = np.diff(X.indptr) + 1  # each example's entries and its bias entry
+    gathered = np.empty((int(widths.max()), n_classes))
     gathered_rows = gathered.view(as_rows)[:, 0]
-    products = np.empty((widest, n_classes))
+    products = np.empty_like(gathered)
     delta = np.empty((1, n_classes))
     delta_row = delta[0]  # a ufunc writes a 1-D `out` faster than a (1, C) one
     # Each example's augmented entries, curvature and rows of the
-    # per-example arrays and the fit-wide buffers, as views built once.
+    # per-example arrays and the fit-wide buffers, as views built once; the
+    # buffers' views depend only on the width, so one set serves each width.
+    buffer_views = {width: (gathered[:width], gathered_rows[:width], products[:width])
+                    for width in set(widths.tolist())}
     steps = []
     bounds = X.indptr.tolist()
     for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
         x = X.values[start:end]
         rows = slice(start + i, end + i + 1)
-        width = end - start + 1
         steps.append((indices[rows], values[rows], values[rows, None], float(x @ x) + 1.0,
-                      beta_buffers[0, i], beta_buffers[1, i], low[i], high[i], targets[i],
-                      scores[i], gathered[:width], gathered_rows[:width], products[:width]))
+                       visited[i], betas[i], low[i], high[i], targets[i], scores[i])
+                      + buffer_views[end - start + 1])
     orders = _orders(hyper.seed, n_rows)
     # Looked up once per fit rather than on every step.
     take, subtract, maximum, minimum = W_rows.take, np.subtract, np.maximum, np.minimum
@@ -585,19 +590,15 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     passes = np.zeros(n_classes, dtype=int)
     updates = np.zeros(n_classes, dtype=int)
     violation = np.full(n_classes, np.inf)
-    betas, visited = beta_buffers  # the current betas, and the other buffer
-    for pass_index in range(SVM_MAX_PASSES):
+    for _ in range(SVM_MAX_PASSES):
         running = ~converged
         if not running.any():
             break
         passes[running] += 1
-        visited, betas = betas, visited
+        np.copyto(visited, betas)
         low[:, converged] = high[:, converged] = visited[:, converged]
-        odd = pass_index % 2 == 1
         for i in next(orders).tolist():
             cols, x, x_column, q, b, s, lo, hi, t, score, local, local_rows, product = steps[i]
-            if odd:  # this pass reads buffer 1 and writes buffer 0
-                b, s = s, b
             # Every column is in range, so "clip" clips nothing; unlike the
             # default "raise", it writes into `out` without a buffered copy.
             take(cols, out=local_rows, mode="clip")
@@ -614,16 +615,13 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
             local += product
             W_rows[cols] = local_rows
         updates += (betas != visited).sum(axis=0)
-        sweep_violation = np.abs(
-            _projected_gradient(targets * scores - 1.0, visited * targets, c)
-        ).max(axis=0)
+        sweep_violation = _violations(targets * scores, visited, targets, c)
         violation[running] = sweep_violation[running]
         # Gradients measured mid-sweep go stale as later updates move w, so
         # confirm convergence against the final iterate before stopping.
         check = running & (sweep_violation < SVM_TOLERANCE)
         if check.any():
-            margins = targets * _scores(X, *unaugmented())
-            final = np.abs(_projected_gradient(margins - 1.0, betas * targets, c)).max(axis=0)
+            final = _violations(targets * _scores(X, *unaugmented()), betas, targets, c)
             violation[check] = final[check]
             converged |= check & (final < SVM_TOLERANCE)
 
@@ -656,20 +654,14 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
     )
 
 
-def train_from_tokens(
-    docs: Sequence[TokenizedDocument],
-    selector: Selector,
-    classifier: Classifier,
+def _features(
+    docs: Sequence[TokenizedDocument], selector: Selector, classifier: Classifier,
     hyper: TrainHyperparams,
-    preprocess_config: PreprocessConfig,
-) -> TrainedModel:
-    """Build the feature space and fit one classifier on preprocessed docs.
-
-    `features.build_feature_space` checks the selector and builds its space.
-    `stage_seconds` times feature building ("features"), vectorization
-    ("vectorize") and classifier fitting ("fit"); their sum,
-    `train_seconds`, is the method-specific work the benchmark compares.
-    """
+) -> tuple[Vocabulary, CorpusMatrix, list[str], list[float]]:
+    """Check the classifier and the labels, then build the feature space and
+    the training matrix: the vocabulary, X, the labels and the clock read
+    before, between and after the two stages. Nothing returned refers to
+    `docs`."""
     if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier: {classifier!r} (expected one of {CLASSIFIERS})")
     labels = [doc.label for doc in docs]
@@ -681,7 +673,19 @@ def train_from_tokens(
     clock.append(time.perf_counter())
     X = vectorize_corpus(docs, vocabulary)
     clock.append(time.perf_counter())
+    return vocabulary, X, labels, clock
 
+
+def _fit(
+    vocabulary: Vocabulary,
+    X: CorpusMatrix,
+    labels: list[str],
+    clock: list[float],
+    classifier: Classifier,
+    hyper: TrainHyperparams,
+    preprocess_config: PreprocessConfig,
+) -> TrainedModel:
+    """Fit one classifier on what `_features` returned, and time the fit."""
     # Built per call from the module's names, so a wrapper bound in a
     # trainer's place (a tracer, say) sees the call.
     trainer = {"nb": train_nb, "sgd": train_sgd, "svm": train_svm}[classifier]
@@ -698,6 +702,24 @@ def train_from_tokens(
     )
 
 
+def train_from_tokens(
+    docs: Sequence[TokenizedDocument],
+    selector: Selector,
+    classifier: Classifier,
+    hyper: TrainHyperparams,
+    preprocess_config: PreprocessConfig,
+) -> TrainedModel:
+    """Build the feature space and fit one classifier on preprocessed docs.
+
+    `features.build_feature_space` checks the selector and builds its space.
+    `stage_seconds` times feature building ("features"), vectorization
+    ("vectorize") and classifier fitting ("fit"); their sum,
+    `train_seconds`, is the method-specific work the benchmark compares.
+    """
+    return _fit(*_features(docs, selector, classifier, hyper), classifier, hyper,
+                preprocess_config)
+
+
 def train(
     corpus: LabeledCorpus,
     selector: Selector,
@@ -705,9 +727,11 @@ def train(
     hyper: TrainHyperparams,
     config: PreprocessConfig,
 ) -> TrainedModel:
-    """Preprocess a labeled corpus and train one (selector, classifier) pipeline."""
-    docs = preprocess_corpus(corpus, config)
-    return train_from_tokens(docs, selector, classifier, hyper, config)
+    """Preprocess a labeled corpus and train one (selector, classifier)
+    pipeline as `train_from_tokens` does. The preprocessed documents are
+    freed once the features are built, so the fit runs without them."""
+    return _fit(*_features(preprocess_corpus(corpus, config), selector, classifier, hyper),
+                classifier, hyper, config)
 
 
 def predict_linear(model: LinearModel, X: CorpusMatrix) -> tuple[list[str], np.ndarray]:

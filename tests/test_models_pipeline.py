@@ -7,13 +7,14 @@ import math
 import re
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from doccat import features, models
+from doccat import features, models, textprep
 from doccat.errors import ConvergenceWarning, ModelFormatError, SingleClassError
 from doccat.features import vectorize_corpus
 from doccat.models import (
@@ -125,6 +126,44 @@ class TestTrainPipelines:
         corpus = make_synthetic_corpus(4, seed=3, n_categories=1, pool_size=3)
         with pytest.raises(SingleClassError):
             train(corpus, "tfidf", "nb", TrainHyperparams(), default_cfg)
+
+    @pytest.mark.parametrize("classifier", ["nb", "sgd", "svm"])
+    def test_train_fits_with_no_preprocessed_document_alive(
+        self, classifier, default_cfg, monkeypatch
+    ):
+        # Weak references to the corpus, the documents and the token table
+        # that this call to `train` makes, each checked as the fit starts.
+        made = []
+
+        class WatchedCorpus(textprep.TokenizedCorpus):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self, docs):
+                super().__init__(docs)
+                made.append(weakref.ref(self))
+                made.extend(map(weakref.ref, self))
+
+        build = textprep.TokenTable.build.__func__
+
+        def watched_build(cls, docs):
+            table = build(cls, docs)
+            made.append(weakref.ref(table))
+            return table
+
+        alive_at_fit = []
+        trainer = getattr(models, f"train_{classifier}")
+
+        def watched_trainer(*args):
+            alive_at_fit.append(sum(ref() is not None for ref in made))
+            return trainer(*args)
+
+        monkeypatch.setattr(textprep, "TokenizedCorpus", WatchedCorpus)
+        monkeypatch.setattr(textprep.TokenTable, "build", classmethod(watched_build))
+        monkeypatch.setattr(models, f"train_{classifier}", watched_trainer)
+        corpus = make_synthetic_corpus(4, seed=31, n_categories=3, pool_size=3)
+        train(corpus, "chi2", classifier, TrainHyperparams(), default_cfg)
+        assert len(made) == len(corpus) + 2
+        assert alive_at_fit == [0]
 
 
 class TestHyperparams:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -168,6 +169,7 @@ class TestOverlappingCorpus:
         for label, info in model.fit_info.items():
             assert info["converged"] is True, label
             assert info["violation"] < SVM_TOLERANCE, label
+            assert info["gap"] < 1e-2, label
 
     def test_same_seed_gives_identical_model(self, overlapping_tokens, default_cfg):
         m1 = train_overlapping(overlapping_tokens, default_cfg, seed=3)
@@ -264,8 +266,8 @@ class TestMatchesPerStepReference:
         assert lengths.max() == n_features
         assert_matches_reference(X, y)
 
-    # A pass reads one of two beta buffers and writes the other, so runs
-    # capped at an even and an odd pass count end on different buffers.
+    # Runs capped after an even and after an odd number of passes: a fit
+    # that stops before converging matches the per-step loop either way.
     @pytest.mark.parametrize("max_passes", [2, 3])
     def test_capped_run(self, overlapping_tokens, monkeypatch, max_passes):
         monkeypatch.setattr(models, "SVM_MAX_PASSES", max_passes)
@@ -304,3 +306,35 @@ class TestAgreementWithSGD:
             for doc in synth_train_tokens
         )
         assert agree / len(synth_train_tokens) >= 0.9
+
+
+class TestFitMemory:
+    """The fit's traced memory per training row, so that what the fit holds
+    per row (mostly each row's step views) cannot grow back unnoticed."""
+
+    # Bytes per row of a 2-pass fit on the 3 x 200 corpus below, both
+    # selectors alike (Python 3.11, numpy 2.4): 2,063 when every row held
+    # its own three views of the fit-wide buffers, 1,743 with one set of
+    # views per row width.
+    BOUND = 1_900
+
+    @pytest.mark.parametrize("selector", ["tfidf", "chi2"])
+    def test_peak_per_row(self, default_cfg, monkeypatch, selector):
+        corpus = make_overlapping_corpus(200, seed=7, n_categories=3)
+        X, y = overlapping_matrix(preprocess_corpus(corpus, default_cfg), selector)
+        monkeypatch.setattr(models, "SVM_MAX_PASSES", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            train_svm(X, y, TrainHyperparams())  # pays the process's first-call costs
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                train_svm(X, y, TrainHyperparams())
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if started:
+                    tracemalloc.stop()
+        assert peak / len(y) < self.BOUND, peak / len(y)

@@ -13,8 +13,9 @@ Document order is load order for JSONL and ``(label, filename)``
 lexicographic for directories, so downstream training is deterministic.
 Invalid UTF-8 is a load error, never silently replaced: corrupted Bengali
 text must fail loudly (`fileio.read_lines`, `fileio.read_text`).
-`LabeledDocument` checks each document, and the readers name the line or
-file of one that fails.
+`LabeledDocument` checks each document, and the loaders name the line or
+file of one that fails. `load_jsonl` is the one JSONL reader: it reads,
+checks and collects the documents in one pass over the lines.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ class LabeledCorpus:
         return iter(self.documents)
 
 
-def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[LabeledDocument]:
-    """The documents of a JSONL file in line order; blank lines are skipped.
+def load_jsonl(path: str | Path, label: str | None = None) -> LabeledCorpus:
+    """Load a labeled corpus from a JSONL file, in line order; blank lines
+    are skipped.
 
     Each line (`fileio.read_lines`, so other line boundaries, which JSON
     strings may hold, stay in their line) is a strict JSON object
@@ -112,6 +114,8 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
             document is invalid.
         UnreadableFileError: the file cannot be read or is not valid UTF-8.
         EmptyCorpusError: the file holds no documents.
+        DuplicateIdError: two lines carry the same id; the message starts
+            with `<path>: `.
     """
     name = Path(path).name
     documents: list[LabeledDocument] = []
@@ -141,22 +145,8 @@ def read_jsonl_documents(path: str | Path, label: str | None = None) -> list[Lab
             raise MalformedLineError(str(path), line_no, str(exc)) from exc
     if not documents:
         raise EmptyCorpusError(f"no documents in {str(path)!r}")
-    return documents
-
-
-def load_jsonl(path: str | Path, label: str | None = None) -> LabeledCorpus:
-    """Load a labeled corpus from a JSONL file (see `read_jsonl_documents`,
-    which gives a `label` argument to every document), preserving line order.
-
-    Raises:
-        MalformedLineError, UnreadableFileError, EmptyCorpusError: as
-            `read_jsonl_documents`.
-        DuplicateIdError: two lines carry the same id; the message starts
-            with `<path>: `.
-    """
-    documents = tuple(read_jsonl_documents(path, label))
     try:
-        return LabeledCorpus(documents=documents)
+        return LabeledCorpus(documents=tuple(documents))
     except DuplicateIdError as exc:
         raise DuplicateIdError(exc.doc_id, str(path)) from None
 

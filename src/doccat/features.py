@@ -18,8 +18,8 @@ The three corpus builders, `build_vocabulary`, `select_chi_features` and
 one id per token, a term's position there, so no id depends on the
 process's string hashing. A TokenizedCorpus keeps its table, so its token
 strings are mapped to ids once, however many features are built from it.
-`build_vocabulary` counts each term's documents from one sort of the
-(document, id) keys.
+Both vocabularies take each term's document frequency from one count,
+`_doc_freq`: one sort of the table's (document, id) keys.
 
 A corpus becomes one CorpusMatrix: a CSR matrix with one row per document
 of ascending feature indices and their non-zero weights, checked once when
@@ -220,23 +220,30 @@ def build_vocabulary(docs: Sequence[TokenizedDocument]) -> Vocabulary:
     if not docs:
         raise ValueError("cannot build a vocabulary from zero documents")
     table = token_table(docs)
-    n_terms = len(table.terms)
-    if not n_terms:
+    if not table.terms:
         raise EmptyVocabularyError("no terms to build a vocabulary from (all documents empty)")
+    return Vocabulary(
+        terms=table.terms, doc_freq=tuple(_doc_freq(table).tolist()), n_docs=len(docs),
+        selector="tfidf",
+    )
+
+
+def _doc_freq(table: TokenTable) -> np.ndarray:
+    """The number of documents of `table` that hold each of its terms, in
+    term order. The table must hold at least one term."""
+    n_terms = len(table.terms)
     # One (document, term) key per token, in intp: documents x terms can
     # exceed int32. A term's document frequency counts its distinct keys,
     # found by one sort in place. (Plain np.unique takes a hash-table path in
     # numpy 2.4 that was 10x slower on 178k keys, and imports numpy.ma.)
-    keys = np.repeat(np.arange(len(docs)) * n_terms, np.diff(table.token_offsets))
+    sizes = np.diff(table.token_offsets)
+    keys = np.repeat(np.arange(sizes.size) * n_terms, sizes)
     keys += table.ids
     keys.sort()
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    doc_freq = np.bincount(keys[first] % n_terms, minlength=n_terms)
-    return Vocabulary(
-        terms=table.terms, doc_freq=tuple(doc_freq.tolist()), n_docs=len(docs), selector="tfidf"
-    )
+    return np.bincount(keys[first] % n_terms, minlength=n_terms)
 
 
 def idf(n_docs: int, df: int) -> float:
@@ -363,11 +370,11 @@ def select_chi_features(docs: Sequence[TokenizedDocument], top_percent: float) -
     terms = table.terms
     if not terms:
         raise EmptyVocabularyError("chi-square selection kept no terms (all documents empty)")
+    # Counted before the chunks allocate, so its keys are freed by then.
+    doc_freq = _doc_freq(table)
     kept = np.zeros(len(terms), dtype=bool)
-    doc_freq = np.zeros(len(terms), dtype=np.intp)
     for ids, n_terms, scores in _chi_chunks(table):
         columns = np.arange(ids.shape[1])
-        doc_freq += np.bincount(ids[columns < n_terms[:, None]], minlength=len(terms))
         keep = np.ceil(top_percent * n_terms / 100.0)
         # Columns are in term order and padding follows them, scoring 0 where
         # terms score >= 0, so a stable sort ranks each document's terms by

@@ -14,7 +14,6 @@ from doccat.corpus import (
     check_field,
     load_dir,
     load_jsonl,
-    read_jsonl_documents,
 )
 from doccat.errors import (
     DuplicateIdError,
@@ -262,18 +261,18 @@ class TestLoadJsonl:
             load_jsonl(path)
 
 
-class TestReadJsonlDocuments:
+class TestLoadJsonlWithLabel:
     def test_given_label_replaces_the_label_fields(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"text": "ক"}, {"id": "x", "text": "খ", "label": 5}])
-        documents = read_jsonl_documents(path, label="-")
+        documents = load_jsonl(path, label="-")
         assert [(doc.id, doc.label) for doc in documents] == [("c.jsonl:1", "-"), ("x", "-")]
 
     def test_non_string_id_rejected_with_its_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"text": "ক"}, {"id": 7, "text": "খ"}])
         with pytest.raises(MalformedLineError) as excinfo:
-            read_jsonl_documents(path, label="-")
+            load_jsonl(path, label="-")
         assert excinfo.value.line_no == 2
 
 

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import re
 import resource
 import statistics
@@ -49,6 +47,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 import corpusgen  # noqa: E402
+import run  # noqa: E402
 import numpy as np  # noqa: E402
 
 DEFAULT_SIZES = ("250:250", "2400:250")
@@ -178,34 +177,34 @@ def summarize(runs: list[dict]) -> dict:
     first = runs[0]
 
     def median(get):
-        return statistics.median(get(run) for run in runs)
+        return statistics.median(get(one) for one in runs)
 
     def spread(get):
-        values = [get(run) for run in runs]
+        values = [get(one) for one in runs]
         return [min(values), max(values)]
 
     summary = {key: first[key] for key in ("train_docs", "test_docs", "train_tokens")}
-    summary["seconds"] = {stage: median(lambda run: run["seconds"][stage])
+    summary["seconds"] = {stage: median(lambda one: one["seconds"][stage])
                           for stage in first["seconds"]}
-    summary["spread"] = {stage: spread(lambda run: run["seconds"][stage])
+    summary["spread"] = {stage: spread(lambda one: one["seconds"][stage])
                          for stage in first["seconds"]}
     summary["pipelines"] = {}
     for name, info in first["pipelines"].items():
         summary["pipelines"][name] = {
             **{key: value for key, value in info.items() if key != "seconds"},
-            "seconds": {stage: median(lambda run: run["pipelines"][name]["seconds"][stage])
+            "seconds": {stage: median(lambda one: one["pipelines"][name]["seconds"][stage])
                         for stage in info["seconds"]},
-            "spread": {stage: spread(lambda run: run["pipelines"][name]["seconds"][stage])
+            "spread": {stage: spread(lambda one: one["pipelines"][name]["seconds"][stage])
                        for stage in info["seconds"]},
         }
     summary["benchmark_macro_f1"] = first["benchmark_macro_f1"]
     summary["convergence_warnings"] = first["convergence_warnings"]
-    summary["peak_rss_mb"] = {point: median(lambda run: run["peak_rss_mb"][point])
+    summary["peak_rss_mb"] = {point: median(lambda one: one["peak_rss_mb"][point])
                               for point in first["peak_rss_mb"]}
-    summary["peak_rss_mb_spread"] = {point: spread(lambda run: run["peak_rss_mb"][point])
+    summary["peak_rss_mb_spread"] = {point: spread(lambda one: one["peak_rss_mb"][point])
                                      for point in first["peak_rss_mb"]}
-    summary["wall_s"] = [run["wall_s"] for run in runs]
-    summary["slowdown"] = [run["slowdown"] for run in runs]
+    summary["wall_s"] = [one["wall_s"] for one in runs]
+    summary["slowdown"] = [one["slowdown"] for one in runs]
     return summary
 
 
@@ -218,18 +217,6 @@ def rounded(value):
     if isinstance(value, list):
         return [rounded(item) for item in value]
     return value
-
-
-def git_commit() -> str:
-    """The checked-out commit, with "-dirty" when tracked files differ from it."""
-    def git(*args: str) -> str:
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                              check=True).stdout.strip()
-    try:
-        commit = git("rev-parse", "HEAD")
-        return commit + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def run_size(seed: int, train: int, test: int, repeats: int) -> dict:
@@ -270,18 +257,16 @@ def main(argv: list[str] | None = None) -> None:
     record = {
         "script": "bench/layers.py",
         "unit": "perfbench/speed.py reference seconds",
-        "commit": git_commit(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        **run.metadata(np.__version__),
         "seed": args.seed,
         "repeats": args.repeats,
         "sizes": {},
     }
-    for size in args.size or DEFAULT_SIZES:
-        train, _, test = size.partition(":")
+    sizes = [size.partition(":")[::2] for size in args.size or DEFAULT_SIZES]
+    for train, test in sizes:
         if not (train.isdigit() and test.isdigit() and int(train) and int(test)):
-            parser.error(f"bad size {size!r}: expected TRAIN:TEST, two positive integers")
+            parser.error(f"bad size {train}:{test}: expected TRAIN:TEST, two positive integers")
+    for train, test in sizes:
         label = f"12x{train}/12x{test}"
         print(f"layers: {label}, {args.repeats} run(s)", file=sys.stderr)
         record["sizes"][label] = run_size(args.seed, int(train), int(test), args.repeats)

@@ -31,7 +31,8 @@ def test_layers_script_writes_its_record(tmp_path):
     record = json.loads(out.read_text(encoding="utf-8"))
 
     assert set(record) == {
-        "script", "unit", "commit", "nproc", "python", "numpy", "seed", "repeats", "sizes",
+        "script", "unit", "commit", "nproc", "python", "numpy", "PYTHONHASHSEED", "seed",
+        "repeats", "sizes",
     }
     assert (record["seed"], record["repeats"]) == (5, 2)
     assert list(record["sizes"]) == ["12x4/12x4"]

@@ -21,10 +21,10 @@ thread CPU time with the machine's slowdown at the moment divided out.
 The record holds, per size, the median seconds of every stage and their
 spread (the smallest and largest of the runs), each pipeline's stages,
 solver counts and macro F1, and the peak RSS after loading, after
-preprocessing and at the end of a run; per file, the host's CPU count, the
-commit, the Python and numpy versions and the seed. It gates nothing: a
-change that claims a gain at these sizes reruns it at the parent and at the
-change, on the same host.
+preprocessing, before the full benchmark (the run's own documents freed)
+and at the end; per file, the host's CPU count, the commit, the Python and
+numpy versions and the seed. It gates nothing: a change that claims a gain
+at these sizes reruns it at the parent and at the change, on the same host.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def peak_rss_mb() -> float:
 
 def measure(train_path: Path, test_path: Path, work: Path) -> dict:
     """One run at one size: every stage's reference seconds, each pipeline's
-    solver counts and macro F1, and the peak RSS at three points."""
+    solver counts and macro F1, and the peak RSS at four points."""
     import speed
     from doccat import corpus, evaluation, features, models, textprep
     from doccat.errors import ConvergenceWarning
@@ -98,6 +98,7 @@ def measure(train_path: Path, test_path: Path, work: Path) -> dict:
         with timed("token_table.test"):
             textprep.token_table(test_docs)
         labels, y_true = [doc.label for doc in train_docs], [doc.label for doc in test_docs]
+        train_tokens = int(textprep.token_table(train_docs).ids.size)
 
         with timed("build_vocabulary"):
             tfidf = features.build_vocabulary(train_docs)
@@ -127,7 +128,9 @@ def measure(train_path: Path, test_path: Path, work: Path) -> dict:
                     **solver_counts(classifier, model.fit_info),
                 }
             del X, X_test, model, trained
-
+        # The benchmark preprocesses its own copies.
+        del train_docs, test_docs, tfidf, chi2
+        rss["before_benchmark"] = peak_rss_mb()
         with timed("benchmark"):
             result = evaluation.benchmark(
                 train_raw, test_raw, hyper, config, out_dir=work / "benchmark"
@@ -143,7 +146,7 @@ def measure(train_path: Path, test_path: Path, work: Path) -> dict:
     return {
         "train_docs": len(train_raw),
         "test_docs": len(test_raw),
-        "train_tokens": int(textprep.token_table(train_docs).ids.size),
+        "train_tokens": train_tokens,
         "seconds": seconds,
         "pipelines": pipelines,
         "benchmark_macro_f1": {

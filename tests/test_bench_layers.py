@@ -41,7 +41,7 @@ def test_layers_script_writes_its_record(tmp_path):
     assert set(size["seconds"]) == set(size["spread"]) == STAGES
     for stage, (low, high) in size["spread"].items():
         assert 0 <= low <= size["seconds"][stage] <= high, stage
-    assert set(size["peak_rss_mb"]) == {"after_load", "after_preprocess", "end"}
+    assert set(size["peak_rss_mb"]) == {"after_load", "after_preprocess", "before_benchmark", "end"}
     assert len(size["wall_s"]) == len(size["slowdown"]) == 2
 
     assert set(size["pipelines"]) == {

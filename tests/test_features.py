@@ -31,6 +31,7 @@ from doccat.features import (
 )
 from doccat.models import TrainHyperparams, train_from_tokens
 from doccat.textprep import (
+    TokenTable,
     TokenizedCorpus,
     TokenizedDocument,
     default_config,
@@ -724,6 +725,26 @@ class TestTokenTableBuilders:
             preprocess_corpus(raw_corpus(train_texts, "train"), default_cfg),
             preprocess_corpus(raw_corpus(test_texts, "test"), default_cfg),
         )
+
+
+def test_doc_freq_with_keys_wider_than_int32():
+    """`_doc_freq` keys each token by document x terms + id, in int32 only
+    while that fits. 65,536 documents x 32,769 terms do not, so a count in
+    int32 would wrap the last documents' keys."""
+    n_docs, n_terms = 1 << 16, (1 << 15) + 1
+    tokens = {n_docs - 3: [0, n_terms - 1, 0], n_docs - 2: [n_terms - 1], n_docs - 1: [5, 5]}
+    sizes = np.zeros(n_docs, dtype=np.intp)
+    sizes[list(tokens)] = [len(ids) for ids in tokens.values()]
+    table = TokenTable(
+        terms=tuple(f"t{i:05d}" for i in range(n_terms)),
+        ids=np.array([i for ids in tokens.values() for i in ids], dtype=np.int32),
+        sentence_lengths=sizes[sizes > 0].astype(np.int32),
+        sentence_offsets=np.concatenate(([0], np.cumsum(sizes > 0))),
+        token_offsets=np.concatenate(([0], np.cumsum(sizes))),
+    )
+    expected = [0] * n_terms
+    expected[0], expected[5], expected[n_terms - 1] = 1, 1, 2
+    assert features_module._doc_freq(table).tolist() == expected
 
 
 class TestStaleTable:

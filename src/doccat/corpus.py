@@ -13,9 +13,8 @@ Document order is load order for JSONL and ``(label, filename)``
 lexicographic for directories, so downstream training is deterministic.
 Invalid UTF-8 is a load error, never silently replaced: corrupted Bengali
 text must fail loudly (`fileio.read_lines`, `fileio.read_text`).
-`LabeledDocument` checks each document, and the loaders name the line or
-file of one that fails. `load_jsonl` is the one JSONL reader: it reads,
-checks and collects the documents in one pass over the lines.
+`LabeledDocument` checks each document, and the two loaders, `load_jsonl`
+and `load_dir`, name the line or file of one that fails.
 """
 
 from __future__ import annotations
@@ -99,8 +98,7 @@ class LabeledCorpus:
 
 
 def load_jsonl(path: str | Path, label: str | None = None) -> LabeledCorpus:
-    """Load a labeled corpus from a JSONL file, in line order; blank lines
-    are skipped.
+    """Load a labeled corpus from a JSONL file in line order; blank lines are skipped.
 
     Each line (`fileio.read_lines`, so other line boundaries, which JSON
     strings may hold, stay in their line) is a strict JSON object

@@ -222,10 +222,8 @@ def build_vocabulary(docs: Sequence[TokenizedDocument]) -> Vocabulary:
     table = token_table(docs)
     if not table.terms:
         raise EmptyVocabularyError("no terms to build a vocabulary from (all documents empty)")
-    return Vocabulary(
-        terms=table.terms, doc_freq=tuple(_doc_freq(table).tolist()), n_docs=len(docs),
-        selector="tfidf",
-    )
+    doc_freq = tuple(_doc_freq(table).tolist())
+    return Vocabulary(terms=table.terms, doc_freq=doc_freq, n_docs=len(docs), selector="tfidf")
 
 
 def _doc_freq(table: TokenTable) -> np.ndarray:
@@ -233,11 +231,9 @@ def _doc_freq(table: TokenTable) -> np.ndarray:
     term order. The table must hold at least one term."""
     n_terms = len(table.terms)
     # One (document, term) key per token, in int32 while documents x terms
-    # fits (intp keys made chi-square selection on 3,000 documents 1-5%
-    # slower than its old per-chunk count), else in intp. A term's document
-    # frequency counts its distinct keys, found by one sort in place. (Plain
-    # np.unique takes a hash-table path in numpy 2.4 that was 10x slower on
-    # 178k keys, and imports numpy.ma.)
+    # fits (intp keys made train-large's chi-square selection 1-5% slower),
+    # else in intp. Distinct keys come from one sort in place: plain
+    # np.unique was 10x slower in numpy 2.4 and imports numpy.ma.
     sizes = np.diff(table.token_offsets)
     dtype = np.int32 if sizes.size * n_terms <= np.iinfo(np.int32).max else np.intp
     keys = np.repeat(np.arange(0, sizes.size * n_terms, n_terms, dtype=dtype), sizes)

@@ -25,7 +25,7 @@ SOLVER_KEYS = {"nb": set(), "sgd": {"updates"}, "svm": {"updates", "passes", "ga
 def test_layers_script_writes_its_record(tmp_path):
     out = tmp_path / "BENCH_layers.json"
     subprocess.run(
-        [sys.executable, str(_SCRIPT), "--size", "4:4", "--repeats", "2", "--out", str(out)],
+        [sys.executable, str(_SCRIPT), "--size", "4:4", "--out", str(out)],
         check=True, capture_output=True, timeout=300,
     )
     record = json.loads(out.read_text(encoding="utf-8"))
@@ -34,15 +34,15 @@ def test_layers_script_writes_its_record(tmp_path):
         "script", "unit", "commit", "nproc", "python", "numpy", "PYTHONHASHSEED", "seed",
         "repeats", "sizes",
     }
-    assert (record["seed"], record["repeats"]) == (5, 2)
+    assert (record["seed"], record["repeats"]) == (5, 3)
     assert list(record["sizes"]) == ["12x4/12x4"]
     size = record["sizes"]["12x4/12x4"]
     assert (size["train_docs"], size["test_docs"]) == (48, 48)
     assert set(size["seconds"]) == set(size["spread"]) == STAGES
     for stage, (low, high) in size["spread"].items():
         assert 0 <= low <= size["seconds"][stage] <= high, stage
-    assert set(size["peak_rss_mb"]) == {"after_load", "after_preprocess", "before_benchmark", "end"}
-    assert len(size["wall_s"]) == len(size["slowdown"]) == 2
+    assert set(size["peak_rss_mb"]) == {"after_load", "after_preprocess", "end", "benchmark"}
+    assert len(size["wall_s"]) == len(size["slowdown"]) == 3
 
     assert set(size["pipelines"]) == {
         f"{selector}_{classifier}" for selector in ("tfidf", "chi2") for classifier in SOLVER_KEYS

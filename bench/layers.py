@@ -119,27 +119,26 @@ def layers(data: Path, work: Path, timed) -> dict:
     with timed("preprocess_corpus.test"):
         test_docs = textprep.preprocess_corpus(test_raw, config)
     rss["after_preprocess"] = peak_rss_mb()
-    # The corpora keep their tables, so the builders below time only
-    # their own work.
+    # The builders below are passed these tables, so they time only their
+    # own work.
     with timed("token_table.train"):
-        textprep.token_table(train_docs)
+        train_table = textprep.token_table(train_docs)
     with timed("token_table.test"):
-        textprep.token_table(test_docs)
-    labels, y_true = [doc.label for doc in train_docs], [doc.label for doc in test_docs]
+        test_table = textprep.token_table(test_docs)
 
     with timed("build_vocabulary"):
-        tfidf = features.build_vocabulary(train_docs)
+        tfidf = features.build_vocabulary(train_table)
     with timed("select_chi_features"):
-        chi2 = features.select_chi_features(train_docs, hyper.chi_top_percent)
+        chi2 = features.select_chi_features(train_table, hyper.chi_top_percent)
     for selector, vocab in zip(SELECTORS, (tfidf, chi2)):
         with timed(f"vectorize_corpus.{selector}.train"):
-            X = features.vectorize_corpus(train_docs, vocab)
+            X = features.vectorize_corpus(train_table, vocab)
         with timed(f"vectorize_corpus.{selector}.test"):
-            X_test = features.vectorize_corpus(test_docs, vocab)
+            X_test = features.vectorize_corpus(test_table, vocab)
         for classifier in CLASSIFIERS:
             name = f"{selector}_{classifier}"
             with timed(f"{name}.fit"):
-                model = getattr(models, f"train_{classifier}")(X, labels, hyper)
+                model = getattr(models, f"train_{classifier}")(X, train_table.labels, hyper)
             with timed(f"{name}.predict_linear"):
                 y_pred, _ = models.predict_linear(model, X_test)
             trained = models.TrainedModel(model, vocab, config, {})
@@ -148,7 +147,7 @@ def layers(data: Path, work: Path, timed) -> dict:
                 models.save_model(trained, path)
             with timed(f"{name}.load_model"):
                 models.load_model(path)
-            confusion = evaluation.confusion_matrix(y_true, y_pred, model.class_labels)
+            confusion = evaluation.confusion_matrix(test_table.labels, y_pred, model.class_labels)
             pipelines[name] = {
                 "features": len(vocab),
                 "macro_f1": evaluation.metrics_from_matrix(confusion).macro_f1,
@@ -159,7 +158,7 @@ def layers(data: Path, work: Path, timed) -> dict:
     return {
         "train_docs": len(train_raw),
         "test_docs": len(test_raw),
-        "train_tokens": int(textprep.token_table(train_docs).ids.size),
+        "train_tokens": int(train_table.ids.size),
         "pipelines": pipelines,
         "peak_rss_mb": rss,
     }

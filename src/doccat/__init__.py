@@ -43,8 +43,8 @@ from .models import (
 )
 from .textprep import (
     PreprocessConfig,
-    TokenizedCorpus,
     TokenizedDocument,
+    TokenTable,
     default_config,
     preprocess_corpus,
     preprocess_document,
@@ -62,7 +62,7 @@ __all__ = [
     "LabeledDocument",
     "LinearModel",
     "PreprocessConfig",
-    "TokenizedCorpus",
+    "TokenTable",
     "TokenizedDocument",
     "TrainHyperparams",
     "TrainedModel",

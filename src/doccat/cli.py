@@ -27,7 +27,6 @@ from .textprep import (
     load_stopwords,
     load_suffix_table,
     preprocess_corpus,
-    preprocess_document,
     tokenized_to_json,
 )
 
@@ -242,7 +241,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     trained = models.load_model(args.model)
     config = trained.preprocess_config
     docs = _load_predict_documents(args.input)
-    labels, scores = models.predict(trained, [preprocess_document(doc, config) for doc in docs])
+    labels, scores = models.predict(trained, preprocess_corpus(docs, config))
     lines = [
         f"{doc.id}\t{label}\t{score:.6f}"
         for doc, label, score in zip(docs, labels, scores.max(axis=1).tolist())

@@ -38,7 +38,7 @@ from .models import (
     save_model,
     train_from_tokens,
 )
-from .textprep import PreprocessConfig, TokenizedCorpus, TokenizedDocument, preprocess_corpus
+from .textprep import PreprocessConfig, TokenTable, preprocess_corpus, token_table
 
 # The paper's results table: each method's name and its (selector,
 # classifier) pipeline, in the table's row order.
@@ -83,7 +83,7 @@ class EvaluationReport:
     `stage_seconds` times the model's training stages and
     `predict_stage_seconds` the PREDICT_STAGES; `train_seconds` and
     `predict_seconds` are their sums. `preprocess_seconds` is the time spent
-    preprocessing the scored test documents.
+    preprocessing the scored test documents and building their token table.
     """
 
     method_name: str
@@ -169,25 +169,24 @@ def _check_labels(corpus: LabeledCorpus, known: Sequence[str]) -> None:
             raise UnknownLabelError(label)
 
 
-def _timed_preprocess(
-    corpus: LabeledCorpus, config: PreprocessConfig
-) -> tuple[TokenizedCorpus, float]:
+def _timed_preprocess(corpus: LabeledCorpus, config: PreprocessConfig) -> tuple[TokenTable, float]:
+    """The token table of the preprocessed corpus, and the seconds that
+    preprocessing and the table's build took."""
     started = time.perf_counter()
-    docs = preprocess_corpus(corpus, config)
-    return docs, time.perf_counter() - started
+    table = token_table(preprocess_corpus(corpus, config))
+    return table, time.perf_counter() - started
 
 
 def _evaluate_tokenized(
-    trained: TrainedModel, docs: Sequence[TokenizedDocument], preprocess_seconds: float
+    trained: TrainedModel, table: TokenTable, preprocess_seconds: float
 ) -> EvaluationReport:
     clock = [time.perf_counter()]
-    X = vectorize_corpus(docs, trained.vocabulary)
+    X = vectorize_corpus(table, trained.vocabulary)
     clock.append(time.perf_counter())
     y_pred, _ = predict_linear(trained.model, X)
     clock.append(time.perf_counter())
 
-    y_true = [doc.label for doc in docs]
-    report = metrics_from_matrix(confusion_matrix(y_true, y_pred, trained.class_labels))
+    report = metrics_from_matrix(confusion_matrix(table.labels, y_pred, trained.class_labels))
     report.method_name = _METHOD_NAMES[trained.vocabulary.selector, trained.model.trainer_tag]
     report.stage_seconds = dict(trained.stage_seconds)
     report.predict_stage_seconds = {
@@ -212,8 +211,8 @@ def evaluate(
     if config != trained.preprocess_config:
         raise PreprocessMismatchError("the config differs from the model's preprocess_config")
     _check_labels(test_corpus, trained.class_labels)
-    docs, preprocess_seconds = _timed_preprocess(test_corpus, config)
-    return _evaluate_tokenized(trained, docs, preprocess_seconds)
+    table, preprocess_seconds = _timed_preprocess(test_corpus, config)
+    return _evaluate_tokenized(trained, table, preprocess_seconds)
 
 
 def benchmark(
@@ -250,8 +249,9 @@ def benchmark(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_docs = preprocess_corpus(train_corpus, config)
-    test_docs, preprocess_seconds = _timed_preprocess(test_corpus, config)
+    # Only the splits' tables are kept: no document is held through the fits.
+    train_table = token_table(preprocess_corpus(train_corpus, config))
+    test_table, preprocess_seconds = _timed_preprocess(test_corpus, config)
     if repro:
         preprocess_seconds = 0.0
 
@@ -262,8 +262,8 @@ def benchmark(
         try:
             model_path.unlink(missing_ok=True)  # a failure leaves no earlier run's files
             report_path.unlink(missing_ok=True)
-            trained = train_from_tokens(train_docs, selector, classifier, hyper, config)
-            report = _evaluate_tokenized(trained, test_docs, preprocess_seconds)
+            trained = train_from_tokens(train_table, selector, classifier, hyper, config)
+            report = _evaluate_tokenized(trained, test_table, preprocess_seconds)
             if repro:
                 report.stage_seconds = dict.fromkeys(report.stage_seconds, 0.0)
                 report.predict_stage_seconds = dict.fromkeys(report.predict_stage_seconds, 0.0)

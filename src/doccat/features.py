@@ -16,8 +16,9 @@ The three corpus builders, `build_vocabulary`, `select_chi_features` and
 `vectorize_corpus`, read the documents through their token table
 (`textprep.token_table`): the corpus's distinct terms in ascending order and
 one id per token, a term's position there, so no id depends on the
-process's string hashing. A TokenizedCorpus keeps its table, so its token
-strings are mapped to ids once, however many features are built from it.
+process's string hashing. A caller that builds several features from one
+corpus passes its TokenTable, read as it is, so its token strings are
+mapped to ids once, however many features are built from it.
 Both vocabularies take each term's document frequency from one count,
 `_doc_freq`: one sort of the table's (document, id) keys.
 
@@ -453,11 +454,12 @@ def vectorize_corpus(docs: Sequence[TokenizedDocument], vocab: Vocabulary) -> Co
         map(vocab.index.get, table.terms, repeat(-1)), np.intp, len(table.terms)
     )
     sizes = np.diff(table.token_offsets).tolist()
+    n_docs = len(sizes)
     pieces = []  # (row lengths, indices, values) per chunk
     start = first_token = 0
-    while start < len(docs):
+    while start < n_docs:
         stop, tokens = start + 1, sizes[start]
-        while stop < len(docs) and tokens + sizes[stop] <= _VECTORIZE_CHUNK_TOKENS:
+        while stop < n_docs and tokens + sizes[stop] <= _VECTORIZE_CHUNK_TOKENS:
             tokens += sizes[stop]
             stop += 1
         ids = term_features.take(table.ids[first_token:first_token + tokens])

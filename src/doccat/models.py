@@ -115,7 +115,7 @@ from .features import (
     vectorize_document,
 )
 from .fileio import STRICT_JSON, atomic_write_text, read_text
-from .textprep import PreprocessConfig, TokenizedDocument, preprocess_corpus
+from .textprep import PreprocessConfig, TokenizedDocument, preprocess_corpus, token_table
 
 MODEL_FORMAT_VERSION = 4
 # The keys of a model file, in the order `save_model` writes them.
@@ -657,29 +657,29 @@ def train_svm(X: CorpusMatrix, y: Sequence[str], hyper: TrainHyperparams) -> Lin
 def _features(
     docs: Sequence[TokenizedDocument], selector: Selector, classifier: Classifier,
     hyper: TrainHyperparams,
-) -> tuple[Vocabulary, CorpusMatrix, list[str], list[float]]:
+) -> tuple[Vocabulary, CorpusMatrix, tuple[str, ...], list[float]]:
     """Check the classifier and the labels, then build the feature space and
-    the training matrix: the vocabulary, X, the labels and the clock read
-    before, between and after the two stages. Nothing returned refers to
-    `docs`."""
+    the training matrix from the token table of `docs`: the vocabulary, X,
+    the labels and the clock read before, between and after the two stages.
+    Nothing returned keeps `docs` or its table alive."""
     if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier: {classifier!r} (expected one of {CLASSIFIERS})")
-    labels = [doc.label for doc in docs]
-    if any(label is None for label in labels):
-        raise ValueError("training documents must carry labels")
 
     clock = [time.perf_counter()]
-    vocabulary = build_feature_space(docs, selector, hyper.chi_top_percent)
+    table = token_table(docs)
+    if None in table.labels:
+        raise ValueError("training documents must carry labels")
+    vocabulary = build_feature_space(table, selector, hyper.chi_top_percent)
     clock.append(time.perf_counter())
-    X = vectorize_corpus(docs, vocabulary)
+    X = vectorize_corpus(table, vocabulary)
     clock.append(time.perf_counter())
-    return vocabulary, X, labels, clock
+    return vocabulary, X, table.labels, clock
 
 
 def _fit(
     vocabulary: Vocabulary,
     X: CorpusMatrix,
-    labels: list[str],
+    labels: tuple[str, ...],
     clock: list[float],
     classifier: Classifier,
     hyper: TrainHyperparams,
@@ -709,7 +709,8 @@ def train_from_tokens(
     hyper: TrainHyperparams,
     preprocess_config: PreprocessConfig,
 ) -> TrainedModel:
-    """Build the feature space and fit one classifier on preprocessed docs.
+    """Build the feature space and fit one classifier on preprocessed docs,
+    or on their `textprep.TokenTable`, which is read as it is.
 
     `features.build_feature_space` checks the selector and builds its space.
     `stage_seconds` times feature building ("features"), vectorization

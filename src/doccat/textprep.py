@@ -43,30 +43,29 @@ times slower with it than without (README gives the figures). Results are
 pure functions of (input, config); a configuration's memo is bounded and
 thread-safe, so documents may still be preprocessed in parallel.
 
-`preprocess_corpus` returns a TokenizedCorpus: a list of the documents
-that also carries one TokenTable, the corpus's tokens as integer ids,
-built on first use. The feature builders read every corpus through a
-table (`token_table`), so each token string is mapped to its id once per
-corpus rather than once per feature call; any other sequence of documents
-gets the same table built on the spot.
+`preprocess_corpus` returns a list of the documents. The feature builders
+read a corpus through its TokenTable (`token_table`), the corpus's tokens
+as integer ids: a caller that builds several features from one corpus
+builds its table once and passes the table, a read-only sequence of the
+same documents, so each token string is mapped to its id once per corpus
+and the documents themselves need not be kept.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import re
 import string
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import LabeledCorpus, LabeledDocument
+from .corpus import LabeledDocument
 from .errors import MalformedLineError, quoted
 from .fileio import read_entries
 
@@ -258,14 +257,18 @@ def preprocess_document(doc: LabeledDocument, config: PreprocessConfig) -> Token
     return TokenizedDocument(sentences=tuple(sentences), label=doc.label, doc_id=doc.id)
 
 
-def preprocess_corpus(corpus: LabeledCorpus, config: PreprocessConfig) -> TokenizedCorpus:
-    """Preprocess every document, preserving corpus order."""
-    return TokenizedCorpus(preprocess_document(doc, config) for doc in corpus)
+def preprocess_corpus(
+    corpus: Iterable[LabeledDocument], config: PreprocessConfig
+) -> list[TokenizedDocument]:
+    """Preprocess every document of a corpus (or any iterable of documents),
+    preserving its order."""
+    return [preprocess_document(doc, config) for doc in corpus]
 
 
 @dataclass(frozen=True, eq=False)
-class TokenTable:
-    """The tokens of a sequence of documents as integer ids.
+class TokenTable(Sequence):
+    """The tokens of a sequence of documents as integer ids, and the
+    documents' labels and ids: a read-only sequence of those documents.
 
     `terms` holds the distinct terms in ascending order, and `ids` (int32)
     one id per token, in document, sentence and token order: the position of
@@ -274,7 +277,15 @@ class TokenTable:
     `sentence_lengths[sentence_offsets[d]:sentence_offsets[d + 1]]` (int32)
     and its tokens are `ids[token_offsets[d]:token_offsets[d + 1]]`; both
     offset arrays are intp and hold one entry more than there are
-    documents. The arrays are read-only.
+    documents. The arrays are read-only. `labels` and `doc_ids` hold each
+    document's label and id.
+
+    `len(table)` is the number of documents, and `table[d]` rebuilds
+    document d, equal to the one the table was built from. The table takes
+    4 bytes per token (its int32 ids), 4 per sentence, 16 per document (two
+    offsets) and a pointer per distinct term and per document's label and
+    id: at the paper's scale, 1.71M training tokens, the ids take about
+    6.8 MB.
     """
 
     terms: tuple[str, ...]
@@ -282,6 +293,19 @@ class TokenTable:
     sentence_lengths: np.ndarray
     sentence_offsets: np.ndarray
     token_offsets: np.ndarray
+    labels: tuple[str | None, ...]
+    doc_ids: tuple[str | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, d: int) -> TokenizedDocument:
+        d = range(len(self.labels))[d]  # IndexError outside the table, as a list's
+        ids = self.ids[self.token_offsets[d]:self.token_offsets[d + 1]].tolist()
+        tokens = map(self.terms.__getitem__, ids)
+        lengths = self.sentence_lengths[self.sentence_offsets[d]:self.sentence_offsets[d + 1]]
+        sentences = tuple(tuple(islice(tokens, length)) for length in lengths.tolist())
+        return TokenizedDocument(sentences, self.labels[d], self.doc_ids[d])
 
     @classmethod
     def build(cls, docs: Sequence[TokenizedDocument]) -> TokenTable:
@@ -308,7 +332,9 @@ class TokenTable:
         for array in (ids, lengths, sentence_offsets, token_offsets):
             array.flags.writeable = False
         terms = tuple(map(seen.__getitem__, order))
-        return cls(terms, ids, lengths, sentence_offsets, token_offsets)
+        labels = tuple(doc.label for doc in docs)
+        doc_ids = tuple(doc.doc_id for doc in docs)
+        return cls(terms, ids, lengths, sentence_offsets, token_offsets, labels, doc_ids)
 
 
 class _Numbering(dict):
@@ -319,42 +345,10 @@ class _Numbering(dict):
         return number
 
 
-class TokenizedCorpus(list):
-    """A list of TokenizedDocuments that keeps its token table.
-
-    `preprocess_corpus` returns one. It is a plain list in every other
-    respect: slicing, `+` and `list(corpus)` give plain lists, which the
-    feature builders read through a table built on the spot.
-
-    The table is built by `token_table` on first use and kept. It never goes
-    stale: it remembers the documents it was built from, by identity, and
-    is rebuilt when the corpus no longer holds exactly those documents in
-    that order, so items appended, replaced, deleted or reordered after it
-    was built are seen by the next feature call. Documents are immutable,
-    so the same documents give the same table.
-
-    The table takes 4 bytes per token (its int32 ids), 4 per sentence, 16
-    per document (two offsets) and a pointer per distinct term, whose
-    strings the documents already hold; the corpus adds a pointer per
-    document for the identities it checks. The documents keep their own
-    tuples of token strings. At the paper's scale, 1.71M training tokens,
-    the ids take about 6.8 MB.
-    """
-
-    __slots__ = ("_table",)  # (the documents the table was built from, the table)
-
-
 def token_table(docs: Sequence[TokenizedDocument]) -> TokenTable:
-    """The token table of `docs`. A TokenizedCorpus's kept table is returned
-    while the corpus holds the documents it was built from; otherwise a new
-    one is built and kept. Any other sequence gets a new table."""
-    if not isinstance(docs, TokenizedCorpus):
-        return TokenTable.build(docs)
-    kept = getattr(docs, "_table", None)
-    if kept is None or len(kept[0]) != len(docs) or not all(map(operator.is_, kept[0], docs)):
-        documents = tuple(docs)
-        kept = docs._table = documents, TokenTable.build(documents)
-    return kept[1]
+    """The token table of `docs`: `docs` itself when it is one, else a new
+    table built from its documents."""
+    return docs if isinstance(docs, TokenTable) else TokenTable.build(docs)
 
 
 def tokenized_to_json(doc: TokenizedDocument) -> str:

@@ -3,10 +3,12 @@ import itertools
 import json
 import os
 import stat
+import weakref
 
 import numpy as np
 import pytest
 
+from doccat import textprep
 from doccat.corpus import LabeledCorpus, LabeledDocument
 from doccat.errors import (
     LengthMismatchError,
@@ -418,6 +420,35 @@ class TestBenchmark:
         for report in result.reports:
             assert report.confusion.labels == tiny_corpus.labels
             assert report.confusion.total == len(single)
+
+    def test_fits_with_no_preprocessed_document_alive(
+        self, tiny_corpus, default_cfg, tmp_path, monkeypatch
+    ):
+        # Weak references to every document that preprocessing makes, of
+        # both splits, counted as each of the six fits starts.
+        made = []
+        preprocess_document = textprep.preprocess_document
+
+        def watched_preprocess(doc, config):
+            tokenized = preprocess_document(doc, config)
+            made.append(weakref.ref(tokenized))
+            return tokenized
+
+        alive_at_fit = []
+
+        def watched(trainer):
+            def fit(*args):
+                alive_at_fit.append(sum(ref() is not None for ref in made))
+                return trainer(*args)
+            return fit
+
+        monkeypatch.setattr(textprep, "preprocess_document", watched_preprocess)
+        for classifier in CLASSIFIERS:
+            name = f"train_{classifier}"
+            monkeypatch.setattr(models_module, name, watched(getattr(models_module, name)))
+        benchmark(tiny_corpus, tiny_corpus, TrainHyperparams(), default_cfg, tmp_path)
+        assert len(made) == 2 * len(tiny_corpus)
+        assert alive_at_fit == [0] * len(METHOD_ORDER)
 
     def test_partial_failure_keeps_going(self, tiny_corpus, default_cfg, tmp_path, monkeypatch):
         real = evaluation_module.train_from_tokens

@@ -32,7 +32,6 @@ from doccat.features import (
 from doccat.models import TrainHyperparams, train_from_tokens
 from doccat.textprep import (
     TokenTable,
-    TokenizedCorpus,
     TokenizedDocument,
     default_config,
     preprocess_corpus,
@@ -661,12 +660,13 @@ def feature_outputs(vocabulary, select, vectorize, train, test):
 
 
 def assert_builders_agree(train, test):
-    """The feature builders give the same bits on TokenizedCorpus results, on
-    plain lists of their documents and through the string oracles."""
-    assert type(train) is type(test) is TokenizedCorpus
+    """The feature builders give the same bits on plain lists of documents,
+    on the lists' token tables and through the string oracles."""
+    assert type(train) is type(test) is list
     builders = (build_vocabulary, select_chi_features, vectorize_corpus)
+    tables = token_table(train), token_table(test)
     if not any(doc.token_count for doc in train):
-        for docs in (train, list(train)):
+        for docs in (train, tables[0]):
             with pytest.raises(EmptyVocabularyError):
                 build_vocabulary(docs)
             with pytest.raises(EmptyVocabularyError):
@@ -674,18 +674,16 @@ def assert_builders_agree(train, test):
         return
     expected = feature_outputs(
         reference_build_vocabulary, reference_select_chi_features, reference_vectorize_corpus,
-        list(train), list(test),
+        train, test,
     )
-    assert feature_outputs(*builders, list(train), list(test)) == expected
     assert feature_outputs(*builders, train, test) == expected
-    # The corpora kept their tables across the calls.
-    assert token_table(train) is token_table(train)
+    assert feature_outputs(*builders, *tables) == expected
 
 
 class TestTokenTableBuilders:
     """`build_vocabulary`, `select_chi_features` and `vectorize_corpus` read
     every corpus through its token table; the results must not depend on
-    whether the table was kept by a TokenizedCorpus or built for a list."""
+    whether a builder is passed the table or a list of the documents."""
 
     def test_edge_documents(self, default_cfg, monkeypatch):
         cap, cells = 10, 40
@@ -741,38 +739,9 @@ def test_doc_freq_with_keys_wider_than_int32():
         sentence_lengths=sizes[sizes > 0].astype(np.int32),
         sentence_offsets=np.concatenate(([0], np.cumsum(sizes > 0))),
         token_offsets=np.concatenate(([0], np.cumsum(sizes))),
+        labels=(None,) * n_docs,
+        doc_ids=(None,) * n_docs,
     )
     expected = [0] * n_terms
     expected[0], expected[5], expected[n_terms - 1] = 1, 1, 2
     assert features_module._doc_freq(table).tolist() == expected
-
-
-class TestStaleTable:
-    """A TokenizedCorpus keeps its token table, and a feature call after the
-    corpus changed must see the change, as a fresh list of its items does."""
-
-    def assert_as_fresh_list(self, corpus, previous):
-        fresh = list(corpus)
-        outputs = feature_outputs(
-            build_vocabulary, select_chi_features, vectorize_corpus, corpus, corpus
-        )
-        assert outputs == feature_outputs(
-            build_vocabulary, select_chi_features, vectorize_corpus, fresh, fresh
-        )
-        assert outputs != previous  # the change shows in the results
-        return outputs
-
-    def test_items_changed_after_a_feature_call(self, default_cfg):
-        corpus = preprocess_corpus(make_overlapping_corpus(2, seed=4, n_categories=3), default_cfg)
-        other = preprocess_corpus(make_overlapping_corpus(2, seed=9, n_categories=5), default_cfg)
-        outputs = self.assert_as_fresh_list(corpus, None)
-        table = token_table(corpus)
-        corpus.append(other[-1])
-        outputs = self.assert_as_fresh_list(corpus, outputs)
-        corpus[0] = other[-2]  # the same length, one item replaced
-        outputs = self.assert_as_fresh_list(corpus, outputs)
-        del corpus[1]
-        outputs = self.assert_as_fresh_list(corpus, outputs)
-        corpus.reverse()  # the same items in another order
-        self.assert_as_fresh_list(corpus, outputs)
-        assert token_table(corpus) is not table

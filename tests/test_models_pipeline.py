@@ -131,17 +131,15 @@ class TestTrainPipelines:
     def test_train_fits_with_no_preprocessed_document_alive(
         self, classifier, default_cfg, monkeypatch
     ):
-        # Weak references to the corpus, the documents and the token table
-        # that this call to `train` makes, each checked as the fit starts.
+        # Weak references to the documents and the token table that this
+        # call to `train` makes, each checked as the fit starts.
         made = []
+        preprocess_document = textprep.preprocess_document
 
-        class WatchedCorpus(textprep.TokenizedCorpus):
-            __slots__ = ("__weakref__",)
-
-            def __init__(self, docs):
-                super().__init__(docs)
-                made.append(weakref.ref(self))
-                made.extend(map(weakref.ref, self))
+        def watched_preprocess(doc, config):
+            tokenized = preprocess_document(doc, config)
+            made.append(weakref.ref(tokenized))
+            return tokenized
 
         build = textprep.TokenTable.build.__func__
 
@@ -157,12 +155,12 @@ class TestTrainPipelines:
             alive_at_fit.append(sum(ref() is not None for ref in made))
             return trainer(*args)
 
-        monkeypatch.setattr(textprep, "TokenizedCorpus", WatchedCorpus)
+        monkeypatch.setattr(textprep, "preprocess_document", watched_preprocess)
         monkeypatch.setattr(textprep.TokenTable, "build", classmethod(watched_build))
         monkeypatch.setattr(models, f"train_{classifier}", watched_trainer)
         corpus = make_synthetic_corpus(4, seed=31, n_categories=3, pool_size=3)
         train(corpus, "chi2", classifier, TrainHyperparams(), default_cfg)
-        assert len(made) == len(corpus) + 2
+        assert len(made) == len(corpus) + 1
         assert alive_at_fit == [0]
 
 

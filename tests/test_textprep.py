@@ -18,7 +18,6 @@ from doccat.textprep import (
     STRIP_SYMBOLS,
     TOKEN_MEMO_SIZE,
     PreprocessConfig,
-    TokenizedCorpus,
     TokenizedDocument,
     TokenTable,
     default_config,
@@ -179,23 +178,21 @@ class TestPreprocessDocument:
         assert preprocess_document(doc, default_cfg) == preprocess_document(doc, default_cfg)
 
 
-class TestTokenizedCorpus:
-    def test_a_list_of_the_documents(self, default_cfg):
+class TestTokenTable:
+    def test_preprocess_corpus_returns_a_list_of_the_documents(self, default_cfg):
         raw = make_overlapping_corpus(2, seed=3, n_categories=3)
         corpus = preprocess_corpus(raw, default_cfg)
-        assert type(corpus) is TokenizedCorpus and isinstance(corpus, list)
+        assert type(corpus) is list
         assert corpus == [preprocess_document(doc, default_cfg) for doc in raw]
-        for plain in (corpus[1:], corpus[:], corpus + [], list(corpus)):
-            assert type(plain) is list
 
     @pytest.mark.parametrize("block", [None, 1, 3])
     def test_the_table_holds_every_token_by_term(self, block, monkeypatch):
         if block is not None:  # renumbered in several blocks, the last one partial
             monkeypatch.setattr(textprep, "_RENUMBER_TOKENS", block)
         docs = [
-            TokenizedDocument(sentences=(("খ", "ক", "খ"), ("গ",))),
+            TokenizedDocument(sentences=(("খ", "ক", "খ"), ("গ",)), label="x", doc_id="d0"),
             TokenizedDocument(sentences=()),
-            TokenizedDocument(sentences=(("ক",), (), ("ঘ", "খ"))),
+            TokenizedDocument(sentences=(("ক",), (), ("ঘ", "খ")), label="y"),
         ]
         table = token_table(docs)
         assert table.terms == ("ক", "খ", "গ", "ঘ")
@@ -204,23 +201,27 @@ class TestTokenizedCorpus:
         assert table.sentence_lengths.tolist() == [3, 1, 1, 0, 2]
         assert table.sentence_offsets.tolist() == [0, 2, 2, 5]
         assert table.token_offsets.tolist() == [0, 4, 4, 7]
+        assert table.labels == ("x", None, "y") and table.doc_ids == ("d0", None, None)
         for array in (table.ids, table.sentence_lengths, table.sentence_offsets,
                       table.token_offsets):
             assert not array.flags.writeable
+        # A read-only sequence of the documents, empty sentences and
+        # unlabeled documents included.
+        assert len(table) == 3 and list(table) == docs and table[-1] == docs[-1]
+        with pytest.raises(IndexError):
+            table[3]
+        assert token_table(table) is table
         empty = token_table([])
-        assert empty.terms == () and empty.ids.size == 0
+        assert empty.terms == () and empty.ids.size == 0 and list(empty) == []
         assert empty.token_offsets.tolist() == empty.sentence_offsets.tolist() == [0]
 
-    def test_a_corpus_table_equals_a_list_table_and_is_kept(self, default_cfg):
+    def test_a_corpus_table_gives_back_the_corpus(self, default_cfg):
         corpus = preprocess_corpus(make_synthetic_corpus(3, seed=5), default_cfg)
         table = token_table(corpus)
         assert isinstance(table, TokenTable)
-        assert token_table(corpus) is table
-        fresh = token_table(list(corpus))
-        assert fresh is not table
-        assert fresh.terms == table.terms == tuple(sorted({t for d in corpus for t in d.tokens()}))
-        for name in ("ids", "sentence_lengths", "sentence_offsets", "token_offsets"):
-            assert getattr(fresh, name).tobytes() == getattr(table, name).tobytes()
+        assert token_table(table) is table
+        assert list(table) == corpus
+        assert table.terms == tuple(sorted({t for d in corpus for t in d.tokens()}))
         tokens = [table.terms[i] for i in table.ids.tolist()]
         assert tokens == [token for doc in corpus for token in doc.tokens()]
 

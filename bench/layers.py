@@ -3,11 +3,12 @@
     python bench/layers.py
     python bench/layers.py --size 4:4 --out /tmp/BENCH_layers.json
 
-Run from the root of a source checkout: doccat is imported from ``src/``.
-Each ``--size TRAIN:TEST`` gives the documents per class of the train and
-test splits that ``perfbench/corpusgen.py`` draws for its 12 classes from
-seed ``SEED``; the default sizes are 12x250 against 12x250 and the paper's
-12x2400 against 12x250. Every size runs ``REPEATS`` times.
+Run from the root of a source checkout on Linux: doccat is imported from
+``src/``. Each ``--size TRAIN:TEST`` gives the documents per class of the
+train and test splits that ``perfbench/run.py``'s ``generate`` draws for 12
+classes from seed ``SEED``, in a process of its own; the default sizes are
+12x250 against 12x250 and the paper's 12x2400 against 12x250. Every size
+runs ``REPEATS`` times.
 
 A run is two child processes. The first calls the program's public
 functions in pipeline order, with no tracer: ``load_jsonl`` and
@@ -21,12 +22,13 @@ CPU time with the machine's slowdown at the moment divided out.
 
 The record holds, per size, the median seconds of every stage and their
 spread (the smallest and largest of the runs), each pipeline's stages,
-solver counts and macro F1, and peak RSS: the first child's high-water mark
-(``ru_maxrss``, which never falls) after loading, after preprocessing and at
-its end, and the second child's own peak as ``benchmark``. Per file it holds
-the host's CPU count, the commit, the Python and numpy versions, the seed
-and the number of repeats. It gates nothing: a change that claims a gain at
-these sizes reruns it at the parent and at the change, on the same host.
+solver counts and macro F1, and peak RSS: the first child's own high-water
+mark (``VmHWM``, which never falls and, unlike ``ru_maxrss``, does not start
+at its parent's) after loading, after preprocessing and at its end, and the
+second child's as ``benchmark``. Per file it holds the host's CPU count, the
+commit, the Python and numpy versions, the seed and the number of repeats.
+It gates nothing: a change that claims a gain at these sizes reruns it at
+the parent and at the change, on the same host.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import resource
 import statistics
 import subprocess
 import sys
@@ -47,7 +48,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import corpusgen  # noqa: E402
 import run  # noqa: E402
 import numpy as np  # noqa: E402
 
@@ -60,8 +60,9 @@ CLASSIFIERS = ("nb", "sgd", "svm")
 
 
 def peak_rss_mb() -> float:
-    """This process's peak resident set so far, in MB of 2**20 bytes."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    """This process's own peak resident set so far, in MB of 2**20 bytes."""
+    status = Path("/proc/self/status").read_text(encoding="utf-8")
+    return int(re.search(r"^VmHWM:\s+(\d+) kB$", status, re.M)[1]) / 1024
 
 
 def measure(part: str, data: Path, work: Path) -> dict:
@@ -125,6 +126,7 @@ def layers(data: Path, work: Path, timed) -> dict:
         train_table = textprep.token_table(train_docs)
     with timed("token_table.test"):
         test_table = textprep.token_table(test_docs)
+    del train_docs, test_docs
 
     with timed("build_vocabulary"):
         tfidf = features.build_vocabulary(train_table)
@@ -249,10 +251,7 @@ def run_size(train: int, test: int) -> dict:
     child per part."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        pools = corpusgen.Pools(SEED, *corpusgen.read_word_lists(corpusgen.DATA_DIR))
-        for split, per_class in (("train", train), ("test", test)):
-            corpusgen.write_jsonl(pools.split(SEED, split, per_class), work / f"{split}.jsonl")
-        del pools
+        run.generate(SEED, {"train": train, "test": test}, work)
         runs = []
         for _ in range(REPEATS):
             first, second = (

@@ -1,8 +1,8 @@
 """bench/layers.py runs end to end and writes a record with every key.
 
 The script times each layer at corpus sizes far too long for tier-1, so
-this runs it at a toy size (12x4) and checks only the record's shape. It
-gates no speed.
+these run it at a toy size (12x4) and check the record's shape and that
+each child's peak RSS is its own. They gate no speed.
 """
 
 import json
@@ -10,7 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SCRIPT = _ROOT / "bench" / "layers.py"
+_CORPUSGEN = _ROOT / "perfbench" / "corpusgen.py"
+# A parent that holds 256 MiB of written bytes while it waits for its child.
+_HEAVY_PARENT = "import subprocess, sys; held = b'\\1' * (256 << 20); subprocess.run(sys.argv[1:], check=True)"
 
 STAGES = {
     "load_jsonl.train", "load_jsonl.test", "preprocess_corpus.train", "preprocess_corpus.test",
@@ -58,3 +62,23 @@ def test_layers_script_writes_its_record(tmp_path):
         f"{selectors[method.split('+')[0]]}_{method.split('+')[1].lower()}": f1
         for method, f1 in size["benchmark_macro_f1"].items()
     } == {name: info["macro_f1"] for name, info in size["pipelines"].items()}
+
+
+def test_a_child_records_its_own_peak(tmp_path):
+    subprocess.run(
+        [sys.executable, str(_CORPUSGEN), "--seed", "5", "--out", str(tmp_path), "train=4", "test=4"],
+        check=True, capture_output=True, timeout=120,
+    )
+    peaks = {}
+    for part in ("layers", "benchmark"):
+        child = subprocess.run(
+            [sys.executable, "-c", _HEAVY_PARENT, sys.executable, str(_SCRIPT), "--child", part, str(tmp_path)],
+            check=True, capture_output=True, text=True, timeout=300,
+        )
+        peaks.update(json.loads(child.stdout.splitlines()[-1])["peak_rss_mb"])
+
+    assert set(peaks) == {"after_load", "after_preprocess", "end", "benchmark"}
+    # No reading starts at the parent's 256 MiB: a doccat child at 12x4 peaks
+    # near the 30 MB of its imports.
+    assert all(peak < 128 for peak in peaks.values()), peaks
+    assert peaks["after_load"] <= peaks["after_preprocess"] <= peaks["end"]
